@@ -1,12 +1,11 @@
 // mls-verify: offline plan verifier (DESIGN.md §12).
 //
-// Derives the complete per-rank collective schedule of a training
-// iteration (and the serve decode loop) symbolically from a
-// ModelConfig — no threads, no tensors — then proves three properties:
+// Records the complete per-rank collective schedule of a training
+// iteration (and the serve decode loop) from one real run of the
+// runtime at the tiny preset's shapes, then proves three properties:
 //
 //   1. schedule  — every rank of every group issues the same collective
-//                  sequence (the runtime ledger's cross-rank check, but
-//                  before any world exists);
+//                  sequence;
 //   2. deadlock  — the happens-before graph over collectives and
 //                  send/recv pairs admits a full execution;
 //   3. budget    — the config's Table-2 activation bytes, model-state
@@ -29,10 +28,9 @@
 
 #include "analysis/ledger.h"
 #include "analysis/static/budget.h"
-#include "core/env.h"
-#include "analysis/static/trace_pipeline.h"
-#include "analysis/static/trace_serve.h"
+#include "analysis/static/record.h"
 #include "analysis/static/verify.h"
+#include "core/env.h"
 #include "memory/activation_model.h"
 #include "model/config.h"
 
@@ -141,23 +139,21 @@ void write_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
-// Verify one config end to end: trace train + decode, run all checks.
+// Verify one config end to end: record train + decode, run all checks.
 ConfigReport verify_config(const ModelConfig& cfg) {
   ConfigReport r;
   r.cfg = cfg;
-  mls::verify::TraceOptions topts;
-  if (cfg.interleave_m > 1) {
-    topts.schedule = mls::pipeline::Schedule::kInterleaved1F1B;
-  }
-  const Plan train = mls::verify::trace_train_iteration(cfg, topts);
+  const Plan train = mls::verify::record_train_iteration(
+      cfg, cfg.interleave_m > 1 ? mls::pipeline::Schedule::kInterleaved1F1B
+                                : mls::pipeline::Schedule::k1F1B);
   r.train_events = plan_events(train);
   r.groups = train.groups.size();
   r.violations = mls::verify::verify_plan(train);
   r.budget = mls::verify::compute_budget(cfg, train);
   if (cfg.t > 1) {
-    const Plan decode = mls::verify::trace_decode(cfg, /*steps=*/2,
-                                                  /*rows=*/2,
-                                                  /*sample_count=*/2);
+    const Plan decode = mls::verify::record_decode(cfg, /*steps=*/2,
+                                                   /*rows=*/2,
+                                                   /*samples=*/2);
     r.decode_events = plan_events(decode);
     for (auto& v : mls::verify::verify_plan(decode)) {
       r.violations.push_back(std::move(v));
@@ -234,7 +230,7 @@ int run_all(const std::string& report_path) {
   }
   write_json(report_path, reports);
   std::cout << "mls-verify: " << grid.size() << " configs, " << total_events
-            << " symbolic events, " << bad << " with violations\n"
+            << " recorded events, " << bad << " with violations\n"
             << "report: " << report_path << "\n";
   return bad == 0 ? 0 : 1;
 }
@@ -251,8 +247,8 @@ int run_single() {
             << cfg.t * cfg.p * cfg.d << ", " << cfg.microbatches()
             << " microbatches)\n";
   const ConfigReport r = verify_config(cfg);
-  const Plan train = mls::verify::trace_train_iteration(cfg);
-  std::cout << "  traced " << r.train_events << " train events + "
+  const Plan train = mls::verify::record_train_iteration(cfg);
+  std::cout << "  recorded " << r.train_events << " train events + "
             << r.decode_events << " decode events across " << r.groups
             << " groups:\n";
   for (const auto& g : train.groups) {
@@ -291,8 +287,8 @@ int run_single() {
   return r.violations.empty() ? 0 : 1;
 }
 
-// A deliberately broken plan: rank 0 was traced with sequence
-// parallelism, rank 1 without — the classic one-rank-flag-drift bug.
+// A deliberately broken plan: rank 0 runs with sequence parallelism,
+// rank 1 without — the classic one-rank-flag-drift bug.
 // The verifier names both call sites.
 int run_demo_failure() {
   Plan plan(2);

@@ -100,6 +100,7 @@ const char* SiteGuard::current() { return t_site; }
 
 namespace {
 std::atomic<int64_t> g_handle_leaks{0};
+std::atomic<int64_t> g_next_order{0};  // CommRecord::order tickets
 }  // namespace
 
 int64_t handle_leaks() { return g_handle_leaks.load(std::memory_order_relaxed); }
@@ -144,6 +145,7 @@ void Ledger::fail(const std::string& report) {
 int64_t Ledger::begin(int rank, CommRecord rec) {
   auto& rl = *ranks_[static_cast<size_t>(rank)];
   rec.start = now();
+  rec.order = g_next_order.fetch_add(1);
   if (rec.site.empty()) {
     const char* s = SiteGuard::current();
     rec.site = s ? s : "(untagged)";

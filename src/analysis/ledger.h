@@ -56,9 +56,13 @@ inline bool is_collective(OpKind k) { return k <= OpKind::kSplit; }
 
 // One comm event at one rank. `seq` numbers collectives only (it is the
 // cross-rank matching key); `id` numbers every event on the rank.
+// `order` is a process-wide ticket drawn at begin(): it increases along
+// each thread's program order, so one rank's records from different
+// groups merge back into the order that rank issued them.
 struct CommRecord {
   int64_t seq = -1;
   int64_t id = -1;
+  int64_t order = -1;
   OpKind kind = OpKind::kBarrier;
   bool async = false;   // executed via the i* path on the comm stream
   int reduce_op = -1;   // comm::ReduceOp for all-reduce, else -1

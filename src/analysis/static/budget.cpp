@@ -3,7 +3,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "analysis/static/trace_serve.h"
+#include "serve/kv_cache.h"
 
 namespace mls::verify {
 
@@ -14,7 +14,8 @@ StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan) {
   b.total_first_stage =
       memory::total_activation_bytes_first_stage(cfg, b.technique);
   b.model_state_bytes = memory::model_state_bytes_per_rank(cfg).total();
-  b.kv_bytes_per_token = kv_layout_of(cfg, 1).logical_bytes_per_token();
+  b.kv_bytes_per_token =
+      serve::kv_layout(cfg, cfg.t, 1).logical_bytes_per_token();
   for (const Group& g : plan.groups) {
     for (int r = 0; r < g.size(); ++r) {
       const comm::TrafficStats st = predict_traffic(plan, g.name, r);

@@ -27,7 +27,7 @@ struct StaticBudget {
 };
 
 // The budget implied by `cfg`; `plan` supplies the traffic totals (pass
-// the trace_train_iteration plan for the same config).
+// the record_train_iteration plan for the same config).
 StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan);
 
 // Checks a claimed per-layer activation byte count against the Table-2

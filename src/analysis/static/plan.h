@@ -1,16 +1,14 @@
-// PlanTrace: symbolic per-rank collective schedules derived purely from
-// a ModelConfig — no tensors, no threads, no execution (DESIGN.md §12).
+// Plan: per-rank collective schedules as data (DESIGN.md §12).
 //
 // The runtime analyzer (analysis/ledger.h) can only validate a schedule
-// *while it runs*; this module derives the same per-rank CommRecord
-// streams offline, so cross-rank match, deadlock-freedom, and the
-// paper's Table 2 byte budget become static proofs checked before (or
-// without) ever spinning up a world. The shapes are deliberately
-// identical to the runtime's: a PlanEvent carries exactly the fields of
-// an analysis::CommRecord, to_record() bridges into records_match /
-// format_mismatch verbatim, and Plan::expected_records reproduces the
-// ledger's seq/id numbering so replay mode (analysis/static/replay.h)
-// can demand byte-for-byte equality with Comm::ledger_history().
+// *while it runs*; a Plan holds the same per-rank CommRecord streams
+// offline, so cross-rank match, deadlock-freedom, and the paper's
+// Table 2 byte budget become checks over data. Real plans are recorded
+// from the runtime itself (analysis/static/record.h); SymComm builds
+// small plans by hand (seeded mis-plans in tests, --demo-failure). A
+// PlanEvent carries exactly the fields of an analysis::CommRecord,
+// to_record() bridges into records_match / format_mismatch verbatim,
+// and Plan::expected_records reproduces the ledger's seq/id numbering.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +21,12 @@
 
 namespace mls::verify {
 
-// One symbolic comm event at one world rank, inside one analyzer group.
+// One comm event at one world rank, inside one analyzer group.
 // Field meanings mirror analysis::CommRecord exactly; `peer` is the
 // GROUP rank of the p2p peer, as at runtime.
 struct PlanEvent {
   analysis::OpKind kind = analysis::OpKind::kBarrier;
-  bool async = false;   // i*-path op (all statically traced paths block)
+  bool async = false;   // executed via the i* path
   int reduce_op = -1;   // comm::ReduceOp for all-reduce, else -1
   int dtype = -1;       // tensor/dtype.h Dtype, else -1 (recv)
   int64_t count = 0;    // element count of the operand (0 for recv)

@@ -24,14 +24,15 @@ class SavedTensor {
       : t_(std::move(t)), counted_(counted), major_(major) {
     if (counted_) {
       bytes_ = t_.logical_bytes();
-      scoped_tag_ = MemoryTracker::instance().on_save(bytes_, tag, major_);
+      tag_ = tag;
+      MemoryTracker::instance().on_save(bytes_, tag_, major_);
     }
   }
   SavedTensor(SavedTensor&& other) noexcept { *this = std::move(other); }
   SavedTensor& operator=(SavedTensor&& other) noexcept {
     reset();
     t_ = std::move(other.t_);
-    scoped_tag_ = std::move(other.scoped_tag_);
+    tag_ = std::move(other.tag_);
     bytes_ = other.bytes_;
     counted_ = other.counted_;
     major_ = other.major_;
@@ -51,7 +52,7 @@ class SavedTensor {
 
   void reset() {
     if (counted_) {
-      MemoryTracker::instance().on_release(bytes_, scoped_tag_, major_);
+      MemoryTracker::instance().on_release(bytes_, tag_, major_);
       counted_ = false;
     }
     t_ = Tensor();
@@ -59,7 +60,7 @@ class SavedTensor {
 
  private:
   Tensor t_;
-  std::string scoped_tag_;
+  std::string tag_;
   int64_t bytes_ = 0;
   bool counted_ = false;
   bool major_ = true;

@@ -138,13 +138,13 @@ class Comm {
 
   // Analyzer group name ("world", "world/c3", ...). Empty for an
   // invalid handle. The static verifier keys its per-group plans on
-  // these names (analysis/static/replay.h).
+  // these names (analysis/static/record.h).
   std::string group_name() const;
 
   // Snapshot of this communicator's analyzer ledger: the retained
   // CommRecord history per group rank, oldest first (see
-  // analysis::Ledger::snapshot). Empty when the analyzer is off, the
-  // group has size 1, or history has been trimmed away — raise
+  // analysis::Ledger::snapshot). Empty when the analyzer is off;
+  // older events are trimmed beyond the flight depth — raise
   // Options::flight_depth (ScopedOptions) before the run to retain
   // everything. Pure read; costs nothing unless called.
   std::vector<std::vector<analysis::CommRecord>> ledger_history() const;

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace mls {
 
@@ -33,11 +32,9 @@ class MemoryTracker {
   // The calling thread's (i.e. the calling rank's) tracker.
   static MemoryTracker& instance();
 
-  // Charges `bytes` under the current scope; returns the fully-scoped
-  // tag, which the caller must pass back to on_release (releases often
-  // happen during backward, after the saving scope has been popped).
-  std::string on_save(int64_t bytes, const std::string& tag, bool major = true);
-  void on_release(int64_t bytes, const std::string& scoped_tag, bool major = true);
+  // Charges `bytes` under `tag`; on_release takes the same tag back.
+  void on_save(int64_t bytes, const std::string& tag, bool major = true);
+  void on_release(int64_t bytes, const std::string& tag, bool major = true);
 
   // Extra non-activation allocations worth profiling (e.g. a pipeline
   // stage's received-input buffers). Counted separately.
@@ -100,12 +97,6 @@ class MemoryTracker {
 
   void reset();
 
-  // Scope labels: tags are prefixed with the current scope path, so a
-  // breakdown can distinguish e.g. "layer0/attn/softmax".
-  void push_scope(const std::string& name);
-  void pop_scope();
-  std::string scoped(const std::string& tag) const;
-
  private:
   void update_peak();
 
@@ -120,18 +111,6 @@ class MemoryTracker {
   int64_t shed_ = 0;
   int64_t timeout_ = 0;
   std::map<std::string, int64_t> by_tag_;
-  std::vector<std::string> scopes_;
-};
-
-// RAII scope label.
-class TrackerScope {
- public:
-  explicit TrackerScope(const std::string& name) {
-    MemoryTracker::instance().push_scope(name);
-  }
-  ~TrackerScope() { MemoryTracker::instance().pop_scope(); }
-  TrackerScope(const TrackerScope&) = delete;
-  TrackerScope& operator=(const TrackerScope&) = delete;
 };
 
 }  // namespace mls

@@ -31,12 +31,8 @@ DecodeEngine::DecodeEngine(const model::GPTModel& model, bool overlap)
   MLS_CHECK(spec.has_embedding && spec.has_head && spec.layer_begin == 0 &&
             spec.layer_end == cfg.L)
       << "decode requires a whole-model instance";
-  const int t = model_.env().tp_size();
-  layout_.layers = cfg.L;
-  layout_.heads_local = cfg.a / t;
-  layout_.d = cfg.h / cfg.a;
-  layout_.block_tokens = 1;  // the cache's layout carries the real value
-  layout_.max_ctx = cfg.s;
+  // block_tokens is the cache's knob; its layout carries the real value.
+  layout_ = kv_layout(cfg, model_.env().tp_size(), /*block_tokens=*/1);
   alpha_ = 1.0f / std::sqrt(static_cast<float>(layout_.d));
   kbuf_ = Tensor::empty(Shape{{cfg.s, layout_.d}});
   vbuf_ = Tensor::empty(Shape{{cfg.s, layout_.d}});

@@ -306,6 +306,17 @@ void NaiveSequenceKV::gather(int64_t layer, int64_t head, int64_t len,
 
 }  // namespace
 
+KVLayout kv_layout(const model::ModelConfig& cfg, int tp_size,
+                   int64_t block_tokens) {
+  KVLayout lo;
+  lo.layers = cfg.L;
+  lo.heads_local = cfg.a / tp_size;
+  lo.d = cfg.h / cfg.a;
+  lo.block_tokens = block_tokens;
+  lo.max_ctx = cfg.s;
+  return lo;
+}
+
 std::unique_ptr<KVCache> make_paged_kv_cache(const KVLayout& layout,
                                              int64_t budget_tokens) {
   return std::make_unique<PagedKVCache>(layout, budget_tokens);

@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "model/config.h"
 #include "tensor/tensor.h"
 
 namespace mls::serve {
@@ -51,6 +52,11 @@ struct KVLayout {
     return (tokens + block_tokens - 1) / block_tokens;
   }
 };
+
+// The layout of `cfg`'s cache on one rank of a `tp_size`-way tensor-
+// parallel group (each rank caches its a/t heads of every layer).
+KVLayout kv_layout(const model::ModelConfig& cfg, int tp_size,
+                   int64_t block_tokens);
 
 struct KVStats {
   int64_t reserved_bytes = 0;  // logical bytes held by live sequences

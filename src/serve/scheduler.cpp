@@ -15,17 +15,6 @@ double now_s() {
       .count();
 }
 
-KVLayout cache_layout(const model::ModelConfig& cfg, int tp_size,
-                      int64_t block_tokens) {
-  KVLayout lo;
-  lo.layers = cfg.L;
-  lo.heads_local = cfg.a / tp_size;
-  lo.d = cfg.h / cfg.a;
-  lo.block_tokens = block_tokens;
-  lo.max_ctx = cfg.s;
-  return lo;
-}
-
 // MLS_MEM_BUDGET_BYTES caps the pool at construction: the token budget
 // is clamped so the cache's logical KV bytes can never exceed the byte
 // ceiling (floored at one block — a pool that can hold nothing would
@@ -34,8 +23,8 @@ KVLayout cache_layout(const model::ModelConfig& cfg, int tp_size,
 // allocation failure.
 ServeConfig clamp_to_budget(ServeConfig cfg, const model::GPTModel& model) {
   if (cfg.mem_budget_bytes >= 0) {
-    const KVLayout lo = cache_layout(model.config(), model.env().tp_size(),
-                                     cfg.block_tokens);
+    const KVLayout lo = kv_layout(model.config(), model.env().tp_size(),
+                                  cfg.block_tokens);
     const int64_t cap = std::max(
         cfg.mem_budget_bytes / lo.logical_bytes_per_token(), cfg.block_tokens);
     cfg.kv_budget_tokens = std::min(cfg.kv_budget_tokens, cap);
@@ -62,12 +51,12 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(model::GPTModel& model,
       cfg_(clamp_to_budget(cfg, model)),
       cache_(cfg_.paged
                  ? make_paged_kv_cache(
-                       cache_layout(model.config(), model.env().tp_size(),
-                                    cfg_.block_tokens),
+                       kv_layout(model.config(), model.env().tp_size(),
+                                 cfg_.block_tokens),
                        cfg_.kv_budget_tokens)
                  : make_naive_kv_cache(
-                       cache_layout(model.config(), model.env().tp_size(),
-                                    cfg_.block_tokens),
+                       kv_layout(model.config(), model.env().tp_size(),
+                                 cfg_.block_tokens),
                        cfg_.kv_budget_tokens)),
       engine_(model, cfg_.overlap) {
   cfg_.validate();

@@ -53,7 +53,7 @@ TEST(Table, TrailingSeparatorDoesNotDouble) {
 TEST(MemoryTracker, MajorMinorAndPeakAccounting) {
   auto& mt = MemoryTracker::instance();
   mt.reset();
-  const std::string tag1 = mt.on_save(100, "x");
+  mt.on_save(100, "x");
   EXPECT_EQ(mt.current_major_bytes(), 100);
   mt.on_save(7, "m", /*major=*/false);
   EXPECT_EQ(mt.current_minor_bytes(), 7);
@@ -61,28 +61,11 @@ TEST(MemoryTracker, MajorMinorAndPeakAccounting) {
   mt.on_alloc_extra(50);
   EXPECT_EQ(mt.peak_bytes(), 157);
   mt.on_free_extra(50);
-  mt.on_release(100, tag1);
+  mt.on_release(100, "x");
   EXPECT_EQ(mt.current_major_bytes(), 0);
   EXPECT_EQ(mt.peak_bytes(), 157);  // peak is sticky
   mt.reset();
   EXPECT_EQ(mt.peak_bytes(), 0);
-}
-
-TEST(MemoryTracker, ScopedTagsSurviveScopeExit) {
-  auto& mt = MemoryTracker::instance();
-  mt.reset();
-  std::string tag;
-  {
-    TrackerScope outer("layer0");
-    TrackerScope inner("attn");
-    tag = mt.on_save(64, "softmax_out");
-  }
-  EXPECT_EQ(tag, "layer0/attn/softmax_out");
-  EXPECT_EQ(mt.by_tag().at(tag), 64);
-  // Release after the scopes are gone still matches the charge.
-  mt.on_release(64, tag);
-  EXPECT_EQ(mt.by_tag().at(tag), 0);
-  EXPECT_EQ(mt.current_bytes(), 0);
 }
 
 TEST(MemoryTracker, PerThreadIsolation) {

@@ -4,6 +4,8 @@
 // number (Table 4 row 1); everything else asserted here is predicted.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "perf/flops.h"
 #include "perf/pipeline_sim.h"
 
@@ -82,10 +84,16 @@ TEST(FlopsModel, MfuFromPaperIterationTimesMatchesPaperMfu) {
 // ------------------------------------------------------ Table 4
 
 struct Table4Row {
-  bool sp;
+  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
+  // the test name, and a bool here would leave three bytes of
+  // uninitialised padding in it, changing the name from run to run.
+  std::uint32_t sp;
   Recompute rc;
   double fwd_ms, bwd_ms;  // paper values (backward incl. recompute)
 };
+static_assert(sizeof(Table4Row) == sizeof(std::uint32_t) + sizeof(Recompute) +
+                                       2 * sizeof(double),
+              "Table4Row must have no padding bytes");
 
 class Table4 : public ::testing::TestWithParam<Table4Row> {};
 
@@ -93,7 +101,7 @@ TEST_P(Table4, LayerTimesWithinTolerance) {
   const auto row = GetParam();
   const ModelConfig cfg = ModelConfig::gpt_22b();
   const MachineModel mm = MachineModel::a100();
-  const auto lt = perf::layer_time(cfg, mm, row.sp, row.rc);
+  const auto lt = perf::layer_time(cfg, mm, row.sp != 0, row.rc);
   EXPECT_NEAR(lt.forward * 1e3, row.fwd_ms, 0.08 * row.fwd_ms);
   EXPECT_NEAR((lt.backward + lt.recompute) * 1e3, row.bwd_ms,
               0.08 * row.bwd_ms);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analysis/static/budget.h"
-#include "analysis/static/trace_serve.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
 #include "core/env.h"
@@ -24,6 +23,7 @@
 #include "memory/pool_allocator.h"
 #include "memory/pressure.h"
 #include "model/generate.h"
+#include "serve/kv_cache.h"
 #include "serve/traffic.h"
 #include "train/trainer.h"
 
@@ -654,7 +654,7 @@ TEST(ServePressure, ByteBudgetClampsKvTokensAndPeakStaysUnder) {
     ServeConfig scfg;
     scfg.block_tokens = 4;
     scfg.kv_budget_tokens = 4096;  // the byte ceiling must win
-    const auto layout = verify::kv_layout_of(cfg, scfg.block_tokens);
+    const auto layout = serve::kv_layout(cfg, cfg.t, scfg.block_tokens);
     scfg.mem_budget_bytes = layout.logical_bytes_per_token() * 32;
     ContinuousBatchScheduler sched(m, scfg);
     EXPECT_LE(sched.config().kv_budget_tokens, 32);
