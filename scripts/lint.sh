@@ -34,6 +34,7 @@ RULES=(
   "serve-raw-buffer|per-request buffer in src/serve off the pool arena (malloc, new[], byte/float vectors): serving state scales with concurrent sequences; KV blocks and decode scratch must be Tensors so bench_serve's numbers see every byte"
   "hot-permute|generic ops::/ag::permute on the model hot path (src/core, src/model, src/pipeline, src/train, src/runtime): it is an element-at-a-time gather; use the specialized blocked copies (ops::sbh_to_bhsd etc.)"
   "layers-direct-comm|direct collective wiring in src/core/layers.*: layers must route every TP/SP communication decision through the ParallelPlan strategy (env.plan()) — including core/collectives.h or calling Comm collectives / conjugate-pair helpers there re-hardwires the schedule the plan owns"
+  "libm-in-kernel|libm std::exp / std::tanh / expf / tanhf in the kernel library (src/tensor/kernels.{h,cpp}): a libm call per element stops the fused GeLU and softmax epilogues from auto-vectorizing; use the file's libm-free tanh_f32 / exp_f32 bodies"
 )
 
 rule_names() {
@@ -213,12 +214,30 @@ match_layers_direct_comm() {
   '
 }
 
+match_libm_in_kernel() {
+  # Word-bounded, with comments and string literals stripped, so
+  # std::expm1, exp_f32 or a "std::exp" in a message do not trip it.
+  xargs -r awk '
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      if (line ~ /std::(exp|tanh)([^A-Za-z0-9_]|$)/ \
+          || line ~ /(^|[^A-Za-z0-9_])(expf|tanhf)([^A-Za-z0-9_]|$)/)
+        printf "%s:%d: libm transcendental in the kernel library\n", \
+               FILENAME, FNR
+    }
+  '
+}
+
 # Per-rule file filter: which of the scanned files a rule looks at.
 files_for_rule() {
   case "$1" in
     serve-raw-buffer) grep -E '(^|/)src/serve/' || true ;;
     hot-permute) grep -E '(^|/)src/(core|model|pipeline|train|runtime)/' || true ;;
     layers-direct-comm) grep -E '(^|/)src/core/layers' || true ;;
+    # kernels.{h,cpp}, and any file later split out under kernels/.
+    libm-in-kernel) grep -E '(^|/)src/tensor/kernels(\.h|\.cpp|/)' || true ;;
     *) cat ;;
   esac
 }

@@ -50,6 +50,7 @@ expect_fires raw-storage      raw_storage_bad.cpp
 expect_fires serve-raw-buffer serve_raw_buffer_bad.cpp
 expect_fires hot-permute      hot_permute_bad.cpp
 expect_fires layers-direct-comm layers_direct_comm_bad.cpp
+expect_fires libm-in-kernel   libm_in_kernel_bad.cpp
 
 for rule in $("$LINT" --list | awk '{print $1}'); do
   expect_clean "$rule"

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -730,6 +733,98 @@ void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
 // ------------------------------------------------------- fused epilogues
 namespace {
 
+// Branch-free float tanh and exp built from plain arithmetic and bit
+// casts, so the epilogue loops below auto-vectorize under this file's
+// codegen flags (a libm call per element does not). Every tanh and exp
+// the substrate evaluates — fused and composed GeLU, softmax — runs
+// these bodies from this one translation unit, so the fused and
+// composed paths produce the same bits. scripts/lint.sh
+// (libm-in-kernel) keeps libm calls out of this file.
+
+// tanh: Eigen's float rational minimax fit, odd p(x) over even q(x),
+// on x clamped to ±7.9053 (where the fit reaches 1.0f, or one ulp
+// below it, depending on how the build contracts FMAs); beyond the
+// clamp the result is exactly ±1, and tiny |x| returns x, which is
+// what tanh rounds to there. Within 7 ulp of the double-precision tanh
+// on [-20, 20] (5 ulp with FMA contraction). p is x times a polynomial
+// in x², so tanh(-x) == -tanh(x) bit for bit; |tanh| <= 1, and NaN
+// fails both comparisons and passes through the clamp (std::max and
+// std::min keep their first operand on NaN).
+inline float tanh_f32(float x) {
+  constexpr float kClamp = 7.90531110763549805f;
+  constexpr float kTiny = 0.0004f;
+  const float xc = std::min(std::max(x, -kClamp), kClamp);
+  const float x2 = xc * xc;
+  float p = -2.76076847742355e-16f;
+  p = p * x2 + 2.00018790482477e-13f;
+  p = p * x2 - 8.60467152213735e-11f;
+  p = p * x2 + 5.12229709037114e-08f;
+  p = p * x2 + 1.48572235717979e-05f;
+  p = p * x2 + 6.37261928875436e-04f;
+  p = p * x2 + 4.89352455891786e-03f;
+  p = xc * p;
+  float q = 1.19825839466702e-06f;
+  q = q * x2 + 1.18534705686654e-04f;
+  q = q * x2 + 2.26843463243900e-03f;
+  q = q * x2 + 4.89352518554385e-03f;
+  const float ax = std::fabs(x);
+  const float t = ax < kTiny ? x : p / q;
+  return ax > kClamp ? std::copysign(1.0f, x) : t;
+}
+
+// exp: Cody–Waite reduction x = n·ln2 + r with |r| <= ln2/2 (ln2 split
+// into an exact high part and a low correction), Cephes' polynomial
+// 1 + r + r²·P(r) with P of degree 5, and 2^n assembled in the exponent
+// bits. n is rounded with the 1.5·2^23 shifter and read back from the
+// shifted float's mantissa bits, so no float->int conversion ever sees
+// a NaN. 2^n is applied as two halves, keeping both ends of the clamped
+// range (n in [-127, 128]) representable. Within 1 ulp of the
+// double-precision exp on [-87.3, 0]; exp(0) == 1 exactly; inputs
+// below ln(FLT_MIN), whose results would be subnormal, give exactly 0;
+// above ln(FLT_MAX) and at +inf the result is +inf; NaN passes through.
+inline float exp_f32(float x) {
+  constexpr float kLo = -88.0f;   // clamp: n stays in [-127, 128]
+  constexpr float kHi = 88.723f;  // just above ln(FLT_MAX)
+  constexpr float kUnderflow = -87.33654f;  // just above ln(FLT_MIN)
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693359375f;  // 8 significant bits: n·hi exact
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  constexpr float kShifter = 12582912.0f;  // 1.5 * 2^23
+  const float xc = std::min(std::max(x, kLo), kHi);
+  const float t = xc * kLog2e + kShifter;  // low mantissa bits hold n
+  const float n = t - kShifter;
+  float r = xc - n * kLn2Hi;
+  r = r - n * kLn2Lo;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * (r * r) + r + 1.0f;
+  const int32_t ni = static_cast<int32_t>(std::bit_cast<uint32_t>(t) -
+                                          std::bit_cast<uint32_t>(kShifter));
+  const int32_t half = ni >> 1;
+  const float s1 =
+      std::bit_cast<float>(static_cast<uint32_t>(half + 127) << 23);
+  const float s2 =
+      std::bit_cast<float>(static_cast<uint32_t>(ni - half + 127) << 23);
+  return x < kUnderflow ? 0.0f : p * s1 * s2;
+}
+
+// GeLU (tanh approximation) and its derivative.
+inline float gelu_value(float v) {
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  return 0.5f * v * (1.0f + tanh_f32(kC * (v + 0.044715f * v * v * v)));
+}
+inline float gelu_derivative(float v) {
+  constexpr float kC = 0.7978845608028654f;
+  const float u = kC * (v + 0.044715f * v * v * v);
+  const float t = tanh_f32(u);
+  const float dudv = kC * (1.0f + 3.0f * 0.044715f * v * v);
+  return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dudv;
+}
+
 // Row-range bodies shared by the serial and pooled paths, so the
 // arithmetic (and therefore the bits) cannot diverge between them.
 
@@ -761,6 +856,47 @@ void bias_gelu_grad_cols(const float* x, const float* bias, const float* dy,
   }
 }
 
+// The softmax row sums (the denominator and the backward's row dot)
+// accumulate in kLanes fixed double partials: column j folds into lane
+// j % kLanes and the lanes combine in one fixed order. That lets the
+// sums vectorize, while a row's result still depends only on its own
+// values — not on the thread split (threads take whole rows) nor on
+// how many rows share the call (decode's one-row softmax matches the
+// model's). The row max is exact, so its order never matters.
+constexpr int64_t kLanes = 8;
+
+// Order-preserving map between floats and int32 keys (an involution):
+// non-negative floats keep their bits, negative ones flip the magnitude
+// bits, so signed integer order matches float order. Float max is not a
+// reduction GCC vectorizes without finite-math flags; int max is.
+inline int32_t order_key(int32_t bits) {
+  return bits ^ ((bits >> 31) & 0x7fffffff);
+}
+
+// max_j alpha * in[j] over [0, n). A NaN (positive-signed) wins the max,
+// which leaves the row NaN, as its denominator would anyway.
+float scaled_row_max(const float* in, int64_t n, float alpha) {
+  int32_t m = order_key(
+      std::bit_cast<int32_t>(-std::numeric_limits<float>::infinity()));
+  for (int64_t j = 0; j < n; ++j)
+    m = std::max(m, order_key(std::bit_cast<int32_t>(alpha * in[j])));
+  return std::bit_cast<float>(order_key(m));
+}
+
+// sum_j term(j) over [0, n): float terms accumulated in double lanes,
+// combined pairwise as ((0+1)+(2+3))+((4+5)+(6+7)).
+template <typename Term>
+double lane_sum(int64_t n, const Term& term) {
+  static_assert(kLanes == 8, "the combine below is written out for 8 lanes");
+  double s[kLanes] = {};
+  int64_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    for (int64_t l = 0; l < kLanes; ++l) s[l] += term(j + l);
+  }
+  for (; j < n; ++j) s[j % kLanes] += term(j);
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
 void scaled_softmax_rows(const float* x, float* y, int64_t r0, int64_t r1,
                          int64_t sq, int64_t sk, float alpha, bool causal) {
   for (int64_t r = r0; r < r1; ++r) {
@@ -769,14 +905,9 @@ void scaled_softmax_rows(const float* x, float* y, int64_t r0, int64_t r1,
     const int64_t qi = causal ? (r % sq) : 0;
     const int64_t valid =
         causal ? std::min<int64_t>(sk, qi + 1 + (sk - sq)) : sk;
-    float mx = -INFINITY;
-    for (int64_t j = 0; j < valid; ++j) mx = std::max(mx, alpha * in[j]);
-    double denom = 0.0;
-    for (int64_t j = 0; j < valid; ++j) {
-      const float e = std::exp(alpha * in[j] - mx);
-      out[j] = e;
-      denom += e;
-    }
+    const float mx = scaled_row_max(in, valid, alpha);
+    for (int64_t j = 0; j < valid; ++j) out[j] = exp_f32(alpha * in[j] - mx);
+    const double denom = lane_sum(valid, [&](int64_t j) { return out[j]; });
     const float inv = static_cast<float>(1.0 / denom);
     for (int64_t j = 0; j < valid; ++j) out[j] *= inv;
     for (int64_t j = valid; j < sk; ++j) out[j] = 0.0f;
@@ -789,9 +920,8 @@ void scaled_softmax_grad_rows(const float* y, const float* dy, float* dx,
     const float* yr = y + r * n;
     const float* gr = dy + r * n;
     float* dr = dx + r * n;
-    double dot = 0.0;
-    for (int64_t j = 0; j < n; ++j) dot += yr[j] * gr[j];
-    const float d = static_cast<float>(dot);
+    const float d = static_cast<float>(
+        lane_sum(n, [&](int64_t j) { return yr[j] * gr[j]; }));
     for (int64_t j = 0; j < n; ++j) dr[j] = alpha * (yr[j] * (gr[j] - d));
   }
 }
@@ -850,6 +980,30 @@ void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha) {
   parallel_ranges(rows, rows * n, 1, [&](int64_t r0, int64_t r1) {
     scaled_softmax_grad_rows(y, dy, dx, r0, r1, n, alpha);
+  });
+}
+
+void tanh(const float* x, float* y, int64_t n) {
+  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) y[i] = tanh_f32(x[i]);
+  });
+}
+
+void exp(const float* x, float* y, int64_t n) {
+  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) y[i] = exp_f32(x[i]);
+  });
+}
+
+void gelu(const float* x, float* y, int64_t n) {
+  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) y[i] = gelu_value(x[i]);
+  });
+}
+
+void gelu_grad(const float* x, const float* dy, float* dx, int64_t n) {
+  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) dx[i] = dy[i] * gelu_derivative(x[i]);
   });
 }
 

@@ -45,10 +45,24 @@
 //
 // The fused epilogues (bias+GeLU, scale-into-causal-softmax) fold the
 // cheap elementwise passes the transformer layer always runs
-// back-to-back into one sweep over the data.
+// back-to-back into one sweep over the data, and keep them cheap:
+//
+//  * tanh and exp are libm-free, branch-free float bodies in
+//    kernels.cpp, so the epilogue loops auto-vectorize: a clamped
+//    rational minimax tanh (within 7 ulp on [-20, 20], exactly odd,
+//    |tanh| <= 1) and a Cody–Waite exp (Cephes polynomial, 2^n built
+//    from exponent bits; within 1 ulp on [-87.3, 0], exp(0) == 1,
+//    underflow to exactly 0). Both saturate at ±inf and pass NaN
+//    through. Fused and composed GeLU share those bodies from one
+//    translation unit and agree bit for bit.
+//  * The softmax row sums (the denominator and the backward's row dot)
+//    accumulate in 8 fixed double lanes indexed by absolute column and
+//    combine them in a fixed order; the exact row max reduces on
+//    order-preserving int keys. All three vectorize, and a row's bits
+//    never depend on the thread count (threads split rows only) or on
+//    how many rows share the call.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace mls::kernels {
@@ -131,20 +145,18 @@ void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
          int64_t n, int64_t k, bool trans_a, bool trans_b);
 
 // -------------------------------------------------------- fused epilogues
-// GeLU (tanh approximation) scalar bodies, shared by the fused and the
-// composed (ops::gelu / ops::gelu_grad) paths so both compute the same
-// expression.
-inline float gelu_value(float v) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  return 0.5f * v * (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
-}
-inline float gelu_derivative(float v) {
-  constexpr float kC = 0.7978845608028654f;
-  const float u = kC * (v + 0.044715f * v * v * v);
-  const float t = std::tanh(u);
-  const float dudv = kC * (1.0f + 3.0f * 0.044715f * v * v);
-  return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dudv;
-}
+// Elementwise tanh / exp over n floats: the libm-free bodies every
+// epilogue below evaluates (error bounds above), exposed so tests can
+// check them against libm.
+void tanh(const float* x, float* y, int64_t n);
+void exp(const float* x, float* y, int64_t n);
+
+// GeLU (tanh approximation) and dx = dy * gelu'(x), elementwise over n
+// floats: the composed ops::gelu / ops::gelu_grad. They share their
+// scalar bodies with bias_gelu / bias_gelu_grad in one translation
+// unit, so composed and fused agree bit for bit.
+void gelu(const float* x, float* y, int64_t n);
+void gelu_grad(const float* x, const float* dy, float* dx, int64_t n);
 
 // y[r,j] = gelu(x[r,j] + bias[j]) in one sweep (no bias-added
 // intermediate is materialized).

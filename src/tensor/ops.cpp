@@ -88,22 +88,14 @@ Tensor sum_to_last_dim(const Tensor& x) {
 
 Tensor gelu(const Tensor& x) {
   Tensor y = Tensor::empty(x.shape(), x.dtype());
-  const float* xp = x.data();
-  float* yp = y.data();
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) yp[i] = kernels::gelu_value(xp[i]);
+  kernels::gelu(x.data(), y.data(), x.numel());
   return y;
 }
 
 Tensor gelu_grad(const Tensor& x, const Tensor& dy) {
   MLS_CHECK(x.shape() == dy.shape());
   Tensor dx = Tensor::empty(x.shape(), x.dtype());
-  const float* xp = x.data();
-  const float* gp = dy.data();
-  float* dp = dx.data();
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i)
-    dp[i] = gp[i] * kernels::gelu_derivative(xp[i]);
+  kernels::gelu_grad(x.data(), dy.data(), dx.data(), x.numel());
   return dx;
 }
 

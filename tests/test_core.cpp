@@ -5,6 +5,8 @@
 // combination, matching a serial reference.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "autograd/engine.h"
 #include "comm/spmd.h"
 #include "core/collectives.h"
@@ -75,9 +77,15 @@ LayerRun run_layer(const ModelConfig& cfg, bool sp, Recompute rc,
 
 struct LayerCase {
   int t;
-  bool sp;
+  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
+  // the test name, and a bool here would leave three bytes of
+  // uninitialised padding in it, changing the name from run to run.
+  std::uint32_t sp;
   Recompute rc;
 };
+static_assert(sizeof(LayerCase) ==
+                  sizeof(int) + sizeof(std::uint32_t) + sizeof(Recompute),
+              "LayerCase must have no padding bytes");
 
 class LayerEquivalence : public ::testing::TestWithParam<LayerCase> {};
 
@@ -93,7 +101,7 @@ TEST_P(LayerEquivalence, MatchesSerialReference) {
   ModelConfig serial_cfg = cfg;
   serial_cfg.t = 1;
   LayerRun ref = run_layer(serial_cfg, /*sp=*/false, Recompute::kNone, x, dy);
-  LayerRun run = run_layer(cfg, param.sp, param.rc, x, dy);
+  LayerRun run = run_layer(cfg, param.sp != 0, param.rc, x, dy);
 
   EXPECT_TRUE(run.out.allclose(ref.out, 1e-4f, 1e-5f)) << "forward mismatch";
   EXPECT_TRUE(run.dx.allclose(ref.dx, 1e-4f, 1e-5f)) << "dx mismatch";
@@ -199,16 +207,22 @@ std::vector<float> train_losses(ModelConfig cfg, int steps) {
 
 struct ModelCase {
   int t;
-  bool sp;
+  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
+  // the test name, and a bool here would leave three bytes of
+  // uninitialised padding in it, changing the name from run to run.
+  std::uint32_t sp;
   Recompute rc;
 };
+static_assert(sizeof(ModelCase) ==
+                  sizeof(int) + sizeof(std::uint32_t) + sizeof(Recompute),
+              "ModelCase must have no padding bytes");
 
 class ModelEquivalence : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ModelEquivalence, LossTrajectoryMatchesSerial) {
   const auto param = GetParam();
   ModelConfig cfg = ModelConfig::tiny(param.t, /*layers=*/2);
-  cfg.sequence_parallel = param.sp;
+  cfg.sequence_parallel = param.sp != 0;
   cfg.recompute = param.rc;
 
   ModelConfig serial = ModelConfig::tiny(1, 2);

@@ -8,14 +8,22 @@
 //  * beta=0 semantics — every element of C is written, so matmul may
 //    run into uninitialized (NaN-canary) storage,
 //  * fused epilogues (bias+GeLU, scale+softmax) vs their composed
-//    equivalents at the ops and autograd levels,
+//    equivalents at the ops and autograd levels (GeLU bitwise), and at
+//    odd widths, where the vectorized body and its scalar tail must
+//    agree bit for bit at any thread count,
+//  * the libm-free tanh/exp bodies against double-precision libm (ulp
+//    bounds) and at the edges: exact exp(0), underflow to 0, odd
+//    symmetry, ±inf saturation, NaN propagation,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
 //  * an end-to-end t=2/p=2 training run: blocked path vs
 //    MLS_KERNEL_REF=1, losses equal within the documented tolerance,
 //    and bit-identical under MLS_KERNEL_THREADS=4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -61,6 +69,12 @@ std::vector<float> random_vec(int64_t n, uint64_t seed) {
 // precision). Scales linearly with k; catches any mis-indexed element
 // (those are O(1) wrong, not O(k * eps)).
 float dot_tol(int64_t k) { return 1e-5f + 5e-5f * static_cast<float>(k); }
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
 
 // ------------------------------------------------- blocked vs reference
 
@@ -379,9 +393,8 @@ TEST(KernelFused, BiasGeluMatchesComposedOps) {
   Tensor bias = Tensor::randn(Shape{{h}}, rng, 0.5f);
   Tensor fused = ops::bias_gelu(x, bias);
   Tensor composed = ops::gelu(ops::add_bias(x, bias));
-  // Same formula, differently compiled TUs (kernels.cpp has its own
-  // codegen flags) — tolerance, not bitwise.
-  EXPECT_TRUE(fused.allclose(composed, 1e-5f, 1e-6f));
+  // Both paths evaluate the same scalar body in kernels.cpp: bitwise.
+  EXPECT_TRUE(bitwise_equal(fused, composed));
 }
 
 TEST(KernelFused, BiasGeluGradMatchesComposedOps) {
@@ -393,7 +406,7 @@ TEST(KernelFused, BiasGeluGradMatchesComposedOps) {
   ops::BiasGeluGrads g = ops::bias_gelu_grad(x, bias, dy);
   Tensor dx_composed = ops::gelu_grad(ops::add_bias(x, bias), dy);
   Tensor dbias_composed = ops::sum_to_last_dim(dx_composed);
-  EXPECT_TRUE(g.dx.allclose(dx_composed, 1e-5f, 1e-6f));
+  EXPECT_TRUE(bitwise_equal(g.dx, dx_composed));
   EXPECT_TRUE(g.dbias.allclose(dbias_composed, 1e-4f, 1e-5f));
 }
 
@@ -437,8 +450,8 @@ TEST(KernelFused, AutogradBiasGeluMatchesComposedGraph) {
   ag::Var y2 = ag::gelu(ag::add_bias(x2, b2));
   ag::backward(y2, dy);
 
-  EXPECT_TRUE(y1.value().allclose(y2.value(), 1e-5f, 1e-6f));
-  EXPECT_TRUE(x1.grad().allclose(x2.grad(), 1e-5f, 1e-6f));
+  EXPECT_TRUE(bitwise_equal(y1.value(), y2.value()));
+  EXPECT_TRUE(bitwise_equal(x1.grad(), x2.grad()));
   EXPECT_TRUE(b1.grad().allclose(b2.grad(), 1e-4f, 1e-5f));
 }
 
@@ -460,6 +473,183 @@ TEST(KernelFused, AutogradScaledSoftmaxMatchesComposedGraph) {
         << "causal=" << causal;
     EXPECT_TRUE(x1.grad().allclose(x2.grad(), 1e-5f, 1e-6f))
         << "causal=" << causal;
+  }
+}
+
+// ------------------------------------------- libm-free tanh and exp
+
+// Distance in units in the last place between a float and the float
+// nearest a double reference (signed floats mapped to ordered ints).
+int64_t ulp_distance(float got, double want) {
+  auto ordered = [](float f) {
+    int32_t i;
+    std::memcpy(&i, &f, sizeof(i));
+    return i < 0 ? int64_t{INT32_MIN} - i : int64_t{i};
+  };
+  return std::llabs(ordered(got) - ordered(static_cast<float>(want)));
+}
+
+// Floats from lo to hi in steps of `step`, accumulated in double.
+std::vector<float> sweep(double lo, double hi, double step) {
+  std::vector<float> v;
+  for (double x = lo; x <= hi; x += step) v.push_back(static_cast<float>(x));
+  return v;
+}
+
+TEST(KernelMath, TanhWithin7UlpAndOddAndBounded) {
+  const std::vector<float> x = sweep(-20.0, 20.0, 1e-4);
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<float> y(x.size()), neg(x.size()), ny(x.size());
+  kernels::tanh(x.data(), y.data(), n);
+  for (size_t i = 0; i < x.size(); ++i) neg[i] = -x[i];
+  kernels::tanh(neg.data(), ny.data(), n);
+  int64_t worst = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    worst = std::max(worst, ulp_distance(y[i], std::tanh(double{x[i]})));
+    ASSERT_LE(std::fabs(y[i]), 1.0f) << "x=" << x[i];
+    const float minus = -y[i];
+    ASSERT_EQ(0, std::memcmp(&ny[i], &minus, sizeof(float)))
+        << "tanh(-x) != -tanh(x) at x=" << x[i];
+  }
+  EXPECT_LE(worst, 7);
+}
+
+TEST(KernelMath, ExpWithin1UlpOnSoftmaxRange) {
+  // Softmax only ever exponentiates x - max(x) <= 0.
+  const std::vector<float> x = sweep(-87.3, 0.0, 1e-4);
+  std::vector<float> y(x.size());
+  kernels::exp(x.data(), y.data(), static_cast<int64_t>(x.size()));
+  int64_t worst = 0;
+  for (size_t i = 0; i < x.size(); ++i)
+    worst = std::max(worst, ulp_distance(y[i], std::exp(double{x[i]})));
+  EXPECT_LE(worst, 1);
+}
+
+TEST(KernelMath, EdgeCasesSaturateAndPropagateNaN) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x = {0.0f, -0.0f, -88.0f, -100.0f, -1e30f,
+                                -inf, inf,   1e30f,  89.0f,   nan};
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<float> e(x.size()), t(x.size());
+  kernels::exp(x.data(), e.data(), n);
+  kernels::tanh(x.data(), t.data(), n);
+  EXPECT_EQ(e[0], 1.0f);  // exactly
+  EXPECT_EQ(e[1], 1.0f);
+  for (int i : {2, 3, 4, 5}) {
+    EXPECT_EQ(e[i], 0.0f) << "exp(" << x[i] << ") must underflow to 0";
+    EXPECT_FALSE(std::signbit(e[i]));
+  }
+  for (int i : {6, 7, 8}) EXPECT_EQ(e[i], inf) << "exp(" << x[i] << ")";
+  EXPECT_TRUE(std::isnan(e[9]));
+
+  EXPECT_EQ(t[0], 0.0f);
+  EXPECT_FALSE(std::signbit(t[0]));
+  EXPECT_TRUE(std::signbit(t[1]));  // tanh(-0) == -0
+  for (int i : {2, 3, 4, 5}) EXPECT_EQ(t[i], -1.0f) << "tanh(" << x[i] << ")";
+  for (int i : {6, 7, 8}) EXPECT_EQ(t[i], 1.0f) << "tanh(" << x[i] << ")";
+  EXPECT_TRUE(std::isnan(t[9]));
+
+  // NaN flows through every epilogue instead of being masked or cast.
+  std::vector<float> g(1), dg(1), one(1, 1.0f), sm(3);
+  kernels::gelu(&x[9], g.data(), 1);
+  kernels::gelu_grad(&x[9], one.data(), dg.data(), 1);
+  EXPECT_TRUE(std::isnan(g[0]));
+  EXPECT_TRUE(std::isnan(dg[0]));
+  const float row[3] = {0.5f, nan, -0.5f};
+  kernels::scaled_softmax(row, sm.data(), 1, 1, 3, 1.0f, /*causal=*/false);
+  for (float v : sm) EXPECT_TRUE(std::isnan(v));
+}
+
+TEST(KernelFused, OddWidthsMatchScalarTailsAtAnyThreadCount) {
+  // Widths that are not a multiple of the vector length put some
+  // columns in the vectorized loop body and some in its scalar tail;
+  // both must produce the same bits, whichever thread takes the range.
+  const int64_t rows = 300, h = 65;  // rows*h clears kElemGrain
+  const std::vector<float> x = random_vec(rows * h, 91);
+  const std::vector<float> bias = random_vec(h, 92);
+  const std::vector<float> dy = random_vec(rows * h, 93);
+  const int64_t nbh = 64, sq = 17, sk = 17;
+  const std::vector<float> scores = random_vec(nbh * sq * sk, 94);
+
+  // One element per call runs only the scalar loop.
+  std::vector<float> y_ref(x.size()), dx_ref(x.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < h; ++j) {
+      const int64_t i = r * h + j;
+      const float v = x[i] + bias[j];
+      kernels::gelu(&v, &y_ref[i], 1);
+      kernels::gelu_grad(&v, &dy[i], &dx_ref[i], 1);
+    }
+  }
+
+  struct Out {
+    std::vector<float> y, dx, db, sm[2], smg;
+  };
+  auto run = [&] {
+    Out o;
+    o.y.assign(x.size(), -1.0f);
+    o.dx.assign(x.size(), -1.0f);
+    o.db.assign(bias.size(), -1.0f);
+    kernels::bias_gelu(x.data(), bias.data(), o.y.data(), rows, h);
+    kernels::bias_gelu_grad(x.data(), bias.data(), dy.data(), o.dx.data(),
+                            o.db.data(), rows, h);
+    for (int causal : {0, 1}) {
+      o.sm[causal].assign(scores.size(), -1.0f);
+      kernels::scaled_softmax(scores.data(), o.sm[causal].data(), nbh * sq,
+                              sq, sk, 0.25f, causal != 0);
+    }
+    o.smg.assign(scores.size(), -1.0f);
+    kernels::scaled_softmax_grad(o.sm[1].data(), scores.data(), o.smg.data(),
+                                 nbh * sq, sk, 0.25f);
+    return o;
+  };
+  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  };
+
+  Out serial;
+  {
+    ScopedEnv env("MLS_KERNEL_THREADS", "1");
+    serial = run();
+  }
+  EXPECT_TRUE(same(serial.y, y_ref)) << "bias_gelu vector body vs scalar";
+  EXPECT_TRUE(same(serial.dx, dx_ref))
+      << "bias_gelu_grad vector body vs scalar";
+
+  // Softmax: each row alone, from a buffer shifted off the original
+  // alignment, must reproduce that row of the batched call.
+  for (int causal : {0, 1}) {
+    std::vector<float> in(sk + 1), out(sk + 1);
+    for (int64_t r = 0; r < nbh * sq; ++r) {
+      const int64_t qi = r % sq;
+      // Causal row qi has qi + 1 + (sk - sq) live entries; alone, it is
+      // a one-row non-causal softmax over that prefix.
+      const int64_t live = causal ? qi + 1 + (sk - sq) : sk;
+      std::memcpy(in.data() + 1, scores.data() + r * sk,
+                  sizeof(float) * static_cast<size_t>(live));
+      kernels::scaled_softmax(in.data() + 1, out.data() + 1, 1, 1, live,
+                              0.25f, /*causal=*/false);
+      const float* want = serial.sm[causal].data() + r * sk;
+      ASSERT_EQ(0, std::memcmp(out.data() + 1, want,
+                               sizeof(float) * static_cast<size_t>(live)))
+          << "softmax row " << r << " causal=" << causal;
+    }
+  }
+
+  for (const char* nt : {"2", "4", "7"}) {
+    ScopedEnv env("MLS_KERNEL_THREADS", nt);
+    const Out o = run();
+    EXPECT_TRUE(same(o.y, serial.y)) << "bias_gelu threads=" << nt;
+    EXPECT_TRUE(same(o.dx, serial.dx)) << "bias_gelu_grad dx threads=" << nt;
+    EXPECT_TRUE(same(o.db, serial.db)) << "bias_gelu_grad dbias threads=" << nt;
+    for (int causal : {0, 1}) {
+      EXPECT_TRUE(same(o.sm[causal], serial.sm[causal]))
+          << "scaled_softmax causal=" << causal << " threads=" << nt;
+    }
+    EXPECT_TRUE(same(o.smg, serial.smg))
+        << "scaled_softmax_grad threads=" << nt;
   }
 }
 

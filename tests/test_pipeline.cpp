@@ -4,6 +4,8 @@
 // selective recomputation), and the Appendix B/C optimizations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "autograd/engine.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
@@ -163,10 +165,17 @@ std::vector<float> pipeline_losses(const ModelConfig& cfg, const Batch& batch,
 
 struct PipeCase {
   int t, p, m;
-  bool sp;
+  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
+  // the test name, and a bool here would leave three bytes of
+  // uninitialised padding in it, changing the name from run to run.
+  std::uint32_t sp;
   core::Recompute rc;
   Schedule sched;
 };
+static_assert(sizeof(PipeCase) == 3 * sizeof(int) + sizeof(std::uint32_t) +
+                                      sizeof(core::Recompute) +
+                                      sizeof(Schedule),
+              "PipeCase must have no padding bytes");
 
 class PipelineEquivalence : public ::testing::TestWithParam<PipeCase> {};
 
@@ -175,7 +184,7 @@ TEST_P(PipelineEquivalence, LossTrajectoryMatchesSerial) {
   ModelConfig cfg = ModelConfig::tiny(pc.t, /*layers=*/4);
   cfg.p = pc.p;
   cfg.interleave_m = pc.m;
-  cfg.sequence_parallel = pc.sp;
+  cfg.sequence_parallel = pc.sp != 0;
   cfg.recompute = pc.rc;
   cfg.global_batch = 4 * cfg.b;  // 4 microbatches
   cfg.validate();
