@@ -28,16 +28,12 @@ int64_t measured_layer_bytes_with_save_mode(bool sharded_save) {
   cfg.a = 8;
   cfg.h = 64;
   cfg.s = 32;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.sharded_input_save = sharded_save;
   int64_t measured = 0;
   spmd::run(cfg.t, [&](comm::Comm& c) {
     MemoryTracker::instance().reset();
-    core::ParallelEnv env;
-    env.tp = c;
-    env.sequence_parallel = true;
-    env.sharded_input_save = sharded_save;
-    env.seed = cfg.seed;
+    const core::ParallelEnv env = model::make_env(cfg, c);
     Rng master(cfg.seed);
     model::TransformerLayer layer(env, cfg, 0, master);
     Rng drng(5);

@@ -42,10 +42,10 @@ double mfu_with_mb_recompute(const model::ModelConfig& cfg,
   // activations; free memory beyond that lets k of them store all.
   model::ModelConfig stored = cfg;
   stored.recompute = core::Recompute::kNone;
-  stored.sequence_parallel = true;
+  stored.set_plan(core::PlanKind::kTensorSequence);
   model::ModelConfig ckpt = cfg;
   ckpt.recompute = core::Recompute::kSelective;
-  ckpt.sequence_parallel = true;
+  ckpt.set_plan(core::PlanKind::kTensorSequence);
   const double per_mb_ckpt =
       memory::act_bytes_per_layer(ckpt, memory::technique_of(ckpt)) *
       static_cast<double>(cfg.layers_per_stage()) *

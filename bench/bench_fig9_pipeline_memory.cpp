@@ -24,7 +24,7 @@ int main() {
       "===\n\n");
 
   model::ModelConfig cfg = model::ModelConfig::gpt_530b();
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.interleave_m = 1;  // the figure shows the plain 1F1B memory pattern
   const auto profile = memory::per_pipeline_rank_memory(

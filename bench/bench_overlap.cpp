@@ -63,7 +63,7 @@ model::ModelConfig bench_cfg() {
   cfg.h = 128;
   cfg.s = 64;
   cfg.b = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   return cfg;
 }
@@ -74,12 +74,8 @@ Run measure(bool overlap, double fixed_latency) {
   const model::ModelConfig cfg = bench_cfg();
   Run run;
   spmd::run(kTp, [&](comm::Comm& c) {
-    core::ParallelEnv env;
-    env.tp = c;
-    env.sequence_parallel = true;
-    env.recompute = core::Recompute::kSelective;
+    core::ParallelEnv env = model::make_env(cfg, c);
     env.overlap_recompute = overlap;
-    env.seed = cfg.seed;
     Rng master(cfg.seed);
     std::vector<std::unique_ptr<model::TransformerLayer>> layers;
     for (int l = 0; l < kLayers; ++l) {

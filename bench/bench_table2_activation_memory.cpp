@@ -33,17 +33,11 @@ LayerBytes measure_layer_bytes(const model::ModelConfig& cfg) {
   spmd::run(cfg.t, [&](comm::Comm& c) {
     auto& mt = MemoryTracker::instance();
     mt.reset();
-    core::ParallelEnv env;
-    env.tp = c;
-    env.sequence_parallel = cfg.sequence_parallel;
-    env.recompute = cfg.recompute;
-    env.parallel_plan = &cfg.resolved_plan();
-    env.seed = cfg.seed;
+    const core::ParallelEnv env = model::make_env(cfg, c);
     Rng master(cfg.seed);
     model::TransformerLayer layer(env, cfg, 0, master);
     Rng drng(5);
-    const int64_t s_local = cfg.sequence_parallel ? cfg.s / cfg.t : cfg.s;
-    ag::Var x(Tensor::randn(Shape{{s_local, cfg.b, cfg.h}}, drng), true);
+    ag::Var x(Tensor::randn(Shape{{cfg.s_local(), cfg.b, cfg.h}}, drng), true);
     // Re-arm the arena's high-water marks after weights + input exist,
     // so the physical column isolates what fwd+bwd transiently demand
     // from the pool (fp32 simulation bytes, transients included) next
@@ -63,21 +57,22 @@ LayerBytes measure_layer_bytes(const model::ModelConfig& cfg) {
 
 struct TechSetup {
   Technique tech;
-  bool sp;
+  core::PlanKind plan;
   core::Recompute rc;
-  core::PlanKind plan = core::PlanKind::kAuto;
 };
 
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+constexpr auto kFolded = core::PlanKind::kFoldedTsp;
+
 const TechSetup kSetups[] = {
-    {Technique::kTensorParallel, false, core::Recompute::kNone},
-    {Technique::kTensorSequence, true, core::Recompute::kNone},
-    {Technique::kTensorSelective, false, core::Recompute::kSelective},
-    {Technique::kTensorSequenceSelective, true, core::Recompute::kSelective},
-    {Technique::kFullRecompute, false, core::Recompute::kFull},
-    {Technique::kFoldedTsp, true, core::Recompute::kNone,
-     core::PlanKind::kFoldedTsp},
-    {Technique::kFoldedTspSelective, true, core::Recompute::kSelective,
-     core::PlanKind::kFoldedTsp},
+    {Technique::kTensorParallel, kTp, core::Recompute::kNone},
+    {Technique::kTensorSequence, kTpSp, core::Recompute::kNone},
+    {Technique::kTensorSelective, kTp, core::Recompute::kSelective},
+    {Technique::kTensorSequenceSelective, kTpSp, core::Recompute::kSelective},
+    {Technique::kFullRecompute, kTp, core::Recompute::kFull},
+    {Technique::kFoldedTsp, kFolded, core::Recompute::kNone},
+    {Technique::kFoldedTspSelective, kFolded, core::Recompute::kSelective},
 };
 
 }  // namespace
@@ -145,9 +140,8 @@ int main() {
     }
     for (const auto& setup : kSetups) {
       model::ModelConfig cfg = base;
-      cfg.sequence_parallel = setup.sp;
-      cfg.recompute = setup.rc;
       cfg.set_plan(setup.plan);
+      cfg.recompute = setup.rc;
       const auto expect = static_cast<int64_t>(
           memory::act_bytes_per_layer(cfg, setup.tech));
       const auto got = measure_layer_bytes(cfg);

@@ -40,28 +40,21 @@ const Row kRows[] = {
 };
 
 // Wall-clock of one fwd+bwd of a small real layer under the technique.
-double numeric_layer_seconds(bool sp, core::Recompute rc,
-                             core::PlanKind plan = core::PlanKind::kAuto) {
+double numeric_layer_seconds(core::PlanKind plan, core::Recompute rc) {
   model::ModelConfig cfg = model::ModelConfig::tiny(2, 1);
   cfg.a = 8;
   cfg.h = 128;
   cfg.s = 64;
   cfg.b = 2;
-  cfg.sequence_parallel = sp;
-  cfg.recompute = rc;
   cfg.set_plan(plan);
+  cfg.recompute = rc;
   double seconds = 0;
   spmd::run(cfg.t, [&](comm::Comm& c) {
-    core::ParallelEnv env;
-    env.tp = c;
-    env.sequence_parallel = cfg.sequence_parallel;
-    env.recompute = rc;
-    env.parallel_plan = &cfg.resolved_plan();
-    env.seed = cfg.seed;
+    const core::ParallelEnv env = model::make_env(cfg, c);
     Rng master(cfg.seed);
     model::TransformerLayer layer(env, cfg, 0, master);
     Rng drng(5);
-    const int64_t s_local = cfg.sequence_parallel ? cfg.s / cfg.t : cfg.s;
+    const int64_t s_local = cfg.s_local();
     Tensor x0 = Tensor::randn(Shape{{s_local, cfg.b, cfg.h}}, drng);
     Tensor dy = Tensor::full(Shape{{s_local, cfg.b, cfg.h}}, 1.f);
     // Warmup.
@@ -112,9 +105,10 @@ int main() {
   std::printf(
       "\n--- Relative cross-check on the numeric CPU substrate (t=2, tiny "
       "layer) ---\n");
-  const double n_base = numeric_layer_seconds(false, core::Recompute::kNone);
-  const double n_sel = numeric_layer_seconds(false, core::Recompute::kSelective);
-  const double n_full = numeric_layer_seconds(false, core::Recompute::kFull);
+  constexpr auto kTp = core::PlanKind::kTensorParallel;
+  const double n_base = numeric_layer_seconds(kTp, core::Recompute::kNone);
+  const double n_sel = numeric_layer_seconds(kTp, core::Recompute::kSelective);
+  const double n_full = numeric_layer_seconds(kTp, core::Recompute::kFull);
   Table t2({"experiment", "fwd+bwd wall-clock", "overhead"});
   t2.add_row({"no recompute", format_time_ms(n_base), "-"});
   t2.add_row({"selective recompute", format_time_ms(n_sel),
@@ -130,10 +124,11 @@ int main() {
   // softmax/dropout products pointwise inside backward — its overhead
   // over plain TP+SP must be small (nothing like full recompute's).
   std::printf("\n--- Parallel-plan comparison (t=2, tiny layer) ---\n");
-  const double n_tp = numeric_layer_seconds(false, core::Recompute::kNone);
-  const double n_sp = numeric_layer_seconds(true, core::Recompute::kNone);
-  const double n_folded = numeric_layer_seconds(
-      true, core::Recompute::kNone, core::PlanKind::kFoldedTsp);
+  const double n_tp = numeric_layer_seconds(kTp, core::Recompute::kNone);
+  const double n_sp = numeric_layer_seconds(core::PlanKind::kTensorSequence,
+                                            core::Recompute::kNone);
+  const double n_folded = numeric_layer_seconds(core::PlanKind::kFoldedTsp,
+                                                core::Recompute::kNone);
   Table t3({"plan", "fwd+bwd wall-clock", "vs tp"});
   t3.add_row({"tp", format_time_ms(n_tp), "-"});
   t3.add_row({"tp_sp", format_time_ms(n_sp),

@@ -16,6 +16,7 @@
 
 #include "common/table.h"
 #include "common/units.h"
+#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "perf/pipeline_sim.h"
 
@@ -25,13 +26,11 @@ namespace {
 
 struct Candidate {
   model::ModelConfig cfg;
-  bool sp;
-  core::Recompute rc;
   double act_bytes, total_bytes, mfu, seconds;
 };
 
 std::string rc_label(const model::ModelConfig& cfg) {
-  const bool sp = cfg.sequence_parallel;
+  const bool sp = cfg.plan().sequence_sharded();
   const core::Recompute rc = cfg.recompute;
   std::string base;
   if (cfg.parallel_plan == core::PlanKind::kFoldedTsp) {
@@ -67,34 +66,34 @@ void search(model::ModelConfig base) {
         continue;
       }
       struct Tech {
-        bool sp;
+        core::PlanKind plan;
         core::Recompute rc;
-        core::PlanKind plan = core::PlanKind::kAuto;
       };
-      for (const Tech& tech :
-           {Tech{false, core::Recompute::kNone},
-            Tech{true, core::Recompute::kNone},
-            Tech{false, core::Recompute::kSelective},
-            Tech{true, core::Recompute::kSelective},
-            Tech{false, core::Recompute::kFull},
-            Tech{true, core::Recompute::kNone, core::PlanKind::kFoldedTsp},
-            Tech{true, core::Recompute::kSelective,
-                 core::PlanKind::kFoldedTsp}}) {
+      constexpr auto kTp = core::PlanKind::kTensorParallel;
+      constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+      constexpr auto kFolded = core::PlanKind::kFoldedTsp;
+      for (const Tech& tech : {Tech{kTp, core::Recompute::kNone},
+                               Tech{kTpSp, core::Recompute::kNone},
+                               Tech{kTp, core::Recompute::kSelective},
+                               Tech{kTpSp, core::Recompute::kSelective},
+                               Tech{kTp, core::Recompute::kFull},
+                               Tech{kFolded, core::Recompute::kNone},
+                               Tech{kFolded, core::Recompute::kSelective}}) {
         model::ModelConfig cfg = base;
         cfg.t = t;
         cfg.p = static_cast<int>(p);
         cfg.interleave_m = m;
-        cfg.sequence_parallel = tech.sp;
-        cfg.recompute = tech.rc;
         cfg.set_plan(tech.plan);
+        cfg.recompute = tech.rc;
         ++explored;
         const double act = memory::total_activation_bytes_first_stage(
             cfg, memory::technique_of(cfg));
         const double state = memory::model_state_bytes_per_rank(cfg).total();
         if (state + act > kDevice) continue;
-        const auto e2e = perf::end_to_end(cfg, mm, tech.sp, tech.rc);
-        feasible.push_back({cfg, tech.sp, tech.rc, act, state + act, e2e.mfu,
-                            e2e.iteration_seconds});
+        const auto e2e = perf::end_to_end(
+            cfg, mm, cfg.plan().sequence_sharded(), tech.rc);
+        feasible.push_back(
+            {cfg, act, state + act, e2e.mfu, e2e.iteration_seconds});
       }
     }
   }

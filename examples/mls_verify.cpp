@@ -31,6 +31,7 @@
 #include "analysis/static/record.h"
 #include "analysis/static/verify.h"
 #include "core/env.h"
+#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "model/config.h"
 
@@ -46,7 +47,7 @@ using mls::core::recompute_name;  // core/env.h
 std::string config_label(const ModelConfig& cfg) {
   std::ostringstream os;
   os << "t=" << cfg.t << " p=" << cfg.p << " d=" << cfg.d << " m="
-     << cfg.interleave_m << " sp=" << (cfg.sequence_parallel ? 1 : 0)
+     << cfg.interleave_m << " sp=" << (cfg.plan().sequence_sharded() ? 1 : 0)
      << " plan=" << mls::core::plan_kind_name(cfg.parallel_plan)
      << " rc=" << recompute_name(cfg.recompute);
   return os.str();
@@ -106,7 +107,7 @@ void write_json(const std::string& path,
         << "      \"config\": {\"t\": " << r.cfg.t << ", \"p\": " << r.cfg.p
         << ", \"d\": " << r.cfg.d << ", \"m\": " << r.cfg.interleave_m
         << ", \"sequence_parallel\": "
-        << (r.cfg.sequence_parallel ? "true" : "false")
+        << (r.cfg.plan().sequence_sharded() ? "true" : "false")
         << ", \"plan\": \"" << mls::core::plan_kind_name(r.cfg.parallel_plan)
         << "\", \"recompute\": \"" << recompute_name(r.cfg.recompute)
         << "\"},\n"
@@ -163,7 +164,7 @@ ConfigReport verify_config(const ModelConfig& cfg) {
 }
 
 // The sweep grid mirrors examples/config_search.cpp at tiny scale:
-// every (t, p, d, m, sp, recompute) combination the tiny preset admits.
+// every (t, p, d, m, plan, recompute) combination the tiny preset admits.
 std::vector<ModelConfig> sweep_grid() {
   std::vector<ModelConfig> out;
   for (int t : {1, 2, 4}) {
@@ -171,37 +172,32 @@ std::vector<ModelConfig> sweep_grid() {
       for (int d : {1, 2}) {
         for (int m : {1, 2}) {
           if (m > 1 && p == 1) continue;  // interleaving needs a pipeline
-          for (int sp : {0, 1}) {
-            if (sp && t == 1) continue;  // SP is a tp-group technique
-            // Plan axis: kAuto covers TP and TP+SP; the folded plan
-            // rides the SP arm (it is sequence-sharded by definition).
-            std::vector<mls::core::PlanKind> plans = {
-                mls::core::PlanKind::kAuto};
-            if (sp) plans.push_back(mls::core::PlanKind::kFoldedTsp);
-            for (auto plan : plans) {
-              for (auto rc : {mls::core::Recompute::kNone,
-                              mls::core::Recompute::kSelective,
-                              mls::core::Recompute::kFull}) {
-                ModelConfig cfg = ModelConfig::tiny(t, /*layers=*/4);
-                cfg.p = p;
-                cfg.d = d;
-                cfg.interleave_m = m;
-                cfg.sequence_parallel = sp != 0;
-                cfg.set_plan(plan);
-                cfg.recompute = rc;
-                // 4 microbatches per replica: divisible by p for the
-                // interleaved schedule, small enough to stay fast.
-                cfg.global_batch = static_cast<int64_t>(cfg.b) * d * 4;
-                if (cfg.a % t != 0 || cfg.v % t != 0) continue;
-                if (cfg.L % p != 0 ||
-                    cfg.L % (static_cast<int64_t>(p) * m) != 0) {
-                  continue;
-                }
-                if (sp && cfg.s % t != 0) continue;
-                if (t * p * d > 16) continue;
-                cfg.validate();
-                out.push_back(cfg);
+          for (auto plan : {mls::core::PlanKind::kTensorParallel,
+                            mls::core::PlanKind::kTensorSequence,
+                            mls::core::PlanKind::kFoldedTsp}) {
+            for (auto rc : {mls::core::Recompute::kNone,
+                            mls::core::Recompute::kSelective,
+                            mls::core::Recompute::kFull}) {
+              ModelConfig cfg = ModelConfig::tiny(t, /*layers=*/4);
+              cfg.p = p;
+              cfg.d = d;
+              cfg.interleave_m = m;
+              cfg.set_plan(plan);
+              cfg.recompute = rc;
+              // 4 microbatches per replica: divisible by p for the
+              // interleaved schedule, small enough to stay fast.
+              cfg.global_batch = static_cast<int64_t>(cfg.b) * d * 4;
+              // Sequence sharding is a tp-group technique.
+              const bool sp = cfg.plan().sequence_sharded();
+              if (sp && (t == 1 || cfg.s % t != 0)) continue;
+              if (cfg.a % t != 0 || cfg.v % t != 0) continue;
+              if (cfg.L % p != 0 ||
+                  cfg.L % (static_cast<int64_t>(p) * m) != 0) {
+                continue;
               }
+              if (t * p * d > 16) continue;
+              cfg.validate();
+              out.push_back(cfg);
             }
           }
         }
@@ -238,7 +234,7 @@ int run_all(const std::string& report_path) {
 int run_single() {
   ModelConfig cfg = ModelConfig::tiny(2, /*layers=*/4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(mls::core::PlanKind::kTensorSequence);
   cfg.recompute = mls::core::Recompute::kSelective;
   cfg.global_batch = static_cast<int64_t>(cfg.b) * cfg.d * 4;
   cfg.validate();

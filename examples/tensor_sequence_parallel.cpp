@@ -75,7 +75,7 @@ int main() {
   RunStats tp_run = run(tp, steps_data);
 
   model::ModelConfig present = tp;
-  present.sequence_parallel = true;
+  present.set_plan(core::PlanKind::kTensorSequence);
   present.recompute = core::Recompute::kSelective;
   RunStats present_run = run(present, steps_data);
 
@@ -87,7 +87,7 @@ int main() {
       core::Env::str("MLS_PLAN", "folded_tsp")));
   RunStats alt_run = run(alt, steps_data);
   const std::string alt_name =
-      std::string(alt.resolved_plan().name()) + "+selective";
+      std::string(alt.plan().name()) + "+selective";
 
   Table t({"step", "serial loss", "TP (t=4) loss", "TP+SP+selective loss",
            alt_name + " loss"});

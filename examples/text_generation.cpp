@@ -21,7 +21,7 @@ int main() {
   cfg.b = 1;
   cfg.global_batch = 8;
   cfg.dropout_p = 0.0f;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
 
   const std::string ckpt_dir =

@@ -295,7 +295,7 @@ class VocabParallelEmbeddingNode : public Node {
 Var vocab_parallel_embedding(const Var& table_shard,
                              const std::vector<int64_t>& ids, int64_t s,
                              int64_t b, int64_t vocab_offset, comm::Comm tp,
-                             bool sequence_parallel) {
+                             bool sequence_sharded) {
   const int64_t v_local = table_shard.value().dim(0);
   const int64_t h = table_shard.value().dim(1);
   MLS_CHECK_EQ(static_cast<int64_t>(ids.size()), s * b);
@@ -314,7 +314,7 @@ Var vocab_parallel_embedding(const Var& table_shard,
 
   Tensor reduced;
   analysis::SiteGuard sg("vocab_embedding.fwd");
-  if (sequence_parallel) {
+  if (sequence_sharded) {
     reduced = tp.reduce_scatter(out, 0);  // ḡ: [s/t, b, h]
   } else {
     tp.all_reduce(out);  // f̄: replicated [s, b, h]
@@ -325,7 +325,7 @@ Var vocab_parallel_embedding(const Var& table_shard,
   if (ag::GradMode::enabled() && table_shard.requires_grad()) {
     node = std::make_shared<VocabParallelEmbeddingNode>(
         table_shard.value().shape(), ids, vocab_offset, std::move(tp),
-        sequence_parallel);
+        sequence_sharded);
   }
   return make_output(std::move(reduced), std::move(node), {table_shard});
 }

@@ -53,12 +53,12 @@ ag::Var sp_gathered_matmul(const ag::Var& x_shard, const ag::Var& w,
 // Vocabulary-parallel embedding lookup: `table_shard` holds rows
 // [vocab_offset, vocab_offset + v/t) of the embedding table. Tokens
 // outside the range contribute zeros; partial results are summed with
-// f̄ (replicated output) or ḡ (sequence_parallel=true; output sharded
+// f̄ (replicated output) or ḡ (sequence_sharded=true; output sharded
 // on s). ids are in [s, b] order (s-major).
 ag::Var vocab_parallel_embedding(const ag::Var& table_shard,
                                  const std::vector<int64_t>& ids, int64_t s,
                                  int64_t b, int64_t vocab_offset, comm::Comm tp,
-                                 bool sequence_parallel);
+                                 bool sequence_sharded);
 
 // Vocabulary-parallel cross-entropy: logits_local is [n, v/t] (this
 // rank's vocabulary slice); targets hold global token ids. Computes the

@@ -1,6 +1,6 @@
 // ParallelEnv: the per-rank execution context for the paper's parallel
-// transformer — the tensor-parallel communicator plus the switches for
-// the two techniques under study.
+// transformer — the tensor-parallel communicator plus the plan and
+// recompute settings for the two techniques under study.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,6 @@ class ParallelPlan;
 
 // Which parallel plan wires the layers (see core/parallel_plan.h).
 enum class PlanKind {
-  kAuto,            // follow the sequence_parallel switch (TP or TP+SP)
   kTensorParallel,  // f/f̄ only, replicated outer region (Fig 4)
   kTensorSequence,  // f/f̄ + g/ḡ, sequence-sharded outer region (Fig 5)
   kFoldedTsp,       // TP+SP with pointwise-recomputable activations
@@ -48,18 +47,16 @@ enum class PlanKind {
 };
 
 const char* plan_kind_name(PlanKind k);
-// Parses the MLS_PLAN spellings "auto" / "tp" / "tp_sp" / "folded_tsp"
-// (also accepts the plan_kind_name strings). Throws on anything else.
+// Parses the MLS_PLAN spellings "tp" / "tp_sp" / "folded_tsp" (the
+// plan_kind_name strings) and the short forms "sp" / "folded". Throws on
+// anything else.
 PlanKind plan_kind_from_string(const std::string& s);
+const ParallelPlan& tp_plan();  // core/parallel_plan.h
 
 struct ParallelEnv {
   // Tensor-parallel group. Size 1 == serial execution (the reference
   // used by the equivalence tests).
   comm::Comm tp;
-
-  // Partition layer-norms / dropouts / residual stream along the
-  // sequence dimension (paper §4.2.2). Requires s % tp.size() == 0.
-  bool sequence_parallel = false;
 
   // §4.2.2 final paragraph: with sequence parallelism, store only this
   // rank's Y-shard for linear-layer backward and re-all-gather it
@@ -69,11 +66,13 @@ struct ParallelEnv {
 
   Recompute recompute = Recompute::kNone;
 
-  // The layer-wiring strategy: which collectives fire where and what is
-  // saved (core/parallel_plan.h). Null resolves from sequence_parallel
-  // (TP or TP+SP), so hand-built envs keep the legacy behavior.
-  const ParallelPlan* parallel_plan = nullptr;
-  const ParallelPlan& plan() const;  // defined in parallel_plan.cpp
+  // The layer-wiring strategy: which collectives fire where, what is
+  // saved, and whether the outer region (layer-norms, dropouts, residual
+  // stream) is sharded along the sequence dimension (paper §4.2.2; needs
+  // s % tp.size() == 0). Points at a plan singleton, tp_plan() unless
+  // set (model::make_env fills it from a ModelConfig).
+  const ParallelPlan* parallel_plan = &tp_plan();
+  const ParallelPlan& plan() const { return *parallel_plan; }
 
   // Overlapped activation recomputation (Chen et al. 2024; PAPERS.md):
   // run backward collectives nonblocking on the rank's comm stream and

@@ -9,7 +9,6 @@ namespace mls::core {
 
 const char* plan_kind_name(PlanKind k) {
   switch (k) {
-    case PlanKind::kAuto: return "auto";
     case PlanKind::kTensorParallel: return "tp";
     case PlanKind::kTensorSequence: return "tp_sp";
     case PlanKind::kFoldedTsp: return "folded_tsp";
@@ -18,12 +17,11 @@ const char* plan_kind_name(PlanKind k) {
 }
 
 PlanKind plan_kind_from_string(const std::string& s) {
-  if (s == "auto") return PlanKind::kAuto;
   if (s == "tp") return PlanKind::kTensorParallel;
   if (s == "tp_sp" || s == "sp") return PlanKind::kTensorSequence;
   if (s == "folded_tsp" || s == "folded") return PlanKind::kFoldedTsp;
   throw Error("unknown parallel plan '" + s +
-              "' (expected auto | tp | tp_sp | folded_tsp)");
+              "' (expected tp | tp_sp | folded_tsp)");
 }
 
 // ------------------------------------------------- shared default stages
@@ -216,20 +214,13 @@ const ParallelPlan& folded_tsp_plan() {
   return plan;
 }
 
-const ParallelPlan& plan_for(PlanKind kind, bool sequence_parallel) {
+const ParallelPlan& plan_for(PlanKind kind) {
   switch (kind) {
-    case PlanKind::kAuto:
-      return sequence_parallel ? sp_plan() : tp_plan();
     case PlanKind::kTensorParallel: return tp_plan();
     case PlanKind::kTensorSequence: return sp_plan();
     case PlanKind::kFoldedTsp: return folded_tsp_plan();
   }
   return tp_plan();
-}
-
-const ParallelPlan& ParallelEnv::plan() const {
-  return parallel_plan ? *parallel_plan
-                       : plan_for(PlanKind::kAuto, sequence_parallel);
 }
 
 }  // namespace mls::core

@@ -5,9 +5,10 @@
 // tensor+sequence parallelism (Fig 5), and the Table-2 byte formula
 // each choice implies. A ParallelPlan owns those decisions for one
 // layer family, so layers.cpp/gpt.cpp call the plan instead of
-// branching on `sequence_parallel`, and a new strategy is a new plan
-// object rather than another scattered branch (ROADMAP "Alternative TP
-// strategies as pluggable parallel plans").
+// branching on a sequence-parallel switch, and a new strategy is a new
+// plan object rather than another scattered branch. Sequence
+// parallelism is not a separate setting: it is sequence_sharded() of
+// the plan in use.
 //
 // Built-in plans:
 //   tp_plan()          f/f̄ only; replicated outer region (Fig 4).
@@ -20,9 +21,9 @@
 //                      same collectives, same numerics, fewer bytes
 //                      (Table-2 row (26sbh + 3as²b)/t).
 //
-// All plans are stateless singletons; ParallelEnv carries a pointer and
-// resolves a null pointer from the legacy `sequence_parallel` switch so
-// hand-built envs keep today's behavior bit-for-bit.
+// All plans are stateless singletons. ParallelEnv always carries a
+// pointer to one (tp_plan() by default); ModelConfig names one by
+// PlanKind.
 #pragma once
 
 #include <cstdint>
@@ -120,8 +121,7 @@ const ParallelPlan& tp_plan();
 const ParallelPlan& sp_plan();
 const ParallelPlan& folded_tsp_plan();
 
-// kAuto resolves from the legacy sequence_parallel switch; explicit
-// kinds return their singleton.
-const ParallelPlan& plan_for(PlanKind kind, bool sequence_parallel);
+// The singleton for a plan kind.
+const ParallelPlan& plan_for(PlanKind kind);
 
 }  // namespace mls::core

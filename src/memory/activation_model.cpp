@@ -27,11 +27,12 @@ Technique technique_of(const model::ModelConfig& cfg) {
   using core::Recompute;
   if (cfg.recompute == Recompute::kFull) return Technique::kFullRecompute;
   const bool sel = cfg.recompute == Recompute::kSelective;
-  if (cfg.resolved_plan().kind() == core::PlanKind::kFoldedTsp) {
+  if (cfg.parallel_plan == core::PlanKind::kFoldedTsp) {
     return sel ? Technique::kFoldedTspSelective : Technique::kFoldedTsp;
   }
-  if (cfg.t == 1 && !cfg.sequence_parallel && !sel) return Technique::kNoParallel;
-  if (cfg.sequence_parallel) {
+  const bool sp = cfg.plan().sequence_sharded();
+  if (cfg.t == 1 && !sp && !sel) return Technique::kNoParallel;
+  if (sp) {
     return sel ? Technique::kTensorSequenceSelective : Technique::kTensorSequence;
   }
   return sel ? Technique::kTensorSelective : Technique::kTensorParallel;

@@ -32,7 +32,7 @@ enum class Technique {
 
 const char* technique_name(Technique t);
 
-// The Technique implied by a ModelConfig's switches.
+// The Technique implied by a ModelConfig's plan and recompute rung.
 Technique technique_of(const model::ModelConfig& cfg);
 
 // Activation bytes stored per transformer layer (Table 2). Plan-backed

@@ -1,5 +1,7 @@
 #include "model/config.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "core/parallel_plan.h"
 
@@ -83,16 +85,12 @@ ModelConfig ModelConfig::tiny(int t, int64_t layers) {
   return c;
 }
 
-void ModelConfig::set_plan(core::PlanKind kind) {
-  parallel_plan = kind;
-  if (kind != core::PlanKind::kAuto) {
-    sequence_parallel =
-        core::plan_for(kind, sequence_parallel).sequence_sharded();
-  }
+const core::ParallelPlan& ModelConfig::plan() const {
+  return core::plan_for(parallel_plan);
 }
 
-const core::ParallelPlan& ModelConfig::resolved_plan() const {
-  return core::plan_for(parallel_plan, sequence_parallel);
+int64_t ModelConfig::s_local() const {
+  return plan().sequence_sharded() ? s / t : s;
 }
 
 void ModelConfig::validate() const {
@@ -102,20 +100,23 @@ void ModelConfig::validate() const {
   MLS_CHECK_EQ(L % p, 0) << "layers must divide pipeline size";
   MLS_CHECK_EQ(global_batch % (static_cast<int64_t>(b) * d), 0)
       << "global batch must divide microbatch size x data-parallel size";
-  if (sequence_parallel) {
+  if (plan().sequence_sharded()) {
     MLS_CHECK_EQ(s % t, 0) << "sequence parallelism needs s divisible by t";
-  }
-  if (parallel_plan != core::PlanKind::kAuto) {
-    MLS_CHECK_EQ(core::plan_for(parallel_plan, sequence_parallel)
-                     .sequence_sharded(),
-                 sequence_parallel)
-        << "plan '" << core::plan_kind_name(parallel_plan)
-        << "' disagrees with sequence_parallel; use set_plan()";
   }
   if (interleave_m > 1) {
     MLS_CHECK_EQ(L % (static_cast<int64_t>(p) * interleave_m), 0)
         << "interleaving needs L divisible by p*m";
   }
+}
+
+core::ParallelEnv make_env(const ModelConfig& cfg, comm::Comm tp) {
+  core::ParallelEnv env;
+  env.tp = std::move(tp);
+  env.parallel_plan = &cfg.plan();
+  env.sharded_input_save = cfg.sharded_input_save;
+  env.recompute = cfg.recompute;
+  env.seed = cfg.seed;
+  return env;
 }
 
 }  // namespace mls::model

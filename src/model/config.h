@@ -30,13 +30,12 @@ struct ModelConfig {
   int d = 1;               // data-parallel size (§6.3; replicas of the t×p grid)
   int interleave_m = 1;    // interleaved pipeline stages per rank (m)
   int64_t global_batch = 2;  // global batch size across all replicas
-  bool sequence_parallel = false;
   bool sharded_input_save = true;
   core::Recompute recompute = core::Recompute::kNone;
-  // The layer-wiring strategy (core/parallel_plan.h). kAuto follows the
-  // sequence_parallel switch; explicit kinds must agree with it (the
-  // folded-TSP plan is sequence-sharded). Prefer set_plan().
-  core::PlanKind parallel_plan = core::PlanKind::kAuto;
+  // The layer-wiring strategy (core/parallel_plan.h). Sequence
+  // parallelism is plan().sequence_sharded(): true for kTensorSequence
+  // and kFoldedTsp.
+  core::PlanKind parallel_plan = core::PlanKind::kTensorParallel;
   uint64_t seed = 0x5eed;
 
   std::string name = "custom";
@@ -47,6 +46,9 @@ struct ModelConfig {
   int64_t total_microbatches() const { return global_batch / b; }
   int64_t num_gpus() const { return static_cast<int64_t>(t) * p * d; }
   int64_t layers_per_stage() const { return L / p; }
+  // Sequence rows of one rank's outer-region activations: s/t under a
+  // sequence-sharded plan, s otherwise.
+  int64_t s_local() const;
 
   // Total parameter count: word embeddings (vh, output layer tied) +
   // positional (sh) + per layer (QKV 3h² + proj h² + MLP 8h² + biases
@@ -65,13 +67,15 @@ struct ModelConfig {
   // A laptop-scale config for numeric runs and examples.
   static ModelConfig tiny(int t = 1, int64_t layers = 2);
 
-  // Sets parallel_plan and keeps sequence_parallel consistent with the
-  // plan's outer-region sharding.
-  void set_plan(core::PlanKind kind);
-  // The plan singleton this config resolves to.
-  const core::ParallelPlan& resolved_plan() const;
+  void set_plan(core::PlanKind kind) { parallel_plan = kind; }
+  // The plan singleton parallel_plan names.
+  const core::ParallelPlan& plan() const;
 
   void validate() const;
 };
+
+// The ParallelEnv a rank of this config runs with on `tp`: the plan,
+// sharded-input save, recompute rung and seed all come from cfg.
+core::ParallelEnv make_env(const ModelConfig& cfg, comm::Comm tp);
 
 }  // namespace mls::model

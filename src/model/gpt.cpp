@@ -21,13 +21,8 @@ GPTModel::GPTModel(const ModelConfig& cfg, comm::Comm tp, StageSpec spec)
             spec_.layer_begin <= spec_.layer_end)
       << "bad stage layer range";
 
-  env_.tp = std::move(tp);
+  env_ = make_env(cfg_, std::move(tp));
   MLS_CHECK_EQ(env_.tp_size(), cfg_.t) << "tp comm size must match config";
-  env_.sequence_parallel = cfg_.sequence_parallel;
-  env_.sharded_input_save = cfg_.sharded_input_save;
-  env_.recompute = cfg_.recompute;
-  env_.parallel_plan = &cfg_.resolved_plan();
-  env_.seed = cfg_.seed;
 
   Rng master(cfg_.seed);
   const int t = env_.tp_size();

@@ -313,7 +313,7 @@ struct TrainResult {
 TrainResult train_t2p2(int steps) {
   model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.global_batch = 4 * cfg.b;
   cfg.validate();

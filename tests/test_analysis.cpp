@@ -288,7 +288,7 @@ void expect_stats_eq(const comm::TrafficStats& a, const comm::TrafficStats& b,
 std::pair<std::vector<float>, std::vector<RankTraffic>> train_t2p2(int steps) {
   model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.global_batch = 4 * cfg.b;
   cfg.validate();

@@ -10,6 +10,7 @@
 #include "autograd/engine.h"
 #include "comm/spmd.h"
 #include "core/collectives.h"
+#include "core/parallel_plan.h"
 #include "common/memtracker.h"
 #include "model/gpt.h"
 #include "optim/optim.h"
@@ -40,7 +41,7 @@ LayerRun run_layer(const ModelConfig& cfg, bool sp, Recompute rc,
     MemoryTracker::instance().reset();
     ParallelEnv env;
     env.tp = c;
-    env.sequence_parallel = sp;
+    env.parallel_plan = sp ? &core::sp_plan() : &core::tp_plan();
     env.recompute = rc;
     env.seed = cfg.seed;
     env.microbatch = 0;
@@ -150,7 +151,7 @@ TEST(LayerEquivalenceExtra, FullInputSaveMatchesShardedSave) {
   spmd::run(cfg2.t, [&](comm::Comm& c) {
     ParallelEnv env;
     env.tp = c;
-    env.sequence_parallel = true;
+    env.parallel_plan = &core::sp_plan();
     env.sharded_input_save = false;
     env.seed = cfg2.seed;
     Rng master(cfg2.seed);
@@ -222,7 +223,8 @@ class ModelEquivalence : public ::testing::TestWithParam<ModelCase> {};
 TEST_P(ModelEquivalence, LossTrajectoryMatchesSerial) {
   const auto param = GetParam();
   ModelConfig cfg = ModelConfig::tiny(param.t, /*layers=*/2);
-  cfg.sequence_parallel = param.sp != 0;
+  cfg.set_plan(param.sp ? core::PlanKind::kTensorSequence
+                        : core::PlanKind::kTensorParallel);
   cfg.recompute = param.rc;
 
   ModelConfig serial = ModelConfig::tiny(1, 2);

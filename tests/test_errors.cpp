@@ -37,7 +37,7 @@ TEST(ConfigValidation, RejectsIndivisibleShapes) {
   }
   {
     ModelConfig c = ModelConfig::tiny(2, 2);
-    c.sequence_parallel = true;
+    c.set_plan(core::PlanKind::kTensorSequence);
     c.s = 15;  // not divisible by t
     EXPECT_THROW(c.validate(), Error);
   }
@@ -59,7 +59,7 @@ TEST(ConfigValidation, PaperPresetsAreValid) {
   for (auto cfg : {ModelConfig::gpt_22b(), ModelConfig::gpt_175b(),
                    ModelConfig::gpt_530b(), ModelConfig::gpt_1t()}) {
     EXPECT_NO_THROW(cfg.validate()) << cfg.name;
-    cfg.sequence_parallel = true;
+    cfg.set_plan(core::PlanKind::kTensorSequence);
     cfg.recompute = core::Recompute::kSelective;
     EXPECT_NO_THROW(cfg.validate()) << cfg.name;
   }

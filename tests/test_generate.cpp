@@ -29,7 +29,7 @@ TEST(Inference, NextTokenLogitsMatchSerialUnderTensorParallelism) {
 
   ModelConfig tp = cfg;
   tp.t = 2;
-  tp.sequence_parallel = true;
+  tp.set_plan(core::PlanKind::kTensorSequence);
   spmd::run(2, [&](comm::Comm& c) {
     model::GPTModel m(tp, c);
     m.set_inference(true);

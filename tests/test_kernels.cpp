@@ -748,7 +748,7 @@ TEST(KernelLayout, SbhTransposesMatchGenericPermute) {
 std::vector<float> train_t2p2_losses(int steps) {
   model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.global_batch = 4 * cfg.b;
   cfg.validate();

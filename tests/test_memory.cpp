@@ -25,21 +25,13 @@ int64_t measure_layer_bytes(const ModelConfig& cfg) {
   spmd::run(cfg.t, [&](comm::Comm& c) {
     auto& mt = MemoryTracker::instance();
     mt.reset();
-    core::ParallelEnv env;
-    env.tp = c;
-    env.sequence_parallel = cfg.sequence_parallel;
-    env.sharded_input_save = cfg.sharded_input_save;
-    env.recompute = cfg.recompute;
-    env.seed = cfg.seed;
-    env.parallel_plan = &cfg.resolved_plan();
+    const core::ParallelEnv env = model::make_env(cfg, c);
 
     Rng master(cfg.seed);
     model::TransformerLayer layer(env, cfg, 0, master);
 
     Rng drng(5);
-    const int64_t s_local =
-        cfg.sequence_parallel ? cfg.s / cfg.t : cfg.s;
-    ag::Var x(Tensor::randn(Shape{{s_local, cfg.b, cfg.h}}, drng), true);
+    ag::Var x(Tensor::randn(Shape{{cfg.s_local(), cfg.b, cfg.h}}, drng), true);
     ag::Var y = layer.forward(x, env);
     const int64_t bytes = mt.current_major_bytes();
     // Drain the graph so every rank ends clean.
@@ -84,7 +76,7 @@ TEST_P(Table2Validation, TensorParallel) {
 TEST_P(Table2Validation, TensorSequenceParallel) {
   ModelConfig cfg = base_config();
   if (cfg.s % cfg.t != 0) GTEST_SKIP();
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   const double expect =
       memory::act_bytes_per_layer(cfg, Technique::kTensorSequence);
   EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
@@ -101,7 +93,7 @@ TEST_P(Table2Validation, TensorParallelSelectiveRecompute) {
 TEST_P(Table2Validation, TensorSequenceSelective) {
   ModelConfig cfg = base_config();
   if (cfg.s % cfg.t != 0) GTEST_SKIP();
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   const double expect =
       memory::act_bytes_per_layer(cfg, Technique::kTensorSequenceSelective);
@@ -181,7 +173,8 @@ TEST(TotalActivationMemory, ModelMeasurementMatchesEq5PlusExtras) {
   for (const bool sp : {false, true}) {
     for (const auto rc : {core::Recompute::kNone, core::Recompute::kSelective}) {
       ModelConfig cfg = ModelConfig::tiny(2, 2);
-      cfg.sequence_parallel = sp;
+      cfg.set_plan(sp ? core::PlanKind::kTensorSequence
+                      : core::PlanKind::kTensorParallel);
       cfg.recompute = rc;
       const Technique tech = memory::technique_of(cfg);
       const double expect =
@@ -282,7 +275,7 @@ TEST(PaperConstants, ParamCountsMatchModelNames) {
 
 TEST(PipelineMemoryProfile, MonotoneAndConsistentWithEq5) {
   ModelConfig cfg = ModelConfig::gpt_530b();
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.interleave_m = 1;  // plain 1F1B for the Fig 9 shape
   const auto profile =

@@ -119,7 +119,7 @@ std::vector<float> serial_losses(ModelConfig cfg, const Batch& batch, int steps)
   cfg.t = 1;
   cfg.p = 1;
   cfg.interleave_m = 1;
-  cfg.sequence_parallel = false;
+  cfg.set_plan(core::PlanKind::kTensorParallel);
   cfg.recompute = core::Recompute::kNone;
   std::vector<float> losses;
   spmd::run(1, [&](comm::Comm& c) {
@@ -184,7 +184,8 @@ TEST_P(PipelineEquivalence, LossTrajectoryMatchesSerial) {
   ModelConfig cfg = ModelConfig::tiny(pc.t, /*layers=*/4);
   cfg.p = pc.p;
   cfg.interleave_m = pc.m;
-  cfg.sequence_parallel = pc.sp != 0;
+  cfg.set_plan(pc.sp ? core::PlanKind::kTensorSequence
+                     : core::PlanKind::kTensorParallel);
   cfg.recompute = pc.rc;
   cfg.global_batch = 4 * cfg.b;  // 4 microbatches
   cfg.validate();
@@ -242,7 +243,7 @@ TEST(OverlapRecompute, PipelineLossBitIdentical) {
   // sends, and replay prefetch must leave every step's loss bit-exact.
   ModelConfig cfg = ModelConfig::tiny(2, 4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.global_batch = 4 * cfg.b;
   cfg.validate();
@@ -419,7 +420,7 @@ TEST(DataParallel, Full3DGridMatchesSerial) {
   ModelConfig cfg = ModelConfig::tiny(2, 4);
   cfg.d = 2;
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.global_batch = 4 * cfg.b;
   cfg.validate();

@@ -2,10 +2,10 @@
 // layer's collective wiring (core/parallel_plan.h).
 //
 // Two properties are load-bearing:
-//   1. The built-in TP and TP+SP plans are BIT-IDENTICAL to the
-//      pre-plan behaviour (kAuto resolution), in losses, final
-//      parameters and collective traffic — the refactor moved code,
-//      it must not have moved a single float.
+//   1. A plan kind names exactly one plan singleton, and a default
+//      ModelConfig / ParallelEnv run the TP plan. (TP and TP+SP match
+//      the serial reference in test_core.cpp's LayerEquivalence and
+//      ModelEquivalence suites.)
 //   2. The folded-TSP plan (arXiv 2604.26294: pointwise-recomputable
 //      activations folded into their consumer GEMMs on the TP+SP
 //      wiring) is an exact optimization — bitwise-equal training to
@@ -30,38 +30,36 @@ using model::ModelConfig;
 // ------------------------------------------------------ plan registry
 
 TEST(PlanRegistry, NamesRoundTripThroughParser) {
-  for (PlanKind k : {PlanKind::kAuto, PlanKind::kTensorParallel,
-                     PlanKind::kTensorSequence, PlanKind::kFoldedTsp}) {
+  for (PlanKind k : {PlanKind::kTensorParallel, PlanKind::kTensorSequence,
+                     PlanKind::kFoldedTsp}) {
     EXPECT_EQ(core::plan_kind_from_string(core::plan_kind_name(k)), k);
+    EXPECT_EQ(core::plan_for(k).kind(), k);
   }
   // MLS_PLAN accepts the short spellings too.
   EXPECT_EQ(core::plan_kind_from_string("sp"), PlanKind::kTensorSequence);
   EXPECT_EQ(core::plan_kind_from_string("folded"), PlanKind::kFoldedTsp);
+  EXPECT_THROW(core::plan_kind_from_string("auto"), Error);
   EXPECT_THROW(core::plan_kind_from_string("ring_attention"), Error);
-}
-
-TEST(PlanRegistry, AutoFollowsSequenceParallelSwitch) {
-  EXPECT_EQ(&core::plan_for(PlanKind::kAuto, false), &core::tp_plan());
-  EXPECT_EQ(&core::plan_for(PlanKind::kAuto, true), &core::sp_plan());
   EXPECT_FALSE(core::tp_plan().sequence_sharded());
   EXPECT_TRUE(core::sp_plan().sequence_sharded());
   // Folded TSP rides the SP wiring: same sharding, same comm schedule.
   EXPECT_TRUE(core::folded_tsp_plan().sequence_sharded());
-  EXPECT_EQ(core::folded_tsp_plan().kind(), PlanKind::kFoldedTsp);
+  // Nothing chosen means the TP plan.
+  EXPECT_EQ(&ModelConfig{}.plan(), &core::tp_plan());
+  EXPECT_EQ(&core::ParallelEnv{}.plan(), &core::tp_plan());
 }
 
 TEST(PlanRegistry, SetPlanKeepsConfigConsistent) {
   ModelConfig cfg = ModelConfig::tiny(2, 2);
   cfg.set_plan(PlanKind::kFoldedTsp);
-  EXPECT_TRUE(cfg.sequence_parallel);
+  EXPECT_EQ(&cfg.plan(), &core::folded_tsp_plan());
   EXPECT_NO_THROW(cfg.validate());
-  cfg.set_plan(PlanKind::kTensorParallel);
-  EXPECT_FALSE(cfg.sequence_parallel);
-  EXPECT_NO_THROW(cfg.validate());
-  // A hand-desynchronized config is an explicit validate() error, not
-  // silent misbehaviour.
-  cfg.parallel_plan = PlanKind::kTensorSequence;
+  // A sequence-sharded plan needs s divisible by t.
+  cfg.s = 15;
   EXPECT_THROW(cfg.validate(), Error);
+  cfg.set_plan(PlanKind::kTensorParallel);
+  EXPECT_EQ(&cfg.plan(), &core::tp_plan());
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 // ------------------------------------------- bit-identity regression
@@ -137,28 +135,12 @@ void expect_bitwise_equal(const TrainRun& a, const TrainRun& b) {
   EXPECT_EQ(a.tp_reduce_scatters, b.tp_reduce_scatters);
 }
 
-TEST(PlanBitIdentity, ExplicitTpMatchesAuto) {
-  ModelConfig auto_cfg = ModelConfig::tiny(2, 4);
-  ModelConfig plan_cfg = auto_cfg;
-  plan_cfg.set_plan(PlanKind::kTensorParallel);
-  expect_bitwise_equal(train(auto_cfg), train(plan_cfg));
-}
-
-TEST(PlanBitIdentity, ExplicitTpSpMatchesAuto) {
-  ModelConfig auto_cfg = ModelConfig::tiny(2, 4);
-  auto_cfg.sequence_parallel = true;
-  ModelConfig plan_cfg = auto_cfg;
-  plan_cfg.set_plan(PlanKind::kTensorSequence);
-  expect_bitwise_equal(train(auto_cfg, core::Recompute::kSelective),
-                       train(plan_cfg, core::Recompute::kSelective));
-}
-
 TEST(PlanBitIdentity, FoldedTspMatchesTpSpExactly) {
   // The fused nodes recompute GeLU / softmax-dropout pointwise in
   // backward instead of saving them; every float and every collective
   // must be unchanged vs the TP+SP plan.
   ModelConfig sp_cfg = ModelConfig::tiny(2, 4);
-  sp_cfg.sequence_parallel = true;
+  sp_cfg.set_plan(PlanKind::kTensorSequence);
   ModelConfig folded_cfg = sp_cfg;
   folded_cfg.set_plan(PlanKind::kFoldedTsp);
   expect_bitwise_equal(train(sp_cfg), train(folded_cfg));

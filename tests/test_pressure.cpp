@@ -277,7 +277,7 @@ std::vector<std::vector<data::Batch>> make_steps(const model::ModelConfig& cfg,
 model::ModelConfig grid_config() {
   model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kNone;
   cfg.global_batch = 2 * cfg.b;
   return cfg;

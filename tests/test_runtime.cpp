@@ -245,16 +245,12 @@ TEST(Nonblocking, ISendClonesEagerlyAndIRecvDelivers) {
 TEST(OverlapRecompute, LayerGradsBitIdenticalToSerial) {
   const int t = 2;
   model::ModelConfig cfg = model::ModelConfig::tiny(t, 2);
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   spmd::run(t, [&](comm::Comm& c) {
     auto run_mode = [&](bool overlap, std::vector<Tensor>& grads) {
-      core::ParallelEnv env;
-      env.tp = c;
-      env.sequence_parallel = true;
-      env.recompute = core::Recompute::kSelective;
+      core::ParallelEnv env = model::make_env(cfg, c);
       env.overlap_recompute = overlap;
-      env.seed = cfg.seed;
       Rng master(cfg.seed);
       std::vector<std::unique_ptr<model::TransformerLayer>> layers;
       for (int l = 0; l < 2; ++l) {

@@ -119,7 +119,7 @@ TEST_F(SerializeTest, ResumeIsBitExactSerial) {
 TEST_F(SerializeTest, ResumeIsBitExactUnder3DParallelism) {
   model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
   cfg.p = 2;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.global_batch = 2 * cfg.b;
   const auto straight = train_with_resume(cfg, dir_.string(), 4, 2, false);

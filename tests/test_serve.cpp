@@ -132,7 +132,7 @@ TEST(Serve, SequenceParallelModelDecodesIdentically) {
   // tokens still match the SP full-window generate() bit for bit.
   ModelConfig cfg = ModelConfig::tiny(2, 2);
   cfg.b = 1;
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   spmd::run(2, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
     const auto reqs = mixed_requests(cfg);

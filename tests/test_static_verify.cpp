@@ -208,7 +208,7 @@ TEST(StaticMisplan, P2pCycleIsReportedWithBothSites) {
 
 TEST(StaticMisplan, WrongTable2FormulaNamesBothSources) {
   ModelConfig cfg = ModelConfig::tiny(2, 1);
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.validate();
   // The classic wrong claim: sbh(34 + 5as/h) without dividing by t —
@@ -229,7 +229,7 @@ TEST(StaticMisplan, WrongTable2FormulaNamesBothSources) {
 // tolerance-based).
 TEST(StaticBudget, ExactClaimPasses) {
   ModelConfig cfg = ModelConfig::tiny(2, 1);
-  cfg.sequence_parallel = true;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
   cfg.recompute = core::Recompute::kSelective;
   cfg.validate();
   const double right =
@@ -245,7 +245,8 @@ ModelConfig small_config(int t, int p, int d, bool sp, int m,
   cfg.p = p;
   cfg.d = d;
   cfg.interleave_m = m;
-  cfg.sequence_parallel = sp;
+  cfg.set_plan(sp ? core::PlanKind::kTensorSequence
+                  : core::PlanKind::kTensorParallel);
   cfg.recompute = rc;
   cfg.global_batch = static_cast<int64_t>(cfg.b) * d * 4;
   cfg.validate();
@@ -516,28 +517,24 @@ TEST(ReplayTrain, FoldedTspPipelineZeroDrift) {
 // budget IS the runtime byte count.
 
 TEST(ReplayBudget, MeasuredLayerBytesMatchStaticBudget) {
-  for (int sp : {0, 1}) {
+  for (auto plan : {core::PlanKind::kTensorParallel,
+                    core::PlanKind::kTensorSequence,
+                    core::PlanKind::kFoldedTsp}) {
     for (auto rc : {core::Recompute::kNone, core::Recompute::kSelective}) {
       ModelConfig cfg = ModelConfig::tiny(2, 1);
-      cfg.sequence_parallel = sp != 0;
+      cfg.set_plan(plan);
       cfg.recompute = rc;
       cfg.validate();
       int64_t measured = -1;
       spmd::run(cfg.t, [&](comm::Comm& c) {
         auto& mt = MemoryTracker::instance();
         mt.reset();
-        core::ParallelEnv env;
-        env.tp = c;
-        env.sequence_parallel = cfg.sequence_parallel;
-        env.sharded_input_save = cfg.sharded_input_save;
-        env.recompute = cfg.recompute;
-        env.seed = cfg.seed;
+        const core::ParallelEnv env = model::make_env(cfg, c);
         Rng master(cfg.seed);
         model::TransformerLayer layer(env, cfg, 0, master);
         Rng drng(5);
-        const int64_t s_local =
-            cfg.sequence_parallel ? cfg.s / cfg.t : cfg.s;
-        ag::Var x(Tensor::randn(Shape{{s_local, cfg.b, cfg.h}}, drng), true);
+        ag::Var x(Tensor::randn(Shape{{cfg.s_local(), cfg.b, cfg.h}}, drng),
+                  true);
         ag::Var y = layer.forward(x, env);
         const int64_t bytes = mt.current_major_bytes();
         ag::backward(y, Tensor::full(y.value().shape(), 1.f));
@@ -546,7 +543,9 @@ TEST(ReplayBudget, MeasuredLayerBytesMatchStaticBudget) {
       ASSERT_GE(measured, 0);
       const auto vs = verify::check_budget_claim(
           cfg, static_cast<double>(measured), "MemoryTracker replay");
-      EXPECT_TRUE(vs.empty()) << "sp=" << sp << "\n" << joined(vs);
+      EXPECT_TRUE(vs.empty()) << "plan=" << core::plan_kind_name(plan)
+                              << " rc=" << core::recompute_name(rc) << "\n"
+                              << joined(vs);
     }
   }
 }

@@ -171,7 +171,8 @@ TEST(Trainer, ClippedTrainingMatchesSerialUnderParallelism) {
   auto run = [](int t, int p, bool sp, int steps) {
     ModelConfig cfg = ModelConfig::tiny(t, 4);
     cfg.p = p;
-    cfg.sequence_parallel = sp;
+    cfg.set_plan(sp ? core::PlanKind::kTensorSequence
+                    : core::PlanKind::kTensorParallel);
     cfg.global_batch = 2 * cfg.b;
     data::MarkovDataset ds(cfg.v, 1.0, 11);
     // Pre-draw all batches so every config sees identical data.
