@@ -9,7 +9,9 @@
 //   bench_kernels --json[=p]   min-of-N wall-clock kernel timings
 //                              written to p (default BENCH_kernels.json):
 //                              pre-PR scalar vs blocked GFLOP/s, thread
-//                              scaling, fused-vs-composed sweeps.
+//                              scaling, fused-vs-composed sweeps, and
+//                              stateless dropout vs the pre-PR
+//                              coordinate walk.
 //
 // The "before" datum is a verbatim replica of the seed scalar GEMM
 // (below), compiled with this file's default flags — the same flags
@@ -68,6 +70,49 @@ void gemm_prepr(const float* a, const float* b, float* c, int64_t m, int64_t n,
   }
 }
 
+// Seed stateless dropout (ops.cpp before the row kernel), kept as the
+// smoke oracle and the --json baseline: one N-d coordinate step per
+// element through the map's global strides, compiled with this file's
+// flags as ops.cpp was.
+uint64_t hash64_prepr(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+void dropout_prepr(const float* x, float* y, float* mask, float p,
+                   uint64_t seed, const ops::IndexMap& map) {
+  const float inv_keep = 1.0f / (1.0f - p);
+  const auto threshold = static_cast<uint64_t>(p * 18446744073709551615.0);
+  const size_t nd = map.dims.size();
+  std::vector<int64_t> coord(nd, 0);
+  int64_t n = 1;
+  for (int64_t d : map.dims) n *= d;
+  int64_t gidx = map.base;
+  for (int64_t i = 0; i < n; ++i) {
+    const bool keep =
+        hash64_prepr(seed ^ static_cast<uint64_t>(gidx)) >= threshold;
+    mask[i] = keep ? 1.0f : 0.0f;
+    y[i] = keep ? x[i] * inv_keep : 0.0f;
+    for (size_t d = nd; d-- > 0;) {
+      gidx += map.strides[d];
+      if (++coord[d] < map.dims[d]) break;
+      gidx -= map.strides[d] * map.dims[d];
+      coord[d] = 0;
+    }
+  }
+}
+
+// train_sp_selective's attention probs on TP rank 1 of 2: the global
+// [b=1, a=8, s=512, s=512] tensor, local heads [4, 8).
+ops::IndexMap attention_probs_map() {
+  ops::IndexMap map;
+  map.dims = {1, 4, 512, 512};
+  map.strides = {8 * 512 * 512, 512 * 512, 512, 1};
+  map.base = 4 * 512 * 512;
+  return map;
+}
+
 std::vector<float> random_vec(int64_t n, uint64_t seed) {
   Rng rng(seed);
   Tensor t = Tensor::randn(Shape{{n}}, rng);
@@ -101,7 +146,7 @@ double min_time(F&& fn, int reps) {
 int run_smoke() {
   int failures = 0;
   auto check = [&](bool ok, const char* what) {
-    std::printf("smoke: %-44s %s\n", what, ok ? "ok" : "FAIL");
+    std::printf("smoke: %-50s %s\n", what, ok ? "ok" : "FAIL");
     if (!ok) ++failures;
   };
 
@@ -165,6 +210,37 @@ int run_smoke() {
     check(std::memcmp(round.data(), x.data(),
                       sizeof(float) * static_cast<size_t>(x.numel())) == 0,
           "sbh<->bhsd round trip bit-exact");
+  }
+
+  {  // dropout row kernel vs the coordinate walk; 1 vs 4 threads
+    // Global [2, 6, 57, 57], heads [3, 6): odd rows, and enough
+    // elements that 4 threads really split them.
+    ops::IndexMap map;
+    map.dims = {2, 3, 57, 57};
+    map.strides = {6 * 57 * 57, 57 * 57, 57, 1};
+    map.base = 3 * 57 * 57;
+    Rng rng(8);
+    Tensor x = Tensor::randn(Shape(map.dims), rng);
+    const size_t n = static_cast<size_t>(x.numel());
+    std::vector<float> y_ref(n), m_ref(n);
+    dropout_prepr(x.data(), y_ref.data(), m_ref.data(), 0.1f, 99, map);
+    auto same = [&](const float* a, const float* b) {
+      return std::memcmp(a, b, sizeof(float) * n) == 0;
+    };
+    core::Env::set("MLS_KERNEL_THREADS", "1");
+    const ops::DropoutOut d1 = ops::dropout_stateless(x, 0.1f, 99, map);
+    const Tensor g1 = ops::dropout_grad(x, d1.mask, 0.1f);
+    core::Env::set("MLS_KERNEL_THREADS", "4");
+    const ops::DropoutOut d4 = ops::dropout_stateless(x, 0.1f, 99, map);
+    const Tensor g4 = ops::dropout_grad(x, d4.mask, 0.1f);
+    core::Env::clear("MLS_KERNEL_THREADS");
+    check(same(d1.y.data(), y_ref.data()) &&
+              same(d1.mask.data(), m_ref.data()),
+          "dropout kernel matches the coordinate-walk oracle");
+    check(same(d1.y.data(), d4.y.data()) &&
+              same(d1.mask.data(), d4.mask.data()) &&
+              same(g1.data(), g4.data()),
+          "1-vs-4-thread dropout bit-identical");
   }
 
   {  // thread-scaling gate (>= 4 cores only)
@@ -360,6 +436,44 @@ int run_json(const std::string& path) {
     std::printf("scaled_softmax: fused %.3f ms vs composed %.3f ms (%.2fx)\n",
                 t_f * 1e3, t_c * 1e3, t_c / t_f);
   }
+  // Stateless dropout at train_sp_selective's attention-probs shape:
+  // the row kernel (and its backward) per thread count, beside the
+  // pre-PR coordinate walk, which is single-threaded.
+  std::fprintf(f, "  ],\n  \"dropout\": [\n");
+  {
+    const ops::IndexMap map = attention_probs_map();
+    Rng rng(42);
+    Tensor x = Tensor::randn(Shape(map.dims), rng);
+    std::vector<float> y(static_cast<size_t>(x.numel()));
+    std::vector<float> mask(y.size());
+    const double t_walk = min_time(
+        [&] {
+          dropout_prepr(x.data(), y.data(), mask.data(), 0.1f, 7, map);
+        },
+        7);
+    const Tensor saved = ops::dropout_stateless(x, 0.1f, 7, map).mask;
+    for (int nt : {1, 2, 4}) {
+      core::Env::set("MLS_KERNEL_THREADS", std::to_string(nt));
+      const double t_fwd =
+          min_time([&] { ops::dropout_stateless(x, 0.1f, 7, map); }, 15);
+      const double t_bwd =
+          min_time([&] { ops::dropout_grad(x, saved, 0.1f); }, 15);
+      core::Env::clear("MLS_KERNEL_THREADS");
+      std::fprintf(f,
+                   "    {\"op\": \"dropout_stateless\", \"shape\": "
+                   "\"4x512x512\", \"threads\": %d, \"ms\": %.3f, "
+                   "\"coord_walk_ms\": %.3f},\n",
+                   nt, t_fwd * 1e3, t_walk * 1e3);
+      std::fprintf(f,
+                   "    {\"op\": \"dropout_grad\", \"shape\": "
+                   "\"4x512x512\", \"threads\": %d, \"ms\": %.3f}%s\n",
+                   nt, t_bwd * 1e3, nt == 4 ? "" : ",");
+      std::printf(
+          "dropout 4x512x512 threads=%d: %.3f ms (coordinate walk %.3f ms), "
+          "grad %.3f ms\n",
+          nt, t_fwd * 1e3, t_walk * 1e3, t_bwd * 1e3);
+    }
+  }
   std::fprintf(f, "  ],\n  \"speedup_n512_vs_prepr\": %.2f\n}\n",
                blocked512 / prepr512);
   std::fclose(f);
@@ -502,15 +616,15 @@ void BM_LayerNorm(benchmark::State& state) {
 }
 
 void BM_StatelessDropout(benchmark::State& state) {
-  const int64_t n = state.range(0);
+  const ops::IndexMap map = attention_probs_map();
   Rng rng(5);
-  Tensor x = Tensor::randn(Shape{{n}}, rng);
-  const auto map = ops::IndexMap::identity(Shape{{n}});
+  Tensor x = Tensor::randn(Shape(map.dims), rng);
   for (auto _ : state) {
     auto out = ops::dropout_stateless(x, 0.1f, 42, map);
     benchmark::DoNotOptimize(out.y.data());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          x.numel());
 }
 
 void BM_Gelu(benchmark::State& state) {
@@ -537,7 +651,7 @@ BENCHMARK(BM_BiasGeluComposed)->Arg(512)->Arg(4096);
 BENCHMARK(BM_SbhToBhsd)->Arg(256);
 BENCHMARK(BM_SbhToBhsdGenericPermute)->Arg(256);
 BENCHMARK(BM_LayerNorm)->Arg(64)->Arg(512);
-BENCHMARK(BM_StatelessDropout)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_StatelessDropout);
 BENCHMARK(BM_Gelu)->Arg(1 << 12)->Arg(1 << 16);
 
 int main(int argc, char** argv) {

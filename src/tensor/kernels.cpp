@@ -1007,6 +1007,84 @@ void gelu_grad(const float* x, const float* dy, float* dx, int64_t n) {
   });
 }
 
+// ---------------------------------------------------- stateless dropout
+namespace {
+
+// splitmix64 finalizer: a high-quality stateless hash of a 64-bit key.
+// Integer-only, so the row loop below vectorizes (64-bit lane multiplies
+// where the target has them; bits are the same either way).
+inline uint64_t hash64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// One contiguous run of w elements whose first element sits at global
+// index g0: element j is global g0 + j. keep iff hash(seed ^ gidx) >=
+// threshold, i.e. hash / 2^64 >= p.
+void dropout_row(const float* x, float* y, float* mask, int64_t w, int64_t g0,
+                 uint64_t seed, uint64_t threshold, float inv_keep) {
+  for (int64_t j = 0; j < w; ++j) {
+    const bool keep = hash64(seed ^ static_cast<uint64_t>(g0 + j)) >= threshold;
+    mask[j] = keep ? 1.0f : 0.0f;
+    y[j] = keep ? x[j] * inv_keep : 0.0f;
+  }
+}
+
+// Rows [r0, r1) of the local tensor viewed as [rows, w]. Row r's global
+// base is base + sum_d coord_d * strides[d] over the outer dims; it is
+// decomposed once at r0 and then stepped one row at a time.
+void dropout_rows(const float* x, float* y, float* mask, const int64_t* dims,
+                  const int64_t* strides, int nd, int64_t base, uint64_t seed,
+                  uint64_t threshold, float inv_keep, int64_t r0, int64_t r1) {
+  const int64_t w = nd > 0 ? dims[nd - 1] : 1;
+  std::vector<int64_t> coord(static_cast<size_t>(nd), 0);
+  int64_t g = base;
+  int64_t rem = r0;
+  for (int d = nd - 2; d >= 0; --d) {
+    coord[static_cast<size_t>(d)] = rem % dims[d];
+    rem /= dims[d];
+    g += coord[static_cast<size_t>(d)] * strides[d];
+  }
+  for (int64_t r = r0; r < r1; ++r) {
+    dropout_row(x + r * w, y + r * w, mask + r * w, w, g, seed, threshold,
+                inv_keep);
+    for (int d = nd - 2; d >= 0; --d) {
+      g += strides[d];
+      if (++coord[static_cast<size_t>(d)] < dims[d]) break;
+      g -= strides[d] * dims[d];
+      coord[static_cast<size_t>(d)] = 0;
+    }
+  }
+}
+
+}  // namespace
+
+void dropout_stateless(const float* x, float* y, float* mask,
+                       const int64_t* dims, const int64_t* strides, int nd,
+                       int64_t base, uint64_t seed, float p) {
+  int64_t n = 1;
+  for (int d = 0; d < nd; ++d) n *= dims[d];
+  if (n == 0) return;
+  const int64_t w = nd > 0 ? dims[nd - 1] : 1;
+  const float inv_keep = 1.0f / (1.0f - p);
+  const uint64_t threshold =
+      static_cast<uint64_t>(p * 18446744073709551615.0);  // p * (2^64 - 1)
+  parallel_ranges(n / w, n, 1, [&](int64_t r0, int64_t r1) {
+    dropout_rows(x, y, mask, dims, strides, nd, base, seed, threshold,
+                 inv_keep, r0, r1);
+  });
+}
+
+void dropout_grad(const float* dy, const float* mask, float* dx, int64_t n,
+                  float p) {
+  const float inv_keep = 1.0f / (1.0f - p);
+  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) dx[i] = dy[i] * mask[i] * inv_keep;
+  });
+}
+
 // ---------------------------------------------------- layout transposes
 
 void sbh_to_bhsd(const float* x, float* y, int64_t s, int64_t b,

@@ -61,6 +61,22 @@
 //    order-preserving int keys. All three vectorize, and a row's bits
 //    never depend on the thread count (threads split rows only) or on
 //    how many rows share the call.
+//
+// Stateless dropout (the mask every layer draws in forward and the
+// selective-recompute replay redraws in backward) is a row kernel too:
+//
+//  * Every IndexMap has innermost global stride 1, so each innermost
+//    run of the local tensor is one contiguous global range: the kernel
+//    computes one global base per row, and element j of the row is
+//    base + j. No per-element coordinate walk.
+//  * The hash is unchanged — splitmix64(seed ^ global index) against
+//    the p * (2^64 - 1) threshold, kept elements scaled by 1 / (1 - p) —
+//    so masks, losses and saved bytes are the ones the coordinate walk
+//    produced. The hash is integer-only and the row loop vectorizes.
+//  * Threads split rows only, and each element depends on nothing but
+//    its global index, so the bits are the same at any thread count and
+//    under any sharding — and, since there is no float reassociation,
+//    with or without MLS_KERNEL_NATIVE (-march=native).
 #pragma once
 
 #include <cstdint>
@@ -178,6 +194,22 @@ void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
 // given the forward *output* y.
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha);
+
+// ----------------------------------------------------- stateless dropout
+// Inverted dropout over the local shard of a global tensor (ops.h's
+// IndexMap, passed as nd dims/strides and a base): element at local
+// coordinate c has global index base + sum_d c[d] * strides[d], is kept
+// iff splitmix64(seed ^ global) >= p * (2^64 - 1), and writes
+// mask = keep ? 1 : 0, y = keep ? x * (1 / (1 - p)) : 0. Requires
+// strides[nd - 1] == 1, so each innermost run of dims[nd - 1] elements
+// is a contiguous global range (one base per row); nd = 0 is a single
+// element at base.
+void dropout_stateless(const float* x, float* y, float* mask,
+                       const int64_t* dims, const int64_t* strides, int nd,
+                       int64_t base, uint64_t seed, float p);
+// dx[i] = dy[i] * mask[i] * (1 / (1 - p)) over n floats.
+void dropout_grad(const float* dy, const float* mask, float* dx, int64_t n,
+                  float p);
 
 // ------------------------------------------------------ layout transposes
 // The two hot attention-layout transposes as blocked row copies (the

@@ -227,24 +227,6 @@ LayerNormGrads layernorm_grad(const Tensor& x, const Tensor& gamma,
   return g;
 }
 
-DropoutOut dropout(const Tensor& x, float p, Rng& rng) {
-  MLS_CHECK(p >= 0.f && p < 1.f) << "dropout p=" << p;
-  DropoutOut out;
-  out.y = Tensor::empty(x.shape(), x.dtype());
-  out.mask = Tensor::empty(x.shape(), Dtype::U8);
-  const float inv_keep = 1.0f / (1.0f - p);
-  const float* xp = x.data();
-  float* yp = out.y.data();
-  float* mp = out.mask.data();
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    const bool keep = (p == 0.0f) || (rng.next_uniform() >= p);
-    mp[i] = keep ? 1.0f : 0.0f;
-    yp[i] = keep ? xp[i] * inv_keep : 0.0f;
-  }
-  return out;
-}
-
 IndexMap IndexMap::identity(const Shape& shape) {
   IndexMap m;
   m.dims = shape.dims();
@@ -265,64 +247,32 @@ IndexMap IndexMap::shard(const Shape& global_shape, int dim, int64_t offset,
   return m;
 }
 
-namespace {
-
-// splitmix64 finalizer: a high-quality stateless hash of a 64-bit key.
-uint64_t hash64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
                              const IndexMap& map) {
   MLS_CHECK(p >= 0.f && p < 1.f) << "dropout p=" << p;
+  MLS_CHECK_EQ(map.strides.size(), map.dims.size());
   int64_t map_numel = 1;
   for (int64_t d : map.dims) map_numel *= d;
   MLS_CHECK_EQ(map_numel, x.numel())
       << "IndexMap dims do not cover tensor " << x.shape().str();
+  // The row kernel needs each innermost run to be one contiguous global
+  // range; every map (identity, shard, the attention core's) has that.
+  MLS_CHECK(map.dims.empty() || map.strides.back() == 1)
+      << "IndexMap innermost global stride " << map.strides.back() << " != 1";
   DropoutOut out;
   out.y = Tensor::empty(x.shape(), x.dtype());
   out.mask = Tensor::empty(x.shape(), Dtype::U8);
-  const float inv_keep = 1.0f / (1.0f - p);
-  // keep iff hash(seed ^ gidx) / 2^64 >= p.
-  const uint64_t threshold =
-      static_cast<uint64_t>(p * 18446744073709551615.0);  // p * (2^64 - 1)
-  const float* xp = x.data();
-  float* yp = out.y.data();
-  float* mp = out.mask.data();
   const int nd = static_cast<int>(map.dims.size());
-  std::vector<int64_t> coord(static_cast<size_t>(nd), 0);
-  int64_t gidx = map.base;
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    const bool keep =
-        (p == 0.0f) || (hash64(seed ^ static_cast<uint64_t>(gidx)) >= threshold);
-    mp[i] = keep ? 1.0f : 0.0f;
-    yp[i] = keep ? xp[i] * inv_keep : 0.0f;
-    // Advance the local coordinate and the corresponding global index.
-    for (int d = nd - 1; d >= 0; --d) {
-      gidx += map.strides[static_cast<size_t>(d)];
-      if (++coord[static_cast<size_t>(d)] < map.dims[static_cast<size_t>(d)]) break;
-      gidx -= map.strides[static_cast<size_t>(d)] * map.dims[static_cast<size_t>(d)];
-      coord[static_cast<size_t>(d)] = 0;
-    }
-  }
+  kernels::dropout_stateless(x.data(), out.y.data(), out.mask.data(),
+                             map.dims.data(), map.strides.data(), nd, map.base,
+                             seed, p);
   return out;
 }
 
 Tensor dropout_grad(const Tensor& dy, const Tensor& mask, float p) {
   MLS_CHECK(dy.shape() == mask.shape());
   Tensor dx = Tensor::empty(dy.shape(), dy.dtype());
-  const float inv_keep = 1.0f / (1.0f - p);
-  const float* gp = dy.data();
-  const float* mp = mask.data();
-  float* dp = dx.data();
-  const int64_t n = dy.numel();
-  for (int64_t i = 0; i < n; ++i) dp[i] = gp[i] * mp[i] * inv_keep;
+  kernels::dropout_grad(dy.data(), mask.data(), dx.data(), dy.numel(), p);
   return dx;
 }
 

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "tensor/tensor.h"
 
 namespace mls::ops {
@@ -98,8 +97,7 @@ struct DropoutOut {
   Tensor y;
   Tensor mask;  // logical dtype U8: 0 = dropped, 1 = kept
 };
-// Inverted dropout: kept elements are scaled by 1/(1-p).
-DropoutOut dropout(const Tensor& x, float p, Rng& rng);
+// Backward of inverted dropout: dy * mask / (1 - p).
 Tensor dropout_grad(const Tensor& dy, const Tensor& mask, float p);
 
 // Maps a local (shard) element coordinate to its linear index in the
@@ -125,7 +123,10 @@ struct IndexMap {
 // Stateless dropout: the keep/drop decision for each element is a pure
 // function of (seed, global element index). Replaying with the same
 // seed and map reproduces the mask exactly — which is what makes
-// activation recomputation (checkpoint replay) exact.
+// activation recomputation (checkpoint replay) exact. The map's
+// innermost global stride must be 1 (true of identity, shard and the
+// attention core's maps): kernels::dropout_stateless walks rows, not
+// elements.
 DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
                              const IndexMap& map);
 

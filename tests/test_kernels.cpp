@@ -14,6 +14,9 @@
 //  * the libm-free tanh/exp bodies against double-precision libm (ulp
 //    bounds) and at the edges: exact exp(0), underflow to 0, odd
 //    symmetry, ±inf saturation, NaN propagation,
+//  * the stateless-dropout row kernel vs a scalar coordinate-walk
+//    oracle over every map shape the model uses (bitwise, at 1/2/4
+//    threads), and golden mask checksums pinned from the walk,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
 //  * an end-to-end t=2/p=2 training run: blocked path vs
 //    MLS_KERNEL_REF=1, losses equal within the documented tolerance,
@@ -717,6 +720,164 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
   EXPECT_TRUE(same_bits(one.sy, four.sy));
   EXPECT_TRUE(same_bits(one.dscores, four.dscores));
   EXPECT_TRUE(same_bits(one.dv, four.dv));
+}
+
+// ------------------------------------------------ stateless dropout
+
+// The per-element coordinate walk the row kernel replaced: keep iff
+// splitmix64(seed ^ gidx) >= p * (2^64 - 1), with gidx stepped through
+// the map's global strides one local element at a time. Any map,
+// any stride order.
+ops::DropoutOut dropout_coordinate_walk(const Tensor& x, float p,
+                                        uint64_t seed,
+                                        const ops::IndexMap& map) {
+  auto hash64 = [](uint64_t v) {
+    v += 0x9e3779b97f4a7c15ull;
+    v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
+    v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
+    return v ^ (v >> 31);
+  };
+  ops::DropoutOut out;
+  out.y = Tensor::empty(x.shape(), x.dtype());
+  out.mask = Tensor::empty(x.shape(), Dtype::U8);
+  const float inv_keep = 1.0f / (1.0f - p);
+  const auto threshold = static_cast<uint64_t>(p * 18446744073709551615.0);
+  const size_t nd = map.dims.size();
+  std::vector<int64_t> coord(nd, 0);
+  int64_t gidx = map.base;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const bool keep = hash64(seed ^ static_cast<uint64_t>(gidx)) >= threshold;
+    out.mask.data()[i] = keep ? 1.0f : 0.0f;
+    out.y.data()[i] = keep ? x.data()[i] * inv_keep : 0.0f;
+    for (size_t d = nd; d-- > 0;) {
+      gidx += map.strides[d];
+      if (++coord[d] < map.dims[d]) break;
+      gidx -= map.strides[d] * map.dims[d];
+      coord[d] = 0;
+    }
+  }
+  return out;
+}
+
+struct DropoutCase {
+  const char* name;
+  ops::IndexMap map;
+};
+
+// The map shapes the model draws masks through, all with odd innermost
+// widths (vector tails) and enough elements to clear the pool's grain,
+// so 2 and 4 threads really split rows; plus a 0-d map (one element).
+std::vector<DropoutCase> dropout_cases() {
+  ops::IndexMap attn;  // global [2, 6, 65, 65], rank 1 holds heads [3, 6)
+  attn.dims = {2, 3, 65, 65};
+  attn.strides = {6 * 65 * 65, 65 * 65, 65, 1};
+  attn.base = 3 * 65 * 65;
+  return {
+      {"identity", ops::IndexMap::identity(Shape{{37, 5, 97}})},
+      {"shard_dim0", ops::IndexMap::shard(Shape{{128, 4, 67}}, 0, 64, 64)},
+      {"shard_inner", ops::IndexMap::shard(Shape{{128, 4, 67}}, 1, 1, 2)},
+      {"shard_last", ops::IndexMap::shard(Shape{{512, 8, 67}}, -1, 60, 7)},
+      {"attention_heads", attn},
+      {"scalar", ops::IndexMap::identity(Shape(std::vector<int64_t>{}))},
+  };
+}
+
+Tensor tensor_for(const ops::IndexMap& map, uint64_t seed) {
+  Rng rng(seed);
+  return Tensor::randn(Shape(map.dims), rng);
+}
+
+TEST(KernelDropout, RowKernelMatchesCoordinateWalkOracle) {
+  for (const DropoutCase& c : dropout_cases()) {
+    const Tensor x = tensor_for(c.map, 91);
+    for (float p : {0.0f, 0.1f, 0.5f}) {
+      const ops::DropoutOut want = dropout_coordinate_walk(x, p, 0xd00d, c.map);
+      for (const char* nt : {"1", "2", "4"}) {
+        ScopedEnv env("MLS_KERNEL_THREADS", nt);
+        const ops::DropoutOut got = ops::dropout_stateless(x, p, 0xd00d, c.map);
+        EXPECT_TRUE(bitwise_equal(got.y, want.y))
+            << c.name << " p=" << p << " threads=" << nt;
+        EXPECT_TRUE(bitwise_equal(got.mask, want.mask))
+            << c.name << " p=" << p << " threads=" << nt;
+      }
+    }
+  }
+}
+
+TEST(KernelDropout, ZeroProbabilityKeepsEveryElement) {
+  // The threshold at p = 0 is 0, and every hash is >= 0.
+  for (const DropoutCase& c : dropout_cases()) {
+    const Tensor x = tensor_for(c.map, 92);
+    const ops::DropoutOut out = ops::dropout_stateless(x, 0.0f, 5, c.map);
+    EXPECT_TRUE(bitwise_equal(out.y, x)) << c.name;
+    EXPECT_EQ(out.mask.sum(), static_cast<float>(x.numel())) << c.name;
+  }
+}
+
+TEST(KernelDropout, GradIsThreadCountInvariant) {
+  for (const DropoutCase& c : dropout_cases()) {
+    const Tensor x = tensor_for(c.map, 93);
+    const Tensor dy = tensor_for(c.map, 94);
+    const ops::DropoutOut out = ops::dropout_stateless(x, 0.1f, 77, c.map);
+    const float inv_keep = 1.0f / (1.0f - 0.1f);
+    Tensor want = Tensor::empty(dy.shape());
+    for (int64_t i = 0; i < dy.numel(); ++i)
+      want.data()[i] = dy.data()[i] * out.mask.data()[i] * inv_keep;
+    for (const char* nt : {"1", "2", "4"}) {
+      ScopedEnv env("MLS_KERNEL_THREADS", nt);
+      EXPECT_TRUE(bitwise_equal(ops::dropout_grad(dy, out.mask, 0.1f), want))
+          << c.name << " threads=" << nt;
+    }
+  }
+}
+
+TEST(KernelDropout, RejectsMapWithStridedInnermostDim) {
+  ops::IndexMap map;  // a column of a [4, 8] tensor: innermost stride 8
+  map.dims = {8};
+  map.strides = {8};
+  const Tensor x = Tensor::zeros(Shape{{8}});
+  EXPECT_THROW(ops::dropout_stateless(x, 0.1f, 1, map), Error);
+}
+
+uint64_t fnv1a(const Tensor& t) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+  for (size_t i = 0; i < sizeof(float) * static_cast<size_t>(t.numel()); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// x[i] = (i % 251) / 8 - 15: exact in float and independent of Rng.
+Tensor ramp(const Shape& shape) {
+  Tensor x = Tensor::empty(shape);
+  for (int64_t i = 0; i < x.numel(); ++i)
+    x.data()[i] = static_cast<float>(i % 251) * 0.125f - 15.0f;
+  return x;
+}
+
+TEST(KernelDropout, GoldenMasksMatchPinnedChecksums) {
+  // Pinned from the coordinate-walk implementation this kernel
+  // replaced: the masks (and scaled outputs) must never change, at any
+  // thread count and with or without -march=native (CI runs this test
+  // in a -DMLS_KERNEL_NATIVE=OFF build too).
+  ops::IndexMap attn;  // global [2, 6, 33, 33], rank 1 holds heads [3, 6)
+  attn.dims = {2, 3, 33, 33};
+  attn.strides = {6 * 33 * 33, 33 * 33, 33, 1};
+  attn.base = 3 * 33 * 33;
+  const ops::IndexMap sp = ops::IndexMap::shard(Shape{{64, 3, 40}}, 0, 32, 32);
+  for (const char* nt : {"1", "4"}) {
+    ScopedEnv env("MLS_KERNEL_THREADS", nt);
+    const ops::DropoutOut a =
+        ops::dropout_stateless(ramp(Shape{{2, 3, 33, 33}}), 0.1f, 0x5eed, attn);
+    EXPECT_EQ(fnv1a(a.y), 0x2f88ffe94b0f3208ull) << "threads=" << nt;
+    EXPECT_EQ(fnv1a(a.mask), 0x8cb7779c92e47de5ull) << "threads=" << nt;
+    const ops::DropoutOut b =
+        ops::dropout_stateless(ramp(Shape{{32, 3, 40}}), 0.5f, 1234567, sp);
+    EXPECT_EQ(fnv1a(b.y), 0xd173f93291c48903ull) << "threads=" << nt;
+    EXPECT_EQ(fnv1a(b.mask), 0xc031b972ec3b2b98ull) << "threads=" << nt;
+  }
 }
 
 // ------------------------------------------------- layout fast paths

@@ -330,8 +330,8 @@ TEST(Ops, LayerNormGradNumerical) {
 TEST(Ops, DropoutZeroProbIsIdentity) {
   Rng rng(12);
   Tensor x = Tensor::randn(Shape{{64}}, rng);
-  Rng drng(13);
-  auto out = ops::dropout(x, 0.0f, drng);
+  auto out = ops::dropout_stateless(x, 0.0f, 13,
+                                    ops::IndexMap::identity(x.shape()));
   EXPECT_TRUE(out.y.allclose(x));
   EXPECT_FLOAT_EQ(out.mask.sum(), 64.f);
   EXPECT_EQ(out.mask.dtype(), Dtype::U8);
@@ -339,10 +339,9 @@ TEST(Ops, DropoutZeroProbIsIdentity) {
 }
 
 TEST(Ops, DropoutKeepsExpectedFractionAndScales) {
-  Rng rng(14);
   Tensor x = Tensor::full(Shape{{10000}}, 1.f);
-  Rng drng(15);
-  auto out = ops::dropout(x, 0.25f, drng);
+  auto out = ops::dropout_stateless(x, 0.25f, 15,
+                                    ops::IndexMap::identity(x.shape()));
   const float kept = out.mask.sum();
   EXPECT_NEAR(kept / 10000.f, 0.75f, 0.02f);
   // Inverted dropout preserves expectation.
@@ -352,8 +351,8 @@ TEST(Ops, DropoutKeepsExpectedFractionAndScales) {
 TEST(Ops, DropoutGradMatchesMask) {
   Rng rng(16);
   Tensor x = Tensor::randn(Shape{{32}}, rng);
-  Rng drng(17);
-  auto out = ops::dropout(x, 0.5f, drng);
+  auto out = ops::dropout_stateless(x, 0.5f, 17,
+                                    ops::IndexMap::identity(x.shape()));
   Tensor dy = Tensor::full(Shape{{32}}, 1.f);
   Tensor dx = ops::dropout_grad(dy, out.mask, 0.5f);
   for (int i = 0; i < 32; ++i)
