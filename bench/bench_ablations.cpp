@@ -77,15 +77,15 @@ int main() {
       "(§5) ===\n\n");
   {
     const auto cfg = model::ModelConfig::gpt_530b();
-    const double full_layer = memory::act_bytes_per_layer(
-        cfg, memory::Technique::kTensorSequence);
+    constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+    const double full_layer =
+        memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kNone});
     const double ckpt_layer =
-        memory::act_bytes_per_layer(cfg, memory::Technique::kFullRecompute) /
-        cfg.t;  // with SP the stored layer input is sharded
+        memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kFull});
     const double fwd_flops = perf::layer_forward_flops(cfg) / cfg.t;
     const double core_flops = perf::attention_core_flops(cfg) / cfg.t;
-    const double selective = memory::act_bytes_per_layer(
-        cfg, memory::Technique::kTensorSequenceSelective);
+    const double selective =
+        memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kSelective});
 
     Table t({"strategy", "bytes/layer (avg)", "recompute FLOPs/layer (avg)"});
     const int64_t Lps = cfg.layers_per_stage();  // 3 for 530B: coarse knob

@@ -40,10 +40,11 @@ int main() {
   };
   for (const auto& r : rows) {
     const double term = 5.0 * r.cfg.a * r.cfg.s / r.cfg.h;
-    const double with_attn = memory::act_bytes_per_layer(
-        r.cfg, memory::Technique::kTensorSequence);
+    constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+    const double with_attn =
+        memory::act_bytes_per_layer(r.cfg, {kTpSp, core::Recompute::kNone});
     const double without = memory::act_bytes_per_layer(
-        r.cfg, memory::Technique::kTensorSequenceSelective);
+        r.cfg, {kTpSp, core::Recompute::kSelective});
     const double saving = 100.0 * (1.0 - without / with_attn);
     const double ovh =
         100.0 *

@@ -40,18 +40,13 @@ double mfu_with_mb_recompute(const model::ModelConfig& cfg,
   const double state = memory::model_state_bytes_per_rank(cfg).total();
   // Stage 0 under 1F1B holds w = p microbatches of checkpointed
   // activations; free memory beyond that lets k of them store all.
-  model::ModelConfig stored = cfg;
-  stored.recompute = core::Recompute::kNone;
-  stored.set_plan(core::PlanKind::kTensorSequence);
-  model::ModelConfig ckpt = cfg;
-  ckpt.recompute = core::Recompute::kSelective;
-  ckpt.set_plan(core::PlanKind::kTensorSequence);
+  constexpr auto kTpSp = core::PlanKind::kTensorSequence;
   const double per_mb_ckpt =
-      memory::act_bytes_per_layer(ckpt, memory::technique_of(ckpt)) *
+      memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kSelective}) *
       static_cast<double>(cfg.layers_per_stage()) *
       memory::interleave_factor(cfg);
   const double per_mb_stored =
-      memory::act_bytes_per_layer(stored, memory::technique_of(stored)) *
+      memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kNone}) *
       static_cast<double>(cfg.layers_per_stage()) *
       memory::interleave_factor(cfg);
   const double w = std::min<double>(cfg.p, static_cast<double>(cfg.microbatches()));

@@ -13,7 +13,6 @@
 #include "memory/activation_model.h"
 
 using namespace mls;
-using memory::Technique;
 
 int main() {
   std::printf(
@@ -31,9 +30,9 @@ int main() {
                           model::ModelConfig::gpt_1t()}) {
     const double state = memory::model_state_bytes_per_rank(cfg).total();
     const double base = memory::total_activation_bytes_first_stage(
-        cfg, Technique::kTensorParallel);
+        cfg, {core::PlanKind::kTensorParallel, core::Recompute::kNone});
     const double present = memory::total_activation_bytes_first_stage(
-        cfg, Technique::kTensorSequenceSelective);
+        cfg, {core::PlanKind::kTensorSequence, core::Recompute::kSelective});
     t.add_row({cfg.name, format_bytes(state), format_bytes(base),
                format_bytes(state + base),
                state + base <= kA100 ? "yes" : "NO (paper: no)",

@@ -10,7 +10,11 @@
 #include "memory/activation_model.h"
 
 using namespace mls;
+using core::Recompute;
 using memory::Technique;
+
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
 
 int main() {
   std::printf(
@@ -24,19 +28,18 @@ int main() {
                           model::ModelConfig::gpt_175b(),
                           model::ModelConfig::gpt_530b(),
                           model::ModelConfig::gpt_1t()}) {
-    const double base =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorParallel);
+    const double base = memory::act_bytes_per_layer(cfg, {kTp, Recompute::kNone});
     auto pct = [&](Technique tech) {
       return fmt(100.0 * memory::act_bytes_per_layer(cfg, tech) / base, 1) + "%";
     };
     const double combined =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorSequenceSelective) /
-        base;
+        memory::act_bytes_per_layer(cfg, {kTpSp, Recompute::kSelective}) / base;
     worst_combined = std::max(worst_combined, combined);
-    t.add_row({cfg.name, pct(Technique::kTensorSequence),
-               pct(Technique::kTensorSelective),
-               pct(Technique::kTensorSequenceSelective),
-               pct(Technique::kFullRecompute)});
+    // Full recompute is the paper's replicated sbh(2) row: tp x full.
+    t.add_row({cfg.name, pct({kTpSp, Recompute::kNone}),
+               pct({kTp, Recompute::kSelective}),
+               pct({kTpSp, Recompute::kSelective}),
+               pct({kTp, Recompute::kFull})});
   }
   t.print();
 

@@ -4,11 +4,14 @@
 //  1. The paper's closed-form table, evaluated for the four Table 3
 //     models.
 //  2. Empirical validation: a real transformer layer is executed on the
-//     simulated multi-rank substrate under each technique, and the
-//     bytes the autograd tape actually keeps for backward (per the
-//     MemoryTracker) are compared against the formula — they must agree
-//     byte-exactly.
+//     simulated multi-rank substrate under every (plan, recompute)
+//     pair, and the bytes the autograd tape actually keeps for
+//     backward (per the MemoryTracker) are compared against the
+//     formula — they must agree byte-exactly, or the bench exits 1.
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "autograd/engine.h"
 #include "comm/spmd.h"
@@ -19,7 +22,6 @@
 #include "model/transformer.h"
 
 using namespace mls;
-using memory::Technique;
 
 namespace {
 
@@ -55,25 +57,54 @@ LayerBytes measure_layer_bytes(const model::ModelConfig& cfg) {
   return measured;
 }
 
-struct TechSetup {
-  Technique tech;
-  core::PlanKind plan;
-  core::Recompute rc;
+// A named view of one (plan, recompute) cell: the row label and the
+// paper's formula string. `serial` evaluates the tp cell at t=1, which
+// is Table 2's "no parallelism" row (Eq 1).
+struct View {
+  const char* label;
+  const char* formula;
+  memory::Technique tech;
+  bool serial = false;
 };
 
 constexpr auto kTp = core::PlanKind::kTensorParallel;
 constexpr auto kTpSp = core::PlanKind::kTensorSequence;
 constexpr auto kFolded = core::PlanKind::kFoldedTsp;
+constexpr auto kNone = core::Recompute::kNone;
+constexpr auto kSel = core::Recompute::kSelective;
+constexpr auto kFull = core::Recompute::kFull;
 
-const TechSetup kSetups[] = {
-    {Technique::kTensorParallel, kTp, core::Recompute::kNone},
-    {Technique::kTensorSequence, kTpSp, core::Recompute::kNone},
-    {Technique::kTensorSelective, kTp, core::Recompute::kSelective},
-    {Technique::kTensorSequenceSelective, kTpSp, core::Recompute::kSelective},
-    {Technique::kFullRecompute, kTp, core::Recompute::kFull},
-    {Technique::kFoldedTsp, kFolded, core::Recompute::kNone},
-    {Technique::kFoldedTspSelective, kFolded, core::Recompute::kSelective},
+// Table 2's six rows, then the folded-TSP plan's two.
+const View kTable2Rows[] = {
+    {"no parallelism", "sbh(34 + 5as/h)", {kTp, kNone}, true},
+    {"tensor parallel (baseline)", "sbh(10 + 24/t + 5as/ht)", {kTp, kNone}},
+    {"tensor + sequence parallel", "sbh(34/t + 5as/ht)", {kTpSp, kNone}},
+    {"tensor parallel + selective recompute", "sbh(10 + 24/t)", {kTp, kSel}},
+    {"tensor + sequence parallel + selective recompute", "sbh(34/t)",
+     {kTpSp, kSel}},
+    {"full activation recomputation", "sbh(2)", {kTp, kFull}},
+    {"folded tensor + sequence parallel", "sbh(26/t + 3as/ht)",
+     {kFolded, kNone}},
+    {"folded tensor + sequence parallel + selective recompute", "sbh(26/t)",
+     {kFolded, kSel}},
 };
+
+// The sequence-sharded full-recompute cells, which Table 2 folds into
+// its replicated sbh(2) row: the stored layer input is sharded s/t.
+const View kShardedFull[] = {
+    {"tensor + sequence parallel + full recompute", "sbh(2/t)",
+     {kTpSp, kFull}},
+    {"folded tensor + sequence parallel + full recompute", "sbh(2/t)",
+     {kFolded, kFull}},
+};
+
+// `cfg` rewired to the view's cell.
+model::ModelConfig at(model::ModelConfig cfg, const View& v) {
+  if (v.serial) cfg.t = 1;
+  cfg.set_plan(v.tech.plan);
+  cfg.recompute = v.tech.recompute;
+  return cfg;
+}
 
 }  // namespace
 
@@ -84,39 +115,26 @@ int main() {
   {
     Table t({"configuration", "formula", "22B", "175B (GPT-3)",
              "530B (MT-NLG)", "1T"});
-    struct Row {
-      Technique tech;
-      const char* formula;
-    };
-    const Row rows[] = {
-        {Technique::kNoParallel, "sbh(34 + 5as/h)"},
-        {Technique::kTensorParallel, "sbh(10 + 24/t + 5as/ht)"},
-        {Technique::kTensorSequence, "sbh(34/t + 5as/ht)"},
-        {Technique::kTensorSelective, "sbh(10 + 24/t)"},
-        {Technique::kTensorSequenceSelective, "sbh(34/t)"},
-        {Technique::kFullRecompute, "sbh(2)"},
-        {Technique::kFoldedTsp, "sbh(26/t + 3as/ht)"},
-        {Technique::kFoldedTspSelective, "sbh(26/t)"},
-    };
-    for (const auto& r : rows) {
-      std::vector<std::string> cells = {memory::technique_name(r.tech),
-                                        r.formula};
+    for (const View& v : kTable2Rows) {
+      std::vector<std::string> cells = {v.label, v.formula};
       for (const auto& cfg : {model::ModelConfig::gpt_22b(),
                               model::ModelConfig::gpt_175b(),
                               model::ModelConfig::gpt_530b(),
                               model::ModelConfig::gpt_1t()}) {
-        cells.push_back(
-            format_bytes(memory::act_bytes_per_layer(cfg, r.tech)));
+        cells.push_back(format_bytes(
+            memory::act_bytes_per_layer(at(cfg, v), v.tech)));
       }
       t.add_row(cells);
     }
     t.print();
   }
 
-  // Part 2: byte-exact empirical validation at runnable scale.
+  // Part 2: byte-exact empirical validation at runnable scale, over
+  // every (plan, recompute) cell plus the serial row.
   std::printf(
       "\n--- Empirical validation (t=4 layer on the simulated substrate; "
       "tracker vs formula) ---\n");
+  bool all_exact = true;
   {
     model::ModelConfig base = model::ModelConfig::tiny(4, 1);
     base.a = 8;
@@ -126,29 +144,17 @@ int main() {
 
     Table t({"technique", "formula bytes", "measured bytes", "match",
              "pooled physical peak"});
-    // Serial row first (t=1).
-    {
-      model::ModelConfig cfg = base;
-      cfg.t = 1;
-      const auto expect = static_cast<int64_t>(
-          memory::act_bytes_per_layer(cfg, Technique::kNoParallel));
+    std::vector<View> views(std::begin(kTable2Rows), std::end(kTable2Rows));
+    views.insert(views.end(), std::begin(kShardedFull), std::end(kShardedFull));
+    for (const View& v : views) {
+      const model::ModelConfig cfg = at(base, v);
+      const auto expect =
+          static_cast<int64_t>(memory::act_bytes_per_layer(cfg, v.tech));
       const auto got = measure_layer_bytes(cfg);
-      t.add_row({memory::technique_name(Technique::kNoParallel),
-                 std::to_string(expect), std::to_string(got.logical),
-                 expect == got.logical ? "EXACT" : "MISMATCH",
-                 std::to_string(got.physical)});
-    }
-    for (const auto& setup : kSetups) {
-      model::ModelConfig cfg = base;
-      cfg.set_plan(setup.plan);
-      cfg.recompute = setup.rc;
-      const auto expect = static_cast<int64_t>(
-          memory::act_bytes_per_layer(cfg, setup.tech));
-      const auto got = measure_layer_bytes(cfg);
-      t.add_row({memory::technique_name(setup.tech), std::to_string(expect),
-                 std::to_string(got.logical),
-                 expect == got.logical ? "EXACT" : "MISMATCH",
-                 std::to_string(got.physical)});
+      const bool exact = expect == got.logical;
+      all_exact = all_exact && exact;
+      t.add_row({v.label, std::to_string(expect), std::to_string(got.logical),
+                 exact ? "EXACT" : "MISMATCH", std::to_string(got.physical)});
     }
     t.print();
     std::printf(
@@ -157,5 +163,5 @@ int main() {
         "transients included); the logical columns count only saved\n"
         "activations at paper dtypes.\n");
   }
-  return 0;
+  return all_exact ? 0 : 1;
 }

@@ -65,33 +65,30 @@ void search(model::ModelConfig base) {
                     base.microbatches() % p != 0)) {
         continue;
       }
-      struct Tech {
-        core::PlanKind plan;
-        core::Recompute rc;
-      };
+      using memory::Technique;
       constexpr auto kTp = core::PlanKind::kTensorParallel;
       constexpr auto kTpSp = core::PlanKind::kTensorSequence;
       constexpr auto kFolded = core::PlanKind::kFoldedTsp;
-      for (const Tech& tech : {Tech{kTp, core::Recompute::kNone},
-                               Tech{kTpSp, core::Recompute::kNone},
-                               Tech{kTp, core::Recompute::kSelective},
-                               Tech{kTpSp, core::Recompute::kSelective},
-                               Tech{kTp, core::Recompute::kFull},
-                               Tech{kFolded, core::Recompute::kNone},
-                               Tech{kFolded, core::Recompute::kSelective}}) {
+      for (const Technique& tech :
+           {Technique{kTp, core::Recompute::kNone},
+            Technique{kTpSp, core::Recompute::kNone},
+            Technique{kTp, core::Recompute::kSelective},
+            Technique{kTpSp, core::Recompute::kSelective},
+            Technique{kTp, core::Recompute::kFull},
+            Technique{kFolded, core::Recompute::kNone},
+            Technique{kFolded, core::Recompute::kSelective}}) {
         model::ModelConfig cfg = base;
         cfg.t = t;
         cfg.p = static_cast<int>(p);
         cfg.interleave_m = m;
         cfg.set_plan(tech.plan);
-        cfg.recompute = tech.rc;
+        cfg.recompute = tech.recompute;
         ++explored;
-        const double act = memory::total_activation_bytes_first_stage(
-            cfg, memory::technique_of(cfg));
+        const double act = memory::total_activation_bytes_first_stage(cfg, tech);
         const double state = memory::model_state_bytes_per_rank(cfg).total();
         if (state + act > kDevice) continue;
         const auto e2e = perf::end_to_end(
-            cfg, mm, cfg.plan().sequence_sharded(), tech.rc);
+            cfg, mm, cfg.plan().sequence_sharded(), tech.recompute);
         feasible.push_back(
             {cfg, act, state + act, e2e.mfu, e2e.iteration_seconds});
       }

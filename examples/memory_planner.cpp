@@ -10,9 +10,11 @@
 //   ./examples/memory_planner 530b         # one model
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/table.h"
 #include "common/units.h"
+#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "perf/pipeline_sim.h"
 
@@ -30,46 +32,36 @@ void plan(const model::ModelConfig& cfg) {
               static_cast<long long>(cfg.num_gpus()),
               format_bytes(state).c_str());
 
-  struct Option {
-    const char* name;
-    memory::Technique tech;
-    bool sp;
-    core::Recompute rc;
-  };
-  const Option options[] = {
-      {"no recompute, no SP", memory::Technique::kTensorParallel, false,
-       core::Recompute::kNone},
-      {"sequence parallel only", memory::Technique::kTensorSequence, true,
-       core::Recompute::kNone},
-      {"selective recompute only", memory::Technique::kTensorSelective, false,
-       core::Recompute::kSelective},
-      {"SP + selective (paper)", memory::Technique::kTensorSequenceSelective,
-       true, core::Recompute::kSelective},
-      {"full recompute", memory::Technique::kFullRecompute, false,
-       core::Recompute::kFull},
+  constexpr auto kTp = core::PlanKind::kTensorParallel;
+  constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+  const std::pair<const char*, memory::Technique> options[] = {
+      {"no recompute, no SP", {kTp, core::Recompute::kNone}},
+      {"sequence parallel only", {kTpSp, core::Recompute::kNone}},
+      {"selective recompute only", {kTp, core::Recompute::kSelective}},
+      {"SP + selective (paper)", {kTpSp, core::Recompute::kSelective}},
+      {"full recompute", {kTp, core::Recompute::kFull}},
   };
 
   Table t({"technique", "activations/GPU", "total/GPU", "fits 80GB",
            "est. iteration", "est. MFU"});
-  const Option* best = nullptr;
+  const char* best = nullptr;
   double best_mfu = 0;
-  for (const auto& o : options) {
-    const double act =
-        memory::total_activation_bytes_first_stage(cfg, o.tech);
+  for (const auto& [name, tech] : options) {
+    const double act = memory::total_activation_bytes_first_stage(cfg, tech);
     const bool fits = state + act <= kDevice;
-    const auto e2e = perf::end_to_end(cfg, mm, o.sp, o.rc);
-    t.add_row({o.name, format_bytes(act), format_bytes(state + act),
+    const auto e2e = perf::end_to_end(
+        cfg, mm, core::plan_for(tech.plan).sequence_sharded(), tech.recompute);
+    t.add_row({name, format_bytes(act), format_bytes(state + act),
                fits ? "yes" : "NO", fmt(e2e.iteration_seconds, 2) + " s",
                fmt(100 * e2e.mfu, 1) + "%"});
     if (fits && e2e.mfu > best_mfu) {
       best_mfu = e2e.mfu;
-      best = &o;
+      best = name;
     }
   }
   t.print();
   if (best != nullptr) {
-    std::printf("-> recommended: %s (%.1f%% MFU)\n", best->name,
-                100 * best_mfu);
+    std::printf("-> recommended: %s (%.1f%% MFU)\n", best, 100 * best_mfu);
   } else {
     std::printf("-> nothing fits: increase t/p or add recomputation\n");
   }

@@ -32,7 +32,6 @@
 #include "analysis/static/verify.h"
 #include "core/env.h"
 #include "core/parallel_plan.h"
-#include "memory/activation_model.h"
 #include "model/config.h"
 
 namespace {
@@ -116,8 +115,6 @@ void write_json(const std::string& path,
         << "      \"train_events\": " << r.train_events << ",\n"
         << "      \"decode_events\": " << r.decode_events << ",\n"
         << "      \"budget\": {\n"
-        << "        \"technique\": \""
-        << mls::memory::technique_name(r.budget.technique) << "\",\n"
         << "        \"act_bytes_per_layer\": " << r.budget.act_bytes_per_layer
         << ",\n"
         << "        \"total_first_stage\": " << r.budget.total_first_stage
@@ -258,9 +255,7 @@ int run_single() {
             << (r.violations.empty() ? "schedule admits a full execution"
                                      : "FAILED")
             << "\n"
-            << "  budget ["
-            << mls::memory::technique_name(r.budget.technique)
-            << "]: " << r.budget.act_bytes_per_layer << " act B/layer, "
+            << "  budget: " << r.budget.act_bytes_per_layer << " act B/layer, "
             << r.budget.total_first_stage << " B first stage, "
             << r.budget.model_state_bytes << " B model state, "
             << r.budget.kv_bytes_per_token << " KV B/token, "

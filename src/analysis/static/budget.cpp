@@ -9,10 +9,9 @@ namespace mls::verify {
 
 StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan) {
   StaticBudget b;
-  b.technique = memory::technique_of(cfg);
-  b.act_bytes_per_layer = memory::act_bytes_per_layer(cfg, b.technique);
-  b.total_first_stage =
-      memory::total_activation_bytes_first_stage(cfg, b.technique);
+  const memory::Technique tech = memory::technique_of(cfg);
+  b.act_bytes_per_layer = memory::act_bytes_per_layer(cfg, tech);
+  b.total_first_stage = memory::total_activation_bytes_first_stage(cfg, tech);
   b.model_state_bytes = memory::model_state_bytes_per_rank(cfg).total();
   b.kv_bytes_per_token =
       serve::kv_layout(cfg, cfg.t, 1).logical_bytes_per_token();
@@ -38,11 +37,9 @@ PressureForecast forecast_pressure(const model::ModelConfig& cfg,
                                     core::Recompute::kSelective,
                                     core::Recompute::kFull};
   for (int i = 0; i < 3; ++i) {
-    model::ModelConfig rc = cfg;
-    rc.recompute = rungs[i];
     f.resident_bytes[i] =
         state + memory::total_activation_bytes_first_stage(
-                    rc, memory::technique_of(rc));
+                    cfg, {cfg.parallel_plan, rungs[i]});
   }
   f.configured_rung = static_cast<int>(cfg.recompute);
   f.can_trip_soft = f.resident_bytes[f.configured_rung] >= f.soft_bytes;
@@ -86,13 +83,15 @@ std::string PressureForecast::text() const {
 std::vector<Violation> check_budget_claim(const model::ModelConfig& cfg,
                                           double claimed_bytes_per_layer,
                                           const std::string& claim_site) {
-  const memory::Technique tech = memory::technique_of(cfg);
-  const double expected = memory::act_bytes_per_layer(cfg, tech);
+  const double expected =
+      memory::act_bytes_per_layer(cfg, memory::technique_of(cfg));
   if (claimed_bytes_per_layer == expected) return {};
   std::ostringstream os;
-  os << "Table-2 byte mismatch for technique '"
-     << memory::technique_name(tech) << "' (s=" << cfg.s << " b=" << cfg.b
-     << " h=" << cfg.h << " a=" << cfg.a << " t=" << cfg.t << "):\n"
+  os << "Table-2 byte mismatch for plan '"
+     << core::plan_kind_name(cfg.parallel_plan) << "', recompute '"
+     << core::recompute_name(cfg.recompute) << "' (s=" << cfg.s
+     << " b=" << cfg.b << " h=" << cfg.h << " a=" << cfg.a
+     << " t=" << cfg.t << "):\n"
      << "  formula (memory/activation_model.h act_bytes_per_layer): "
      << expected << " bytes/layer\n"
      << "  claimed (" << claim_site << "): " << claimed_bytes_per_layer

@@ -16,7 +16,6 @@
 namespace mls::verify {
 
 struct StaticBudget {
-  memory::Technique technique;        // Table 2 row implied by the config
   double act_bytes_per_layer = 0;     // Table 2
   double total_first_stage = 0;       // Eq 5 + interleaving + extras
   double model_state_bytes = 0;       // Fig 1 (params+grads+optimizer)
@@ -31,8 +30,9 @@ struct StaticBudget {
 StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan);
 
 // Checks a claimed per-layer activation byte count against the Table-2
-// formula for the config's technique. `claim_site` names where the
-// claim came from; the violation names both it and the formula.
+// formula for the config's (plan, recompute) pair. `claim_site` names
+// where the claim came from; the violation names both it and the
+// formula.
 std::vector<Violation> check_budget_claim(const model::ModelConfig& cfg,
                                           double claimed_bytes_per_layer,
                                           const std::string& claim_site);

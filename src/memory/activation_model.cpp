@@ -2,79 +2,33 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "core/parallel_plan.h"
 
 namespace mls::memory {
 
-const char* technique_name(Technique t) {
-  switch (t) {
-    case Technique::kNoParallel: return "no parallelism";
-    case Technique::kTensorParallel: return "tensor parallel (baseline)";
-    case Technique::kTensorSequence: return "tensor + sequence parallel";
-    case Technique::kTensorSelective: return "tensor parallel + selective recompute";
-    case Technique::kTensorSequenceSelective:
-      return "tensor + sequence parallel + selective recompute";
-    case Technique::kFullRecompute: return "full activation recomputation";
-    case Technique::kFoldedTsp: return "folded tensor + sequence parallel";
-    case Technique::kFoldedTspSelective:
-      return "folded tensor + sequence parallel + selective recompute";
-  }
-  return "?";
-}
-
 Technique technique_of(const model::ModelConfig& cfg) {
-  using core::Recompute;
-  if (cfg.recompute == Recompute::kFull) return Technique::kFullRecompute;
-  const bool sel = cfg.recompute == Recompute::kSelective;
-  if (cfg.parallel_plan == core::PlanKind::kFoldedTsp) {
-    return sel ? Technique::kFoldedTspSelective : Technique::kFoldedTsp;
-  }
-  const bool sp = cfg.plan().sequence_sharded();
-  if (cfg.t == 1 && !sp && !sel) return Technique::kNoParallel;
-  if (sp) {
-    return sel ? Technique::kTensorSequenceSelective : Technique::kTensorSequence;
-  }
-  return sel ? Technique::kTensorSelective : Technique::kTensorParallel;
+  return {cfg.parallel_plan, cfg.recompute};
 }
 
 double act_bytes_per_layer(const model::ModelConfig& cfg, Technique tech) {
-  const double sbh = static_cast<double>(cfg.s) * cfg.b * cfg.h;
-  const double attn = 5.0 * cfg.a * cfg.s * cfg.s * cfg.b;  // the 5as²b term
   const core::LayerDims dims{cfg.s, cfg.b, cfg.h, cfg.a, cfg.t};
-  using core::Recompute;
-  switch (tech) {
-    case Technique::kNoParallel:
-      return 34.0 * sbh + attn;  // Eq 1
-    case Technique::kTensorParallel:
-      return core::tp_plan().act_bytes_per_layer(dims, Recompute::kNone);
-    case Technique::kTensorSequence:
-      return core::sp_plan().act_bytes_per_layer(dims, Recompute::kNone);
-    case Technique::kTensorSelective:
-      return core::tp_plan().act_bytes_per_layer(dims, Recompute::kSelective);
-    case Technique::kTensorSequenceSelective:
-      return core::sp_plan().act_bytes_per_layer(dims, Recompute::kSelective);
-    case Technique::kFullRecompute:
-      return 2.0 * sbh;  // layer input only (Table 2 last row, replicated)
-    case Technique::kFoldedTsp:
-      return core::folded_tsp_plan().act_bytes_per_layer(dims,
-                                                         Recompute::kNone);
-    case Technique::kFoldedTspSelective:
-      return core::folded_tsp_plan().act_bytes_per_layer(
-          dims, Recompute::kSelective);
-  }
-  return 0;
+  return core::plan_for(tech.plan).act_bytes_per_layer(dims, tech.recompute);
 }
+
+namespace {
+
+// Shard factor of the outer region (embedding output, final layer-norm,
+// output-projection input): t for sequence-sharded plans, else 1.
+double outer_shard(const model::ModelConfig& cfg, Technique tech) {
+  return core::plan_for(tech.plan).sequence_sharded() ? cfg.t : 1.0;
+}
+
+}  // namespace
 
 double extras_bytes(const model::ModelConfig& cfg, Technique tech) {
   const double sbh = static_cast<double>(cfg.s) * cfg.b * cfg.h;
   const double sbv = static_cast<double>(cfg.s) * cfg.b * cfg.v;
-  // Shard factor for the sequence-parallel outer region.
-  const bool sp = tech == Technique::kTensorSequence ||
-                  tech == Technique::kTensorSequenceSelective ||
-                  tech == Technique::kFoldedTsp ||
-                  tech == Technique::kFoldedTspSelective;
-  const double t_outer = sp ? cfg.t : 1.0;
+  const double t_outer = outer_shard(cfg, tech);
   // Embedding dropout mask: 1 byte/elem, one per in-flight microbatch;
   // the first stage keeps p of them (§4.3's "factor p").
   double total = sbh * cfg.p / t_outer;
@@ -112,11 +66,7 @@ std::vector<PipelineRankMemory> per_pipeline_rank_memory(
   const double per_layer = act_bytes_per_layer(cfg, tech);
   const double layers_per_stage = static_cast<double>(cfg.L) / cfg.p;
   const double sbh = static_cast<double>(cfg.s) * cfg.b * cfg.h;
-  const bool sp = tech == Technique::kTensorSequence ||
-                  tech == Technique::kTensorSequenceSelective ||
-                  tech == Technique::kFoldedTsp ||
-                  tech == Technique::kFoldedTspSelective;
-  const double t_outer = sp ? cfg.t : 1.0;
+  const double t_outer = outer_shard(cfg, tech);
 
   std::vector<PipelineRankMemory> out;
   out.reserve(static_cast<size_t>(cfg.p));

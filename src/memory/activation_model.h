@@ -6,45 +6,39 @@
 //
 // The runtime MemoryTracker measures exactly what these formulas
 // predict; tests/test_memory.cpp asserts byte-exact agreement for every
-// technique in Table 2.
+// (plan, recompute) pair.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/env.h"
 #include "model/config.h"
 
 namespace mls::memory {
 
-// The six rows of Table 2, plus the folded-TSP plan's two rows
-// (arXiv 2604.26294; see core/parallel_plan.h).
-enum class Technique {
-  kNoParallel,                // Eq 1:  sbh (34 + 5as/h)
-  kTensorParallel,            // Eq 2:  sbh (10 + 24/t + 5as/ht)   [baseline]
-  kTensorSequence,            // Eq 4:  sbh/t (34 + 5as/h)
-  kTensorSelective,           // row 4: sbh (10 + 24/t)
-  kTensorSequenceSelective,   // row 5: sbh (34/t)                 [present work]
-  kFullRecompute,             // row 6: sbh (2)
-  kFoldedTsp,                 // sbh/t (26 + 3as/h)
-  kFoldedTspSelective,        // sbh (26/t)
+// A Table-2 cell: the parallel plan's wiring crossed with the recompute
+// rung. The paper's six rows are named views of this 3x3 grid (its "no
+// parallelism" row is tp at t=1; its replicated sbh(2) full-recompute
+// row is tp x full); the plan owns every cell's formula.
+struct Technique {
+  core::PlanKind plan = core::PlanKind::kTensorParallel;
+  core::Recompute recompute = core::Recompute::kNone;
 };
 
-const char* technique_name(Technique t);
-
-// The Technique implied by a ModelConfig's plan and recompute rung.
+// The Technique a ModelConfig runs: {cfg.parallel_plan, cfg.recompute}.
 Technique technique_of(const model::ModelConfig& cfg);
 
-// Activation bytes stored per transformer layer (Table 2). Plan-backed
-// techniques delegate to the plan's own act_bytes_per_layer formula;
-// kNoParallel and kFullRecompute keep the paper's closed forms.
+// Activation bytes stored per transformer layer (Table 2): the plan's
+// own act_bytes_per_layer at the config's (s, b, h, a, t).
 double act_bytes_per_layer(const model::ModelConfig& cfg, Technique tech);
 
 // §4.3 extras outside the transformer layers, for the first pipeline
 // stage: the embedding dropout mask for all in-flight microbatches
-// (sbh·p, divided by t iff sequence-parallel) plus — only when p == 1,
-// per the paper's δ_{p=1} — the final layer-norm input, the output
-// projection input, and the fp32 logits.
+// (sbh·p, divided by t iff the plan is sequence-sharded) plus — only
+// when p == 1, per the paper's δ_{p=1} — the final layer-norm input,
+// the output projection input, and the fp32 logits.
 double extras_bytes(const model::ModelConfig& cfg, Technique tech);
 
 // Interleaved-schedule inflation factor 1 + (p-1)/(p·m) (§4.2.3).

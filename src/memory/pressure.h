@@ -101,8 +101,8 @@ class RecomputeGovernor {
   // `floor` is the configured Recompute — the ladder's lowest rung.
   RecomputeGovernor(PressureConfig cfg, core::Recompute floor);
 
-  // One step's agreed level in, the Technique to run the next chunk
-  // with out. Pure state machine: every rank feeding the same level
+  // One step's agreed level in, the rung to run the next chunk with
+  // out. Pure state machine: every rank feeding the same level
   // sequence holds the same rung — the lockstep invariant.
   core::Recompute on_level(PressureLevel agreed);
 

@@ -67,10 +67,8 @@ IterationStats PipelineEngine::run_iteration(
 
   // Appendix C bookkeeping: per-microbatch store-all vs checkpoint cost
   // from the analytical model (what a real system would estimate).
-  model::ModelConfig store_cfg = cfg_;
-  store_cfg.recompute = core::Recompute::kNone;
-  const double store_all_per_layer =
-      memory::act_bytes_per_layer(store_cfg, memory::technique_of(store_cfg));
+  const double store_all_per_layer = memory::act_bytes_per_layer(
+      cfg_, {cfg_.parallel_plan, core::Recompute::kNone});
   const int64_t layers_per_chunk = cfg_.L / (static_cast<int64_t>(cfg_.p) * m);
   const core::Recompute fallback = cfg_.recompute == core::Recompute::kNone
                                        ? core::Recompute::kFull

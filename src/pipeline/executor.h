@@ -73,9 +73,9 @@ class PipelineEngine {
   int num_chunks() const { return static_cast<int>(chunks_.size()); }
 
   // Memory-pressure plane: the recompute-escalation governor switches
-  // the checkpoint Technique between iterations — never mid-schedule,
-  // so every microbatch of one iteration runs one rung. Checkpoint
-  // replay is bit-exact, so this changes memory/time, not the loss.
+  // the recompute rung between iterations — never mid-schedule, so
+  // every microbatch of one iteration runs one rung. Checkpoint replay
+  // is bit-exact, so this changes memory/time, not the loss.
   void set_recompute(core::Recompute rc) { cfg_.recompute = rc; }
   core::Recompute recompute() const { return cfg_.recompute; }
 

@@ -32,9 +32,9 @@ struct TrainerOptions {
   // Memory-pressure plane (DESIGN.md §14): when the budget is set, each
   // step samples the arena, all-reduces the pressure level (Max) so
   // every rank sees the same verdict, and the governor escalates the
-  // recompute Technique up the paper's ladder — losses stay
-  // bit-identical to the unpressured run. Disabled (no extra
-  // collectives) when budget_bytes < 0.
+  // recompute rung up the paper's ladder — losses stay bit-identical
+  // to the unpressured run. Disabled (no extra collectives) when
+  // budget_bytes < 0.
   memory::PressureConfig pressure = memory::PressureConfig::from_env();
 };
 
@@ -43,8 +43,8 @@ struct StepResult {
   float lr;
   float grad_norm;  // pre-clip global norm (0 when clipping disabled)
   int64_t peak_activation_bytes;
-  // The checkpoint Technique this step actually ran with (the governor
-  // may have moved it off the configured floor).
+  // The recompute rung this step actually ran with (the governor may
+  // have moved it off the configured floor).
   core::Recompute recompute = core::Recompute::kNone;
 };
 

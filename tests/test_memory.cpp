@@ -1,21 +1,23 @@
 // Validates the paper's activation-memory formulas (§4, Table 2)
-// BYTE-EXACTLY against the runtime MemoryTracker: for every technique,
-// the bytes autograd keeps alive at the end of a transformer layer's
-// forward pass must equal the closed-form prediction.
+// BYTE-EXACTLY against the runtime MemoryTracker: for every parallel
+// plan crossed with every recompute rung, the bytes autograd keeps
+// alive at the end of a transformer layer's forward pass must equal
+// the closed-form prediction.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "analysis/static/budget.h"
 #include "autograd/engine.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
+#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "model/gpt.h"
 
 namespace mls {
 namespace {
 
-using memory::Technique;
 using model::ModelConfig;
 
 // Measures the major activation bytes held at the end of one
@@ -45,6 +47,13 @@ int64_t measure_layer_bytes(const ModelConfig& cfg) {
 // (a, h_per_head, s, b, t): property sweep over shapes and widths.
 using ShapeParam = std::tuple<int64_t, int64_t, int64_t, int64_t, int>;
 
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+constexpr auto kFolded = core::PlanKind::kFoldedTsp;
+constexpr auto kNone = core::Recompute::kNone;
+constexpr auto kSel = core::Recompute::kSelective;
+constexpr auto kFull = core::Recompute::kFull;
+
 class Table2Validation : public ::testing::TestWithParam<ShapeParam> {
  protected:
   ModelConfig base_config() const {
@@ -57,74 +66,36 @@ class Table2Validation : public ::testing::TestWithParam<ShapeParam> {
     cfg.v = 32 * t;
     return cfg;
   }
+
+  // One (plan, recompute) cell: measured bytes == the plan's formula.
+  void check(core::PlanKind plan, core::Recompute rc) const {
+    ModelConfig cfg = base_config();
+    cfg.set_plan(plan);
+    cfg.recompute = rc;
+    if (cfg.plan().sequence_sharded() && cfg.s % cfg.t != 0) GTEST_SKIP();
+    const double expect = memory::act_bytes_per_layer(cfg, {plan, rc});
+    EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
+  }
 };
 
+// Eq 1, written out here rather than taken from the plan code.
 TEST_P(Table2Validation, NoParallelism) {
-  ModelConfig cfg = base_config();
+  const ModelConfig cfg = base_config();
   if (cfg.t != 1) GTEST_SKIP();
-  const double expect = memory::act_bytes_per_layer(cfg, Technique::kNoParallel);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
+  const int64_t sbh = cfg.s * cfg.b * cfg.h;
+  EXPECT_EQ(measure_layer_bytes(cfg), 34 * sbh + 5 * cfg.a * cfg.s * cfg.s * cfg.b);
 }
 
-TEST_P(Table2Validation, TensorParallel) {
-  ModelConfig cfg = base_config();
-  const double expect =
-      memory::act_bytes_per_layer(cfg, Technique::kTensorParallel);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
-
-TEST_P(Table2Validation, TensorSequenceParallel) {
-  ModelConfig cfg = base_config();
-  if (cfg.s % cfg.t != 0) GTEST_SKIP();
-  cfg.set_plan(core::PlanKind::kTensorSequence);
-  const double expect =
-      memory::act_bytes_per_layer(cfg, Technique::kTensorSequence);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
-
-TEST_P(Table2Validation, TensorParallelSelectiveRecompute) {
-  ModelConfig cfg = base_config();
-  cfg.recompute = core::Recompute::kSelective;
-  const double expect =
-      memory::act_bytes_per_layer(cfg, Technique::kTensorSelective);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
-
-TEST_P(Table2Validation, TensorSequenceSelective) {
-  ModelConfig cfg = base_config();
-  if (cfg.s % cfg.t != 0) GTEST_SKIP();
-  cfg.set_plan(core::PlanKind::kTensorSequence);
-  cfg.recompute = core::Recompute::kSelective;
-  const double expect =
-      memory::act_bytes_per_layer(cfg, Technique::kTensorSequenceSelective);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
-
-TEST_P(Table2Validation, FoldedTsp) {
-  ModelConfig cfg = base_config();
-  if (cfg.s % cfg.t != 0) GTEST_SKIP();
-  cfg.set_plan(core::PlanKind::kFoldedTsp);
-  const double expect = memory::act_bytes_per_layer(cfg, Technique::kFoldedTsp);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
-
-TEST_P(Table2Validation, FoldedTspSelective) {
-  ModelConfig cfg = base_config();
-  if (cfg.s % cfg.t != 0) GTEST_SKIP();
-  cfg.set_plan(core::PlanKind::kFoldedTsp);
-  cfg.recompute = core::Recompute::kSelective;
-  const double expect =
-      memory::act_bytes_per_layer(cfg, Technique::kFoldedTspSelective);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
-
-TEST_P(Table2Validation, FullRecompute) {
-  ModelConfig cfg = base_config();
-  cfg.recompute = core::Recompute::kFull;
-  const double expect =
-      memory::act_bytes_per_layer(cfg, Technique::kFullRecompute);
-  EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
-}
+// The 3x3 grid of plans x recompute rungs.
+TEST_P(Table2Validation, TensorParallel) { check(kTp, kNone); }
+TEST_P(Table2Validation, TensorParallelSelectiveRecompute) { check(kTp, kSel); }
+TEST_P(Table2Validation, FullRecompute) { check(kTp, kFull); }
+TEST_P(Table2Validation, TensorSequenceParallel) { check(kTpSp, kNone); }
+TEST_P(Table2Validation, TensorSequenceSelective) { check(kTpSp, kSel); }
+TEST_P(Table2Validation, TensorSequenceFullRecompute) { check(kTpSp, kFull); }
+TEST_P(Table2Validation, FoldedTsp) { check(kFolded, kNone); }
+TEST_P(Table2Validation, FoldedTspSelective) { check(kFolded, kSel); }
+TEST_P(Table2Validation, FoldedTspFullRecompute) { check(kFolded, kFull); }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Table2Validation,
@@ -170,19 +141,30 @@ int64_t measure_model_bytes(const ModelConfig& cfg) {
 }
 
 TEST(TotalActivationMemory, ModelMeasurementMatchesEq5PlusExtras) {
-  for (const bool sp : {false, true}) {
-    for (const auto rc : {core::Recompute::kNone, core::Recompute::kSelective}) {
+  for (const auto plan : {kTp, kTpSp, kFolded}) {
+    for (const auto rc : {kNone, kSel, kFull}) {
       ModelConfig cfg = ModelConfig::tiny(2, 2);
-      cfg.set_plan(sp ? core::PlanKind::kTensorSequence
-                      : core::PlanKind::kTensorParallel);
+      cfg.set_plan(plan);
       cfg.recompute = rc;
-      const Technique tech = memory::technique_of(cfg);
       const double expect =
-          memory::total_activation_bytes_first_stage(cfg, tech, true);
+          memory::total_activation_bytes_first_stage(cfg, {plan, rc}, true);
       EXPECT_EQ(measure_model_bytes(cfg), static_cast<int64_t>(expect))
-          << "sp=" << sp << " rc=" << core::recompute_name(rc);
+          << "plan=" << core::plan_kind_name(plan)
+          << " rc=" << core::recompute_name(rc);
     }
   }
+}
+
+// The governor's offline forecast charges each rung what the runtime
+// stores: at full recompute a sequence-sharded plan keeps 2sbh/t.
+TEST(TotalActivationMemory, PressureForecastFullRungMatchesMeasurement) {
+  ModelConfig cfg = ModelConfig::tiny(2, 2);
+  cfg.set_plan(kTpSp);
+  const auto f = verify::forecast_pressure(cfg, int64_t{1} << 30);
+  cfg.recompute = kFull;
+  const double activations =
+      f.resident_bytes[2] - memory::model_state_bytes_per_rank(cfg).total();
+  EXPECT_EQ(static_cast<int64_t>(activations), measure_model_bytes(cfg));
 }
 
 TEST(TotalActivationMemory, MinorBuffersAreNegligible) {
@@ -220,10 +202,8 @@ TEST(PaperConstants, SelectiveRecomputeSavesSeventyAndSixtyFivePercent) {
   // §5: selective recomputation saves 70% (GPT-3) and 65% (MT-NLG) of
   // activation memory — the 5as/h / (34 + 5as/h) fraction.
   auto saving = [](const ModelConfig& cfg) {
-    const double with_attn =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorSequence);
-    const double without =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorSequenceSelective);
+    const double with_attn = memory::act_bytes_per_layer(cfg, {kTpSp, kNone});
+    const double without = memory::act_bytes_per_layer(cfg, {kTpSp, kSel});
     return 1.0 - without / with_attn;
   };
   EXPECT_NEAR(saving(ModelConfig::gpt_175b()), 0.70, 0.01);
@@ -235,11 +215,10 @@ TEST(PaperConstants, CombinedTechniquesGiveFiveFoldReduction) {
   // tensor-parallel baseline (~5x), about 2x of full recomputation.
   for (const auto& cfg : {ModelConfig::gpt_22b(), ModelConfig::gpt_175b(),
                           ModelConfig::gpt_530b(), ModelConfig::gpt_1t()}) {
-    const double baseline =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorParallel);
-    const double combined =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorSequenceSelective);
-    const double full = memory::act_bytes_per_layer(cfg, Technique::kFullRecompute);
+    const double baseline = memory::act_bytes_per_layer(cfg, {kTp, kNone});
+    const double combined = memory::act_bytes_per_layer(cfg, {kTpSp, kSel});
+    // The paper's replicated sbh(2) floor.
+    const double full = memory::act_bytes_per_layer(cfg, {kTp, kFull});
     // ~5x: Fig 7 reads "to under 20%"; the exact formula ratio is
     // 34/t / (10 + 24/t + 5as/ht), which lands at 16–21% across the
     // four models.
@@ -247,10 +226,8 @@ TEST(PaperConstants, CombinedTechniquesGiveFiveFoldReduction) {
     EXPECT_GT(combined / baseline, 0.10) << cfg.name;
     // Each individual technique cuts roughly — not exactly — half
     // (Fig 7: the individual bars sit at ~50–67% across the models).
-    const double seq_only =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorSequence);
-    const double sel_only =
-        memory::act_bytes_per_layer(cfg, Technique::kTensorSelective);
+    const double seq_only = memory::act_bytes_per_layer(cfg, {kTpSp, kNone});
+    const double sel_only = memory::act_bytes_per_layer(cfg, {kTp, kSel});
     EXPECT_LT(seq_only / baseline, 0.70) << cfg.name;
     EXPECT_GT(seq_only / baseline, 0.45) << cfg.name;
     EXPECT_LT(sel_only / baseline, 0.65) << cfg.name;
@@ -300,8 +277,7 @@ TEST(PipelineMemoryProfile, DeallocationSavesSbhpOnRankZero) {
   // Appendix B: "the theoretical savings for this optimization on the
   // first pipeline stage is sbhp = 2.73 GB" (530B, 2 bytes/elem).
   ModelConfig cfg = ModelConfig::gpt_530b();
-  const auto profile =
-      memory::per_pipeline_rank_memory(cfg, Technique::kTensorSequenceSelective);
+  const auto profile = memory::per_pipeline_rank_memory(cfg, {kTpSp, kSel});
   const double saving = profile[0].bytes_unoptimized - profile[0].bytes_optimized;
   const double sbhp_bytes =
       2.0 * cfg.s * cfg.b * cfg.h * cfg.p;  // fp16 output tensors
@@ -328,10 +304,10 @@ TEST(ModelStateMemory, BaselineExceeds80GBbutPresentWorkFits) {
   for (auto cfg : {ModelConfig::gpt_22b(), ModelConfig::gpt_175b(),
                    ModelConfig::gpt_530b(), ModelConfig::gpt_1t()}) {
     const double state = memory::model_state_bytes_per_rank(cfg).total();
-    const double baseline_act = memory::total_activation_bytes_first_stage(
-        cfg, Technique::kTensorParallel);
-    const double present_act = memory::total_activation_bytes_first_stage(
-        cfg, Technique::kTensorSequenceSelective);
+    const double baseline_act =
+        memory::total_activation_bytes_first_stage(cfg, {kTp, kNone});
+    const double present_act =
+        memory::total_activation_bytes_first_stage(cfg, {kTpSp, kSel});
     EXPECT_GT(state + baseline_act, kA100) << cfg.name;
     EXPECT_LT(state + present_act, kA100) << cfg.name;
   }
