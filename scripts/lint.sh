@@ -35,6 +35,7 @@ RULES=(
   "hot-permute|generic ops::/ag::permute on the model hot path (src/core, src/model, src/pipeline, src/train, src/runtime): it is an element-at-a-time gather; use the specialized blocked copies (ops::sbh_to_bhsd etc.)"
   "layers-direct-comm|direct collective wiring in src/core/layers.*: layers must route every TP/SP communication decision through the ParallelPlan strategy (env.plan()) — including core/collectives.h or calling Comm collectives / conjugate-pair helpers there re-hardwires the schedule the plan owns"
   "libm-in-kernel|libm std::exp / std::tanh / expf / tanhf in the kernel library (src/tensor/kernels.{h,cpp}): a libm call per element stops the fused GeLU and softmax epilogues from auto-vectorizing; use the file's libm-free tanh_f32 / exp_f32 bodies"
+  "env-knob-docs|README.md and the MLS_* environment knobs drift apart: every \"MLS_*\" literal read in src/ must appear in README.md, and every MLS_* name in the first cell of a README table row must appear under src/, tests/, examples/, bench/, CMakeLists.txt or .github/workflows/"
 )
 
 rule_names() {
@@ -184,9 +185,9 @@ match_serve_raw_buffer() {
 }
 
 match_hot_permute() {
-  # The autograd PermuteNode and comm-layer staging keep their generic
-  # calls (their files are filtered out below); layers/models/pipeline
-  # must use the specialized layout kernels.
+  # Comm-layer staging keeps its generic calls (its files are filtered
+  # out below); layers/models/pipeline must use the specialized layout
+  # kernels.
   xargs -r grep -nE '\b(ops|ag)::permute[ \t]*\(' /dev/null 2>/dev/null |
     awk -F: '{printf "%s:%s: generic permute on a hot path\n", $1, $2}'
 }
@@ -228,6 +229,31 @@ match_libm_in_kernel() {
                FILENAME, FNR
     }
   '
+}
+
+match_env_knob_docs() {
+  # Check 1 (source -> README): each quoted MLS_* literal in a src/
+  # file must be named, as a whole word, somewhere in README.md.
+  grep -E '(^|/)src/' | xargs -r grep -noE '"MLS_[A-Z0-9_]+"' /dev/null \
+      2>/dev/null |
+    while IFS=: read -r file line lit; do
+      knob="${lit//\"/}"
+      grep -qwF -- "$knob" README.md 2>/dev/null ||
+        printf '%s:%s: env knob %s is read here but not documented in README.md\n' \
+            "$file" "$line" "$knob"
+    done
+  # Check 2 (README -> source): each MLS_* name in a table row's first
+  # cell must still be read, set or exercised somewhere in the tree.
+  [ -f README.md ] || return 0
+  awk -F'|' '/^\|/ { print FNR "|" $2 }' README.md |
+    while IFS='|' read -r line cell; do
+      for knob in $(printf '%s\n' "$cell" | grep -oE 'MLS_[A-Z0-9_]+'); do
+        grep -rqwF -- "$knob" src tests examples bench CMakeLists.txt \
+            .github/workflows 2>/dev/null ||
+          printf 'README.md:%s: %s is documented but nothing in the tree uses it\n' \
+              "$line" "$knob"
+      done
+    done
 }
 
 # Per-rule file filter: which of the scanned files a rule looks at.

@@ -51,6 +51,9 @@ expect_fires serve-raw-buffer serve_raw_buffer_bad.cpp
 expect_fires hot-permute      hot_permute_bad.cpp
 expect_fires layers-direct-comm layers_direct_comm_bad.cpp
 expect_fires libm-in-kernel   libm_in_kernel_bad.cpp
+# env-knob-docs has two checks; each must fire on its own fixture.
+expect_fires env-knob-docs    env_knob_docs_bad.cpp
+expect_fires env-knob-docs    README.md
 
 for rule in $("$LINT" --list | awk '{print $1}'); do
   expect_clean "$rule"

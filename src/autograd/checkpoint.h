@@ -20,7 +20,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -29,9 +28,8 @@ namespace mls::ag {
 
 using CheckpointFn = std::function<Var(const std::vector<Var>&)>;
 
-// `tag` labels the stored inputs in the memory tracker (e.g.
-// "attn_core_ckpt"). If grad mode is off (e.g. inside an enclosing
-// checkpoint), this degenerates to calling fn directly.
+// If grad mode is off (e.g. inside an enclosing checkpoint), this
+// degenerates to calling fn directly.
 //
 // `pure_compute` declares that fn issues no collectives (true for the
 // attention core, false for a full transformer layer). Such a replay is
@@ -39,7 +37,6 @@ using CheckpointFn = std::function<Var(const std::vector<Var>&)>;
 // it inside a communication window instead of serially at the node —
 // same thread, same RNG sites, same tracker, so numerics are unchanged.
 Var checkpoint(const CheckpointFn& fn, const std::vector<Var>& inputs,
-               const std::string& tag = "checkpoint_in",
                bool pure_compute = false);
 
 }  // namespace mls::ag

@@ -21,12 +21,12 @@ Tensor as_2d(const Tensor& t) {
 namespace {
 class MatmulNode : public Node {
  public:
-  MatmulNode(const Var& x, const Var& w, bool trans_b, const std::string& tag)
+  MatmulNode(const Var& x, const Var& w, bool trans_b)
       : trans_b_(trans_b),
         x_needed_(w.requires_grad()),
         w_needed_(x.requires_grad()) {
-    if (x_needed_) saved_x_ = SavedTensor(x.value(), tag, !x.is_param());
-    if (w_needed_) saved_w_ = SavedTensor(w.value(), tag + "_w", !w.is_param());
+    if (x_needed_) saved_x_ = SavedTensor(x.value(), !x.is_param());
+    if (w_needed_) saved_w_ = SavedTensor(w.value(), !w.is_param());
   }
   const char* name() const override { return "matmul"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
@@ -57,11 +57,11 @@ class MatmulNode : public Node {
 };
 }  // namespace
 
-Var matmul(const Var& x, const Var& w, bool trans_b, const std::string& tag) {
+Var matmul(const Var& x, const Var& w, bool trans_b) {
   Tensor y = ops::matmul(x.value(), w.value(), false, trans_b);
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && (x.requires_grad() || w.requires_grad())) {
-    node = std::make_shared<MatmulNode>(x, w, trans_b, tag);
+    node = std::make_shared<MatmulNode>(x, w, trans_b);
   }
   return make_output(std::move(y), std::move(node), {x, w});
 }
@@ -71,10 +71,9 @@ Var matmul(const Var& x, const Var& w, bool trans_b, const std::string& tag) {
 namespace {
 class BmmNode : public Node {
  public:
-  BmmNode(const Var& a, const Var& b, bool trans_b, const std::string& tag)
-      : trans_b_(trans_b) {
-    saved_a_ = SavedTensor(a.value(), tag + "_a", !a.is_param());
-    saved_b_ = SavedTensor(b.value(), tag + "_b", !b.is_param());
+  BmmNode(const Var& a, const Var& b, bool trans_b) : trans_b_(trans_b) {
+    saved_a_ = SavedTensor(a.value(), !a.is_param());
+    saved_b_ = SavedTensor(b.value(), !b.is_param());
   }
   const char* name() const override { return "bmm"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
@@ -101,11 +100,11 @@ class BmmNode : public Node {
 };
 }  // namespace
 
-Var bmm(const Var& a, const Var& b, bool trans_b, const std::string& tag) {
+Var bmm(const Var& a, const Var& b, bool trans_b) {
   Tensor y = ops::bmm(a.value(), b.value(), false, trans_b);
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && (a.requires_grad() || b.requires_grad())) {
-    node = std::make_shared<BmmNode>(a, b, trans_b, tag);
+    node = std::make_shared<BmmNode>(a, b, trans_b);
   }
   return make_output(std::move(y), std::move(node), {a, b});
 }
@@ -161,8 +160,7 @@ Var scale(const Var& x, float s) {
 namespace {
 class GeluNode : public Node {
  public:
-  GeluNode(const Var& x, const std::string& tag)
-      : saved_x_(x.value(), tag, !x.is_param()) {}
+  explicit GeluNode(const Var& x) : saved_x_(x.value(), !x.is_param()) {}
   const char* name() const override { return "gelu"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     return {ops::gelu_grad(saved_x_.get(), grad_out)};
@@ -174,11 +172,11 @@ class GeluNode : public Node {
 };
 }  // namespace
 
-Var gelu(const Var& x, const std::string& tag) {
+Var gelu(const Var& x) {
   Tensor y = ops::gelu(x.value());
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && x.requires_grad()) {
-    node = std::make_shared<GeluNode>(x, tag);
+    node = std::make_shared<GeluNode>(x);
   }
   return make_output(std::move(y), std::move(node), {x});
 }
@@ -186,9 +184,9 @@ Var gelu(const Var& x, const std::string& tag) {
 namespace {
 class BiasGeluNode : public Node {
  public:
-  BiasGeluNode(const Var& x, const Var& bias, const std::string& tag)
-      : saved_x_(x.value(), tag, !x.is_param()),
-        saved_bias_(bias.value(), tag + "_b", !bias.is_param()) {}
+  BiasGeluNode(const Var& x, const Var& bias)
+      : saved_x_(x.value(), !x.is_param()),
+        saved_bias_(bias.value(), !bias.is_param()) {}
   const char* name() const override { return "bias_gelu"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     auto g = ops::bias_gelu_grad(saved_x_.get(), saved_bias_.get(), grad_out);
@@ -204,11 +202,11 @@ class BiasGeluNode : public Node {
 };
 }  // namespace
 
-Var bias_gelu(const Var& x, const Var& bias, const std::string& tag) {
+Var bias_gelu(const Var& x, const Var& bias) {
   Tensor y = ops::bias_gelu(x.value(), bias.value());
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && (x.requires_grad() || bias.requires_grad())) {
-    node = std::make_shared<BiasGeluNode>(x, bias, tag);
+    node = std::make_shared<BiasGeluNode>(x, bias);
   }
   return make_output(std::move(y), std::move(node), {x, bias});
 }
@@ -218,8 +216,7 @@ Var bias_gelu(const Var& x, const Var& bias, const std::string& tag) {
 namespace {
 class SoftmaxNode : public Node {
  public:
-  SoftmaxNode(Tensor y, const std::string& tag)
-      : saved_y_(std::move(y), tag, /*counted=*/true) {}
+  explicit SoftmaxNode(Tensor y) : saved_y_(std::move(y), /*counted=*/true) {}
   const char* name() const override { return "softmax"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     return {ops::softmax_lastdim_grad(saved_y_.get(), grad_out)};
@@ -231,11 +228,11 @@ class SoftmaxNode : public Node {
 };
 }  // namespace
 
-Var softmax(const Var& x, bool causal, const std::string& tag) {
+Var softmax(const Var& x, bool causal) {
   Tensor y = ops::softmax_lastdim(x.value(), causal);
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && x.requires_grad()) {
-    node = std::make_shared<SoftmaxNode>(y, tag);
+    node = std::make_shared<SoftmaxNode>(y);
   }
   return make_output(std::move(y), std::move(node), {x});
 }
@@ -243,8 +240,8 @@ Var softmax(const Var& x, bool causal, const std::string& tag) {
 namespace {
 class ScaledSoftmaxNode : public Node {
  public:
-  ScaledSoftmaxNode(Tensor y, float alpha, const std::string& tag)
-      : saved_y_(std::move(y), tag, /*counted=*/true), alpha_(alpha) {}
+  ScaledSoftmaxNode(Tensor y, float alpha)
+      : saved_y_(std::move(y), /*counted=*/true), alpha_(alpha) {}
   const char* name() const override { return "scaled_softmax"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     return {ops::scaled_softmax_grad(saved_y_.get(), grad_out, alpha_)};
@@ -257,12 +254,11 @@ class ScaledSoftmaxNode : public Node {
 };
 }  // namespace
 
-Var scaled_softmax(const Var& x, float alpha, bool causal,
-                   const std::string& tag) {
+Var scaled_softmax(const Var& x, float alpha, bool causal) {
   Tensor y = ops::scaled_softmax(x.value(), alpha, causal);
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && x.requires_grad()) {
-    node = std::make_shared<ScaledSoftmaxNode>(y, alpha, tag);
+    node = std::make_shared<ScaledSoftmaxNode>(y, alpha);
   }
   return make_output(std::move(y), std::move(node), {x});
 }
@@ -272,8 +268,8 @@ Var scaled_softmax(const Var& x, float alpha, bool causal,
 namespace {
 class DropoutNode : public Node {
  public:
-  DropoutNode(Tensor mask, float p, const std::string& tag)
-      : saved_mask_(std::move(mask), tag, /*counted=*/true), p_(p) {}
+  DropoutNode(Tensor mask, float p)
+      : saved_mask_(std::move(mask), /*counted=*/true), p_(p) {}
   const char* name() const override { return "dropout"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     return {ops::dropout_grad(grad_out, saved_mask_.get(), p_)};
@@ -286,12 +282,11 @@ class DropoutNode : public Node {
 };
 }  // namespace
 
-Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map,
-            const std::string& tag) {
+Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map) {
   ops::DropoutOut out = ops::dropout_stateless(x.value(), p, seed, map);
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && x.requires_grad()) {
-    node = std::make_shared<DropoutNode>(std::move(out.mask), p, tag);
+    node = std::make_shared<DropoutNode>(std::move(out.mask), p);
   }
   return make_output(std::move(out.y), std::move(node), {x});
 }
@@ -306,11 +301,10 @@ Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map,
 namespace {
 class BiasGeluMatmulNode : public Node {
  public:
-  BiasGeluMatmulNode(const Var& x, const Var& bias, const Var& w,
-                     const std::string& tag)
-      : saved_x_(x.value(), tag, !x.is_param()),
-        saved_bias_(bias.value(), tag + "_b", !bias.is_param()),
-        saved_w_(w.value(), tag + "_w", !w.is_param()) {}
+  BiasGeluMatmulNode(const Var& x, const Var& bias, const Var& w)
+      : saved_x_(x.value(), !x.is_param()),
+        saved_bias_(bias.value(), !bias.is_param()),
+        saved_w_(w.value(), !w.is_param()) {}
   const char* name() const override { return "bias_gelu_matmul"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     // Pointwise recompute of the GeLU output the fusion folded away;
@@ -336,14 +330,13 @@ class BiasGeluMatmulNode : public Node {
 };
 }  // namespace
 
-Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w,
-                     const std::string& tag) {
+Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w) {
   Tensor z = ops::bias_gelu(x.value(), bias.value());
   Tensor y = ops::matmul(z, w.value());
   std::shared_ptr<Node> node;
   if (GradMode::enabled() &&
       (x.requires_grad() || bias.requires_grad() || w.requires_grad())) {
-    node = std::make_shared<BiasGeluMatmulNode>(x, bias, w, tag);
+    node = std::make_shared<BiasGeluMatmulNode>(x, bias, w);
   }
   return make_output(std::move(y), std::move(node), {x, bias, w});
 }
@@ -352,11 +345,10 @@ namespace {
 class ScaledSoftmaxDropoutBmmNode : public Node {
  public:
   ScaledSoftmaxDropoutBmmNode(const Var& scores, const Var& v, Tensor mask,
-                              float alpha, bool causal, float p,
-                              const std::string& tag)
-      : saved_scores_(scores.value(), tag, !scores.is_param()),
-        saved_mask_(std::move(mask), tag + "_mask", /*counted=*/true),
-        saved_v_(v.value(), tag + "_v", !v.is_param()),
+                              float alpha, bool causal, float p)
+      : saved_scores_(scores.value(), !scores.is_param()),
+        saved_mask_(std::move(mask), /*counted=*/true),
+        saved_v_(v.value(), !v.is_param()),
         alpha_(alpha),
         causal_(causal),
         p_(p) {}
@@ -390,15 +382,14 @@ class ScaledSoftmaxDropoutBmmNode : public Node {
 
 Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
                                bool causal, float p, uint64_t seed,
-                               const ops::IndexMap& map,
-                               const std::string& tag) {
+                               const ops::IndexMap& map) {
   Tensor probs = ops::scaled_softmax(scores.value(), alpha, causal);
   ops::DropoutOut d = ops::dropout_stateless(probs, p, seed, map);
   Tensor y = ops::bmm(d.y, v.value());
   std::shared_ptr<Node> node;
   if (GradMode::enabled() && (scores.requires_grad() || v.requires_grad())) {
     node = std::make_shared<ScaledSoftmaxDropoutBmmNode>(
-        scores, v, std::move(d.mask), alpha, causal, p, tag);
+        scores, v, std::move(d.mask), alpha, causal, p);
   }
   return make_output(std::move(y), std::move(node), {scores, v});
 }
@@ -408,15 +399,14 @@ Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
 namespace {
 class LayerNormNode : public Node {
  public:
-  LayerNormNode(const Var& x, const Var& gamma, Tensor mean, Tensor rstd,
-                const std::string& tag)
-      : saved_x_(x.value(), tag, !x.is_param()),
-        saved_gamma_(gamma.value(), tag + "_gamma", /*counted=*/false),
+  LayerNormNode(const Var& x, const Var& gamma, Tensor mean, Tensor rstd)
+      : saved_x_(x.value(), !x.is_param()),
+        saved_gamma_(gamma.value(), /*counted=*/false),
         // The paper's §4 explicitly ignores these sb-sized buffers
         // ("2sb << sbh"); we track them as minor so a test can verify
         // they are indeed negligible.
-        saved_mean_(std::move(mean), tag + "_mean", true, /*major=*/false),
-        saved_rstd_(std::move(rstd), tag + "_rstd", true, /*major=*/false) {}
+        saved_mean_(std::move(mean), true, /*major=*/false),
+        saved_rstd_(std::move(rstd), true, /*major=*/false) {}
   const char* name() const override { return "layernorm"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     auto g = ops::layernorm_grad(saved_x_.get(), saved_gamma_.get(),
@@ -435,81 +425,15 @@ class LayerNormNode : public Node {
 };
 }  // namespace
 
-Var layernorm(const Var& x, const Var& gamma, const Var& beta, float eps,
-              const std::string& tag) {
+Var layernorm(const Var& x, const Var& gamma, const Var& beta, float eps) {
   ops::LayerNormOut out = ops::layernorm(x.value(), gamma.value(), beta.value(), eps);
   std::shared_ptr<Node> node;
   if (GradMode::enabled() &&
       (x.requires_grad() || gamma.requires_grad() || beta.requires_grad())) {
     node = std::make_shared<LayerNormNode>(x, gamma, std::move(out.mean),
-                                           std::move(out.rstd), tag);
+                                           std::move(out.rstd));
   }
   return make_output(std::move(out.y), std::move(node), {x, gamma, beta});
-}
-
-// --------------------------------------------------------------- embedding
-
-namespace {
-class EmbeddingNode : public Node {
- public:
-  EmbeddingNode(Shape table_shape, std::vector<int64_t> ids)
-      : table_shape_(std::move(table_shape)), ids_(std::move(ids)) {}
-  const char* name() const override { return "embedding"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    Tensor dtable = Tensor::zeros(table_shape_, Dtype::F32);
-    ops::embedding_grad_accum(dtable, ids_, grad_out);
-    return {dtable};
-  }
-
- private:
-  Shape table_shape_;
-  // Token ids are input data (known without the forward pass); the
-  // paper does not count them as activations and neither do we.
-  std::vector<int64_t> ids_;
-};
-}  // namespace
-
-Var embedding(const Var& table, const std::vector<int64_t>& ids) {
-  Tensor y = ops::embedding(table.value(), ids);
-  std::shared_ptr<Node> node;
-  if (GradMode::enabled() && table.requires_grad()) {
-    node = std::make_shared<EmbeddingNode>(table.value().shape(), ids);
-  }
-  return make_output(std::move(y), std::move(node), {table});
-}
-
-// ----------------------------------------------------------- cross entropy
-
-namespace {
-class CrossEntropyNode : public Node {
- public:
-  CrossEntropyNode(Tensor softmax, std::vector<int64_t> targets)
-      // The paper's §4.3: "the cross entropy loss requires storing the
-      // logits which are calculated in 32-bit floating point" — we save
-      // the same-sized fp32 softmax instead (bytes are identical).
-      : saved_softmax_(std::move(softmax), "ce_softmax", /*counted=*/true),
-        targets_(std::move(targets)) {}
-  const char* name() const override { return "cross_entropy"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    return {ops::cross_entropy_grad(saved_softmax_.get(), targets_,
-                                    grad_out.item())};
-  }
-  void release_saved() override { saved_softmax_.reset(); }
-
- private:
-  SavedTensor saved_softmax_;
-  std::vector<int64_t> targets_;
-};
-}  // namespace
-
-Var cross_entropy(const Var& logits, std::vector<int64_t> targets) {
-  ops::CrossEntropyOut out = ops::cross_entropy(logits.value(), targets);
-  std::shared_ptr<Node> node;
-  if (GradMode::enabled() && logits.requires_grad()) {
-    node = std::make_shared<CrossEntropyNode>(std::move(out.softmax),
-                                              std::move(targets));
-  }
-  return make_output(Tensor::scalar(out.loss), std::move(node), {logits});
 }
 
 // ----------------------------------------------------- structural ops
@@ -525,21 +449,6 @@ class ReshapeNode : public Node {
 
  private:
   Shape in_shape_;
-};
-
-class PermuteNode : public Node {
- public:
-  explicit PermuteNode(std::vector<int> perm) : inverse_(perm.size()) {
-    for (size_t i = 0; i < perm.size(); ++i)
-      inverse_[static_cast<size_t>(perm[i])] = static_cast<int>(i);
-  }
-  const char* name() const override { return "permute"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    return {ops::permute(grad_out, inverse_)};
-  }
-
- private:
-  std::vector<int> inverse_;
 };
 
 class SliceNode : public Node {
@@ -570,37 +479,11 @@ class SliceNode : public Node {
   int64_t start_;
 };
 
-class CatNode : public Node {
- public:
-  CatNode(int dim, std::vector<int64_t> part_sizes)
-      : dim_(dim), part_sizes_(std::move(part_sizes)) {}
-  const char* name() const override { return "cat"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    std::vector<Tensor> grads;
-    grads.reserve(part_sizes_.size());
-    int64_t offset = 0;
-    for (int64_t sz : part_sizes_) {
-      grads.push_back(ops::slice(grad_out, dim_, offset, sz));
-      offset += sz;
-    }
-    return grads;
-  }
-
- private:
-  int dim_;
-  std::vector<int64_t> part_sizes_;
-};
 }  // namespace
 
 Var reshape(const Var& x, Shape shape) {
   return make_output(x.value().reshape(shape),
                      std::make_shared<ReshapeNode>(x.value().shape()), {x});
-}
-
-Var permute(const Var& x, std::vector<int> perm) {
-  Tensor y = ops::permute(x.value(), perm);
-  return make_output(std::move(y), std::make_shared<PermuteNode>(std::move(perm)),
-                     {x});
 }
 
 Var slice(const Var& x, int dim, int64_t start, int64_t len) {
@@ -609,20 +492,6 @@ Var slice(const Var& x, int dim, int64_t start, int64_t len) {
   return make_output(std::move(y),
                      std::make_shared<SliceNode>(x.value().shape(), dim, start),
                      {x});
-}
-
-Var cat(const std::vector<Var>& xs, int dim) {
-  MLS_CHECK(!xs.empty());
-  dim = xs[0].value().shape().normalize_axis(dim);
-  std::vector<Tensor> values;
-  std::vector<int64_t> sizes;
-  for (const auto& x : xs) {
-    values.push_back(x.value());
-    sizes.push_back(x.value().dim(dim));
-  }
-  Tensor y = ops::cat(values, dim);
-  return make_output(std::move(y), std::make_shared<CatNode>(dim, std::move(sizes)),
-                     xs);
 }
 
 std::vector<Var> chunk(const Var& x, int64_t n, int dim) {

@@ -11,12 +11,10 @@
 //   scaled_softmax saves its output — same bytes as softmax
 //   dropout        saves only its 1-byte mask
 //   layernorm      saves its input (mean/rstd are "minor" sb buffers)
-//   cross_entropy  saves the fp32 softmax (the paper's "logits" term)
-//   add/bias/scale/reshape/permute/slice/cat save nothing
+//   add/bias/scale/reshape/slice save nothing
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -25,40 +23,33 @@
 namespace mls::ag {
 
 // y = x @ w, optionally x @ w^T. Leading axes of x are batch axes.
-Var matmul(const Var& x, const Var& w, bool trans_b = false,
-           const std::string& tag = "matmul_in");
+Var matmul(const Var& x, const Var& w, bool trans_b = false);
 
 // Batched matmul over [nb, m, k] tensors; both operands are saved.
-Var bmm(const Var& a, const Var& b, bool trans_b = false,
-        const std::string& tag = "bmm_in");
+Var bmm(const Var& a, const Var& b, bool trans_b = false);
 
 Var add(const Var& a, const Var& b);
 Var add_bias(const Var& x, const Var& bias);
 Var scale(const Var& x, float s);
-Var gelu(const Var& x, const std::string& tag = "gelu_in");
+Var gelu(const Var& x);
 // Fused bias + GeLU (ops::bias_gelu): one sweep in forward, one fused
 // dx/dbias sweep in backward. Saves the pre-bias input instead of
 // gelu's post-bias input — identical activation bytes.
-Var bias_gelu(const Var& x, const Var& bias,
-              const std::string& tag = "gelu_in");
-Var softmax(const Var& x, bool causal = false,
-            const std::string& tag = "softmax_out");
+Var bias_gelu(const Var& x, const Var& bias);
+Var softmax(const Var& x, bool causal = false);
 // Fused alpha-scale + softmax (ops::scaled_softmax): the attention
 // 1/sqrt(d) scaling folded into the softmax sweep.
-Var scaled_softmax(const Var& x, float alpha, bool causal = false,
-                   const std::string& tag = "softmax_out");
+Var scaled_softmax(const Var& x, float alpha, bool causal = false);
 
 // Stateless dropout (see ops::dropout_stateless). Saves the mask.
-Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map,
-            const std::string& tag = "dropout_mask");
+Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map);
 
 // Fused bias + GeLU + matmul: bias_gelu(x, bias) @ w. Saves only the
 // pre-bias x; backward recomputes the GeLU output pointwise before the
 // dW GEMM, so the activation it would have stored is folded away
 // (the folded-TSP plan's MLP stage). Numerics are bitwise identical to
 // the unfused bias_gelu + matmul chain — same kernels, same order.
-Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w,
-                     const std::string& tag = "gelu_in");
+Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w);
 
 // Fused scaled-softmax + dropout + bmm (the folded-TSP attention core
 // tail): dropout(scaled_softmax(scores, alpha, causal)) @ v. Saves the
@@ -68,23 +59,14 @@ Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w,
 // identical to the unfused scaled_softmax → dropout → bmm chain.
 Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
                                bool causal, float p, uint64_t seed,
-                               const ops::IndexMap& map,
-                               const std::string& tag = "attn_scores");
+                               const ops::IndexMap& map);
 
 Var layernorm(const Var& x, const Var& gamma, const Var& beta,
-              float eps = 1e-5f, const std::string& tag = "layernorm_in");
-
-// table is a [v, h] parameter; returns [n, h].
-Var embedding(const Var& table, const std::vector<int64_t>& ids);
-
-// Mean cross-entropy over rows of logits [n, v]. Returns a scalar.
-Var cross_entropy(const Var& logits, std::vector<int64_t> targets);
+              float eps = 1e-5f);
 
 // Structural ops (no saved tensors).
 Var reshape(const Var& x, Shape shape);
-Var permute(const Var& x, std::vector<int> perm);
 Var slice(const Var& x, int dim, int64_t start, int64_t len);
-Var cat(const std::vector<Var>& xs, int dim);
 std::vector<Var> chunk(const Var& x, int64_t n, int dim);
 
 // [s, b, heads*d] <-> [b*heads, s, d] attention layouts. Single nodes

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -20,19 +19,17 @@ namespace mls::ag {
 class SavedTensor {
  public:
   SavedTensor() = default;
-  SavedTensor(Tensor t, const std::string& tag, bool counted, bool major = true)
+  SavedTensor(Tensor t, bool counted, bool major = true)
       : t_(std::move(t)), counted_(counted), major_(major) {
     if (counted_) {
       bytes_ = t_.logical_bytes();
-      tag_ = tag;
-      MemoryTracker::instance().on_save(bytes_, tag_, major_);
+      MemoryTracker::instance().on_save(bytes_, major_);
     }
   }
   SavedTensor(SavedTensor&& other) noexcept { *this = std::move(other); }
   SavedTensor& operator=(SavedTensor&& other) noexcept {
     reset();
     t_ = std::move(other.t_);
-    tag_ = std::move(other.tag_);
     bytes_ = other.bytes_;
     counted_ = other.counted_;
     major_ = other.major_;
@@ -52,7 +49,7 @@ class SavedTensor {
 
   void reset() {
     if (counted_) {
-      MemoryTracker::instance().on_release(bytes_, tag_, major_);
+      MemoryTracker::instance().on_release(bytes_, major_);
       counted_ = false;
     }
     t_ = Tensor();
@@ -60,7 +57,6 @@ class SavedTensor {
 
  private:
   Tensor t_;
-  std::string tag_;
   int64_t bytes_ = 0;
   bool counted_ = false;
   bool major_ = true;

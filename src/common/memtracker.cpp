@@ -11,18 +11,13 @@ MemoryTracker& MemoryTracker::instance() {
   return tracker;
 }
 
-void MemoryTracker::on_save(int64_t bytes, const std::string& tag,
-                            bool major) {
+void MemoryTracker::on_save(int64_t bytes, bool major) {
   (major ? current_major_ : current_minor_) += bytes;
-  by_tag_[tag] += bytes;
   update_peak();
 }
 
-void MemoryTracker::on_release(int64_t bytes, const std::string& tag,
-                               bool major) {
+void MemoryTracker::on_release(int64_t bytes, bool major) {
   (major ? current_major_ : current_minor_) -= bytes;
-  auto it = by_tag_.find(tag);
-  if (it != by_tag_.end()) it->second -= bytes;
 }
 
 void MemoryTracker::on_alloc_extra(int64_t bytes) {
@@ -77,8 +72,6 @@ void MemoryTracker::update_peak() {
 void MemoryTracker::reset() {
   current_major_ = current_minor_ = peak_ = extra_ = 0;
   kv_ = kv_peak_ = 0;
-  pressure_soft_ = pressure_hard_ = shed_ = timeout_ = 0;
-  by_tag_.clear();
 }
 
 }  // namespace mls

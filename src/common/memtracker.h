@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace mls {
@@ -32,9 +31,10 @@ class MemoryTracker {
   // The calling thread's (i.e. the calling rank's) tracker.
   static MemoryTracker& instance();
 
-  // Charges `bytes` under `tag`; on_release takes the same tag back.
-  void on_save(int64_t bytes, const std::string& tag, bool major = true);
-  void on_release(int64_t bytes, const std::string& tag, bool major = true);
+  // Charges `bytes` to the major or minor class; on_release takes the
+  // same bytes back from the same class.
+  void on_save(int64_t bytes, bool major = true);
+  void on_release(int64_t bytes, bool major = true);
 
   // Extra non-activation allocations worth profiling (e.g. a pipeline
   // stage's received-input buffers). Counted separately.
@@ -79,22 +79,6 @@ class MemoryTracker {
   int64_t kv_bytes() const { return kv_; }
   int64_t kv_peak_bytes() const { return kv_peak_; }
 
-  // Pressure axis (src/memory/pressure.h, src/serve/scheduler): how
-  // often this rank crossed a watermark (edge-triggered — one event per
-  // excursion, not per step spent above), and what the serving plane
-  // gave up to stay under budget.
-  void on_pressure_soft() { ++pressure_soft_; }
-  void on_pressure_hard() { ++pressure_hard_; }
-  void on_shed() { ++shed_; }
-  void on_timeout() { ++timeout_; }
-  int64_t pressure_soft_events() const { return pressure_soft_; }
-  int64_t pressure_hard_events() const { return pressure_hard_; }
-  int64_t shed_requests() const { return shed_; }
-  int64_t timed_out_requests() const { return timeout_; }
-
-  // Per-tag live bytes (major + minor), for breakdown tables.
-  const std::map<std::string, int64_t>& by_tag() const { return by_tag_; }
-
   void reset();
 
  private:
@@ -106,11 +90,6 @@ class MemoryTracker {
   int64_t extra_ = 0;
   int64_t kv_ = 0;
   int64_t kv_peak_ = 0;
-  int64_t pressure_soft_ = 0;
-  int64_t pressure_hard_ = 0;
-  int64_t shed_ = 0;
-  int64_t timeout_ = 0;
-  std::map<std::string, int64_t> by_tag_;
 };
 
 }  // namespace mls

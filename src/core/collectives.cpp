@@ -147,15 +147,11 @@ namespace {
 class SpGatheredMatmulNode : public Node {
  public:
   SpGatheredMatmulNode(const Var& x_shard, const Var& w, comm::Comm tp,
-                       bool trans_b, bool sharded_save, const Tensor& x_full,
-                       const std::string& tag)
+                       bool trans_b, bool sharded_save, const Tensor& x_full)
       : tp_(std::move(tp)), trans_b_(trans_b), sharded_save_(sharded_save) {
-    if (sharded_save_) {
-      saved_x_ = SavedTensor(x_shard.value(), tag, !x_shard.is_param());
-    } else {
-      saved_x_ = SavedTensor(x_full, tag + "_full", !x_shard.is_param());
-    }
-    saved_w_ = SavedTensor(w.value(), tag + "_w", !w.is_param());
+    saved_x_ = SavedTensor(sharded_save_ ? x_shard.value() : x_full,
+                           !x_shard.is_param());
+    saved_w_ = SavedTensor(w.value(), !w.is_param());
   }
   const char* name() const override { return "sp_gathered_matmul"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
@@ -232,15 +228,14 @@ class SpGatheredMatmulNode : public Node {
 }  // namespace
 
 Var sp_gathered_matmul(const Var& x_shard, const Var& w, comm::Comm tp,
-                       bool trans_b, bool sharded_save, const std::string& tag) {
+                       bool trans_b, bool sharded_save) {
   analysis::SiteGuard sg("sp_gathered_matmul.fwd");
   Tensor x_full = tp.all_gather(x_shard.value(), 0);
   Tensor y = ops::matmul(x_full, w.value(), false, trans_b);
   std::shared_ptr<Node> node;
   if (ag::GradMode::enabled() && (x_shard.requires_grad() || w.requires_grad())) {
     node = std::make_shared<SpGatheredMatmulNode>(x_shard, w, std::move(tp),
-                                                  trans_b, sharded_save, x_full,
-                                                  tag);
+                                                  trans_b, sharded_save, x_full);
   }
   return make_output(std::move(y), std::move(node), {x_shard, w});
 }

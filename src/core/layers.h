@@ -44,9 +44,6 @@ class ColumnParallelLinear {
 
   ag::Var weight;  // [in, out/t]
   ag::Var bias;    // [out/t]
-
- private:
-  std::string tag_;
 };
 
 // Y = X·B with B split along rows; how the partial products are summed
@@ -62,8 +59,6 @@ class RowParallelLinear {
   // epilogue) for callers that fuse the GEMM into the preceding op
   // (ParallelMLP routing through the plan's mlp_act_fc2).
   ag::Var finish(const ag::Var& y_partial, const ParallelEnv& env) const;
-  // The ledger/saved-tensor tag of this layer's GEMM input.
-  std::string input_tag() const { return tag_ + "_in"; }
 
   std::vector<ag::Var> params() const { return {weight, bias}; }
   // Under SP the bias is added to the sequence-sharded output, so its
@@ -72,9 +67,6 @@ class RowParallelLinear {
 
   ag::Var weight;  // [in/t, out]
   ag::Var bias;    // [out] (replicated; added after the reduction)
-
- private:
-  std::string tag_;
 };
 
 // Self-attention with a attention heads split across the TP group

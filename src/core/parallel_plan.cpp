@@ -29,9 +29,8 @@ PlanKind plan_kind_from_string(const std::string& s) {
 ag::Var ParallelPlan::attention_core(const ag::Var& q, const ag::Var& k,
                                      const ag::Var& v,
                                      const AttnCoreDims& d) const {
-  ag::Var scores = ag::bmm(q, k, /*trans_b=*/true, "attn_qk");
-  ag::Var probs =
-      ag::scaled_softmax(scores, d.alpha, d.causal, "attn_softmax_out");
+  ag::Var scores = ag::bmm(q, k, /*trans_b=*/true);
+  ag::Var probs = ag::scaled_softmax(scores, d.alpha, d.causal);
   // Mask coordinates live in the global [b, a, s, s] tensor so all
   // shardings (and the serial reference) draw identical masks.
   ops::IndexMap map;
@@ -39,19 +38,16 @@ ag::Var ParallelPlan::attention_core(const ag::Var& q, const ag::Var& k,
   map.strides = {d.heads_total * d.s_full * d.s_full, d.s_full * d.s_full,
                  d.s_full, 1};
   map.base = static_cast<int64_t>(d.rank) * d.heads_local * d.s_full * d.s_full;
-  ag::Var probs_d =
-      ag::dropout(probs, d.dropout_p, d.seed, map, "attn_softmax_mask");
-  return ag::bmm(probs_d, v, /*trans_b=*/false, "attn_av");
+  ag::Var probs_d = ag::dropout(probs, d.dropout_p, d.seed, map);
+  return ag::bmm(probs_d, v, /*trans_b=*/false);
 }
 
 ag::Var ParallelPlan::mlp_act_fc2(const ag::Var& z1, const ag::Var& b1,
-                                  const ag::Var& w2,
-                                  const std::string& gelu_tag,
-                                  const std::string& fc2_tag) const {
+                                  const ag::Var& w2) const {
   // Fused bias+GeLU epilogue on lin1's GEMM output (one sweep instead
   // of add_bias + gelu; same saved bytes — see functions.h).
-  ag::Var z = ag::bias_gelu(z1, b1, gelu_tag);
-  return ag::matmul(z, w2, /*trans_b=*/false, fc2_tag);
+  ag::Var z = ag::bias_gelu(z1, b1);
+  return ag::matmul(z, w2);
 }
 
 void ParallelPlan::sync_replicated_grads(const std::vector<ag::Var>& params,
@@ -76,11 +72,10 @@ class TpPlan final : public ParallelPlan {
   bool sequence_sharded() const override { return false; }
 
   ag::Var column_matmul(const ag::Var& x, const ag::Var& w, bool trans_b,
-                        const ParallelEnv& env,
-                        const std::string& tag) const override {
+                        const ParallelEnv& env) const override {
     // f then GEMM; the replicated input is the saved activation.
     ag::Var xf = copy_to_tensor_parallel(x, env.tp);
-    return ag::matmul(xf, w, trans_b, tag);
+    return ag::matmul(xf, w, trans_b);
   }
 
   ag::Var row_exit(const ag::Var& y_partial,
@@ -113,11 +108,9 @@ class SpPlan : public ParallelPlan {
   bool sequence_sharded() const override { return true; }
 
   ag::Var column_matmul(const ag::Var& x, const ag::Var& w, bool trans_b,
-                        const ParallelEnv& env,
-                        const std::string& tag) const override {
+                        const ParallelEnv& env) const override {
     // g fused with the GEMM; §4.2.2's sharded-save optimization.
-    return sp_gathered_matmul(x, w, env.tp, trans_b, env.sharded_input_save,
-                              tag);
+    return sp_gathered_matmul(x, w, env.tp, trans_b, env.sharded_input_save);
   }
 
   ag::Var row_exit(const ag::Var& y_partial,
@@ -162,7 +155,7 @@ class FoldedTspPlan final : public SpPlan {
 
   ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
                          const AttnCoreDims& d) const override {
-    ag::Var scores = ag::bmm(q, k, /*trans_b=*/true, "attn_qk");
+    ag::Var scores = ag::bmm(q, k, /*trans_b=*/true);
     ops::IndexMap map;
     map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
     map.strides = {d.heads_total * d.s_full * d.s_full, d.s_full * d.s_full,
@@ -170,14 +163,12 @@ class FoldedTspPlan final : public SpPlan {
     map.base =
         static_cast<int64_t>(d.rank) * d.heads_local * d.s_full * d.s_full;
     return ag::scaled_softmax_dropout_bmm(scores, v, d.alpha, d.causal,
-                                          d.dropout_p, d.seed, map,
-                                          "attn_scores");
+                                          d.dropout_p, d.seed, map);
   }
 
-  ag::Var mlp_act_fc2(const ag::Var& z1, const ag::Var& b1, const ag::Var& w2,
-                      const std::string& gelu_tag,
-                      const std::string& /*fc2_tag*/) const override {
-    return ag::bias_gelu_matmul(z1, b1, w2, gelu_tag);
+  ag::Var mlp_act_fc2(const ag::Var& z1, const ag::Var& b1,
+                      const ag::Var& w2) const override {
+    return ag::bias_gelu_matmul(z1, b1, w2);
   }
 
   double act_bytes_per_layer(const LayerDims& d, Recompute rc) const override {

@@ -61,15 +61,6 @@ std::string AllocStats::json() const {
 PoolAllocator::Config PoolAllocator::Config::from_env() {
   Config cfg;
   cfg.enabled = core::Env::flag("MLS_ALLOC_POOL", true);
-  cfg.round = std::max<int64_t>(
-      4, core::Env::integer("MLS_ALLOC_ROUND", cfg.round));
-  cfg.small_limit =
-      std::max(cfg.round,
-               core::Env::integer("MLS_ALLOC_SMALL_LIMIT", cfg.small_limit));
-  cfg.small_segment =
-      std::max(cfg.small_limit,
-               core::Env::integer("MLS_ALLOC_SMALL_SEGMENT", cfg.small_segment));
-  cfg.max_cached = core::Env::integer("MLS_ALLOC_MAX_CACHED", cfg.max_cached);
   cfg.budget_bytes =
       core::Env::integer("MLS_MEM_BUDGET_BYTES", cfg.budget_bytes);
   cfg.report_at_exit = core::Env::flag("MLS_ALLOC_STATS", false);

@@ -6,9 +6,9 @@
 // design follows the CUDA caching allocator, scaled to this substrate:
 //
 //   * Two size buckets. Requests are rounded up to a 512 B granule
-//     (MLS_ALLOC_ROUND); rounded sizes at or below MLS_ALLOC_SMALL_LIMIT
+//     (Config::round); rounded sizes at or below Config::small_limit
 //     are "small" and carved out of pre-sized slab segments
-//     (MLS_ALLOC_SMALL_SEGMENT), larger requests get a segment of their
+//     (Config::small_segment), larger requests get a segment of their
 //     own. Freed blocks are classified by size, so a remainder split
 //     off a large segment can still serve small requests.
 //   * Best-fit with split. The free index is ordered by (size, addr);
@@ -36,11 +36,6 @@
 // core::Env for the test-override mechanism):
 //   MLS_ALLOC_POOL=0          bypass caching: plain malloc/free per
 //                             buffer (stats still counted, for deltas)
-//   MLS_ALLOC_ROUND           allocation granule in bytes (default 512)
-//   MLS_ALLOC_SMALL_LIMIT     small/large boundary (default 1 MiB)
-//   MLS_ALLOC_SMALL_SEGMENT   small-pool slab size (default 8 MiB)
-//   MLS_ALLOC_MAX_CACHED      cached-bytes cap; exceeding it releases
-//                             fully-free segments (default: unlimited)
 //   MLS_ALLOC_STATS=1         print the stats report at arena teardown
 //   MLS_MEM_BUDGET_BYTES      per-rank physical budget; a segment
 //                             acquisition that would exceed it first

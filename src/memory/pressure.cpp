@@ -1,7 +1,6 @@
 #include "memory/pressure.h"
 
 #include "common/check.h"
-#include "common/memtracker.h"
 #include "fault/inject.h"
 
 namespace mls::memory {
@@ -67,12 +66,11 @@ PressureLevel PressureMonitor::sample() {
   }
   // Edge-triggered counters: one event per excursion above a
   // watermark, not one per step spent there.
-  auto& mt = MemoryTracker::instance();
   if (level == PressureLevel::kHard && last_ != PressureLevel::kHard) {
-    mt.on_pressure_hard();
+    ++hard_events_;
   }
   if (level >= PressureLevel::kSoft && last_ < PressureLevel::kSoft) {
-    mt.on_pressure_soft();
+    ++soft_events_;
   }
   last_ = level;
   return level;

@@ -14,8 +14,8 @@
 //       kLow  < low_pct ≤ kNone < soft_pct ≤ kSoft < hard_pct ≤ kHard.
 //     Injected `oom` faults at sites "pressure.soft"/"pressure.hard"
 //     force the level, so every escalation path is deterministically
-//     chaos-testable without a real byte squeeze. Edge transitions into
-//     soft/hard are counted in the MemoryTracker.
+//     chaos-testable without a real byte squeeze. The monitor counts
+//     edge transitions into soft/hard itself.
 //   * RecomputeGovernor — the per-rank ladder state machine. Feed it
 //     the *agreed* level (all_reduce-Max over the world, see
 //     Trainer::step) once per step: a soft trip climbs one rung, a hard
@@ -80,12 +80,18 @@ class PressureMonitor {
   PressureLevel sample();
 
   PressureLevel last() const { return last_; }
+  // Edge-triggered: one event per excursion into soft-or-above / hard,
+  // not one per sample spent there.
+  int64_t soft_events() const { return soft_events_; }
+  int64_t hard_events() const { return hard_events_; }
   const PressureConfig& config() const { return cfg_; }
 
  private:
   PressureConfig cfg_;
   std::shared_ptr<PoolAllocator> arena_;
   PressureLevel last_ = PressureLevel::kNone;
+  int64_t soft_events_ = 0;
+  int64_t hard_events_ = 0;
 };
 
 class RecomputeGovernor {

@@ -72,8 +72,7 @@ Var GPTModel::embed(const std::vector<int64_t>& tokens) const {
   // §4.3: "The dropout in the embeddings layer is also parallelized
   // along the sequence dimension."
   return ag::dropout(x, env_.effective_dropout(cfg_.dropout_p),
-                     env_.dropout_seed(kEmbedDropoutSite),
-                     map, "embed_dropout_mask");
+                     env_.dropout_seed(kEmbedDropoutSite), map);
 }
 
 Var GPTModel::transformer_forward(const Var& x) const {
@@ -91,12 +90,11 @@ Var GPTModel::layer_forward(int64_t global_layer, const Var& x) const {
 
 Var GPTModel::head_loss(const Var& x, const std::vector<int64_t>& targets) const {
   MLS_CHECK(spec_.has_head) << "this stage has no head";
-  Var xl = ag::layernorm(x, lnf_gamma_, lnf_beta_, cfg_.ln_eps, "lnf_in");
+  Var xl = ag::layernorm(x, lnf_gamma_, lnf_beta_, cfg_.ln_eps);
   // §4.3: under sequence-sharded plans the output projection stores its
   // sequence-sharded input (2sbh/t) and re-gathers in backward.
   Var logits =
-      env_.plan().column_matmul(xl, word_table_, /*trans_b=*/true, env_,
-                                "output_in");
+      env_.plan().column_matmul(xl, word_table_, /*trans_b=*/true, env_);
   const int64_t vl = cfg_.v / env_.tp_size();
   Var flat = ag::reshape(logits, Shape{{cfg_.s * cfg_.b, vl}});
   return core::vocab_parallel_cross_entropy(flat, targets, vocab_offset_, env_.tp);
@@ -108,11 +106,11 @@ Tensor GPTModel::next_token_logits(const std::vector<int64_t>& tokens,
   MLS_CHECK(position >= 0 && position < cfg_.s);
   ag::NoGradGuard no_grad;
   Var h = transformer_forward(embed(tokens));
-  Var xl = ag::layernorm(h, lnf_gamma_, lnf_beta_, cfg_.ln_eps, "lnf_in");
+  Var xl = ag::layernorm(h, lnf_gamma_, lnf_beta_, cfg_.ln_eps);
   // Sequence-sharded plans re-gather the full sequence inside the fused
   // column matmul; under no-grad the TP entry (f) is an identity.
   Var logits = env_.plan().column_matmul(xl, word_table_, /*trans_b=*/true,
-                                         env_, "output_in");
+                                         env_);
   // [s, b, v/t] -> this position, batch lane 0 -> gather full vocab.
   Tensor row = ops::slice(ops::slice(logits.value(), 0, position, 1), 1, 0, 1);
   const int64_t vl = cfg_.v / env_.tp_size();

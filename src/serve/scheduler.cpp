@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/memtracker.h"
-
 namespace mls::serve {
 
 namespace {
@@ -100,14 +98,8 @@ Completion ContinuousBatchScheduler::retire(Sequence&& s,
     case FinishReason::kCompleted: ++stats_.completed; break;
     case FinishReason::kContextOverflow: ++stats_.overflowed; break;
     case FinishReason::kRejected: ++stats_.rejected; break;
-    case FinishReason::kTimedOut:
-      ++stats_.timed_out;
-      MemoryTracker::instance().on_timeout();
-      break;
-    case FinishReason::kShed:
-      ++stats_.shed;
-      MemoryTracker::instance().on_shed();
-      break;
+    case FinishReason::kTimedOut: ++stats_.timed_out; break;
+    case FinishReason::kShed: ++stats_.shed; break;
   }
   return c;
 }

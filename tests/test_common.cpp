@@ -53,15 +53,15 @@ TEST(Table, TrailingSeparatorDoesNotDouble) {
 TEST(MemoryTracker, MajorMinorAndPeakAccounting) {
   auto& mt = MemoryTracker::instance();
   mt.reset();
-  mt.on_save(100, "x");
+  mt.on_save(100);
   EXPECT_EQ(mt.current_major_bytes(), 100);
-  mt.on_save(7, "m", /*major=*/false);
+  mt.on_save(7, /*major=*/false);
   EXPECT_EQ(mt.current_minor_bytes(), 7);
   EXPECT_EQ(mt.current_bytes(), 107);
   mt.on_alloc_extra(50);
   EXPECT_EQ(mt.peak_bytes(), 157);
   mt.on_free_extra(50);
-  mt.on_release(100, "x");
+  mt.on_release(100);
   EXPECT_EQ(mt.current_major_bytes(), 0);
   EXPECT_EQ(mt.peak_bytes(), 157);  // peak is sticky
   mt.reset();
@@ -71,7 +71,7 @@ TEST(MemoryTracker, MajorMinorAndPeakAccounting) {
 TEST(MemoryTracker, PerThreadIsolation) {
   auto& mt = MemoryTracker::instance();
   mt.reset();
-  mt.on_save(10, "main");
+  mt.on_save(10);
   int64_t other_bytes = -1;
   std::thread other([&] {
     other_bytes = MemoryTracker::instance().current_bytes();

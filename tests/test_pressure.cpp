@@ -16,7 +16,6 @@
 
 #include "analysis/static/budget.h"
 #include "comm/spmd.h"
-#include "common/memtracker.h"
 #include "core/env.h"
 #include "fault/inject.h"
 #include "fault/plan.h"
@@ -163,7 +162,6 @@ TEST(AllocatorBudget, InjectedAllocOomFailsOnceThenRecovers) {
 // ------------------------------------------------------------ monitor
 
 TEST(Monitor, ClassifiesPhysicalBytesAgainstWatermarks) {
-  MemoryTracker::instance().reset();
   auto arena = std::make_shared<PoolAllocator>(arena_cfg(), "watch");
   PressureConfig cfg;
   cfg.budget_bytes = 8 << 20;  // low 4.8 MiB, soft 6.4 MiB, hard 7.6 MiB
@@ -178,8 +176,8 @@ TEST(Monitor, ClassifiesPhysicalBytesAgainstWatermarks) {
   float* d = arena->allocate(chunk);
   EXPECT_EQ(mon.sample(), PressureLevel::kHard);  // 8 MiB >= hard
   EXPECT_EQ(mon.sample(), PressureLevel::kHard);  // steady state, one edge
-  EXPECT_EQ(MemoryTracker::instance().pressure_soft_events(), 1);
-  EXPECT_EQ(MemoryTracker::instance().pressure_hard_events(), 1);
+  EXPECT_EQ(mon.soft_events(), 1);
+  EXPECT_EQ(mon.hard_events(), 1);
 
   arena->deallocate(d);
   arena->trim();
@@ -187,8 +185,17 @@ TEST(Monitor, ClassifiesPhysicalBytesAgainstWatermarks) {
   arena->deallocate(c);
   arena->trim();
   EXPECT_EQ(mon.sample(), PressureLevel::kLow);  // 4 MiB < low
+
+  // A second excursion re-arms the edge trigger: one more event each.
+  c = arena->allocate(chunk);
+  d = arena->allocate(chunk);
+  EXPECT_EQ(mon.sample(), PressureLevel::kHard);  // 8 MiB again
+  EXPECT_EQ(mon.soft_events(), 2);
+  EXPECT_EQ(mon.hard_events(), 2);
   arena->deallocate(a);
   arena->deallocate(b);
+  arena->deallocate(c);
+  arena->deallocate(d);
 }
 
 TEST(Monitor, InjectedPressureSitesForceTheSampledLevel) {
@@ -499,7 +506,6 @@ TEST(ServePressure, DeadlineRetiresRunningRequestAsTimedOut) {
   cfg.b = 1;
   spmd::run(1, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    MemoryTracker::instance().reset();
     Request r;
     r.id = 0;
     r.prompt = {1, 2};
@@ -515,7 +521,6 @@ TEST(ServePressure, DeadlineRetiresRunningRequestAsTimedOut) {
     EXPECT_LT(got.tokens.at(0).size(),
               r.prompt.size() + static_cast<size_t>(r.max_new_tokens));
     EXPECT_EQ(got.stats.timed_out, 1);
-    EXPECT_EQ(MemoryTracker::instance().timed_out_requests(), 1);
     // The timed-out sequence's blocks came back that step.
     EXPECT_EQ(got.kv.blocks_free, got.kv.blocks_total);
   });
@@ -553,7 +558,6 @@ TEST(ServePressure, QueueCapShedsNewestFirst) {
   cfg.b = 1;
   spmd::run(1, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    MemoryTracker::instance().reset();
     const auto reqs = small_requests(cfg, 5, /*max_new=*/4);
 
     ServeConfig scfg;
@@ -570,7 +574,6 @@ TEST(ServePressure, QueueCapShedsNewestFirst) {
     EXPECT_EQ(got.reasons.at(3), FinishReason::kShed);
     EXPECT_EQ(got.reasons.at(4), FinishReason::kShed);
     EXPECT_EQ(got.stats.shed, 3);
-    EXPECT_EQ(MemoryTracker::instance().shed_requests(), 3);
     for (int64_t id = 2; id < 5; ++id) {
       EXPECT_EQ(got.tokens.at(id), reqs[static_cast<size_t>(id)].prompt);
     }

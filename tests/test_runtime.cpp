@@ -310,13 +310,12 @@ TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
       };
       auto outer = [&](const std::vector<ag::Var>& ins) {
         ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
-        ag::Var a =
-            ag::checkpoint(inner, {g, ins[1]}, "inner", /*pure_compute=*/true);
+        ag::Var a = ag::checkpoint(inner, {g, ins[1]}, /*pure_compute=*/true);
         ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
                                 ops::IndexMap::identity(a.value().shape()));
         return core::scatter_to_sequence_parallel(d, c);
       };
-      ag::Var y = ag::checkpoint(outer, {x, w}, "outer", /*pure_compute=*/false);
+      ag::Var y = ag::checkpoint(outer, {x, w}, /*pure_compute=*/false);
       {
         runtime::OverlapGuard guard(overlap);
         ag::backward(y, Tensor::full(y.value().shape(), 1.f));
