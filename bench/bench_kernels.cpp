@@ -10,8 +10,8 @@
 //                              written to p (default BENCH_kernels.json):
 //                              pre-PR scalar vs blocked GFLOP/s, thread
 //                              scaling, fused-vs-composed sweeps, and
-//                              stateless dropout vs the pre-PR
-//                              coordinate walk.
+//                              stateless dropout (1-byte mask) vs the
+//                              pre-PR coordinate walk (float mask).
 //
 // The "before" datum is a verbatim replica of the seed scalar GEMM
 // (below), compiled with this file's default flags — the same flags
@@ -227,6 +227,12 @@ int run_smoke() {
     auto same = [&](const float* a, const float* b) {
       return std::memcmp(a, b, sizeof(float) * n) == 0;
     };
+    // The byte mask widened to the walk's float 0/1 mask.
+    auto widened = [&](const Tensor& mask) {
+      std::vector<float> w(n);
+      for (size_t i = 0; i < n; ++i) w[i] = static_cast<float>(mask.u8()[i]);
+      return w;
+    };
     core::Env::set("MLS_KERNEL_THREADS", "1");
     const ops::DropoutOut d1 = ops::dropout_stateless(x, 0.1f, 99, map);
     const Tensor g1 = ops::dropout_grad(x, d1.mask, 0.1f);
@@ -235,10 +241,10 @@ int run_smoke() {
     const Tensor g4 = ops::dropout_grad(x, d4.mask, 0.1f);
     core::Env::clear("MLS_KERNEL_THREADS");
     check(same(d1.y.data(), y_ref.data()) &&
-              same(d1.mask.data(), m_ref.data()),
+              same(widened(d1.mask).data(), m_ref.data()),
           "dropout kernel matches the coordinate-walk oracle");
     check(same(d1.y.data(), d4.y.data()) &&
-              same(d1.mask.data(), d4.mask.data()) &&
+              std::memcmp(d1.mask.u8(), d4.mask.u8(), n) == 0 &&
               same(g1.data(), g4.data()),
           "1-vs-4-thread dropout bit-identical");
   }
@@ -438,7 +444,10 @@ int run_json(const std::string& path) {
   }
   // Stateless dropout at train_sp_selective's attention-probs shape:
   // the row kernel (and its backward) per thread count, beside the
-  // pre-PR coordinate walk, which is single-threaded.
+  // pre-PR coordinate walk, which is single-threaded. bytes_per_elem is
+  // the traffic each op moves: x 4 + y 4 + mask 1 forward (the no-grad
+  // forward writes no mask: 8), dy 4 + mask 1 + dx 4 backward; both were
+  // 12 while the mask was stored as floats.
   std::fprintf(f, "  ],\n  \"dropout\": [\n");
   {
     const ops::IndexMap map = attention_probs_map();
@@ -456,22 +465,31 @@ int run_json(const std::string& path) {
       core::Env::set("MLS_KERNEL_THREADS", std::to_string(nt));
       const double t_fwd =
           min_time([&] { ops::dropout_stateless(x, 0.1f, 7, map); }, 15);
+      const double t_nomask = min_time(
+          [&] { ops::dropout_stateless(x, 0.1f, 7, map, /*with_mask=*/false); },
+          15);
       const double t_bwd =
           min_time([&] { ops::dropout_grad(x, saved, 0.1f); }, 15);
       core::Env::clear("MLS_KERNEL_THREADS");
       std::fprintf(f,
                    "    {\"op\": \"dropout_stateless\", \"shape\": "
-                   "\"4x512x512\", \"threads\": %d, \"ms\": %.3f, "
-                   "\"coord_walk_ms\": %.3f},\n",
+                   "\"4x512x512\", \"threads\": %d, \"bytes_per_elem\": 9, "
+                   "\"ms\": %.3f, \"coord_walk_ms\": %.3f},\n",
                    nt, t_fwd * 1e3, t_walk * 1e3);
       std::fprintf(f,
+                   "    {\"op\": \"dropout_stateless_no_mask\", \"shape\": "
+                   "\"4x512x512\", \"threads\": %d, \"bytes_per_elem\": 8, "
+                   "\"ms\": %.3f},\n",
+                   nt, t_nomask * 1e3);
+      std::fprintf(f,
                    "    {\"op\": \"dropout_grad\", \"shape\": "
-                   "\"4x512x512\", \"threads\": %d, \"ms\": %.3f}%s\n",
+                   "\"4x512x512\", \"threads\": %d, \"bytes_per_elem\": 9, "
+                   "\"ms\": %.3f}%s\n",
                    nt, t_bwd * 1e3, nt == 4 ? "" : ",");
       std::printf(
-          "dropout 4x512x512 threads=%d: %.3f ms (coordinate walk %.3f ms), "
-          "grad %.3f ms\n",
-          nt, t_fwd * 1e3, t_walk * 1e3, t_bwd * 1e3);
+          "dropout 4x512x512 threads=%d: %.3f ms (no mask %.3f ms, "
+          "coordinate walk %.3f ms), grad %.3f ms\n",
+          nt, t_fwd * 1e3, t_nomask * 1e3, t_walk * 1e3, t_bwd * 1e3);
     }
   }
   std::fprintf(f, "  ],\n  \"speedup_n512_vs_prepr\": %.2f\n}\n",

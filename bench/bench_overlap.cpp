@@ -25,6 +25,10 @@
 // production state — every hook is one relaxed atomic load) the
 // overhead must stay under 1%; armed with an inert plan it stays cheap
 // too (a mutex + event scan per comm op).
+//
+// Both guards run kPairs alternating off/on measurements and compare
+// the per-side medians, printing each side's quartile spread, so one
+// noisy run cannot flip the verdict.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -49,6 +53,7 @@ namespace {
 constexpr int kTp = 2;
 constexpr int kLayers = 4;
 constexpr int kIters = 9;
+constexpr int kPairs = 7;  // off/on pairs per overhead guard
 
 struct Run {
   double bwd_seconds = 0;       // min backward wall-clock (rank 0)
@@ -138,6 +143,49 @@ Run measure(bool overlap, double fixed_latency) {
   return run;
 }
 
+// Median and quartiles (linear interpolation) of one side's samples.
+struct Quartiles {
+  double q1 = 0, median = 0, q3 = 0;
+};
+Quartiles quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+// kPairs off/on pairs of overlapped backwards at `lat` (measure_on
+// runs the "on" side), the side that runs first alternating so drift
+// favours neither; prints both sides and returns the overhead of the
+// on-median over the off-median.
+template <typename MeasureOn>
+double paired_overhead(const char* off_name, const char* on_name, double lat,
+                       MeasureOn&& measure_on) {
+  std::vector<double> off, on;
+  for (int i = 0; i < kPairs; ++i) {
+    if (i % 2 == 1) on.push_back(measure_on().bwd_seconds);
+    off.push_back(measure(/*overlap=*/true, lat).bwd_seconds);
+    if (i % 2 == 0) on.push_back(measure_on().bwd_seconds);
+  }
+  const Quartiles qo = quartiles(off), qn = quartiles(on);
+  auto side = [](const char* name, const Quartiles& q) {
+    std::printf("%-14s median %s   quartiles %s .. %s (spread %.2f%%)\n",
+                name, format_time_ms(q.median).c_str(),
+                format_time_ms(q.q1).c_str(), format_time_ms(q.q3).c_str(),
+                100.0 * (q.q3 - q.q1) / q.median);
+  };
+  side(off_name, qo);
+  side(on_name, qn);
+  const double overhead = (qn.median - qo.median) / qo.median;
+  std::printf("overhead of the medians over %d pairs: %+.2f%%\n", kPairs,
+              100.0 * overhead);
+  return overhead;
+}
+
 }  // namespace
 
 int main() {
@@ -209,21 +257,15 @@ int main() {
       "\n=== Analyzer overhead: Section-1 overlapped backward with the\n"
       "collective analyzer (validate + watchdog) on vs off ===\n\n");
   const double guard_lat = 1e-3;
-  const Run plain = measure(/*overlap=*/true, guard_lat);
-  Run analyzed;
-  {
-    analysis::Options on;
-    on.validate = true;
-    on.watchdog = true;
-    on.watchdog_sec = 120.0;  // far beyond any real op; never fires here
-    analysis::ScopedOptions opts(on);
-    analyzed = measure(/*overlap=*/true, guard_lat);
-  }
   const double overhead =
-      (analyzed.bwd_seconds - plain.bwd_seconds) / plain.bwd_seconds;
-  std::printf("analyzer off: %s   analyzer on: %s   overhead: %+.2f%%\n",
-              format_time_ms(plain.bwd_seconds).c_str(),
-              format_time_ms(analyzed.bwd_seconds).c_str(), 100.0 * overhead);
+      paired_overhead("analyzer off:", "analyzer on:", guard_lat, [&] {
+        analysis::Options on;
+        on.validate = true;
+        on.watchdog = true;
+        on.watchdog_sec = 120.0;  // far beyond any real op; never fires here
+        analysis::ScopedOptions opts(on);
+        return measure(/*overlap=*/true, guard_lat);
+      });
   std::printf(
       "%s: the always-on ledger costs %s 2%% of the overlapped backward.\n",
       overhead < 0.02 ? "OK" : "UNEXPECTED",
@@ -238,21 +280,14 @@ int main() {
   // strictly more work than a disarmed one (the same atomic load PLUS a
   // locked plan scan per comm op), so armed-with-a-plan-that-never-fires
   // staying within 1% of disarmed bounds the disarmed cost below 1% too.
-  const Run disarmed = measure(/*overlap=*/true, guard_lat);
-  Run rearmed;
-  {
-    // A plan that can never fire: a rank and step this bench never
-    // reaches. Every comm op still walks the full armed slow path.
-    fault::ScopedPlan armed_plan(
-        fault::FaultPlan::parse("crash@r99:step=999999"));
-    rearmed = measure(/*overlap=*/true, guard_lat);
-  }
   const double armed_overhead =
-      (rearmed.bwd_seconds - disarmed.bwd_seconds) / disarmed.bwd_seconds;
-  std::printf("disarmed: %s   armed(inert): %s   armed-vs-disarmed: %+.2f%%\n",
-              format_time_ms(disarmed.bwd_seconds).c_str(),
-              format_time_ms(rearmed.bwd_seconds).c_str(),
-              100.0 * armed_overhead);
+      paired_overhead("disarmed:", "armed(inert):", guard_lat, [&] {
+        // A plan that can never fire: a rank and step this bench never
+        // reaches. Every comm op still walks the full armed slow path.
+        fault::ScopedPlan armed_plan(
+            fault::FaultPlan::parse("crash@r99:step=999999"));
+        return measure(/*overlap=*/true, guard_lat);
+      });
   std::printf(
       "%s: the fault plane (even armed) costs %s 1%% of the overlapped "
       "backward,\nso the disarmed single-atomic-load fast path is below "

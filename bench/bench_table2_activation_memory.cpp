@@ -42,7 +42,8 @@ LayerBytes measure_layer_bytes(const model::ModelConfig& cfg) {
     ag::Var x(Tensor::randn(Shape{{cfg.s_local(), cfg.b, cfg.h}}, drng), true);
     // Re-arm the arena's high-water marks after weights + input exist,
     // so the physical column isolates what fwd+bwd transiently demand
-    // from the pool (fp32 simulation bytes, transients included) next
+    // from the pool (fp32 simulation bytes and 1-byte masks, transients
+    // included) next
     // to the logical fp16/mask accounting of the formulas.
     const int64_t live0 = mt.pooled_in_use_bytes();
     mt.reset_physical_peak();
@@ -159,9 +160,9 @@ int main() {
     t.print();
     std::printf(
         "\npooled physical peak = high-water mark of live bytes rank 0's\n"
-        "arena had handed out during fwd+bwd (fp32 simulation storage,\n"
-        "transients included); the logical columns count only saved\n"
-        "activations at paper dtypes.\n");
+        "arena had handed out during fwd+bwd (fp32 simulation storage and\n"
+        "1-byte dropout masks, transients included); the logical columns\n"
+        "count only saved activations at paper dtypes.\n");
   }
   return all_exact ? 0 : 1;
 }

@@ -283,11 +283,11 @@ class DropoutNode : public Node {
 }  // namespace
 
 Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map) {
-  ops::DropoutOut out = ops::dropout_stateless(x.value(), p, seed, map);
+  // The mask is drawn only for the node that saves it.
+  const bool saves = GradMode::enabled() && x.requires_grad();
+  ops::DropoutOut out = ops::dropout_stateless(x.value(), p, seed, map, saves);
   std::shared_ptr<Node> node;
-  if (GradMode::enabled() && x.requires_grad()) {
-    node = std::make_shared<DropoutNode>(std::move(out.mask), p);
-  }
+  if (saves) node = std::make_shared<DropoutNode>(std::move(out.mask), p);
   return make_output(std::move(out.y), std::move(node), {x});
 }
 
@@ -383,11 +383,13 @@ class ScaledSoftmaxDropoutBmmNode : public Node {
 Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
                                bool causal, float p, uint64_t seed,
                                const ops::IndexMap& map) {
+  const bool saves =
+      GradMode::enabled() && (scores.requires_grad() || v.requires_grad());
   Tensor probs = ops::scaled_softmax(scores.value(), alpha, causal);
-  ops::DropoutOut d = ops::dropout_stateless(probs, p, seed, map);
+  ops::DropoutOut d = ops::dropout_stateless(probs, p, seed, map, saves);
   Tensor y = ops::bmm(d.y, v.value());
   std::shared_ptr<Node> node;
-  if (GradMode::enabled() && (scores.requires_grad() || v.requires_grad())) {
+  if (saves) {
     node = std::make_shared<ScaledSoftmaxDropoutBmmNode>(
         scores, v, std::move(d.mask), alpha, causal, p);
   }

@@ -41,7 +41,9 @@ Var softmax(const Var& x, bool causal = false);
 // 1/sqrt(d) scaling folded into the softmax sweep.
 Var scaled_softmax(const Var& x, float alpha, bool causal = false);
 
-// Stateless dropout (see ops::dropout_stateless). Saves the mask.
+// Stateless dropout (see ops::dropout_stateless). Saves the U8 mask,
+// which is drawn only when a node is built (grad mode on and x needs
+// grad); a no-grad forward writes y alone, with the same bits.
 Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map);
 
 // Fused bias + GeLU + matmul: bias_gelu(x, bias) @ w. Saves only the
@@ -56,7 +58,8 @@ Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w);
 // scores, the 1-byte mask and v; the softmax output and its dropped
 // copy are recomputed pointwise in backward (the mask re-applies
 // deterministically), eliminating the stored probabilities. Bitwise
-// identical to the unfused scaled_softmax → dropout → bmm chain.
+// identical to the unfused scaled_softmax → dropout → bmm chain. As in
+// dropout, no mask is drawn when no node is built.
 Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
                                bool causal, float p, uint64_t seed,
                                const ops::IndexMap& map);

@@ -48,10 +48,10 @@ class MemoryTracker {
   int64_t extra_bytes() const { return extra_; }
 
   // Physical axis: bytes this rank's pool arena actually holds from
-  // the system (fp32 simulation storage, params and transients
-  // included), next to the logical axis above (the paper's fp16/mask
-  // accounting of saved activations). Benches print formula vs.
-  // tracked-logical vs. pooled-physical side by side.
+  // the system (fp32 simulation storage with 1-byte dropout masks,
+  // params and transients included), next to the logical axis above
+  // (the paper's fp16/mask accounting of saved activations). Benches
+  // print formula vs. tracked-logical vs. pooled-physical side by side.
   int64_t physical_bytes() const;
   int64_t physical_peak_bytes() const;
   // Live pooled-buffer demand and its high-water mark. Unlike the

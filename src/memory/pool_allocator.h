@@ -27,10 +27,11 @@
 //     results), and the arena — with its cached segments — dies only
 //     when the last such buffer does.
 //
-// The physical-bytes axis (bytes actually obtained from the system,
-// fp32 simulation storage) complements the MemoryTracker's logical
-// axis (the paper's fp16/mask byte accounting): formulas speak
-// logical, the machine speaks physical, and benches print both.
+// The physical-bytes axis (bytes actually obtained from the system:
+// fp32 simulation storage, 1-byte dropout masks) complements the
+// MemoryTracker's logical axis (the paper's fp16/mask byte
+// accounting): formulas speak logical, the machine speaks physical,
+// and benches print both.
 //
 // Env knobs (read once, when a thread's arena is first used; see
 // core::Env for the test-override mechanism):

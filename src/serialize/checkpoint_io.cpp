@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -59,23 +60,23 @@ class File {
 
   // Chunked payload I/O via the staging buffer (lazily created once
   // per File, reused across tensors).
-  void write_staged(const float* src, size_t bytes) {
+  void write_staged(const uint8_t* src, size_t bytes) {
     ensure_staging();
     while (bytes > 0) {
       const size_t n = std::min(bytes, kIoChunkBytes);
       std::memcpy(staging_.get(), src, n);
       write(staging_.get(), n);
-      src += n / sizeof(float);
+      src += n;
       bytes -= n;
     }
   }
-  void read_staged(float* dst, size_t bytes) {
+  void read_staged(uint8_t* dst, size_t bytes) {
     ensure_staging();
     while (bytes > 0) {
       const size_t n = std::min(bytes, kIoChunkBytes);
       read(staging_.get(), n);
       std::memcpy(dst, staging_.get(), n);
-      dst += n / sizeof(float);
+      dst += n;
       bytes -= n;
     }
   }
@@ -130,6 +131,15 @@ class File {
   std::unique_ptr<char[]> staging_;
 };
 
+// An item's payload: fp32 storage, or a U8 mask's own bytes.
+const uint8_t* payload(const Tensor& t) {
+  return t.dtype() == Dtype::U8 ? t.u8()
+                                : reinterpret_cast<const uint8_t*>(t.data());
+}
+uint8_t* payload(Tensor& t) {
+  return const_cast<uint8_t*>(payload(std::as_const(t)));
+}
+
 // Shared body of save_tensors: writes the full stream + trailer into
 // `path` (no atomicity; the caller handles tmp/rename).
 void write_stream(const std::string& path, const NamedTensors& items) {
@@ -143,7 +153,7 @@ void write_stream(const std::string& path, const NamedTensors& items) {
     f.write_pod<uint8_t>(static_cast<uint8_t>(t.dtype()));
     f.write_pod<uint32_t>(static_cast<uint32_t>(t.ndim()));
     for (int i = 0; i < t.ndim(); ++i) f.write_pod<int64_t>(t.dim(i));
-    f.write_staged(t.data(), sizeof(float) * static_cast<size_t>(t.numel()));
+    f.write_staged(payload(t), static_cast<size_t>(t.storage_bytes()));
   }
   f.write_trailer(f.crc());
   f.sync();
@@ -202,7 +212,7 @@ NamedTensors load_tensors(const std::string& path) {
     // next in the stream, and filled directly — no whole-shard
     // intermediate copy.
     Tensor t = Tensor::empty(Shape(h.dims), h.dtype);
-    f.read_staged(t.data(), sizeof(float) * static_cast<size_t>(t.numel()));
+    f.read_staged(payload(t), static_cast<size_t>(t.storage_bytes()));
     items.emplace_back(std::move(h.name), std::move(t));
   }
   const uint32_t computed = f.crc();
@@ -223,7 +233,7 @@ bool verify_tensors(const std::string& path) noexcept {
       ItemHeader h = read_item_header(f);
       int64_t numel = 1;
       for (auto d : h.dims) numel *= d;
-      f.skip_staged(sizeof(float) * static_cast<size_t>(numel));
+      f.skip_staged(static_cast<size_t>(numel * storage_size(h.dtype)));
     }
     const uint32_t computed = f.crc();
     if (computed != f.read_trailer()) return false;

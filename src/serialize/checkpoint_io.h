@@ -20,7 +20,7 @@
 // File format (little-endian):
 //   magic "MLSCKPT2" | u64 item count |
 //   per item: u32 name_len | name bytes | u8 dtype | u32 ndim |
-//             i64 dims[ndim] | f32 data[numel]
+//             i64 dims[ndim] | data[numel] (f32, or u8 for a U8 mask)
 //   trailer: u32 crc32 over every preceding byte
 #pragma once
 

@@ -1,8 +1,8 @@
 // Logical data types.
 //
-// The simulator computes everything in float32 for exactness (the
-// paper's techniques are mathematically invariant transformations, and
-// our equivalence tests rely on near-bitwise reproducibility). Each
+// The simulator computes every float tensor in float32 for exactness
+// (the paper's techniques are mathematically invariant transformations,
+// and our equivalence tests rely on near-bitwise reproducibility). Each
 // tensor additionally carries a *logical* dtype that describes what the
 // tensor would be stored as on a real mixed-precision training system:
 //
@@ -16,6 +16,8 @@
 //
 // The logical dtype is what the activation-memory tracker charges, so
 // measured bytes can be compared exactly against the paper's formulas.
+// It also picks the physical storage (storage_size): F16 and F32 are
+// fp32-backed, while a U8 mask is real bytes, 1 per element, as charged.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,10 @@ constexpr int64_t byte_size(Dtype d) {
   }
   return 0;
 }
+
+// Bytes one element occupies in Storage (not what is charged: that is
+// byte_size). Only U8 differs from the fp32 simulation storage.
+constexpr int64_t storage_size(Dtype d) { return d == Dtype::U8 ? 1 : 4; }
 
 constexpr const char* dtype_name(Dtype d) {
   switch (d) {

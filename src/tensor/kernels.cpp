@@ -1022,12 +1022,24 @@ inline uint64_t hash64(uint64_t x) {
 
 // One contiguous run of w elements whose first element sits at global
 // index g0: element j is global g0 + j. keep iff hash(seed ^ gidx) >=
-// threshold, i.e. hash / 2^64 >= p.
-void dropout_row(const float* x, float* y, float* mask, int64_t w, int64_t g0,
-                 uint64_t seed, uint64_t threshold, float inv_keep) {
+// threshold, i.e. hash / 2^64 >= p. A null mask is checked once per row.
+void dropout_row(const float* x, float* y, uint8_t* mask, int64_t w,
+                 int64_t g0, uint64_t seed, uint64_t threshold,
+                 float inv_keep) {
+  if (mask == nullptr) {
+    for (int64_t j = 0; j < w; ++j) {
+      const bool keep =
+          hash64(seed ^ static_cast<uint64_t>(g0 + j)) >= threshold;
+      y[j] = keep ? x[j] * inv_keep : 0.0f;
+    }
+    return;
+  }
+  // A 32-bit keep lane, stored to the mask before y, vectorizes best
+  // (the bool-typed form narrows through extra shuffles).
   for (int64_t j = 0; j < w; ++j) {
-    const bool keep = hash64(seed ^ static_cast<uint64_t>(g0 + j)) >= threshold;
-    mask[j] = keep ? 1.0f : 0.0f;
+    const uint32_t keep =
+        hash64(seed ^ static_cast<uint64_t>(g0 + j)) >= threshold;
+    mask[j] = static_cast<uint8_t>(keep);
     y[j] = keep ? x[j] * inv_keep : 0.0f;
   }
 }
@@ -1035,7 +1047,7 @@ void dropout_row(const float* x, float* y, float* mask, int64_t w, int64_t g0,
 // Rows [r0, r1) of the local tensor viewed as [rows, w]. Row r's global
 // base is base + sum_d coord_d * strides[d] over the outer dims; it is
 // decomposed once at r0 and then stepped one row at a time.
-void dropout_rows(const float* x, float* y, float* mask, const int64_t* dims,
+void dropout_rows(const float* x, float* y, uint8_t* mask, const int64_t* dims,
                   const int64_t* strides, int nd, int64_t base, uint64_t seed,
                   uint64_t threshold, float inv_keep, int64_t r0, int64_t r1) {
   const int64_t w = nd > 0 ? dims[nd - 1] : 1;
@@ -1048,8 +1060,8 @@ void dropout_rows(const float* x, float* y, float* mask, const int64_t* dims,
     g += coord[static_cast<size_t>(d)] * strides[d];
   }
   for (int64_t r = r0; r < r1; ++r) {
-    dropout_row(x + r * w, y + r * w, mask + r * w, w, g, seed, threshold,
-                inv_keep);
+    dropout_row(x + r * w, y + r * w, mask != nullptr ? mask + r * w : nullptr,
+                w, g, seed, threshold, inv_keep);
     for (int d = nd - 2; d >= 0; --d) {
       g += strides[d];
       if (++coord[static_cast<size_t>(d)] < dims[d]) break;
@@ -1061,7 +1073,7 @@ void dropout_rows(const float* x, float* y, float* mask, const int64_t* dims,
 
 }  // namespace
 
-void dropout_stateless(const float* x, float* y, float* mask,
+void dropout_stateless(const float* x, float* y, uint8_t* mask,
                        const int64_t* dims, const int64_t* strides, int nd,
                        int64_t base, uint64_t seed, float p) {
   int64_t n = 1;
@@ -1077,11 +1089,12 @@ void dropout_stateless(const float* x, float* y, float* mask,
   });
 }
 
-void dropout_grad(const float* dy, const float* mask, float* dx, int64_t n,
+void dropout_grad(const float* dy, const uint8_t* mask, float* dx, int64_t n,
                   float p) {
   const float inv_keep = 1.0f / (1.0f - p);
   parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) dx[i] = dy[i] * mask[i] * inv_keep;
+    for (int64_t i = b; i < e; ++i)
+      dx[i] = dy[i] * static_cast<float>(mask[i]) * inv_keep;
   });
 }
 

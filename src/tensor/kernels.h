@@ -1,4 +1,6 @@
-// Raw float kernels: the compute substrate under tensor/ops.h.
+// Raw kernels: the compute substrate under tensor/ops.h. Every operand
+// is float32 except the stateless-dropout mask, which is one byte per
+// element.
 //
 // Everything the simulator times — bench_table4 layer walls, bench_table5
 // end-to-end, the overlap windows that hide selective-recompute replays —
@@ -77,6 +79,9 @@
 //    its global index, so the bits are the same at any thread count and
 //    under any sharding — and, since there is no float reassociation,
 //    with or without MLS_KERNEL_NATIVE (-march=native).
+//  * The mask is uint8_t 0/1, the 1 byte per element the paper's
+//    accounting charges, and is written only when the caller passes a
+//    buffer for it: autograd asks exactly when a node will save it.
 #pragma once
 
 #include <cstdint>
@@ -203,12 +208,13 @@ void scaled_softmax_grad(const float* y, const float* dy, float* dx,
 // mask = keep ? 1 : 0, y = keep ? x * (1 / (1 - p)) : 0. Requires
 // strides[nd - 1] == 1, so each innermost run of dims[nd - 1] elements
 // is a contiguous global range (one base per row); nd = 0 is a single
-// element at base.
-void dropout_stateless(const float* x, float* y, float* mask,
+// element at base. mask may be null (no backward will read it, e.g. a
+// no-grad forward): then y alone is written, with the same bits.
+void dropout_stateless(const float* x, float* y, uint8_t* mask,
                        const int64_t* dims, const int64_t* strides, int nd,
                        int64_t base, uint64_t seed, float p);
-// dx[i] = dy[i] * mask[i] * (1 / (1 - p)) over n floats.
-void dropout_grad(const float* dy, const float* mask, float* dx, int64_t n,
+// dx[i] = dy[i] * mask[i] * (1 / (1 - p)) over n elements.
+void dropout_grad(const float* dy, const uint8_t* mask, float* dx, int64_t n,
                   float p);
 
 // ------------------------------------------------------ layout transposes

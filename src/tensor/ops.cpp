@@ -248,7 +248,7 @@ IndexMap IndexMap::shard(const Shape& global_shape, int dim, int64_t offset,
 }
 
 DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
-                             const IndexMap& map) {
+                             const IndexMap& map, bool with_mask) {
   MLS_CHECK(p >= 0.f && p < 1.f) << "dropout p=" << p;
   MLS_CHECK_EQ(map.strides.size(), map.dims.size());
   int64_t map_numel = 1;
@@ -261,9 +261,10 @@ DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
       << "IndexMap innermost global stride " << map.strides.back() << " != 1";
   DropoutOut out;
   out.y = Tensor::empty(x.shape(), x.dtype());
-  out.mask = Tensor::empty(x.shape(), Dtype::U8);
+  if (with_mask) out.mask = Tensor::empty(x.shape(), Dtype::U8);
   const int nd = static_cast<int>(map.dims.size());
-  kernels::dropout_stateless(x.data(), out.y.data(), out.mask.data(),
+  kernels::dropout_stateless(x.data(), out.y.data(),
+                             with_mask ? out.mask.u8() : nullptr,
                              map.dims.data(), map.strides.data(), nd, map.base,
                              seed, p);
   return out;
@@ -272,7 +273,8 @@ DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
 Tensor dropout_grad(const Tensor& dy, const Tensor& mask, float p) {
   MLS_CHECK(dy.shape() == mask.shape());
   Tensor dx = Tensor::empty(dy.shape(), dy.dtype());
-  kernels::dropout_grad(dy.data(), mask.data(), dx.data(), dy.numel(), p);
+  // u8() throws unless the mask is U8 byte storage.
+  kernels::dropout_grad(dy.data(), mask.u8(), dx.data(), dy.numel(), p);
   return dx;
 }
 

@@ -2,7 +2,8 @@
 // and the parallel layers (src/core) are built on these.
 //
 // Conventions:
-//  * All tensors are contiguous row-major float32 buffers.
+//  * All tensors are contiguous row-major float32 buffers, except the
+//    dropout mask (U8: one byte per element).
 //  * Activations follow Megatron-LM layout: [s, b, h] (sequence,
 //    microbatch, hidden).
 //  * Attention internals use [b*heads, s, d] batched layout.
@@ -95,9 +96,9 @@ LayerNormGrads layernorm_grad(const Tensor& x, const Tensor& gamma,
 // ------------------------------------------------------------- dropout
 struct DropoutOut {
   Tensor y;
-  Tensor mask;  // logical dtype U8: 0 = dropped, 1 = kept
+  Tensor mask;  // U8 bytes: 0 = dropped, 1 = kept; undefined if not asked
 };
-// Backward of inverted dropout: dy * mask / (1 - p).
+// Backward of inverted dropout: dy * mask / (1 - p). mask must be U8.
 Tensor dropout_grad(const Tensor& dy, const Tensor& mask, float p);
 
 // Maps a local (shard) element coordinate to its linear index in the
@@ -126,9 +127,10 @@ struct IndexMap {
 // activation recomputation (checkpoint replay) exact. The map's
 // innermost global stride must be 1 (true of identity, shard and the
 // attention core's maps): kernels::dropout_stateless walks rows, not
-// elements.
+// elements. The mask is allocated and written only if `with_mask`; y
+// has the same bits either way.
 DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
-                             const IndexMap& map);
+                             const IndexMap& map, bool with_mask = true);
 
 // ----------------------------------------------------------- embedding
 // table is [v, h]; ids are flat token indices; returns [n, h].

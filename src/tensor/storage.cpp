@@ -5,20 +5,18 @@
 
 namespace mls {
 
-Storage::Storage(float* data, int64_t bytes,
-                 std::shared_ptr<memory::PoolAllocator> arena)
-    : data_(data), bytes_(bytes), arena_(std::move(arena)) {}
+Storage::Storage(float* data, std::shared_ptr<memory::PoolAllocator> arena)
+    : data_(data), arena_(std::move(arena)) {}
 
 Storage::~Storage() {
   if (arena_) arena_->deallocate(data_);
 }
 
-std::shared_ptr<Storage> Storage::allocate(int64_t numel) {
-  MLS_CHECK_GE(numel, 0);
-  const int64_t bytes = numel * static_cast<int64_t>(sizeof(float));
+std::shared_ptr<Storage> Storage::allocate(int64_t bytes) {
+  MLS_CHECK_GE(bytes, 0);
   auto arena = memory::PoolAllocator::current();
   float* p = arena->allocate(bytes);
-  return std::shared_ptr<Storage>(new Storage(p, bytes, std::move(arena)));
+  return std::shared_ptr<Storage>(new Storage(p, std::move(arena)));
 }
 
 }  // namespace mls

@@ -1,5 +1,5 @@
-// Storage: the raw buffer underneath a Tensor — a pointer, a byte
-// size, and the arena that owns the bytes. This replaces the seed's
+// Storage: the raw buffer underneath a Tensor — a pointer and the
+// arena that owns the bytes. This replaces the seed's
 // `shared_ptr<std::vector<float>>`, which paid a heap allocation plus
 // a redundant zero-initializing memset per tensor; Storage draws
 // *uninitialized* memory from the per-rank caching PoolAllocator
@@ -25,27 +25,25 @@ class PoolAllocator;
 
 class Storage {
  public:
-  // An *uninitialized* buffer of `numel` floats from the current
-  // arena (the calling rank's, or an ArenaGuard override on
-  // comm-stream workers). Callers must write every element they read.
-  static std::shared_ptr<Storage> allocate(int64_t numel);
+  // An *uninitialized* buffer of `bytes` bytes from the current arena
+  // (the calling rank's, or an ArenaGuard override on comm-stream
+  // workers). Callers must write every element they read.
+  static std::shared_ptr<Storage> allocate(int64_t bytes);
 
   ~Storage();
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
-  float* data() { return data_; }
-  const float* data() const { return data_; }
-  // Physical bytes of the buffer (fp32 simulation storage; the
-  // *logical* fp16/mask accounting lives on Tensor::logical_bytes).
-  int64_t bytes() const { return bytes_; }
+  // Untyped: Tensor picks the element type from its dtype (fp32 for
+  // F16/F32, bytes for a U8 mask; see dtype.h storage_size).
+  // Its size is Tensor::storage_bytes (the *logical* fp16/mask
+  // accounting is Tensor::logical_bytes).
+  void* data() const { return data_; }
 
  private:
-  Storage(float* data, int64_t bytes,
-          std::shared_ptr<memory::PoolAllocator> arena);
+  Storage(float* data, std::shared_ptr<memory::PoolAllocator> arena);
 
   float* data_ = nullptr;
-  int64_t bytes_ = 0;
   std::shared_ptr<memory::PoolAllocator> arena_;
 };
 

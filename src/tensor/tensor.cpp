@@ -12,13 +12,13 @@ Tensor Tensor::empty(Shape shape, Dtype dtype) {
   t.dtype_ = dtype;
   // Uninitialized pooled storage: no memset, and in the steady state no
   // system allocation either (the pool recycles freed buffers).
-  t.storage_ = Storage::allocate(t.shape_.numel());
+  t.storage_ = Storage::allocate(t.storage_bytes());
   return t;
 }
 
 Tensor Tensor::zeros(Shape shape, Dtype dtype) {
   Tensor t = empty(std::move(shape), dtype);
-  std::memset(t.data(), 0, sizeof(float) * static_cast<size_t>(t.numel()));
+  std::memset(t.storage_->data(), 0, static_cast<size_t>(t.storage_bytes()));
   return t;
 }
 
@@ -57,11 +57,17 @@ Tensor Tensor::reshape(Shape new_shape) const {
 
 Tensor Tensor::clone() const {
   Tensor t = empty(shape_, dtype_);
-  if (defined()) std::memcpy(t.data(), data(), sizeof(float) * numel());
+  if (defined()) {
+    std::memcpy(t.storage_->data(), storage_->data(),
+                static_cast<size_t>(storage_bytes()));
+  }
   return t;
 }
 
 Tensor Tensor::as_dtype(Dtype d) const {
+  MLS_CHECK_EQ(storage_size(d), storage_size(dtype_))
+      << "as_dtype " << dtype_name(dtype_) << " -> " << dtype_name(d)
+      << " crosses between byte and float storage";
   Tensor t = *this;
   t.dtype_ = d;
   return t;

@@ -1,10 +1,12 @@
-// Tensor: a contiguous, row-major, reference-counted float buffer with a
+// Tensor: a contiguous, row-major, reference-counted buffer with a
 // shape and a logical dtype (see dtype.h).
 //
 // Design notes:
-//  * Storage is always float32 (see tensor/storage.h: pooled,
-//    uninitialized buffers from the per-rank caching allocator); the
-//    logical dtype only affects byte accounting (logical_bytes()).
+//  * Storage (tensor/storage.h: pooled, uninitialized buffers from the
+//    per-rank caching allocator) is float32 for F16 and F32, whose
+//    logical dtype only affects byte accounting (logical_bytes()), and
+//    real bytes for U8 (dropout masks). data() and every float helper
+//    refuse a U8 tensor; u8() is the only way to its bytes.
 //  * empty() returns UNINITIALIZED storage — use zeros() when the
 //    initial contents matter.
 //  * Copying a Tensor is cheap (shared storage). clone() deep-copies.
@@ -52,16 +54,16 @@ class Tensor {
   bool defined() const { return storage_ != nullptr; }
   // Bytes this tensor would occupy on a real fp16 training system.
   int64_t logical_bytes() const { return numel() * byte_size(dtype_); }
+  // Bytes its storage holds here (fp32 unless U8).
+  int64_t storage_bytes() const { return numel() * storage_size(dtype_); }
 
   // Data access ------------------------------------------------------
-  float* data() {
-    MLS_CHECK(defined()) << "tensor storage has been released";
-    return storage_->data();
-  }
-  const float* data() const {
-    MLS_CHECK(defined()) << "tensor storage has been released";
-    return storage_->data();
-  }
+  // fp32 storage of an F16/F32 tensor.
+  float* data() { return static_cast<float*>(raw(/*u8=*/false)); }
+  const float* data() const { return static_cast<float*>(raw(false)); }
+  // Byte storage of a U8 tensor (a dropout mask: 0 dropped, 1 kept).
+  uint8_t* u8() { return static_cast<uint8_t*>(raw(/*u8=*/true)); }
+  const uint8_t* u8() const { return static_cast<uint8_t*>(raw(true)); }
   float item() const {
     MLS_CHECK_EQ(numel(), 1) << "item() on non-scalar " << shape_.str();
     return data()[0];
@@ -71,7 +73,8 @@ class Tensor {
   // Shares storage; total element count must match.
   Tensor reshape(Shape new_shape) const;
   Tensor clone() const;
-  // Same data, different logical dtype (affects accounting only).
+  // Same data, different logical dtype (affects accounting only; may
+  // not cross between float and U8 storage).
   Tensor as_dtype(Dtype d) const;
 
   // Drops the underlying storage (Appendix B optimization). Metadata is
@@ -93,6 +96,15 @@ class Tensor {
   std::string str() const;  // short description for diagnostics
 
  private:
+  // The storage pointer, if this tensor's storage kind is `u8`.
+  void* raw(bool u8) const {
+    MLS_CHECK(defined()) << "tensor storage has been released";
+    MLS_CHECK((dtype_ == Dtype::U8) == u8)
+        << (u8 ? "u8()" : "float access") << " on " << dtype_name(dtype_)
+        << " tensor " << shape_.str();
+    return storage_->data();
+  }
+
   std::shared_ptr<Storage> storage_;
   Shape shape_;
   Dtype dtype_ = Dtype::F16;

@@ -16,7 +16,10 @@
 //    symmetry, ±inf saturation, NaN propagation,
 //  * the stateless-dropout row kernel vs a scalar coordinate-walk
 //    oracle over every map shape the model uses (bitwise, at 1/2/4
-//    threads), and golden mask checksums pinned from the walk,
+//    threads), and golden mask checksums pinned from the walk (the
+//    byte mask widened to the float 0/1 mask the walk wrote),
+//  * U8 mask storage: 1 byte per element in the pool, and autograd
+//    draws no mask when it builds no node,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
 //  * an end-to-end t=2/p=2 training run: blocked path vs
 //    MLS_KERNEL_REF=1, losses equal within the documented tolerance,
@@ -38,6 +41,7 @@
 #include "common/memtracker.h"
 #include "common/rng.h"
 #include "core/env.h"
+#include "memory/pool_allocator.h"
 #include "optim/optim.h"
 #include "pipeline/executor.h"
 #include "tensor/kernels.h"
@@ -727,19 +731,23 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
 // The per-element coordinate walk the row kernel replaced: keep iff
 // splitmix64(seed ^ gidx) >= p * (2^64 - 1), with gidx stepped through
 // the map's global strides one local element at a time. Any map,
-// any stride order.
-ops::DropoutOut dropout_coordinate_walk(const Tensor& x, float p,
-                                        uint64_t seed,
-                                        const ops::IndexMap& map) {
+// any stride order. Its mask is the float 0/1 tensor the kernel wrote
+// before masks were bytes.
+struct WalkOut {
+  Tensor y;
+  Tensor mask;  // float 0/1
+};
+WalkOut dropout_coordinate_walk(const Tensor& x, float p, uint64_t seed,
+                                const ops::IndexMap& map) {
   auto hash64 = [](uint64_t v) {
     v += 0x9e3779b97f4a7c15ull;
     v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
     v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
     return v ^ (v >> 31);
   };
-  ops::DropoutOut out;
+  WalkOut out;
   out.y = Tensor::empty(x.shape(), x.dtype());
-  out.mask = Tensor::empty(x.shape(), Dtype::U8);
+  out.mask = Tensor::empty(x.shape());
   const float inv_keep = 1.0f / (1.0f - p);
   const auto threshold = static_cast<uint64_t>(p * 18446744073709551615.0);
   const size_t nd = map.dims.size();
@@ -757,6 +765,14 @@ ops::DropoutOut dropout_coordinate_walk(const Tensor& x, float p,
     }
   }
   return out;
+}
+
+// A U8 mask widened to the float 0/1 tensor it used to be stored as.
+Tensor widen(const Tensor& mask) {
+  Tensor f = Tensor::empty(mask.shape());
+  for (int64_t i = 0; i < mask.numel(); ++i)
+    f.data()[i] = static_cast<float>(mask.u8()[i]);
+  return f;
 }
 
 struct DropoutCase {
@@ -791,13 +807,13 @@ TEST(KernelDropout, RowKernelMatchesCoordinateWalkOracle) {
   for (const DropoutCase& c : dropout_cases()) {
     const Tensor x = tensor_for(c.map, 91);
     for (float p : {0.0f, 0.1f, 0.5f}) {
-      const ops::DropoutOut want = dropout_coordinate_walk(x, p, 0xd00d, c.map);
+      const WalkOut want = dropout_coordinate_walk(x, p, 0xd00d, c.map);
       for (const char* nt : {"1", "2", "4"}) {
         ScopedEnv env("MLS_KERNEL_THREADS", nt);
         const ops::DropoutOut got = ops::dropout_stateless(x, p, 0xd00d, c.map);
         EXPECT_TRUE(bitwise_equal(got.y, want.y))
             << c.name << " p=" << p << " threads=" << nt;
-        EXPECT_TRUE(bitwise_equal(got.mask, want.mask))
+        EXPECT_TRUE(bitwise_equal(widen(got.mask), want.mask))
             << c.name << " p=" << p << " threads=" << nt;
       }
     }
@@ -810,7 +826,7 @@ TEST(KernelDropout, ZeroProbabilityKeepsEveryElement) {
     const Tensor x = tensor_for(c.map, 92);
     const ops::DropoutOut out = ops::dropout_stateless(x, 0.0f, 5, c.map);
     EXPECT_TRUE(bitwise_equal(out.y, x)) << c.name;
-    EXPECT_EQ(out.mask.sum(), static_cast<float>(x.numel())) << c.name;
+    EXPECT_EQ(widen(out.mask).sum(), static_cast<float>(x.numel())) << c.name;
   }
 }
 
@@ -822,7 +838,8 @@ TEST(KernelDropout, GradIsThreadCountInvariant) {
     const float inv_keep = 1.0f / (1.0f - 0.1f);
     Tensor want = Tensor::empty(dy.shape());
     for (int64_t i = 0; i < dy.numel(); ++i)
-      want.data()[i] = dy.data()[i] * out.mask.data()[i] * inv_keep;
+      want.data()[i] =
+          dy.data()[i] * static_cast<float>(out.mask.u8()[i]) * inv_keep;
     for (const char* nt : {"1", "2", "4"}) {
       ScopedEnv env("MLS_KERNEL_THREADS", nt);
       EXPECT_TRUE(bitwise_equal(ops::dropout_grad(dy, out.mask, 0.1f), want))
@@ -837,6 +854,44 @@ TEST(KernelDropout, RejectsMapWithStridedInnermostDim) {
   map.strides = {8};
   const Tensor x = Tensor::zeros(Shape{{8}});
   EXPECT_THROW(ops::dropout_stateless(x, 0.1f, 1, map), Error);
+}
+
+// Pool allocate() calls made by fn on this thread.
+template <typename F>
+int64_t pool_allocs(F&& fn) {
+  auto& pool = *memory::PoolAllocator::this_thread();
+  const int64_t before = pool.stats().allocs;
+  fn();
+  return pool.stats().allocs - before;
+}
+
+TEST(KernelDropout, NoGradForwardDrawsNoMask) {
+  // A mask is drawn only for the node that saves it: under NoGradGuard
+  // both dropout ops skip exactly one allocation (the mask) and return
+  // the grad-mode output bit for bit.
+  Rng rng(95);
+  const ops::IndexMap map = ops::IndexMap::identity(Shape{{4, 33, 33}});
+  const Tensor xv = Tensor::randn(Shape(map.dims), rng);
+  const Tensor vv = Tensor::randn(Shape{{4, 33, 8}}, rng);
+  ag::Var x(xv, true), v(vv, true);
+  ag::Var y_grad, y_nograd, f_grad, f_nograd;
+  const int64_t grad =
+      pool_allocs([&] { y_grad = ag::dropout(x, 0.1f, 3, map); });
+  const int64_t fused_grad = pool_allocs([&] {
+    f_grad = ag::scaled_softmax_dropout_bmm(x, v, 0.25f, true, 0.1f, 3, map);
+  });
+  ag::NoGradGuard no_grad;
+  const int64_t nograd =
+      pool_allocs([&] { y_nograd = ag::dropout(x, 0.1f, 3, map); });
+  const int64_t fused_nograd = pool_allocs([&] {
+    f_nograd = ag::scaled_softmax_dropout_bmm(x, v, 0.25f, true, 0.1f, 3, map);
+  });
+  EXPECT_EQ(nograd, 1);  // y only
+  EXPECT_EQ(grad, 2);    // y and the mask
+  EXPECT_EQ(fused_grad - fused_nograd, 1);
+  EXPECT_FALSE(y_nograd.requires_grad());
+  EXPECT_TRUE(bitwise_equal(y_nograd.value(), y_grad.value()));
+  EXPECT_TRUE(bitwise_equal(f_nograd.value(), f_grad.value()));
 }
 
 uint64_t fnv1a(const Tensor& t) {
@@ -861,7 +916,8 @@ TEST(KernelDropout, GoldenMasksMatchPinnedChecksums) {
   // Pinned from the coordinate-walk implementation this kernel
   // replaced: the masks (and scaled outputs) must never change, at any
   // thread count and with or without -march=native (CI runs this test
-  // in a -DMLS_KERNEL_NATIVE=OFF build too).
+  // in a -DMLS_KERNEL_NATIVE=OFF build too). The mask checksums hash
+  // the float 0/1 mask the walk stored, so the byte mask is widened.
   ops::IndexMap attn;  // global [2, 6, 33, 33], rank 1 holds heads [3, 6)
   attn.dims = {2, 3, 33, 33};
   attn.strides = {6 * 33 * 33, 33 * 33, 33, 1};
@@ -872,11 +928,11 @@ TEST(KernelDropout, GoldenMasksMatchPinnedChecksums) {
     const ops::DropoutOut a =
         ops::dropout_stateless(ramp(Shape{{2, 3, 33, 33}}), 0.1f, 0x5eed, attn);
     EXPECT_EQ(fnv1a(a.y), 0x2f88ffe94b0f3208ull) << "threads=" << nt;
-    EXPECT_EQ(fnv1a(a.mask), 0x8cb7779c92e47de5ull) << "threads=" << nt;
+    EXPECT_EQ(fnv1a(widen(a.mask)), 0x8cb7779c92e47de5ull) << "threads=" << nt;
     const ops::DropoutOut b =
         ops::dropout_stateless(ramp(Shape{{32, 3, 40}}), 0.5f, 1234567, sp);
     EXPECT_EQ(fnv1a(b.y), 0xd173f93291c48903ull) << "threads=" << nt;
-    EXPECT_EQ(fnv1a(b.mask), 0xc031b972ec3b2b98ull) << "threads=" << nt;
+    EXPECT_EQ(fnv1a(widen(b.mask)), 0xc031b972ec3b2b98ull) << "threads=" << nt;
   }
 }
 

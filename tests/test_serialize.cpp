@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "comm/spmd.h"
@@ -33,16 +34,27 @@ TEST_F(SerializeTest, TensorRoundTripPreservesEverything) {
   Rng rng(1);
   serialize::NamedTensors items;
   items.emplace_back("weights", Tensor::randn(Shape{{3, 4}}, rng));
-  items.emplace_back("mask", Tensor::full(Shape{{5}}, 1.f, Dtype::U8));
+  Tensor mask = Tensor::empty(Shape{{5}}, Dtype::U8);  // 1 byte/element
+  const uint8_t bits[5] = {1, 0, 1, 1, 0};
+  std::memcpy(mask.u8(), bits, sizeof(bits));
+  items.emplace_back("mask", mask);
   items.emplace_back("logits", Tensor::randn(Shape{{2, 2, 2}}, rng, 1.f, Dtype::F32));
   serialize::save_tensors(path("a.ckpt"), items);
+  EXPECT_TRUE(serialize::verify_tensors(path("a.ckpt")));
 
   const auto loaded = serialize::load_tensors(path("a.ckpt"));
   ASSERT_EQ(loaded.size(), 3u);
   for (size_t i = 0; i < items.size(); ++i) {
+    const Tensor& got = loaded[i].second;
+    const Tensor& want = items[i].second;
     EXPECT_EQ(loaded[i].first, items[i].first);
-    EXPECT_EQ(loaded[i].second.dtype(), items[i].second.dtype());
-    EXPECT_TRUE(loaded[i].second.allclose(items[i].second, 0.f, 0.f));
+    EXPECT_EQ(got.dtype(), want.dtype());
+    EXPECT_EQ(got.shape(), want.shape());
+    if (want.dtype() == Dtype::U8) {
+      EXPECT_EQ(std::memcmp(got.u8(), want.u8(), 5), 0);
+    } else {
+      EXPECT_TRUE(got.allclose(want, 0.f, 0.f));
+    }
   }
 }
 

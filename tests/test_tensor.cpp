@@ -2,8 +2,10 @@
 // kernel, including gradient checks against numerical differentiation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/memtracker.h"
 #include "common/rng.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -44,6 +46,52 @@ TEST(Tensor, CloneIsDeep) {
   b.fill_(9.f);
   EXPECT_FLOAT_EQ(a.sum(), 3.f);
   EXPECT_FLOAT_EQ(b.sum(), 27.f);
+}
+
+TEST(Tensor, U8StorageIsOneBytePerElement) {
+  // A dropout mask's storage is the 1 B/element the accounting charges:
+  // an attention-probs-sized mask takes 1 MiB of the pool, not 4 MiB.
+  auto& mt = MemoryTracker::instance();
+  const int64_t before = mt.pooled_in_use_bytes();
+  Tensor m = Tensor::empty(Shape{{4, 512, 512}}, Dtype::U8);
+  EXPECT_EQ(mt.pooled_in_use_bytes() - before, int64_t{1} << 20);
+  EXPECT_EQ(m.storage_bytes(), int64_t{1} << 20);
+  EXPECT_EQ(m.logical_bytes(), int64_t{1} << 20);
+  Tensor f = Tensor::empty(Shape{{4, 512, 512}});  // F16: fp32-backed
+  EXPECT_EQ(mt.pooled_in_use_bytes() - before, int64_t{5} << 20);
+}
+
+TEST(Tensor, U8RefusesFloatAccess) {
+  Tensor m = Tensor::zeros(Shape{{8}}, Dtype::U8);
+  const Tensor& cm = m;
+  EXPECT_THROW(m.data(), Error);
+  EXPECT_THROW(cm.data(), Error);
+  EXPECT_THROW(m.as_dtype(Dtype::F16), Error);
+  EXPECT_THROW(m.fill_(1.f), Error);
+  EXPECT_THROW(m.sum(), Error);
+  EXPECT_THROW(m.max_abs(), Error);
+  EXPECT_THROW(m.allclose(m), Error);
+  EXPECT_THROW(m.mul_(2.f), Error);
+  Tensor f = Tensor::zeros(Shape{{8}});
+  EXPECT_THROW(m.add_(f), Error);
+  EXPECT_THROW(f.copy_from(m), Error);
+  EXPECT_THROW(f.u8(), Error);
+  EXPECT_THROW(f.as_dtype(Dtype::U8), Error);
+  EXPECT_EQ(f.as_dtype(Dtype::F32).dtype(), Dtype::F32);  // same storage
+  EXPECT_EQ(std::count(cm.u8(), cm.u8() + 8, 0), 8);       // zeros() clears
+}
+
+TEST(Tensor, U8CloneCopiesBytes) {
+  Tensor m = Tensor::empty(Shape{{3, 67}}, Dtype::U8);
+  for (int64_t i = 0; i < m.numel(); ++i)
+    m.u8()[i] = static_cast<uint8_t>((i * 7) % 2);
+  Tensor c = m.clone();
+  EXPECT_EQ(c.dtype(), Dtype::U8);
+  EXPECT_EQ(c.shape(), m.shape());
+  EXPECT_NE(c.u8(), m.u8());
+  EXPECT_TRUE(std::equal(m.u8(), m.u8() + m.numel(), c.u8()));
+  c.u8()[0] ^= 1;  // deep: the source keeps its byte
+  EXPECT_EQ(m.u8()[0], 0);
 }
 
 TEST(Tensor, ReshapeSharesStorage) {
@@ -333,7 +381,7 @@ TEST(Ops, DropoutZeroProbIsIdentity) {
   auto out = ops::dropout_stateless(x, 0.0f, 13,
                                     ops::IndexMap::identity(x.shape()));
   EXPECT_TRUE(out.y.allclose(x));
-  EXPECT_FLOAT_EQ(out.mask.sum(), 64.f);
+  EXPECT_EQ(std::count(out.mask.u8(), out.mask.u8() + 64, 1), 64);
   EXPECT_EQ(out.mask.dtype(), Dtype::U8);
   EXPECT_EQ(out.mask.logical_bytes(), 64);  // 1 byte/element
 }
@@ -342,7 +390,10 @@ TEST(Ops, DropoutKeepsExpectedFractionAndScales) {
   Tensor x = Tensor::full(Shape{{10000}}, 1.f);
   auto out = ops::dropout_stateless(x, 0.25f, 15,
                                     ops::IndexMap::identity(x.shape()));
-  const float kept = out.mask.sum();
+  const float kept = static_cast<float>(
+      std::count(out.mask.u8(), out.mask.u8() + 10000, 1));
+  EXPECT_EQ(std::count(out.mask.u8(), out.mask.u8() + 10000, 0),
+            10000 - static_cast<int64_t>(kept));  // only 0/1 bytes
   EXPECT_NEAR(kept / 10000.f, 0.75f, 0.02f);
   // Inverted dropout preserves expectation.
   EXPECT_NEAR(out.y.sum() / 10000.f, 1.0f, 0.03f);
@@ -356,7 +407,10 @@ TEST(Ops, DropoutGradMatchesMask) {
   Tensor dy = Tensor::full(Shape{{32}}, 1.f);
   Tensor dx = ops::dropout_grad(dy, out.mask, 0.5f);
   for (int i = 0; i < 32; ++i)
-    EXPECT_FLOAT_EQ(dx.data()[i], out.mask.data()[i] * 2.f);
+    EXPECT_FLOAT_EQ(dx.data()[i], static_cast<float>(out.mask.u8()[i]) * 2.f);
+  // A float 0/1 tensor is not a mask: only U8 bytes are read.
+  EXPECT_THROW(ops::dropout_grad(dy, Tensor::full(Shape{{32}}, 1.f), 0.5f),
+               Error);
 }
 
 // ----------------------------------------------------------- embedding
