@@ -8,8 +8,9 @@
 //                              (run in CI; no timing thresholds)
 //   bench_kernels --json[=p]   min-of-N wall-clock kernel timings
 //                              written to p (default BENCH_kernels.json):
-//                              pre-PR scalar vs blocked GFLOP/s, thread
-//                              scaling, fused-vs-composed sweeps, and
+//                              pre-PR scalar vs single-threaded blocked
+//                              GFLOP/s, thread scaling, short-M (decode)
+//                              GEMMs, fused-vs-composed sweeps, and
 //                              stateless dropout (1-byte mask) vs the
 //                              pre-PR coordinate walk (float mask).
 //
@@ -136,8 +137,9 @@ double min_time(F&& fn, int reps) {
 
 // ----------------------------------------------------------- --smoke
 // Correctness checks cheap enough for CI — the blocked kernel vs the
-// scalar reference, thread-count bit identity, the fused epilogues vs
-// their composed forms — plus one coarse perf gate: on hosts with >= 4
+// scalar reference, thread-count bit identity, short-M rows vs the same
+// rows of a tall GEMM, the fused epilogues vs their composed forms —
+// plus one coarse perf gate: on hosts with >= 4
 // cores, 4-thread GEMM must beat single-thread by >= 1.5x (half of
 // ideal, loose enough for noisy CI; it exists to catch the pool
 // regressing to negative scaling, which is what this PR fixed). The
@@ -182,6 +184,23 @@ int run_smoke() {
     core::Env::clear("MLS_KERNEL_THREADS");
     check(std::memcmp(c1.data(), c4.data(), sizeof(float) * c1.size()) == 0,
           "1-vs-4-thread GEMM bit-identical");
+  }
+
+  {  // short-M rows (B read in place) equal the same rows of a tall GEMM
+    const kernels::GemmTile tile = kernels::gemm_tile();
+    const int64_t tall = 64, n = 2 * tile.nr + 3, k = 300;
+    const std::vector<float> a = random_vec(tall * k, 10);
+    const std::vector<float> b = random_vec(k * n, 11);
+    std::vector<float> c_tall(static_cast<size_t>(tall * n));
+    kernels::gemm(a.data(), b.data(), c_tall.data(), tall, n, k, false, false);
+    bool ok = true;
+    for (int64_t m : {int64_t{1}, int64_t{7}, tile.short_m}) {
+      std::vector<float> c(static_cast<size_t>(m * n));
+      kernels::gemm(a.data(), b.data(), c.data(), m, n, k, false, false);
+      ok = ok && std::memcmp(c.data(), c_tall.data(),
+                             sizeof(float) * c.size()) == 0;
+    }
+    check(ok, "short-M GEMM rows equal tall-GEMM rows");
   }
 
   {  // fused bias+GeLU vs composed
@@ -315,11 +334,15 @@ int run_json(const std::string& path) {
                             false);
         },
         reps);
+    // Single-threaded, like both scalar baselines; thread_scaling below
+    // has the threaded rows.
+    core::Env::set("MLS_KERNEL_THREADS", "1");
     const double t_blk = min_time(
         [&] {
           kernels::gemm(a.data(), b.data(), c.data(), n, n, n, false, false);
         },
         reps);
+    core::Env::clear("MLS_KERNEL_THREADS");
     const double g_pre = flops / t_pre / 1e9;
     const double g_ref = flops / t_ref / 1e9;
     const double g_blk = flops / t_blk / 1e9;
@@ -359,6 +382,58 @@ int run_json(const std::string& path) {
       std::printf("gemm n=512 threads=%d: %.2f GFLOP/s\n", nt,
                   flops / t / 1e9);
     }
+  }
+  // Short-M (decode) GEMMs at serve_paged_t2's per-rank weight shapes
+  // (h = 512, t = 2): m is the decode batch, and these read B in place.
+  // tall_gflops is the same k x n at m = 256, which packs B: the
+  // throughput those rows would get inside a tall GEMM.
+  std::fprintf(f, "  ],\n  \"gemm_short_m\": [\n");
+  {
+    struct WeightShape {
+      const char* op;
+      int64_t k, n;
+    };
+    const WeightShape shapes[] = {
+        {"qkv", 512, 768}, {"proj", 256, 512}, {"fc1", 512, 1024},
+        {"fc2", 1024, 512}};
+    const int64_t tall = 256;
+    core::Env::set("MLS_KERNEL_THREADS", "1");
+    bool first = true;
+    for (const WeightShape& w : shapes) {
+      const std::vector<float> a = random_vec(tall * w.k, 40 + w.k);
+      const std::vector<float> b = random_vec(w.k * w.n, 50 + w.n);
+      std::vector<float> c(static_cast<size_t>(tall * w.n));
+      const double t_tall = min_time(
+          [&] {
+            kernels::gemm(a.data(), b.data(), c.data(), tall, w.n, w.k, false,
+                          false);
+          },
+          7);
+      const double g_tall = 2.0 * tall * w.n * w.k / t_tall / 1e9;
+      for (int64_t m : {int64_t{1}, int64_t{14}, int64_t{32}}) {
+        const double t = min_time(
+            [&] {
+              kernels::gemm(a.data(), b.data(), c.data(), m, w.n, w.k, false,
+                            false);
+            },
+            31);
+        const double g = 2.0 * m * w.n * w.k / t / 1e9;
+        std::fprintf(f,
+                     "%s    {\"op\": \"%s\", \"m\": %lld, \"k\": %lld, "
+                     "\"n\": %lld, \"threads\": 1, \"us\": %.1f, "
+                     "\"gflops\": %.2f, \"tall_gflops\": %.2f}",
+                     first ? "" : ",\n", w.op, static_cast<long long>(m),
+                     static_cast<long long>(w.k), static_cast<long long>(w.n),
+                     t * 1e6, g, g_tall);
+        first = false;
+        std::printf("gemm short-m %s m=%lld: %.1f us, %.2f GFLOP/s (m=%lld: "
+                    "%.2f)\n",
+                    w.op, static_cast<long long>(m), t * 1e6, g,
+                    static_cast<long long>(tall), g_tall);
+      }
+    }
+    std::fprintf(f, "\n");
+    core::Env::clear("MLS_KERNEL_THREADS");
   }
   // Per-thread-count curves for bmm and the fused epilogues too: the
   // serve/overlap benches lean on exactly these shapes (QK^T bmm, MLP

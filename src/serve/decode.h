@@ -9,14 +9,20 @@
 //     GeLU) are per-row and the kernel substrate's k-reduction order is
 //     independent of m/n tile position (tensor/kernels.h), so a row of
 //     a [n, ...] decode batch matches the same row inside a [s*b, ...]
-//     full forward bit-for-bit, whatever n is.
+//     full forward bit-for-bit, whatever n is. Decode's weight GEMMs
+//     (n <= 32 rows) take the kernel's short-M path, which reads the
+//     weight in place instead of packing it, while the full forward's
+//     tall GEMMs pack it; both feed each output element the same FMA
+//     chain in the same k order, so the rows still match
+//     (KernelGemm.ShortMRowsMatchTallGemmBitwise pins this).
 //   * Attention scores are per-key dot products (k = d, unchanged);
 //     the softmax runs kernels::scaled_softmax on one [1, len] causal
 //     row, which reduces max/exp/sum over exactly the `len` live
 //     entries in the same sequential order as row len-1 of the full
 //     [s, s] call.
 //   * The probs·V contraction gathers the cached V rows into ONE
-//     contiguous [len, d] scratch and runs a single GEMM with k = len.
+//     contiguous [len, d] scratch and runs a single GEMM with k = len
+//     (one row, so it too reads V in place).
 //     The full path's k = s reduction only adds trailing terms whose
 //     probabilities are exact zeros (masked positions), and the kernel
 //     accumulates k-panels at fixed absolute boundaries — adding

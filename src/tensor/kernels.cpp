@@ -24,13 +24,23 @@ namespace mls::kernels {
 
 namespace {
 
-// Register tile: MR rows of C, NR columns. NR is the vector dimension
-// (contiguous in the packed B panel and in C), so the compiler keeps
-// acc[][] in vector registers and forms one FMA per lane per k step.
-// 6 x 16 fits AVX2's 16 ymm registers (12 accumulators + B loads + the
-// A broadcast) and divides evenly into the cache blocks below.
+// Register tile: MR rows of C by NR columns, NR two vectors of the
+// build's widest float vector (32 on AVX-512, 16 on AVX2, 8 on the SSE2
+// portable build). That is 12 vector accumulators; with the two B
+// vectors and the A broadcast it fits the 16 registers of AVX2/SSE2 and
+// gives AVX-512 12 independent FMA chains per k step, enough to cover
+// the FMA latency. Vec is a GCC vector-extension type, so one source
+// serves every ISA.
+#if defined(__AVX512F__)
+constexpr int64_t kVecLanes = 16;
+#elif defined(__AVX__)
+constexpr int64_t kVecLanes = 8;
+#else
+constexpr int64_t kVecLanes = 4;
+#endif
+using Vec = float __attribute__((vector_size(kVecLanes * sizeof(float))));
 constexpr int64_t MR = 6;
-constexpr int64_t NR = 16;
+constexpr int64_t NR = 2 * kVecLanes;
 // Cache blocking: the packed A block (MC x KC floats, ~96 KiB) targets
 // L2; the packed B panel (KC x NC, ~512 KiB) targets L3/L2. All are
 // multiples of the register tile.
@@ -41,6 +51,15 @@ constexpr int64_t NC = 512;
 // Below this many multiply-adds a GEMM is not worth fanning out to the
 // worker pool (even a spin wake would dominate).
 constexpr int64_t kParallelGrain = int64_t{1} << 18;
+// Short-M crossover: a GEMM with at most this many rows (and op(B) = B)
+// reads full B panels in place instead of packing them. A packed panel
+// pays for itself only when many row tiles reuse it; a decode step's
+// m = batch rows (<= 32) uses each panel 1-6 times. Measured on one
+// AVX-512 core over serve_paged_t2's four per-rank weight GEMMs
+// (k x n = 512x768, 256x512, 512x1024, 1024x512), in-place vs packed
+// time, two runs: -13% at m = 14, -1 to -3% at m = 32, +1 to +3% at
+// m = 48, +9% at m = 64.
+constexpr int64_t kShortM = 32;
 // Elementwise grain for the fused epilogues (their per-element cost is
 // tanh/exp-heavy, so the bar is lower than the GEMM's).
 constexpr int64_t kElemGrain = int64_t{1} << 14;
@@ -151,41 +170,83 @@ void pack_a(const float* a, float* ap, int64_t mc, int64_t kc, int64_t rs_a,
 }
 
 // --------------------------------------------------------- micro-kernel
-// C[MR x NR] tile from packed panels. The k-step body is written with
-// the j loop outermost and the MR row updates unrolled by hand inside
-// it: that makes j the axis the compiler vectorizes (NR contiguous
-// floats -> full-width FMAs) and lets it promote all MR accumulator
-// rows to vector registers. The natural i-over-j nesting reads the
-// same, but GCC vectorizes the *i* axis of it (4-lane broadcasts, acc
-// spilled to the stack) and runs ~50x slower. Zero-padded panels mean
-// every tile runs the full MR x NR body; only the write-back respects
-// the true edge, so each output element's k-reduction order is
-// identical on and off the edge.
-void micro_kernel(const float* ap, const float* bp, float* c, int64_t ldc,
-                  int64_t kc, int64_t mr, int64_t nr, bool accumulate) {
-  static_assert(MR == 6, "row updates below are unrolled for MR == 6");
-  float acc[MR][NR] = {};
+inline Vec load_vec(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store_vec(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+// C[MR x NR] tile from a packed A panel and an NR-wide B panel whose
+// row kk starts at b + kk * ldb: a packed panel (ldb = NR) or, for
+// short-M GEMMs, B's own rows read in place (ldb = B's row stride).
+// Each accumulator starts at +0 and takes one FMA per k step in
+// ascending k, so an element's bits do not depend on which B path fed
+// it. Zero-padded A rows mean every tile runs the full MR x NR body;
+// full tiles write C straight from the registers, edge tiles through a
+// spilled copy that respects the true mr x nr edge.
+void micro_kernel(const float* ap, const float* b, int64_t ldb, float* c,
+                  int64_t ldc, int64_t kc, int64_t mr, int64_t nr,
+                  bool accumulate) {
+  Vec acc[MR][2] = {};
   for (int64_t kk = 0; kk < kc; ++kk) {
     const float* a = ap + kk * MR;
-    const float* b = bp + kk * NR;
-    for (int64_t j = 0; j < NR; ++j) {
-      acc[0][j] += a[0] * b[j];
-      acc[1][j] += a[1] * b[j];
-      acc[2][j] += a[2] * b[j];
-      acc[3][j] += a[3] * b[j];
-      acc[4][j] += a[4] * b[j];
-      acc[5][j] += a[5] * b[j];
+    const Vec b0 = load_vec(b + kk * ldb);
+    const Vec b1 = load_vec(b + kk * ldb + kVecLanes);
+#pragma GCC unroll 6
+    for (int64_t i = 0; i < MR; ++i) {
+      acc[i][0] += a[i] * b0;
+      acc[i][1] += a[i] * b1;
     }
   }
-  if (accumulate) {
-    for (int64_t i = 0; i < mr; ++i) {
+  if (mr == MR && nr == NR) {
+#pragma GCC unroll 6
+    for (int64_t i = 0; i < MR; ++i) {
       float* crow = c + i * ldc;
-      for (int64_t j = 0; j < nr; ++j) crow[j] += acc[i][j];
+      if (accumulate) {
+        acc[i][0] += load_vec(crow);
+        acc[i][1] += load_vec(crow + kVecLanes);
+      }
+      store_vec(crow, acc[i][0]);
+      store_vec(crow + kVecLanes, acc[i][1]);
     }
-  } else {
-    for (int64_t i = 0; i < mr; ++i) {
-      float* crow = c + i * ldc;
-      for (int64_t j = 0; j < nr; ++j) crow[j] = acc[i][j];
+    return;
+  }
+  // All MR rows spill with constant indices, so acc never needs a
+  // stack home of its own (a runtime-indexed acc[i] would give it one,
+  // zeroed on every call).
+  float tile[MR][NR];
+#pragma GCC unroll 6
+  for (int64_t i = 0; i < MR; ++i) {
+    store_vec(tile[i], acc[i][0]);
+    store_vec(tile[i] + kVecLanes, acc[i][1]);
+  }
+  for (int64_t i = 0; i < mr; ++i) {
+    float* crow = c + i * ldc;
+    if (accumulate) {
+      for (int64_t j = 0; j < nr; ++j) crow[j] += tile[i][j];
+    } else {
+      for (int64_t j = 0; j < nr; ++j) crow[j] = tile[i][j];
+    }
+  }
+}
+
+// Micro-kernels over one packed A block (mc rows) and nc columns of one
+// kc-panel of B. bp holds the block's NR-wide packed panels. With
+// b_in_place (B's rows, row stride rs_b) set, full panels are read from
+// B instead and only the n-edge panel needs to be in bp.
+void block_kernel(const float* ap, int64_t mc, const float* bp,
+                  const float* b_in_place, int64_t rs_b, float* c,
+                  int64_t ldc, int64_t kc, int64_t nc, bool accumulate) {
+  for (int64_t jr = 0; jr < nc; jr += NR) {
+    const int64_t nr = std::min(NR, nc - jr);
+    const bool direct = b_in_place != nullptr && nr == NR;
+    const float* panel = direct ? b_in_place + jr : bp + (jr / NR) * kc * NR;
+    const int64_t ldp = direct ? rs_b : NR;
+    for (int64_t ir = 0; ir < mc; ir += MR) {
+      micro_kernel(ap + (ir / MR) * kc * MR, panel, ldp, c + ir * ldc + jr,
+                   ldc, kc, std::min(MR, mc - ir), nr, accumulate);
     }
   }
 }
@@ -250,31 +311,33 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
   tl_pack_b.resize(static_cast<size_t>(KC * NC));
   float* ap = tl_pack_a.data();
   float* bp = tl_pack_b.data();
+  const bool in_place = m <= kShortM && cs_b == 1;
 
   for (int64_t jc = 0; jc < n; jc += NC) {
     const int64_t nc = std::min(NC, n - jc);
+    const int64_t n_edge = nc - nc % NR;  // first column of a partial panel
     for (int64_t pc = 0; pc < k; pc += KC) {
       const int64_t kc = std::min(KC, k - pc);
       // beta=0: the first k-panel writes C, later panels accumulate.
       const bool accumulate = pc > 0;
-      pack_b(b + pc * rs_b + jc * cs_b, bp, kc, nc, rs_b, cs_b);
+      const float* bblock = b + pc * rs_b + jc * cs_b;
+      if (!in_place) {
+        pack_b(bblock, bp, kc, nc, rs_b, cs_b);
+      } else if (n_edge < nc) {
+        pack_b_panel(bblock + n_edge, bp + (n_edge / NR) * kc * NR, kc,
+                     nc - n_edge, rs_b, cs_b);
+      }
       for (int64_t ic = 0; ic < m; ic += MC) {
         const int64_t mc = std::min(MC, m - ic);
         pack_a(a + ic * rs_a + pc * cs_a, ap, mc, kc, rs_a, cs_a);
-        for (int64_t jr = 0; jr < nc; jr += NR) {
-          const int64_t nr = std::min(NR, nc - jr);
-          const float* bpanel = bp + (jr / NR) * kc * NR;
-          for (int64_t ir = 0; ir < mc; ir += MR) {
-            const int64_t mr = std::min(MR, mc - ir);
-            micro_kernel(ap + (ir / MR) * kc * MR, bpanel,
-                         c + (ic + ir) * ldc + jc + jr, ldc, kc, mr, nr,
-                         accumulate);
-          }
-        }
+        block_kernel(ap, mc, bp, in_place ? bblock : nullptr, rs_b,
+                     c + ic * ldc + jc, ldc, kc, nc, accumulate);
       }
     }
   }
 }
+
+GemmTile gemm_tile() { return {MR, NR, kShortM}; }
 
 void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
               int64_t k, bool trans_a, bool trans_b) {
@@ -557,18 +620,15 @@ class WorkerPool {
 };
 
 // ------------------------------------------------- cooperative GEMM
-// One blocked GEMM executed by nslots cooperating slots. Per (jc, pc)
-// cache block the B panel is packed once — the jr sub-panels are
-// round-robined over the slots — and shared read-only after a barrier.
-// Then either:
-//  * M-split (enough row tiles): each slot owns a contiguous
-//    MR-aligned row range and streams whole MC x nc blocks over the
-//    shared panel with its own packed A — no redundant packing at all;
-//  * N-split (short matrices): each slot owns a contiguous NR-aligned
-//    column range of the block and packs the (small) A itself.
-// Both splits write disjoint C elements and never touch the k order,
-// so results are bit-identical to the single-thread kernel and to each
-// other at any slot count.
+// One blocked GEMM executed by nslots cooperating slots, split over M:
+// per (jc, pc) cache block the B panel is packed once — the jr
+// sub-panels round-robined over the slots — and shared read-only after
+// a barrier; each slot owns a contiguous MR-aligned row range and
+// streams whole MC x nc blocks over the shared panel with its own
+// packed A, so nothing is packed twice. Short matrices split over N
+// instead (see gemm()). Either split writes disjoint C elements and
+// never touches the k order, so results are bit-identical to the
+// single-thread kernel at any slot count.
 struct GemmShape {
   const float* a;
   const float* b;
@@ -582,18 +642,12 @@ void gemm_cooperative(const GemmShape& g, WorkerPool& pool, float* bp,
   tl_pack_a.resize(static_cast<size_t>(MC * KC));
   float* ap = tl_pack_a.data();
 
-  const bool split_m = g.m / MR >= nslots;
-  // M-split: slot's MR-aligned row range, fixed across blocks.
   const int64_t m_chunk = ceil_div(ceil_div(g.m, nslots), MR) * MR;
   const int64_t i_begin = std::min<int64_t>(g.m, slot * m_chunk);
   const int64_t i_end = std::min<int64_t>(g.m, i_begin + m_chunk);
 
   for (int64_t jc = 0; jc < g.n; jc += NC) {
     const int64_t nc = std::min(NC, g.n - jc);
-    // N-split: slot's NR-aligned column range within this block.
-    const int64_t n_chunk = ceil_div(ceil_div(nc, nslots), NR) * NR;
-    const int64_t j_begin = std::min<int64_t>(nc, slot * n_chunk);
-    const int64_t j_end = std::min<int64_t>(nc, j_begin + n_chunk);
     for (int64_t pc = 0; pc < g.k; pc += KC) {
       const int64_t kc = std::min(KC, g.k - pc);
       const bool accumulate = pc > 0;
@@ -605,37 +659,12 @@ void gemm_cooperative(const GemmShape& g, WorkerPool& pool, float* bp,
                      std::min(NR, nc - jr), g.rs_b, g.cs_b);
       }
       pool.barrier();
-      // Phase 2: micro-kernels over this slot's slab.
-      if (split_m) {
-        for (int64_t ic = i_begin; ic < i_end; ic += MC) {
-          const int64_t mc = std::min(MC, i_end - ic);
-          pack_a(g.a + ic * g.rs_a + pc * g.cs_a, ap, mc, kc, g.rs_a, g.cs_a);
-          for (int64_t jr = 0; jr < nc; jr += NR) {
-            const int64_t nr = std::min(NR, nc - jr);
-            const float* bpanel = bp + (jr / NR) * kc * NR;
-            for (int64_t ir = 0; ir < mc; ir += MR) {
-              const int64_t mr = std::min(MR, mc - ir);
-              micro_kernel(ap + (ir / MR) * kc * MR, bpanel,
-                           g.c + (ic + ir) * g.ldc + jc + jr, g.ldc, kc, mr,
-                           nr, accumulate);
-            }
-          }
-        }
-      } else if (j_begin < j_end) {
-        for (int64_t ic = 0; ic < g.m; ic += MC) {
-          const int64_t mc = std::min(MC, g.m - ic);
-          pack_a(g.a + ic * g.rs_a + pc * g.cs_a, ap, mc, kc, g.rs_a, g.cs_a);
-          for (int64_t jr = j_begin; jr < j_end; jr += NR) {
-            const int64_t nr = std::min(NR, nc - jr);
-            const float* bpanel = bp + (jr / NR) * kc * NR;
-            for (int64_t ir = 0; ir < mc; ir += MR) {
-              const int64_t mr = std::min(MR, mc - ir);
-              micro_kernel(ap + (ir / MR) * kc * MR, bpanel,
-                           g.c + (ic + ir) * g.ldc + jc + jr, g.ldc, kc, mr,
-                           nr, accumulate);
-            }
-          }
-        }
+      // Phase 2: micro-kernels over this slot's rows.
+      for (int64_t ic = i_begin; ic < i_end; ic += MC) {
+        const int64_t mc = std::min(MC, i_end - ic);
+        pack_a(g.a + ic * g.rs_a + pc * g.cs_a, ap, mc, kc, g.rs_a, g.cs_a);
+        block_kernel(ap, mc, bp, nullptr, 0, g.c + ic * g.ldc + jc, g.ldc, kc,
+                     nc, accumulate);
       }
       // The next (pc, jc) block overwrites the shared panel; every
       // reader must be past it first.
@@ -662,6 +691,21 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
     gemm_blocked(a, b, c, m, n, k, trans_a, trans_b, lda, ldb, n);
     return;
   }
+  WorkerPool& pool = WorkerPool::local();
+  if (m <= kShortM || m / MR < nt) {
+    // N-split: too few row tiles to share a packed B panel, and a short
+    // GEMM's cost is streaming B. Each slot runs the serial kernel on
+    // its own NR-aligned column slab (reading B in place when short),
+    // so B is read once overall and the slots never synchronize.
+    const int64_t chunk = ceil_div(ceil_div(n, nt), NR) * NR;
+    const int64_t cs_b = trans_b ? ldb : 1;
+    pool.run(static_cast<int>(ceil_div(n, chunk)), [&](int slot) {
+      const int64_t j0 = slot * chunk;
+      gemm_blocked(a, b + j0 * cs_b, c + j0, m, std::min(chunk, n - j0), k,
+                   trans_a, trans_b, lda, ldb, n);
+    });
+    return;
+  }
   const GemmShape shape{a,
                         b,
                         c,
@@ -673,7 +717,6 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
                         trans_b ? 1 : ldb,
                         trans_b ? ldb : 1,
                         n};
-  WorkerPool& pool = WorkerPool::local();
   // Size the shared panel on the owner, before publish: the pointer is
   // stable for the job's lifetime and workers never resize.
   float* bp = pool.shared_b();

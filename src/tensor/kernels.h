@@ -8,10 +8,18 @@
 // keeping the determinism contract the rest of the system relies on:
 //
 //  * gemm() is a cache-blocked GEMM (BLIS-style jc/pc/ic/jr/ir loop nest)
-//    with B- and A-panel packing and a register-tiled MR x NR micro-kernel
-//    laid out so the compiler auto-vectorizes the NR dimension and forms
-//    FMAs along k. No intrinsics; see src/CMakeLists.txt for the
-//    per-file codegen flags.
+//    with B- and A-panel packing and a register-tiled MR x NR
+//    micro-kernel: MR = 6 rows by two vectors of the build's widest
+//    float vector (NR = 32 on AVX-512, 16 on AVX2, 8 on the SSE2
+//    portable build), 12 vector accumulators that take one FMA each per
+//    k step and write C straight from the registers. One source, written
+//    with GCC vector-extension types, no intrinsics; see
+//    src/CMakeLists.txt for the per-file codegen flags.
+//  * Short-M GEMMs (m <= gemm_tile().short_m, op(B) = B, e.g. every
+//    decode-step weight GEMM and the decode probs·V GEMM) skip B
+//    packing: the micro-kernel reads B's rows in place through their
+//    row stride and only the n-edge panel is packed. A packed panel
+//    pays off only when many row tiles reuse it.
 //  * beta = 0 semantics: C is fully overwritten, never read before the
 //    first write — callers pass Tensor::empty() storage and skip the
 //    zeros() memset.
@@ -20,19 +28,25 @@
 //    boundaries, sequential within a panel). The order depends only on
 //    k, never on tile position, m/n edges, or the thread count — so
 //    results are bit-identical at any MLS_KERNEL_THREADS and invariant
-//    under column sharding of B / row sharding of A outputs.
+//    under column sharding of B / row sharding of A outputs. Packed and
+//    in-place B feed the same per-element FMA chain, so a short GEMM's
+//    rows equal the same rows of a tall GEMM over the same B, bit for
+//    bit.
 //  * Intra-op parallelism (MLS_KERNEL_THREADS, default: host cores
 //    divided by the calling rank's world size) splits over M/N tiles
 //    (or the batch dimension for bmm) ONLY — never the k reduction.
 //    Workers are persistent per-caller-thread: they spin briefly for
 //    the next kernel (MLS_KERNEL_SPIN_US), then park on a condition
 //    variable, so the per-GEMM dispatch cost is a couple of atomic
-//    stores, not a mutex handshake. Threaded GEMMs run cooperatively:
-//    the B panel of each (jc, pc) cache block is packed once, shared
-//    read-only, and the M dimension is slabbed across workers so each
-//    streams whole MC x NC blocks with its own packed A panels. The
-//    thread-per-rank substrate and runtime streams never contend on a
-//    shared queue and teardown is per rank-thread.
+//    stores, not a mutex handshake. Tall threaded GEMMs run
+//    cooperatively: the B panel of each (jc, pc) cache block is packed
+//    once, shared read-only, and the M dimension is slabbed across
+//    workers so each streams whole MC x NC blocks with its own packed A
+//    panels. Short ones (m <= short_m, or fewer row tiles than
+//    workers) split N instead: each worker runs the serial kernel on
+//    its own NR-aligned column slab of B. The thread-per-rank
+//    substrate and runtime streams never contend on a shared queue and
+//    teardown is per rank-thread.
 //  * MLS_KERNEL_PIN=1 partitions the host cores across the simulated
 //    ranks (spmd::run binds each rank thread, see bind_rank below):
 //    rank r of W gets cores [rC/W, (r+1)C/W); its kernel workers pin
@@ -153,6 +167,16 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
                   int64_t n, int64_t k, bool trans_a, bool trans_b,
                   int64_t lda, int64_t ldb, int64_t ldc);
+
+// The blocked kernel's register tile and short-M crossover, for tests
+// and benches that must straddle them: mr x nr is the tile, and a GEMM
+// with m <= short_m and op(B) = B reads B's full panels in place.
+struct GemmTile {
+  int64_t mr = 0;
+  int64_t nr = 0;
+  int64_t short_m = 0;
+};
+GemmTile gemm_tile();
 
 // Reference scalar GEMM: the pre-blocking kernel (i-k-j saxpy loop for
 // op(B) = B, row-dot with a double accumulator for trans_b), beta = 0,

@@ -1,7 +1,10 @@
 // Tests for the blocked kernel substrate (tensor/kernels.h):
 //  * blocked GEMM vs the scalar reference across tile-straddling
-//    shapes (1/7/17/64/130 hit every MR=6 / NR=16 edge case) and all
-//    four transpose variants,
+//    shapes and all four transpose variants: 1/7/17/31/32/33/64/130
+//    straddle the MR = 6 row tile and the NR column tile of every build
+//    (8 on SSE2, 16 on AVX2, 32 on AVX-512),
+//  * short-M GEMMs (B read in place) vs the same rows of a tall,
+//    packed GEMM, bitwise, across both B paths and 1/2/4 threads,
 //  * bit-identical output at any MLS_KERNEL_THREADS (the library's
 //    determinism contract: k-reduction order never depends on tile
 //    position or thread count),
@@ -86,7 +89,7 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 // ------------------------------------------------- blocked vs reference
 
 TEST(KernelGemm, BlockedMatchesReferenceAcrossShapesAndTrans) {
-  const int64_t sizes[] = {1, 7, 17, 64, 130};
+  const int64_t sizes[] = {1, 7, 17, 31, 32, 33, 64, 130};
   for (int64_t m : sizes) {
     for (int64_t n : sizes) {
       for (int64_t k : sizes) {
@@ -112,6 +115,62 @@ TEST(KernelGemm, BlockedMatchesReferenceAcrossShapesAndTrans) {
                   << "m=" << m << " n=" << n << " k=" << k
                   << " trans_a=" << trans_a << " trans_b=" << trans_b
                   << " elem=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The decode row contract at the kernel level: a short GEMM (B read in
+// place, the n-edge panel packed; or split over N when threaded) gives
+// each row exactly the bits the same row gets inside a tall GEMM over
+// the same B, which always packs. m straddles the tile and the short-M
+// crossover, n the build's NR, k the KC = 256 panel boundary.
+TEST(KernelGemm, ShortMRowsMatchTallGemmBitwise) {
+  const kernels::GemmTile tile = kernels::gemm_tile();
+  const int64_t tall = 256;
+  ASSERT_GT(tall, tile.short_m);
+  const int64_t ms[] = {1, 5, 6, 7, 13, tile.short_m, tile.short_m + 1, 33};
+  const int64_t ns[] = {1, 17, tile.nr - 1, tile.nr, tile.nr + 1, 100, 768};
+  const int64_t ks[] = {1, 64, 257, 1024};
+  for (int64_t n : ns) {
+    for (int64_t k : ks) {
+      const std::vector<float> a = random_vec(tall * k, 3000 + n * 7 + k);
+      const std::vector<float> b = random_vec(k * n, 4000 + n * 7 + k);
+      for (int ta = 0; ta < 2; ++ta) {
+        for (int tb = 0; tb < 2; ++tb) {
+          const bool trans_a = ta != 0;
+          const bool trans_b = tb != 0;
+          // a read as [tall, k], or as its transpose's storage [k, tall].
+          std::vector<float> c_tall(static_cast<size_t>(tall * n));
+          {
+            ScopedEnv env("MLS_KERNEL_THREADS", "1");
+            kernels::gemm(a.data(), b.data(), c_tall.data(), tall, n, k,
+                          trans_a, trans_b);
+          }
+          for (int64_t m : ms) {
+            // The first m rows of op(A), in m-row storage.
+            std::vector<float> a_short(static_cast<size_t>(m * k));
+            for (int64_t i = 0; i < m; ++i) {
+              for (int64_t kk = 0; kk < k; ++kk) {
+                a_short[static_cast<size_t>(trans_a ? kk * m + i
+                                                    : i * k + kk)] =
+                    a[static_cast<size_t>(trans_a ? kk * tall + i
+                                                  : i * k + kk)];
+              }
+            }
+            for (const char* nt : {"1", "2", "4"}) {
+              ScopedEnv env("MLS_KERNEL_THREADS", nt);
+              std::vector<float> c(static_cast<size_t>(m * n), -1.0f);
+              kernels::gemm(a_short.data(), b.data(), c.data(), m, n, k,
+                            trans_a, trans_b);
+              ASSERT_EQ(0, std::memcmp(c.data(), c_tall.data(),
+                                       sizeof(float) * c.size()))
+                  << "m=" << m << " n=" << n << " k=" << k
+                  << " trans_a=" << trans_a << " trans_b=" << trans_b
+                  << " threads=" << nt;
             }
           }
         }
