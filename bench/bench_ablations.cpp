@@ -120,7 +120,7 @@ int main() {
       if (cfg.L % (static_cast<int64_t>(cfg.p) * m) != 0) continue;
       cfg.interleave_m = m;
       const auto est = perf::estimate_iteration_time(
-          cfg, mm, true, core::Recompute::kSelective);
+          cfg, mm, {core::PlanKind::kTensorSequence, core::Recompute::kSelective});
       t.add_row({std::to_string(m), fmt(est.bubble_fraction, 4),
                  fmt(memory::interleave_factor(cfg), 3), fmt(est.seconds, 2),
                  fmt(100 * perf::mfu(cfg, est.seconds, mm.peak_flops), 1) + "%"});

@@ -29,24 +29,26 @@ using namespace mls;
 
 namespace {
 
+constexpr memory::Technique kPresent{core::PlanKind::kTensorSequence,
+                                     core::Recompute::kSelective};
+
 // MFU with microbatch-level recomputation applied on top of
 // SP+selective, per the stage-0-governed model described above.
 double mfu_with_mb_recompute(const model::ModelConfig& cfg,
                              const perf::MachineModel& mm) {
-  const auto base =
-      perf::estimate_iteration_time(cfg, mm, true, core::Recompute::kSelective);
+  const auto base = perf::estimate_iteration_time(cfg, mm, kPresent);
 
   const double device = 80.0 * 1024 * 1024 * 1024;
   const double state = memory::model_state_bytes_per_rank(cfg).total();
   // Stage 0 under 1F1B holds w = p microbatches of checkpointed
   // activations; free memory beyond that lets k of them store all.
-  constexpr auto kTpSp = core::PlanKind::kTensorSequence;
   const double per_mb_ckpt =
-      memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kSelective}) *
+      memory::act_bytes_per_layer(cfg, kPresent) *
       static_cast<double>(cfg.layers_per_stage()) *
       memory::interleave_factor(cfg);
   const double per_mb_stored =
-      memory::act_bytes_per_layer(cfg, {kTpSp, core::Recompute::kNone}) *
+      memory::act_bytes_per_layer(
+          cfg, {core::PlanKind::kTensorSequence, core::Recompute::kNone}) *
       static_cast<double>(cfg.layers_per_stage()) *
       memory::interleave_factor(cfg);
   const double w = std::min<double>(cfg.p, static_cast<double>(cfg.microbatches()));
@@ -56,7 +58,7 @@ double mfu_with_mb_recompute(const model::ModelConfig& cfg,
 
   // Fraction of microbatches that skip the selective recompute.
   const double frac = k / w;
-  const auto lt = perf::layer_time(cfg, mm, true, core::Recompute::kSelective);
+  const auto lt = perf::layer_time(cfg, mm, kPresent);
   const double saved = frac * static_cast<double>(cfg.microbatches()) *
                        (static_cast<double>(cfg.L) / cfg.p) * lt.recompute *
                        memory::interleave_factor(cfg);
@@ -85,8 +87,7 @@ int main() {
     const Row rows[] = {{model::ModelConfig::gpt_175b(), 0.7},
                         {model::ModelConfig::gpt_530b(), 0.4}};
     for (const auto& r : rows) {
-      const auto base =
-          perf::end_to_end(r.cfg, mm, true, core::Recompute::kSelective);
+      const auto base = perf::end_to_end(r.cfg, mm, kPresent);
       const double with_mb = mfu_with_mb_recompute(r.cfg, mm);
       t.add_row({r.cfg.name, fmt(100 * base.mfu, 1) + "%",
                  fmt(100 * with_mb, 1) + "%",

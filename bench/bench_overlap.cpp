@@ -239,8 +239,8 @@ int main() {
     // not double-counted.
     mm.bwd_comm_overlap = 0.0;
     mm.sp_regather_overlap = 0.0;
-    const auto lt =
-        perf::layer_time(cfg, mm, /*sp=*/true, core::Recompute::kSelective);
+    const auto lt = perf::layer_time(
+        cfg, mm, {core::PlanKind::kTensorSequence, core::Recompute::kSelective});
     const double serial = lt.backward_with_recompute(false);
     const double ov = lt.backward_with_recompute(true);
     t2.add_row({"/" + fmt(derate, 0), fmt(serial * 1e3, 2) + " ms",

@@ -17,6 +17,10 @@ using namespace mls;
 int main() {
   std::printf("=== Table 5: end-to-end iteration time ===\n\n");
   const auto mm = perf::MachineModel::a100();
+  constexpr memory::Technique kFull{core::PlanKind::kTensorParallel,
+                                    core::Recompute::kFull};
+  constexpr memory::Technique kPresent{core::PlanKind::kTensorSequence,
+                                       core::Recompute::kSelective};
 
   struct PaperRow {
     model::ModelConfig cfg;
@@ -33,9 +37,8 @@ int main() {
            "present work s (paper)", "throughput incr (paper)",
            "MFU (paper)", "HFU (paper)"});
   for (const auto& r : rows) {
-    const auto full = perf::end_to_end(r.cfg, mm, false, core::Recompute::kFull);
-    const auto present =
-        perf::end_to_end(r.cfg, mm, true, core::Recompute::kSelective);
+    const auto full = perf::end_to_end(r.cfg, mm, kFull);
+    const auto present = perf::end_to_end(r.cfg, mm, kPresent);
     const double incr =
         100.0 * (full.iteration_seconds / present.iteration_seconds - 1.0);
     t.add_row(
@@ -50,8 +53,7 @@ int main() {
 
   // §6.3 data-parallel note.
   const auto cfg530 = model::ModelConfig::gpt_530b();
-  const auto present530 =
-      perf::end_to_end(cfg530, mm, true, core::Recompute::kSelective);
+  const auto present530 = perf::end_to_end(cfg530, mm, kPresent);
   const double dp_s =
       perf::dp_iteration_seconds(cfg530, mm, present530.iteration_seconds, 8);
   std::printf(

@@ -30,19 +30,15 @@ struct Candidate {
 };
 
 std::string rc_label(const model::ModelConfig& cfg) {
-  const bool sp = cfg.plan().sequence_sharded();
-  const core::Recompute rc = cfg.recompute;
-  std::string base;
+  const bool selective = cfg.recompute == core::Recompute::kSelective;
   if (cfg.parallel_plan == core::PlanKind::kFoldedTsp) {
-    base = "folded TSP";
-    if (rc == core::Recompute::kSelective) base += "+selective";
-    return base;
+    return selective ? "folded TSP+selective" : "folded TSP";
   }
-  if (sp && rc == core::Recompute::kSelective) return "SP+selective";
-  if (sp && rc == core::Recompute::kNone) return "SP only";
-  if (!sp && rc == core::Recompute::kNone) return "none";
-  if (!sp && rc == core::Recompute::kSelective) return "selective";
-  return "full recompute";
+  if (cfg.recompute == core::Recompute::kFull) return "full recompute";
+  if (cfg.plan().sequence_sharded()) {
+    return selective ? "SP+selective" : "SP only";
+  }
+  return selective ? "selective" : "none";
 }
 
 void search(model::ModelConfig base) {
@@ -87,8 +83,7 @@ void search(model::ModelConfig base) {
         const double act = memory::total_activation_bytes_first_stage(cfg, tech);
         const double state = memory::model_state_bytes_per_rank(cfg).total();
         if (state + act > kDevice) continue;
-        const auto e2e = perf::end_to_end(
-            cfg, mm, cfg.plan().sequence_sharded(), tech.recompute);
+        const auto e2e = perf::end_to_end(cfg, mm, tech);
         feasible.push_back(
             {cfg, act, state + act, e2e.mfu, e2e.iteration_seconds});
       }

@@ -14,7 +14,6 @@
 
 #include "common/table.h"
 #include "common/units.h"
-#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "perf/pipeline_sim.h"
 
@@ -49,8 +48,7 @@ void plan(const model::ModelConfig& cfg) {
   for (const auto& [name, tech] : options) {
     const double act = memory::total_activation_bytes_first_stage(cfg, tech);
     const bool fits = state + act <= kDevice;
-    const auto e2e = perf::end_to_end(
-        cfg, mm, core::plan_for(tech.plan).sequence_sharded(), tech.recompute);
+    const auto e2e = perf::end_to_end(cfg, mm, tech);
     t.add_row({name, format_bytes(act), format_bytes(state + act),
                fits ? "yes" : "NO", fmt(e2e.iteration_seconds, 2) + " s",
                fmt(100 * e2e.mfu, 1) + "%"});

@@ -185,8 +185,10 @@ std::vector<ModelConfig> sweep_grid() {
               // interleaved schedule, small enough to stay fast.
               cfg.global_batch = static_cast<int64_t>(cfg.b) * d * 4;
               // Sequence sharding is a tp-group technique.
-              const bool sp = cfg.plan().sequence_sharded();
-              if (sp && (t == 1 || cfg.s % t != 0)) continue;
+              if (cfg.plan().sequence_sharded() &&
+                  (t == 1 || cfg.s % t != 0)) {
+                continue;
+              }
               if (cfg.a % t != 0 || cfg.v % t != 0) continue;
               if (cfg.L % p != 0 ||
                   cfg.L % (static_cast<int64_t>(p) * m) != 0) {

@@ -1,8 +1,11 @@
 #include "perf/layer_time.h"
 
+#include "core/parallel_plan.h"
 #include "perf/flops.h"
 
 namespace mls::perf {
+
+namespace {
 
 double all_reduce_time(const MachineModel& mm, double bytes, int t) {
   if (t <= 1) return 0;
@@ -16,14 +19,12 @@ double rs_or_ag_time(const MachineModel& mm, double bytes, int t) {
          mm.rs_ag_penalty;
 }
 
-namespace {
-
 // Elementwise (HBM-bound) traffic of one layer's forward pass, split
 // into the outer region (layer-norms, residuals, post-block dropouts —
-// replicated under TP, sequence-sharded under SP) and the inner region
-// (GeLU, attention softmax/dropout — always sharded by t).
+// replicated under tp, sequence-sharded under tp_sp and folded TSP) and
+// the inner region (GeLU, attention softmax/dropout — always sharded by t).
 struct ElementwiseBytes {
-  double outer;  // divided by t iff sequence parallelism
+  double outer;  // divided by t iff the plan is sequence-sharded
   double inner;  // already per-rank
 };
 
@@ -45,8 +46,9 @@ ElementwiseBytes forward_elementwise_bytes(const model::ModelConfig& cfg) {
 }  // namespace
 
 LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
-                     bool sp, core::Recompute recompute) {
+                     memory::Technique tech) {
   const int t = cfg.t;
+  const bool sharded = core::plan_for(tech.plan).sequence_sharded();
   const double sbh_bytes = static_cast<double>(cfg.s) * cfg.b * cfg.h * 2.0;
 
   // --- GEMMs (per rank) ----------------------------------------------
@@ -58,7 +60,7 @@ LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
 
   // --- elementwise ----------------------------------------------------
   const ElementwiseBytes eb = forward_elementwise_bytes(cfg);
-  const double outer_div = sp ? t : 1;
+  const double outer_div = sharded ? t : 1;
   const double t_elem_fwd = (eb.outer / outer_div + eb.inner) / mm.hbm_bw;
   // Backward elementwise does slightly more work (reductions for
   // layer-norm/bias grads).
@@ -67,19 +69,17 @@ LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
   // --- communication --------------------------------------------------
   // Fig 4: forward has two all-reduces (f̄ after attention and MLP).
   // Fig 5: forward has two all-gathers (g) + two reduce-scatters (ḡ).
-  const double t_comm_fwd = sp ? 4.0 * rs_or_ag_time(mm, sbh_bytes, t)
-                               : 2.0 * all_reduce_time(mm, sbh_bytes, t);
+  const double t_comm_fwd = sharded ? 4.0 * rs_or_ag_time(mm, sbh_bytes, t)
+                                    : 2.0 * all_reduce_time(mm, sbh_bytes, t);
   // Backward mirrors it (f's all-reduce / the conjugates), partially
-  // overlapped with weight-gradient GEMMs (Table 4 footnote). The SP
-  // backward additionally re-gathers the two stored input shards,
-  // overlapped per §4.2.2.
+  // overlapped with weight-gradient GEMMs (Table 4 footnote). A
+  // sequence-sharded backward additionally re-gathers the two stored
+  // input shards, overlapped per §4.2.2.
   const double t_comm_bwd =
-      (sp ? 4.0 * rs_or_ag_time(mm, sbh_bytes, t)
-          : 2.0 * all_reduce_time(mm, sbh_bytes, t)) *
-          (1.0 - mm.bwd_comm_overlap) +
-      (sp ? 2.0 * rs_or_ag_time(mm, sbh_bytes, t) *
-                (1.0 - mm.sp_regather_overlap)
-          : 0.0);
+      t_comm_fwd * (1.0 - mm.bwd_comm_overlap) +
+      (sharded ? 2.0 * rs_or_ag_time(mm, sbh_bytes, t) *
+                     (1.0 - mm.sp_regather_overlap)
+               : 0.0);
 
   LayerTime lt;
   lt.forward = t_dense + t_attn + t_elem_fwd + t_comm_fwd + mm.kernel_overhead;
@@ -90,7 +90,7 @@ LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
   // --- recomputation (extra forward work inside backward) -------------
   const double core_bytes =
       static_cast<double>(cfg.a) * cfg.s * cfg.s * cfg.b / t * 9.0;
-  switch (recompute) {
+  switch (tech.recompute) {
     case core::Recompute::kNone:
       break;
     case core::Recompute::kSelective:
@@ -104,34 +104,6 @@ LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
       break;
   }
   return lt;
-}
-
-double embedding_forward_time(const model::ModelConfig& cfg,
-                              const MachineModel& mm, bool sp) {
-  // Table lookup + positional add + dropout: a few sbh-sized streams.
-  const double sbh_bytes = static_cast<double>(cfg.s) * cfg.b * cfg.h * 2.0;
-  const double div = sp ? cfg.t : 1;
-  return 5.0 * sbh_bytes / div / mm.hbm_bw + mm.kernel_overhead;
-}
-
-double head_forward_time(const model::ModelConfig& cfg, const MachineModel& mm) {
-  // Final layer-norm + logits GEMM + cross-entropy streams.
-  const double t_logits =
-      logits_flops(cfg) / cfg.t /
-      (mm.peak_flops * mm.dense_gemm_eff(static_cast<double>(cfg.h) / cfg.t));
-  const double ce_bytes =
-      4.0 * static_cast<double>(cfg.s) * cfg.b * cfg.v / cfg.t * 3.0;
-  return t_logits + ce_bytes / mm.hbm_bw + mm.kernel_overhead;
-}
-
-double head_backward_time(const model::ModelConfig& cfg,
-                          const MachineModel& mm) {
-  return 2.0 * head_forward_time(cfg, mm);
-}
-
-double optimizer_time(const model::ModelConfig& cfg, const MachineModel& mm) {
-  // Adam touches ~28 bytes per parameter (grad, m, v, master, weight).
-  return memory::params_per_rank(cfg) * 28.0 / mm.hbm_bw;
 }
 
 }  // namespace mls::perf

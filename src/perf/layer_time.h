@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "core/env.h"
 #include "memory/activation_model.h"
 #include "perf/machine.h"
 
@@ -29,23 +28,13 @@ struct LayerTime {
   }
 };
 
-// Time for one transformer layer under the given switches. `sp` =
-// sequence parallelism; `recompute` selects what is replayed in the
-// backward pass.
+// Time for one transformer layer in the Table-2 cell `tech`. The plan's
+// sequence_sharded() picks the Fig 4 (f/f̄) or Fig 5 (g/ḡ) collectives
+// and the outer region's sharding; `tech.recompute` selects what is
+// replayed in the backward pass. Folded TSP prices like tp_sp: it
+// shares their collectives and sharding, and the model prices no
+// pointwise replay.
 LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
-                     bool sp, core::Recompute recompute);
-
-// Collective-time primitives (exposed for the comm microbench analysis
-// and tests).
-double all_reduce_time(const MachineModel& mm, double bytes, int t);
-double rs_or_ag_time(const MachineModel& mm, double bytes, int t);
-
-// Embedding / loss-head passes (used by the end-to-end model).
-double embedding_forward_time(const model::ModelConfig& cfg,
-                              const MachineModel& mm, bool sp);
-double head_forward_time(const model::ModelConfig& cfg, const MachineModel& mm);
-double head_backward_time(const model::ModelConfig& cfg, const MachineModel& mm);
-// Adam step over this rank's parameter shard.
-double optimizer_time(const model::ModelConfig& cfg, const MachineModel& mm);
+                     memory::Technique tech);
 
 }  // namespace mls::perf

@@ -1,9 +1,9 @@
 #include "perf/pipeline_sim.h"
 
-#include <map>
-#include <tuple>
+#include <vector>
 
 #include "common/check.h"
+#include "core/parallel_plan.h"
 #include "perf/flops.h"
 
 namespace mls::perf {
@@ -19,11 +19,40 @@ struct OpDurations {
   double wire;
 };
 
+// Embedding / loss-head passes and the optimizer step.
+double embedding_forward_time(const model::ModelConfig& cfg,
+                              const MachineModel& mm, memory::Technique tech) {
+  // Table lookup + positional add + dropout: a few sbh-sized streams.
+  const double sbh_bytes = static_cast<double>(cfg.s) * cfg.b * cfg.h * 2.0;
+  const double div = core::plan_for(tech.plan).sequence_sharded() ? cfg.t : 1;
+  return 5.0 * sbh_bytes / div / mm.hbm_bw + mm.kernel_overhead;
+}
+
+double head_forward_time(const model::ModelConfig& cfg, const MachineModel& mm) {
+  // Final layer-norm + logits GEMM + cross-entropy streams.
+  const double t_logits =
+      logits_flops(cfg) / cfg.t /
+      (mm.peak_flops * mm.dense_gemm_eff(static_cast<double>(cfg.h) / cfg.t));
+  const double ce_bytes =
+      4.0 * static_cast<double>(cfg.s) * cfg.b * cfg.v / cfg.t * 3.0;
+  return t_logits + ce_bytes / mm.hbm_bw + mm.kernel_overhead;
+}
+
+double head_backward_time(const model::ModelConfig& cfg,
+                          const MachineModel& mm) {
+  return 2.0 * head_forward_time(cfg, mm);
+}
+
+double optimizer_time(const model::ModelConfig& cfg, const MachineModel& mm) {
+  // Adam touches ~28 bytes per parameter (grad, m, v, master, weight).
+  return memory::params_per_rank(cfg) * 28.0 / mm.hbm_bw;
+}
+
 }  // namespace
 
 IterationEstimate estimate_iteration_time(const model::ModelConfig& cfg,
-                                          const MachineModel& mm, bool sp,
-                                          core::Recompute recompute,
+                                          const MachineModel& mm,
+                                          memory::Technique tech,
                                           bool overlap_recompute) {
   const int p = cfg.p;
   // A single stage has nothing to interleave.
@@ -33,21 +62,22 @@ IterationEstimate estimate_iteration_time(const model::ModelConfig& cfg,
   const double layers_per_chunk =
       static_cast<double>(cfg.L) / (static_cast<double>(p) * m);
 
-  const LayerTime lt = layer_time(cfg, mm, sp, recompute);
+  const LayerTime lt = layer_time(cfg, mm, tech);
   // Only collective-free replays (selective mode) can hide inside the
   // backward's comm windows; full-layer replays stay serial.
   const bool overlap =
-      overlap_recompute && recompute == core::Recompute::kSelective;
+      overlap_recompute && tech.recompute == core::Recompute::kSelective;
   OpDurations d;
   d.layer_fwd = layers_per_chunk * lt.forward;
   d.layer_bwd_with_recompute =
       layers_per_chunk * lt.backward_with_recompute(overlap);
-  d.embed_fwd = embedding_forward_time(cfg, mm, sp);
+  d.embed_fwd = embedding_forward_time(cfg, mm, tech);
   d.embed_bwd = d.embed_fwd;  // scatter-add of roughly the same traffic
   d.head_fwd = head_forward_time(cfg, mm);
   d.head_bwd = head_backward_time(cfg, mm);
   const double boundary_bytes =
-      2.0 * cfg.s * cfg.b * cfg.h / (sp ? cfg.t : 1);
+      2.0 * cfg.s * cfg.b * cfg.h /
+      (core::plan_for(tech.plan).sequence_sharded() ? cfg.t : 1);
   d.wire = p > 1 ? boundary_bytes / mm.ib_p2p_bw + mm.p2p_latency : 0.0;
 
   const pipeline::Schedule sched = (m > 1)
@@ -148,13 +178,13 @@ double dp_iteration_seconds(const model::ModelConfig& cfg,
 }
 
 E2eRow end_to_end(const model::ModelConfig& cfg, const MachineModel& mm,
-                  bool sp, core::Recompute recompute, bool overlap_recompute) {
+                  memory::Technique tech, bool overlap_recompute) {
   const IterationEstimate est =
-      estimate_iteration_time(cfg, mm, sp, recompute, overlap_recompute);
+      estimate_iteration_time(cfg, mm, tech, overlap_recompute);
   E2eRow row;
   row.iteration_seconds = est.seconds;
   row.mfu = mfu(cfg, est.seconds, mm.peak_flops);
-  row.hfu = hfu(cfg, recompute, est.seconds, mm.peak_flops);
+  row.hfu = hfu(cfg, tech.recompute, est.seconds, mm.peak_flops);
   return row;
 }
 

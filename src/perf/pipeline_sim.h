@@ -14,15 +14,15 @@ struct IterationEstimate {
   double bubble_fraction = 0;  // idle fraction of the busiest rank
 };
 
-// Simulates one training iteration of `cfg` (its p, interleave_m and
-// global batch select the schedule: GPipe is never used — 1F1B, or
-// interleaved 1F1B when interleave_m > 1). `overlap_recompute` applies
-// the runtime's overlapped-recomputation term — max(T_comm, T_recompute)
-// instead of their sum — to backward ops; it only takes effect for
-// kSelective, whose replays are collective-free.
+// Simulates one training iteration of `cfg` in the Table-2 cell `tech`.
+// cfg's p and interleave_m select 1F1B or interleaved 1F1B (never GPipe).
+// `overlap_recompute` applies the runtime's overlapped-recomputation
+// term — max(T_comm, T_recompute) instead of their sum — to backward
+// ops; it only takes effect for kSelective, whose replays are
+// collective-free.
 IterationEstimate estimate_iteration_time(const model::ModelConfig& cfg,
-                                          const MachineModel& mm, bool sp,
-                                          core::Recompute recompute,
+                                          const MachineModel& mm,
+                                          memory::Technique tech,
                                           bool overlap_recompute = false);
 
 // §6.3's data-parallelism note: scaling to `dp`-way data parallelism
@@ -37,9 +37,8 @@ struct E2eRow {
   double hfu;  // hardware FLOPs utilization
 };
 
-// One Table 5 row: iteration time + MFU/HFU for the given switches.
+// One Table 5 row: iteration time + MFU/HFU for the cell `tech`.
 E2eRow end_to_end(const model::ModelConfig& cfg, const MachineModel& mm,
-                  bool sp, core::Recompute recompute,
-                  bool overlap_recompute = false);
+                  memory::Technique tech, bool overlap_recompute = false);
 
 }  // namespace mls::perf

@@ -23,9 +23,12 @@ using core::Recompute;
 using model::ModelConfig;
 using model::TransformerLayer;
 
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+
 // ------------------------------------------------------------------
 // Layer-level equivalence: run one TransformerLayer serially and under
-// (t, sp, recompute); outputs and input-gradients must match.
+// (t, plan, recompute); outputs and input-gradients must match.
 // ------------------------------------------------------------------
 
 struct LayerRun {
@@ -34,14 +37,15 @@ struct LayerRun {
   Tensor dln1_gamma;  // [h]
 };
 
-LayerRun run_layer(const ModelConfig& cfg, bool sp, Recompute rc,
+LayerRun run_layer(const ModelConfig& cfg, core::PlanKind plan, Recompute rc,
                    const Tensor& x_full, const Tensor& dy_full) {
+  const bool sharded = core::plan_for(plan).sequence_sharded();
   LayerRun result;
   spmd::run(cfg.t, [&](comm::Comm& c) {
     MemoryTracker::instance().reset();
     ParallelEnv env;
     env.tp = c;
-    env.parallel_plan = sp ? &core::sp_plan() : &core::tp_plan();
+    env.parallel_plan = &core::plan_for(plan);
     env.recompute = rc;
     env.seed = cfg.seed;
     env.microbatch = 0;
@@ -51,19 +55,19 @@ LayerRun run_layer(const ModelConfig& cfg, bool sp, Recompute rc,
 
     const int t = c.size();
     const int r = c.rank();
-    Tensor x_local = sp ? ops::slice(x_full, 0, r * cfg.s / t, cfg.s / t)
-                        : x_full.clone();
-    Tensor dy_local = sp ? ops::slice(dy_full, 0, r * cfg.s / t, cfg.s / t)
-                         : dy_full.clone();
+    Tensor x_local = sharded ? ops::slice(x_full, 0, r * cfg.s / t, cfg.s / t)
+                             : x_full.clone();
+    Tensor dy_local = sharded ? ops::slice(dy_full, 0, r * cfg.s / t, cfg.s / t)
+                              : dy_full.clone();
 
     ag::Var x(x_local, /*requires_grad=*/true);
     ag::Var y = layer.forward(x, env);
     ag::backward(y, dy_local);
 
-    Tensor out_full = sp ? c.all_gather(y.value(), 0) : y.value().clone();
-    Tensor dx_full = sp ? c.all_gather(x.grad(), 0) : x.grad().clone();
+    Tensor out_full = sharded ? c.all_gather(y.value(), 0) : y.value().clone();
+    Tensor dx_full = sharded ? c.all_gather(x.grad(), 0) : x.grad().clone();
     Tensor dgamma = layer.ln1_gamma.grad().clone();
-    if (sp) c.all_reduce(dgamma);  // shard contributions
+    if (sharded) c.all_reduce(dgamma);  // shard contributions
 
     if (r == 0) {
       result.out = out_full;
@@ -78,14 +82,14 @@ LayerRun run_layer(const ModelConfig& cfg, bool sp, Recompute rc,
 
 struct LayerCase {
   int t;
-  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
-  // the test name, and a bool here would leave three bytes of
-  // uninitialised padding in it, changing the name from run to run.
-  std::uint32_t sp;
+  // gtest prints a parameter's raw bytes into its ctest name: three
+  // 4-byte fields leave no padding in it, and reordering PlanKind's
+  // values would rename these tests.
+  core::PlanKind plan;
   Recompute rc;
 };
 static_assert(sizeof(LayerCase) ==
-                  sizeof(int) + sizeof(std::uint32_t) + sizeof(Recompute),
+                  sizeof(int) + sizeof(core::PlanKind) + sizeof(Recompute),
               "LayerCase must have no padding bytes");
 
 class LayerEquivalence : public ::testing::TestWithParam<LayerCase> {};
@@ -101,8 +105,8 @@ TEST_P(LayerEquivalence, MatchesSerialReference) {
 
   ModelConfig serial_cfg = cfg;
   serial_cfg.t = 1;
-  LayerRun ref = run_layer(serial_cfg, /*sp=*/false, Recompute::kNone, x, dy);
-  LayerRun run = run_layer(cfg, param.sp != 0, param.rc, x, dy);
+  LayerRun ref = run_layer(serial_cfg, kTp, Recompute::kNone, x, dy);
+  LayerRun run = run_layer(cfg, param.plan, param.rc, x, dy);
 
   EXPECT_TRUE(run.out.allclose(ref.out, 1e-4f, 1e-5f)) << "forward mismatch";
   EXPECT_TRUE(run.dx.allclose(ref.dx, 1e-4f, 1e-5f)) << "dx mismatch";
@@ -114,24 +118,25 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, LayerEquivalence,
     ::testing::Values(
         // Pure serial sanity (checkpointing only).
-        LayerCase{1, false, Recompute::kSelective},
-        LayerCase{1, false, Recompute::kFull},
+        LayerCase{1, kTp, Recompute::kSelective},
+        LayerCase{1, kTp, Recompute::kFull},
         // Tensor parallel.
-        LayerCase{2, false, Recompute::kNone},
-        LayerCase{4, false, Recompute::kNone},
-        LayerCase{2, false, Recompute::kSelective},
-        LayerCase{2, false, Recompute::kFull},
+        LayerCase{2, kTp, Recompute::kNone},
+        LayerCase{4, kTp, Recompute::kNone},
+        LayerCase{2, kTp, Recompute::kSelective},
+        LayerCase{2, kTp, Recompute::kFull},
         // Tensor + sequence parallel.
-        LayerCase{2, true, Recompute::kNone},
-        LayerCase{4, true, Recompute::kNone},
-        LayerCase{2, true, Recompute::kSelective},
-        LayerCase{4, true, Recompute::kSelective},
-        LayerCase{2, true, Recompute::kFull},
-        LayerCase{4, true, Recompute::kFull}),
+        LayerCase{2, kTpSp, Recompute::kNone},
+        LayerCase{4, kTpSp, Recompute::kNone},
+        LayerCase{2, kTpSp, Recompute::kSelective},
+        LayerCase{4, kTpSp, Recompute::kSelective},
+        LayerCase{2, kTpSp, Recompute::kFull},
+        LayerCase{4, kTpSp, Recompute::kFull}),
     [](const ::testing::TestParamInfo<LayerCase>& info) {
       const auto& c = info.param;
-      return "t" + std::to_string(c.t) + (c.sp ? "_sp" : "_nosp") + "_" +
-             core::recompute_name(c.rc);
+      return "t" + std::to_string(c.t) +
+             (core::plan_for(c.plan).sequence_sharded() ? "_sp" : "_nosp") +
+             "_" + core::recompute_name(c.rc);
     });
 
 // Ablation: disabling the §4.2.2 sharded-input-save must not change the
@@ -142,7 +147,7 @@ TEST(LayerEquivalenceExtra, FullInputSaveMatchesShardedSave) {
   Tensor x = Tensor::randn(Shape{{cfg.s, cfg.b, cfg.h}}, drng);
   Tensor dy = Tensor::randn(Shape{{cfg.s, cfg.b, cfg.h}}, drng);
 
-  LayerRun a = run_layer(cfg, true, Recompute::kNone, x, dy);
+  LayerRun a = run_layer(cfg, kTpSp, Recompute::kNone, x, dy);
   ModelConfig cfg2 = cfg;
   cfg2.sharded_input_save = false;
   // run_layer builds env from scratch; patch via a copy of the function
@@ -208,14 +213,14 @@ std::vector<float> train_losses(ModelConfig cfg, int steps) {
 
 struct ModelCase {
   int t;
-  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
-  // the test name, and a bool here would leave three bytes of
-  // uninitialised padding in it, changing the name from run to run.
-  std::uint32_t sp;
+  // gtest prints a parameter's raw bytes into its ctest name: three
+  // 4-byte fields leave no padding in it, and reordering PlanKind's
+  // values would rename these tests.
+  core::PlanKind plan;
   Recompute rc;
 };
 static_assert(sizeof(ModelCase) ==
-                  sizeof(int) + sizeof(std::uint32_t) + sizeof(Recompute),
+                  sizeof(int) + sizeof(core::PlanKind) + sizeof(Recompute),
               "ModelCase must have no padding bytes");
 
 class ModelEquivalence : public ::testing::TestWithParam<ModelCase> {};
@@ -223,8 +228,7 @@ class ModelEquivalence : public ::testing::TestWithParam<ModelCase> {};
 TEST_P(ModelEquivalence, LossTrajectoryMatchesSerial) {
   const auto param = GetParam();
   ModelConfig cfg = ModelConfig::tiny(param.t, /*layers=*/2);
-  cfg.set_plan(param.sp ? core::PlanKind::kTensorSequence
-                        : core::PlanKind::kTensorParallel);
+  cfg.set_plan(param.plan);
   cfg.recompute = param.rc;
 
   ModelConfig serial = ModelConfig::tiny(1, 2);
@@ -246,22 +250,23 @@ TEST_P(ModelEquivalence, LossTrajectoryMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, ModelEquivalence,
-    ::testing::Values(ModelCase{2, false, Recompute::kNone},
-                      ModelCase{4, false, Recompute::kNone},
-                      ModelCase{2, false, Recompute::kSelective},
-                      ModelCase{2, false, Recompute::kFull},
-                      ModelCase{2, true, Recompute::kNone},
-                      ModelCase{4, true, Recompute::kNone},
-                      ModelCase{2, true, Recompute::kSelective},
-                      ModelCase{4, true, Recompute::kSelective},
-                      ModelCase{2, true, Recompute::kFull},
-                      ModelCase{4, true, Recompute::kFull},
-                      ModelCase{1, false, Recompute::kSelective},
-                      ModelCase{1, false, Recompute::kFull}),
+    ::testing::Values(ModelCase{2, kTp, Recompute::kNone},
+                      ModelCase{4, kTp, Recompute::kNone},
+                      ModelCase{2, kTp, Recompute::kSelective},
+                      ModelCase{2, kTp, Recompute::kFull},
+                      ModelCase{2, kTpSp, Recompute::kNone},
+                      ModelCase{4, kTpSp, Recompute::kNone},
+                      ModelCase{2, kTpSp, Recompute::kSelective},
+                      ModelCase{4, kTpSp, Recompute::kSelective},
+                      ModelCase{2, kTpSp, Recompute::kFull},
+                      ModelCase{4, kTpSp, Recompute::kFull},
+                      ModelCase{1, kTp, Recompute::kSelective},
+                      ModelCase{1, kTp, Recompute::kFull}),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
       const auto& c = info.param;
-      return "t" + std::to_string(c.t) + (c.sp ? "_sp" : "_nosp") + "_" +
-             core::recompute_name(c.rc);
+      return "t" + std::to_string(c.t) +
+             (core::plan_for(c.plan).sequence_sharded() ? "_sp" : "_nosp") +
+             "_" + core::recompute_name(c.rc);
     });
 
 // ------------------------------------------------------------------

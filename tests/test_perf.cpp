@@ -4,8 +4,9 @@
 // number (Table 4 row 1); everything else asserted here is predicted.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <string>
 
+#include "core/parallel_plan.h"
 #include "perf/flops.h"
 #include "perf/pipeline_sim.h"
 
@@ -13,8 +14,14 @@ namespace mls {
 namespace {
 
 using core::Recompute;
+using memory::Technique;
 using model::ModelConfig;
 using perf::MachineModel;
+
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+constexpr Technique kBaseline{kTp, Recompute::kNone};
+constexpr Technique kPresent{kTpSp, Recompute::kSelective};
 
 // ------------------------------------------------------ Appendix A
 
@@ -84,14 +91,12 @@ TEST(FlopsModel, MfuFromPaperIterationTimesMatchesPaperMfu) {
 // ------------------------------------------------------ Table 4
 
 struct Table4Row {
-  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
-  // the test name, and a bool here would leave three bytes of
-  // uninitialised padding in it, changing the name from run to run.
-  std::uint32_t sp;
-  Recompute rc;
+  // gtest prints a parameter's raw bytes into its ctest name: the
+  // cell's 4-byte PlanKind and Recompute leave no padding in it.
+  Technique tech;
   double fwd_ms, bwd_ms;  // paper values (backward incl. recompute)
 };
-static_assert(sizeof(Table4Row) == sizeof(std::uint32_t) + sizeof(Recompute) +
+static_assert(sizeof(Table4Row) == sizeof(core::PlanKind) + sizeof(Recompute) +
                                        2 * sizeof(double),
               "Table4Row must have no padding bytes");
 
@@ -101,7 +106,7 @@ TEST_P(Table4, LayerTimesWithinTolerance) {
   const auto row = GetParam();
   const ModelConfig cfg = ModelConfig::gpt_22b();
   const MachineModel mm = MachineModel::a100();
-  const auto lt = perf::layer_time(cfg, mm, row.sp != 0, row.rc);
+  const auto lt = perf::layer_time(cfg, mm, row.tech);
   EXPECT_NEAR(lt.forward * 1e3, row.fwd_ms, 0.08 * row.fwd_ms);
   EXPECT_NEAR((lt.backward + lt.recompute) * 1e3, row.bwd_ms,
               0.08 * row.bwd_ms);
@@ -109,24 +114,26 @@ TEST_P(Table4, LayerTimesWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperRows, Table4,
-    ::testing::Values(Table4Row{false, Recompute::kNone, 7.7, 11.9},
-                      Table4Row{true, Recompute::kNone, 7.2, 11.8},
-                      Table4Row{false, Recompute::kFull, 7.7, 19.5},
-                      Table4Row{false, Recompute::kSelective, 7.7, 13.2},
-                      Table4Row{true, Recompute::kSelective, 7.2, 13.1}),
+    ::testing::Values(Table4Row{kBaseline, 7.7, 11.9},
+                      Table4Row{{kTpSp, Recompute::kNone}, 7.2, 11.8},
+                      Table4Row{{kTp, Recompute::kFull}, 7.7, 19.5},
+                      Table4Row{{kTp, Recompute::kSelective}, 7.7, 13.2},
+                      Table4Row{kPresent, 7.2, 13.1}),
     [](const ::testing::TestParamInfo<Table4Row>& info) {
-      return std::string(info.param.sp ? "sp" : "nosp") + "_" +
-             core::recompute_name(info.param.rc);
+      const Technique& tech = info.param.tech;
+      return std::string(core::plan_for(tech.plan).sequence_sharded() ? "sp"
+                                                                      : "nosp") +
+             "_" + core::recompute_name(tech.recompute);
     });
 
 TEST(Table4Shape, OverheadsMatchPaperStory) {
   const ModelConfig cfg = ModelConfig::gpt_22b();
   const MachineModel mm = MachineModel::a100();
-  const auto base = perf::layer_time(cfg, mm, false, Recompute::kNone);
-  const auto sp = perf::layer_time(cfg, mm, true, Recompute::kNone);
-  const auto full = perf::layer_time(cfg, mm, false, Recompute::kFull);
-  const auto sel = perf::layer_time(cfg, mm, false, Recompute::kSelective);
-  const auto both = perf::layer_time(cfg, mm, true, Recompute::kSelective);
+  const auto base = perf::layer_time(cfg, mm, kBaseline);
+  const auto sp = perf::layer_time(cfg, mm, {kTpSp, Recompute::kNone});
+  const auto full = perf::layer_time(cfg, mm, {kTp, Recompute::kFull});
+  const auto sel = perf::layer_time(cfg, mm, {kTp, Recompute::kSelective});
+  const auto both = perf::layer_time(cfg, mm, kPresent);
 
   // "sequence parallelism provides a modest improvement" (−3%).
   EXPECT_LT(sp.combined(), base.combined());
@@ -149,9 +156,9 @@ TEST(Figure8, RecomputeOverheadShrinksWithModelSize) {
   double prev_present_ovh = 1.0;
   for (const auto& cfg : {ModelConfig::gpt_22b(), ModelConfig::gpt_175b(),
                           ModelConfig::gpt_530b(), ModelConfig::gpt_1t()}) {
-    const auto base = perf::layer_time(cfg, mm, false, Recompute::kNone);
-    const auto present = perf::layer_time(cfg, mm, true, Recompute::kSelective);
-    const auto full = perf::layer_time(cfg, mm, false, Recompute::kFull);
+    const auto base = perf::layer_time(cfg, mm, kBaseline);
+    const auto present = perf::layer_time(cfg, mm, kPresent);
+    const auto full = perf::layer_time(cfg, mm, {kTp, Recompute::kFull});
     const double present_ovh = present.combined() / base.combined() - 1.0;
     const double full_ovh = full.combined() / base.combined() - 1.0;
     // Fig 8: full recompute stays ~36-39% while present work shrinks.
@@ -161,9 +168,36 @@ TEST(Figure8, RecomputeOverheadShrinksWithModelSize) {
   }
   // "For the 530B and 1T cases, the overhead is just 2%".
   for (const auto& cfg : {ModelConfig::gpt_530b(), ModelConfig::gpt_1t()}) {
-    const auto base = perf::layer_time(cfg, mm, false, Recompute::kNone);
-    const auto present = perf::layer_time(cfg, mm, true, Recompute::kSelective);
+    const auto base = perf::layer_time(cfg, mm, kBaseline);
+    const auto present = perf::layer_time(cfg, mm, kPresent);
     EXPECT_LT(present.combined() / base.combined() - 1.0, 0.05) << cfg.name;
+  }
+}
+
+// ------------------------------------------------------ folded TSP
+
+// Folded TSP shares tp_sp's collectives and outer sharding, and the
+// model prices no pointwise replay, so every (preset, rung) cell prices
+// exactly like tp_sp. Pricing a replay later must change this test.
+TEST(CostModel, FoldedTspPricesLikeTpSp) {
+  const MachineModel mm = MachineModel::a100();
+  for (const auto& cfg : {ModelConfig::gpt_22b(), ModelConfig::gpt_175b(),
+                          ModelConfig::gpt_530b(), ModelConfig::gpt_1t()}) {
+    for (Recompute rc :
+         {Recompute::kNone, Recompute::kSelective, Recompute::kFull}) {
+      const Technique folded{core::PlanKind::kFoldedTsp, rc};
+      const Technique tp_sp{kTpSp, rc};
+      const auto f = perf::layer_time(cfg, mm, folded);
+      const auto s = perf::layer_time(cfg, mm, tp_sp);
+      const std::string cell = cfg.name + " " + core::recompute_name(rc);
+      EXPECT_DOUBLE_EQ(f.forward, s.forward) << cell;
+      EXPECT_DOUBLE_EQ(f.backward, s.backward) << cell;
+      EXPECT_DOUBLE_EQ(f.backward_comm, s.backward_comm) << cell;
+      EXPECT_DOUBLE_EQ(f.recompute, s.recompute) << cell;
+      EXPECT_DOUBLE_EQ(perf::end_to_end(cfg, mm, folded).iteration_seconds,
+                       perf::end_to_end(cfg, mm, tp_sp).iteration_seconds)
+          << cell;
+    }
   }
 }
 
@@ -183,8 +217,8 @@ TEST(Table5, EndToEndIterationTimes) {
       {ModelConfig::gpt_1t(), 94.42, 71.49, 0.563, 0.570},
   };
   for (const auto& r : rows) {
-    const auto full = perf::end_to_end(r.cfg, mm, false, Recompute::kFull);
-    const auto present = perf::end_to_end(r.cfg, mm, true, Recompute::kSelective);
+    const auto full = perf::end_to_end(r.cfg, mm, {kTp, Recompute::kFull});
+    const auto present = perf::end_to_end(r.cfg, mm, kPresent);
     EXPECT_NEAR(full.iteration_seconds, r.full_s, 0.08 * r.full_s) << r.cfg.name;
     EXPECT_NEAR(present.iteration_seconds, r.present_s, 0.08 * r.present_s)
         << r.cfg.name;
@@ -197,8 +231,8 @@ TEST(Table5, EndToEndIterationTimes) {
     EXPECT_GT(present.hfu, present.mfu) << r.cfg.name;
   }
   // MFU improves with scale (22B -> 530B).
-  const auto m22 = perf::end_to_end(rows[0].cfg, mm, true, Recompute::kSelective);
-  const auto m530 = perf::end_to_end(rows[2].cfg, mm, true, Recompute::kSelective);
+  const auto m22 = perf::end_to_end(rows[0].cfg, mm, kPresent);
+  const auto m530 = perf::end_to_end(rows[2].cfg, mm, kPresent);
   EXPECT_GT(m530.mfu, m22.mfu);
 }
 
@@ -219,8 +253,7 @@ TEST(Table5, DataParallelScalingNote) {
 TEST(PipelineSim, SingleStageHasNoBubble) {
   const MachineModel mm = MachineModel::a100();
   ModelConfig cfg = ModelConfig::gpt_22b();  // p = 1
-  const auto est = perf::estimate_iteration_time(cfg, mm, true,
-                                                 Recompute::kSelective);
+  const auto est = perf::estimate_iteration_time(cfg, mm, kPresent);
   EXPECT_NEAR(est.bubble_fraction, 0.0, 1e-9);
 }
 
@@ -230,8 +263,7 @@ TEST(PipelineSim, BubbleApproximatesClosedForm) {
   const MachineModel mm = MachineModel::a100();
   ModelConfig cfg = ModelConfig::gpt_175b();
   cfg.interleave_m = 1;
-  const auto est =
-      perf::estimate_iteration_time(cfg, mm, true, Recompute::kSelective);
+  const auto est = perf::estimate_iteration_time(cfg, mm, kPresent);
   const double n = static_cast<double>(cfg.microbatches());
   const double expect = (cfg.p - 1) / (n + cfg.p - 1);
   EXPECT_NEAR(est.bubble_fraction, expect, 0.05);
@@ -242,10 +274,8 @@ TEST(PipelineSim, InterleavingShrinksBubble) {
   ModelConfig plain = ModelConfig::gpt_175b();
   plain.interleave_m = 1;
   ModelConfig inter = ModelConfig::gpt_175b();  // m = 3
-  const auto ep =
-      perf::estimate_iteration_time(plain, mm, true, Recompute::kSelective);
-  const auto ei =
-      perf::estimate_iteration_time(inter, mm, true, Recompute::kSelective);
+  const auto ep = perf::estimate_iteration_time(plain, mm, kPresent);
+  const auto ei = perf::estimate_iteration_time(inter, mm, kPresent);
   EXPECT_LT(ei.bubble_fraction, ep.bubble_fraction);
 }
 
@@ -254,7 +284,7 @@ TEST(PipelineSim, InterleavingShrinksBubble) {
 TEST(OverlapTerm, MaxReplacesSerialSum) {
   const MachineModel mm = MachineModel::a100();
   const ModelConfig cfg = ModelConfig::gpt_22b();
-  const auto lt = perf::layer_time(cfg, mm, true, Recompute::kSelective);
+  const auto lt = perf::layer_time(cfg, mm, kPresent);
   EXPECT_GT(lt.backward_comm, 0.0);
   EXPECT_LE(lt.backward_comm, lt.backward);
   EXPECT_DOUBLE_EQ(lt.backward_with_recompute(false),
@@ -272,17 +302,16 @@ TEST(OverlapTerm, IterationEstimateHonoursGating) {
   const MachineModel mm = MachineModel::a100();
   const ModelConfig cfg = ModelConfig::gpt_175b();
   // Selective: overlapping the replay never slows the iteration down.
-  const auto sel_off =
-      perf::estimate_iteration_time(cfg, mm, true, Recompute::kSelective);
+  const auto sel_off = perf::estimate_iteration_time(cfg, mm, kPresent);
   const auto sel_on = perf::estimate_iteration_time(
-      cfg, mm, true, Recompute::kSelective, /*overlap_recompute=*/true);
+      cfg, mm, kPresent, /*overlap_recompute=*/true);
   EXPECT_LE(sel_on.seconds, sel_off.seconds);
   // Full-layer replays contain collectives and cannot overlap: the
   // flag must be a no-op.
   const auto full_off =
-      perf::estimate_iteration_time(cfg, mm, true, Recompute::kFull);
+      perf::estimate_iteration_time(cfg, mm, {kTpSp, Recompute::kFull});
   const auto full_on = perf::estimate_iteration_time(
-      cfg, mm, true, Recompute::kFull, /*overlap_recompute=*/true);
+      cfg, mm, {kTpSp, Recompute::kFull}, /*overlap_recompute=*/true);
   EXPECT_DOUBLE_EQ(full_on.seconds, full_off.seconds);
 }
 
@@ -292,10 +321,8 @@ TEST(PipelineSim, MoreMicrobatchesAmortizeTheBubble) {
   small.interleave_m = 1;
   ModelConfig big = small;
   big.global_batch = small.global_batch * 4;
-  const auto es = perf::estimate_iteration_time(small, mm, true,
-                                                Recompute::kSelective);
-  const auto eb =
-      perf::estimate_iteration_time(big, mm, true, Recompute::kSelective);
+  const auto es = perf::estimate_iteration_time(small, mm, kPresent);
+  const auto eb = perf::estimate_iteration_time(big, mm, kPresent);
   EXPECT_LT(eb.bubble_fraction, es.bubble_fraction);
 }
 

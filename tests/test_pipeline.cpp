@@ -9,6 +9,7 @@
 #include "autograd/engine.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
+#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "optim/optim.h"
 #include "pipeline/executor.h"
@@ -24,6 +25,9 @@ using pipeline::OpType;
 using pipeline::PipelineEngine;
 using pipeline::PipelineOptions;
 using pipeline::Schedule;
+
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
 
 // ------------------------------------------------------ schedule shape
 
@@ -165,14 +169,14 @@ std::vector<float> pipeline_losses(const ModelConfig& cfg, const Batch& batch,
 
 struct PipeCase {
   int t, p, m;
-  // A 4-byte flag, not bool: gtest prints a parameter's raw bytes into
-  // the test name, and a bool here would leave three bytes of
-  // uninitialised padding in it, changing the name from run to run.
-  std::uint32_t sp;
+  // gtest prints a parameter's raw bytes into its ctest name: six
+  // 4-byte fields leave no padding in it, and reordering PlanKind's
+  // values would rename these tests.
+  core::PlanKind plan;
   core::Recompute rc;
   Schedule sched;
 };
-static_assert(sizeof(PipeCase) == 3 * sizeof(int) + sizeof(std::uint32_t) +
+static_assert(sizeof(PipeCase) == 3 * sizeof(int) + sizeof(core::PlanKind) +
                                       sizeof(core::Recompute) +
                                       sizeof(Schedule),
               "PipeCase must have no padding bytes");
@@ -184,8 +188,7 @@ TEST_P(PipelineEquivalence, LossTrajectoryMatchesSerial) {
   ModelConfig cfg = ModelConfig::tiny(pc.t, /*layers=*/4);
   cfg.p = pc.p;
   cfg.interleave_m = pc.m;
-  cfg.set_plan(pc.sp ? core::PlanKind::kTensorSequence
-                     : core::PlanKind::kTensorParallel);
+  cfg.set_plan(pc.plan);
   cfg.recompute = pc.rc;
   cfg.global_batch = 4 * cfg.b;  // 4 microbatches
   cfg.validate();
@@ -210,25 +213,25 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, PipelineEquivalence,
     ::testing::Values(
         // Pure pipeline parallelism.
-        PipeCase{1, 2, 1, false, core::Recompute::kNone, Schedule::k1F1B},
-        PipeCase{1, 4, 1, false, core::Recompute::kNone, Schedule::k1F1B},
-        PipeCase{1, 2, 1, false, core::Recompute::kNone, Schedule::kGPipe},
+        PipeCase{1, 2, 1, kTp, core::Recompute::kNone, Schedule::k1F1B},
+        PipeCase{1, 4, 1, kTp, core::Recompute::kNone, Schedule::k1F1B},
+        PipeCase{1, 2, 1, kTp, core::Recompute::kNone, Schedule::kGPipe},
         // Pipeline + recomputation.
-        PipeCase{1, 2, 1, false, core::Recompute::kFull, Schedule::k1F1B},
-        PipeCase{1, 2, 1, false, core::Recompute::kSelective, Schedule::k1F1B},
+        PipeCase{1, 2, 1, kTp, core::Recompute::kFull, Schedule::k1F1B},
+        PipeCase{1, 2, 1, kTp, core::Recompute::kSelective, Schedule::k1F1B},
         // Pipeline + tensor parallel (+ sequence parallel + selective):
         // the paper's full configuration.
-        PipeCase{2, 2, 1, false, core::Recompute::kNone, Schedule::k1F1B},
-        PipeCase{2, 2, 1, true, core::Recompute::kSelective, Schedule::k1F1B},
+        PipeCase{2, 2, 1, kTp, core::Recompute::kNone, Schedule::k1F1B},
+        PipeCase{2, 2, 1, kTpSp, core::Recompute::kSelective, Schedule::k1F1B},
         // Interleaved schedules.
-        PipeCase{1, 2, 2, false, core::Recompute::kNone,
-                 Schedule::kInterleaved1F1B},
-        PipeCase{2, 2, 2, true, core::Recompute::kSelective,
+        PipeCase{1, 2, 2, kTp, core::Recompute::kNone, Schedule::kInterleaved1F1B},
+        PipeCase{2, 2, 2, kTpSp, core::Recompute::kSelective,
                  Schedule::kInterleaved1F1B}),
     [](const ::testing::TestParamInfo<PipeCase>& info) {
       const auto& c = info.param;
       return "t" + std::to_string(c.t) + "_p" + std::to_string(c.p) + "_m" +
-             std::to_string(c.m) + (c.sp ? "_sp" : "") + "_" +
+             std::to_string(c.m) +
+             (core::plan_for(c.plan).sequence_sharded() ? "_sp" : "") + "_" +
              core::recompute_name(c.rc) + "_" +
              (c.sched == Schedule::kGPipe
                   ? "gpipe"

@@ -41,6 +41,9 @@ using verify::PlanEvent;
 using verify::SymComm;
 using verify::Violation;
 
+constexpr auto kTp = core::PlanKind::kTensorParallel;
+constexpr auto kTpSp = core::PlanKind::kTensorSequence;
+
 std::string joined(const std::vector<Violation>& vs) {
   std::string out;
   for (const Violation& v : vs) out += "[" + v.check + "] " + v.message + "\n";
@@ -239,14 +242,13 @@ TEST(StaticBudget, ExactClaimPasses) {
 
 // ------------------------------------------------- recorded plans
 
-ModelConfig small_config(int t, int p, int d, bool sp, int m,
+ModelConfig small_config(int t, int p, int d, core::PlanKind plan, int m,
                          core::Recompute rc = core::Recompute::kSelective) {
   ModelConfig cfg = ModelConfig::tiny(t, 4);
   cfg.p = p;
   cfg.d = d;
   cfg.interleave_m = m;
-  cfg.set_plan(sp ? core::PlanKind::kTensorSequence
-                  : core::PlanKind::kTensorParallel);
+  cfg.set_plan(plan);
   cfg.recompute = rc;
   cfg.global_batch = static_cast<int64_t>(cfg.b) * d * 4;
   cfg.validate();
@@ -283,16 +285,18 @@ Batch synthetic_batch(const ModelConfig& cfg, uint64_t seed) {
 TEST(StaticClean, ConfigGridVerifiesWithZeroViolations) {
   for (int t : {1, 2}) {
     for (int p : {1, 2}) {
-      for (int sp : {0, 1}) {
-        if (sp && t == 1) continue;
+      for (auto kind : {kTp, kTpSp}) {
+        if (kind == kTpSp && t == 1) continue;
         for (auto rc : {core::Recompute::kNone, core::Recompute::kSelective,
                         core::Recompute::kFull}) {
-          const ModelConfig cfg = small_config(t, p, 1, sp != 0, 1, rc);
+          const ModelConfig cfg = small_config(t, p, 1, kind, 1, rc);
           const Plan plan = verify::record_train_iteration(cfg);
           EXPECT_GT(plan.ranks[0].size(), 0u);
           const auto vs = verify::verify_plan(plan);
           EXPECT_TRUE(vs.empty())
-              << "t=" << t << " p=" << p << " sp=" << sp << "\n" << joined(vs);
+              << "t=" << t << " p=" << p << " plan=" << core::plan_kind_name(kind)
+              << "\n"
+              << joined(vs);
         }
       }
     }
@@ -303,7 +307,7 @@ TEST(StaticClean, ConfigGridVerifiesWithZeroViolations) {
 // groups included, so a recorded plan is complete at t=1 or d=1. With
 // it off, no communicator keeps one (the zero-cost-when-off path).
 TEST(Recorder, SizeOneGroupsRecordOnlyWithAnalyzerOn) {
-  const ModelConfig cfg = small_config(1, 2, 1, false, 1);
+  const ModelConfig cfg = small_config(1, 2, 1, kTp, 1);
   const Batch batch = synthetic_batch(cfg, 7);
   for (bool on : {true, false}) {
     Options o;
@@ -339,7 +343,7 @@ TEST(Recorder, SizeOneGroupsRecordOnlyWithAnalyzerOn) {
 // The schedule depends on the config only: different weights and
 // tokens (cfg.seed drives both) record the same plan, event for event.
 TEST(Recorder, PlanIsDataIndependent) {
-  ModelConfig a = small_config(2, 2, 1, true, 1);
+  ModelConfig a = small_config(2, 2, 1, kTpSp, 1);
   ModelConfig b = a;
   b.seed = a.seed + 1;
   const Plan pa = verify::record_train_iteration(a);
@@ -369,7 +373,7 @@ TEST(Recorder, PlanIsDataIndependent) {
 // a last-stage rank receives its input before any tp collective, and a
 // first-stage rank interleaves tp collectives around its first send.
 TEST(Recorder, KeepsEachRanksIssueOrderAcrossGroups) {
-  const ModelConfig cfg = small_config(2, 2, 1, true, 1);
+  const ModelConfig cfg = small_config(2, 2, 1, kTpSp, 1);
   const Plan plan = verify::record_train_iteration(cfg);
   const size_t grid_splits = 3;
   // d=1: outside the grid splits, every event is a tp collective or a
@@ -478,34 +482,34 @@ void expect_recorded_traffic_matches_runtime(const ModelConfig& cfg) {
 }
 
 TEST(ReplayTrain, TensorParallelZeroDrift) {
-  expect_recorded_traffic_matches_runtime(small_config(2, 1, 1, false, 1));
+  expect_recorded_traffic_matches_runtime(small_config(2, 1, 1, kTp, 1));
 }
 
 TEST(ReplayTrain, SequenceParallelZeroDrift) {
-  expect_recorded_traffic_matches_runtime(small_config(2, 1, 1, true, 1));
+  expect_recorded_traffic_matches_runtime(small_config(2, 1, 1, kTpSp, 1));
 }
 
 TEST(ReplayTrain, PipelineZeroDrift) {
-  expect_recorded_traffic_matches_runtime(small_config(2, 2, 1, true, 1));
+  expect_recorded_traffic_matches_runtime(small_config(2, 2, 1, kTpSp, 1));
 }
 
 TEST(ReplayTrain, InterleavedPipelineZeroDrift) {
-  expect_recorded_traffic_matches_runtime(small_config(1, 2, 1, false, 2));
+  expect_recorded_traffic_matches_runtime(small_config(1, 2, 1, kTp, 2));
 }
 
 TEST(ReplayTrain, DataParallelZeroDrift) {
-  expect_recorded_traffic_matches_runtime(small_config(1, 1, 2, false, 1));
+  expect_recorded_traffic_matches_runtime(small_config(1, 1, 2, kTp, 1));
 }
 
 TEST(ReplayTrain, FoldedTspZeroDrift) {
-  ModelConfig cfg = small_config(2, 1, 1, true, 1);
+  ModelConfig cfg = small_config(2, 1, 1, kTpSp, 1);
   cfg.set_plan(core::PlanKind::kFoldedTsp);
   cfg.validate();
   expect_recorded_traffic_matches_runtime(cfg);
 }
 
 TEST(ReplayTrain, FoldedTspPipelineZeroDrift) {
-  ModelConfig cfg = small_config(2, 2, 1, true, 1);
+  ModelConfig cfg = small_config(2, 2, 1, kTpSp, 1);
   cfg.set_plan(core::PlanKind::kFoldedTsp);
   cfg.validate();
   expect_recorded_traffic_matches_runtime(cfg);

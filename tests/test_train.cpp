@@ -168,11 +168,10 @@ TEST(Trainer, GradClipBoundsTheNorm) {
 TEST(Trainer, ClippedTrainingMatchesSerialUnderParallelism) {
   // Gradient clipping uses a *global* norm; if the dedup rules were
   // wrong the parallel trajectory would diverge from serial.
-  auto run = [](int t, int p, bool sp, int steps) {
+  auto run = [](int t, int p, core::PlanKind plan, int steps) {
     ModelConfig cfg = ModelConfig::tiny(t, 4);
     cfg.p = p;
-    cfg.set_plan(sp ? core::PlanKind::kTensorSequence
-                    : core::PlanKind::kTensorParallel);
+    cfg.set_plan(plan);
     cfg.global_batch = 2 * cfg.b;
     data::MarkovDataset ds(cfg.v, 1.0, 11);
     // Pre-draw all batches so every config sees identical data.
@@ -191,9 +190,9 @@ TEST(Trainer, ClippedTrainingMatchesSerialUnderParallelism) {
     });
     return losses;
   };
-  const auto ref = run(1, 1, false, 4);
-  const auto tp = run(2, 1, false, 4);
-  const auto tpsp_pp = run(2, 2, true, 4);
+  const auto ref = run(1, 1, core::PlanKind::kTensorParallel, 4);
+  const auto tp = run(2, 1, core::PlanKind::kTensorParallel, 4);
+  const auto tpsp_pp = run(2, 2, core::PlanKind::kTensorSequence, 4);
   for (size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(tp[i], ref[i], 3e-3f * (1 + static_cast<float>(i)));
     EXPECT_NEAR(tpsp_pp[i], ref[i], 3e-3f * (1 + static_cast<float>(i)));
