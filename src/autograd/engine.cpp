@@ -27,8 +27,7 @@ std::vector<Node*> reverse_topo_order(Node* root) {
   while (!stack.empty()) {
     Frame& f = stack.back();
     if (f.next_input < f.node->inputs.size()) {
-      const Var& in = f.node->inputs[f.next_input++];
-      Node* child = in.grad_fn().get();
+      Node* child = f.node->inputs[f.next_input++]->grad_fn.get();
       if (child != nullptr && !visited.count(child)) {
         visited.insert(child);
         stack.push_back({child, 0});
@@ -47,24 +46,23 @@ std::vector<Node*> reverse_topo_order(Node* root) {
 
 void backward(const Var& root, Tensor grad_out) {
   MLS_CHECK(root.defined()) << "backward on undefined Var";
+  GradRecord& root_rec = *root.record();
   if (!grad_out.defined()) {
-    grad_out = Tensor::full(root.value().shape(), 1.0f, root.value().dtype());
+    grad_out = Tensor::full(root_rec.shape, 1.0f, root.value().dtype());
   }
-  MLS_CHECK(grad_out.shape() == root.value().shape())
+  MLS_CHECK(grad_out.shape() == root_rec.shape)
       << "grad_out shape " << grad_out.shape().str() << " vs root "
-      << root.value().shape().str();
+      << root_rec.shape.str();
 
-  Node* root_fn = root.grad_fn().get();
+  Node* root_fn = root_rec.grad_fn.get();
   if (root_fn == nullptr) {
-    if (root.requires_grad()) {
-      Var mutable_root = root;
-      mutable_root.accumulate_grad(grad_out);
-    }
+    if (root_rec.requires_grad) root_rec.accumulate(std::move(grad_out));
     return;
   }
 
   // Seed the root's output gradient.
-  root.impl()->grad = grad_out.clone();
+  root_rec.grad = Tensor();
+  root_rec.accumulate(std::move(grad_out));
 
   // Overlapped execution (opt-in via an installed OverlapScheduler):
   // prefetchable replays are registered in tape order, and each
@@ -102,7 +100,7 @@ void backward(const Var& root, Tensor grad_out) {
       node->release_saved();
       continue;
     }
-    const Tensor out_grad = out_impl->grad;
+    Tensor out_grad = out_impl->grad;
     // Free the intermediate gradient now unless this is also a leaf the
     // user may want to read (only params / explicit leaves keep grads).
     if (!out_impl->is_param) out_impl->grad = Tensor();
@@ -115,16 +113,19 @@ void backward(const Var& root, Tensor grad_out) {
     } else {
       in_grads = node->backward(out_grad);
     }
+    // Drop this handle so a gradient passed straight through (or the
+    // last of an aliased pair) can be taken over by its input.
+    out_grad = Tensor();
     MLS_CHECK_EQ(in_grads.size(), node->inputs.size())
         << "node " << node->name() << " returned wrong grad count";
     for (size_t i = 0; i < in_grads.size(); ++i) {
-      Var& in = node->inputs[i];
+      GradRecord* in = node->inputs[i].get();
       if (!in_grads[i].defined()) continue;
-      if (!in.requires_grad() && in.grad_fn() == nullptr) continue;
-      MLS_CHECK(in_grads[i].shape() == in.value().shape())
+      if (!in->requires_grad && in->grad_fn == nullptr) continue;
+      MLS_CHECK(in_grads[i].shape() == in->shape)
           << "node " << node->name() << " grad " << i << " shape "
-          << in_grads[i].shape().str() << " vs input " << in.value().shape().str();
-      in.accumulate_grad(in_grads[i]);
+          << in_grads[i].shape().str() << " vs input " << in->shape.str();
+      in->accumulate(std::move(in_grads[i]));
     }
     node->release_saved();
   }

@@ -34,7 +34,7 @@ class MatmulNode : public Node {
     if (w_needed_) {
       // dx = dy @ w^T   (or dy @ w when the forward used w^T)
       grads[0] = ops::matmul(grad_out, saved_w_.get(), false, !trans_b_);
-      grads[0] = grads[0].reshape(inputs[0].value().shape());
+      grads[0] = grads[0].reshape(inputs[0]->shape);
     }
     if (x_needed_) {
       const Tensor x2d = as_2d(saved_x_.get());

@@ -62,9 +62,11 @@ class SavedTensor {
   bool major_ = true;
 };
 
-// A backward-graph node. Owns strong references to its input Vars (to
-// keep the upstream graph alive) and a weak reference to its output
-// VarImpl (where the engine finds the accumulated output gradient).
+// A backward-graph node. Owns strong references to its inputs'
+// GradRecords (to keep the upstream graph alive) and a weak reference
+// to its output's record (where the engine finds the accumulated
+// output gradient). Records carry no values: whatever backward() reads
+// of the forward, the node must have saved as a SavedTensor.
 class Node {
  public:
   virtual ~Node() = default;
@@ -102,12 +104,13 @@ class Node {
     return backward(grad_out);
   }
 
-  std::vector<Var> inputs;
-  std::weak_ptr<VarImpl> output;
+  std::vector<std::shared_ptr<GradRecord>> inputs;
+  std::weak_ptr<GradRecord> output;
 };
 
 // Finalizes a fresh op result: attaches the node to the output Var if
 // grad mode is on and any input requires grad. Returns the output Var.
-Var make_output(Tensor value, std::shared_ptr<Node> node, std::vector<Var> inputs);
+Var make_output(Tensor value, std::shared_ptr<Node> node,
+                const std::vector<Var>& inputs);
 
 }  // namespace mls::ag

@@ -4,15 +4,25 @@
 
 namespace mls::ag {
 
-Var::Var(Tensor value, bool requires_grad) : impl_(std::make_shared<VarImpl>()) {
-  impl_->value = std::move(value);
-  impl_->requires_grad = requires_grad;
+void GradRecord::accumulate(Tensor g) {
+  if (grad.defined()) {
+    grad.add_(g);
+  } else {
+    grad = g.unique() ? std::move(g) : g.clone();
+  }
+}
+
+Var::Var(Tensor value, bool requires_grad)
+    : impl_(std::make_shared<Impl>(
+          Impl{std::move(value), std::make_shared<GradRecord>()})) {
+  impl_->rec->requires_grad = requires_grad;
+  impl_->rec->shape = impl_->value.shape();
 }
 
 Var Var::param(Tensor value, std::string name) {
   Var v(std::move(value), /*requires_grad=*/true);
-  v.impl_->is_param = true;
-  v.impl_->name = std::move(name);
+  v.impl_->rec->is_param = true;
+  v.impl_->rec->name = std::move(name);
   return v;
 }
 
@@ -26,44 +36,39 @@ Tensor& Var::mutable_value() {
   return impl_->value;
 }
 
+const std::shared_ptr<GradRecord>& Var::record() const {
+  MLS_CHECK(defined()) << "record() on undefined Var";
+  return impl_->rec;
+}
+
 const Tensor& Var::grad() const {
-  MLS_CHECK(defined() && impl_->grad.defined())
-      << "grad() on Var without gradient" << (defined() ? " (" + impl_->name + ")" : "");
-  return impl_->grad;
+  MLS_CHECK(has_grad()) << "grad() on Var without gradient"
+                        << (defined() ? " (" + impl_->rec->name + ")" : "");
+  return impl_->rec->grad;
 }
 
-bool Var::has_grad() const { return defined() && impl_->grad.defined(); }
+bool Var::has_grad() const { return defined() && impl_->rec->grad.defined(); }
 
-void Var::accumulate_grad(const Tensor& g) {
-  MLS_CHECK(defined());
-  if (!impl_->grad.defined()) {
-    impl_->grad = g.clone();
-  } else {
-    impl_->grad.add_(g);
-  }
-}
+void Var::accumulate_grad(Tensor g) { record()->accumulate(std::move(g)); }
 
 void Var::zero_grad() {
-  if (defined()) impl_->grad = Tensor();
+  if (defined()) impl_->rec->grad = Tensor();
 }
 
-bool Var::requires_grad() const { return defined() && impl_->requires_grad; }
+bool Var::requires_grad() const { return defined() && impl_->rec->requires_grad; }
 
-bool Var::is_param() const { return defined() && impl_->is_param; }
+bool Var::is_param() const { return defined() && impl_->rec->is_param; }
 
 const std::string& Var::name() const {
   static const std::string empty;
-  return defined() ? impl_->name : empty;
+  return defined() ? impl_->rec->name : empty;
 }
 
 std::shared_ptr<Node> Var::grad_fn() const {
-  return defined() ? impl_->grad_fn : nullptr;
+  return defined() ? impl_->rec->grad_fn : nullptr;
 }
 
-void Var::set_grad_fn(std::shared_ptr<Node> fn) {
-  MLS_CHECK(defined());
-  impl_->grad_fn = std::move(fn);
-}
+void Var::set_grad_fn(std::shared_ptr<Node> fn) { record()->grad_fn = std::move(fn); }
 
 Var Var::detach() const {
   if (!defined()) return Var();

@@ -56,7 +56,7 @@ void ParallelPlan::sync_replicated_grads(const std::vector<ag::Var>& params,
   analysis::SiteGuard sg("sync_replicated_grads");
   for (const ag::Var& p : params) {
     if (!p.has_grad()) continue;
-    Tensor g = p.impl()->grad;
+    Tensor g = p.grad();
     tp.all_reduce(g);
   }
 }

@@ -159,7 +159,7 @@ IterationStats PipelineEngine::run_iteration(
           // Appendix B: the output's data is redundant with the next
           // stage's input from here on (isend clones eagerly, so the
           // release is safe even before the send task has run).
-          st.output.impl()->value.release();
+          st.output.mutable_value().release();
         } else {
           st.extra_output_bytes = st.output.value().logical_bytes();
           mt.on_alloc_extra(st.extra_output_bytes);
@@ -207,7 +207,7 @@ IterationStats PipelineEngine::run_iteration(
     const float inv_d = 1.0f / static_cast<float>(cfg_.d);
     for (auto& p : params()) {
       if (!p.has_grad()) continue;
-      Tensor g = p.impl()->grad;
+      Tensor g = p.grad();
       dp_.all_reduce(g);
       g.mul_(inv_d);  // replicas hold per-replica means; average them
     }
@@ -245,12 +245,12 @@ void PipelineEngine::sync_tied_word_embeddings() {
   if (has_first && has_last) {
     Var first = chunks_.front()->word_table();
     Var last = chunks_.back()->word_table();
-    if (first.impl() == last.impl()) return;  // single whole-model chunk
+    if (first.record() == last.record()) return;  // single whole-model chunk
     Tensor sum = first.has_grad() ? first.grad().clone()
                                   : Tensor::zeros(first.value().shape());
     if (last.has_grad()) sum.add_(last.grad());
-    first.impl()->grad = sum.clone();
-    last.impl()->grad = sum;
+    first.record()->grad = sum.clone();
+    last.record()->grad = std::move(sum);
     return;
   }
   constexpr int kTieTag = 1 << 22;
@@ -259,22 +259,13 @@ void PipelineEngine::sync_tied_word_embeddings() {
     pp_.send(last_rank, kTieTag, tbl.has_grad()
                                      ? tbl.grad()
                                      : Tensor::zeros(tbl.value().shape()));
-    Tensor other = pp_.recv(last_rank, kTieTag + 1);
-    if (tbl.has_grad()) {
-      tbl.impl()->grad.add_(other);
-    } else {
-      tbl.impl()->grad = other.clone();
-    }
+    tbl.accumulate_grad(pp_.recv(last_rank, kTieTag + 1));
   } else if (has_last) {
     Var tbl = chunks_.back()->word_table();
     Tensor other = pp_.recv(rank_of_stage(0), kTieTag);
     pp_.send(rank_of_stage(0), kTieTag + 1,
              tbl.has_grad() ? tbl.grad() : Tensor::zeros(tbl.value().shape()));
-    if (tbl.has_grad()) {
-      tbl.impl()->grad.add_(other);
-    } else {
-      tbl.impl()->grad = other.clone();
-    }
+    tbl.accumulate_grad(std::move(other));
   }
 }
 

@@ -51,14 +51,23 @@ Tensor bmm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor c = a.clone();
-  c.add_(b);
+  MLS_CHECK(a.shape() == b.shape())
+      << "add shape mismatch " << a.shape().str() << " vs " << b.shape().str();
+  Tensor c = Tensor::empty(a.shape(), a.dtype());
+  const float* ap = a.data();
+  const float* bp = b.data();
+  float* cp = c.data();
+  const int64_t n = a.numel();
+  for (int64_t i = 0; i < n; ++i) cp[i] = ap[i] + bp[i];
   return c;
 }
 
 Tensor scale(const Tensor& a, float s) {
-  Tensor c = a.clone();
-  c.mul_(s);
+  Tensor c = Tensor::empty(a.shape(), a.dtype());
+  const float* ap = a.data();
+  float* cp = c.data();
+  const int64_t n = a.numel();
+  for (int64_t i = 0; i < n; ++i) cp[i] = ap[i] * s;
   return c;
 }
 
@@ -66,12 +75,13 @@ Tensor add_bias(const Tensor& x, const Tensor& bias) {
   MLS_CHECK_EQ(bias.ndim(), 1);
   const int64_t h = x.dim(-1);
   MLS_CHECK_EQ(bias.dim(0), h);
-  Tensor y = x.clone();
-  float* p = y.data();
+  Tensor y = Tensor::empty(x.shape(), x.dtype());
+  const float* xp = x.data();
   const float* bp = bias.data();
+  float* p = y.data();
   const int64_t rows = x.numel() / h;
   for (int64_t r = 0; r < rows; ++r)
-    for (int64_t j = 0; j < h; ++j) p[r * h + j] += bp[j];
+    for (int64_t j = 0; j < h; ++j) p[r * h + j] = xp[r * h + j] + bp[j];
   return y;
 }
 

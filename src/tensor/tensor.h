@@ -52,6 +52,9 @@ class Tensor {
   int ndim() const { return shape_.ndim(); }
   int64_t dim(int i) const { return shape_.dim(i); }
   bool defined() const { return storage_ != nullptr; }
+  // True when no other Tensor (a copy or a view) shares this storage,
+  // so a new owner may take it over instead of cloning it.
+  bool unique() const { return storage_.use_count() == 1; }
   // Bytes this tensor would occupy on a real fp16 training system.
   int64_t logical_bytes() const { return numel() * byte_size(dtype_); }
   // Bytes its storage holds here (fp32 unless U8).

@@ -94,13 +94,13 @@ float Trainer::clip_gradients() {
   for (int c = 0; c < engine.num_chunks(); ++c) {
     auto& m = engine.chunk_model(c);
     const bool tp_rank0 = m.env().tp_rank() == 0;
-    const ag::VarImpl* tied_duplicate =
+    const ag::GradRecord* tied_duplicate =
         (m.spec().has_head && !m.spec().has_embedding)
-            ? m.word_table().impl().get()
+            ? m.word_table().record().get()
             : nullptr;
     for (const auto& p : m.params()) {
       if (!p.has_grad()) continue;
-      if (p.impl().get() == tied_duplicate) continue;
+      if (p.record().get() == tied_duplicate) continue;
       if (is_tp_replicated(p.name()) && !tp_rank0) continue;
       const float* g = p.grad().data();
       for (int64_t i = 0; i < p.numel(); ++i) {
@@ -117,7 +117,7 @@ float Trainer::clip_gradients() {
   if (opts_.grad_clip > 0 && norm > opts_.grad_clip) {
     const float scale = opts_.grad_clip / norm;
     for (auto& p : engine.params()) {
-      if (p.has_grad()) p.impl()->grad.mul_(scale);
+      if (p.has_grad()) p.record()->grad.mul_(scale);
     }
   }
   return norm;

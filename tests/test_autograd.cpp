@@ -224,6 +224,40 @@ TEST_F(AutogradTest, TrackerChargesSavedTensors) {
   EXPECT_GE(mt.peak_bytes(), 2 * 10 * 8 * 2);
 }
 
+TEST_F(AutogradTest, UnsavedIntermediateReturnsToPool) {
+  // add_bias saves nothing, and the graph holds gradient records, not
+  // values: once the forward drops its handle to the pre-bias product
+  // of add_bias(matmul(x, w), b), that product's storage is back in the
+  // pool, and backward still yields the same grads bit for bit.
+  Rng rng(12);
+  const Tensor xv = Tensor::randn(Shape{{8, 16}}, rng);
+  const Tensor wv = Tensor::randn(Shape{{16, 32}}, rng);
+  const Tensor bv = Tensor::randn(Shape{{32}}, rng);
+  const Tensor dy = Tensor::randn(Shape{{8, 32}}, rng);
+  auto& mt = MemoryTracker::instance();
+  struct Grads {
+    Tensor x, w, b;
+  };
+  auto run = [&](bool keep_product) {
+    Var x(xv.clone(), true);
+    Var w = Var::param(wv.clone(), "w");
+    Var b = Var::param(bv.clone(), "b");
+    Var z = matmul(x, w);
+    const int64_t product = z.value().storage_bytes();
+    Var y = add_bias(z, b);
+    const int64_t before = mt.pooled_in_use_bytes();
+    if (!keep_product) z = Var();
+    EXPECT_EQ(before - mt.pooled_in_use_bytes(), keep_product ? 0 : product);
+    backward(y, dy);
+    return Grads{x.grad(), w.grad(), b.grad()};
+  };
+  const Grads dropped = run(false);
+  const Grads kept = run(true);
+  EXPECT_TRUE(dropped.x.allclose(kept.x, 0.f, 0.f));  // bitwise
+  EXPECT_TRUE(dropped.w.allclose(kept.w, 0.f, 0.f));
+  EXPECT_TRUE(dropped.b.allclose(kept.b, 0.f, 0.f));
+}
+
 TEST_F(AutogradTest, DropoutMaskChargedAtOneByte) {
   auto& mt = MemoryTracker::instance();
   Rng rng(9);

@@ -296,6 +296,29 @@ TEST(CollectiveOps, FBarConjugacy) {
   });
 }
 
+TEST(CollectiveOps, AliasedGradientsGetTheirOwnStorage) {
+  // add's backward hands one gradient to both inputs ({g, g}) and f̄'s
+  // passes its output's gradient straight through. The engine takes a
+  // gradient over only when nothing else holds its storage, so b's
+  // second accumulation cannot reach a's grad through a shared buffer,
+  // and no grad aliases the caller's dy.
+  spmd::run(2, [](comm::Comm& c) {
+    ag::Var a(Tensor::full(Shape{{4}}, 1.f), true);
+    ag::Var b(Tensor::full(Shape{{4}}, 2.f), true);
+    ag::Var y = ag::add(ag::add(core::reduce_from_tensor_parallel(a, c), b), b);
+    const Tensor dy = Tensor::full(Shape{{4}}, 3.f);
+    ag::backward(y, dy);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(a.grad().data()[i], 3.f);
+      ASSERT_EQ(b.grad().data()[i], 6.f);
+      ASSERT_EQ(dy.data()[i], 3.f);
+    }
+    EXPECT_NE(a.grad().data(), b.grad().data());
+    EXPECT_NE(a.grad().data(), dy.data());
+    EXPECT_NE(b.grad().data(), dy.data());
+  });
+}
+
 TEST(CollectiveOps, GAndGBarAreConjugate) {
   // ḡ *sums* the ranks' contributions before scattering (its role in a
   // row-parallel linear), so composing g then ḡ on replicated data

@@ -87,7 +87,7 @@ TEST(AutogradErrors, UndefinedVarAccessThrows) {
 
 TEST(AutogradErrors, ReleasedTensorDataAccessThrows) {
   ag::Var x(Tensor::zeros(Shape{{4}}), true);
-  x.impl()->value.release();
+  x.mutable_value().release();
   EXPECT_THROW(x.value().data(), Error);
   // Metadata still works (pipeline dealloc relies on this).
   EXPECT_EQ(x.value().numel(), 4);

@@ -2,7 +2,8 @@
 // BYTE-EXACTLY against the runtime MemoryTracker: for every parallel
 // plan crossed with every recompute rung, the bytes autograd keeps
 // alive at the end of a transformer layer's forward pass must equal
-// the closed-form prediction.
+// the closed-form prediction, and the pool may hold no more than those
+// bytes (at simulation storage width) plus the layer's output.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -13,6 +14,7 @@
 #include "common/memtracker.h"
 #include "core/parallel_plan.h"
 #include "memory/activation_model.h"
+#include "memory/pool_allocator.h"
 #include "model/gpt.h"
 
 namespace mls {
@@ -20,10 +22,19 @@ namespace {
 
 using model::ModelConfig;
 
-// Measures the major activation bytes held at the end of one
-// transformer layer's forward pass under the given configuration.
-int64_t measure_layer_bytes(const ModelConfig& cfg) {
-  int64_t measured = -1;
+// What one transformer layer's forward pass leaves behind.
+struct LayerBytes {
+  int64_t major = -1;          // tracked major bytes (Table 2's accounting)
+  int64_t saved = -1;          // all tracked saved bytes, minor included
+  int64_t pooled_growth = -1;  // pooled in-use bytes the forward added
+  int64_t output = -1;         // the layer output's storage bytes
+  int64_t buffers = -1;        // live pooled buffers the forward added
+};
+
+// Measures rank 0's bytes at the end of one transformer layer's
+// forward pass under the given configuration.
+LayerBytes measure_layer(const ModelConfig& cfg) {
+  LayerBytes measured;
   spmd::run(cfg.t, [&](comm::Comm& c) {
     auto& mt = MemoryTracker::instance();
     mt.reset();
@@ -34,8 +45,12 @@ int64_t measure_layer_bytes(const ModelConfig& cfg) {
 
     Rng drng(5);
     ag::Var x(Tensor::randn(Shape{{cfg.s_local(), cfg.b, cfg.h}}, drng), true);
+    const memory::AllocStats s0 = mt.allocator_stats();
     ag::Var y = layer.forward(x, env);
-    const int64_t bytes = mt.current_major_bytes();
+    const memory::AllocStats s1 = mt.allocator_stats();
+    LayerBytes bytes{mt.current_major_bytes(), mt.current_bytes(),
+                     s1.bytes_in_use - s0.bytes_in_use, y.value().storage_bytes(),
+                     (s1.allocs - s1.frees) - (s0.allocs - s0.frees)};
     // Drain the graph so every rank ends clean.
     ag::backward(y, Tensor::full(y.value().shape(), 1.f));
     MLS_CHECK_EQ(mt.current_bytes(), 0);
@@ -74,7 +89,23 @@ class Table2Validation : public ::testing::TestWithParam<ShapeParam> {
     cfg.recompute = rc;
     if (cfg.plan().sequence_sharded() && cfg.s % cfg.t != 0) GTEST_SKIP();
     const double expect = memory::act_bytes_per_layer(cfg, {plan, rc});
-    EXPECT_EQ(measure_layer_bytes(cfg), static_cast<int64_t>(expect));
+    EXPECT_EQ(measure_layer(cfg).major, static_cast<int64_t>(expect));
+  }
+
+  // One cell's pool: the graph holds gradient records, not values, so
+  // a forward leaves in the pool only what backward reads plus the
+  // output. fp32 storage is 2x the logical fp16 bytes (1-byte masks
+  // and fp32 layer-norm stats are 1x), and each live buffer may round
+  // up by one 512-B allocator granule.
+  void check_pooled(core::PlanKind plan, core::Recompute rc) const {
+    ModelConfig cfg = base_config();
+    cfg.set_plan(plan);
+    cfg.recompute = rc;
+    if (cfg.plan().sequence_sharded() && cfg.s % cfg.t != 0) return;
+    const LayerBytes m = measure_layer(cfg);
+    EXPECT_LE(m.pooled_growth, 2 * m.saved + m.output + 512 * m.buffers)
+        << "plan=" << core::plan_kind_name(plan)
+        << " rc=" << core::recompute_name(rc);
   }
 };
 
@@ -83,7 +114,7 @@ TEST_P(Table2Validation, NoParallelism) {
   const ModelConfig cfg = base_config();
   if (cfg.t != 1) GTEST_SKIP();
   const int64_t sbh = cfg.s * cfg.b * cfg.h;
-  EXPECT_EQ(measure_layer_bytes(cfg), 34 * sbh + 5 * cfg.a * cfg.s * cfg.s * cfg.b);
+  EXPECT_EQ(measure_layer(cfg).major, 34 * sbh + 5 * cfg.a * cfg.s * cfg.s * cfg.b);
 }
 
 // The 3x3 grid of plans x recompute rungs.
@@ -97,6 +128,12 @@ TEST_P(Table2Validation, FoldedTsp) { check(kFolded, kNone); }
 TEST_P(Table2Validation, FoldedTspSelective) { check(kFolded, kSel); }
 TEST_P(Table2Validation, FoldedTspFullRecompute) { check(kFolded, kFull); }
 
+TEST_P(Table2Validation, PooledGrowthIsWhatBackwardReads) {
+  for (const auto plan : {kTp, kTpSp, kFolded}) {
+    for (const auto rc : {kNone, kSel, kFull}) check_pooled(plan, rc);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Table2Validation,
     ::testing::Values(ShapeParam{4, 8, 16, 2, 1},   // serial
@@ -104,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{4, 8, 16, 2, 4},   // t=4
                       ShapeParam{8, 4, 16, 1, 4},   // many heads
                       ShapeParam{2, 16, 8, 3, 2},   // wide heads, odd batch
-                      ShapeParam{8, 8, 32, 1, 8}),  // long sequence, t=8
+                      ShapeParam{8, 8, 32, 1, 8},   // long sequence, t=8
+                      ShapeParam{8, 8, 32, 2, 4}),  // bench_table2
     [](const ::testing::TestParamInfo<ShapeParam>& info) {
       const auto& p = info.param;
       return "a" + std::to_string(std::get<0>(p)) + "_hd" +
