@@ -1,17 +1,18 @@
 // Overlapped activation recomputation (src/runtime): backward wall-clock
-// win from hiding attention-core checkpoint replays — and the dW GEMMs —
+// win from hiding attention-core recompute — and the dW GEMMs —
 // inside nonblocking-collective windows, under injected wire latency.
 //
 // Section 1 runs the real numeric substrate (t=2, selective recompute +
 // sequence parallelism) with a fixed injected latency per collective and
 // compares three quantities per latency point:
-//   * serial backward  — blocking collectives, replay at its node;
-//   * overlap backward — nonblocking collectives, replay prefetched into
-//     their windows (overlap_recompute);
+//   * serial backward  — blocking collectives, recompute at its node;
+//   * overlap backward — nonblocking collectives, the streamed core's
+//     first slice prefetched into their windows (overlap_recompute);
 //   * the analytic prediction serial − min(T_comm, T_recompute), i.e.
 //     the serial sum T_comm + T_recompute replaced by its max.
-// The win grows with latency and saturates at ≈ the replay cost once
-// every window is long enough to hide its replay.
+// The win grows with latency and saturates at ≈ the hidden work (one
+// core slice per layer plus the dW GEMMs) once every window is long
+// enough to hide its share.
 //
 // Section 2 prints the same max(T_comm, T_recompute) term from the
 // calibrated A100 cost model for the 22B layer across NVLink-bandwidth

@@ -65,9 +65,9 @@ void backward(const Var& root, Tensor grad_out) {
   root_rec.accumulate(std::move(grad_out));
 
   // Overlapped execution (opt-in via an installed OverlapScheduler):
-  // prefetchable replays are registered in tape order, and each
+  // prefetchable nodes are registered in tape order, and each
   // async-capable node's collective is launched nonblocking with the
-  // front replay run in the window before waiting. A re-entrant
+  // front node's prefetch run in the window before waiting. A re-entrant
   // backward (a checkpoint replay) pushes a nested scope, so its nodes
   // never touch the enclosing backward's prefetch queue.
   runtime::OverlapScheduler* sched = runtime::OverlapScheduler::current();

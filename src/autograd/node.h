@@ -85,8 +85,8 @@ class Node {
 
   // --- overlap hooks (src/runtime) -------------------------------------
   // A node may expose work backward() needs that depends only on saved
-  // state — not on grad_out — and is pure compute (no collectives): a
-  // checkpoint's forward replay. The engine prefetches it inside a
+  // state — not on grad_out — and is pure compute (no collectives): the
+  // streamed attention core's first slice. The engine prefetches it in a
   // communication window when an OverlapScheduler is installed.
   // prefetch() must be idempotent and must not change backward()'s
   // result.

@@ -166,7 +166,7 @@ class SpGatheredMatmulNode : public Node {
   bool has_async_backward() const override { return true; }
   void launch_backward(const Tensor&) override {
     // The backward all-gather of the sharded-saved input is the window
-    // the scheduler fills with a checkpoint replay.
+    // the scheduler fills with the attention core's slice prefetch.
     analysis::SiteGuard sg("sp_gathered_matmul.bwd:regather");
     if (sharded_save_) gather_handle_ = tp_.iall_gather(saved_x_.get(), 0);
   }

@@ -30,7 +30,7 @@ struct Env {
 // Which activations to recompute (paper §5).
 enum class Recompute {
   kNone,       // store everything (baseline "no recompute")
-  kSelective,  // checkpoint only the attention core (Fig 3 red box)
+  kSelective,  // recompute only the attention core (Fig 3 red box)
   kFull,       // checkpoint whole transformer layers
 };
 
@@ -76,8 +76,8 @@ struct ParallelEnv {
 
   // Overlapped activation recomputation (Chen et al. 2024; PAPERS.md):
   // run backward collectives nonblocking on the rank's comm stream and
-  // fill their windows with the attention-core checkpoint replays.
-  // Numerics are unchanged — the replays run on the same thread with the
+  // fill their windows with the attention core's recompute, one slice
+  // ahead. Numerics are unchanged — it runs on the same thread with the
   // same RNG sites, just earlier. Off by default; honoured by callers
   // that install a runtime::OverlapGuard around backward.
   bool overlap_recompute = false;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "autograd/checkpoint.h"
 #include "core/parallel_plan.h"
 
 namespace mls::core {
@@ -112,10 +111,12 @@ Var ParallelSelfAttention::forward(const Var& x, const ParallelEnv& env) const {
   Var v = ag::sbh_to_bhsd(parts[2], heads_local);
 
   // The attention core (Fig 3's red dashed region): QKᵀ, softmax,
-  // softmax-dropout, attention over V. Under selective recomputation
-  // this whole region is checkpointed with Q/K/V as the stored inputs;
-  // everything inside is recomputed in backward. Which ops fuse (and
-  // therefore what is saved) is the plan's attention_core decision.
+  // softmax-dropout, attention over V. Without recomputation the plan's
+  // attention_core saves its s² state (which ops fuse, and therefore
+  // what is saved, is the plan's decision). Every recompute rung — the
+  // selective one, and the layer replay of full recomputation — runs
+  // the streamed core instead: Q/K/V are its only saved inputs, and
+  // backward rebuilds one (batch, head) slice at a time.
   AttnCoreDims dims;
   dims.heads_local = heads_local;
   dims.heads_total = a_;
@@ -126,16 +127,9 @@ Var ParallelSelfAttention::forward(const Var& x, const ParallelEnv& env) const {
   dims.causal = causal_;
   dims.dropout_p = env.effective_dropout(dropout_p_);
   dims.seed = env.dropout_seed(site_base_ + 0);
-  const ParallelPlan* plan = &env.plan();  // static lifetime (singleton)
-  auto attn_core = [plan, dims](const std::vector<Var>& ins) {
-    return plan->attention_core(ins[0], ins[1], ins[2], dims);
-  };
-
-  // The attention core issues no collectives, so its replay is
-  // prefetchable into a backward comm window (overlap_recompute).
-  Var ctx = (env.recompute == Recompute::kSelective)
-                ? ag::checkpoint(attn_core, {q, k, v}, /*pure_compute=*/true)
-                : attn_core({q, k, v});
+  Var ctx = (env.recompute == Recompute::kNone)
+                ? env.plan().attention_core(q, k, v, dims)
+                : streamed_attention_core(q, k, v, dims);
 
   Var ctx_sbh = ag::bhsd_to_sbh(ctx, heads_local);  // [s, b, h/t]
   return proj.forward(ctx_sbh, env);

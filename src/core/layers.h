@@ -70,8 +70,8 @@ class RowParallelLinear {
 };
 
 // Self-attention with a attention heads split across the TP group
-// (Fig 4/5 left block), including the checkpointable attention core
-// (Fig 3) used by selective activation recomputation.
+// (Fig 4/5 left block), including the attention core (Fig 3) that the
+// recompute rungs stream instead of saving.
 class ParallelSelfAttention {
  public:
   ParallelSelfAttention(const ParallelEnv& env, int64_t h, int64_t a,

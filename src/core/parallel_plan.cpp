@@ -1,9 +1,13 @@
 #include "core/parallel_plan.h"
 
+#include <utility>
+
 #include "analysis/ledger.h"
 #include "autograd/functions.h"
+#include "autograd/node.h"
 #include "common/check.h"
 #include "core/collectives.h"
+#include "tensor/kernels.h"
 
 namespace mls::core {
 
@@ -24,6 +28,189 @@ PlanKind plan_kind_from_string(const std::string& s) {
               "' (expected tp | tp_sp | folded_tsp)");
 }
 
+// ------------------------------------------------------ attention core
+
+ops::IndexMap AttnCoreDims::mask_map() const {
+  const int64_t ss = s_full * s_full;
+  ops::IndexMap map;
+  map.dims = {batch, heads_local, s_full, s_full};
+  map.strides = {heads_total * ss, ss, s_full, 1};
+  map.base = mask_map(0).base;
+  return map;
+}
+
+ops::IndexMap AttnCoreDims::mask_map(int64_t slice) const {
+  const int64_t ss = s_full * s_full;
+  const int64_t bi = slice / heads_local;
+  const int64_t hi = slice % heads_local;
+  ops::IndexMap map;
+  map.dims = {s_full, s_full};
+  map.strides = {s_full, 1};
+  map.base = static_cast<int64_t>(rank) * heads_local * ss +
+             bi * heads_total * ss + hi * ss;
+  return map;
+}
+
+namespace {
+
+// One (batch, head) slice's s×s state, allocated once per pass and
+// reused across slices. Forward writes the dropped probs over scores
+// and draws no mask. Backward keeps probs, the dropped probs and the
+// mask, then reuses scores for d(P·dropout) and dS, and probs_d for dP.
+struct SliceWorkspace {
+  Tensor scores, probs, probs_d, mask;
+
+  static SliceWorkspace make(int64_t s, Dtype dtype, bool backward) {
+    const Shape ss{{s, s}};
+    SliceWorkspace ws;
+    ws.scores = Tensor::empty(ss, dtype);
+    ws.probs = Tensor::empty(ss, dtype);
+    if (backward) {
+      ws.probs_d = Tensor::empty(ss, dtype);
+      ws.mask = Tensor::empty(ss, Dtype::U8);
+    }
+    return ws;
+  }
+};
+
+// The streamed core's operands as [b·a/t, s, d] slices.
+struct CoreView {
+  const float* q;
+  const float* k;
+  const float* v;
+  int64_t s, hd;
+  int64_t at(int64_t i) const { return i * s * hd; }
+};
+
+// Slice i's probabilities (QKᵀ → scaled softmax into ws.probs) and
+// dropped probabilities: into ws.probs_d with the mask when ws holds
+// one (backward), else into ws.scores with no mask drawn (forward).
+// The same kernels, on the same rows, as ops::bmm / scaled_softmax /
+// dropout_stateless over the whole [b·a/t, s, s] tensor.
+float* slice_forward(const CoreView& c, const AttnCoreDims& d, int64_t i,
+                     SliceWorkspace& ws) {
+  const int64_t s = c.s;
+  float* scores = ws.scores.data();
+  float* probs = ws.probs.data();
+  kernels::gemm(c.q + c.at(i), c.k + c.at(i), scores, s, s, c.hd,
+                /*trans_a=*/false, /*trans_b=*/true);
+  kernels::scaled_softmax(scores, probs, s, d.causal ? s : 1, s, d.alpha,
+                          d.causal);
+  const bool with_mask = ws.mask.defined();
+  float* probs_d = with_mask ? ws.probs_d.data() : scores;
+  const ops::IndexMap map = d.mask_map(i);
+  kernels::dropout_stateless(probs, probs_d, with_mask ? ws.mask.u8() : nullptr,
+                             map.dims.data(), map.strides.data(),
+                             static_cast<int>(map.dims.size()), map.base,
+                             d.seed, d.dropout_p);
+  return probs_d;
+}
+
+class StreamedAttentionCoreNode final : public ag::Node {
+ public:
+  StreamedAttentionCoreNode(const ag::Var& q, const ag::Var& k,
+                            const ag::Var& v, const AttnCoreDims& d)
+      : q_(q.value(), !q.is_param()),
+        k_(k.value(), !k.is_param()),
+        v_(v.value(), !v.is_param()),
+        d_(d) {}
+
+  const char* name() const override { return "streamed_attention_core"; }
+
+  // Slice 0's state depends only on q, k and v, so it may be rebuilt
+  // early, inside a comm window: the lookahead is one slice deep.
+  bool prefetchable() const override { return true; }
+  void prefetch() override {
+    if (front_ready_) return;
+    if (!front_.mask.defined()) {
+      front_ = SliceWorkspace::make(d_.s_full, q_.get().dtype(), true);
+    }
+    slice_forward(view(), d_, 0, front_);
+    front_ready_ = true;
+  }
+
+  std::vector<Tensor> backward(const Tensor& grad_out) override {
+    const CoreView c = view();
+    const Tensor& q = q_.get();
+    const int64_t nb = q.dim(0);
+    const int64_t s = c.s;
+    Tensor dq = Tensor::empty(q.shape(), q.dtype());
+    Tensor dk = Tensor::empty(q.shape(), q.dtype());
+    Tensor dv = Tensor::empty(q.shape(), q.dtype());
+    const bool prefetched = std::exchange(front_ready_, false);
+    SliceWorkspace ws = std::move(front_);
+    if (!ws.mask.defined()) ws = SliceWorkspace::make(s, q.dtype(), true);
+    for (int64_t i = 0; i < nb; ++i) {
+      if (i > 0 || !prefetched) slice_forward(c, d_, i, ws);
+      const float* dctx = grad_out.data() + c.at(i);
+      // dV = (P·dropout)ᵀ dctx; dP = dropout'(dctx Vᵀ); dS = softmax'(dP).
+      kernels::gemm(ws.probs_d.data(), dctx, dv.data() + c.at(i), s, c.hd, s,
+                    /*trans_a=*/true, /*trans_b=*/false);
+      kernels::gemm(dctx, c.v + c.at(i), ws.scores.data(), s, s, c.hd,
+                    /*trans_a=*/false, /*trans_b=*/true);
+      kernels::dropout_grad(ws.scores.data(), ws.mask.u8(), ws.probs_d.data(),
+                            s * s, d_.dropout_p);
+      kernels::scaled_softmax_grad(ws.probs.data(), ws.probs_d.data(),
+                                   ws.scores.data(), s, s, d_.alpha);
+      // dQ = dS K; dK = dSᵀ Q.
+      kernels::gemm(ws.scores.data(), c.k + c.at(i), dq.data() + c.at(i), s,
+                    c.hd, s, /*trans_a=*/false, /*trans_b=*/false);
+      kernels::gemm(ws.scores.data(), c.q + c.at(i), dk.data() + c.at(i), s,
+                    c.hd, s, /*trans_a=*/true, /*trans_b=*/false);
+    }
+    return {dq, dk, dv};
+  }
+
+  void release_saved() override {
+    q_.reset();
+    k_.reset();
+    v_.reset();
+    // Drop a prefetched slice that was never consumed (the node's
+    // output received no gradient).
+    front_ = SliceWorkspace{};
+    front_ready_ = false;
+  }
+
+ private:
+  CoreView view() const {
+    const Tensor& q = q_.get();
+    return {q.data(), k_.get().data(), v_.get().data(), q.dim(1), q.dim(2)};
+  }
+
+  ag::SavedTensor q_, k_, v_;
+  AttnCoreDims d_;
+  SliceWorkspace front_;  // slice 0's state once prefetched
+  bool front_ready_ = false;
+};
+
+}  // namespace
+
+ag::Var streamed_attention_core(const ag::Var& q, const ag::Var& k,
+                                const ag::Var& v, const AttnCoreDims& d) {
+  const Tensor& qv = q.value();
+  MLS_CHECK(d.dropout_p >= 0.f && d.dropout_p < 1.f)
+      << "dropout p=" << d.dropout_p;
+  MLS_CHECK_EQ(qv.ndim(), 3);
+  MLS_CHECK(k.value().shape() == qv.shape() && v.value().shape() == qv.shape())
+      << "streamed attention core wants equal [b·a/t, s, d] q, k, v";
+  MLS_CHECK_EQ(qv.dim(0), d.batch * d.heads_local);
+  MLS_CHECK_EQ(qv.dim(1), d.s_full);
+  const CoreView c{qv.data(), k.value().data(), v.value().data(), qv.dim(1),
+                   qv.dim(2)};
+  Tensor out = Tensor::empty(qv.shape(), qv.dtype());
+  SliceWorkspace ws = SliceWorkspace::make(c.s, qv.dtype(), false);
+  for (int64_t i = 0; i < qv.dim(0); ++i) {
+    const float* probs_d = slice_forward(c, d, i, ws);
+    kernels::gemm(probs_d, c.v + c.at(i), out.data() + c.at(i), c.s, c.hd, c.s);
+  }
+  std::shared_ptr<ag::Node> node;
+  if (ag::GradMode::enabled() &&
+      (q.requires_grad() || k.requires_grad() || v.requires_grad())) {
+    node = std::make_shared<StreamedAttentionCoreNode>(q, k, v, d);
+  }
+  return ag::make_output(std::move(out), std::move(node), {q, k, v});
+}
+
 // ------------------------------------------------- shared default stages
 
 ag::Var ParallelPlan::attention_core(const ag::Var& q, const ag::Var& k,
@@ -31,14 +218,7 @@ ag::Var ParallelPlan::attention_core(const ag::Var& q, const ag::Var& k,
                                      const AttnCoreDims& d) const {
   ag::Var scores = ag::bmm(q, k, /*trans_b=*/true);
   ag::Var probs = ag::scaled_softmax(scores, d.alpha, d.causal);
-  // Mask coordinates live in the global [b, a, s, s] tensor so all
-  // shardings (and the serial reference) draw identical masks.
-  ops::IndexMap map;
-  map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
-  map.strides = {d.heads_total * d.s_full * d.s_full, d.s_full * d.s_full,
-                 d.s_full, 1};
-  map.base = static_cast<int64_t>(d.rank) * d.heads_local * d.s_full * d.s_full;
-  ag::Var probs_d = ag::dropout(probs, d.dropout_p, d.seed, map);
+  ag::Var probs_d = ag::dropout(probs, d.dropout_p, d.seed, d.mask_map());
   return ag::bmm(probs_d, v, /*trans_b=*/false);
 }
 
@@ -156,14 +336,8 @@ class FoldedTspPlan final : public SpPlan {
   ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
                          const AttnCoreDims& d) const override {
     ag::Var scores = ag::bmm(q, k, /*trans_b=*/true);
-    ops::IndexMap map;
-    map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
-    map.strides = {d.heads_total * d.s_full * d.s_full, d.s_full * d.s_full,
-                   d.s_full, 1};
-    map.base =
-        static_cast<int64_t>(d.rank) * d.heads_local * d.s_full * d.s_full;
     return ag::scaled_softmax_dropout_bmm(scores, v, d.alpha, d.causal,
-                                          d.dropout_p, d.seed, map);
+                                          d.dropout_p, d.seed, d.mask_map());
   }
 
   ag::Var mlp_act_fc2(const ag::Var& z1, const ag::Var& b1,

@@ -60,6 +60,14 @@ struct AttnCoreDims {
   bool causal = true;
   float dropout_p = 0.0f;
   uint64_t seed = 0;
+
+  // The softmax-dropout mask's coordinates in the global [b, a, s, s]
+  // tensor, so every sharding, every core path and the serial reference
+  // draw identical masks. mask_map() covers the local [b·a/t, s, s]
+  // probabilities; mask_map(i) covers slice i = bi·a/t + hi alone, an
+  // [s, s] block at base rank·(a/t)·s² + bi·a·s² + hi·s².
+  ops::IndexMap mask_map() const;
+  ops::IndexMap mask_map(int64_t slice) const;
 };
 
 class ParallelPlan {
@@ -86,9 +94,10 @@ class ParallelPlan {
                            const ParallelEnv& env) const = 0;
 
   // The attention core: QKᵀ, scaled softmax, softmax-dropout, attention
-  // over V. Pure compute (no collectives) in every plan, so it stays
-  // checkpointable with pure_compute=true. The default is the unfused
-  // four-op chain; folded TSP fuses softmax+dropout+AV into one node.
+  // over V, as kNone runs it: the s² state is saved for backward (the
+  // 5as²b/t term of Table 2). The default is the unfused four-op chain;
+  // folded TSP fuses softmax+dropout+AV into one node. The recompute
+  // rungs run streamed_attention_core instead.
   virtual ag::Var attention_core(const ag::Var& q, const ag::Var& k,
                                  const ag::Var& v,
                                  const AttnCoreDims& d) const;
@@ -113,6 +122,19 @@ class ParallelPlan {
   virtual double act_bytes_per_layer(const LayerDims& d,
                                      Recompute rc) const = 0;
 };
+
+// The attention core as every recompute rung runs it (kSelective, and
+// the layer replay of kFull): one autograd node that saves only q, k
+// and v and streams the b·a/t (batch, head) slices through the raw
+// kernels, so at most one slice's s×s workspace is live at a time.
+// Backward recomputes each slice's probabilities, mask and dropped
+// probabilities, then its dV, dQ and dK; it never re-runs the P·V GEMM.
+// Every output row depends on one slice only and the GEMM fixes each
+// element's k order, so values and gradients are bitwise those of
+// every plan's attention_core. The node is prefetchable: prefetch()
+// recomputes slice 0's state inside a backward comm window.
+ag::Var streamed_attention_core(const ag::Var& q, const ag::Var& k,
+                                const ag::Var& v, const AttnCoreDims& d);
 
 // The built-in plans (stateless singletons with static lifetime).
 const ParallelPlan& tp_plan();

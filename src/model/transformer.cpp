@@ -65,15 +65,11 @@ Var TransformerLayer::forward(const Var& x, const ParallelEnv& env) const {
   }
   // Full activation recomputation: store only the layer input (2sbh,
   // or 2sbh/t under SP — Table 2 last row) and replay the whole layer
-  // in backward. The replay must not itself checkpoint selectively.
-  // A full layer issues collectives, so its replay is NOT pure_compute:
-  // prefetching it into a comm window would interleave two collectives
-  // on the same communicator and corrupt the ring rendezvous.
-  ParallelEnv inner = env;
-  inner.recompute = Recompute::kNone;
+  // in backward. The replay keeps the kFull rung, so its attention core
+  // is the streamed one: it saves Q/K/V, not the s² state.
   return ag::checkpoint(
-      [this, inner](const std::vector<Var>& ins) { return body(ins[0], inner); },
-      {x}, /*pure_compute=*/false);
+      [this, env](const std::vector<Var>& ins) { return body(ins[0], env); },
+      {x});
 }
 
 std::vector<Var> TransformerLayer::params() const {

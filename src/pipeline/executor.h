@@ -31,7 +31,7 @@ struct PipelineOptions {
   // -1 disables microbatch-level recomputation.
   int64_t microbatch_store_budget = -1;
   // src/runtime overlap: run backward tp collectives nonblocking with
-  // attention-core replays prefetched into their windows, and issue
+  // attention-core recompute prefetched into their windows, and issue
   // stage-boundary p2p sends as isend (drained before the iteration's
   // final syncs). Off by default; numerics are unchanged either way.
   bool overlap_recompute = false;

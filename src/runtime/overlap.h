@@ -3,21 +3,22 @@
 // Training through Overlapped Activation Recomputation", Chen et al.
 // 2024, applied to this repo's SAR/full-recompute modes).
 //
-// The key observation is that a checkpoint's forward *replay* depends
-// only on its saved inputs — never on the incoming gradient — so it can
-// run at any point before its node's backward. The autograd engine
+// The key observation is that recomputed forward state depends only on
+// saved inputs — never on the incoming gradient — so it can be rebuilt
+// at any point before its node's backward. The autograd engine
 // exploits this: when it reaches a collective-bearing node, it launches
 // the collective nonblocking on the rank's comm stream, asks the
-// scheduler to run the next pending replay on the calling (compute)
-// thread, and only then waits on the collective. The replay thus runs
+// scheduler to run the next pending prefetch on the calling (compute)
+// thread, and only then waits on the collective. The prefetch thus runs
 // on the compute thread — keeping the thread_local MemoryTracker, RNG
 // sites, and GradMode of the rank intact, so numerics and accounting
 // are bit-identical to the serial schedule — while the ring collective
 // makes progress on the comm stream.
 //
-// Only replays flagged pure-compute (the attention core of selective
-// recomputation) are eligible: a full-layer replay issues collectives
-// of its own, which must not interleave with an in-flight collective on
+// Only nodes that declare themselves prefetchable are eligible: the
+// streamed attention core, whose prefetch rebuilds its first (batch,
+// head) slice. A full-layer checkpoint's replay issues collectives of
+// its own, which must not interleave with an in-flight collective on
 // the same communicator.
 //
 // The scheduler is installed thread-locally with an OverlapGuard (one
@@ -58,9 +59,9 @@ class OverlapScheduler {
   void add_prefetch(const void* key, std::function<void()> run);
 
   // A nonblocking collective was just launched: run the next pending
-  // replay on the calling thread while the collective progresses. The
-  // lookahead is capped at one replay beyond the engine's position, so
-  // the recompute memory spike stays one checkpoint deep.
+  // prefetch on the calling thread while the collective progresses. The
+  // lookahead is capped at one node beyond the engine's position, so
+  // the recompute memory spike stays one prefetch deep.
   void on_comm_launch();
 
   // The engine reached `key`'s node; the entry is retired. Returns true

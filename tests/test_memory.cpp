@@ -225,6 +225,112 @@ TEST(TotalActivationMemory, MinorBuffersAreNegligible) {
 }
 
 // ------------------------------------------------------------------
+// The recompute rungs' backward: the attention core is streamed one
+// (batch, head) slice at a time, so the s² state never exists for more
+// than one slice, and nothing of it is charged to the tracker.
+// ------------------------------------------------------------------
+
+// A t=2 layer with long s and small h, so the core's s² terms dwarf
+// every sbh-scale buffer; a sets the number of slices.
+ModelConfig long_s_config(core::PlanKind plan, core::Recompute rc, int64_t a) {
+  ModelConfig cfg = ModelConfig::tiny(2, 2);
+  cfg.a = a;
+  cfg.h = 32;
+  cfg.s = 128;
+  cfg.b = 2;
+  cfg.v = 64;
+  cfg.set_plan(plan);
+  cfg.recompute = rc;
+  return cfg;
+}
+
+// Rank 0's pooled in-use growth over one layer's backward, and the
+// bound it must keep: one slice's workspace (scores, probabilities and
+// dropped probabilities in fp32, the 1-byte mask), the gradients the
+// backward leaves (params and the layer input), the layer's activations
+// outside the core at fp32 width (the kFull replay re-saves them, the
+// other rungs recompute or re-gather some; tp's selective Table-2 row
+// is the widest set any plan keeps), and one 512-B granule per buffer
+// the backward allocates.
+struct BackwardGrowth {
+  int64_t growth = -1;
+  int64_t bound = -1;
+};
+
+BackwardGrowth measure_layer_backward(const ModelConfig& cfg) {
+  BackwardGrowth out;
+  spmd::run(cfg.t, [&](comm::Comm& c) {
+    auto& mt = MemoryTracker::instance();
+    mt.reset();
+    const core::ParallelEnv env = model::make_env(cfg, c);
+    Rng master(cfg.seed);
+    model::TransformerLayer layer(env, cfg, 0, master);
+    Rng drng(5);
+    ag::Var x(Tensor::randn(Shape{{cfg.s_local(), cfg.b, cfg.h}}, drng), true);
+    ag::Var y = layer.forward(x, env);
+    const Tensor dy = Tensor::full(y.value().shape(), 1.f);
+    mt.reset_physical_peak();
+    const memory::AllocStats s0 = mt.allocator_stats();
+    ag::backward(y, dy);
+    const memory::AllocStats s1 = mt.allocator_stats();
+    int64_t grads = x.grad().storage_bytes();
+    for (const auto& p : layer.params()) grads += p.grad().storage_bytes();
+    const int64_t slice_workspace = (3 * 4 + 1) * cfg.s * cfg.s;
+    const auto outside_core = static_cast<int64_t>(
+        memory::act_bytes_per_layer(cfg, {kTp, kSel}));
+    if (c.rank() == 0) {
+      out.growth = s1.in_use_peak - s0.bytes_in_use;
+      out.bound = slice_workspace + grads + 2 * outside_core +
+                  512 * (s1.allocs - s0.allocs);
+    }
+  });
+  return out;
+}
+
+TEST(RecomputeBackwardMemory, LayerGrowthIsOneSliceNotHeads) {
+  for (const auto plan : {kTp, kTpSp, kFolded}) {
+    for (const auto rc : {kSel, kFull}) {
+      const BackwardGrowth few =
+          measure_layer_backward(long_s_config(plan, rc, 2));
+      const BackwardGrowth many =
+          measure_layer_backward(long_s_config(plan, rc, 8));
+      const std::string cell = std::string("plan=") +
+                               core::plan_kind_name(plan) +
+                               " rc=" + core::recompute_name(rc);
+      EXPECT_LE(few.growth, few.bound) << cell << " a=2";
+      EXPECT_LE(many.growth, many.bound) << cell << " a=8";
+      // Four times the slices, the same transient.
+      EXPECT_EQ(many.growth, few.growth) << cell;
+    }
+  }
+}
+
+// Selective recomputation saves nothing in backward: over a p=1 step,
+// the tracker's logical peak is what the forward left saved (major and
+// minor), in every plan.
+TEST(RecomputeBackwardMemory, SelectiveStepLogicalPeakIsEndOfForward) {
+  for (const auto plan : {kTp, kTpSp, kFolded}) {
+    const ModelConfig cfg = long_s_config(plan, kSel, 8);
+    Rng trng(9);
+    std::vector<int64_t> tokens(static_cast<size_t>(cfg.s * cfg.b));
+    std::vector<int64_t> targets(tokens.size());
+    const auto v = static_cast<uint64_t>(cfg.v);
+    for (auto& t : tokens) t = static_cast<int64_t>(trng.next_below(v));
+    for (auto& t : targets) t = static_cast<int64_t>(trng.next_below(v));
+    spmd::run(cfg.t, [&](comm::Comm& c) {
+      auto& mt = MemoryTracker::instance();
+      mt.reset();
+      model::GPTModel m(cfg, c);
+      ag::Var loss = m.forward_loss(tokens, targets);
+      const int64_t end_of_forward = mt.current_bytes();
+      ag::backward(loss);
+      EXPECT_EQ(mt.peak_bytes(), end_of_forward)
+          << "plan=" << core::plan_kind_name(plan) << " rank " << c.rank();
+    });
+  }
+}
+
+// ------------------------------------------------------------------
 // Closed-form checks of the paper's §5 headline numbers.
 // ------------------------------------------------------------------
 

@@ -11,13 +11,21 @@
 //      wiring) is an exact optimization — bitwise-equal training to
 //      TP+SP with identical collective traffic, only the activation
 //      ledger differs (asserted byte-exactly in test_memory.cpp).
+//   3. The streamed attention core the recompute rungs run is bitwise
+//      the materialized core: values and Q/K/V gradients, at every
+//      slice count, shape, mask and kernel thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "autograd/engine.h"
+#include "autograd/node.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
+#include "core/env.h"
 #include "core/parallel_plan.h"
 #include "train/trainer.h"
 
@@ -144,10 +152,142 @@ TEST(PlanBitIdentity, FoldedTspMatchesTpSpExactly) {
   ModelConfig folded_cfg = sp_cfg;
   folded_cfg.set_plan(PlanKind::kFoldedTsp);
   expect_bitwise_equal(train(sp_cfg), train(folded_cfg));
-  // And again under selective recompute (checkpoint replay drives the
-  // fused attention core a second time per backward).
+  // And again under selective recompute (both plans stream the
+  // attention core there; the fused MLP node still differs).
   expect_bitwise_equal(train(sp_cfg, core::Recompute::kSelective),
                        train(folded_cfg, core::Recompute::kSelective));
+}
+
+// ------------------------------------------------ streamed attention core
+
+// RAII Env override so a failing EXPECT cannot leak the setting into
+// later tests.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::string name, const std::string& value)
+      : name_(std::move(name)) {
+    core::Env::set(name_, value);
+  }
+  ~ScopedEnv() { core::Env::clear(name_); }
+
+ private:
+  std::string name_;
+};
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+// ctx and dq, dk, dv of one attention-core path.
+struct CoreResult {
+  Tensor ctx, dq, dk, dv;
+};
+
+enum class CorePath { kUnfused, kFolded, kStreamed, kStreamedPrefetched };
+
+CoreResult run_core(CorePath path, const Tensor& q0, const Tensor& k0,
+                    const Tensor& v0, const Tensor& grad,
+                    const core::AttnCoreDims& d) {
+  ag::Var q(q0.clone(), true), k(k0.clone(), true), v(v0.clone(), true);
+  ag::Var ctx;
+  switch (path) {
+    case CorePath::kUnfused: {
+      // The materialized chain, with its mask coordinates written out
+      // here rather than taken from AttnCoreDims.
+      const int64_t ss = d.s_full * d.s_full;
+      ops::IndexMap map;
+      map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
+      map.strides = {d.heads_total * ss, ss, d.s_full, 1};
+      map.base = d.rank * d.heads_local * ss;
+      ag::Var probs =
+          ag::scaled_softmax(ag::bmm(q, k, /*trans_b=*/true), d.alpha, d.causal);
+      ctx = ag::bmm(ag::dropout(probs, d.dropout_p, d.seed, map), v);
+      break;
+    }
+    case CorePath::kFolded:
+      ctx = core::folded_tsp_plan().attention_core(q, k, v, d);
+      break;
+    case CorePath::kStreamed:
+    case CorePath::kStreamedPrefetched:
+      ctx = core::streamed_attention_core(q, k, v, d);
+      if (path == CorePath::kStreamedPrefetched) {
+        ag::Node* node = ctx.record()->grad_fn.get();
+        EXPECT_TRUE(node->prefetchable());
+        node->prefetch();
+        node->prefetch();  // idempotent
+      }
+      break;
+  }
+  CoreResult r{ctx.value().clone(), {}, {}, {}};
+  ag::backward(ctx, grad.clone());
+  r.dq = q.grad().clone();
+  r.dk = k.grad().clone();
+  r.dv = v.grad().clone();
+  return r;
+}
+
+// The streamed core against the materialized unfused chain and the
+// folded plan's fused node: every slice count (batch > 1 and rank > 0,
+// so a wrong slice base draws a wrong mask), odd and tile-straddling
+// s, causal or not, dropout on or off, at 1, 2 and 4 kernel threads
+// against the single-thread unfused reference. s = 128 with d = 32 is
+// the first shape whose per-slice GEMMs split across threads.
+TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
+  struct Slices {
+    int64_t batch, heads_local;
+  };
+  const Slices slice_grid[] = {{1, 1}, {3, 1}, {2, 4}};  // nb = 1, 3, 8
+  for (const Slices sl : slice_grid) {
+    for (const int64_t s : {1, 7, 33, 64, 128}) {
+      for (const int64_t hd : {4, 32}) {
+        for (const bool causal : {false, true}) {
+          for (const float p : {0.0f, 0.1f}) {
+            core::AttnCoreDims d;
+            d.heads_local = sl.heads_local;
+            d.heads_total = 2 * sl.heads_local;  // rank 1 of t = 2
+            d.rank = 1;
+            d.batch = sl.batch;
+            d.s_full = s;
+            d.alpha = 1.0f / std::sqrt(static_cast<float>(hd));
+            d.causal = causal;
+            d.dropout_p = p;
+            d.seed = 77;
+            const Shape shape{{sl.batch * sl.heads_local, s, hd}};
+            Rng rng(static_cast<uint64_t>(1000 * s + hd));
+            const Tensor q = Tensor::randn(shape, rng);
+            const Tensor k = Tensor::randn(shape, rng);
+            const Tensor v = Tensor::randn(shape, rng);
+            const Tensor g = Tensor::randn(shape, rng);
+            CoreResult ref;
+            {
+              ScopedEnv one("MLS_KERNEL_THREADS", "1");
+              ref = run_core(CorePath::kUnfused, q, k, v, g, d);
+            }
+            for (const char* nt : {"1", "2", "4"}) {
+              ScopedEnv threads("MLS_KERNEL_THREADS", nt);
+              for (const CorePath path :
+                   {CorePath::kUnfused, CorePath::kFolded, CorePath::kStreamed,
+                    CorePath::kStreamedPrefetched}) {
+                const CoreResult r = run_core(path, q, k, v, g, d);
+                const std::string where =
+                    "nb=" + std::to_string(shape.dim(0)) +
+                    " s=" + std::to_string(s) + " d=" + std::to_string(hd) +
+                    " causal=" + std::to_string(causal) +
+                    " p=" + std::to_string(p) + " threads=" + nt +
+                    " path=" + std::to_string(static_cast<int>(path));
+                EXPECT_TRUE(bitwise_equal(r.ctx, ref.ctx)) << "ctx " << where;
+                EXPECT_TRUE(bitwise_equal(r.dq, ref.dq)) << "dq " << where;
+                EXPECT_TRUE(bitwise_equal(r.dk, ref.dk)) << "dk " << where;
+                EXPECT_TRUE(bitwise_equal(r.dv, ref.dv)) << "dv " << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the runtime subsystem: streams/events, the overlap
 // scheduler, nonblocking collectives (bit-identical results and traffic
 // vs their blocking twins), and end-to-end numeric equivalence of
-// overlap_recompute — including nested checkpoints with dropout, whose
-// RNG replay must be bit-exact when prefetched into a comm window.
+// overlap_recompute — including the streamed attention core nested in a
+// full-layer checkpoint, whose dropout replay must be bit-exact when
+// prefetched into a comm window.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "comm/spmd.h"
 #include "common/rng.h"
 #include "core/collectives.h"
+#include "core/parallel_plan.h"
 #include "model/transformer.h"
 #include "runtime/overlap.h"
 #include "runtime/stream.h"
@@ -287,43 +289,55 @@ TEST(OverlapRecompute, LayerGradsBitIdenticalToSerial) {
   });
 }
 
-// Nested checkpoints with dropout at both levels: the outer (full-layer
-// style, collective-bearing) checkpoint replays inline, the inner
-// pure-compute one is prefetched into the ḡ backward's all-gather
-// window — and both dropout masks must replay bit-exactly.
+// The real kFull composition, with dropout at both levels: the outer
+// (full-layer style, collective-bearing) checkpoint replays inline, and
+// the streamed attention core inside it is prefetched into the ḡ
+// backward's all-gather window of the nested backward — and both
+// dropout masks must replay bit-exactly.
 TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
   const int t = 2;
-  const int64_t s = 8, h = 16;
+  const int64_t s = 8, b = 2, h = 16, heads = 4;
   spmd::run(t, [&](comm::Comm& c) {
     Rng rng(21 + static_cast<uint64_t>(c.rank()));
-    const Tensor x0 = Tensor::randn(Shape{{s / t, h}}, rng);
+    const Tensor x0 = Tensor::randn(Shape{{s / t, b, h}}, rng);
     Rng wrng(33);  // same weights on every rank
-    const Tensor w0 = Tensor::randn(Shape{{h, h}}, wrng, 0.3f);
+    const Tensor w0 = Tensor::randn(Shape{{h, 3 * h / t}}, wrng, 0.3f);
+
+    core::AttnCoreDims dims;
+    dims.heads_local = heads / t;
+    dims.heads_total = heads;
+    dims.rank = c.rank();
+    dims.batch = b;
+    dims.s_full = s;
+    dims.alpha = 0.5f;
+    dims.causal = true;
+    dims.dropout_p = 0.25f;
+    dims.seed = 123;
 
     auto run_mode = [&](bool overlap, Tensor& dx, Tensor& dw, Tensor& out) {
       ag::Var x(x0.clone(), true);
       ag::Var w = ag::Var::param(w0.clone());
-      auto inner = [&](const std::vector<ag::Var>& ins) {
-        ag::Var a = ag::gelu(ag::matmul(ins[0], ins[1]));
-        return ag::dropout(a, 0.25f, /*seed=*/123,
-                           ops::IndexMap::identity(a.value().shape()));
-      };
       auto outer = [&](const std::vector<ag::Var>& ins) {
         ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
-        ag::Var a = ag::checkpoint(inner, {g, ins[1]}, /*pure_compute=*/true);
+        auto qkv = ag::chunk(ag::matmul(g, ins[1]), 3, /*dim=*/2);
+        ag::Var ctx = core::streamed_attention_core(
+            ag::sbh_to_bhsd(qkv[0], dims.heads_local),
+            ag::sbh_to_bhsd(qkv[1], dims.heads_local),
+            ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims);
+        ag::Var a = ag::bhsd_to_sbh(ctx, dims.heads_local);
         ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
                                 ops::IndexMap::identity(a.value().shape()));
         return core::scatter_to_sequence_parallel(d, c);
       };
-      ag::Var y = ag::checkpoint(outer, {x, w}, /*pure_compute=*/false);
+      ag::Var y = ag::checkpoint(outer, {x, w});
       {
         runtime::OverlapGuard guard(overlap);
         ag::backward(y, Tensor::full(y.value().shape(), 1.f));
         if (overlap) {
           auto* sc = guard.scheduler();
           ASSERT_NE(sc, nullptr);
-          // The inner replay really ran inside a window of the nested
-          // (re-entrant) backward, not at its own node.
+          // The core's first slice really ran inside a window of the
+          // nested (re-entrant) backward, not at its own node.
           EXPECT_GT(sc->stats().prefetches, 0);
         }
       }
