@@ -36,6 +36,7 @@ RULES=(
   "layers-direct-comm|direct collective wiring in src/core/layers.*: layers must route every TP/SP communication decision through the ParallelPlan strategy (env.plan()) — including core/collectives.h or calling Comm collectives / conjugate-pair helpers there re-hardwires the schedule the plan owns"
   "libm-in-kernel|libm std::exp / std::tanh / expf / tanhf in the kernel library (src/tensor/kernels.{h,cpp}): a libm call per element stops the fused GeLU and softmax epilogues from auto-vectorizing; use the file's libm-free tanh_f32 / exp_f32 bodies"
   "env-knob-docs|README.md and the MLS_* environment knobs drift apart: every \"MLS_*\" literal read in src/ must appear in README.md, and every MLS_* name in the first cell of a README table row must appear under src/, tests/, examples/, bench/, CMakeLists.txt or .github/workflows/"
+  "inert-env-reader|an out-of-line T::from_env() defined in src/ that nothing calls: its environment reads never run, so the knobs it parses (and their README rows) do nothing while looking live — delete the reader or call it"
 )
 
 rule_names() {
@@ -254,6 +255,53 @@ match_env_knob_docs() {
               "$line" "$knob"
       done
     done
+}
+
+match_inert_env_reader() {
+  # A definition is a column-0 `Ret Class::from_env(` line in src/. A
+  # call site is any other line naming `Class::from_env(`, or a bare
+  # `from_env(` in the defining file (a call from another member);
+  # `static Ret from_env();` declarations do not count. Comments and
+  # string literals are stripped first.
+  xargs -r awk '
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      where = FILENAME ":" FNR
+      if (FILENAME ~ /(^|\/)src\// \
+          && line ~ /^[A-Za-z_][A-Za-z0-9_:<>]*[ \t]+([A-Za-z_][A-Za-z0-9_]*::)+from_env[ \t]*\(/) {
+        cls = line
+        sub(/::from_env.*/, "", cls)
+        sub(/.*[^A-Za-z0-9_]/, "", cls)
+        nd++; dcls[nd] = cls; dfile[nd] = FILENAME; dwhere[nd] = where
+      }
+      if (line ~ /static[^;]*from_env[ \t]*\([ \t]*\)[ \t]*;/) next
+      rest = line
+      while (match(rest, /[A-Za-z_][A-Za-z0-9_]*::from_env[ \t]*\(/)) {
+        q = substr(rest, RSTART, RLENGTH)
+        sub(/::.*/, "", q)
+        qref[q] = qref[q] SUBSEP where
+        rest = substr(rest, RSTART + RLENGTH)
+      }
+      if (line ~ /(^|[^:A-Za-z0-9_])from_env[ \t]*\(/)
+        bref[FILENAME] = bref[FILENAME] SUBSEP where
+    }
+    function called_elsewhere(refs, self,    n, parts, i) {
+      n = split(refs, parts, SUBSEP)
+      for (i = 1; i <= n; i++)
+        if (parts[i] != "" && parts[i] != self) return 1
+      return 0
+    }
+    END {
+      for (i = 1; i <= nd; i++) {
+        if (called_elsewhere(qref[dcls[i]], dwhere[i])) continue
+        if (called_elsewhere(bref[dfile[i]], dwhere[i])) continue
+        printf "%s: %s::from_env() is defined but never called\n", \
+               dwhere[i], dcls[i]
+      }
+    }
+  '
 }
 
 # Per-rule file filter: which of the scanned files a rule looks at.

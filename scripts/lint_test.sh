@@ -54,6 +54,7 @@ expect_fires libm-in-kernel   libm_in_kernel_bad.cpp
 # env-knob-docs has two checks; each must fire on its own fixture.
 expect_fires env-knob-docs    env_knob_docs_bad.cpp
 expect_fires env-knob-docs    README.md
+expect_fires inert-env-reader inert_env_reader_bad.cpp
 
 for rule in $("$LINT" --list | awk '{print $1}'); do
   expect_clean "$rule"

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "autograd/node.h"
-#include "runtime/overlap.h"
 
 namespace mls::ag {
 
@@ -64,33 +63,7 @@ void backward(const Var& root, Tensor grad_out) {
   root_rec.grad = Tensor();
   root_rec.accumulate(std::move(grad_out));
 
-  // Overlapped execution (opt-in via an installed OverlapScheduler):
-  // prefetchable nodes are registered in tape order, and each
-  // async-capable node's collective is launched nonblocking with the
-  // front node's prefetch run in the window before waiting. A re-entrant
-  // backward (a checkpoint replay) pushes a nested scope, so its nodes
-  // never touch the enclosing backward's prefetch queue.
-  runtime::OverlapScheduler* sched = runtime::OverlapScheduler::current();
-  const std::vector<Node*> order = reverse_topo_order(root_fn);
-  struct ScopeGuard {
-    runtime::OverlapScheduler* s;
-    explicit ScopeGuard(runtime::OverlapScheduler* s) : s(s) {
-      if (s) s->begin_scope();
-    }
-    ~ScopeGuard() {
-      if (s) s->end_scope();
-    }
-  } scope(sched);
-  if (sched) {
-    for (Node* node : order) {
-      if (node->prefetchable()) {
-        sched->add_prefetch(node, [node] { node->prefetch(); });
-      }
-    }
-  }
-
-  for (Node* node : order) {
-    if (sched) sched->node_reached(node);
+  for (Node* node : reverse_topo_order(root_fn)) {
     auto out_impl = node->output.lock();
     MLS_CHECK(out_impl != nullptr)
         << "node " << node->name() << " output died before backward";
@@ -105,14 +78,7 @@ void backward(const Var& root, Tensor grad_out) {
     // user may want to read (only params / explicit leaves keep grads).
     if (!out_impl->is_param) out_impl->grad = Tensor();
 
-    std::vector<Tensor> in_grads;
-    if (sched && node->has_async_backward()) {
-      node->launch_backward(out_grad);
-      sched->on_comm_launch();
-      in_grads = node->finish_backward(out_grad);
-    } else {
-      in_grads = node->backward(out_grad);
-    }
+    std::vector<Tensor> in_grads = node->backward(out_grad);
     // Drop this handle so a gradient passed straight through (or the
     // last of an aliased pair) can be taken over by its input.
     out_grad = Tensor();

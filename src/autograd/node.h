@@ -83,27 +83,6 @@ class Node {
   // the graph).
   virtual void release_saved() {}
 
-  // --- overlap hooks (src/runtime) -------------------------------------
-  // A node may expose work backward() needs that depends only on saved
-  // state — not on grad_out — and is pure compute (no collectives): the
-  // streamed attention core's first slice. The engine prefetches it in a
-  // communication window when an OverlapScheduler is installed.
-  // prefetch() must be idempotent and must not change backward()'s
-  // result.
-  virtual bool prefetchable() const { return false; }
-  virtual void prefetch() {}
-
-  // A node whose backward is dominated by a collective can split it in
-  // two: launch_backward() starts the collective nonblocking on the comm
-  // stream and returns; finish_backward() waits for it and completes the
-  // gradient math. The pair must be equivalent to backward(). Only used
-  // when an OverlapScheduler is installed.
-  virtual bool has_async_backward() const { return false; }
-  virtual void launch_backward(const Tensor& grad_out) { (void)grad_out; }
-  virtual std::vector<Tensor> finish_backward(const Tensor& grad_out) {
-    return backward(grad_out);
-  }
-
   std::vector<std::shared_ptr<GradRecord>> inputs;
   std::weak_ptr<GradRecord> output;
 };

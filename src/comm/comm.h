@@ -130,7 +130,7 @@ class Comm {
   // Injected wire latency: every rank sleeps `sec_per_byte * bytes_moved
   // + sec_fixed` at the end of each collective / recv on this
   // communicator. On the nonblocking path the sleep happens on the comm
-  // stream, so compute can hide it — the knob bench_overlap turns.
+  // stream, so compute can hide it (bench_serve and bench_overhead turn it).
   void set_injected_comm_latency(double sec_per_byte, double sec_fixed = 0);
 
   TrafficStats& stats() { return *stats_; }

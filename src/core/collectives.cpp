@@ -1,12 +1,10 @@
 #include "core/collectives.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "analysis/ledger.h"
 #include "autograd/node.h"
 #include "core/env.h"
-#include "runtime/overlap.h"
 #include "tensor/ops.h"
 
 // Every collective below runs under an analysis::SiteGuard so the comm
@@ -35,24 +33,9 @@ class CopyToTpNode : public Node {
     tp_.all_reduce(g);
     return {g};
   }
-  bool has_async_backward() const override { return true; }
-  void launch_backward(const Tensor& grad_out) override {
-    analysis::SiteGuard sg("f(copy_to_tp).bwd");
-    pending_ = grad_out.clone();
-    handle_ = tp_.iall_reduce(pending_);
-  }
-  std::vector<Tensor> finish_backward(const Tensor&) override {
-    handle_.wait();
-    handle_ = comm::CommHandle();
-    Tensor g = std::move(pending_);
-    pending_ = Tensor();
-    return {g};
-  }
 
  private:
   comm::Comm tp_;
-  comm::CommHandle handle_;
-  Tensor pending_;
 };
 
 class ReduceFromTpNode : public Node {
@@ -71,20 +54,9 @@ class GatherFromSpNode : public Node {
     analysis::SiteGuard sg("g(gather_from_sp).bwd");
     return {tp_.reduce_scatter(grad_out, 0)};
   }
-  bool has_async_backward() const override { return true; }
-  void launch_backward(const Tensor& grad_out) override {
-    analysis::SiteGuard sg("g(gather_from_sp).bwd");
-    handle_ = tp_.ireduce_scatter(grad_out, 0);
-  }
-  std::vector<Tensor> finish_backward(const Tensor&) override {
-    Tensor g = handle_.result();
-    handle_ = comm::CommHandle();
-    return {g};
-  }
 
  private:
   comm::Comm tp_;
-  comm::CommHandle handle_;
 };
 
 class ScatterToSpNode : public Node {
@@ -95,20 +67,9 @@ class ScatterToSpNode : public Node {
     analysis::SiteGuard sg("ḡ(scatter_to_sp).bwd");
     return {tp_.all_gather(grad_out, 0)};
   }
-  bool has_async_backward() const override { return true; }
-  void launch_backward(const Tensor& grad_out) override {
-    analysis::SiteGuard sg("ḡ(scatter_to_sp).bwd");
-    handle_ = tp_.iall_gather(grad_out, 0);
-  }
-  std::vector<Tensor> finish_backward(const Tensor&) override {
-    Tensor g = handle_.result();
-    handle_ = comm::CommHandle();
-    return {g};
-  }
 
  private:
   comm::Comm tp_;
-  comm::CommHandle handle_;
 };
 
 }  // namespace
@@ -161,24 +122,20 @@ class SpGatheredMatmulNode : public Node {
     analysis::SiteGuard sg("sp_gathered_matmul.bwd:regather");
     Tensor x_full =
         sharded_save_ ? tp_.all_gather(saved_x_.get(), 0) : saved_x_.get().clone();
-    return finish_math(grad_out, std::move(x_full));
-  }
-  bool has_async_backward() const override { return true; }
-  void launch_backward(const Tensor&) override {
-    // The backward all-gather of the sharded-saved input is the window
-    // the scheduler fills with the attention core's slice prefetch.
-    analysis::SiteGuard sg("sp_gathered_matmul.bwd:regather");
-    if (sharded_save_) gather_handle_ = tp_.iall_gather(saved_x_.get(), 0);
-  }
-  std::vector<Tensor> finish_backward(const Tensor& grad_out) override {
-    Tensor x_full;
-    if (sharded_save_) {
-      x_full = gather_handle_.result();
-      gather_handle_ = comm::CommHandle();
-    } else {
-      x_full = saved_x_.get().clone();
-    }
-    return finish_math(grad_out, std::move(x_full));
+
+    // dX (full) = dY · Wᵀ, then ḡ-style reduce-scatter back to shards.
+    analysis::SiteGuard sg_dx("sp_gathered_matmul.bwd:dx");
+    Tensor dx_full = ops::matmul(grad_out, saved_w_.get(), false, !trans_b_);
+    Tensor dx_shard = tp_.reduce_scatter(dx_full, 0);
+
+    // dW = Xᵀ · dY (or dYᵀ · X when the forward used Wᵀ).
+    const int64_t k = x_full.dim(-1);
+    Tensor x2d = x_full.reshape(Shape{{x_full.numel() / k, k}});
+    const int64_t n = grad_out.dim(-1);
+    Tensor dy2d = grad_out.reshape(Shape{{grad_out.numel() / n, n}});
+    Tensor dw = trans_b_ ? ops::matmul(dy2d, x2d, /*trans_a=*/true)
+                         : ops::matmul(x2d, dy2d, /*trans_a=*/true);
+    return {dx_shard, dw};
   }
   void release_saved() override {
     saved_x_.reset();
@@ -186,43 +143,9 @@ class SpGatheredMatmulNode : public Node {
   }
 
  private:
-  std::vector<Tensor> finish_math(const Tensor& grad_out, Tensor x_full) {
-    // dX (full) = dY · Wᵀ, then ḡ-style reduce-scatter back to shards.
-    analysis::SiteGuard sg("sp_gathered_matmul.bwd:dx");
-    Tensor dx_full = ops::matmul(grad_out, saved_w_.get(), false, !trans_b_);
-    comm::CommHandle rs;
-    Tensor dx_shard;
-    auto* sched = runtime::OverlapScheduler::current();
-    if (sched) {
-      // Launch ḡ nonblocking and compute dW in its window — the exact
-      // GEMM/reduce-scatter overlap the paper assumes on real hardware.
-      rs = tp_.ireduce_scatter(dx_full, 0);
-      sched->on_comm_launch();
-    } else {
-      dx_shard = tp_.reduce_scatter(dx_full, 0);
-    }
-
-    // dW = Xᵀ · dY (or dYᵀ · X when the forward used Wᵀ).
-    const auto t0 = std::chrono::steady_clock::now();
-    const int64_t k = x_full.dim(-1);
-    Tensor x2d = x_full.reshape(Shape{{x_full.numel() / k, k}});
-    const int64_t n = grad_out.dim(-1);
-    Tensor dy2d = grad_out.reshape(Shape{{grad_out.numel() / n, n}});
-    Tensor dw = trans_b_ ? ops::matmul(dy2d, x2d, /*trans_a=*/true)
-                         : ops::matmul(x2d, dy2d, /*trans_a=*/true);
-    if (sched) {
-      sched->note_window_compute(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    if (rs.valid()) dx_shard = rs.result();
-    return {dx_shard, dw};
-  }
-
   comm::Comm tp_;
   bool trans_b_, sharded_save_;
   SavedTensor saved_x_, saved_w_;
-  comm::CommHandle gather_handle_;
 };
 
 }  // namespace

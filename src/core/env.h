@@ -74,14 +74,6 @@ struct ParallelEnv {
   const ParallelPlan* parallel_plan = &tp_plan();
   const ParallelPlan& plan() const { return *parallel_plan; }
 
-  // Overlapped activation recomputation (Chen et al. 2024; PAPERS.md):
-  // run backward collectives nonblocking on the rank's comm stream and
-  // fill their windows with the attention core's recompute, one slice
-  // ahead. Numerics are unchanged — it runs on the same thread with the
-  // same RNG sites, just earlier. Off by default; honoured by callers
-  // that install a runtime::OverlapGuard around backward.
-  bool overlap_recompute = false;
-
   // Base seed; all dropout masks derive from (seed, site, microbatch).
   uint64_t seed = 0x5eed;
   // Advanced by the trainer so every microbatch gets fresh dropout.

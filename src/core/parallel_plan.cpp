@@ -117,18 +117,6 @@ class StreamedAttentionCoreNode final : public ag::Node {
 
   const char* name() const override { return "streamed_attention_core"; }
 
-  // Slice 0's state depends only on q, k and v, so it may be rebuilt
-  // early, inside a comm window: the lookahead is one slice deep.
-  bool prefetchable() const override { return true; }
-  void prefetch() override {
-    if (front_ready_) return;
-    if (!front_.mask.defined()) {
-      front_ = SliceWorkspace::make(d_.s_full, q_.get().dtype(), true);
-    }
-    slice_forward(view(), d_, 0, front_);
-    front_ready_ = true;
-  }
-
   std::vector<Tensor> backward(const Tensor& grad_out) override {
     const CoreView c = view();
     const Tensor& q = q_.get();
@@ -137,11 +125,9 @@ class StreamedAttentionCoreNode final : public ag::Node {
     Tensor dq = Tensor::empty(q.shape(), q.dtype());
     Tensor dk = Tensor::empty(q.shape(), q.dtype());
     Tensor dv = Tensor::empty(q.shape(), q.dtype());
-    const bool prefetched = std::exchange(front_ready_, false);
-    SliceWorkspace ws = std::move(front_);
-    if (!ws.mask.defined()) ws = SliceWorkspace::make(s, q.dtype(), true);
+    SliceWorkspace ws = SliceWorkspace::make(s, q.dtype(), true);
     for (int64_t i = 0; i < nb; ++i) {
-      if (i > 0 || !prefetched) slice_forward(c, d_, i, ws);
+      slice_forward(c, d_, i, ws);
       const float* dctx = grad_out.data() + c.at(i);
       // dV = (P·dropout)ᵀ dctx; dP = dropout'(dctx Vᵀ); dS = softmax'(dP).
       kernels::gemm(ws.probs_d.data(), dctx, dv.data() + c.at(i), s, c.hd, s,
@@ -165,10 +151,6 @@ class StreamedAttentionCoreNode final : public ag::Node {
     q_.reset();
     k_.reset();
     v_.reset();
-    // Drop a prefetched slice that was never consumed (the node's
-    // output received no gradient).
-    front_ = SliceWorkspace{};
-    front_ready_ = false;
   }
 
  private:
@@ -179,8 +161,6 @@ class StreamedAttentionCoreNode final : public ag::Node {
 
   ag::SavedTensor q_, k_, v_;
   AttnCoreDims d_;
-  SliceWorkspace front_;  // slice 0's state once prefetched
-  bool front_ready_ = false;
 };
 
 }  // namespace

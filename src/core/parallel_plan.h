@@ -131,8 +131,7 @@ class ParallelPlan {
 // probabilities, then its dV, dQ and dK; it never re-runs the P·V GEMM.
 // Every output row depends on one slice only and the GEMM fixes each
 // element's k order, so values and gradients are bitwise those of
-// every plan's attention_core. The node is prefetchable: prefetch()
-// recomputes slice 0's state inside a backward comm window.
+// every plan's attention_core.
 ag::Var streamed_attention_core(const ag::Var& q, const ag::Var& k,
                                 const ag::Var& v, const AttnCoreDims& d);
 

@@ -6,7 +6,7 @@
 // comm substrate (collective entry points, Comm::launch) and the
 // checkpoint store; each is an inline armed() check — one relaxed
 // atomic load — so a disarmed binary pays nothing measurable
-// (bench_overlap §4 guards < 1%).
+// (bench_overhead §2 guards < 1%).
 //
 // Event matching needs the world rank and trainer step of the thread
 // executing the op; TrainScope publishes them as thread-locals

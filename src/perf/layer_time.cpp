@@ -85,7 +85,6 @@ LayerTime layer_time(const model::ModelConfig& cfg, const MachineModel& mm,
   lt.forward = t_dense + t_attn + t_elem_fwd + t_comm_fwd + mm.kernel_overhead;
   lt.backward = 2.0 * (t_dense + t_attn) + t_elem_bwd + t_comm_bwd +
                 mm.kernel_overhead;
-  lt.backward_comm = t_comm_bwd;
 
   // --- recomputation (extra forward work inside backward) -------------
   const double core_bytes =

@@ -52,8 +52,7 @@ double optimizer_time(const model::ModelConfig& cfg, const MachineModel& mm) {
 
 IterationEstimate estimate_iteration_time(const model::ModelConfig& cfg,
                                           const MachineModel& mm,
-                                          memory::Technique tech,
-                                          bool overlap_recompute) {
+                                          memory::Technique tech) {
   const int p = cfg.p;
   // A single stage has nothing to interleave.
   const int m = (p > 1) ? cfg.interleave_m : 1;
@@ -63,14 +62,9 @@ IterationEstimate estimate_iteration_time(const model::ModelConfig& cfg,
       static_cast<double>(cfg.L) / (static_cast<double>(p) * m);
 
   const LayerTime lt = layer_time(cfg, mm, tech);
-  // Only collective-free replays (selective mode) can hide inside the
-  // backward's comm windows; full-layer replays stay serial.
-  const bool overlap =
-      overlap_recompute && tech.recompute == core::Recompute::kSelective;
   OpDurations d;
   d.layer_fwd = layers_per_chunk * lt.forward;
-  d.layer_bwd_with_recompute =
-      layers_per_chunk * lt.backward_with_recompute(overlap);
+  d.layer_bwd_with_recompute = layers_per_chunk * (lt.backward + lt.recompute);
   d.embed_fwd = embedding_forward_time(cfg, mm, tech);
   d.embed_bwd = d.embed_fwd;  // scatter-add of roughly the same traffic
   d.head_fwd = head_forward_time(cfg, mm);
@@ -178,9 +172,8 @@ double dp_iteration_seconds(const model::ModelConfig& cfg,
 }
 
 E2eRow end_to_end(const model::ModelConfig& cfg, const MachineModel& mm,
-                  memory::Technique tech, bool overlap_recompute) {
-  const IterationEstimate est =
-      estimate_iteration_time(cfg, mm, tech, overlap_recompute);
+                  memory::Technique tech) {
+  const IterationEstimate est = estimate_iteration_time(cfg, mm, tech);
   E2eRow row;
   row.iteration_seconds = est.seconds;
   row.mfu = mfu(cfg, est.seconds, mm.peak_flops);

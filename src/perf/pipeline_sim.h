@@ -16,14 +16,9 @@ struct IterationEstimate {
 
 // Simulates one training iteration of `cfg` in the Table-2 cell `tech`.
 // cfg's p and interleave_m select 1F1B or interleaved 1F1B (never GPipe).
-// `overlap_recompute` applies the runtime's overlapped-recomputation
-// term — max(T_comm, T_recompute) instead of their sum — to backward
-// ops; it only takes effect for kSelective, whose replays are
-// collective-free.
 IterationEstimate estimate_iteration_time(const model::ModelConfig& cfg,
                                           const MachineModel& mm,
-                                          memory::Technique tech,
-                                          bool overlap_recompute = false);
+                                          memory::Technique tech);
 
 // §6.3's data-parallelism note: scaling to `dp`-way data parallelism
 // adds an (un-overlapped) gradient all-reduce over InfiniBand.
@@ -39,6 +34,6 @@ struct E2eRow {
 
 // One Table 5 row: iteration time + MFU/HFU for the cell `tech`.
 E2eRow end_to_end(const model::ModelConfig& cfg, const MachineModel& mm,
-                  memory::Technique tech, bool overlap_recompute = false);
+                  memory::Technique tech);
 
 }  // namespace mls::perf

@@ -4,7 +4,6 @@
 #include "autograd/engine.h"
 #include "common/memtracker.h"
 #include "memory/activation_model.h"
-#include "runtime/overlap.h"
 
 namespace mls::pipeline {
 
@@ -40,7 +39,6 @@ PipelineEngine::PipelineEngine(const model::ModelConfig& cfg, comm::Comm& world,
     spec.has_head = (v == last_stage_);
     chunks_.push_back(std::make_unique<model::GPTModel>(cfg_, tp_, spec));
   }
-  for (auto& c : chunks_) c->env().overlap_recompute = opts_.overlap_recompute;
 }
 
 int PipelineEngine::fwd_tag(int boundary, int mb) const {
@@ -85,25 +83,11 @@ IterationStats PipelineEngine::run_iteration(
   const auto ops =
       build_schedule(opts_.schedule, cfg_.p, pp_.rank(), n, m);
 
-  // Overlap mode: the guard makes every ag::backward below schedule its
-  // collectives nonblocking with replay prefetch, and boundary sends go
-  // out as isend (their handles drain before the final syncs).
-  runtime::OverlapGuard overlap_guard(opts_.overlap_recompute);
-  std::vector<comm::CommHandle> pending_sends;
   auto boundary_send = [&](const char* site, int dst, int tag, const Tensor& t) {
     analysis::SiteGuard sg(site);
-    if (opts_.overlap_recompute) {
-      pending_sends.push_back(pp_.isend(dst, tag, t));
-    } else {
-      pp_.send(dst, tag, t);
-    }
+    pp_.send(dst, tag, t);
   };
 
-  // Unwinding mid-schedule (a poisoned communicator, an injected fault)
-  // abandons the in-flight boundary sends: their errors, if any, are the
-  // same failure that is already propagating, and recovery tears the
-  // whole world down — without this the leak audit would flag them.
-  try {
   for (const auto& op : ops) {
     const int v = virtual_stage(op.chunk);
     auto& model = *chunks_[static_cast<size_t>(op.chunk)];
@@ -157,8 +141,7 @@ IterationStats PipelineEngine::run_iteration(
                       fwd_tag(v + 1, op.microbatch), st.output.value());
         if (opts_.deallocate_outputs) {
           // Appendix B: the output's data is redundant with the next
-          // stage's input from here on (isend clones eagerly, so the
-          // release is safe even before the send task has run).
+          // stage's input from here on (send hands the receiver a copy).
           st.output.mutable_value().release();
         } else {
           st.extra_output_bytes = st.output.value().logical_bytes();
@@ -190,13 +173,7 @@ IterationStats PipelineEngine::run_iteration(
       if (st.extra_output_bytes > 0) mt.on_free_extra(st.extra_output_bytes);
     }
   }
-  } catch (...) {
-    for (auto& h : pending_sends) h.abandon();
-    throw;
-  }
   MLS_CHECK(live.empty()) << "unbalanced schedule";
-  for (auto& h : pending_sends) h.wait();
-  pending_sends.clear();
 
   // Post-iteration synchronizations (within the replica first, then the
   // data-parallel gradient all-reduce across replicas — §6.3).

@@ -30,11 +30,6 @@ struct PipelineOptions {
   // Appendix C: device-memory budget (bytes) for stored activations;
   // -1 disables microbatch-level recomputation.
   int64_t microbatch_store_budget = -1;
-  // src/runtime overlap: run backward tp collectives nonblocking with
-  // attention-core recompute prefetched into their windows, and issue
-  // stage-boundary p2p sends as isend (drained before the iteration's
-  // final syncs). Off by default; numerics are unchanged either way.
-  bool overlap_recompute = false;
 };
 
 struct IterationStats {

@@ -1,27 +1,8 @@
 #include "serve/config.h"
 
 #include "common/check.h"
-#include "core/env.h"
 
 namespace mls::serve {
-
-ServeConfig ServeConfig::from_env() {
-  ServeConfig cfg;
-  cfg.block_tokens =
-      core::Env::integer("MLS_SERVE_BLOCK_TOKENS", cfg.block_tokens);
-  cfg.kv_budget_tokens =
-      core::Env::integer("MLS_SERVE_KV_TOKENS", cfg.kv_budget_tokens);
-  cfg.max_batch = core::Env::integer("MLS_SERVE_MAX_BATCH", cfg.max_batch);
-  cfg.paged = core::Env::flag("MLS_SERVE_PAGED", cfg.paged);
-  cfg.overlap = core::Env::flag("MLS_SERVE_OVERLAP", cfg.overlap);
-  cfg.soft_pct = core::Env::real("MLS_MEM_SOFT_PCT", cfg.soft_pct);
-  cfg.hard_pct = core::Env::real("MLS_MEM_HARD_PCT", cfg.hard_pct);
-  cfg.max_queue = core::Env::integer("MLS_SERVE_MAX_QUEUE", cfg.max_queue);
-  cfg.mem_budget_bytes =
-      core::Env::integer("MLS_MEM_BUDGET_BYTES", cfg.mem_budget_bytes);
-  cfg.validate();
-  return cfg;
-}
 
 void ServeConfig::validate() const {
   MLS_CHECK_GT(block_tokens, 0);

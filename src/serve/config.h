@@ -1,7 +1,8 @@
-// Serving-plane configuration (the MLS_SERVE_* env knobs).
+// Serving-plane configuration.
 //
-// The knobs size the per-rank KV budget and the continuous-batching
-// scheduler; see README "Serving" for the table and DESIGN.md §11 for
+// The fields size the per-rank KV budget and the continuous-batching
+// scheduler. Callers set them directly (bench_serve, perfbench, the
+// tests); no environment variable reads them. DESIGN.md §11 describes
 // how they interact.
 #pragma once
 
@@ -12,41 +13,39 @@ namespace mls::serve {
 struct ServeConfig {
   // Tokens per KV block (the paging granule). Every block stores this
   // many token positions for ALL layers and this rank's heads.
-  int64_t block_tokens = 16;  // MLS_SERVE_BLOCK_TOKENS
+  int64_t block_tokens = 16;
   // Per-rank KV budget in token positions; the paged pool holds
   // floor(kv_budget_tokens / block_tokens) blocks, the naive baseline
   // the same number of bytes.
-  int64_t kv_budget_tokens = 4096;  // MLS_SERVE_KV_TOKENS
+  int64_t kv_budget_tokens = 4096;
   // Max sequences decoded per step (batch width ceiling).
-  int64_t max_batch = 32;  // MLS_SERVE_MAX_BATCH
+  int64_t max_batch = 32;
   // Paged block-table cache (default) vs naive whole-sequence
   // reservations — the bench baseline.
-  bool paged = true;  // MLS_SERVE_PAGED
+  bool paged = true;
   // Software-pipeline the decode all-reduces against compute on the
   // comm streams (two half-batches per layer). Numerics identical
   // (test_serve pins both paths to the same tokens), but off by
   // default: a decode step's per-layer compute window is small, and on
   // few-core hosts the split-batch launches and ring rendezvous cost
   // more than the hidden latency (bench_serve t2/overlap vs t2/serial).
-  bool overlap = false;  // MLS_SERVE_OVERLAP
+  bool overlap = false;
   // ---- memory-pressure plane (DESIGN.md §14) -----------------------
   // KV-occupancy watermarks (fraction of the pool reserved). At or
   // above soft, admission pauses (queued requests wait); above hard,
   // the scheduler preempts latest-admitted until back under. Defaults
   // of 1.0 leave both off — the pre-pressure-plane behavior.
-  double soft_pct = 1.0;  // MLS_MEM_SOFT_PCT
-  double hard_pct = 1.0;  // MLS_MEM_HARD_PCT
+  double soft_pct = 1.0;
+  double hard_pct = 1.0;
   // Deterministic load shedding: queued requests beyond this depth are
   // retired newest-first as kShed instead of waiting forever. < 0 (the
   // default) leaves the queue unbounded.
-  int64_t max_queue = -1;  // MLS_SERVE_MAX_QUEUE
+  int64_t max_queue = -1;
   // Byte ceiling for the KV pool: when set, the effective token budget
   // is clamped so the pool's logical KV bytes can never exceed it
-  // (floored at one block). The same knob that budgets the training
-  // arena.
-  int64_t mem_budget_bytes = -1;  // MLS_MEM_BUDGET_BYTES
+  // (floored at one block).
+  int64_t mem_budget_bytes = -1;
 
-  static ServeConfig from_env();
   void validate() const;
 };
 

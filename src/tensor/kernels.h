@@ -2,10 +2,10 @@
 // is float32 except the stateless-dropout mask, which is one byte per
 // element.
 //
-// Everything the simulator times — bench_table4 layer walls, bench_table5
-// end-to-end, the overlap windows that hide selective-recompute replays —
-// bottoms out here, so these kernels are written for throughput while
-// keeping the determinism contract the rest of the system relies on:
+// Everything the simulator times — perfbench's training and serving
+// steps, bench_serve, bench_kernels — bottoms out here, so these
+// kernels are written for throughput while keeping the determinism
+// contract the rest of the system relies on:
 //
 //  * gemm() is a cache-blocked GEMM (BLIS-style jc/pc/ic/jr/ir loop nest)
 //    with B- and A-panel packing and a register-tiled MR x NR

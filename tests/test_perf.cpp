@@ -192,7 +192,6 @@ TEST(CostModel, FoldedTspPricesLikeTpSp) {
       const std::string cell = cfg.name + " " + core::recompute_name(rc);
       EXPECT_DOUBLE_EQ(f.forward, s.forward) << cell;
       EXPECT_DOUBLE_EQ(f.backward, s.backward) << cell;
-      EXPECT_DOUBLE_EQ(f.backward_comm, s.backward_comm) << cell;
       EXPECT_DOUBLE_EQ(f.recompute, s.recompute) << cell;
       EXPECT_DOUBLE_EQ(perf::end_to_end(cfg, mm, folded).iteration_seconds,
                        perf::end_to_end(cfg, mm, tp_sp).iteration_seconds)
@@ -277,42 +276,6 @@ TEST(PipelineSim, InterleavingShrinksBubble) {
   const auto ep = perf::estimate_iteration_time(plain, mm, kPresent);
   const auto ei = perf::estimate_iteration_time(inter, mm, kPresent);
   EXPECT_LT(ei.bubble_fraction, ep.bubble_fraction);
-}
-
-// ------------------------------------------------------ overlap term
-
-TEST(OverlapTerm, MaxReplacesSerialSum) {
-  const MachineModel mm = MachineModel::a100();
-  const ModelConfig cfg = ModelConfig::gpt_22b();
-  const auto lt = perf::layer_time(cfg, mm, kPresent);
-  EXPECT_GT(lt.backward_comm, 0.0);
-  EXPECT_LE(lt.backward_comm, lt.backward);
-  EXPECT_DOUBLE_EQ(lt.backward_with_recompute(false),
-                   lt.backward + lt.recompute);
-  EXPECT_DOUBLE_EQ(
-      lt.backward_with_recompute(true),
-      lt.backward - lt.backward_comm +
-          std::max(lt.backward_comm, lt.recompute));
-  // Hiding the replay can only help (or tie).
-  EXPECT_LE(lt.backward_with_recompute(true),
-            lt.backward_with_recompute(false));
-}
-
-TEST(OverlapTerm, IterationEstimateHonoursGating) {
-  const MachineModel mm = MachineModel::a100();
-  const ModelConfig cfg = ModelConfig::gpt_175b();
-  // Selective: overlapping the replay never slows the iteration down.
-  const auto sel_off = perf::estimate_iteration_time(cfg, mm, kPresent);
-  const auto sel_on = perf::estimate_iteration_time(
-      cfg, mm, kPresent, /*overlap_recompute=*/true);
-  EXPECT_LE(sel_on.seconds, sel_off.seconds);
-  // Full-layer replays contain collectives and cannot overlap: the
-  // flag must be a no-op.
-  const auto full_off =
-      perf::estimate_iteration_time(cfg, mm, {kTpSp, Recompute::kFull});
-  const auto full_on = perf::estimate_iteration_time(
-      cfg, mm, {kTpSp, Recompute::kFull}, /*overlap_recompute=*/true);
-  EXPECT_DOUBLE_EQ(full_on.seconds, full_off.seconds);
 }
 
 TEST(PipelineSim, MoreMicrobatchesAmortizeTheBubble) {

@@ -238,32 +238,6 @@ INSTANTIATE_TEST_SUITE_P(
                   : c.sched == Schedule::k1F1B ? "1f1b" : "interleaved");
     });
 
-// -------------------------------------------- overlapped recomputation
-
-TEST(OverlapRecompute, PipelineLossBitIdentical) {
-  // The paper's full configuration (t=2, p=2, SP, selective) with
-  // overlap_recompute: nonblocking tp collectives, isend boundary
-  // sends, and replay prefetch must leave every step's loss bit-exact.
-  ModelConfig cfg = ModelConfig::tiny(2, 4);
-  cfg.p = 2;
-  cfg.set_plan(core::PlanKind::kTensorSequence);
-  cfg.recompute = core::Recompute::kSelective;
-  cfg.global_batch = 4 * cfg.b;
-  cfg.validate();
-  const Batch batch = make_batch(cfg);
-  const int steps = 2;
-
-  PipelineOptions serial;
-  const auto ref = pipeline_losses(cfg, batch, steps, serial);
-  PipelineOptions overlapped;
-  overlapped.overlap_recompute = true;
-  const auto got = pipeline_losses(cfg, batch, steps, overlapped);
-  ASSERT_EQ(ref.size(), got.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i], got[i]) << "step " << i;  // bitwise, not approx
-  }
-}
-
 // ------------------------------------------------ Appendix B (dealloc)
 
 TEST(AppendixB, OutputDeallocationReducesPeakWithoutChangingMath) {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "autograd/engine.h"
-#include "autograd/node.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
 #include "core/env.h"
@@ -185,7 +184,7 @@ struct CoreResult {
   Tensor ctx, dq, dk, dv;
 };
 
-enum class CorePath { kUnfused, kFolded, kStreamed, kStreamedPrefetched };
+enum class CorePath { kUnfused, kFolded, kStreamed };
 
 CoreResult run_core(CorePath path, const Tensor& q0, const Tensor& k0,
                     const Tensor& v0, const Tensor& grad,
@@ -210,14 +209,7 @@ CoreResult run_core(CorePath path, const Tensor& q0, const Tensor& k0,
       ctx = core::folded_tsp_plan().attention_core(q, k, v, d);
       break;
     case CorePath::kStreamed:
-    case CorePath::kStreamedPrefetched:
       ctx = core::streamed_attention_core(q, k, v, d);
-      if (path == CorePath::kStreamedPrefetched) {
-        ag::Node* node = ctx.record()->grad_fn.get();
-        EXPECT_TRUE(node->prefetchable());
-        node->prefetch();
-        node->prefetch();  // idempotent
-      }
       break;
   }
   CoreResult r{ctx.value().clone(), {}, {}, {}};
@@ -267,9 +259,8 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
             }
             for (const char* nt : {"1", "2", "4"}) {
               ScopedEnv threads("MLS_KERNEL_THREADS", nt);
-              for (const CorePath path :
-                   {CorePath::kUnfused, CorePath::kFolded, CorePath::kStreamed,
-                    CorePath::kStreamedPrefetched}) {
+              for (const CorePath path : {CorePath::kUnfused, CorePath::kFolded,
+                                          CorePath::kStreamed}) {
                 const CoreResult r = run_core(path, q, k, v, g, d);
                 const std::string where =
                     "nb=" + std::to_string(shape.dim(0)) +

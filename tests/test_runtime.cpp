@@ -1,9 +1,7 @@
-// Tests for the runtime subsystem: streams/events, the overlap
-// scheduler, nonblocking collectives (bit-identical results and traffic
-// vs their blocking twins), and end-to-end numeric equivalence of
-// overlap_recompute — including the streamed attention core nested in a
-// full-layer checkpoint, whose dropout replay must be bit-exact when
-// prefetched into a comm window.
+// Tests for the runtime subsystem: streams/events, nonblocking
+// collectives (bit-identical results and traffic vs their blocking
+// twins), and the streamed attention core nested in a full-layer
+// checkpoint, whose dropout replay must be bit-exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,8 +18,6 @@
 #include "common/rng.h"
 #include "core/collectives.h"
 #include "core/parallel_plan.h"
-#include "model/transformer.h"
-#include "runtime/overlap.h"
 #include "runtime/stream.h"
 
 namespace mls {
@@ -80,70 +76,6 @@ TEST(Stream, DestructorDrainsQueue) {
     for (int i = 0; i < 8; ++i) s.enqueue([&] { ++ran; });
   }
   EXPECT_EQ(ran.load(), 8);
-}
-
-// -------------------------------------------------------- scheduler
-
-TEST(OverlapScheduler, PrefetchesOnePerWindowInOrder) {
-  runtime::OverlapScheduler sched;
-  std::vector<int> ran;
-  int key0 = 0, key1 = 0;
-  sched.begin_scope();
-  sched.add_prefetch(&key0, [&] { ran.push_back(0); });
-  sched.add_prefetch(&key1, [&] { ran.push_back(1); });
-
-  sched.on_comm_launch();  // runs replay 0
-  ASSERT_EQ(ran, (std::vector<int>{0}));
-  // Lookahead is capped: the front replay is done but unretired, so a
-  // second window must not start replay 1.
-  sched.on_comm_launch();
-  ASSERT_EQ(ran, (std::vector<int>{0}));
-
-  EXPECT_TRUE(sched.node_reached(&key0));  // 0 was prefetched
-  sched.on_comm_launch();                  // now 1 runs
-  ASSERT_EQ(ran, (std::vector<int>{0, 1}));
-  EXPECT_TRUE(sched.node_reached(&key1));
-  sched.end_scope();
-
-  EXPECT_EQ(sched.stats().comm_windows, 3);
-  EXPECT_EQ(sched.stats().prefetches, 2);
-  EXPECT_EQ(sched.stats().inline_replays, 0);
-  EXPECT_EQ(sched.window_work().size(), 3u);
-}
-
-TEST(OverlapScheduler, UnprefetchedNodeCountsAsInlineReplay) {
-  runtime::OverlapScheduler sched;
-  sched.begin_scope();
-  int key = 0;
-  sched.add_prefetch(&key, [] {});
-  // No comm window opened before the engine reaches the node.
-  EXPECT_FALSE(sched.node_reached(&key));
-  EXPECT_EQ(sched.stats().inline_replays, 1);
-  sched.end_scope();
-}
-
-TEST(OverlapScheduler, ScopesNestForReentrantBackward) {
-  runtime::OverlapScheduler sched;
-  std::vector<int> ran;
-  int outer = 0, inner = 0;
-  sched.begin_scope();
-  sched.add_prefetch(&outer, [&] { ran.push_back(0); });
-  sched.begin_scope();  // replay backward enters a nested scope
-  sched.add_prefetch(&inner, [&] { ran.push_back(1); });
-  sched.on_comm_launch();  // must run the *inner* scope's replay
-  ASSERT_EQ(ran, (std::vector<int>{1}));
-  EXPECT_TRUE(sched.node_reached(&inner));
-  sched.end_scope();
-  sched.on_comm_launch();  // back in the outer scope
-  ASSERT_EQ(ran, (std::vector<int>{1, 0}));
-  EXPECT_TRUE(sched.node_reached(&outer));
-  sched.end_scope();
-}
-
-TEST(OverlapGuard, InactiveGuardInstallsNothing) {
-  runtime::OverlapGuard g(/*active=*/false);
-  EXPECT_EQ(g.scheduler(), nullptr);
-  EXPECT_EQ(runtime::OverlapScheduler::current(), nullptr);
 }
 
 // ------------------------------------------- nonblocking collectives
@@ -238,62 +170,13 @@ TEST(Nonblocking, ISendClonesEagerlyAndIRecvDelivers) {
   });
 }
 
-// --------------------------------------- overlap_recompute numerics
-
-// Backward gradients of a 2-layer tensor+sequence-parallel stack with
-// selective recomputation must be bit-identical with and without
-// overlap_recompute: the prefetched replays run on the same thread with
-// the same RNG sites, just earlier.
-TEST(OverlapRecompute, LayerGradsBitIdenticalToSerial) {
-  const int t = 2;
-  model::ModelConfig cfg = model::ModelConfig::tiny(t, 2);
-  cfg.set_plan(core::PlanKind::kTensorSequence);
-  cfg.recompute = core::Recompute::kSelective;
-  spmd::run(t, [&](comm::Comm& c) {
-    auto run_mode = [&](bool overlap, std::vector<Tensor>& grads) {
-      core::ParallelEnv env = model::make_env(cfg, c);
-      env.overlap_recompute = overlap;
-      Rng master(cfg.seed);
-      std::vector<std::unique_ptr<model::TransformerLayer>> layers;
-      for (int l = 0; l < 2; ++l) {
-        layers.push_back(
-            std::make_unique<model::TransformerLayer>(env, cfg, l, master));
-      }
-      Rng drng(11);
-      Tensor x0 = Tensor::randn(Shape{{cfg.s / t, cfg.b, cfg.h}}, drng);
-      ag::Var x(x0, true);
-      ag::Var y = x;
-      for (auto& l : layers) y = l->forward(y, env);
-      {
-        runtime::OverlapGuard guard(overlap);
-        ag::backward(y, Tensor::full(y.value().shape(), 1.f));
-        if (overlap) {
-          auto* s = guard.scheduler();
-          ASSERT_NE(s, nullptr);
-          // The mode must actually engage: windows opened, replays hidden.
-          EXPECT_GT(s->stats().comm_windows, 0);
-          EXPECT_GT(s->stats().prefetches, 0);
-        }
-      }
-      grads.push_back(x.grad().clone());
-      for (auto& l : layers)
-        for (const auto& p : l->params()) grads.push_back(p.grad().clone());
-    };
-    std::vector<Tensor> serial, overlapped;
-    run_mode(false, serial);
-    run_mode(true, overlapped);
-    ASSERT_EQ(serial.size(), overlapped.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_TRUE(bitwise_equal(serial[i], overlapped[i])) << "grad " << i;
-    }
-  });
-}
+// ------------------------------------------- nested checkpoint replay
 
 // The real kFull composition, with dropout at both levels: the outer
-// (full-layer style, collective-bearing) checkpoint replays inline, and
-// the streamed attention core inside it is prefetched into the ḡ
-// backward's all-gather window of the nested backward — and both
-// dropout masks must replay bit-exactly.
+// (full-layer style, collective-bearing) checkpoint replays the
+// streamed attention core inside its nested backward, and both dropout
+// masks must replay bit-exactly — out, dx and dw equal the same region
+// run inline, without the checkpoint.
 TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
   const int t = 2;
   const int64_t s = 8, b = 2, h = 16, heads = 4;
@@ -314,44 +197,35 @@ TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
     dims.dropout_p = 0.25f;
     dims.seed = 123;
 
-    auto run_mode = [&](bool overlap, Tensor& dx, Tensor& dw, Tensor& out) {
+    auto outer = [&](const std::vector<ag::Var>& ins) {
+      ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
+      auto qkv = ag::chunk(ag::matmul(g, ins[1]), 3, /*dim=*/2);
+      ag::Var ctx = core::streamed_attention_core(
+          ag::sbh_to_bhsd(qkv[0], dims.heads_local),
+          ag::sbh_to_bhsd(qkv[1], dims.heads_local),
+          ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims);
+      ag::Var a = ag::bhsd_to_sbh(ctx, dims.heads_local);
+      ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
+                              ops::IndexMap::identity(a.value().shape()));
+      return core::scatter_to_sequence_parallel(d, c);
+    };
+    auto run_mode = [&](bool checkpointed, Tensor& dx, Tensor& dw,
+                        Tensor& out) {
       ag::Var x(x0.clone(), true);
       ag::Var w = ag::Var::param(w0.clone());
-      auto outer = [&](const std::vector<ag::Var>& ins) {
-        ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
-        auto qkv = ag::chunk(ag::matmul(g, ins[1]), 3, /*dim=*/2);
-        ag::Var ctx = core::streamed_attention_core(
-            ag::sbh_to_bhsd(qkv[0], dims.heads_local),
-            ag::sbh_to_bhsd(qkv[1], dims.heads_local),
-            ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims);
-        ag::Var a = ag::bhsd_to_sbh(ctx, dims.heads_local);
-        ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
-                                ops::IndexMap::identity(a.value().shape()));
-        return core::scatter_to_sequence_parallel(d, c);
-      };
-      ag::Var y = ag::checkpoint(outer, {x, w});
-      {
-        runtime::OverlapGuard guard(overlap);
-        ag::backward(y, Tensor::full(y.value().shape(), 1.f));
-        if (overlap) {
-          auto* sc = guard.scheduler();
-          ASSERT_NE(sc, nullptr);
-          // The core's first slice really ran inside a window of the
-          // nested (re-entrant) backward, not at its own node.
-          EXPECT_GT(sc->stats().prefetches, 0);
-        }
-      }
+      ag::Var y = checkpointed ? ag::checkpoint(outer, {x, w}) : outer({x, w});
+      ag::backward(y, Tensor::full(y.value().shape(), 1.f));
       dx = x.grad().clone();
       dw = w.grad().clone();
       out = y.value().clone();
     };
 
-    Tensor dx_s, dw_s, out_s, dx_o, dw_o, out_o;
-    run_mode(false, dx_s, dw_s, out_s);
-    run_mode(true, dx_o, dw_o, out_o);
-    ASSERT_TRUE(bitwise_equal(out_s, out_o));
-    ASSERT_TRUE(bitwise_equal(dx_s, dx_o));
-    ASSERT_TRUE(bitwise_equal(dw_s, dw_o));
+    Tensor dx_i, dw_i, out_i, dx_c, dw_c, out_c;
+    run_mode(false, dx_i, dw_i, out_i);
+    run_mode(true, dx_c, dw_c, out_c);
+    ASSERT_TRUE(bitwise_equal(out_i, out_c));
+    ASSERT_TRUE(bitwise_equal(dx_i, dx_c));
+    ASSERT_TRUE(bitwise_equal(dw_i, dw_c));
   });
 }
 
