@@ -436,7 +436,7 @@ int run_json(const std::string& path) {
     core::Env::clear("MLS_KERNEL_THREADS");
   }
   // Per-thread-count curves for bmm and the fused epilogues too: the
-  // serve/overlap benches lean on exactly these shapes (QK^T bmm, MLP
+  // serve/overhead benches lean on exactly these shapes (QK^T bmm, MLP
   // bias+GeLU, attention softmax), so GEMM-only scaling would hide a
   // pool regression in the ops they actually run. Fused-op "gflops"
   // use nominal per-element op counts (bias_gelu 15, softmax 5) — the

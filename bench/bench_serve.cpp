@@ -1,8 +1,7 @@
 // Serving-plane benchmark: continuous batching over the paged KV cache
 // under closed-loop zipfian traffic (src/serve), reporting tokens/s,
 // per-token p50/p99 latency, and KV fragmentation — paged block table
-// vs the naive per-request contiguous allocator, and (on a t=2 grid
-// with injected wire latency) pipelined decode collectives on vs off.
+// vs the naive per-request contiguous allocator.
 //
 // Modes:
 //   bench_serve              full run: hundreds of concurrent streams,
@@ -38,8 +37,8 @@ double now_s() {
       .count();
 }
 
-model::ModelConfig bench_model(int t, int64_t s, int64_t h) {
-  model::ModelConfig cfg = model::ModelConfig::tiny(t, 4);
+model::ModelConfig bench_model(int64_t s, int64_t h) {
+  model::ModelConfig cfg = model::ModelConfig::tiny(1, 4);
   cfg.b = 1;
   cfg.s = s;
   cfg.h = h;
@@ -53,27 +52,23 @@ struct RunOut {
   std::map<int64_t, std::vector<int64_t>> tokens;
 };
 
-// One serving run on a fresh t-rank world; the report is rank 0's.
-RunOut run_world(const std::string& label, int t, const model::ModelConfig& cfg,
+// One serving run on a fresh single-rank world.
+RunOut run_world(const std::string& label, const model::ModelConfig& cfg,
                  const serve::ServeConfig& scfg,
-                 const serve::TrafficConfig& tcfg, double fixed_latency_s) {
+                 const serve::TrafficConfig& tcfg) {
   RunOut out;
-  spmd::run(t, [&](comm::Comm& c) {
+  spmd::run(1, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    if (fixed_latency_s > 0) c.set_injected_comm_latency(0, fixed_latency_s);
     serve::ContinuousBatchScheduler sched(m, scfg);
     serve::ClosedLoopTraffic traffic(tcfg, cfg.v, cfg.s);
     const double t0 = now_s();
     auto completions = serve::run_closed_loop(sched, traffic);
     const double wall = now_s() - t0;
-    if (fixed_latency_s > 0) c.set_injected_comm_latency(0, 0);
-    if (c.rank() == 0) {
-      out.report = serve::ServeReport::build(
-          label, completions, sched.stats(), sched.kv_stats(),
-          MemoryTracker::instance().allocator_stats(), wall);
-      for (auto& comp : completions) {
-        out.tokens[comp.request.id] = std::move(comp.tokens);
-      }
+    out.report = serve::ServeReport::build(
+        label, completions, sched.stats(), sched.kv_stats(),
+        MemoryTracker::instance().allocator_stats(), wall);
+    for (auto& comp : completions) {
+      out.tokens[comp.request.id] = std::move(comp.tokens);
     }
   });
   return out;
@@ -93,7 +88,7 @@ void write_json(const std::string& path,
 
 // ----------------------------------------------------------- --smoke
 int run_smoke(const std::string& json_path) {
-  const model::ModelConfig cfg = bench_model(1, 16, 32);
+  const model::ModelConfig cfg = bench_model(16, 32);
   serve::TrafficConfig tcfg;
   tcfg.clients = 32;
   tcfg.total_requests = 48;
@@ -106,8 +101,8 @@ int run_smoke(const std::string& json_path) {
   serve::ServeConfig naive = paged;
   naive.paged = false;
 
-  const RunOut p = run_world("paged/smoke", 1, cfg, paged, tcfg, 0);
-  const RunOut n = run_world("naive/smoke", 1, cfg, naive, tcfg, 0);
+  const RunOut p = run_world("paged/smoke", cfg, paged, tcfg);
+  const RunOut n = run_world("naive/smoke", cfg, naive, tcfg);
   write_json(json_path, {p.report, n.report});
 
   int failures = 0;
@@ -134,7 +129,7 @@ int run_smoke(const std::string& json_path) {
 int run_full(bool json, const std::string& json_path) {
   // Hundreds of concurrent closed-loop streams; prompt and output
   // lengths zipfian up to half the context window.
-  const model::ModelConfig cfg = bench_model(1, 64, 64);
+  const model::ModelConfig cfg = bench_model(64, 64);
   serve::TrafficConfig tcfg;
   tcfg.clients = 256;
   tcfg.total_requests = 768;
@@ -151,8 +146,8 @@ int run_full(bool json, const std::string& json_path) {
   naive.paged = false;
 
   std::vector<serve::ServeReport> reports;
-  reports.push_back(run_world("paged", 1, cfg, paged, tcfg, 0).report);
-  reports.push_back(run_world("naive", 1, cfg, naive, tcfg, 0).report);
+  reports.push_back(run_world("paged", cfg, paged, tcfg).report);
+  reports.push_back(run_world("naive", cfg, naive, tcfg).report);
 
   // Same traffic with a budget nobody saturates: here the peaks
   // separate — the naive cache's worst-case reservations stack up
@@ -162,28 +157,8 @@ int run_full(bool json, const std::string& json_path) {
   paged_roomy.kv_budget_tokens = 2048;
   serve::ServeConfig naive_roomy = paged_roomy;
   naive_roomy.paged = false;
-  reports.push_back(
-      run_world("paged/roomy", 1, cfg, paged_roomy, tcfg, 0).report);
-  reports.push_back(
-      run_world("naive/roomy", 1, cfg, naive_roomy, tcfg, 0).report);
-
-  // Decode collectives on a t=2 grid with injected wire latency: the
-  // pipelined half-batch path hides all-reduces behind compute. A
-  // wider model than the t=1 runs — the half-batch compute windows
-  // must be larger than the injected latency for hiding to matter.
-  const model::ModelConfig tp = bench_model(2, 64, 256);
-  serve::TrafficConfig tp_tcfg = tcfg;
-  tp_tcfg.total_requests = 192;
-  tp_tcfg.clients = 128;
-  serve::ServeConfig ov = paged;
-  ov.overlap = true;
-  serve::ServeConfig no_ov = paged;
-  no_ov.overlap = false;
-  const double wire = 200e-6;  // 200us per collective
-  reports.push_back(
-      run_world("t2/overlap", 2, tp, ov, tp_tcfg, wire).report);
-  reports.push_back(
-      run_world("t2/serial", 2, tp, no_ov, tp_tcfg, wire).report);
+  reports.push_back(run_world("paged/roomy", cfg, paged_roomy, tcfg).report);
+  reports.push_back(run_world("naive/roomy", cfg, naive_roomy, tcfg).report);
 
   for (const auto& r : reports) std::printf("%s\n\n", r.text().c_str());
   if (json) write_json(json_path, reports);

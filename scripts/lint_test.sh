@@ -45,7 +45,6 @@ $out"
 
 expect_fires raw-lock         raw_lock_bad.h
 expect_fires comm-under-lock  comm_under_lock_bad.cpp
-expect_fires unwaited-handle  unwaited_handle_bad.cpp
 expect_fires raw-storage      raw_storage_bad.cpp
 expect_fires serve-raw-buffer serve_raw_buffer_bad.cpp
 expect_fires hot-permute      hot_permute_bad.cpp

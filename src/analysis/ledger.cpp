@@ -25,7 +25,7 @@ const char* op_kind_name(OpKind k) {
 }
 
 bool records_match(const CommRecord& a, const CommRecord& b) {
-  if (a.kind != b.kind || a.async != b.async) return false;
+  if (a.kind != b.kind) return false;
   switch (a.kind) {
     case OpKind::kBarrier:
     case OpKind::kSplit:  // colors legitimately differ per rank
@@ -58,7 +58,6 @@ Options Options::from_env() {
   o.watchdog_sec = Env::real("MLS_COMM_WATCHDOG_SEC", o.watchdog_sec);
   o.flight_depth =
       static_cast<int>(Env::integer("MLS_COMM_FLIGHT_DEPTH", o.flight_depth));
-  o.leak_fatal = Env::flag("MLS_LEAK_FATAL", o.leak_fatal);
   return o;
 }
 
@@ -96,18 +95,9 @@ SiteGuard::SiteGuard(const char* site) : prev_(t_site) { t_site = site; }
 SiteGuard::~SiteGuard() { t_site = prev_; }
 const char* SiteGuard::current() { return t_site; }
 
-// ----------------------------------------------------------- leak count
-
 namespace {
-std::atomic<int64_t> g_handle_leaks{0};
 std::atomic<int64_t> g_next_order{0};  // CommRecord::order tickets
 }  // namespace
-
-int64_t handle_leaks() { return g_handle_leaks.load(std::memory_order_relaxed); }
-void reset_handle_leaks() { g_handle_leaks.store(0, std::memory_order_relaxed); }
-void note_handle_leaks(int64_t n) {
-  g_handle_leaks.fetch_add(n, std::memory_order_relaxed);
-}
 
 // --------------------------------------------------------------- Ledger
 

@@ -1,18 +1,18 @@
 // Comm-correctness ledger: the recording + cross-rank-matching half of
 // the collective analyzer (DESIGN.md §6).
 //
-// Every collective entry point of `comm::Comm` (blocking and the `i*`
-// nonblocking variants) records a CommRecord into its group's Ledger.
-// With validation enabled, rank 0's records are the canonical schedule:
-// rank 0 publishes each record into a lock-free slot ring as it enters
-// the collective, and every other rank compares its own record at the
-// matching sequence number *before* joining the rendezvous. A mismatch
-// (wrong op, wrong element count, skewed order, blocking-vs-nonblocking
-// mix — the classic Megatron/NCCL desync modes, including the paper's
-// §4 f/f̄ vs g/ḡ pair confusion when sequence parallelism is toggled on
-// only some ranks) therefore surfaces as a structured mls::Error naming
-// both ranks and both call sites at the *first* divergent call, instead
-// of a hang in the ring or silently corrupted gradients.
+// Every collective entry point of `comm::Comm` records a CommRecord
+// into its group's Ledger. With validation enabled, rank 0's records
+// are the canonical schedule: rank 0 publishes each record into a
+// lock-free slot ring as it enters the collective, and every other rank
+// compares its own record at the matching sequence number *before*
+// joining the rendezvous. A mismatch (wrong op, wrong element count,
+// skewed order — the classic Megatron/NCCL desync modes, including the
+// paper's §4 f/f̄ vs g/ḡ pair confusion when sequence parallelism is
+// toggled on only some ranks) therefore surfaces as a structured
+// mls::Error naming both ranks and both call sites at the *first*
+// divergent call, instead of a hang in the ring or silently corrupted
+// gradients.
 //
 // The per-rank history doubles as a flight recorder (last K events,
 // PyTorch-Flight-Recorder style); the Watchdog reads it to explain
@@ -64,7 +64,6 @@ struct CommRecord {
   int64_t id = -1;
   int64_t order = -1;
   OpKind kind = OpKind::kBarrier;
-  bool async = false;   // executed via the i* path on the comm stream
   int reduce_op = -1;   // comm::ReduceOp for all-reduce, else -1
   int dtype = -1;       // tensor/dtype.h Dtype, else -1
   int64_t count = 0;    // element count of the operand
@@ -77,8 +76,7 @@ struct CommRecord {
 };
 
 // True when the two records describe the same collective. kSplit colors
-// legitimately differ per rank, so only the kind (and sync mode) must
-// agree there.
+// legitimately differ per rank, so only the kind must agree there.
 bool records_match(const CommRecord& a, const CommRecord& b);
 
 // Analyzer configuration. `effective()` consults a process-global test
@@ -88,14 +86,11 @@ bool records_match(const CommRecord& a, const CommRecord& b);
 //   MLS_COMM_WATCHDOG=1      — hang monitor + flight-recorder dump
 //   MLS_COMM_WATCHDOG_SEC=x  — stuck-op deadline (default 30)
 //   MLS_COMM_FLIGHT_DEPTH=k  — events kept per rank (default 16)
-//   MLS_LEAK_FATAL=1         — abort on leaked CommHandles
 struct Options {
   bool validate = false;
   bool watchdog = false;
   double watchdog_sec = 30.0;
   int flight_depth = 16;
-  bool leak_check = true;  // track unwaited CommHandles (when enabled())
-  bool leak_fatal = false;
   bool enabled() const { return validate || watchdog; }
   static Options from_env();
   static Options effective();
@@ -117,9 +112,8 @@ class ScopedOptions {
 
 // RAII thread-local call-site tag recorded into CommRecords. The string
 // must have static storage duration (use literals). Nested guards
-// shadow; the innermost tag wins. Comm::launch captures the tag at
-// enqueue time so nonblocking ops report the site that issued them, not
-// the comm-stream worker.
+// shadow; the innermost tag wins. Comm operations run on the rank
+// thread that set the guard, so they record the site that issued them.
 class SiteGuard {
  public:
   explicit SiteGuard(const char* site);
@@ -131,12 +125,6 @@ class SiteGuard {
  private:
   const char* prev_;
 };
-
-// Process-wide count of CommHandles destroyed without wait()/result()/
-// abandon() (see Comm's handle registry). Tests reset and inspect it.
-int64_t handle_leaks();
-void reset_handle_leaks();
-void note_handle_leaks(int64_t n);
 
 class Ledger {
  public:

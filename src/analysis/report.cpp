@@ -48,7 +48,6 @@ std::string format_record(const CommRecord& r) {
   std::ostringstream os;
   os << op_kind_name(r.kind);
   append_payload(os, r);
-  os << (r.async ? " [nonblocking]" : " [blocking]");
   if (r.seq >= 0) os << " seq=" << r.seq;
   os << " at " << r.site;
   return os.str();

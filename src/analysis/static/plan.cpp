@@ -9,7 +9,6 @@ namespace mls::verify {
 analysis::CommRecord to_record(const PlanEvent& e) {
   analysis::CommRecord r;
   r.kind = e.kind;
-  r.async = e.async;
   r.reduce_op = e.reduce_op;
   r.dtype = e.dtype;
   r.count = e.count;

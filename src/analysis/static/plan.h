@@ -26,7 +26,6 @@ namespace mls::verify {
 // GROUP rank of the p2p peer, as at runtime.
 struct PlanEvent {
   analysis::OpKind kind = analysis::OpKind::kBarrier;
-  bool async = false;   // executed via the i* path
   int reduce_op = -1;   // comm::ReduceOp for all-reduce, else -1
   int dtype = -1;       // tensor/dtype.h Dtype, else -1 (recv)
   int64_t count = 0;    // element count of the operand (0 for recv)

@@ -33,7 +33,6 @@ struct RankRecording {
 
 PlanEvent to_event(const analysis::CommRecord& r, const std::string& group) {
   return PlanEvent{.kind = r.kind,
-                   .async = r.async,
                    .reduce_op = r.reduce_op,
                    .dtype = r.dtype,
                    .count = r.count,
@@ -139,7 +138,7 @@ Plan record_decode(const model::ModelConfig& cfg, int steps, int64_t rows,
   return record(cfg.t, [&](comm::Comm& world) {
     model::GPTModel model(cfg, world);
     model.set_inference(true);
-    serve::DecodeEngine engine(model, /*overlap=*/false);
+    serve::DecodeEngine engine(model);
     auto cache = serve::make_paged_kv_cache(engine.layout(), rows * cfg.s);
     std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
     for (int64_t i = 0; i < rows; ++i) seqs.push_back(cache->create(cfg.s));

@@ -29,7 +29,7 @@ Plan record_train_iteration(
     const model::ModelConfig& cfg,
     pipeline::Schedule schedule = pipeline::Schedule::k1F1B);
 
-// `steps` non-overlapped DecodeEngine::step calls on a t-rank world
+// `steps` DecodeEngine::step calls on a t-rank world
 // (serve runs the whole model on the world communicator), each over
 // `rows` sequences of which the first `samples` sample. At t == 1 the
 // engine issues no collectives, so the plan is empty.

@@ -7,13 +7,14 @@
 //     decomposition the paper leans on in §4.2.2 to argue sequence
 //     parallelism adds no communication volume),
 //   * all-gather / reduce-scatter = the corresponding single phase.
+// Every operation blocks the calling rank thread until it completes; a
+// collective returns on each rank once all ranks of the group joined.
 // Each rank's TrafficStats records the bytes it receives per ring step,
 // so tests can assert the paper's volume claims exactly:
 //   all-reduce moves 2(t-1)/t · n bytes per rank,
 //   reduce-scatter and all-gather move (t-1)/t · n bytes each.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,8 +27,6 @@ struct CommRecord;
 }
 
 namespace mls::comm {
-
-class HandleRegistry;
 
 struct TrafficStats {
   int64_t bytes_received = 0;  // ring-step bytes into this rank
@@ -45,35 +44,6 @@ struct TrafficStats {
 class World;
 
 enum class ReduceOp { Sum, Max };
-
-// Completion handle of a nonblocking operation (the NCCL-group /
-// MPI_Request analogue). The operation runs on the rank's comm stream;
-// the handle becomes done when it finishes there.
-class CommHandle {
- public:
-  CommHandle() = default;
-  bool valid() const { return state_ != nullptr; }
-  // Poll without blocking. An invalid handle is trivially done.
-  bool done() const;
-  // Blocks until the operation completes on the comm stream; rethrows
-  // any error the operation raised there (e.g. a poisoned communicator).
-  void wait();
-  // wait(), then the operation's output tensor (meaningful for
-  // iall_gather / ireduce_scatter / irecv; a default tensor for
-  // in-place and send operations).
-  Tensor result();
-  // Declares that this handle will intentionally never be waited (e.g.
-  // a best-effort send raced with shutdown). Suppresses the analyzer's
-  // leaked-handle diagnostic for it; the operation itself still runs to
-  // completion on the comm stream.
-  void abandon();
-
- private:
-  friend class Comm;
-  friend class HandleRegistry;
-  struct State;
-  std::shared_ptr<State> state_;
-};
 
 class Comm {
  public:
@@ -110,29 +80,6 @@ class Comm {
   void send(int dst, int tag, const Tensor& t);
   Tensor recv(int src, int tag);
 
-  // --- nonblocking variants --------------------------------------------
-  // Each enqueues the corresponding blocking operation onto this rank's
-  // comm stream and returns immediately; results and TrafficStats are
-  // identical to the blocking versions by construction (stats update
-  // when the operation executes — wait() the handle before comparing).
-  // Ordering contract (as with nonblocking NCCL): all ranks must submit
-  // the same collective sequence per communicator, and a rank must not
-  // run another collective on the same communicator — blocking or not —
-  // while one is still in flight.
-  CommHandle iall_reduce(Tensor& t, ReduceOp op = ReduceOp::Sum);
-  CommHandle iall_gather(const Tensor& shard, int dim = 0);
-  CommHandle ireduce_scatter(const Tensor& full, int dim = 0);
-  // isend clones eagerly on the calling thread: the caller may release
-  // the tensor's storage as soon as the call returns.
-  CommHandle isend(int dst, int tag, const Tensor& t);
-  CommHandle irecv(int src, int tag);
-
-  // Injected wire latency: every rank sleeps `sec_per_byte * bytes_moved
-  // + sec_fixed` at the end of each collective / recv on this
-  // communicator. On the nonblocking path the sleep happens on the comm
-  // stream, so compute can hide it (bench_serve and bench_overhead turn it).
-  void set_injected_comm_latency(double sec_per_byte, double sec_fixed = 0);
-
   TrafficStats& stats() { return *stats_; }
   const TrafficStats& stats() const { return *stats_; }
 
@@ -161,27 +108,12 @@ class Comm {
   // rank failed" fan-out errors never overwrite it.
   std::string poison_reason() const;
 
-  // Blocks until every task already enqueued on this rank's comm stream
-  // has finished, swallowing their errors (each nonblocking op delivers
-  // its own error through its CommHandle). Elastic recovery calls this
-  // to quiesce in-flight i* operations before tearing a world down.
-  void drain();
-
  private:
   Comm(std::shared_ptr<World> world, int rank);
-
-  // Enqueues `op` (applied to a non-owning alias of this rank handle)
-  // onto the comm stream and returns its completion handle.
-  CommHandle launch(std::function<Tensor(Comm&)> op, const char* what);
-  void inject_latency(int64_t bytes) const;
 
   std::shared_ptr<World> world_;
   int rank_ = 0;
   std::shared_ptr<TrafficStats> stats_;
-  // Leaked-CommHandle detector (see CommHandle::abandon). Shared across
-  // copies/aliases of this rank handle; the pending-handle audit runs
-  // when the last copy drops. Null when leak checking is off.
-  std::shared_ptr<HandleRegistry> handles_;
 };
 
 }  // namespace mls::comm

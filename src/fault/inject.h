@@ -3,16 +3,15 @@
 //
 // A FaultPlan is armed process-wide (ScopedPlan in tests, or
 // MLS_FAULT_PLAN via maybe_arm_from_env). Hooks are compiled into the
-// comm substrate (collective entry points, Comm::launch) and the
+// comm substrate (collective and p2p entry points) and the
 // checkpoint store; each is an inline armed() check — one relaxed
 // atomic load — so a disarmed binary pays nothing measurable
 // (bench_overhead §2 guards < 1%).
 //
 // Event matching needs the world rank and trainer step of the thread
 // executing the op; TrainScope publishes them as thread-locals
-// (Trainer::step installs one; Comm::launch re-installs the issuing
-// thread's scope on the comm-stream worker so nonblocking ops match the
-// step that issued them).
+// (Trainer::step installs one). Every comm op runs on the rank thread
+// that issued it, so it matches that rank's current step.
 //
 // Semantics per kind:
 //  * crash      — throws mls::Error ("injected crash …"); one-shot.
@@ -95,8 +94,8 @@ class TrainScope {
 inline void on_step(int world_rank, int64_t step) {
   if (armed()) detail::on_step_slow(world_rank, step);
 }
-// Comm-op entry (collectives, p2p, launch targets). `what` is the op
-// name; events also match the live SiteGuard tag.
+// Comm-op entry (collectives, p2p). `what` is the op name; events also
+// match the live SiteGuard tag.
 inline void on_comm(const char* what) {
   if (armed()) detail::on_comm_slow(what);
 }

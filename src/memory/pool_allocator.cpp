@@ -289,7 +289,7 @@ void PoolAllocator::deallocate(float* p) {
     free_ptr_locked(p, /*cross_thread=*/false);
     return;
   }
-  // Foreign thread (comm-stream worker, peer rank): enqueue for the
+  // Foreign thread (a peer rank): enqueue for the
   // owner to drain rather than mutating pool structures from here.
   std::lock_guard<std::mutex> lock(pending_mu_);
   pending_.push_back(p);

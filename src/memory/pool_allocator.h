@@ -16,8 +16,7 @@
 //     the remainder as a new free block. Adjacent free blocks of a
 //     segment coalesce on free, so churn does not shatter the pool.
 //   * Cross-thread free queue. A rank's buffers are sometimes released
-//     by another thread — a comm-stream worker dropping a staging
-//     buffer, or a peer rank consuming a mailbox message. Foreign
+//     by another thread — a peer rank consuming a mailbox message. Foreign
 //     frees are pushed onto a lock-protected pending queue and drained
 //     by the owner at its next allocate()/stats()/trim(), so the hot
 //     owner-thread path never contends with them structurally.
@@ -135,8 +134,7 @@ class PoolAllocator {
   // sampled from the environment at that moment).
   static const std::shared_ptr<PoolAllocator>& this_thread();
   // The arena new Storage should draw from: an ArenaGuard override if
-  // one is installed (comm-stream workers allocating on behalf of the
-  // rank that launched them), else this_thread().
+  // one is installed, else this_thread().
   static std::shared_ptr<PoolAllocator> current();
 
   // Uninitialized buffer of at least `bytes` bytes (float-aligned).
@@ -216,8 +214,8 @@ class PoolAllocator {
 };
 
 // Installs `arena` as PoolAllocator::current() for the calling thread
-// (RAII, nests). Comm-stream workers wrap each task in one so staging
-// buffers land in — and are accounted to — the launching rank's arena.
+// (RAII, nests). The static verifier's recordings wrap each rank in a
+// fresh unbudgeted arena this way.
 class ArenaGuard {
  public:
   explicit ArenaGuard(std::shared_ptr<PoolAllocator> arena);

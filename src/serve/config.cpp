@@ -12,6 +12,10 @@ void ServeConfig::validate() const {
   MLS_CHECK(soft_pct > 0 && soft_pct <= hard_pct && hard_pct <= 1.0)
       << "watermarks must order 0 < soft <= hard <= 1 (soft=" << soft_pct
       << " hard=" << hard_pct << ")";
+  MLS_CHECK(!overlap)
+      << "ServeConfig::overlap is not supported: the split-batch overlapped "
+         "decode was deleted; the field remains only for perfbench/serve.cpp, "
+         "which assigns false";
 }
 
 }  // namespace mls::serve

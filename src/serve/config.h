@@ -23,12 +23,11 @@ struct ServeConfig {
   // Paged block-table cache (default) vs naive whole-sequence
   // reservations — the bench baseline.
   bool paged = true;
-  // Software-pipeline the decode all-reduces against compute on the
-  // comm streams (two half-batches per layer). Numerics identical
-  // (test_serve pins both paths to the same tokens), but off by
-  // default: a decode step's per-layer compute window is small, and on
-  // few-core hosts the split-batch launches and ring rendezvous cost
-  // more than the hidden latency (bench_serve t2/overlap vs t2/serial).
+  // Not a knob: the split-batch overlapped decode it selected was
+  // deleted (it lost to the serial decode; EXPERIMENTS.md), and
+  // validate() rejects true. The field remains only because the
+  // benchmark harness (perfbench/serve.cpp) still assigns false; the
+  // change that drops that line deletes it.
   bool overlap = false;
   // ---- memory-pressure plane (DESIGN.md §14) -----------------------
   // KV-occupancy watermarks (fraction of the pool reserved). At or

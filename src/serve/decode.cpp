@@ -10,22 +10,8 @@
 
 namespace mls::serve {
 
-namespace {
-
-// Copies `n` rows of x starting at `begin` into a fresh [n, h] tensor
-// (the overlap path's half-batch split).
-Tensor copy_rows(const Tensor& x, int64_t begin, int64_t n) {
-  const int64_t h = x.dim(1);
-  Tensor out = Tensor::empty(Shape{{n, h}});
-  std::memcpy(out.data(), x.data() + begin * h,
-              static_cast<size_t>(n * h) * sizeof(float));
-  return out;
-}
-
-}  // namespace
-
-DecodeEngine::DecodeEngine(const model::GPTModel& model, bool overlap)
-    : model_(model), tp_(model.env().tp), overlap_(overlap) {
+DecodeEngine::DecodeEngine(const model::GPTModel& model)
+    : model_(model), tp_(model.env().tp) {
   const auto& cfg = model_.config();
   const auto& spec = model_.spec();
   MLS_CHECK(spec.has_embedding && spec.has_head && spec.layer_begin == 0 &&
@@ -71,8 +57,7 @@ Tensor DecodeEngine::embed_rows(const std::vector<DecodeRow>& rows) {
 }
 
 Tensor DecodeEngine::attn_partial(int64_t layer, const Tensor& x,
-                                  const std::vector<DecodeRow>& rows,
-                                  int64_t row_begin) {
+                                  const std::vector<DecodeRow>& rows) {
   const auto& cfg = model_.config();
   const auto& ly = model_.layers()[static_cast<size_t>(layer)];
   const int64_t n = x.dim(0);
@@ -89,7 +74,7 @@ Tensor DecodeEngine::attn_partial(int64_t layer, const Tensor& x,
   Tensor ctx = Tensor::empty(Shape{{n, hpt}});
   float* ctxp = ctx.data();
   for (int64_t r = 0; r < n; ++r) {
-    const DecodeRow& row = rows[static_cast<size_t>(row_begin + r)];
+    const DecodeRow& row = rows[static_cast<size_t>(r)];
     const int64_t len = row.position + 1;
     const float* q = qkvp + r * 3 * hpt;
     const float* k = q + hpt;
@@ -140,8 +125,7 @@ void DecodeEngine::reduce(Tensor& t, const char* site) {
 }
 
 std::vector<int64_t> DecodeEngine::sample_rows(
-    const std::vector<Tensor>& hidden, const std::vector<int64_t>& splits,
-    const std::vector<DecodeRow>& rows) {
+    const Tensor& hidden, const std::vector<DecodeRow>& rows) {
   const auto& cfg = model_.config();
   const int64_t n = static_cast<int64_t>(rows.size());
   std::vector<int64_t> out(static_cast<size_t>(n), -1);
@@ -157,14 +141,8 @@ std::vector<int64_t> DecodeEngine::sample_rows(
   const int64_t h = cfg.h;
   Tensor xm = Tensor::empty(Shape{{m, h}});
   for (int64_t i = 0; i < m; ++i) {
-    int64_t r = sample_idx[static_cast<size_t>(i)];
-    int64_t g = 0;
-    while (r >= splits[static_cast<size_t>(g)]) {
-      r -= splits[static_cast<size_t>(g)];
-      ++g;
-    }
     std::memcpy(xm.data() + i * h,
-                hidden[static_cast<size_t>(g)].data() + r * h,
+                hidden.data() + sample_idx[static_cast<size_t>(i)] * h,
                 static_cast<size_t>(h) * sizeof(float));
   }
   Tensor xl = ops::layernorm(xm, model_.lnf_gamma().value(),
@@ -194,68 +172,16 @@ std::vector<int64_t> DecodeEngine::step(const std::vector<DecodeRow>& rows) {
     MLS_CHECK(r.kv != nullptr);
     MLS_CHECK(r.position >= 0 && r.position < layout_.max_ctx);
   }
-  const auto& cfg = model_.config();
-  const int64_t n = static_cast<int64_t>(rows.size());
   Tensor x = embed_rows(rows);
-
-  // Two half-batches pipelined over the comm stream, or one straight
-  // pass. The branch depends only on (overlap, t, n) — identical on all
-  // ranks, so the collective sequence stays uniform.
-  const bool pipelined = overlap_ && tp_.valid() && tp_.size() > 1 && n >= 2;
-  if (!pipelined) {
-    for (int64_t l = 0; l < cfg.L; ++l) {
-      Tensor p = attn_partial(l, x, rows, 0);
-      reduce(p, "serve.attn_reduce");
-      Tensor x1;
-      Tensor mp = mlp_partial(l, p, x, &x1);
-      reduce(mp, "serve.mlp_reduce");
-      x = finish_layer(l, mp, x1);
-    }
-    return sample_rows({x}, {n}, rows);
+  for (int64_t l = 0; l < model_.config().L; ++l) {
+    Tensor p = attn_partial(l, x, rows);
+    reduce(p, "serve.attn_reduce");
+    Tensor x1;
+    Tensor mp = mlp_partial(l, p, x, &x1);
+    reduce(mp, "serve.mlp_reduce");
+    x = finish_layer(l, mp, x1);
   }
-
-  const int64_t n0 = n / 2;
-  Tensor xa = copy_rows(x, 0, n0);
-  Tensor xb = copy_rows(x, n0, n - n0);
-  for (int64_t l = 0; l < cfg.L; ++l) {
-    // Software pipeline (wait-before-next-launch keeps at most one
-    // collective in flight per communicator; see comm.h contract):
-    // half A's all-reduce rides under half B's attention, B's under A's
-    // MLP, and so on down the layer.
-    Tensor pa = attn_partial(l, xa, rows, 0);
-    comm::CommHandle ha;
-    {
-      analysis::SiteGuard sg("serve.attn_reduce");
-      ha = tp_.iall_reduce(pa);
-    }
-    Tensor pb = attn_partial(l, xb, rows, n0);
-    ha.wait();
-    comm::CommHandle hb;
-    {
-      analysis::SiteGuard sg("serve.attn_reduce");
-      hb = tp_.iall_reduce(pb);
-    }
-    Tensor x1a;
-    Tensor ma = mlp_partial(l, pa, xa, &x1a);
-    hb.wait();
-    comm::CommHandle hma;
-    {
-      analysis::SiteGuard sg("serve.mlp_reduce");
-      hma = tp_.iall_reduce(ma);
-    }
-    Tensor x1b;
-    Tensor mb = mlp_partial(l, pb, xb, &x1b);
-    hma.wait();
-    comm::CommHandle hmb;
-    {
-      analysis::SiteGuard sg("serve.mlp_reduce");
-      hmb = tp_.iall_reduce(mb);
-    }
-    xa = finish_layer(l, ma, x1a);
-    hmb.wait();
-    xb = finish_layer(l, mb, x1b);
-  }
-  return sample_rows({xa, xb}, {n0, n - n0}, rows);
+  return sample_rows(x, rows);
 }
 
 }  // namespace mls::serve

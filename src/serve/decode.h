@@ -39,16 +39,6 @@
 // Sequence-parallel models decode through the same TP-style collectives:
 // a one-position step has no sequence dimension to shard, and the
 // weight shards are identical with and without SP (DESIGN.md §11).
-//
-// Overlap. With `overlap` on (and t > 1, n >= 2), the batch is split
-// into two half-batches and each layer's two all-reduces are issued
-// nonblocking on the rank's comm stream (PR-1), software-pipelined so
-// one half's collective rides under the other half's attention/MLP
-// compute. The comm ordering contract (comm.h: one in-flight collective
-// per communicator, same sequence on all ranks) is kept by construction:
-// every handle is waited before the next collective launches, and the
-// group split depends only on n, which is identical on all ranks.
-// Numerics are unchanged — same partials, same reduction, same order.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +66,8 @@ struct DecodeRow {
 class DecodeEngine {
  public:
   // The model must be a whole-model instance (embedding + head). The
-  // engine only reads weights; `overlap` enables the pipelined
-  // collectives described above.
-  DecodeEngine(const model::GPTModel& model, bool overlap);
+  // engine only reads weights.
+  explicit DecodeEngine(const model::GPTModel& model);
 
   // Runs one decode step over `rows` (any mix of prefill and decode
   // positions; each row appends one KV position). Returns one entry per
@@ -93,7 +82,7 @@ class DecodeEngine {
   // ln1 -> QKV -> KV append -> per-row attention -> context -> proj
   // GEMM; returns the pre-reduction proj partial [n, h].
   Tensor attn_partial(int64_t layer, const Tensor& x,
-                      const std::vector<DecodeRow>& rows, int64_t row_begin);
+                      const std::vector<DecodeRow>& rows);
   // Consumes the reduced attention partial: residual + ln2 + lin1 +
   // bias-GeLU + lin2 GEMM; returns the pre-reduction MLP partial and
   // stores the attention-residual stream in *x1.
@@ -103,14 +92,12 @@ class DecodeEngine {
   Tensor finish_layer(int64_t layer, const Tensor& mlp_reduced,
                       const Tensor& x1);
   void reduce(Tensor& t, const char* site);
-  std::vector<int64_t> sample_rows(const std::vector<Tensor>& hidden,
-                                   const std::vector<int64_t>& splits,
+  std::vector<int64_t> sample_rows(const Tensor& hidden,
                                    const std::vector<DecodeRow>& rows);
 
   const model::GPTModel& model_;
   comm::Comm tp_;
   KVLayout layout_;
-  bool overlap_ = false;
   float alpha_ = 1.0f;  // attention score scale, 1/sqrt(d)
   // Per-head decode scratch: gathered K/V [max_ctx, d], scores/probs
   // [max_ctx] (pooled once, reused every step).

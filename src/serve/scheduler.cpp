@@ -56,7 +56,7 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(model::GPTModel& model,
                        kv_layout(model.config(), model.env().tp_size(),
                                  cfg_.block_tokens),
                        cfg_.kv_budget_tokens)),
-      engine_(model, cfg_.overlap) {
+      engine_(model) {
   cfg_.validate();
   model_.set_inference(true);
   model_.set_microbatch(0);

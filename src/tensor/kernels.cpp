@@ -439,7 +439,7 @@ class SpinBarrier {
 thread_local bool t_in_pool_worker = false;
 
 // A persistent per-caller-thread worker pool. Each thread that issues
-// parallel kernels (each simulated rank, each comm-stream worker) owns
+// parallel kernels (each simulated rank) owns
 // its workers outright: no cross-rank queue contention, and the pool is
 // torn down by the thread_local destructor when the owning thread exits
 // (including poisoned-world unwinds).

@@ -44,14 +44,13 @@
 //    workers so each streams whole MC x NC blocks with its own packed A
 //    panels. Short ones (m <= short_m, or fewer row tiles than
 //    workers) split N instead: each worker runs the serial kernel on
-//    its own NR-aligned column slab of B. The thread-per-rank
-//    substrate and runtime streams never contend on a shared queue and
-//    teardown is per rank-thread.
+//    its own NR-aligned column slab of B. The rank threads never
+//    contend on a shared queue and teardown is per rank-thread.
 //  * MLS_KERNEL_PIN=1 partitions the host cores across the simulated
 //    ranks (spmd::run binds each rank thread, see bind_rank below):
 //    rank r of W gets cores [rC/W, (r+1)C/W); its kernel workers pin
-//    to distinct cores of the slice while the rank thread and its
-//    comm-stream worker float over the whole slice. No rank ever
+//    to distinct cores of the slice while the rank thread floats over
+//    the whole slice. No rank ever
 //    oversubscribes another's cores.
 //  * MLS_KERNEL_REF=1 routes gemm()/bmm-shaped calls through gemm_ref(),
 //    the pre-blocking scalar kernel (single-threaded), for A/B numeric
@@ -120,9 +119,10 @@ int spin_us();
 
 // ------------------------------------------------------- rank binding
 // Which simulated rank the calling thread computes for, and how many
-// ranks exist. spmd::run installs it on every rank thread; Comm::launch
-// carries it onto comm-stream workers (BindGuard). It resolves the
-// default thread count above and the MLS_KERNEL_PIN core slice.
+// ranks exist. spmd::run installs it on every rank thread; the worker
+// pool carries it onto its workers for each job (BindGuard). It
+// resolves the default thread count above and the MLS_KERNEL_PIN core
+// slice.
 struct RankBinding {
   int rank = 0;
   int world = 1;

@@ -26,8 +26,8 @@ class PoolAllocator;
 class Storage {
  public:
   // An *uninitialized* buffer of `bytes` bytes from the current arena
-  // (the calling rank's, or an ArenaGuard override on comm-stream
-  // workers). Callers must write every element they read.
+  // (the calling thread's, or an ArenaGuard override). Callers must
+  // write every element they read.
   static std::shared_ptr<Storage> allocate(int64_t bytes);
 
   ~Storage();

@@ -252,10 +252,10 @@ core::Recompute Trainer::agree_recompute() {
 }
 
 StepResult Trainer::step(const std::vector<data::Batch>& microbatches) {
-  // Fault-plane context for this step: tags this thread (and, via
-  // Comm::launch, its comm-stream tasks) with (world rank, step) so a
-  // plan can target "rank 2 at step 3"; on_step fires site-less crash
-  // events. Both are a single atomic load when no plan is armed.
+  // Fault-plane context for this step: tags this thread with (world
+  // rank, step) so a plan can target "rank 2 at step 3"; on_step fires
+  // site-less crash events. Both are a single atomic load when no plan
+  // is armed.
   fault::TrainScope fault_scope(world_.rank(), iteration_);
   fault::on_step(world_.rank(), iteration_);
 
@@ -357,7 +357,6 @@ ResilientResult run_resilient(const model::ModelConfig& cfg,
                    " failed: " + e.what());
       std::string reason = world.poison_reason();
       if (reason.empty()) reason = e.what();
-      world.drain();  // quiesce in-flight comm-stream work before teardown
       ++res.restarts;
       res.failure_reasons.push_back(reason);
       if (ropts.log && rank == 0) {

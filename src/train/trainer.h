@@ -101,9 +101,9 @@ class Trainer {
 // --- elastic training (DESIGN.md §10) ----------------------------------
 // run_resilient wraps the plain Trainer loop in the recovery protocol:
 // on any failure the rank poisons its world (propagating the root
-// cause), drains in-flight comm-stream work, meets the surviving ranks
-// at the Rendezvous for a fresh communicator, restores the last
-// verified checkpoint generation, and replays forward. Losses of a
+// cause), meets the surviving ranks at the Rendezvous for a fresh
+// communicator, restores the last verified checkpoint generation, and
+// replays forward. Losses of a
 // recovered run are bit-identical to an uninterrupted one.
 
 struct ResilientOptions {

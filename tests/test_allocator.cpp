@@ -1,7 +1,7 @@
 // Tests for the per-rank caching allocator (src/memory/pool_allocator)
 // and the Storage layer on top of it: block reuse across steps,
-// best-fit with split, coalescing, cross-thread frees (comm-stream
-// workers and peer ranks releasing rank-owned buffers), teardown
+// best-fit with split, coalescing, cross-thread frees (peer ranks
+// releasing rank-owned buffers), teardown
 // draining, and the acceptance invariant that pooling changes no
 // numerics — t=2/p=2 training is bit-identical in losses and
 // TrafficStats with MLS_ALLOC_POOL on vs off, while the pool serves
@@ -118,7 +118,7 @@ TEST(PoolAllocator, CoalesceThenTrimReleasesSegments) {
 TEST(PoolAllocator, CrossThreadFreeDrainsIntoOwnerPool) {
   PoolAllocator arena(tiny_cfg(), "xthread");
   float* p = arena.allocate(2048);
-  // A foreign thread (stand-in for a comm-stream worker) releases the
+  // A foreign thread (stand-in for a peer rank) releases the
   // owner's buffer: it must enqueue, not mutate the pool.
   std::thread([&] { arena.deallocate(p); }).join();
   const auto s = arena.stats();  // drains the pending queue
@@ -242,24 +242,6 @@ TEST(Allocator, MailboxMessageFreedByPeerRank) {
       const auto s1 = arena->stats();  // drains the pending queue
       EXPECT_GE(s1.cross_thread_frees - s0.cross_thread_frees, 1);
     }
-  });
-}
-
-// Nonblocking collectives run on the comm-stream worker; their staging
-// buffers must come from (and return to) the launching rank's arena.
-TEST(Allocator, CommStreamStagingUsesLaunchingRankArena) {
-  spmd::run(2, [&](comm::Comm& c) {
-    Tensor full = Tensor::full(Shape{{4, 3}}, static_cast<float>(c.rank() + 1));
-    const auto& arena = PoolAllocator::this_thread();
-    const auto s0 = arena->stats();
-    comm::CommHandle h = c.ireduce_scatter(full, 0);
-    Tensor mine = h.result();
-    EXPECT_EQ(mine.shape(), (Shape{{2, 3}}));
-    const auto s1 = arena->stats();
-    // The worker allocated the staging clone + result here (ArenaGuard)
-    // and released the staging clone from its own thread.
-    EXPECT_GT(s1.allocs, s0.allocs);
-    EXPECT_GE(s1.cross_thread_frees - s0.cross_thread_frees, 1);
   });
 }
 

@@ -135,24 +135,6 @@ TEST(CommErrors, PoisonUnblocksPendingRecv) {
       Error);
 }
 
-TEST(CommErrors, PoisonUnblocksPendingHandleWait) {
-  // Same, but rank 0 is parked in CommHandle::wait() on a nonblocking
-  // receive running on its comm stream: poison must propagate through
-  // the stream task into the handle.
-  EXPECT_THROW(
-      spmd::run(2,
-                [](comm::Comm& c) {
-                  if (c.rank() == 0) {
-                    comm::CommHandle h = c.irecv(1, 0);
-                    h.wait();
-                  } else {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                    throw Error("rank 1 failed");
-                  }
-                }),
-      Error);
-}
-
 TEST(CommErrors, ReduceScatterRequiresDivisibleDim) {
   spmd::run(2, [](comm::Comm& c) {
     Tensor t = Tensor::zeros(Shape{{3, 2}});  // dim0=3 not divisible by 2

@@ -13,7 +13,8 @@
 //      ledger differs (asserted byte-exactly in test_memory.cpp).
 //   3. The streamed attention core the recompute rungs run is bitwise
 //      the materialized core: values and Q/K/V gradients, at every
-//      slice count, shape, mask and kernel thread count.
+//      slice count, shape, mask and kernel thread count — and nested in
+//      a full-layer checkpoint, its dropout replay is bit-exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,9 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "autograd/checkpoint.h"
 #include "autograd/engine.h"
+#include "autograd/functions.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
+#include "common/rng.h"
+#include "core/collectives.h"
 #include "core/env.h"
 #include "core/parallel_plan.h"
 #include "train/trainer.h"
@@ -279,6 +284,65 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
       }
     }
   }
+}
+
+// ------------------------------------------- nested checkpoint replay
+
+// The real kFull composition, with dropout at both levels: the outer
+// (full-layer style, collective-bearing) checkpoint replays the
+// streamed attention core inside its nested backward, and both dropout
+// masks must replay bit-exactly — out, dx and dw equal the same region
+// run inline, without the checkpoint.
+TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
+  const int t = 2;
+  const int64_t s = 8, b = 2, h = 16, heads = 4;
+  spmd::run(t, [&](comm::Comm& c) {
+    Rng rng(21 + static_cast<uint64_t>(c.rank()));
+    const Tensor x0 = Tensor::randn(Shape{{s / t, b, h}}, rng);
+    Rng wrng(33);  // same weights on every rank
+    const Tensor w0 = Tensor::randn(Shape{{h, 3 * h / t}}, wrng, 0.3f);
+
+    core::AttnCoreDims dims;
+    dims.heads_local = heads / t;
+    dims.heads_total = heads;
+    dims.rank = c.rank();
+    dims.batch = b;
+    dims.s_full = s;
+    dims.alpha = 0.5f;
+    dims.causal = true;
+    dims.dropout_p = 0.25f;
+    dims.seed = 123;
+
+    auto outer = [&](const std::vector<ag::Var>& ins) {
+      ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
+      auto qkv = ag::chunk(ag::matmul(g, ins[1]), 3, /*dim=*/2);
+      ag::Var ctx = core::streamed_attention_core(
+          ag::sbh_to_bhsd(qkv[0], dims.heads_local),
+          ag::sbh_to_bhsd(qkv[1], dims.heads_local),
+          ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims);
+      ag::Var a = ag::bhsd_to_sbh(ctx, dims.heads_local);
+      ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
+                              ops::IndexMap::identity(a.value().shape()));
+      return core::scatter_to_sequence_parallel(d, c);
+    };
+    auto run_mode = [&](bool checkpointed, Tensor& dx, Tensor& dw,
+                        Tensor& out) {
+      ag::Var x(x0.clone(), true);
+      ag::Var w = ag::Var::param(w0.clone());
+      ag::Var y = checkpointed ? ag::checkpoint(outer, {x, w}) : outer({x, w});
+      ag::backward(y, Tensor::full(y.value().shape(), 1.f));
+      dx = x.grad().clone();
+      dw = w.grad().clone();
+      out = y.value().clone();
+    };
+
+    Tensor dx_i, dw_i, out_i, dx_c, dw_c, out_c;
+    run_mode(false, dx_i, dw_i, out_i);
+    run_mode(true, dx_c, dw_c, out_c);
+    ASSERT_TRUE(bitwise_equal(out_i, out_c));
+    ASSERT_TRUE(bitwise_equal(dx_i, dx_c));
+    ASSERT_TRUE(bitwise_equal(dw_i, dw_c));
+  });
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Serving-plane tests: the paged continuous-batching decode path must
 // emit bit-identical tokens to model::generate() for every sequence in
-// a mixed batch (serial and on a t=2 TP grid, paged and naive, overlap
-// on and off), plus block-table stress (admit/evict/reuse under
-// preemption, fragmentation bounds, poisoned teardown) and the
-// KV-bytes MemoryTracker axis.
+// a mixed batch (serial and on a t=2 TP grid, paged and naive), plus
+// block-table stress (admit/evict/reuse under preemption, fragmentation
+// bounds, poisoned teardown) and the KV-bytes MemoryTracker axis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,7 +115,6 @@ TEST(Serve, PagedDecodeMatchesGenerateTP2) {
     scfg.block_tokens = 4;
     scfg.kv_budget_tokens = 256;
     scfg.max_batch = 4;
-    scfg.overlap = true;  // exercises the pipelined decode collectives
     const auto got = serve_all(m, scfg, reqs);
     ASSERT_EQ(got.tokens.size(), reqs.size());
     for (const auto& r : reqs) {
@@ -183,22 +181,17 @@ TEST(Serve, NaiveAndPagedAgreeAndPagedReservesLess) {
   });
 }
 
-TEST(Serve, OverlapOnOffSameTokens) {
-  ModelConfig cfg = ModelConfig::tiny(2, 2);
+TEST(Serve, OverlapFieldIsRejected) {
+  // ServeConfig::overlap selects nothing (the split-batch decode it
+  // named is gone); setting it must fail loudly, never be ignored.
+  ServeConfig scfg;
+  scfg.overlap = true;
+  EXPECT_THROW(scfg.validate(), Error);
+  ModelConfig cfg = ModelConfig::tiny(1, 2);
   cfg.b = 1;
-  spmd::run(2, [&](comm::Comm& c) {
+  spmd::run(1, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    const auto reqs = mixed_requests(cfg);
-    ServeConfig on;
-    on.block_tokens = 4;
-    on.kv_budget_tokens = 256;
-    on.max_batch = 6;
-    on.overlap = true;
-    ServeConfig off = on;
-    off.overlap = false;
-    const auto got_on = serve_all(m, on, reqs);
-    const auto got_off = serve_all(m, off, reqs);
-    EXPECT_EQ(got_on.tokens, got_off.tokens);
+    EXPECT_THROW(ContinuousBatchScheduler(m, scfg), Error);
   });
 }
 

@@ -73,10 +73,10 @@ std::string traffic_diff(const comm::TrafficStats& want,
 }
 
 bool same_event(const PlanEvent& a, const PlanEvent& b) {
-  return a.kind == b.kind && a.async == b.async &&
-         a.reduce_op == b.reduce_op && a.dtype == b.dtype &&
-         a.count == b.count && a.dim == b.dim && a.peer == b.peer &&
-         a.tag == b.tag && a.group == b.group && a.site == b.site;
+  return a.kind == b.kind && a.reduce_op == b.reduce_op &&
+         a.dtype == b.dtype && a.count == b.count && a.dim == b.dim &&
+         a.peer == b.peer && a.tag == b.tag && a.group == b.group &&
+         a.site == b.site;
 }
 
 // ------------------------------------------------- seeded mis-plans
@@ -573,7 +573,7 @@ TEST(ReplayServe, DecodeZeroDriftAndExactKvBytes) {
   spmd::run(cfg.t, [&](comm::Comm& c) {
     MemoryTracker::instance().reset();
     model::GPTModel m(cfg, c);
-    serve::DecodeEngine eng(m, /*overlap=*/false);
+    serve::DecodeEngine eng(m);
     auto cache = serve::make_paged_kv_cache(eng.layout(), /*budget=*/cfg.s * 4);
     std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
     for (int64_t i = 0; i < n_rows; ++i) seqs.push_back(cache->create(cfg.s));
