@@ -3,7 +3,10 @@
 // sequence parallelism).
 //
 // Section 1 switches the collective-correctness analyzer (ledger
-// validation + hang watchdog) on and guards its overhead below 2%.
+// validation + hang watchdog) on and guards its overhead below 2%. It
+// also times the ledger's per-op work (begin + end) directly and prints
+// its share of the backward: ns/op × comm ops per backward ÷ backward
+// time. That share does not depend on pairing noisy backwards.
 //
 // Section 2 does the same for the fault-injection plane: disarmed (the
 // production state — every hook is one relaxed atomic load) the
@@ -49,9 +52,21 @@ model::ModelConfig bench_cfg() {
   return cfg;
 }
 
+// Collectives and p2p ops between two snapshots of one rank's stats.
+int64_t comm_ops_between(const comm::TrafficStats& a,
+                         const comm::TrafficStats& b) {
+  return (b.all_reduce_count - a.all_reduce_count) +
+         (b.all_gather_count - a.all_gather_count) +
+         (b.reduce_scatter_count - a.reduce_scatter_count) +
+         (b.broadcast_count - a.broadcast_count) +
+         (b.p2p_send_count - a.p2p_send_count) +
+         (b.p2p_recv_count - a.p2p_recv_count);
+}
+
 // One fwd+bwd per iteration over kLayers chained layers; only the
-// backward is timed. Returns rank 0's min backward wall-clock.
-double measure_backward() {
+// backward is timed. Returns rank 0's min backward wall-clock; if
+// `comm_ops` is set, stores the comm ops rank 0 runs in one backward.
+double measure_backward(int64_t* comm_ops = nullptr) {
   const model::ModelConfig cfg = bench_cfg();
   double bwd_seconds = 0;
   spmd::run(kTp, [&](comm::Comm& c) {
@@ -75,9 +90,13 @@ double measure_backward() {
       for (auto& l : layers) y = l->forward(y, env);
 
       c.barrier();
+      const comm::TrafficStats before = c.stats();
       const auto t0 = std::chrono::steady_clock::now();
       ag::backward(y, dy);
       const auto t1 = std::chrono::steady_clock::now();
+      if (comm_ops && c.rank() == 0) {
+        *comm_ops = comm_ops_between(before, c.stats());
+      }
       if (i < 0) continue;  // discard warmup
       times.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
@@ -88,6 +107,37 @@ double measure_backward() {
     }
   });
   return bwd_seconds;
+}
+
+// The analyzer's per-op cost on the rank thread, timed directly: one
+// ledger begin + end, averaged over rank 0's publish and rank 1's
+// validation against it (each T=2 collective pays one of each). One
+// thread drives both ranks, so no rendezvous wait is counted; the
+// watchdog's monitor thread runs off the rank threads and is not
+// included. Min over repetitions (host noise only adds time).
+double ledger_ns_per_op() {
+  analysis::Options on;
+  on.validate = true;
+  on.watchdog = true;
+  analysis::Ledger ledger("bench", kTp, on);
+  analysis::CommRecord rec;
+  rec.kind = analysis::OpKind::kAllGather;
+  rec.dtype = 1;
+  rec.count = 4096;
+  rec.dim = 0;
+  constexpr int kOps = 100000;
+  double best = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kOps; ++i) {
+      for (int rank = 0; rank < kTp; ++rank) {
+        ledger.end(rank, ledger.begin(rank, rec));
+      }
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  return 1e9 * best / (static_cast<double>(kOps) * kTp);
 }
 
 // Median and quartiles (linear interpolation) of one side's samples.
@@ -168,6 +218,18 @@ int main() {
                     analysis::ScopedOptions opts(on);
                     return measure_backward();
                   });
+  int64_t ops = 0;
+  const double bwd = measure_backward(&ops);
+  const double ns = ledger_ns_per_op();
+  const double share = ns * 1e-9 * static_cast<double>(ops) / bwd;
+  std::printf(
+      "direct: ledger begin+end %.0f ns/op x %lld comm ops per backward = "
+      "%s of a %s analyzer-off backward\n",
+      ns, static_cast<long long>(ops), format_percent(share, 2).c_str(),
+      format_time_ms(bwd).c_str());
+  std::printf("%s: the analyzer's per-op work costs %s 2%% of the backward.\n",
+              share < 0.02 ? "OK" : "UNEXPECTED",
+              share < 0.02 ? "under" : "MORE than");
 
   // --- Section 2: fault-hook overhead guard -----------------------------
   std::printf(

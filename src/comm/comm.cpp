@@ -162,7 +162,10 @@ int mod(int a, int m) { return ((a % m) + m) % m; }
 // Ring reduce-scatter over the ranks' registered buffers (in place).
 // After completion, rank r's chunk r holds the full sum. Precondition:
 // all buffers registered in world->bufs and a barrier has been passed.
-// Returns bytes received by this rank.
+// Every step ends in a rendezvous after its peer reads, so on return no
+// peer still reads this rank's buffer: callers may reuse it (and the
+// world->bufs slot) without another barrier. Returns bytes received by
+// this rank.
 static int64_t ring_reduce_scatter_inplace(World& w, int rank, int64_t n,
                                            int64_t elem_bytes,
                                            ReduceOp op = ReduceOp::Sum) {
@@ -221,7 +224,6 @@ void Comm::all_reduce(Tensor& t, ReduceOp op) {
   world_->barrier.arrive_and_wait();
   stats_->bytes_received += ring_reduce_scatter_inplace(*world_, rank_, n, eb, op);
   stats_->bytes_received += ring_all_gather_inplace(*world_, rank_, n, eb);
-  world_->barrier.arrive_and_wait();
 }
 
 Tensor Comm::all_gather(const Tensor& shard, int dim) {
@@ -247,7 +249,6 @@ Tensor Comm::all_gather(const Tensor& shard, int dim) {
   world_->barrier.arrive_and_wait();
   stats_->bytes_received += ring_all_gather_inplace(
       *world_, rank_, T * shard_elems, byte_size(shard.dtype()));
-  world_->barrier.arrive_and_wait();
 
   if (dim == 0) {
     // Chunks are already contiguous along dim 0.
@@ -296,7 +297,6 @@ Tensor Comm::reduce_scatter(const Tensor& full, int dim) {
   world_->barrier.arrive_and_wait();
   stats_->bytes_received +=
       ring_reduce_scatter_inplace(*world_, rank_, n, byte_size(full.dtype()));
-  world_->barrier.arrive_and_wait();
 
   const int64_t chunk = n / T;
   Tensor mine = Tensor::empty(staged.shape().with_dim(0, staged.dim(0) / T),

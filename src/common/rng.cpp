@@ -63,6 +63,23 @@ double Rng::next_normal() {
   return r * std::cos(theta);
 }
 
+void Rng::skip_normals(int64_t n) {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // One Box–Muller pair per two normals: the uniforms next_normal()
+  // draws, including its u1 redraw, with no log/sqrt/sin/cos.
+  for (; n >= 2; n -= 2) {
+    double u1 = next_uniform();
+    next_u64();  // u2
+    while (u1 <= 1e-300) u1 = next_uniform();
+  }
+  // An odd tail draws its whole pair, leaving the second normal cached
+  // for the next draw.
+  if (n == 1) next_normal();
+}
+
 uint64_t Rng::next_below(uint64_t n) {
   // Lemire's nearly-divisionless method would be overkill here; simple
   // modulo bias is acceptable for synthetic data (n ≪ 2^64).

@@ -24,6 +24,11 @@ class Rng {
   double next_uniform();
   // Standard normal via Box–Muller.
   double next_normal();
+  // Advances the stream exactly as n next_normal() calls would (the
+  // same uniforms, the same cached second normal) without computing
+  // the skipped normals' transcendentals — how a rank reaches its shard
+  // of a weight drawn in the full matrix's element order.
+  void skip_normals(int64_t n);
   // Uniform integer in [0, n).
   uint64_t next_below(uint64_t n);
 

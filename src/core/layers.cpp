@@ -8,31 +8,28 @@ namespace mls::core {
 
 using ag::Var;
 
-namespace {
-
-// Every rank materializes the full weight from the shared master RNG,
-// then keeps its column/row shard — guaranteeing serial/parallel
-// parameter identity.
-Tensor full_randn(Shape shape, Rng& master, float stddev) {
-  return Tensor::randn(std::move(shape), master, stddev);
-}
-
-// Shards `full` along `dim`, treating that dimension as `blocks` equal
-// blocks and taking rank r's slice of each block.
-Tensor shard_blocked(const Tensor& full, int dim, int t, int r, int64_t blocks) {
-  const int64_t d = full.dim(dim);
-  MLS_CHECK_EQ(d % (blocks * t), 0);
-  const int64_t block = d / blocks;
-  const int64_t per_rank = block / t;
-  std::vector<Tensor> parts;
-  parts.reserve(static_cast<size_t>(blocks));
-  for (int64_t b = 0; b < blocks; ++b) {
-    parts.push_back(ops::slice(full, dim, b * block + r * per_rank, per_rank));
+Tensor randn_shard(const Shape& full, int dim, int64_t blocks, int t, int r,
+                   Rng& rng, float stddev) {
+  MLS_CHECK(full.ndim() == 2 && (dim == 0 || dim == 1));
+  MLS_CHECK_EQ(full[dim] % (blocks * t), 0);
+  const int64_t per_rank = full[dim] / blocks / t;
+  // The matrix as [outer, blocks, t, per_rank, inner]: each (outer,
+  // block) holds t consecutive runs of per_rank * inner values, and
+  // rank r owns run r.
+  const int64_t outer = dim == 0 ? 1 : full[0];
+  const int64_t inner = dim == 0 ? full[1] : 1;
+  const int64_t run = per_rank * inner;
+  Tensor out = Tensor::empty(full.with_dim(dim, blocks * per_rank));
+  float* dst = out.data();
+  int64_t skip = 0;  // values between the last owned run and the next
+  for (int64_t i = 0; i < outer * blocks; ++i) {
+    rng.skip_normals(skip + r * run);
+    rng.fill_normal(dst, run, 0.f, stddev);
+    dst += run;
+    skip = (t - 1 - r) * run;
   }
-  return blocks == 1 ? parts[0] : ops::cat(parts, dim);
+  return out;
 }
-
-}  // namespace
 
 // -------------------------------------------------- ColumnParallelLinear
 
@@ -43,10 +40,9 @@ ColumnParallelLinear::ColumnParallelLinear(const ParallelEnv& env, int64_t in,
   const int t = env.tp_size();
   const int r = env.tp_rank();
   Rng wrng = master.fork(std::hash<std::string>{}(name) | 1);
-  Tensor w_full = full_randn(Shape{{in, out}}, wrng, stddev);
-  Tensor b_full = Tensor::zeros(Shape{{out}});
-  weight = Var::param(shard_blocked(w_full, 1, t, r, blocks), name + ".weight");
-  bias = Var::param(shard_blocked(b_full, 0, t, r, blocks), name + ".bias");
+  weight = Var::param(randn_shard(Shape{{in, out}}, 1, blocks, t, r, wrng, stddev),
+                      name + ".weight");
+  bias = Var::param(Tensor::zeros(Shape{{out / t}}), name + ".bias");
 }
 
 Var ColumnParallelLinear::forward(const Var& x, const ParallelEnv& env) const {
@@ -66,8 +62,8 @@ RowParallelLinear::RowParallelLinear(const ParallelEnv& env, int64_t in,
   const int t = env.tp_size();
   const int r = env.tp_rank();
   Rng wrng = master.fork(std::hash<std::string>{}(name) | 1);
-  Tensor w_full = full_randn(Shape{{in, out}}, wrng, stddev);
-  weight = Var::param(shard_blocked(w_full, 0, t, r, 1), name + ".weight");
+  weight = Var::param(randn_shard(Shape{{in, out}}, 0, 1, t, r, wrng, stddev),
+                      name + ".weight");
   bias = Var::param(Tensor::zeros(Shape{{out}}), name + ".bias");
 }
 

@@ -2,9 +2,11 @@
 // parallelism and selective activation recomputation — the building
 // blocks of Figures 4 and 5.
 //
-// Weight initialization: every rank generates the *full* weight from a
-// deterministic master RNG and keeps only its shard. A serial model
-// (tp size 1) built from the same seed therefore has bitwise-identical
+// Weight initialization: each weight has its own stream, forked from a
+// deterministic master RNG by the weight's name, and the full matrix's
+// values are that stream read in row-major order. Each rank draws only
+// its shard, skipping the rest of the stream (randn_shard), so a serial
+// model (tp size 1) built from the same seed has bitwise-identical
 // parameters, which is what the serial-vs-parallel equivalence tests
 // rely on.
 #pragma once
@@ -17,6 +19,14 @@
 #include "core/env.h"
 
 namespace mls::core {
+
+// Rank r of t's shard of the `full` [rows, cols] matrix whose entries
+// are N(0, stddev²) draws from `rng` in row-major order. Dimension
+// `dim` is treated as `blocks` equal blocks, each split t ways; the
+// shard is rank r's slice of every block, concatenated along `dim`.
+// Only the shard's values are drawn; the rest of the stream is skipped.
+Tensor randn_shard(const Shape& full, int dim, int64_t blocks, int t, int r,
+                   Rng& rng, float stddev);
 
 // Y = X·A with A split along columns: A = [A_1, ..., A_t]. How the
 // input enters the tensor-parallel region (f, or the fused g+matmul) is

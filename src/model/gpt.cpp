@@ -31,8 +31,9 @@ GPTModel::GPTModel(const ModelConfig& cfg, comm::Comm tp, StageSpec spec)
 
   if (spec_.has_embedding || spec_.has_head) {
     Rng wrng = master.fork(std::hash<std::string>{}("wte") | 1);
-    Tensor full = Tensor::randn(Shape{{cfg_.v, cfg_.h}}, wrng, 0.02f);
-    word_table_ = Var::param(ops::slice(full, 0, vocab_offset_, cfg_.v / t), "wte");
+    word_table_ = Var::param(
+        core::randn_shard(Shape{{cfg_.v, cfg_.h}}, 0, 1, t, r, wrng, 0.02f),
+        "wte");
   }
   if (spec_.has_embedding) {
     Rng prng = master.fork(std::hash<std::string>{}("wpe") | 1);

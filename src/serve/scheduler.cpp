@@ -19,7 +19,11 @@ double now_s() {
 // reject everything). This is how "driven past the KV budget" stays a
 // scheduling problem (throttle, preempt, shed) instead of an
 // allocation failure.
+// Validates first: the cache and engine are built from the clamped
+// config in the initializer list, and a zero block size would divide by
+// zero there before the constructor body could reject it.
 ServeConfig clamp_to_budget(ServeConfig cfg, const model::GPTModel& model) {
+  cfg.validate();
   if (cfg.mem_budget_bytes >= 0) {
     const KVLayout lo = kv_layout(model.config(), model.env().tp_size(),
                                   cfg.block_tokens);
@@ -57,7 +61,6 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(model::GPTModel& model,
                                  cfg_.block_tokens),
                        cfg_.kv_budget_tokens)),
       engine_(model) {
-  cfg_.validate();
   model_.set_inference(true);
   model_.set_microbatch(0);
 }

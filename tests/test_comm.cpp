@@ -3,7 +3,10 @@
 // p2p, and failure propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "comm/spmd.h"
 #include "common/rng.h"
@@ -262,18 +265,57 @@ TEST(CommTraffic, P2PSendRecvSymmetry) {
 
 TEST(CommStress, ManyConcurrentCollectivesStayConsistent) {
   // Back-to-back mixed collectives; any barrier mismatch or stale slot
-  // reuse would corrupt results.
-  spmd::run(4, [](comm::Comm& c) {
-    for (int iter = 0; iter < 50; ++iter) {
-      Tensor x = Tensor::full(Shape{{9}}, static_cast<float>(c.rank() + iter));
-      c.all_reduce(x);
-      const float expect = 6.f + 4.f * iter;  // sum over ranks of (r + iter)
-      ASSERT_FLOAT_EQ(x.data()[0], expect);
-      Tensor shard = Tensor::full(Shape{{2}}, static_cast<float>(c.rank()));
-      Tensor g = c.all_gather(shard, 0);
-      ASSERT_FLOAT_EQ(g.data()[2 * c.rank()], static_cast<float>(c.rank()));
-    }
-  });
+  // reuse would corrupt results. Each buffer is overwritten the moment
+  // its call returns: a peer still reading it would see the poison (and
+  // TSan would flag the race).
+  constexpr float kPoison = -1e9f;
+  auto take = [&](Tensor& t) {
+    std::vector<float> v(t.data(), t.data() + t.numel());
+    std::fill(t.data(), t.data() + t.numel(), kPoison);
+    return v;
+  };
+  for (int T : {2, 3, 4}) {
+    SCOPED_TRACE("T=" + std::to_string(T));
+    const float rank_sum = static_cast<float>(T * (T - 1) / 2);
+    spmd::run(T, [&](comm::Comm& c) {
+      const int r = c.rank();
+      for (int iter = 0; iter < 50; ++iter) {
+        // all_reduce: x[k] = r + iter + k.
+        Tensor x = Tensor::empty(Shape{{9}});
+        for (int k = 0; k < 9; ++k) x.data()[k] = static_cast<float>(r + iter + k);
+        c.all_reduce(x);
+        const std::vector<float> sum = take(x);
+        for (int k = 0; k < 9; ++k)
+          ASSERT_FLOAT_EQ(sum[static_cast<size_t>(k)],
+                          rank_sum + static_cast<float>(T * (iter + k)));
+
+        // all_gather: shard[k] = 10r + k + iter.
+        Tensor shard = Tensor::empty(Shape{{3}});
+        for (int k = 0; k < 3; ++k)
+          shard.data()[k] = static_cast<float>(10 * r + k + iter);
+        Tensor g = c.all_gather(shard, 0);
+        take(shard);
+        const std::vector<float> gathered = take(g);
+        for (int i = 0; i < T; ++i)
+          for (int k = 0; k < 3; ++k)
+            ASSERT_FLOAT_EQ(gathered[static_cast<size_t>(3 * i + k)],
+                            static_cast<float>(10 * i + k + iter));
+
+        // reduce_scatter: full[j] = r + j + iter; rank r keeps rows
+        // [3r, 3r + 3) of the sum.
+        Tensor full = Tensor::empty(Shape{{3 * T}});
+        for (int j = 0; j < 3 * T; ++j)
+          full.data()[j] = static_cast<float>(r + j + iter);
+        Tensor mine = c.reduce_scatter(full, 0);
+        take(full);
+        const std::vector<float> part = take(mine);
+        ASSERT_EQ(part.size(), 3u);
+        for (int k = 0; k < 3; ++k)
+          ASSERT_FLOAT_EQ(part[static_cast<size_t>(k)],
+                          rank_sum + static_cast<float>(T * (3 * r + k + iter)));
+      }
+    });
+  }
 }
 
 }  // namespace

@@ -3,16 +3,44 @@
 // and mailbox primitives.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "comm/barrier.h"
 #include "comm/mailbox.h"
 #include "common/memtracker.h"
+#include "common/rng.h"
 #include "common/table.h"
 #include "common/units.h"
 
 namespace mls {
 namespace {
+
+TEST(Rng, SkipNormalsMatchesDrawing) {
+  // skip_normals(n) then k draws must equal n + k draws bit for bit,
+  // from a fresh pair boundary and with a cached normal pending.
+  for (const bool cached : {false, true}) {
+    for (int64_t n = 0; n <= 9; ++n) {
+      for (int64_t k = 1; k <= 3; ++k) {
+        Rng drawn(1234 + static_cast<uint64_t>(n));
+        Rng skipped = drawn;
+        if (cached) {
+          drawn.next_normal();
+          skipped.next_normal();
+        }
+        for (int64_t i = 0; i < n; ++i) drawn.next_normal();
+        skipped.skip_normals(n);
+        for (int64_t i = 0; i < k; ++i) {
+          const double a = drawn.next_normal();
+          const double b = skipped.next_normal();
+          EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+              << "cached=" << cached << " n=" << n << " draw " << i;
+        }
+        EXPECT_EQ(drawn.next_u64(), skipped.next_u64());
+      }
+    }
+  }
+}
 
 TEST(Units, ByteFormatting) {
   EXPECT_EQ(format_bytes(512), "512.00 B");

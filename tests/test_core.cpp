@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "autograd/engine.h"
 #include "comm/spmd.h"
@@ -13,6 +15,7 @@
 #include "core/parallel_plan.h"
 #include "common/memtracker.h"
 #include "model/gpt.h"
+#include "memory/pool_allocator.h"
 #include "optim/optim.h"
 
 namespace mls {
@@ -429,6 +432,164 @@ TEST(CollectiveOps, SpGatheredMatmulShardedVsFullSave) {
       ASSERT_TRUE(xs.grad().allclose(ops::slice(dx_ref, 0, c.rank() * sl, sl),
                                      1e-4f, 1e-5f));
     });
+  }
+}
+
+// ------------------------------------------------------------------
+// Initialization: each rank's parameters are its slice of the serial
+// model's weights, drawn from the same name-keyed streams.
+// ------------------------------------------------------------------
+
+uint64_t fnv1a(const void* data, size_t n, uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// FNV-1a over every rank's parameters (shape and bits), ranks in order.
+uint64_t param_hash(const ModelConfig& cfg, model::StageSpec spec) {
+  std::vector<uint64_t> per_rank(static_cast<size_t>(cfg.t));
+  spmd::run(cfg.t, [&](comm::Comm& c) {
+    model::GPTModel m(cfg, c, spec);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto& p : m.params()) {
+      const Tensor& v = p.value();
+      const int64_t n = v.numel();
+      h = fnv1a(&n, sizeof(n), h);
+      h = fnv1a(v.data(), sizeof(float) * static_cast<size_t>(n), h);
+    }
+    per_rank[static_cast<size_t>(c.rank())] = h;
+  });
+  return fnv1a(per_rank.data(), sizeof(uint64_t) * per_rank.size());
+}
+
+// The full-draw-then-slice reference: the whole matrix from the
+// weight's stream, then rank r's slice of each of `blocks` blocks.
+Tensor sliced_reference(const Shape& full, int dim, int64_t blocks, int t,
+                        int r, Rng rng, float stddev) {
+  const Tensor w = Tensor::randn(full, rng, stddev);
+  const int64_t block = w.dim(dim) / blocks;
+  const int64_t per_rank = block / t;
+  std::vector<Tensor> parts;
+  for (int64_t b = 0; b < blocks; ++b)
+    parts.push_back(ops::slice(w, dim, b * block + r * per_rank, per_rank));
+  return ops::cat(parts, dim);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+TEST(Init, ShardIsSliceOfFullMatrix) {
+  constexpr uint64_t kSeed = 0xabc;
+  auto stream = [](const std::string& name) {
+    return Rng(kSeed).fork(std::hash<std::string>{}(name) | 1);
+  };
+  for (int t : {1, 2, 3, 4}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    spmd::run(t, [&](comm::Comm& c) {
+      const int r = c.rank();
+      ParallelEnv env;
+      env.tp = c;
+      Rng master(kSeed);
+      // Odd per-rank widths (5, and 3 per QKV block) and an odd row
+      // length (7): owned runs start and end mid Box–Muller pair.
+      core::ColumnParallelLinear col(env, 7, 5 * t, master, 0.02f, "col");
+      EXPECT_TRUE(same_bits(col.weight.value(),
+                            sliced_reference(Shape{{7, 5 * t}}, 1, 1, t, r,
+                                             stream("col"), 0.02f)));
+      EXPECT_TRUE(same_bits(col.bias.value(), Tensor::zeros(Shape{{5}})));
+      core::ColumnParallelLinear qkv(env, 7, 9 * t, master, 0.02f, "qkv",
+                                     /*blocks=*/3);
+      EXPECT_TRUE(same_bits(qkv.weight.value(),
+                            sliced_reference(Shape{{7, 9 * t}}, 1, 3, t, r,
+                                             stream("qkv"), 0.02f)));
+      EXPECT_TRUE(same_bits(qkv.bias.value(), Tensor::zeros(Shape{{9}})));
+      core::RowParallelLinear row(env, 3 * t, 7, master, 0.02f, "row");
+      EXPECT_TRUE(same_bits(row.weight.value(),
+                            sliced_reference(Shape{{3 * t, 7}}, 0, 1, t, r,
+                                             stream("row"), 0.02f)));
+      // wte: [v, h] split by rows; v/t = 5 rows of h = 3t values.
+      ModelConfig cfg;
+      cfg.t = t;
+      cfg.a = t;
+      cfg.h = 3 * t;
+      cfg.v = 5 * t;
+      cfg.L = 1;
+      cfg.seed = kSeed;
+      model::GPTModel m(cfg, c);
+      EXPECT_TRUE(same_bits(m.word_table().value(),
+                            sliced_reference(Shape{{5 * t, 3 * t}}, 0, 1, t, r,
+                                             stream("wte"), 0.02f)));
+    });
+  }
+}
+
+TEST(Init, ConstructionAllocatesOnlyShards) {
+  // No rank materializes an unsharded weight: constructing the model
+  // raises the arena's in-use peak by the parameters' own storage, plus
+  // at most one 512 B rounding granule each.
+  ModelConfig cfg;
+  cfg.t = 2;
+  cfg.h = 64;
+  cfg.v = 128;
+  spmd::run(cfg.t, [&](comm::Comm& c) {
+    const auto arena = memory::PoolAllocator::current();
+    const int64_t before = arena->stats().bytes_in_use;
+    arena->reset_physical_peak();
+    model::GPTModel m(cfg, c);
+    const int64_t growth = arena->stats().in_use_peak - before;
+    int64_t param_bytes = 0;
+    int64_t n = 0;
+    for (const auto& p : m.params()) {
+      param_bytes += p.value().storage_bytes();
+      ++n;
+    }
+    EXPECT_GE(growth, param_bytes);
+    EXPECT_LE(growth, param_bytes + 512 * n)
+        << "rank " << c.rank() << ": " << n << " params";
+  });
+}
+
+TEST(Init, ParameterBitsMatchParentGolden) {
+  // Pinned from the full-draw-then-slice initializer; any change to a
+  // stream, its element order or the shard bounds moves a hash. The
+  // streams are keyed by std::hash of the weight names, so these values
+  // hold for libstdc++.
+  struct Golden {
+    int t;
+    core::PlanKind plan;
+    bool head_stage;  // p = 2: the second stage (layer 1 + head)
+    uint64_t hash;
+  };
+  const Golden cases[] = {
+      {1, kTp, false, 0x967b01a98a6be502ull},
+      {2, kTp, false, 0x95532b015b6c4c67ull},
+      {4, kTp, false, 0xb59fae72e5b41f1cull},
+      {1, kTpSp, false, 0x967b01a98a6be502ull},
+      {2, kTpSp, false, 0x95532b015b6c4c67ull},
+      {4, kTpSp, false, 0xb59fae72e5b41f1cull},
+      {2, kTp, true, 0x9bb1fe86aa7e785cull},
+  };
+  for (const auto& g : cases) {
+    ModelConfig cfg;
+    cfg.t = g.t;
+    cfg.parallel_plan = g.plan;
+    model::StageSpec spec;
+    if (g.head_stage) {
+      cfg.p = 2;
+      spec = {/*layer_begin=*/1, /*layer_end=*/2, /*has_embedding=*/false,
+              /*has_head=*/true};
+    }
+    EXPECT_EQ(param_hash(cfg, spec), g.hash)
+        << "t=" << g.t << " plan=" << core::plan_for(g.plan).name()
+        << " head_stage=" << g.head_stage << std::hex << " got 0x"
+        << param_hash(cfg, spec);
   }
 }
 

@@ -195,6 +195,26 @@ TEST(Serve, OverlapFieldIsRejected) {
   });
 }
 
+TEST(Serve, ZeroBlockTokensIsRejectedNotSigfpe) {
+  // The KV cache is built from the config in the scheduler's
+  // initializer list; validation must run before it, or a zero block
+  // size divides by zero instead of raising the validation error.
+  ModelConfig cfg = ModelConfig::tiny(1, 2);
+  cfg.b = 1;
+  spmd::run(1, [&](comm::Comm& c) {
+    model::GPTModel m(cfg, c);
+    for (const bool paged : {true, false}) {
+      for (const int64_t budget : {int64_t{-1}, int64_t{1} << 20}) {
+        ServeConfig scfg;
+        scfg.paged = paged;
+        scfg.block_tokens = 0;
+        scfg.mem_budget_bytes = budget;
+        EXPECT_THROW(ContinuousBatchScheduler(m, scfg), Error);
+      }
+    }
+  });
+}
+
 TEST(Serve, PreemptionRecomputesAndReusesBlocks) {
   // A pool far smaller than the working set: sequences are evicted and
   // re-prefilled, yet every output still matches generate(), and all
