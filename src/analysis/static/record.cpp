@@ -139,9 +139,9 @@ Plan record_decode(const model::ModelConfig& cfg, int steps, int64_t rows,
     model::GPTModel model(cfg, world);
     model.set_inference(true);
     serve::DecodeEngine engine(model);
-    auto cache = serve::make_paged_kv_cache(engine.layout(), rows * cfg.s);
+    serve::KVCache cache(engine.layout(), rows * cfg.s);
     std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
-    for (int64_t i = 0; i < rows; ++i) seqs.push_back(cache->create(cfg.s));
+    for (int64_t i = 0; i < rows; ++i) seqs.push_back(cache.create(cfg.s));
     for (int step = 0; step < steps; ++step) {
       std::vector<serve::DecodeRow> batch;
       for (int64_t i = 0; i < rows; ++i) {

@@ -71,9 +71,8 @@ class MemoryTracker {
 
   // KV-cache axis: logical bytes of cached key/value entries this rank
   // holds for in-flight sequences (src/serve). Charged by the KV cache
-  // when a block (paged) or a whole-sequence region (naive) is
-  // reserved, released when the sequence retires — the inference
-  // counterpart of the activation axis above.
+  // when a block is attached, released when the sequence retires — the
+  // inference counterpart of the activation axis above.
   void on_kv_alloc(int64_t bytes);
   void on_kv_free(int64_t bytes);
   int64_t kv_bytes() const { return kv_; }

@@ -14,20 +14,20 @@ struct ServeConfig {
   // Tokens per KV block (the paging granule). Every block stores this
   // many token positions for ALL layers and this rank's heads.
   int64_t block_tokens = 16;
-  // Per-rank KV budget in token positions; the paged pool holds
-  // floor(kv_budget_tokens / block_tokens) blocks, the naive baseline
-  // the same number of bytes.
+  // Per-rank KV budget in token positions; the pool holds
+  // floor(kv_budget_tokens / block_tokens) blocks.
   int64_t kv_budget_tokens = 4096;
   // Max sequences decoded per step (batch width ceiling).
   int64_t max_batch = 32;
-  // Paged block-table cache (default) vs naive whole-sequence
-  // reservations — the bench baseline.
+  // Not knobs. `paged` selected between the block table and a naive
+  // whole-sequence cache, which was deleted (KVStats keeps its
+  // reservation as a counterfactual); `overlap` selected a split-batch
+  // overlapped decode, deleted because it lost to the serial decode
+  // (EXPERIMENTS.md). validate() rejects paged = false and overlap =
+  // true. Both fields remain only because the benchmark harness
+  // (perfbench/serve.cpp) still assigns them; the change that drops
+  // those lines deletes them.
   bool paged = true;
-  // Not a knob: the split-batch overlapped decode it selected was
-  // deleted (it lost to the serial decode; EXPERIMENTS.md), and
-  // validate() rejects true. The field remains only because the
-  // benchmark harness (perfbench/serve.cpp) still assigns false; the
-  // change that drops that line deletes it.
   bool overlap = false;
   // ---- memory-pressure plane (DESIGN.md §14) -----------------------
   // KV-occupancy watermarks (fraction of the pool reserved). At or

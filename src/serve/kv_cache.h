@@ -1,6 +1,5 @@
 // Per-rank KV cache for incremental decode: a vLLM-style block table
-// over the PR-3 pool allocator, plus the naive per-request contiguous
-// baseline bench_serve compares it against.
+// over the pool allocator.
 //
 // Layout: one physical block covers `block_tokens` consecutive token
 // positions of ONE sequence across ALL layers and this rank's local
@@ -19,10 +18,10 @@
 //     charged to MemoryTracker's KV axis so serve peaks sit next to
 //     training-activation peaks in one report.
 //
-// Fragmentation: reserved-but-unwritten bytes. The paged cache wastes
-// at most (block_tokens - 1) positions per live sequence; the naive
-// baseline reserves each request's worst-case length up front and
-// wastes the entire unfilled tail for the sequence's whole lifetime.
+// Fragmentation: reserved-but-unwritten bytes. The block table wastes
+// at most (block_tokens - 1) positions per live sequence. KVStats also
+// keeps a counterfactual: the bytes a whole-sequence cache would hold
+// if it reserved each live request's worst-case length up front.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +62,13 @@ struct KVStats {
   int64_t used_bytes = 0;      // logical bytes of tokens actually cached
   int64_t reserved_peak = 0;
   int64_t used_peak = 0;
-  int64_t blocks_total = 0;      // paged: pool capacity in blocks
-  int64_t blocks_free = 0;       // paged: currently unattached
+  // Counterfactual whole-sequence reservation: the logical bytes of
+  // every live sequence's worst-case length (create()'s total_tokens),
+  // held from creation to destruction. Not charged to MemoryTracker.
+  int64_t worst_case_reserved = 0;
+  int64_t worst_case_peak = 0;
+  int64_t blocks_total = 0;      // pool capacity in blocks
+  int64_t blocks_free = 0;       // currently unattached
   int64_t appends = 0;           // token positions written
   int64_t reserve_failures = 0;  // reserve() calls that found no room
   int64_t sequences_freed = 0;
@@ -78,68 +82,92 @@ struct KVStats {
   }
 };
 
-// One sequence's cached keys/values. Destroying the handle returns its
-// storage to the cache (eviction and normal retirement are the same
-// path). Positions must be appended in order, 0, 1, 2, ...
+class KVCache;
+
+// One sequence's cached keys/values: its block table. Destroying the
+// handle returns its blocks to the cache (eviction and normal
+// retirement are the same path). Positions must be appended in order,
+// 0, 1, 2, ...
 class SequenceKV {
  public:
-  virtual ~SequenceKV() = default;
-  // Ensures capacity for position `pos`. Paged: attaches a block when
-  // pos crosses a block boundary; returns false if the pool is empty
-  // (the scheduler then preempts). Naive: always true (the whole
-  // worst-case region was reserved at creation).
-  virtual bool reserve(int64_t pos) = 0;
+  // Use KVCache::create.
+  SequenceKV(KVCache* cache, int64_t total_tokens);
+  ~SequenceKV();
+  SequenceKV(const SequenceKV&) = delete;
+  SequenceKV& operator=(const SequenceKV&) = delete;
+
+  // Ensures capacity for position `pos`: attaches a block when pos
+  // crosses a block boundary; returns false if the pool is empty (the
+  // scheduler then preempts).
+  bool reserve(int64_t pos);
   // Stores the K and V rows (d floats each) of one (position, layer,
   // head). reserve(pos) must have succeeded.
-  virtual void append(int64_t pos, int64_t layer, int64_t head,
-                      const float* k, const float* v) = 0;
+  void append(int64_t pos, int64_t layer, int64_t head, const float* k,
+              const float* v);
   // Copies positions [0, len) of (layer, head) into contiguous
   // [len, d] scratch rows — the single-GEMM decode path's input.
-  virtual void gather(int64_t layer, int64_t head, int64_t len, float* k_out,
-                      float* v_out) const = 0;
-  // Token positions appended so far (layer 0, head 0 is the reference;
-  // all layers advance together within one decode step).
-  virtual int64_t cached_tokens() const = 0;
+  void gather(int64_t layer, int64_t head, int64_t len, float* k_out,
+              float* v_out) const;
+
+ private:
+  KVCache* cache_;
+  std::vector<int64_t> table_;  // block ids, in position order
+  int64_t cached_ = 0;          // positions appended
+  int64_t worst_case_bytes_;    // counterfactual charge, see KVStats
 };
 
-// The per-rank cache: owns the block pool (paged) or the budget ledger
-// (naive) and hands out SequenceKV handles. Every SequenceKV must be
-// destroyed before its KVCache.
+// The per-rank cache: fixed-size token blocks drawn lazily from the
+// rank's pooled arena, per-sequence block tables, free-list reuse.
+// Every SequenceKV must be destroyed before its KVCache.
 class KVCache {
  public:
-  virtual ~KVCache() = default;
+  // Holds floor(budget_tokens / block_tokens) blocks.
+  KVCache(const KVLayout& layout, int64_t budget_tokens);
+  // Live SequenceKVs hold the cache's address.
+  KVCache(const KVCache&) = delete;
+  KVCache& operator=(const KVCache&) = delete;
+
   // Could a sequence needing `total_tokens` cached positions EVER run
   // to completion alone on this cache? The scheduler rejects requests
   // that fail this (they would thrash the preemption loop forever).
-  virtual bool fits_alone(int64_t total_tokens) const = 0;
-  // Room to admit a new sequence right now, given it will eventually
-  // need `total_tokens` positions. Paged: enough free blocks to cover
-  // the first position (growth is incremental, preemption handles
-  // pressure); naive: the whole worst-case region is available.
-  virtual bool can_admit(int64_t total_tokens) const = 0;
+  bool fits_alone(int64_t total_tokens) const {
+    return layout_.blocks_for(total_tokens) <= capacity_blocks_;
+  }
+  // Room to admit a new sequence right now: a free block for its first
+  // position (growth is incremental, preemption handles pressure).
+  bool can_admit() const { return stats_.blocks_free >= 1; }
   // Creates a sequence handle; call only after can_admit. `total_tokens`
   // is the worst-case cached-position count for the request.
-  virtual std::unique_ptr<SequenceKV> create(int64_t total_tokens) = 0;
-  // Fraction of the budget currently reserved by live sequences, in
-  // [0, 1] — the signal the scheduler's soft/hard watermarks classify.
-  // Paged: attached blocks / pool capacity; naive: reserved tokens /
-  // budget tokens.
-  virtual double occupancy() const = 0;
-  virtual const KVStats& stats() const = 0;
+  std::unique_ptr<SequenceKV> create(int64_t total_tokens) {
+    return std::make_unique<SequenceKV>(this, total_tokens);
+  }
+  // Attached blocks / pool capacity, in [0, 1] — the signal the
+  // scheduler's soft/hard watermarks classify.
+  double occupancy() const {
+    return 1.0 - static_cast<double>(stats_.blocks_free) /
+                     static_cast<double>(capacity_blocks_);
+  }
+  const KVStats& stats() const { return stats_; }
   const KVLayout& layout() const { return layout_; }
 
- protected:
-  explicit KVCache(const KVLayout& layout) : layout_(layout) {}
-  KVLayout layout_;
-};
+ private:
+  friend class SequenceKV;
+  // Attaches a free block (lazily materializing its Tensor on first
+  // use); -1 when the pool is exhausted.
+  int64_t acquire_block();
+  void release_block(int64_t id);
+  float* block_data(int64_t id) {
+    return blocks_[static_cast<size_t>(id)].data();
+  }
+  const float* block_data(int64_t id) const {
+    return blocks_[static_cast<size_t>(id)].data();
+  }
 
-// Block-table paged cache: fixed-size token blocks drawn lazily from
-// the rank's pooled arena, per-sequence block tables, free-list reuse.
-std::unique_ptr<KVCache> make_paged_kv_cache(const KVLayout& layout,
-                                             int64_t budget_tokens);
-// Naive baseline: one contiguous worst-case region per request,
-// reserved for the sequence's entire lifetime.
-std::unique_ptr<KVCache> make_naive_kv_cache(const KVLayout& layout,
-                                             int64_t budget_tokens);
+  KVLayout layout_;
+  int64_t capacity_blocks_;
+  std::vector<Tensor> blocks_;      // materialized blocks, by id
+  std::vector<int64_t> free_list_;  // ids available for reuse
+  KVStats stats_;
+};
 
 }  // namespace mls::serve

@@ -20,9 +20,11 @@ double percentile(std::vector<double> samples, double p) {
 
 ServeReport ServeReport::build(const std::string& label,
                                const std::vector<Completion>& completions,
-                               const SchedStats& sched, const KVStats& kv,
-                               const memory::AllocStats& arena, double wall_s,
-                               const ServeConfig* cfg) {
+                               const ContinuousBatchScheduler& scheduler,
+                               const memory::AllocStats& arena,
+                               double wall_s) {
+  const SchedStats& sched = scheduler.stats();
+  const KVStats& kv = scheduler.kv_stats();
   ServeReport r;
   r.label = label;
   r.requests = static_cast<int64_t>(completions.size());
@@ -35,10 +37,8 @@ ServeReport ServeReport::build(const std::string& label,
   r.preemptions = sched.preemptions;
   r.pressure_preemptions = sched.pressure_preemptions;
   r.throttled_steps = sched.throttled_steps;
-  if (cfg != nullptr) {
-    r.kv_budget_tokens = cfg->kv_budget_tokens;
-    r.mem_budget_bytes = cfg->mem_budget_bytes;
-  }
+  r.kv_budget_tokens = scheduler.config().kv_budget_tokens;
+  r.mem_budget_bytes = scheduler.config().mem_budget_bytes;
   r.wall_s = wall_s;
   r.tokens_generated = sched.tokens_generated;
   r.rows_processed = sched.rows_processed;
@@ -73,6 +73,7 @@ ServeReport ServeReport::build(const std::string& label,
 
   r.kv_reserved_peak_bytes = kv.reserved_peak;
   r.kv_used_peak_bytes = kv.used_peak;
+  r.kv_worst_case_peak_bytes = kv.worst_case_peak;
   r.kv_waste_mean = sched.steps == 0
                         ? 0
                         : sched.kv_waste_sum / static_cast<double>(sched.steps);
@@ -128,6 +129,11 @@ std::string ServeReport::text() const {
       static_cast<long long>(kv_reserve_failures));
   os << buf;
   std::snprintf(buf, sizeof(buf),
+                "  kv worst case: a whole-sequence cache would peak at %s\n",
+                format_bytes(static_cast<double>(kv_worst_case_peak_bytes))
+                    .c_str());
+  os << buf;
+  std::snprintf(buf, sizeof(buf),
                 "  arena: physical peak %s, fragmentation %.1f%%",
                 format_bytes(static_cast<double>(arena.physical_peak)).c_str(),
                 arena.fragmentation() * 100.0);
@@ -159,6 +165,7 @@ std::string ServeReport::json() const {
      << ",\"batch_mean\":" << batch_mean << ",\"batch_max\":" << batch_max
      << ",\"kv_reserved_peak_bytes\":" << kv_reserved_peak_bytes
      << ",\"kv_used_peak_bytes\":" << kv_used_peak_bytes
+     << ",\"kv_worst_case_peak_bytes\":" << kv_worst_case_peak_bytes
      << ",\"kv_waste_mean\":" << kv_waste_mean
      << ",\"kv_waste_final\":" << kv_waste_final
      << ",\"kv_reserve_failures\":" << kv_reserve_failures

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "memory/pool_allocator.h"
-#include "serve/kv_cache.h"
 #include "serve/scheduler.h"
 
 namespace mls::serve {
@@ -43,26 +42,27 @@ struct ServeReport {
   // KV memory.
   int64_t kv_reserved_peak_bytes = 0;  // logical
   int64_t kv_used_peak_bytes = 0;      // logical
+  // Logical peak a whole-sequence cache would have reserved for the
+  // same schedule (KVStats::worst_case_peak).
+  int64_t kv_worst_case_peak_bytes = 0;
   double kv_waste_mean = 0;            // mean over steps
   double kv_waste_final = 0;
   int64_t kv_reserve_failures = 0;
-  // Pressure-plane sizing (from the ServeConfig when given to build):
-  // the effective token budget after the MLS_MEM_BUDGET_BYTES clamp,
-  // and the byte ceiling itself (-1 when unset).
+  // Pressure-plane sizing (from the scheduler's config): the effective
+  // token budget after the MLS_MEM_BUDGET_BYTES clamp, and the byte
+  // ceiling itself (-1 when unset).
   int64_t kv_budget_tokens = 0;
   int64_t mem_budget_bytes = -1;
   // Rank arena (physical axis) at the end of the run.
   memory::AllocStats arena;
 
-  // Aggregate from a finished run. `wall_s` is the driver-measured
-  // wall time of the serving loop on this rank. `cfg` (optional) fills
-  // the budget fields — pass scheduler.config() so the report shows the
-  // post-clamp effective values.
+  // Aggregate from a finished run: the scheduler's counters, KV stats
+  // and post-clamp config. `wall_s` is the driver-measured wall time of
+  // the serving loop on this rank.
   static ServeReport build(const std::string& label,
                            const std::vector<Completion>& completions,
-                           const SchedStats& sched, const KVStats& kv,
-                           const memory::AllocStats& arena, double wall_s,
-                           const ServeConfig* cfg = nullptr);
+                           const ContinuousBatchScheduler& sched,
+                           const memory::AllocStats& arena, double wall_s);
 
   std::string text() const;  // human table (README's sample report)
   std::string json() const;  // one JSON object, no trailing newline

@@ -51,15 +51,9 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(model::GPTModel& model,
                                                    const ServeConfig& cfg)
     : model_(model),
       cfg_(clamp_to_budget(cfg, model)),
-      cache_(cfg_.paged
-                 ? make_paged_kv_cache(
-                       kv_layout(model.config(), model.env().tp_size(),
-                                 cfg_.block_tokens),
-                       cfg_.kv_budget_tokens)
-                 : make_naive_kv_cache(
-                       kv_layout(model.config(), model.env().tp_size(),
-                                 cfg_.block_tokens),
-                       cfg_.kv_budget_tokens)),
+      cache_(kv_layout(model.config(), model.env().tp_size(),
+                       cfg_.block_tokens),
+             cfg_.kv_budget_tokens),
       engine_(model) {
   model_.set_inference(true);
   model_.set_microbatch(0);
@@ -113,15 +107,15 @@ void ContinuousBatchScheduler::admit(std::vector<Completion>* done) {
     Sequence& head = queue_.front();
     const int64_t prompt_len = static_cast<int64_t>(head.req.prompt.size());
     if (prompt_len == 0 || prompt_len > engine_.layout().max_ctx ||
-        !cache_->fits_alone(kv_target(head.req))) {
+        !cache_.fits_alone(kv_target(head.req))) {
       done->push_back(retire(std::move(head), FinishReason::kRejected));
       queue_.pop_front();
       continue;
     }
-    if (!cache_->can_admit(kv_target(head.req))) break;  // head-of-line
+    if (!cache_.can_admit()) break;  // head-of-line
     Sequence s = std::move(head);
     queue_.pop_front();
-    s.kv = cache_->create(kv_target(s.req));
+    s.kv = cache_.create(kv_target(s.req));
     if (!s.admitted_once) {
       s.admitted_once = true;
       s.queue_s = now_s() - s.submit_time;
@@ -169,7 +163,7 @@ void ContinuousBatchScheduler::relieve_pressure(std::vector<Completion>* done) {
   // Hard KV watermark: evict latest-admitted until back under (the
   // earliest sequence is never the victim, so progress is guaranteed —
   // the same invariant as reservation-time preemption).
-  while (cache_->occupancy() > cfg_.hard_pct && running_.size() > 1) {
+  while (cache_.occupancy() > cfg_.hard_pct && running_.size() > 1) {
     preempt_latest();
     ++stats_.pressure_preemptions;
   }
@@ -194,7 +188,7 @@ std::vector<Completion> ContinuousBatchScheduler::step() {
   // would only feed the preemption loop — hold the queue instead and
   // let running sequences drain. (At the 1.0 default this gates only a
   // completely full pool, where admission could not proceed anyway.)
-  if (cache_->occupancy() >= cfg_.soft_pct) {
+  if (cache_.occupancy() >= cfg_.soft_pct) {
     if (!queue_.empty()) ++stats_.throttled_steps;
   } else {
     admit(&done);
@@ -238,7 +232,7 @@ std::vector<Completion> ContinuousBatchScheduler::step() {
   stats_.batch_rows_sum += static_cast<double>(rows.size());
   stats_.max_batch_rows = std::max(stats_.max_batch_rows,
                                    static_cast<int64_t>(rows.size()));
-  stats_.kv_waste_sum += cache_->stats().waste();
+  stats_.kv_waste_sum += cache_.stats().waste();
 
   std::vector<Sequence> keep;
   keep.reserve(running_.size());

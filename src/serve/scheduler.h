@@ -132,7 +132,7 @@ class ContinuousBatchScheduler {
     return static_cast<int64_t>(queue_.size() + running_.size());
   }
   const SchedStats& stats() const { return stats_; }
-  const KVStats& kv_stats() const { return cache_->stats(); }
+  const KVStats& kv_stats() const { return cache_.stats(); }
   const ServeConfig& config() const { return cfg_; }
 
   // Test hook, called right before each engine step with the step
@@ -173,7 +173,7 @@ class ContinuousBatchScheduler {
 
   model::GPTModel& model_;
   ServeConfig cfg_;
-  std::unique_ptr<KVCache> cache_;
+  KVCache cache_;
   DecodeEngine engine_;
   std::deque<Sequence> queue_;     // FIFO; preempted sequences re-queue
                                    // at the front

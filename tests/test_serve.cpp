@@ -1,12 +1,14 @@
 // Serving-plane tests: the paged continuous-batching decode path must
 // emit bit-identical tokens to model::generate() for every sequence in
-// a mixed batch (serial and on a t=2 TP grid, paged and naive), plus
-// block-table stress (admit/evict/reuse under preemption, fragmentation
-// bounds, poisoned teardown) and the KV-bytes MemoryTracker axis.
+// a mixed batch (serial and on a t=2 TP grid), plus block-table stress
+// (admit/evict/reuse under preemption, fragmentation bounds, poisoned
+// teardown), the whole-sequence worst-case counterfactual, the report's
+// budget fields and the KV-bytes MemoryTracker axis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "comm/spmd.h"
 #include "common/memtracker.h"
@@ -147,37 +149,26 @@ TEST(Serve, SequenceParallelModelDecodesIdentically) {
   });
 }
 
-TEST(Serve, NaiveAndPagedAgreeAndPagedReservesLess) {
+TEST(Serve, PagedReservesLessThanWholeSequenceWorstCase) {
   ModelConfig cfg = ModelConfig::tiny(1, 2);
   cfg.b = 1;
   spmd::run(1, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    const auto reqs = mixed_requests(cfg);
+    ServeConfig scfg;
+    scfg.block_tokens = 2;
+    scfg.kv_budget_tokens = 256;
+    scfg.max_batch = 6;
+    const auto got = serve_all(m, scfg, mixed_requests(cfg));
 
-    ServeConfig paged;
-    paged.block_tokens = 2;
-    paged.kv_budget_tokens = 256;
-    paged.max_batch = 6;
-    const auto got_paged = serve_all(m, paged, reqs);
-
-    ServeConfig naive = paged;
-    naive.paged = false;
-    const auto got_naive = serve_all(m, naive, reqs);
-
-    EXPECT_EQ(got_paged.tokens, got_naive.tokens);
-    // Both caches cached the same tokens, but the block table grows a
-    // sequence page by page while the naive cache holds each request's
-    // worst case from admission to retirement — so its reserved peak
-    // and its reserved-but-unwritten waste are both higher.
-    EXPECT_LT(got_paged.kv.reserved_peak, got_naive.kv.reserved_peak);
-    EXPECT_GE(got_paged.kv.reserved_peak, got_paged.kv.used_peak);
-    EXPECT_EQ(got_paged.kv.used_peak, got_naive.kv.used_peak);
-    ASSERT_GT(got_paged.stats.steps, 0);
-    const double paged_waste =
-        got_paged.stats.kv_waste_sum / static_cast<double>(got_paged.stats.steps);
-    const double naive_waste =
-        got_naive.stats.kv_waste_sum / static_cast<double>(got_naive.stats.steps);
-    EXPECT_LT(paged_waste, naive_waste);
+    // The budget covers max_batch x every request's worst case, so a
+    // whole-sequence cache would admit on the same steps; 11008 bytes is
+    // the reserved peak the deleted naive cache measured on this run.
+    EXPECT_EQ(got.kv.worst_case_peak, 11008);
+    EXPECT_EQ(got.kv.worst_case_reserved, 0) << "released on retirement";
+    // The block table grows a sequence page by page instead of holding
+    // its worst case from admission to retirement.
+    EXPECT_LT(got.kv.reserved_peak, got.kv.worst_case_peak);
+    EXPECT_GE(got.kv.reserved_peak, got.kv.used_peak);
   });
 }
 
@@ -195,6 +186,20 @@ TEST(Serve, OverlapFieldIsRejected) {
   });
 }
 
+TEST(Serve, UnpagedFieldIsRejected) {
+  // ServeConfig::paged = false selected the deleted naive cache; it
+  // must fail loudly, never silently run the block table.
+  ServeConfig scfg;
+  scfg.paged = false;
+  EXPECT_THROW(scfg.validate(), Error);
+  ModelConfig cfg = ModelConfig::tiny(1, 2);
+  cfg.b = 1;
+  spmd::run(1, [&](comm::Comm& c) {
+    model::GPTModel m(cfg, c);
+    EXPECT_THROW(ContinuousBatchScheduler(m, scfg), Error);
+  });
+}
+
 TEST(Serve, ZeroBlockTokensIsRejectedNotSigfpe) {
   // The KV cache is built from the config in the scheduler's
   // initializer list; validation must run before it, or a zero block
@@ -203,14 +208,11 @@ TEST(Serve, ZeroBlockTokensIsRejectedNotSigfpe) {
   cfg.b = 1;
   spmd::run(1, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    for (const bool paged : {true, false}) {
-      for (const int64_t budget : {int64_t{-1}, int64_t{1} << 20}) {
-        ServeConfig scfg;
-        scfg.paged = paged;
-        scfg.block_tokens = 0;
-        scfg.mem_budget_bytes = budget;
-        EXPECT_THROW(ContinuousBatchScheduler(m, scfg), Error);
-      }
+    for (const int64_t budget : {int64_t{-1}, int64_t{1} << 20}) {
+      ServeConfig scfg;
+      scfg.block_tokens = 0;
+      scfg.mem_budget_bytes = budget;
+      EXPECT_THROW(ContinuousBatchScheduler(m, scfg), Error);
     }
   });
 }
@@ -400,6 +402,38 @@ TEST(Serve, KvAxisAndAllocatorStatsAreWired) {
     EXPECT_GT(st.physical_bytes, 0);
     EXPECT_GE(st.physical_peak, st.physical_bytes);
     EXPECT_FALSE(st.json().empty());
+  });
+}
+
+TEST(Serve, ReportCarriesEffectiveBudget) {
+  // The report reads the scheduler's post-clamp config: with a byte
+  // ceiling clamping the pool, it records the effective token budget,
+  // not the configured one.
+  ModelConfig cfg = ModelConfig::tiny(1, 2);
+  cfg.b = 1;
+  spmd::run(1, [&](comm::Comm& c) {
+    model::GPTModel m(cfg, c);
+    ServeConfig scfg;
+    scfg.block_tokens = 4;
+    scfg.kv_budget_tokens = 4096;
+    const auto layout = serve::kv_layout(cfg, cfg.t, scfg.block_tokens);
+    scfg.mem_budget_bytes = layout.logical_bytes_per_token() * 32;
+    ContinuousBatchScheduler sched(m, scfg);
+    std::vector<serve::Completion> done;
+    for (const Request& r : mixed_requests(cfg)) sched.submit(r);
+    while (!sched.idle()) {
+      for (auto& comp : sched.step()) done.push_back(std::move(comp));
+    }
+    const serve::ServeReport rep = serve::ServeReport::build(
+        "clamped", done, sched, MemoryTracker::instance().allocator_stats(),
+        /*wall_s=*/1.0);
+    EXPECT_LT(sched.config().kv_budget_tokens, scfg.kv_budget_tokens);
+    EXPECT_EQ(rep.kv_budget_tokens, sched.config().kv_budget_tokens);
+    EXPECT_EQ(rep.mem_budget_bytes, scfg.mem_budget_bytes);
+    EXPECT_EQ(rep.kv_worst_case_peak_bytes, sched.kv_stats().worst_case_peak);
+    EXPECT_NE(rep.json().find("\"kv_budget_tokens\":" +
+                              std::to_string(rep.kv_budget_tokens) + ","),
+              std::string::npos);
   });
 }
 

@@ -574,9 +574,9 @@ TEST(ReplayServe, DecodeZeroDriftAndExactKvBytes) {
     MemoryTracker::instance().reset();
     model::GPTModel m(cfg, c);
     serve::DecodeEngine eng(m);
-    auto cache = serve::make_paged_kv_cache(eng.layout(), /*budget=*/cfg.s * 4);
+    serve::KVCache cache(eng.layout(), /*budget_tokens=*/cfg.s * 4);
     std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
-    for (int64_t i = 0; i < n_rows; ++i) seqs.push_back(cache->create(cfg.s));
+    for (int64_t i = 0; i < n_rows; ++i) seqs.push_back(cache.create(cfg.s));
     for (int step = 0; step < steps; ++step) {
       std::vector<serve::DecodeRow> rows;
       for (int64_t i = 0; i < n_rows; ++i) {
@@ -592,9 +592,9 @@ TEST(ReplayServe, DecodeZeroDriftAndExactKvBytes) {
     }
     diffs[static_cast<size_t>(c.rank())] = traffic_diff(
         verify::predict_traffic(plan, c.group_name(), c.rank()), c.stats());
-    kv_used[static_cast<size_t>(c.rank())] = cache->stats().used_bytes;
+    kv_used[static_cast<size_t>(c.rank())] = cache.stats().used_bytes;
     // steps positions cached per sequence, n_rows sequences.
-    EXPECT_EQ(cache->stats().used_bytes,
+    EXPECT_EQ(cache.stats().used_bytes,
               n_rows * steps * eng.layout().logical_bytes_per_token());
     seqs.clear();
   });
