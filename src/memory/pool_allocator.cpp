@@ -128,7 +128,7 @@ PoolAllocator::~PoolAllocator() {
 
 int64_t PoolAllocator::rounded(int64_t bytes) const {
   const int64_t b = std::max<int64_t>(bytes, 1);
-  return (b + cfg_.round - 1) / cfg_.round * cfg_.round;
+  return (b + kRound - 1) / kRound * kRound;
 }
 
 void PoolAllocator::note_physical(int64_t delta) {
@@ -150,7 +150,7 @@ void PoolAllocator::erase_free_locked(Block* b) {
 // remainder becomes a new free block classified by its own size.
 PoolAllocator::Block* PoolAllocator::split_locked(Block* b, int64_t want) {
   const int64_t remainder = b->size - want;
-  if (remainder < cfg_.round) return b;  // keep slack attached
+  if (remainder < kRound) return b;  // keep slack attached
   Block* rest = new Block;
   rest->ptr = reinterpret_cast<float*>(
       reinterpret_cast<char*>(b->ptr) + want);
@@ -242,11 +242,10 @@ float* PoolAllocator::allocate_locked(int64_t bytes) {
     b = split_locked(b, want);
     ++stats_.pool_hits;
   } else {
-    // Miss: obtain a segment. Small requests share pre-sized slabs so
-    // one system allocation serves many buffers.
-    int64_t seg_size =
-        want <= cfg_.small_limit ? std::max(cfg_.small_segment, want) : want;
-    // Under a budget, a full slab is a luxury: degrade to an exact-fit
+    // Miss: obtain a segment of at least min_segment bytes, so small
+    // requests share one system allocation.
+    int64_t seg_size = std::max(cfg_.min_segment, want);
+    // Under a budget, the floor is a luxury: degrade to an exact-fit
     // segment before declaring pressure.
     if (cfg_.budget_bytes >= 0 && seg_size > want &&
         stats_.physical_bytes + seg_size > cfg_.budget_bytes) {

@@ -5,12 +5,11 @@
 // malloc/free round-trip (and a redundant memset) per buffer. The
 // design follows the CUDA caching allocator, scaled to this substrate:
 //
-//   * Two size buckets. Requests are rounded up to a 512 B granule
-//     (Config::round); rounded sizes at or below Config::small_limit
-//     are "small" and carved out of pre-sized slab segments
-//     (Config::small_segment), larger requests get a segment of their
-//     own. Freed blocks are classified by size, so a remainder split
-//     off a large segment can still serve small requests.
+//   * One segment rule. Requests are rounded up to a 512 B granule
+//     (kRound); a miss acquires a segment of max(rounded request,
+//     Config::min_segment) bytes. The 2 MiB floor is the CUDA
+//     allocator's kSmallBuffer: small requests share a segment, large
+//     ones get one sized to fit, so physical bytes track demand.
 //   * Best-fit with split. The free index is ordered by (size, addr);
 //     an allocation takes the smallest block that fits and splits off
 //     the remainder as a new free block. Adjacent free blocks of a
@@ -116,11 +115,9 @@ class PoolAllocator {
  public:
   struct Config {
     bool enabled = true;
-    int64_t round = 512;
-    int64_t small_limit = 1 << 20;    // 1 MiB
-    int64_t small_segment = 8 << 20;  // 8 MiB
-    int64_t max_cached = -1;          // < 0: unlimited
-    int64_t budget_bytes = -1;        // < 0: unlimited (MLS_MEM_BUDGET_BYTES)
+    int64_t min_segment = 2 << 20;  // 2 MiB
+    int64_t max_cached = -1;        // < 0: unlimited
+    int64_t budget_bytes = -1;      // < 0: unlimited (MLS_MEM_BUDGET_BYTES)
     bool report_at_exit = false;
     static Config from_env();
   };
@@ -182,6 +179,7 @@ class PoolAllocator {
     }
   };
 
+  static constexpr int64_t kRound = 512;  // request granule, bytes
   int64_t rounded(int64_t bytes) const;
   // Budget gate before a segment acquisition of seg_size bytes: trims
   // cached segments and re-checks; throws MemoryPressureError (with the

@@ -29,15 +29,12 @@ namespace {
 
 using memory::PoolAllocator;
 
-// Deliberately tiny geometry so bucket behaviour is exercised with
-// byte-sized allocations: 512 B granule, 4 KiB small/large boundary,
-// 16 KiB small-pool slabs.
+// Deliberately tiny geometry so the segment rule is exercised with
+// byte-sized allocations: a miss acquires max(request, 16 KiB).
 PoolAllocator::Config tiny_cfg() {
   PoolAllocator::Config c;
   c.enabled = true;
-  c.round = 512;
-  c.small_limit = 4096;
-  c.small_segment = 16384;
+  c.min_segment = 16384;
   c.max_cached = -1;
   c.report_at_exit = false;
   return c;
@@ -61,14 +58,14 @@ TEST(PoolAllocator, SmallRequestsShareASlabAndSplit) {
   PoolAllocator arena(tiny_cfg(), "split");
   float* a = arena.allocate(512);
   auto s = arena.stats();
-  // One slab obtained, the request split off its front.
+  // One min_segment obtained, the request split off its front.
   EXPECT_EQ(s.pool_misses, 1);
   EXPECT_EQ(s.physical_bytes, 16384);
   EXPECT_EQ(s.bytes_in_use, 512);
   EXPECT_EQ(s.bytes_cached, 16384 - 512);
   EXPECT_GE(s.splits, 1);
-  // The second small request is carved from the same slab: a hit, no
-  // new physical memory.
+  // The second small request is carved from the same segment: a hit,
+  // no new physical memory.
   float* b = arena.allocate(1024);
   s = arena.stats();
   EXPECT_EQ(s.pool_misses, 1);
@@ -80,16 +77,16 @@ TEST(PoolAllocator, SmallRequestsShareASlabAndSplit) {
 
 TEST(PoolAllocator, BestFitPicksSmallestSufficientBlock) {
   PoolAllocator arena(tiny_cfg(), "bestfit");
-  // Two large blocks (own segments), freed: free list holds 8192 and
-  // 16384. A 6144-byte request must take the 8192 block.
-  float* small_seg = arena.allocate(8192);
-  float* big_seg = arena.allocate(16384);
+  // Two blocks above the floor (exact segments), freed: free list holds
+  // 32768 and 65536. A 24576-byte request must take the 32768 block.
+  float* small_seg = arena.allocate(32768);
+  float* big_seg = arena.allocate(65536);
   arena.deallocate(small_seg);
   arena.deallocate(big_seg);
-  float* p = arena.allocate(6144);
+  float* p = arena.allocate(24576);
   EXPECT_EQ(p, small_seg);
   const auto s = arena.stats();
-  EXPECT_GE(s.splits, 1);  // 8192 -> 6144 + 2048 remainder
+  EXPECT_GE(s.splits, 1);  // 32768 -> 24576 + 8192 remainder
   arena.deallocate(p);
 }
 
@@ -150,12 +147,55 @@ TEST(PoolAllocator, MaxCachedCapReleasesFreeSegments) {
   PoolAllocator::Config cfg = tiny_cfg();
   cfg.max_cached = 0;  // cache nothing that can be released
   PoolAllocator arena(cfg, "capped");
-  float* p = arena.allocate(8192);  // large: its own segment
-  EXPECT_EQ(arena.stats().physical_bytes, 8192);
+  float* p = arena.allocate(32768);  // above the floor: exact segment
+  EXPECT_EQ(arena.stats().physical_bytes, 32768);
   arena.deallocate(p);
   const auto s = arena.stats();
   EXPECT_EQ(s.bytes_cached, 0);
   EXPECT_EQ(s.physical_bytes, 0);
+}
+
+// The default geometry: every miss acquires max(rounded request, 2 MiB),
+// the CUDA caching allocator's small-buffer size. Small requests share
+// one 2 MiB segment; a request above the floor gets exactly its size.
+TEST(PoolAllocator, OneSegmentRule) {
+  PoolAllocator arena(PoolAllocator::Config{}, "rule");
+  constexpr int64_t kMiB = 1 << 20;
+  std::vector<float*> small{arena.allocate(4096)};
+  auto s = arena.stats();
+  EXPECT_EQ(s.pool_misses, 1);
+  EXPECT_EQ(s.physical_bytes, 2 * kMiB);
+  for (int i = 0; i < 100; ++i) small.push_back(arena.allocate(4096));
+  s = arena.stats();
+  EXPECT_EQ(s.pool_misses, 1);
+  EXPECT_EQ(s.pool_hits, 100);
+  EXPECT_EQ(s.physical_bytes, 2 * kMiB);
+  for (float* p : small) arena.deallocate(p);
+  arena.trim();
+  ASSERT_EQ(arena.stats().physical_bytes, 0);
+
+  // 1.5 MiB rounds up to the floor; a 256 KiB request is served from
+  // the remainder of the same segment.
+  float* a = arena.allocate(3 * kMiB / 2);
+  EXPECT_EQ(arena.stats().physical_bytes, 2 * kMiB);
+  float* b = arena.allocate(256 << 10);
+  s = arena.stats();
+  EXPECT_EQ(s.pool_misses, 2);
+  EXPECT_EQ(s.pool_hits, 101);
+  EXPECT_EQ(s.physical_bytes, 2 * kMiB);
+  EXPECT_EQ(reinterpret_cast<char*>(b),
+            reinterpret_cast<char*>(a) + 3 * kMiB / 2);
+  arena.deallocate(a);
+  arena.deallocate(b);
+  arena.trim();
+
+  // Above the floor the segment is exactly the request.
+  float* c = arena.allocate(3 * kMiB);
+  s = arena.stats();
+  EXPECT_EQ(s.pool_misses, 3);
+  EXPECT_EQ(s.physical_bytes, 3 * kMiB);
+  EXPECT_EQ(s.segments, 1);
+  arena.deallocate(c);
 }
 
 TEST(PoolAllocator, PhysicalPeakTracksHighWater) {
@@ -192,7 +232,7 @@ TEST(Storage, TensorReleaseReturnsBufferToPoolUnzeroed) {
   std::thread([&] {
     const auto& arena = PoolAllocator::this_thread();
     const auto s0 = arena->stats();
-    // > 1 MiB (the default small/large boundary): its own segment.
+    // 2 MiB (the default min_segment): a segment of its own.
     Tensor t = Tensor::empty(Shape{{1 << 19}});
     float* p = t.data();
     p[0] = 42.f;

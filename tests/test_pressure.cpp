@@ -63,15 +63,13 @@ struct EnvVar {
   ~EnvVar() { core::Env::clear(name); }
 };
 
-// Tiny geometry so budget arithmetic works in tens of KiB: 512 B
-// granule, 4 KiB small/large boundary (everything below is large and
-// gets an exact-size segment).
+// Tiny geometry so budget arithmetic works in tens of KiB: a miss
+// acquires max(request, 16 KiB), so requests above 16 KiB get an
+// exact-size segment.
 PoolAllocator::Config arena_cfg(int64_t budget = -1) {
   PoolAllocator::Config c;
   c.enabled = true;
-  c.round = 512;
-  c.small_limit = 4096;
-  c.small_segment = 16384;
+  c.min_segment = 16384;
   c.max_cached = -1;
   c.budget_bytes = budget;
   c.report_at_exit = false;
@@ -125,7 +123,8 @@ TEST(AllocatorBudget, ExceededBudgetThrowsStructuredError) {
   EXPECT_EQ(arena.stats().oom_failures, 1);
 
   // The failure left the arena usable: an in-budget request succeeds.
-  float* p = arena.allocate(4096 + 512);  // large bucket, exact segment
+  float* p = arena.allocate(16384 + 512);  // above the floor, exact segment
+  EXPECT_EQ(arena.stats().physical_bytes, 16384 + 512);
   arena.deallocate(p);
 }
 
