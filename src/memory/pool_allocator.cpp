@@ -193,12 +193,16 @@ void PoolAllocator::ensure_budget_locked(int64_t seg_size, int64_t requested,
   ++stats_.oom_failures;
   const AllocStats snap = snapshot_locked();
   std::ostringstream os;
-  os << "memory pressure in pool " << name_ << ": "
-     << (forced ? "injected oom at" : "segment of") << " " << seg_size
-     << " bytes (request " << requested << " B) "
-     << (forced ? "" : "exceeds budget ") << "";
-  if (budgeted) os << cfg_.budget_bytes << " B budget, ";
-  os << "after trim: in-use " << snap.bytes_in_use << " B, cached "
+  os << "memory pressure in pool " << name_ << ": ";
+  if (forced) {
+    os << "an injected oom failed a request of " << requested << " B ("
+       << seg_size << " B block)";
+    if (budgeted) os << " under a " << cfg_.budget_bytes << " B budget";
+  } else {
+    os << "a request of " << requested << " B needs a new segment of "
+       << seg_size << " B, over the " << cfg_.budget_bytes << " B budget";
+  }
+  os << "; after trim: in-use " << snap.bytes_in_use << " B, cached "
      << snap.bytes_cached << " B, physical " << snap.physical_bytes
      << " B across " << snap.segments << " segments, fragmentation "
      << static_cast<int>(snap.fragmentation() * 100.0) << "%";

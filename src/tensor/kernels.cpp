@@ -347,7 +347,7 @@ void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
   if (!trans_b) {
     // i-k-j saxpy order; C row zeroed up front (beta = 0). The zero
     // operand is NOT skipped: a data-dependent branch here made kernel
-    // timing depend on the values, skewing bench_table4/bench_overhead.
+    // timing depend on the values, skewing wall-clock benches (bench_overhead).
     for (int64_t i = 0; i < m; ++i) {
       float* crow = c + i * n;
       std::memset(crow, 0, sizeof(float) * static_cast<size_t>(n));

@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{8, 4, 16, 1, 4},   // many heads
                       ShapeParam{2, 16, 8, 3, 2},   // wide heads, odd batch
                       ShapeParam{8, 8, 32, 1, 8},   // long sequence, t=8
-                      ShapeParam{8, 8, 32, 2, 4}),  // bench_table2
+                      ShapeParam{8, 8, 32, 2, 4}),  // paper_report Table 2
     [](const ::testing::TestParamInfo<ShapeParam>& info) {
       const auto& p = info.param;
       return "a" + std::to_string(std::get<0>(p)) + "_hd" +

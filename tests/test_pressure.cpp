@@ -158,6 +158,39 @@ TEST(AllocatorBudget, InjectedAllocOomFailsOnceThenRecovers) {
   arena.deallocate(p);
 }
 
+// The error text is one sentence naming the cause, then the arena's
+// state after the trim: an injected oom names the request and its
+// rounded block, a real overrun the segment that would not fit.
+TEST(AllocatorBudget, ErrorTextStatesTheCause) {
+  auto error_text = [](PoolAllocator& arena, int64_t bytes) {
+    try {
+      arena.allocate(bytes);
+    } catch (const memory::MemoryPressureError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no MemoryPressureError");
+  };
+  {
+    fault::FaultPlan plan;
+    plan.events.push_back({.kind = fault::FaultKind::kOom,
+                           .rank = -1,
+                           .site = "alloc"});
+    fault::ScopedPlan armed(plan);
+    PoolAllocator arena(arena_cfg(/*budget=*/65536), "chaos");
+    EXPECT_EQ(error_text(arena, 4),
+              "memory pressure in pool chaos: an injected oom failed a request "
+              "of 4 B (512 B block) under a 65536 B budget; after trim: in-use "
+              "0 B, cached 0 B, physical 0 B across 0 segments, fragmentation "
+              "0%");
+  }
+  PoolAllocator arena(arena_cfg(/*budget=*/65536), "budgeted");
+  EXPECT_EQ(error_text(arena, 131072),
+            "memory pressure in pool budgeted: a request of 131072 B needs a "
+            "new segment of 131072 B, over the 65536 B budget; after trim: "
+            "in-use 0 B, cached 0 B, physical 0 B across 0 segments, "
+            "fragmentation 0%");
+}
+
 // ------------------------------------------------------------ monitor
 
 TEST(Monitor, ClassifiesPhysicalBytesAgainstWatermarks) {
