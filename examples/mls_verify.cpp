@@ -31,6 +31,7 @@
 #include "analysis/static/record.h"
 #include "analysis/static/verify.h"
 #include "core/env.h"
+#include "memory/pressure.h"
 #include "core/parallel_plan.h"
 #include "model/config.h"
 
@@ -248,7 +249,7 @@ int run_single() {
             << " groups:\n";
   for (const auto& g : train.groups) {
     std::cout << "    " << g.name << " (" << g.size() << " ranks, "
-              << train.expected_records(g.name, 0).size()
+              << train.events_of(g.name, g.members[0]).size()
               << " events on rank 0)\n";
   }
   std::cout << "  schedule check: "
@@ -262,16 +263,13 @@ int run_single() {
             << r.budget.model_state_bytes << " B model state, "
             << r.budget.kv_bytes_per_token << " KV B/token, "
             << r.budget.train_wire_bytes << " wire B/iter\n";
-  // Pressure plane: with MLS_MEM_BUDGET_BYTES set, predict offline
-  // whether this config trips the watermarks and where the escalation
-  // governor would settle.
-  const int64_t mem_budget =
-      mls::core::Env::integer("MLS_MEM_BUDGET_BYTES", -1);
-  if (mem_budget > 0) {
-    const auto forecast = mls::verify::forecast_pressure(
-        cfg, mem_budget, mls::core::Env::real("MLS_MEM_SOFT_PCT", 0.80),
-        mls::core::Env::real("MLS_MEM_HARD_PCT", 0.95));
-    std::cout << "  " << forecast.text() << "\n";
+  // Pressure plane: with a memory budget set, predict offline whether
+  // this config trips the watermarks and where the escalation governor
+  // would settle.
+  const auto pressure = mls::memory::PressureConfig::from_env();
+  if (pressure.enabled()) {
+    std::cout << "  " << mls::verify::forecast_pressure(cfg, pressure).text()
+              << "\n";
   }
   for (const Violation& v : r.violations) {
     std::cout << "  [" << v.check << "] " << v.message << "\n";
@@ -284,19 +282,24 @@ int run_single() {
 // rank 1 without — the classic one-rank-flag-drift bug.
 // The verifier names both call sites.
 int run_demo_failure() {
+  using mls::analysis::OpKind;
   Plan plan(2);
   plan.add_group("world", {0, 1});
-  mls::verify::SymComm r0 = plan.comm("world", 0);
-  mls::verify::SymComm r1 = plan.comm("world", 1);
   const int64_t n_full = 16 * 2 * 32;  // s*b*h of the tiny config
-  {
-    mls::analysis::SiteGuard site("ḡ(scatter_to_sp).fwd");
-    r0.reduce_scatter(n_full, 0, mls::Dtype::F16);
-  }
-  {
-    mls::analysis::SiteGuard site("f̄(reduce_from_tp).fwd");
-    r1.all_reduce(n_full, mls::Dtype::F16);
-  }
+  const int f16 = static_cast<int>(mls::Dtype::F16);
+  plan.ranks[0].push_back({{.kind = OpKind::kReduceScatter,
+                            .dtype = f16,
+                            .count = n_full,
+                            .dim = 0,
+                            .site = "ḡ(scatter_to_sp).fwd"},
+                           "world"});
+  plan.ranks[1].push_back(
+      {{.kind = OpKind::kAllReduce,
+        .reduce_op = static_cast<int>(mls::comm::ReduceOp::Sum),
+        .dtype = f16,
+        .count = n_full,
+        .site = "f̄(reduce_from_tp).fwd"},
+       "world"});
   std::cout << "mls-verify --demo-failure: one rank traced with SP, one "
                "without\n\n";
   const auto violations = mls::verify::verify_plan(plan);

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "comm/spmd.h"
+#include "common/check.h"
 #include "model/generate.h"
 #include "train/trainer.h"
 
@@ -26,7 +27,8 @@ int main() {
 
   const std::string ckpt_dir =
       (std::filesystem::temp_directory_path() / "mls_generation_demo").string();
-  std::filesystem::create_directories(ckpt_dir);
+  std::filesystem::remove_all(ckpt_dir);
+  serialize::CheckpointStore store(ckpt_dir);
 
   std::printf("Training a %lld-layer GPT (t=%d, SP + selective recompute) on a\n"
               "deterministic Markov language with %lld tokens...\n\n",
@@ -42,7 +44,7 @@ int main() {
     for (int i = 0; i < 120; ++i) {
       loss = trainer.step(data::make_microbatches(ds, cfg)).loss;
     }
-    trainer.save_checkpoint(ckpt_dir);
+    trainer.save_generation(store);
     if (world.rank() == 0) {
       std::printf("final training loss: %.4f (uniform baseline ln(%lld) = %.3f)\n",
                   loss, static_cast<long long>(cfg.v),
@@ -53,7 +55,8 @@ int main() {
   std::printf("\nReloading the checkpoint and generating (greedy):\n");
   spmd::run(cfg.t, [&](comm::Comm& world) {
     train::Trainer trainer(cfg, world, {});
-    trainer.load_checkpoint(ckpt_dir);
+    const int64_t gen = trainer.restore_latest(store);
+    MLS_CHECK_EQ(gen, 0) << "no checkpoint to reload";
 
     // Recover the true successor map for scoring.
     data::MarkovDataset ds(cfg.v, 1.0, 13);

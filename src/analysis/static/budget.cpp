@@ -26,12 +26,12 @@ StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan) {
 }
 
 PressureForecast forecast_pressure(const model::ModelConfig& cfg,
-                                   int64_t budget_bytes, double soft_pct,
-                                   double hard_pct) {
+                                   const memory::PressureConfig& pressure) {
+  pressure.validate();
   PressureForecast f;
-  f.budget_bytes = budget_bytes;
-  f.soft_bytes = static_cast<double>(budget_bytes) * soft_pct;
-  f.hard_bytes = static_cast<double>(budget_bytes) * hard_pct;
+  f.budget_bytes = pressure.budget_bytes;
+  f.soft_bytes = pressure.soft_bytes();
+  f.hard_bytes = pressure.hard_bytes();
   const double state = memory::model_state_bytes_per_rank(cfg).total();
   const core::Recompute rungs[3] = {core::Recompute::kNone,
                                     core::Recompute::kSelective,
@@ -58,8 +58,7 @@ std::string PressureForecast::text() const {
   const char* rung_names[3] = {"none", "selective", "full"};
   std::ostringstream os;
   os << "pressure forecast (budget " << budget_bytes << " B, soft "
-     << static_cast<int64_t>(soft_bytes) << " B, hard "
-     << static_cast<int64_t>(hard_bytes) << " B):\n";
+     << soft_bytes << " B, hard " << hard_bytes << " B):\n";
   for (int i = 0; i < 3; ++i) {
     os << "  recompute=" << rung_names[i] << ": resident "
        << static_cast<int64_t>(resident_bytes[i]) << " B"

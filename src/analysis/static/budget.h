@@ -11,6 +11,7 @@
 
 #include "analysis/static/verify.h"
 #include "memory/activation_model.h"
+#include "memory/pressure.h"
 #include "model/config.h"
 
 namespace mls::verify {
@@ -37,17 +38,17 @@ std::vector<Violation> check_budget_claim(const model::ModelConfig& cfg,
                                           double claimed_bytes_per_layer,
                                           const std::string& claim_site);
 
-// Pressure-plane forecast (DESIGN.md §14): given the MLS_MEM_* budget
-// and watermarks, predict offline whether this config can trip them —
-// and which rung of the recompute ladder the escalation governor would
-// have to reach. Resident bytes per rung = model state + first-stage
+// Pressure-plane forecast (DESIGN.md §14): given the pressure plane's
+// budget and watermarks, predict offline whether this config can trip
+// them — and which rung of the recompute ladder the escalation governor
+// would have to reach. Resident bytes per rung = model state + first-stage
 // activation total with cfg.recompute overridden to that rung; the
 // same §4 formulas the runtime MemoryTracker matches byte-exactly, so
 // "can_trip_soft == false" is a static proof the governor stays idle.
 struct PressureForecast {
   int64_t budget_bytes = 0;
-  double soft_bytes = 0;
-  double hard_bytes = 0;
+  int64_t soft_bytes = 0;
+  int64_t hard_bytes = 0;
   // Indexed by the ladder: [0]=none, [1]=selective, [2]=full.
   double resident_bytes[3] = {0, 0, 0};
   int configured_rung = 0;      // cfg.recompute as a ladder index
@@ -59,9 +60,8 @@ struct PressureForecast {
   std::string text() const;  // mls_verify's human block
 };
 
+// `pressure` must be enabled and valid (PressureConfig::validate).
 PressureForecast forecast_pressure(const model::ModelConfig& cfg,
-                                   int64_t budget_bytes,
-                                   double soft_pct = 0.80,
-                                   double hard_pct = 0.95);
+                                   const memory::PressureConfig& pressure);
 
 }  // namespace mls::verify

@@ -31,21 +31,8 @@ struct RankRecording {
   std::vector<std::pair<int64_t, PlanEvent>> events;
 };
 
-PlanEvent to_event(const analysis::CommRecord& r, const std::string& group) {
-  return PlanEvent{.kind = r.kind,
-                   .reduce_op = r.reduce_op,
-                   .dtype = r.dtype,
-                   .count = r.count,
-                   .dim = r.dim,
-                   .peer = r.peer,
-                   .tag = r.tag,
-                   .group = group,
-                   .site = r.site};
-}
+}  // namespace
 
-// Runs `body` on every rank of a `world`-rank SPMD program with the
-// analyzer recording everything. `body` returns the communicators the
-// rank used; each contributes this rank's ledger stream to the plan.
 Plan record(int world,
             const std::function<std::vector<comm::Comm>(comm::Comm&)>& body) {
   analysis::Options opts;
@@ -67,7 +54,7 @@ Plan record(int world,
       rec.groups.emplace_back(name, g.rank());
       for (const analysis::CommRecord& r :
            history[static_cast<size_t>(g.rank())]) {
-        rec.events.emplace_back(r.order, to_event(r, name));
+        rec.events.emplace_back(r.order, PlanEvent{r, name});
       }
     }
   });
@@ -101,8 +88,6 @@ Plan record(int world,
   }
   return plan;
 }
-
-}  // namespace
 
 Plan record_train_iteration(const model::ModelConfig& cfg,
                             pipeline::Schedule schedule) {

@@ -16,12 +16,22 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "analysis/static/plan.h"
+#include "comm/comm.h"
 #include "model/config.h"
 #include "pipeline/schedule.h"
 
 namespace mls::verify {
+
+// Runs `body` on every rank of a `world`-rank SPMD program with the
+// analyzer recording everything. `body` returns the communicators the
+// rank used; each contributes this rank's ledger stream to the plan,
+// every record as the ledger numbered it.
+Plan record(int world,
+            const std::function<std::vector<comm::Comm>(comm::Comm&)>& body);
 
 // One PipelineEngine::run_iteration over a t*p*d world. Tokens and
 // targets are drawn from cfg.seed.

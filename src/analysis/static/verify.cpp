@@ -7,45 +7,29 @@
 #include <tuple>
 
 #include "analysis/report.h"
+#include "comm/ring.h"
 #include "common/check.h"
+#include "tensor/dtype.h"
 
 namespace mls::verify {
 
 namespace {
 
-// comm.cpp's near-equal ring chunking.
-int64_t chunk_ofs(int64_t n, int parties, int i) { return n * i / parties; }
-int mod(int a, int m) { return ((a % m) + m) % m; }
-
-// Bytes rank r receives in a ring reduce-scatter phase over n elements.
-int64_t ring_rs_bytes(int64_t n, int T, int r, int64_t eb) {
-  int64_t received = 0;
-  for (int s = 0; s <= T - 2; ++s) {
-    const int c = mod(r - 2 - s, T);
-    received += (chunk_ofs(n, T, c + 1) - chunk_ofs(n, T, c)) * eb;
-  }
-  return received;
-}
-
-// Bytes rank r receives in a ring all-gather phase over n elements.
-int64_t ring_ag_bytes(int64_t n, int T, int r, int64_t eb) {
-  int64_t received = 0;
-  for (int s = 0; s <= T - 2; ++s) {
-    const int c = mod(r - 1 - s, T);
-    received += (chunk_ofs(n, T, c + 1) - chunk_ofs(n, T, c)) * eb;
-  }
-  return received;
-}
-
 int64_t elem_bytes(int dtype) {
   return dtype < 0 ? 0 : byte_size(static_cast<Dtype>(dtype));
 }
 
+// Group rank `grank`'s collectives of `g`, numbered by position — the
+// rule Ledger::begin applies, so seq reads the same in hand-written and
+// recorded plans.
 std::vector<analysis::CommRecord> collective_stream(const Plan& plan,
                                                     const Group& g, int grank) {
   std::vector<analysis::CommRecord> out;
-  for (auto& r : plan.expected_records(g.name, grank)) {
-    if (analysis::is_collective(r.kind)) out.push_back(std::move(r));
+  for (const PlanEvent& e :
+       plan.events_of(g.name, g.members[static_cast<size_t>(grank)])) {
+    if (!analysis::is_collective(e.kind)) continue;
+    out.push_back(e);
+    out.back().seq = static_cast<int64_t>(out.size()) - 1;
   }
   return out;
 }
@@ -176,14 +160,13 @@ std::vector<Violation> check_deadlock(const Plan& plan) {
   os << "deadlock: " << stuck.size() << " rank(s) cannot make progress\n";
   for (int r : stuck) {
     const PlanEvent* e = head(r);
-    os << "  rank " << r << " stuck in " << analysis::format_record(
-              to_record(*e))
+    os << "  rank " << r << " stuck in " << analysis::format_record(*e)
        << " [group " << e->group << "]";
     const int w = waits_on(r);
     if (w >= 0) {
       os << " — waits on rank " << w;
       if (const PlanEvent* h = head(w)) {
-        os << ", itself stuck in " << analysis::format_record(to_record(*h));
+        os << ", itself stuck in " << analysis::format_record(*h);
       } else {
         os << ", which already finished";
       }
@@ -238,22 +221,23 @@ comm::TrafficStats predict_traffic(const Plan& plan, const std::string& group,
   for (const PlanEvent& e :
        plan.events_of(group, g->members[static_cast<size_t>(grank)])) {
     const int64_t eb = elem_bytes(e.dtype);
+    const auto ring = [&](comm::RingPhase phase, int64_t n) {
+      return comm::ring_phase_elems(phase, n, grank, T) * eb;
+    };
     switch (e.kind) {
       case analysis::OpKind::kAllReduce:
         ++st.all_reduce_count;
-        if (T > 1) {
-          st.bytes_received += ring_rs_bytes(e.count, T, grank, eb) +
-                               ring_ag_bytes(e.count, T, grank, eb);
-        }
+        st.bytes_received += ring(comm::RingPhase::kReduceScatter, e.count) +
+                             ring(comm::RingPhase::kAllGather, e.count);
         break;
       case analysis::OpKind::kAllGather:
         ++st.all_gather_count;
-        // Staged as [T, shard]: T equal chunks, (T-1) received per rank.
-        if (T > 1) st.bytes_received += (T - 1) * e.count * eb;
+        // Comm::all_gather stages the result as [T, shard].
+        st.bytes_received += ring(comm::RingPhase::kAllGather, T * e.count);
         break;
       case analysis::OpKind::kReduceScatter:
         ++st.reduce_scatter_count;
-        if (T > 1) st.bytes_received += ring_rs_bytes(e.count, T, grank, eb);
+        st.bytes_received += ring(comm::RingPhase::kReduceScatter, e.count);
         break;
       case analysis::OpKind::kBroadcast:
         ++st.broadcast_count;

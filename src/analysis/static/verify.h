@@ -1,8 +1,9 @@
 // The static checks over a Plan (DESIGN.md §12):
 //
 //  * check_schedule — cross-rank collective matching, offline: every
-//    group member's collective stream must match group rank 0's, seq by
-//    seq, under the runtime ledger's own records_match predicate; the
+//    group member's collective stream, numbered by position as the
+//    ledger numbers seq, must match group rank 0's seq by seq under the
+//    runtime ledger's own records_match predicate; the
 //    first divergence is reported with analysis::format_mismatch — the
 //    same two-call-site diagnostic the runtime throws, minus the run.
 //  * check_deadlock — a happens-before execution simulation: sends are
@@ -11,9 +12,9 @@
 //    collective of that group. If the simulation wedges, the wait-for
 //    cycle is reported with each stuck rank's head event and site.
 //  * predict_traffic — per-rank comm::TrafficStats computed from the
-//    plan with the exact ring accounting comm.cpp implements (including
-//    the non-divisible chunk_ofs splits), so it equals the runtime's
-//    counters byte for byte, not approximately.
+//    plan by the ring chunk schedule the runtime collectives run
+//    (comm/ring.h, non-divisible splits included), so it equals the
+//    runtime's counters byte for byte, not approximately.
 #pragma once
 
 #include <string>

@@ -11,6 +11,7 @@
 #include "analysis/ledger.h"
 #include "analysis/watchdog.h"
 #include "comm/barrier.h"
+#include "comm/ring.h"
 #include "common/check.h"
 #include "fault/inject.h"
 #include "tensor/ops.h"
@@ -151,14 +152,6 @@ void Comm::barrier() {
   world_->barrier.arrive_and_wait();
 }
 
-namespace {
-// Chunk i of a length-n buffer divided into `parties` near-equal parts.
-int64_t chunk_ofs(int64_t n, int parties, int i) {
-  return n * i / parties;
-}
-int mod(int a, int m) { return ((a % m) + m) % m; }
-}  // namespace
-
 // Ring reduce-scatter over the ranks' registered buffers (in place).
 // After completion, rank r's chunk r holds the full sum. Precondition:
 // all buffers registered in world->bufs and a barrier has been passed.
@@ -172,11 +165,11 @@ static int64_t ring_reduce_scatter_inplace(World& w, int rank, int64_t n,
   const int T = w.size;
   int64_t received = 0;
   for (int s = 0; s <= T - 2; ++s) {
-    const int c = mod(rank - 2 - s, T);
-    const int64_t lo = chunk_ofs(n, T, c);
-    const int64_t hi = chunk_ofs(n, T, c + 1);
+    const int c = ring_step_chunk(RingPhase::kReduceScatter, rank, s, T);
+    const int64_t lo = ring_chunk_ofs(n, T, c);
+    const int64_t hi = ring_chunk_ofs(n, T, c + 1);
     float* mine = w.bufs[static_cast<size_t>(rank)];
-    const float* left = w.bufs[static_cast<size_t>(mod(rank - 1, T))];
+    const float* left = w.bufs[static_cast<size_t>(ring_left(rank, T))];
     if (op == ReduceOp::Sum) {
       for (int64_t k = lo; k < hi; ++k) mine[k] += left[k];
     } else {
@@ -196,11 +189,11 @@ static int64_t ring_all_gather_inplace(World& w, int rank, int64_t n,
   const int T = w.size;
   int64_t received = 0;
   for (int s = 0; s <= T - 2; ++s) {
-    const int c = mod(rank - 1 - s, T);
-    const int64_t lo = chunk_ofs(n, T, c);
-    const int64_t hi = chunk_ofs(n, T, c + 1);
+    const int c = ring_step_chunk(RingPhase::kAllGather, rank, s, T);
+    const int64_t lo = ring_chunk_ofs(n, T, c);
+    const int64_t hi = ring_chunk_ofs(n, T, c + 1);
     float* mine = w.bufs[static_cast<size_t>(rank)];
-    const float* left = w.bufs[static_cast<size_t>(mod(rank - 1, T))];
+    const float* left = w.bufs[static_cast<size_t>(ring_left(rank, T))];
     std::memcpy(mine + lo, left + lo, sizeof(float) * static_cast<size_t>(hi - lo));
     received += (hi - lo) * elem_bytes;
     w.barrier.arrive_and_wait();

@@ -147,18 +147,22 @@ void GPTModel::zero_grads() {
   for (auto& p : params()) p.zero_grad();
 }
 
-void GPTModel::sync_grads_after_backward() {
-  if (!env_.plan().sequence_sharded() || env_.tp_size() == 1) return;
-  std::vector<Var> reps;
-  if (pos_table_.defined()) reps.push_back(pos_table_);
+std::vector<Var> GPTModel::replicated_params() const {
+  std::vector<Var> out;
+  if (pos_table_.defined()) out.push_back(pos_table_);
   if (lnf_gamma_.defined()) {
-    reps.push_back(lnf_gamma_);
-    reps.push_back(lnf_beta_);
+    out.push_back(lnf_gamma_);
+    out.push_back(lnf_beta_);
   }
   for (const auto& layer : layers_) {
-    for (auto& p : layer.replicated_params()) reps.push_back(p);
+    for (auto& p : layer.replicated_params()) out.push_back(p);
   }
-  env_.plan().sync_replicated_grads(reps, env_.tp);
+  return out;
+}
+
+void GPTModel::sync_grads_after_backward() {
+  if (!env_.plan().sequence_sharded() || env_.tp_size() == 1) return;
+  env_.plan().sync_replicated_grads(replicated_params(), env_.tp);
 }
 
 }  // namespace mls::model

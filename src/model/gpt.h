@@ -57,6 +57,10 @@ class GPTModel {
 
   // Parameter access ---------------------------------------------------
   std::vector<ag::Var> params() const;
+  // The params every TP rank holds in full (positional table, final
+  // layernorm, each layer's layernorms and row-parallel biases); the
+  // rest are sharded over the TP group.
+  std::vector<ag::Var> replicated_params() const;
   void zero_grads();
   // All-reduces over the TP group the gradients of params that only saw
   // sequence-shard contributions. Call once per iteration after all

@@ -245,10 +245,6 @@ bool verify_tensors(const std::string& path) noexcept {
   }
 }
 
-std::string rank_file(const std::string& dir, int world_rank) {
-  return dir + "/rank_" + std::to_string(world_rank) + ".ckpt";
-}
-
 void write_file_atomic(const std::string& path, const std::string& contents) {
   const std::string tmp = path + ".tmp";
   {

@@ -1,7 +1,8 @@
 // Checkpoint I/O: save and restore training state to disk.
 //
 // Layout mirrors Megatron's distributed checkpoints: each world rank
-// writes its own shard file (`<dir>/rank_<r>.ckpt`), containing its
+// writes its own shard file (named by the generation store,
+// serialize/ckpt_store.h), containing its
 // parameter shards (and, optionally, optimizer moments) as named
 // tensors. Loading asserts names and shapes positionally, so a
 // checkpoint can only be restored into the same parallel configuration
@@ -42,9 +43,6 @@ NamedTensors load_tensors(const std::string& path);
 // false on any defect (missing, truncated, bit-flipped, wrong magic).
 // Never throws and never allocates tensor storage.
 bool verify_tensors(const std::string& path) noexcept;
-
-// Shard-file path for a world rank.
-std::string rank_file(const std::string& dir, int world_rank);
 
 // Durable small-file helpers shared with the generation store
 // (ckpt_store.cpp): atomic publish via tmp + rename + directory fsync.

@@ -272,11 +272,7 @@ bool use_reference() { return core::Env::flag("MLS_KERNEL_REF", false); }
 
 bool pin_enabled() { return core::Env::flag("MLS_KERNEL_PIN", false); }
 
-int spin_us() {
-  const int64_t def = hardware_cores() > 1 ? 100 : 0;
-  const int64_t v = core::Env::integer("MLS_KERNEL_SPIN_US", def);
-  return static_cast<int>(std::clamp<int64_t>(v, 0, 1000000));
-}
+int spin_us() { return hardware_cores() > 1 ? 100 : 0; }
 
 void bind_rank(int rank, int world) {
   t_binding = {rank, std::max(1, world)};

@@ -36,7 +36,7 @@
 //    divided by the calling rank's world size) splits over M/N tiles
 //    (or the batch dimension for bmm) ONLY — never the k reduction.
 //    Workers are persistent per-caller-thread: they spin briefly for
-//    the next kernel (MLS_KERNEL_SPIN_US), then park on a condition
+//    the next kernel (spin_us() below), then park on a condition
 //    variable, so the per-GEMM dispatch cost is a couple of atomic
 //    stores, not a mutex handshake. Tall threaded GEMMs run
 //    cooperatively: the B panel of each (jc, pc) cache block is packed
@@ -113,8 +113,8 @@ bool use_reference();
 // MLS_KERNEL_PIN — pin rank threads / kernel workers to per-rank core
 // slices (default off; Linux affinity, a no-op elsewhere).
 bool pin_enabled();
-// MLS_KERNEL_SPIN_US — microseconds a worker spins for the next kernel
-// before parking (default 100 on multi-core hosts, 0 on 1-core).
+// Microseconds a worker spins for the next kernel before parking: 100
+// on multi-core hosts, 0 on one core.
 int spin_us();
 
 // ------------------------------------------------------- rank binding

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <unordered_set>
 
 #include "analysis/ledger.h"
 #include "fault/inject.h"
@@ -66,23 +67,6 @@ float Trainer::lr_at(int64_t it) const {
   return lr;
 }
 
-namespace {
-
-// Replicated-across-TP params are identified by name: layer-norm
-// weights, row-parallel biases, and the positional table. Everything
-// else (matmul weights, column biases, the vocab-sharded embedding) is
-// sharded, so summing local shards over the tp group yields the full
-// tensor exactly once.
-bool is_tp_replicated(const std::string& name) {
-  return name.find(".ln") != std::string::npos ||
-         name.find("lnf.") != std::string::npos ||
-         name.find("wpe") != std::string::npos ||
-         name.find("proj.bias") != std::string::npos ||
-         name.find("lin2.bias") != std::string::npos;
-}
-
-}  // namespace
-
 float Trainer::clip_gradients() {
   // Global L2 norm with every distinct parameter counted exactly once:
   //  * sharded params contribute their local shard on every tp rank;
@@ -98,10 +82,16 @@ float Trainer::clip_gradients() {
         (m.spec().has_head && !m.spec().has_embedding)
             ? m.word_table().record().get()
             : nullptr;
+    std::unordered_set<const ag::GradRecord*> replicated;
+    if (!tp_rank0) {
+      for (const auto& p : m.replicated_params()) {
+        replicated.insert(p.record().get());
+      }
+    }
     for (const auto& p : m.params()) {
       if (!p.has_grad()) continue;
       if (p.record().get() == tied_duplicate) continue;
-      if (is_tp_replicated(p.name()) && !tp_rank0) continue;
+      if (replicated.count(p.record().get())) continue;
       const float* g = p.grad().data();
       for (int64_t i = 0; i < p.numel(); ++i) {
         local_sq += static_cast<double>(g[i]) * g[i];
@@ -156,16 +146,6 @@ serialize::NamedTensors Trainer::state_items() const {
   items.emplace_back("global_step",
                      Tensor::scalar(static_cast<float>(iteration_)));
   return items;
-}
-
-void Trainer::save_checkpoint(const std::string& dir) const {
-  serialize::save_tensors(serialize::rank_file(dir, world_.rank()),
-                          state_items());
-}
-
-void Trainer::load_checkpoint(const std::string& dir) {
-  load_state_items(
-      serialize::load_tensors(serialize::rank_file(dir, world_.rank())));
 }
 
 void Trainer::load_state_items(const serialize::NamedTensors& items) {

@@ -66,18 +66,14 @@ class Trainer {
   // Current learning rate under the schedule.
   float lr_at(int64_t it) const;
 
-  // Distributed checkpointing: each world rank saves/restores its own
-  // shard file (parameters, Adam moments, per-chunk RNG state, the
-  // iteration counter and global step). Loading requires the same
-  // parallel configuration that saved; resuming is bit-exact (tests
-  // assert it).
-  void save_checkpoint(const std::string& dir) const;
-  void load_checkpoint(const std::string& dir);
-
-  // Generation-versioned variants over a CheckpointStore (collective
-  // across the trainer's world). save_generation commits a new
-  // generation; restore_latest loads the newest one that verifies on
-  // every rank and returns its generation number (-1 = fresh start).
+  // Distributed checkpointing over a generation-versioned
+  // CheckpointStore (collective across the trainer's world): each world
+  // rank writes its own shard (parameters, Adam moments, per-chunk RNG
+  // state, the iteration counter and global step). save_generation
+  // commits a new generation; restore_latest loads the newest one that
+  // verifies on every rank and returns its generation number (-1 =
+  // fresh start). Restoring requires the same parallel configuration
+  // that saved; resuming is bit-exact (tests assert it).
   int64_t save_generation(serialize::CheckpointStore& store);
   int64_t restore_latest(serialize::CheckpointStore& store);
 

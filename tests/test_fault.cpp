@@ -466,8 +466,7 @@ TEST_F(FaultTest, ChaosSeededPlanFinishesBitIdentical) {
 TEST_F(FaultTest, CheckpointCarriesRngStateAcrossSeedDrift) {
   model::ModelConfig cfg = model::ModelConfig::tiny(1, 2);
   const auto steps = make_steps(cfg, 4);
-  const std::string dir = subdir("rng");
-  fs::create_directories(dir);
+  serialize::CheckpointStore store(subdir("rng"));
 
   std::vector<float> straight, resumed;
   spmd::run(1, [&](comm::Comm& world) {
@@ -482,12 +481,13 @@ TEST_F(FaultTest, CheckpointCarriesRngStateAcrossSeedDrift) {
       for (int i = 0; i < 2; ++i) {
         resumed.push_back(t.step(steps[static_cast<size_t>(i)]).loss);
       }
-      t.save_checkpoint(dir);
+      t.save_generation(store);
     }
     model::ModelConfig drifted = cfg;
     drifted.seed = cfg.seed + 999;  // would change dropout masks…
     train::Trainer t2(drifted, world, {});
-    t2.load_checkpoint(dir);  // …but the checkpoint restores the stream
+    // …but the checkpoint restores the stream.
+    EXPECT_EQ(t2.restore_latest(store), 0);
     for (int i = 2; i < 4; ++i) {
       resumed.push_back(t2.step(steps[static_cast<size_t>(i)]).loss);
     }

@@ -15,6 +15,7 @@
 #include "core/parallel_plan.h"
 #include "memory/activation_model.h"
 #include "memory/pool_allocator.h"
+#include "memory/pressure.h"
 #include "model/gpt.h"
 
 namespace mls {
@@ -198,7 +199,9 @@ TEST(TotalActivationMemory, ModelMeasurementMatchesEq5PlusExtras) {
 TEST(TotalActivationMemory, PressureForecastFullRungMatchesMeasurement) {
   ModelConfig cfg = ModelConfig::tiny(2, 2);
   cfg.set_plan(kTpSp);
-  const auto f = verify::forecast_pressure(cfg, int64_t{1} << 30);
+  memory::PressureConfig pressure;
+  pressure.budget_bytes = int64_t{1} << 30;
+  const auto f = verify::forecast_pressure(cfg, pressure);
   cfg.recompute = kFull;
   const double activations =
       f.resident_bytes[2] - memory::model_state_bytes_per_rank(cfg).total();

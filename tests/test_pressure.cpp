@@ -747,12 +747,19 @@ TEST(ServePressureChaos, InjectedKvBlockOomKeepsTokensIdentical) {
 
 // ------------------------------------------------------------ forecast
 
+// A pressure config with the default watermarks over `budget_bytes`.
+PressureConfig budget(int64_t budget_bytes) {
+  PressureConfig pc;
+  pc.budget_bytes = budget_bytes;
+  return pc;
+}
+
 TEST(Forecast, RungsShrinkResidencyAndVerdictsTrackTheBudget) {
   model::ModelConfig cfg = model::ModelConfig::tiny(1, 2);
   cfg.recompute = core::Recompute::kNone;
 
   // Probe run (any budget) to learn the per-rung residents.
-  const auto probe = verify::forecast_pressure(cfg, int64_t{1} << 40);
+  const auto probe = verify::forecast_pressure(cfg, budget(int64_t{1} << 40));
   EXPECT_GT(probe.resident_bytes[0], probe.resident_bytes[1]);
   EXPECT_GT(probe.resident_bytes[1], probe.resident_bytes[2]);
   EXPECT_EQ(probe.configured_rung, 0);
@@ -763,7 +770,7 @@ TEST(Forecast, RungsShrinkResidencyAndVerdictsTrackTheBudget) {
   // Budget slightly above the kNone resident: the configured rung trips
   // soft (but not hard) and the governor settles on a cheaper rung.
   const auto tight = verify::forecast_pressure(
-      cfg, static_cast<int64_t>(probe.resident_bytes[0] / 0.9) + 1);
+      cfg, budget(static_cast<int64_t>(probe.resident_bytes[0] / 0.9) + 1));
   EXPECT_TRUE(tight.can_trip_soft);
   EXPECT_FALSE(tight.can_trip_hard);
   EXPECT_GE(tight.floor_rung, 1);
@@ -772,11 +779,35 @@ TEST(Forecast, RungsShrinkResidencyAndVerdictsTrackTheBudget) {
 
   // Budget below even the full-recompute resident: nothing fits.
   const auto hopeless = verify::forecast_pressure(
-      cfg, static_cast<int64_t>(probe.resident_bytes[2] / 0.96));
+      cfg, budget(static_cast<int64_t>(probe.resident_bytes[2] / 0.96)));
   EXPECT_TRUE(hopeless.can_trip_hard);
   EXPECT_FALSE(hopeless.fits_at_full);
   EXPECT_EQ(hopeless.floor_rung, -1);
   EXPECT_NE(hopeless.text().find("no rung fits"), std::string::npos);
+}
+
+// The forecast reads the same watermarks the runtime monitor does: a
+// lower soft watermark pushes the governor's floor a rung up, and a
+// misordered config is rejected as PressureConfig::validate rejects it.
+TEST(Forecast, SoftWatermarkMovesTheFloorRung) {
+  model::ModelConfig cfg = model::ModelConfig::tiny(1, 2);
+  cfg.recompute = core::Recompute::kNone;
+  const auto probe = verify::forecast_pressure(cfg, budget(int64_t{1} << 40));
+  // Selective fits under the default soft watermark (80%)…
+  PressureConfig pc =
+      budget(static_cast<int64_t>(probe.resident_bytes[1] / 0.79));
+  const auto at_default = verify::forecast_pressure(cfg, pc);
+  EXPECT_EQ(at_default.floor_rung, 1);
+  // …but not under a 70% one, where only full recompute does.
+  ASSERT_LT(probe.resident_bytes[2],
+            0.7 * static_cast<double>(pc.budget_bytes));
+  pc.soft_pct = 0.70;
+  pc.low_pct = 0.50;
+  const auto lowered = verify::forecast_pressure(cfg, pc);
+  EXPECT_EQ(lowered.soft_bytes, pc.soft_bytes());
+  EXPECT_EQ(lowered.floor_rung, 2);
+  pc.soft_pct = 0.99;  // above the hard watermark
+  EXPECT_THROW(verify::forecast_pressure(cfg, pc), Error);
 }
 
 TEST(Forecast, LevelNamesAreStable) {

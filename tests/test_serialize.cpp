@@ -9,6 +9,7 @@
 
 #include "comm/spmd.h"
 #include "serialize/checkpoint_io.h"
+#include "serialize/ckpt_store.h"
 #include "train/trainer.h"
 
 namespace mls {
@@ -94,20 +95,23 @@ std::vector<float> train_with_resume(const model::ModelConfig& cfg,
   for (int i = 0; i < total; ++i) batches.push_back(data::make_microbatches(ds, cfg));
 
   std::vector<float> losses;
+  serialize::CheckpointStore store(dir);
   spmd::run(cfg.t * cfg.p * cfg.d, [&](comm::Comm& world) {
     train::TrainerOptions opts;
     opts.lr = 1e-3f;
     std::vector<float> local;
+    int64_t saved = -1;
     {
       train::Trainer first(cfg, world, opts);
       for (int i = 0; i < (resume ? save_at : total); ++i) {
         local.push_back(first.step(batches[static_cast<size_t>(i)]).loss);
       }
-      if (resume) first.save_checkpoint(dir);
+      if (resume) saved = first.save_generation(store);
     }
     if (resume) {
       train::Trainer second(cfg, world, opts);  // fresh weights
-      second.load_checkpoint(dir);
+      const int64_t restored = second.restore_latest(store);
+      MLS_CHECK_EQ(restored, saved);
       MLS_CHECK_EQ(second.iteration(), save_at);
       for (int i = save_at; i < total; ++i) {
         local.push_back(second.step(batches[static_cast<size_t>(i)]).loss);
@@ -144,14 +148,15 @@ TEST_F(SerializeTest, ResumeIsBitExactUnder3DParallelism) {
 
 TEST_F(SerializeTest, LoadingIntoWrongConfigurationFails) {
   model::ModelConfig cfg = model::ModelConfig::tiny(1, 2);
+  serialize::CheckpointStore store(dir_.string());
   spmd::run(1, [&](comm::Comm& world) {
     train::Trainer t(cfg, world, {});
-    t.save_checkpoint(dir_.string());
+    t.save_generation(store);
   });
   model::ModelConfig bigger = model::ModelConfig::tiny(1, 4);  // more layers
   spmd::run(1, [&](comm::Comm& world) {
     train::Trainer t(bigger, world, {});
-    EXPECT_THROW(t.load_checkpoint(dir_.string()), Error);
+    EXPECT_THROW(t.restore_latest(store), Error);
   });
 }
 

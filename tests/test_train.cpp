@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "comm/spmd.h"
 #include "train/trainer.h"
@@ -167,7 +169,12 @@ TEST(Trainer, GradClipBoundsTheNorm) {
 
 TEST(Trainer, ClippedTrainingMatchesSerialUnderParallelism) {
   // Gradient clipping uses a *global* norm; if the dedup rules were
-  // wrong the parallel trajectory would diverge from serial.
+  // wrong the norm — and then the parallel trajectory — would diverge
+  // from serial.
+  struct Run {
+    std::vector<float> losses;
+    float grad_norm0 = 0;  // step 0's pre-clip global norm
+  };
   auto run = [](int t, int p, core::PlanKind plan, int steps) {
     ModelConfig cfg = ModelConfig::tiny(t, 4);
     cfg.p = p;
@@ -177,25 +184,38 @@ TEST(Trainer, ClippedTrainingMatchesSerialUnderParallelism) {
     // Pre-draw all batches so every config sees identical data.
     std::vector<std::vector<data::Batch>> batches;
     for (int i = 0; i < steps; ++i) batches.push_back(data::make_microbatches(ds, cfg));
-    std::vector<float> losses;
+    Run out;
     spmd::run(cfg.t * cfg.p, [&](comm::Comm& world) {
       train::TrainerOptions opts;
       opts.lr = 0.01f;
       opts.use_adam = false;
       opts.grad_clip = 0.05f;
       train::Trainer trainer(cfg, world, opts);
-      std::vector<float> local;
-      for (int i = 0; i < steps; ++i) local.push_back(trainer.step(batches[static_cast<size_t>(i)]).loss);
-      if (world.rank() == 0) losses = local;
+      Run local;
+      for (int i = 0; i < steps; ++i) {
+        const auto r = trainer.step(batches[static_cast<size_t>(i)]);
+        local.losses.push_back(r.loss);
+        if (i == 0) local.grad_norm0 = r.grad_norm;
+      }
+      if (world.rank() == 0) out = local;
     });
-    return losses;
+    return out;
   };
-  const auto ref = run(1, 1, core::PlanKind::kTensorParallel, 4);
-  const auto tp = run(2, 1, core::PlanKind::kTensorParallel, 4);
-  const auto tpsp_pp = run(2, 2, core::PlanKind::kTensorSequence, 4);
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(tp[i], ref[i], 3e-3f * (1 + static_cast<float>(i)));
-    EXPECT_NEAR(tpsp_pp[i], ref[i], 3e-3f * (1 + static_cast<float>(i)));
+  const Run ref = run(1, 1, core::PlanKind::kTensorParallel, 4);
+  ASSERT_GT(ref.grad_norm0, 0.05f);  // clipping is active from step 0
+  using core::PlanKind;
+  for (const auto& [name, got] :
+       {std::pair{"tp t=2", run(2, 1, PlanKind::kTensorParallel, 4)},
+        std::pair{"tp_sp t=2 p=2", run(2, 2, PlanKind::kTensorSequence, 4)},
+        std::pair{"folded_tsp t=2", run(2, 1, PlanKind::kFoldedTsp, 4)}}) {
+    EXPECT_NEAR(got.grad_norm0, ref.grad_norm0, 1e-4f * ref.grad_norm0)
+        << name;
+    ASSERT_EQ(got.losses.size(), ref.losses.size()) << name;
+    for (size_t i = 0; i < ref.losses.size(); ++i) {
+      EXPECT_NEAR(got.losses[i], ref.losses[i],
+                  3e-3f * (1 + static_cast<float>(i)))
+          << name << " step " << i;
+    }
   }
 }
 
