@@ -34,6 +34,7 @@
 #include "memory/pressure.h"
 #include "core/parallel_plan.h"
 #include "model/config.h"
+#include "run_main.h"
 
 namespace {
 
@@ -311,7 +312,7 @@ int run_demo_failure() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int example(int argc, char** argv) {
   bool all = false;
   bool demo_failure = false;
   // Default under build/ so routine runs never litter the repo root;
@@ -335,4 +336,8 @@ int main(int argc, char** argv) {
   if (demo_failure) return run_demo_failure();
   if (all) return run_all(report_path);
   return run_single();
+}
+
+int main(int argc, char** argv) {
+  return mls::examples::run_main("mls_verify", [&] { return example(argc, argv); });
 }

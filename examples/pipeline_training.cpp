@@ -11,6 +11,7 @@
 #include "common/memtracker.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "run_main.h"
 #include "train/trainer.h"
 
 using namespace mls;
@@ -49,7 +50,7 @@ Result run(model::ModelConfig cfg, pipeline::PipelineOptions popts,
 
 }  // namespace
 
-int main() {
+int example() {
   model::ModelConfig cfg = model::ModelConfig::tiny(/*t=*/1, /*layers=*/8);
   cfg.a = 4;
   cfg.h = 32;
@@ -107,3 +108,5 @@ int main() {
       static_cast<long long>(cfg.microbatches()), cfg.p);
   return 0;
 }
+
+int main() { return examples::run_main("pipeline_training", example); }

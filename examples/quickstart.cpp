@@ -12,11 +12,12 @@
 #include "comm/spmd.h"
 #include "common/memtracker.h"
 #include "common/units.h"
+#include "run_main.h"
 #include "train/trainer.h"
 
 using namespace mls;
 
-int main() {
+int example() {
   // A GPT-2-ish toy: 4 layers, 8 heads, hidden 64, vocab 128.
   model::ModelConfig cfg = model::ModelConfig::tiny(/*t=*/1, /*layers=*/4);
   cfg.a = 8;
@@ -86,3 +87,5 @@ int main() {
   });
   return 0;
 }
+
+int main() { return examples::run_main("quickstart", example); }

@@ -9,11 +9,12 @@
 #include <string>
 
 #include "comm/spmd.h"
-#include "core/parallel_plan.h"
 #include "common/memtracker.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "core/parallel_plan.h"
 #include "memory/activation_model.h"
+#include "run_main.h"
 #include "train/trainer.h"
 
 using namespace mls;
@@ -52,7 +53,7 @@ RunStats run(model::ModelConfig cfg, const std::vector<std::vector<data::Batch>>
 
 }  // namespace
 
-int main() {
+int example() {
   model::ModelConfig base = model::ModelConfig::tiny(/*t=*/1, /*layers=*/4);
   base.a = 8;
   base.h = 64;
@@ -128,3 +129,5 @@ int main() {
       "g/ḡ volumes themselves are equal — see bench_collectives.)\n");
   return 0;
 }
+
+int main() { return examples::run_main("tensor_sequence_parallel", example); }

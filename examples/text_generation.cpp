@@ -9,11 +9,12 @@
 #include "comm/spmd.h"
 #include "common/check.h"
 #include "model/generate.h"
+#include "run_main.h"
 #include "train/trainer.h"
 
 using namespace mls;
 
-int main() {
+int example() {
   model::ModelConfig cfg = model::ModelConfig::tiny(/*t=*/2, /*layers=*/2);
   cfg.a = 4;
   cfg.h = 48;
@@ -94,3 +95,5 @@ int main() {
   std::filesystem::remove_all(ckpt_dir);
   return 0;
 }
+
+int main() { return examples::run_main("text_generation", example); }

@@ -256,9 +256,14 @@ float* PoolAllocator::allocate_locked(int64_t bytes) {
       seg_size = want;
     }
     ensure_budget_locked(seg_size, bytes, /*forced=*/false);
-    void* base = std::malloc(static_cast<size_t>(seg_size));
-    MLS_CHECK(base != nullptr) << "segment malloc of " << seg_size
-                               << " bytes failed (pool " << name_ << ")";
+    // Cache-line aligned: every block starts a kRound multiple into its
+    // segment, so every pooled buffer starts on a cache line and no
+    // full-width vector load or store of one splits two lines.
+    void* base = nullptr;
+    MLS_CHECK(posix_memalign(&base, kSegmentAlign,
+                             static_cast<size_t>(seg_size)) == 0)
+        << "segment allocation of " << seg_size << " bytes failed (pool "
+        << name_ << ")";
     auto seg = std::make_unique<Segment>();
     seg->base = base;
     seg->size = seg_size;

@@ -10,6 +10,8 @@
 //     Config::min_segment) bytes. The 2 MiB floor is the CUDA
 //     allocator's kSmallBuffer: small requests share a segment, large
 //     ones get one sized to fit, so physical bytes track demand.
+//     Segments are 64-byte aligned (kSegmentAlign), so every pooled
+//     buffer starts on a cache line.
 //   * Best-fit with split. The free index is ordered by (size, addr);
 //     an allocation takes the smallest block that fits and splits off
 //     the remainder as a new free block. Adjacent free blocks of a
@@ -134,7 +136,8 @@ class PoolAllocator {
   // one is installed, else this_thread().
   static std::shared_ptr<PoolAllocator> current();
 
-  // Uninitialized buffer of at least `bytes` bytes (float-aligned).
+  // Uninitialized buffer of at least `bytes` bytes: cache-line aligned
+  // when pooled, malloc-aligned under MLS_ALLOC_POOL=0.
   float* allocate(int64_t bytes);
   // Return a buffer. Safe from any thread; foreign threads enqueue
   // onto the pending queue instead of touching pool structures.
@@ -180,6 +183,7 @@ class PoolAllocator {
   };
 
   static constexpr int64_t kRound = 512;  // request granule, bytes
+  static constexpr size_t kSegmentAlign = 64;  // segment base, bytes
   int64_t rounded(int64_t bytes) const;
   // Budget gate before a segment acquisition of seg_size bytes: trims
   // cached segments and re-checks; throws MemoryPressureError (with the

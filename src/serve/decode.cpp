@@ -20,8 +20,6 @@ DecodeEngine::DecodeEngine(const model::GPTModel& model)
   // block_tokens is the cache's knob; its layout carries the real value.
   layout_ = kv_layout(cfg, model_.env().tp_size(), /*block_tokens=*/1);
   alpha_ = 1.0f / std::sqrt(static_cast<float>(layout_.d));
-  kbuf_ = Tensor::empty(Shape{{cfg.s, layout_.d}});
-  vbuf_ = Tensor::empty(Shape{{cfg.s, layout_.d}});
   sbuf_ = Tensor::empty(Shape{{cfg.s}});
   pbuf_ = Tensor::empty(Shape{{cfg.s}});
 }
@@ -81,17 +79,12 @@ Tensor DecodeEngine::attn_partial(int64_t layer, const Tensor& x,
     const float* v = q + 2 * hpt;
     for (int64_t head = 0; head < layout_.heads_local; ++head) {
       row.kv->append(row.position, layer, head, k + head * d, v + head * d);
-      row.kv->gather(layer, head, len, kbuf_.data(), vbuf_.data());
-      // scores [1, len] = q [1, d] @ K [len, d]ᵀ, then the same fused
-      // causal softmax row the full path computes, then one [1, d]
-      // context GEMM over the contiguous gathered V (see decode.h for
-      // why this must be a single k = len reduction).
-      kernels::gemm(q + head * d, kbuf_.data(), sbuf_.data(), 1, len, d,
-                    /*trans_a=*/false, /*trans_b=*/true);
-      kernels::scaled_softmax(sbuf_.data(), pbuf_.data(), /*rows=*/1,
-                              /*sq=*/1, /*sk=*/len, alpha_, /*causal=*/true);
-      kernels::gemm(pbuf_.data(), vbuf_.data(), ctxp + r * hpt + head * d, 1,
-                    d, len, /*trans_a=*/false, /*trans_b=*/false);
+      // scores, the fused causal softmax row and the context, read from
+      // the cache's blocks in place (see decode.h for why the chains
+      // match the full path's).
+      kernels::decode_attention(q + head * d, row.kv->paged(layer, head), len,
+                                d, alpha_, sbuf_.data(), pbuf_.data(),
+                                ctxp + r * hpt + head * d);
     }
   }
   return ops::matmul(ctx, ly.attn.proj.weight.value());

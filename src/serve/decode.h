@@ -15,20 +15,25 @@
 //     tall GEMMs pack it; both feed each output element the same FMA
 //     chain in the same k order, so the rows still match
 //     (KernelGemm.ShortMRowsMatchTallGemmBitwise pins this).
-//   * Attention scores are per-key dot products (k = d, unchanged);
-//     the softmax runs kernels::scaled_softmax on one [1, len] causal
-//     row, which reduces max/exp/sum over exactly the `len` live
-//     entries in the same sequential order as row len-1 of the full
-//     [s, s] call.
-//   * The probs·V contraction gathers the cached V rows into ONE
-//     contiguous [len, d] scratch and runs a single GEMM with k = len
-//     (one row, so it too reads V in place).
-//     The full path's k = s reduction only adds trailing terms whose
-//     probabilities are exact zeros (masked positions), and the kernel
-//     accumulates k-panels at fixed absolute boundaries — adding
-//     trailing zero terms never changes the prefix sum's bits. (Per-
-//     block partial GEMMs summed across pages would NOT be bit-safe:
-//     that reassociates the k sum. This is why gather exists.)
+//   * Attention runs kernels::decode_attention on the cache's blocks in
+//     place: K is stored transposed per block, [d, block_tokens], and V
+//     as [block_tokens, d] (serve/kv_cache.h). Each score is one
+//     ascending-d FMA chain over a K column from +0, split at the
+//     blocked GEMM's absolute KC boundaries — the chain the full path's
+//     q·Kᵀ GEMM gives the same element. The softmax is
+//     kernels::scaled_softmax's body on one [1, len] causal row, which
+//     reduces max/exp/sum over exactly the `len` live entries in the
+//     same order as row len-1 of the full [s, s] call.
+//   * The context is one ascending-position FMA chain per element that
+//     runs across blocks from +0 and splits at the same absolute KC
+//     boundaries of the position axis: the chain of the full path's
+//     probs·V GEMM with k = s, except that the full path also adds the
+//     trailing terms of masked positions, whose probabilities are exact
+//     zeros — adding them never changes the prefix sum's bits. Each
+//     block's positions feed the chain in order, so no partial sum is
+//     ever formed per block (that would reassociate the k sum).
+//     Under MLS_KERNEL_REF=1 both chains follow gemm_ref instead, as the
+//     full path's GEMMs then do.
 //   * Collectives: decode all-reduces partial sums that are bitwise
 //     equal to the full path's partials, over the same communicator.
 //     Ring all-reduce chunks reassociate the rank sum, but a 2-rank
@@ -99,9 +104,9 @@ class DecodeEngine {
   comm::Comm tp_;
   KVLayout layout_;
   float alpha_ = 1.0f;  // attention score scale, 1/sqrt(d)
-  // Per-head decode scratch: gathered K/V [max_ctx, d], scores/probs
-  // [max_ctx] (pooled once, reused every step).
-  Tensor kbuf_, vbuf_, sbuf_, pbuf_;
+  // Per-head decode scratch: scores/probs [max_ctx] (pooled once,
+  // reused every step).
+  Tensor sbuf_, pbuf_;
 };
 
 }  // namespace mls::serve

@@ -53,9 +53,11 @@ int64_t KVCache::acquire_block() {
   } else if (static_cast<int64_t>(blocks_.size()) < capacity_blocks_) {
     id = static_cast<int64_t>(blocks_.size());
     try {
-      blocks_.push_back(Tensor::empty(
-          Shape{{layout_.layers, 2, layout_.heads_local, layout_.block_tokens,
-                 layout_.d}}));
+      // Zeroed once, so every float of a block is defined: decode
+      // attention reads whole vectors of K columns, live or not.
+      blocks_.push_back(Tensor::zeros(
+          Shape{{layout_.layers, 2, layout_.heads_local,
+                 layout_.block_tokens * layout_.d}}));
     } catch (const memory::MemoryPressureError&) {
       ++stats_.reserve_failures;
       return -1;
@@ -82,6 +84,7 @@ SequenceKV::SequenceKV(KVCache* cache, int64_t total_tokens)
       worst_case_bytes_(total_tokens *
                         cache->layout().logical_bytes_per_token()) {
   table_.reserve(static_cast<size_t>(cache_->layout().blocks_for(total_tokens)));
+  block_ptrs_.reserve(table_.capacity());
   KVStats& st = cache_->stats_;
   st.worst_case_reserved += worst_case_bytes_;
   st.worst_case_peak = std::max(st.worst_case_peak, st.worst_case_reserved);
@@ -103,8 +106,20 @@ bool SequenceKV::reserve(int64_t pos) {
   const int64_t id = cache_->acquire_block();
   if (id < 0) return false;
   table_.push_back(id);
+  block_ptrs_.push_back(cache_->block_data(id));
   return true;
 }
+
+namespace {
+
+// Offsets of (layer, head)'s K and V slices inside a block laid out
+// [L, 2, heads_local, block_tokens * d].
+int64_t slice_offset(const KVLayout& lo, int64_t layer, int64_t kv,
+                     int64_t head) {
+  return ((layer * 2 + kv) * lo.heads_local + head) * lo.block_tokens * lo.d;
+}
+
+}  // namespace
 
 void SequenceKV::append(int64_t pos, int64_t layer, int64_t head,
                         const float* k, const float* v) {
@@ -113,12 +128,12 @@ void SequenceKV::append(int64_t pos, int64_t layer, int64_t head,
   MLS_CHECK_LT(pos / bt, static_cast<int64_t>(table_.size()))
       << "append without reserve";
   float* base = cache_->block_data(table_[static_cast<size_t>(pos / bt)]);
-  const int64_t row = pos % bt;
-  // [L, 2, heads_local, block_tokens, d]
-  float* kd = base + (((layer * 2 + 0) * lo.heads_local + head) * bt + row) * lo.d;
-  float* vd = base + (((layer * 2 + 1) * lo.heads_local + head) * bt + row) * lo.d;
-  std::memcpy(kd, k, static_cast<size_t>(lo.d) * sizeof(float));
-  std::memcpy(vd, v, static_cast<size_t>(lo.d) * sizeof(float));
+  const int64_t t = pos % bt;
+  // K column t of the [d, bt] slice; V row t of the [bt, d] slice.
+  float* kd = base + slice_offset(lo, layer, 0, head) + t;
+  for (int64_t i = 0; i < lo.d; ++i) kd[i * bt] = k[i];
+  std::memcpy(base + slice_offset(lo, layer, 1, head) + t * lo.d, v,
+              static_cast<size_t>(lo.d) * sizeof(float));
   // One decode step appends every (layer, head) of one position; count
   // the position once, when its first row lands.
   if (layer == 0 && head == 0) {
@@ -129,23 +144,10 @@ void SequenceKV::append(int64_t pos, int64_t layer, int64_t head,
   }
 }
 
-void SequenceKV::gather(int64_t layer, int64_t head, int64_t len,
-                        float* k_out, float* v_out) const {
+kernels::PagedKV SequenceKV::paged(int64_t layer, int64_t head) const {
   const KVLayout& lo = cache_->layout();
-  const int64_t bt = lo.block_tokens;
-  for (int64_t start = 0; start < len; start += bt) {
-    const float* base =
-        cache_->block_data(table_[static_cast<size_t>(start / bt)]);
-    const int64_t rows = std::min(bt, len - start);
-    const float* kd =
-        base + (((layer * 2 + 0) * lo.heads_local + head) * bt) * lo.d;
-    const float* vd =
-        base + (((layer * 2 + 1) * lo.heads_local + head) * bt) * lo.d;
-    std::memcpy(k_out + start * lo.d, kd,
-                static_cast<size_t>(rows * lo.d) * sizeof(float));
-    std::memcpy(v_out + start * lo.d, vd,
-                static_cast<size_t>(rows * lo.d) * sizeof(float));
-  }
+  return {block_ptrs_.data(), lo.block_tokens, slice_offset(lo, layer, 0, head),
+          slice_offset(lo, layer, 1, head)};
 }
 
 KVLayout kv_layout(const model::ModelConfig& cfg, int tp_size,

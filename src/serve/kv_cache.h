@@ -3,10 +3,12 @@
 //
 // Layout: one physical block covers `block_tokens` consecutive token
 // positions of ONE sequence across ALL layers and this rank's local
-// heads, stored as [L, 2, heads_local, block_tokens, d] (2 = K then V)
-// so each (layer, K/V, head) slice is a contiguous [block_tokens, d]
-// row range — appends are single-row writes and the per-head gather
-// into the decode scratch is block-sized memcpys, never a reshuffle.
+// heads, as [L, 2, heads_local, block_tokens * d] (2 = K then V). Each
+// (layer, head) K slice is stored transposed, [d, block_tokens], and
+// each V slice as [block_tokens, d]: the two operand layouts of one
+// decode attention row (kernels::decode_attention), which reads them in
+// place — scores walk K's columns, the context walks V's rows. An
+// append writes one K column (d strided floats) and one V row.
 //
 // Accounting runs on two axes, as everywhere in this repo:
 //   * physical — fp32 simulation bytes, owned by the rank's pooled
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "model/config.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace mls::serve {
@@ -100,18 +103,21 @@ class SequenceKV {
   // crosses a block boundary; returns false if the pool is empty (the
   // scheduler then preempts).
   bool reserve(int64_t pos);
-  // Stores the K and V rows (d floats each) of one (position, layer,
-  // head). reserve(pos) must have succeeded.
+  // Stores the K and V vectors (d floats each) of one (position, layer,
+  // head): K as a column of its block's K slice, V as a row of its V
+  // slice. reserve(pos) must have succeeded.
   void append(int64_t pos, int64_t layer, int64_t head, const float* k,
               const float* v);
-  // Copies positions [0, len) of (layer, head) into contiguous
-  // [len, d] scratch rows — the single-GEMM decode path's input.
-  void gather(int64_t layer, int64_t head, int64_t len, float* k_out,
-              float* v_out) const;
+  // (layer, head)'s K/V slices across this sequence's blocks, in
+  // position order: the operand kernels::decode_attention reads in
+  // place. Valid until the next reserve().
+  kernels::PagedKV paged(int64_t layer, int64_t head) const;
 
  private:
   KVCache* cache_;
   std::vector<int64_t> table_;  // block ids, in position order
+  // The blocks' storage, in the same order.
+  std::vector<const float*> block_ptrs_;
   int64_t cached_ = 0;          // positions appended
   int64_t worst_case_bytes_;    // counterfactual charge, see KVStats
 };
@@ -157,9 +163,6 @@ class KVCache {
   int64_t acquire_block();
   void release_block(int64_t id);
   float* block_data(int64_t id) {
-    return blocks_[static_cast<size_t>(id)].data();
-  }
-  const float* block_data(int64_t id) const {
     return blocks_[static_cast<size_t>(id)].data();
   }
 

@@ -66,56 +66,74 @@ constexpr int64_t kElemGrain = int64_t{1} << 14;
 // Matches the MLS_KERNEL_THREADS clamp.
 constexpr int kMaxSlots = 64;
 
+// The CPUs the calling thread may run on (its affinity mask), in
+// ascending order; every online CPU where no mask can be read.
+std::vector<int> affinity_cpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+#endif
+  if (cpus.empty()) {
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned c = 0; c < n; ++c) cpus.push_back(static_cast<int>(c));
+  }
+  return cpus;
+}
+
+// The CPUs of the process's affinity mask, counted once: the default
+// thread count and the spin budget divide these, so a process started
+// under `taskset -c 0` runs one worker per rank.
 int hardware_cores() {
-  static const int n =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  static const int n = static_cast<int>(affinity_cpus().size());
   return n;
 }
 
 // ------------------------------------------------------- rank binding
 thread_local RankBinding t_binding;
 
-// [lo, lo+n): the core slice MLS_KERNEL_PIN carves out for a rank.
-struct CoreSlice {
-  int lo = 0;
-  int n = 1;
-};
-
-CoreSlice rank_slice(RankBinding b) {
-  const int cores = hardware_cores();
-  const int world = std::max(1, b.world);
-  const int rank = std::clamp(b.rank, 0, world - 1);
-  if (world >= cores) return {rank % cores, 1};
-  const int lo = rank * cores / world;
-  const int hi = std::max(lo + 1, (rank + 1) * cores / world);
-  return {lo, hi - lo};
+// The CPUs MLS_KERNEL_PIN gives the calling thread's rank: rank r of W
+// takes the CPUs at indices [r*C/W, (r+1)*C/W) of the C CPUs in the
+// thread's affinity mask (one CPU, index r mod C, when W >= C). The
+// mask is read once per binding, at its first pin, so the slice always
+// lies inside the mask the rank thread inherited from its launcher.
+const std::vector<int>& pin_slice() {
+  struct Slice {
+    int rank = -1, world = -1;
+    std::vector<int> cpus;
+  };
+  thread_local Slice slice;
+  if (slice.rank == t_binding.rank && slice.world == t_binding.world)
+    return slice.cpus;
+  const std::vector<int> mask = affinity_cpus();
+  const int cores = static_cast<int>(mask.size());
+  const int world = std::max(1, t_binding.world);
+  const int rank = std::clamp(t_binding.rank, 0, world - 1);
+  int lo = rank % cores, hi = lo + 1;
+  if (world < cores) {
+    lo = rank * cores / world;
+    hi = std::max(lo + 1, (rank + 1) * cores / world);
+  }
+  slice = {t_binding.rank, t_binding.world,
+           std::vector<int>(mask.begin() + lo, mask.begin() + hi)};
+  return slice.cpus;
 }
 
-// Pins the calling thread to its rank's slice (which == -1) or to one
-// core of it (which >= 0, wrapped). Cached so repeated applications of
-// an unchanged binding cost one comparison, no syscall.
-void apply_pin(RankBinding b, int which) {
-  struct Applied {
-    int rank = -1, world = -1, which = -2;
-  };
-  thread_local Applied last;
-  if (last.rank == b.rank && last.world == b.world && last.which == which)
-    return;
-  last = {b.rank, b.world, which};
+// Restricts the calling thread to the n CPUs at cpus.
+void pin_thread(const int* cpus, size_t n) {
 #ifdef __linux__
-  const CoreSlice s = rank_slice(b);
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (which >= 0) {
-    CPU_SET(static_cast<unsigned>(s.lo + which % s.n), &set);
-  } else {
-    for (int i = 0; i < s.n; ++i)
-      CPU_SET(static_cast<unsigned>(s.lo + i), &set);
-  }
+  for (size_t i = 0; i < n; ++i) CPU_SET(static_cast<unsigned>(cpus[i]), &set);
   pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #else
-  (void)b;
-  (void)which;
+  (void)cpus;
+  (void)n;
 #endif
 }
 
@@ -275,15 +293,18 @@ bool pin_enabled() { return core::Env::flag("MLS_KERNEL_PIN", false); }
 int spin_us() { return hardware_cores() > 1 ? 100 : 0; }
 
 void bind_rank(int rank, int world) {
+  hardware_cores();  // count the process's CPUs before this thread narrows
   t_binding = {rank, std::max(1, world)};
-  if (pin_enabled()) apply_pin(t_binding, /*which=*/-1);
+  if (pin_enabled()) {
+    const std::vector<int>& cpus = pin_slice();
+    pin_thread(cpus.data(), cpus.size());
+  }
 }
 
 RankBinding rank_binding() { return t_binding; }
 
 BindGuard::BindGuard(RankBinding b) : prev_(t_binding) {
   t_binding = {b.rank, std::max(1, b.world)};
-  if (pin_enabled()) apply_pin(t_binding, /*which=*/-1);
 }
 
 BindGuard::~BindGuard() { t_binding = prev_; }
@@ -480,7 +501,7 @@ class WorkerPool {
     job_fn_ = &fn;
     job_nslots_ = nslots;
     job_binding_ = t_binding;
-    job_pin_ = pin_enabled();
+    job_cpus_ = pin_enabled() ? &pin_slice() : nullptr;
     job_spin_us_ = spin_us();
     barrier_.reset(nslots);
     done_.store(0, std::memory_order_relaxed);
@@ -555,6 +576,7 @@ class WorkerPool {
     // each consumed job's env read (worker-local — workers must not
     // share it, they update it concurrently).
     int spin_budget_us = 0;
+    int pinned_cpu = -1;  // the CPU this worker was last pinned to
     for (;;) {
       auto next_job = [&] {
         return stop_.load(std::memory_order_acquire) ||
@@ -572,7 +594,16 @@ class WorkerPool {
       if (stop_.load(std::memory_order_acquire)) return;
       ++last;  // == seq_: the owner publishes jobs one at a time
       spin_budget_us = job_spin_us_;
-      if (job_pin_) apply_pin(job_binding_, /*which=*/1 + index);
+      if (job_cpus_ != nullptr) {
+        // Worker i takes CPU 1 + i of its rank's slice (wrapped), the
+        // owner floating over the slice. Re-pinned only when that moves.
+        const int cpu = (*job_cpus_)[static_cast<size_t>(1 + index) %
+                                     job_cpus_->size()];
+        if (cpu != pinned_cpu) {
+          pin_thread(&cpu, 1);
+          pinned_cpu = cpu;
+        }
+      }
       const int slot = 1 + index;
       if (slot < job_nslots_) {
         BindGuard bind(job_binding_);
@@ -596,7 +627,9 @@ class WorkerPool {
   const std::function<void(int)>* job_fn_ = nullptr;
   int job_nslots_ = 0;
   RankBinding job_binding_;
-  bool job_pin_ = false;
+  // The owner's MLS_KERNEL_PIN slice (its thread_local, stable while
+  // the owner waits out the job), or null when pinning is off.
+  const std::vector<int>* job_cpus_ = nullptr;
   int job_spin_us_ = 0;
   std::exception_ptr first_error_;
 
@@ -1044,6 +1077,203 @@ void gelu_grad(const float* x, const float* dy, float* dx, int64_t n) {
   parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) dx[i] = dy[i] * gelu_derivative(x[i]);
   });
+}
+
+// ------------------------------------------------ paged decode attention
+namespace {
+
+// Calls fn(pos, t, n, block) for each run of positions [p0, p1) that
+// shares one block: the n positions from pos sit at columns / rows
+// [t, t + n) of `block`.
+template <typename Fn>
+void for_each_block_run(const PagedKV& kv, int64_t p0, int64_t p1,
+                        const Fn& fn) {
+  const int64_t bt = kv.block_tokens;
+  for (int64_t pos = p0; pos < p1;) {
+    const int64_t t = pos % bt;
+    const int64_t n = std::min(bt - t, p1 - pos);
+    fn(pos, t, n, kv.blocks[pos / bt]);
+    pos += n;
+  }
+}
+
+// The first w (< kVecLanes) floats at p, zero-padded to a vector. The
+// chains below run entirely in Vec, as micro_kernel's do, edges
+// included: the compiler forms (or declines) FMAs per vector type and
+// loop shape, so a scalar tail could round differently from the
+// micro-kernel's lanes.
+inline Vec load_vec_partial(const float* p, int64_t w) {
+  float tmp[kVecLanes] = {};
+  std::memcpy(tmp, p, sizeof(float) * static_cast<size_t>(w));
+  return load_vec(tmp);
+}
+
+// Writes (or, with accumulate, adds onto) the first w lanes of acc at c:
+// micro_kernel's edge-tile store.
+inline void store_vec_lanes(float* c, Vec acc, int64_t w, bool accumulate) {
+  if (w == kVecLanes) {
+    if (accumulate) acc += load_vec(c);
+    store_vec(c, acc);
+    return;
+  }
+  float tmp[kVecLanes];
+  store_vec(tmp, acc);
+  for (int64_t l = 0; l < w; ++l) c[l] = accumulate ? c[l] + tmp[l] : tmp[l];
+}
+
+// Scores for NV vectors of K columns at once: kt[u] is the first of
+// vector u's columns in a [d, bt] K slice, whose w[u] live lanes land at
+// s[u]. Each lane is the chain micro_kernel gives a trans_b GEMM's
+// element — from +0, one FMA per d step in ascending d, a fresh
+// accumulator per absolute KC panel of d, each later panel's sum added
+// onto the earlier ones. The NV chains are independent and interleave
+// only to hide the FMA latency. With kPartial, a vector's columns run
+// past the slice's bt, so only its w[0] live ones are read (NV == 1).
+template <int NV, bool kPartial>
+void score_vectors(const float* q, const float* const* kt, float* const* s,
+                   const int64_t* w, int64_t bt, int64_t d) {
+  static_assert(NV >= 1 && (!kPartial || NV == 1));
+  for (int64_t pc = 0; pc < d; pc += KC) {
+    const int64_t pe = std::min(d, pc + KC);
+    Vec acc[NV] = {};
+    for (int64_t kk = pc; kk < pe; ++kk) {
+      if constexpr (kPartial) {
+        acc[0] += q[kk] * load_vec_partial(kt[0] + kk * bt, w[0]);
+      } else {
+#pragma GCC unroll 4
+        for (int u = 0; u < NV; ++u)
+          acc[u] += q[kk] * load_vec(kt[u] + kk * bt);
+      }
+    }
+#pragma GCC unroll 4
+    for (int u = 0; u < NV; ++u)
+      store_vec_lanes(s[u], acc[u], w[u], /*accumulate=*/pc > 0);
+  }
+}
+
+// scores[0:len] over the sequence's K slices, one vector of columns at
+// a time. A vector whose columns all lie inside its slice is read
+// whole even when only its first w columns are live positions (the
+// rest hold other or stale positions, never stored), so a block of bt
+// >= kVecLanes columns costs no partial loads; those vectors run four
+// at a time.
+void paged_scores(const float* q, const PagedKV& kv, int64_t len, int64_t d,
+                  float* scores) {
+  const int64_t bt = kv.block_tokens;
+  const float* kt[4];
+  float* out[4];
+  int64_t w[4];
+  int pending = 0;
+  for_each_block_run(kv, 0, len, [&](int64_t pos, int64_t t, int64_t n,
+                                     const float* block) {
+    for (int64_t c = 0; c < n; c += kVecLanes) {
+      const float* col = block + kv.k_offset + t + c;
+      float* dst = scores + pos + c;
+      const int64_t live = std::min(kVecLanes, n - c);
+      if (t + c + kVecLanes > bt) {
+        score_vectors<1, true>(q, &col, &dst, &live, bt, d);
+        continue;
+      }
+      kt[pending] = col;
+      out[pending] = dst;
+      w[pending] = live;
+      if (++pending == 4) {
+        score_vectors<4, false>(q, kt, out, w, bt, d);
+        pending = 0;
+      }
+    }
+  });
+  for (int u = 0; u < pending; ++u)
+    score_vectors<1, false>(q, kt + u, out + u, w + u, bt, d);
+}
+
+// ctx[j, j + NV vectors) over the positions [pc, pe) of one KC panel:
+// one FMA per position in ascending order across blocks, from +0 — the
+// chain micro_kernel gives a probs·V GEMM's element — added onto ctx
+// when an earlier panel already wrote it. w < kVecLanes makes the one
+// vector (NV == 1) a zero-padded edge. The blocks are walked here, not
+// through for_each_block_run, so acc stays one loop-carried register
+// chain across blocks, the shape micro_kernel's accumulators have.
+template <int NV>
+void context_columns(const float* p, const PagedKV& kv, int64_t pc,
+                     int64_t pe, int64_t d, int64_t j, int64_t w,
+                     float* ctx) {
+  static_assert(NV >= 1);
+  const int64_t bt = kv.block_tokens;
+  Vec acc[NV] = {};
+  for (int64_t b = pc / bt; b * bt < pe; ++b) {
+    const int64_t t0 = std::max<int64_t>(pc - b * bt, 0);
+    const int64_t t1 = std::min(pe - b * bt, bt);
+    const float* v = kv.blocks[b] + kv.v_offset + j;
+    const float* pb = p + b * bt;
+    for (int64_t t = t0; t < t1; ++t) {
+      const float* vr = v + t * d;
+      if (w == kVecLanes) {
+#pragma GCC unroll 4
+        for (int u = 0; u < NV; ++u)
+          acc[u] += pb[t] * load_vec(vr + u * kVecLanes);
+      } else {
+        acc[0] += pb[t] * load_vec_partial(vr, w);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int u = 0; u < NV; ++u)
+    store_vec_lanes(ctx + j + u * kVecLanes, acc[u], w, /*accumulate=*/pc > 0);
+}
+
+// ctx[0:d] = probs · V over [0, len), panel by absolute KC panel.
+void paged_context(const float* p, const PagedKV& kv, int64_t len, int64_t d,
+                   float* ctx) {
+  for (int64_t pc = 0; pc < len; pc += KC) {
+    const int64_t pe = std::min(len, pc + KC);
+    int64_t j = 0;
+    for (; j + 4 * kVecLanes <= d; j += 4 * kVecLanes)
+      context_columns<4>(p, kv, pc, pe, d, j, kVecLanes, ctx);
+    for (; j < d; j += kVecLanes)
+      context_columns<1>(p, kv, pc, pe, d, j, std::min(kVecLanes, d - j), ctx);
+  }
+}
+
+// gemm_ref's chains: a double accumulator per score (its trans_b
+// row-dot) and the i-k-j saxpy over a zeroed context row.
+void decode_attention_ref(const float* q, const PagedKV& kv, int64_t len,
+                          int64_t d, float alpha, float* scores, float* probs,
+                          float* ctx) {
+  const int64_t bt = kv.block_tokens;
+  for_each_block_run(kv, 0, len, [&](int64_t pos, int64_t t, int64_t n,
+                                     const float* block) {
+    const float* kt = block + kv.k_offset + t;
+    for (int64_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (int64_t kk = 0; kk < d; ++kk) acc += q[kk] * kt[kk * bt + i];
+      scores[pos + i] = static_cast<float>(acc);
+    }
+  });
+  scaled_softmax_rows(scores, probs, 0, 1, 1, len, alpha, /*causal=*/true);
+  std::memset(ctx, 0, sizeof(float) * static_cast<size_t>(d));
+  for_each_block_run(kv, 0, len, [&](int64_t pos, int64_t t, int64_t n,
+                                     const float* block) {
+    const float* v = block + kv.v_offset + t * d;
+    for (int64_t i = 0; i < n; ++i, v += d) {
+      const float w = probs[pos + i];
+      for (int64_t j = 0; j < d; ++j) ctx[j] += w * v[j];
+    }
+  });
+}
+
+}  // namespace
+
+void decode_attention(const float* q, const PagedKV& kv, int64_t len,
+                      int64_t d, float alpha, float* scores, float* probs,
+                      float* ctx) {
+  if (use_reference()) {
+    decode_attention_ref(q, kv, len, d, alpha, scores, probs, ctx);
+    return;
+  }
+  paged_scores(q, kv, len, d, scores);
+  scaled_softmax_rows(scores, probs, 0, 1, 1, len, alpha, /*causal=*/true);
+  paged_context(probs, kv, len, d, ctx);
 }
 
 // ---------------------------------------------------- stateless dropout

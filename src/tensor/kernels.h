@@ -16,10 +16,10 @@
 //    with GCC vector-extension types, no intrinsics; see
 //    src/CMakeLists.txt for the per-file codegen flags.
 //  * Short-M GEMMs (m <= gemm_tile().short_m, op(B) = B, e.g. every
-//    decode-step weight GEMM and the decode probs·V GEMM) skip B
-//    packing: the micro-kernel reads B's rows in place through their
-//    row stride and only the n-edge panel is packed. A packed panel
-//    pays off only when many row tiles reuse it.
+//    decode-step weight GEMM) skip B packing: the micro-kernel reads
+//    B's rows in place through their row stride and only the n-edge
+//    panel is packed. A packed panel pays off only when many row tiles
+//    reuse it.
 //  * beta = 0 semantics: C is fully overwritten, never read before the
 //    first write — callers pass Tensor::empty() storage and skip the
 //    zeros() memset.
@@ -32,26 +32,28 @@
 //    in-place B feed the same per-element FMA chain, so a short GEMM's
 //    rows equal the same rows of a tall GEMM over the same B, bit for
 //    bit.
-//  * Intra-op parallelism (MLS_KERNEL_THREADS, default: host cores
-//    divided by the calling rank's world size) splits over M/N tiles
-//    (or the batch dimension for bmm) ONLY — never the k reduction.
-//    Workers are persistent per-caller-thread: they spin briefly for
-//    the next kernel (spin_us() below), then park on a condition
-//    variable, so the per-GEMM dispatch cost is a couple of atomic
-//    stores, not a mutex handshake. Tall threaded GEMMs run
-//    cooperatively: the B panel of each (jc, pc) cache block is packed
-//    once, shared read-only, and the M dimension is slabbed across
-//    workers so each streams whole MC x NC blocks with its own packed A
-//    panels. Short ones (m <= short_m, or fewer row tiles than
-//    workers) split N instead: each worker runs the serial kernel on
-//    its own NR-aligned column slab of B. The rank threads never
-//    contend on a shared queue and teardown is per rank-thread.
-//  * MLS_KERNEL_PIN=1 partitions the host cores across the simulated
-//    ranks (spmd::run binds each rank thread, see bind_rank below):
-//    rank r of W gets cores [rC/W, (r+1)C/W); its kernel workers pin
-//    to distinct cores of the slice while the rank thread floats over
-//    the whole slice. No rank ever
-//    oversubscribes another's cores.
+//  * Intra-op parallelism (MLS_KERNEL_THREADS, default: the CPUs of
+//    the process's affinity mask divided by the calling rank's world
+//    size) splits over M/N tiles (or the batch dimension for bmm)
+//    ONLY — never the k reduction. Workers are persistent
+//    per-caller-thread: they spin briefly for the next kernel
+//    (spin_us() below), then park on a condition variable, so the
+//    per-GEMM dispatch cost is a couple of atomic stores, not a mutex
+//    handshake. Tall threaded GEMMs run cooperatively: the B panel of
+//    each (jc, pc) cache block is packed once, shared read-only, and
+//    the M dimension is slabbed across workers so each streams whole
+//    MC x NC blocks with its own packed A panels. Short ones
+//    (m <= short_m, or fewer row tiles than workers) split N instead:
+//    each worker runs the serial kernel on its own NR-aligned column
+//    slab of B. The rank threads never contend on a shared queue and
+//    teardown is per rank-thread.
+//  * MLS_KERNEL_PIN=1 partitions the CPUs of the affinity mask a rank
+//    thread inherits (C of them, read when the rank is bound) across
+//    the simulated ranks (spmd::run binds each rank thread, see
+//    bind_rank below): rank r of W gets the mask's CPUs at indices
+//    [rC/W, (r+1)C/W); its kernel workers pin to distinct CPUs of the
+//    slice while the rank thread floats over the whole slice. No rank
+//    ever oversubscribes another's CPUs or leaves the inherited mask.
 //  * MLS_KERNEL_REF=1 routes gemm()/bmm-shaped calls through gemm_ref(),
 //    the pre-blocking scalar kernel (single-threaded), for A/B numeric
 //    debugging. Blocked-vs-ref differ only by float reassociation of the
@@ -104,9 +106,9 @@ namespace mls::kernels {
 // Intra-op worker threads for the calling thread's kernels, re-read on
 // every call so tests can toggle via core::Env. MLS_KERNEL_THREADS set
 // to a positive value wins (clamped to [1, 64]); unset or 0 resolves
-// the default: host cores / the caller's bound world size (so W ranks
-// on a C-core host get C/W workers each and never oversubscribe), at
-// least 1.
+// the default: the CPUs in the process's affinity mask / the caller's
+// bound world size (so W ranks on C CPUs get C/W workers each and
+// never oversubscribe), at least 1.
 int threads();
 // MLS_KERNEL_REF — route GEMMs through the reference scalar kernel.
 bool use_reference();
@@ -223,6 +225,38 @@ void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
 // given the forward *output* y.
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha);
+
+// ------------------------------------------------ paged decode attention
+// One query row's attention over a paged K/V cache, read in place (no
+// gather into contiguous scratch). Block i holds positions
+// [i * block_tokens, (i + 1) * block_tokens); its K slice starts at
+// blocks[i] + k_offset, stored transposed as [d, block_tokens] (column
+// t is the key of position i * block_tokens + t), and its V slice at
+// blocks[i] + v_offset, stored [block_tokens, d].
+struct PagedKV {
+  const float* const* blocks = nullptr;
+  int64_t block_tokens = 0;
+  int64_t k_offset = 0;
+  int64_t v_offset = 0;
+};
+
+// ctx[0:d] = softmax_causal(alpha * q Kᵀ) V over positions [0, len),
+// with scores / probs the caller's [len] scratch. Bit for bit the chain
+// it replaces — gemm(q, Kᵀ, trans_b), scaled_softmax on the [1, len]
+// causal row, gemm(probs, V) — so decode rows stay equal to the full
+// forward's:
+//  * each score is one ascending-d FMA chain over a K column, from +0,
+//    split at the blocked GEMM's absolute KC boundaries when d > KC;
+//  * the softmax is scaled_softmax's own row body;
+//  * each context element is one ascending-position FMA chain across
+//    blocks, from +0, split at the same absolute KC boundaries when
+//    len > KC (the split partials summed in order).
+// Under MLS_KERNEL_REF=1 it reproduces gemm_ref's chains instead: a
+// double accumulator per score and an i-k-j saxpy for the context.
+// Single-threaded: one call is one (row, head) of a decode step.
+void decode_attention(const float* q, const PagedKV& kv, int64_t len,
+                      int64_t d, float alpha, float* scores, float* probs,
+                      float* ctx);
 
 // ----------------------------------------------------- stateless dropout
 // Inverted dropout over the local shard of a global tensor (ops.h's

@@ -10,6 +10,7 @@
 // ASan- and leak-clean.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -196,6 +197,21 @@ TEST(PoolAllocator, OneSegmentRule) {
   EXPECT_EQ(s.physical_bytes, 3 * kMiB);
   EXPECT_EQ(s.segments, 1);
   arena.deallocate(c);
+}
+
+// Segments are cache-line aligned and every block starts a kRound
+// multiple into its segment, so every pooled buffer — carved from a
+// shared segment or an exact-fit one — starts on a 64-byte line.
+TEST(PoolAllocator, BuffersStartOnACacheLine) {
+  PoolAllocator arena(tiny_cfg(), "align");
+  std::vector<float*> bufs;
+  for (int64_t bytes : {4, 100, 512, 1000, 4096, 20000, 100000}) {
+    bufs.push_back(arena.allocate(bytes));
+  }
+  for (float* p : bufs) {
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u) << p;
+    arena.deallocate(p);
+  }
 }
 
 TEST(PoolAllocator, PhysicalPeakTracksHighWater) {

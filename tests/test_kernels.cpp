@@ -8,6 +8,8 @@
 //  * bit-identical output at any MLS_KERNEL_THREADS (the library's
 //    determinism contract: k-reduction order never depends on tile
 //    position or thread count),
+//  * MLS_KERNEL_PIN keeps pinned ranks and their workers inside the
+//    affinity mask the ranks inherit,
 //  * beta=0 semantics — every element of C is written, so matmul may
 //    run into uninitialized (NaN-canary) storage,
 //  * fused epilogues (bias+GeLU, scale+softmax) vs their composed
@@ -24,6 +26,9 @@
 //  * U8 mask storage: 1 byte per element in the pool, and autograd
 //    draws no mask when it builds no node,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
+//  * paged decode attention (K transposed per block, read in place) vs
+//    the gather + gemm + softmax + gemm chain it replaced, bitwise, with
+//    the blocked kernel and under MLS_KERNEL_REF=1,
 //  * an end-to-end t=2/p=2 training run: blocked path vs
 //    MLS_KERNEL_REF=1, losses equal within the documented tolerance,
 //    and bit-identical under MLS_KERNEL_THREADS=4.
@@ -34,9 +39,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "autograd/engine.h"
 #include "autograd/functions.h"
@@ -413,6 +425,67 @@ TEST(KernelPool, NestedRanksTimesThreadsIsBitIdenticalWithPin) {
         << "rank " << r;
   }
 }
+
+#ifdef __linux__
+// Every thread of this process, by kernel thread id.
+std::set<pid_t> thread_ids() {
+  std::set<pid_t> ids;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(static_cast<pid_t>(std::stol(e.path().filename().string())));
+  return ids;
+}
+
+TEST(KernelPool, PinnedRankStaysInsideInheritedAffinityMask) {
+  // Narrow this test thread to one CPU of its mask (it acts on this
+  // process only), then run pinned ranks: each rank thread inherits the
+  // one-CPU mask, so its slice, and every pool worker pinned inside it,
+  // must stay on that CPU — not on CPUs counted from 0 up to the
+  // host's core count.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved));
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(0, pthread_setaffinity_np(pthread_self(), sizeof(one), &one));
+  struct Restore {
+    cpu_set_t mask;
+    ~Restore() { pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask); }
+  } restore{saved};
+
+  ScopedEnv pin("MLS_KERNEL_PIN", "1");
+  ScopedEnv env("MLS_KERNEL_THREADS", "2");
+  const std::set<pid_t> before = thread_ids();
+  const int64_t m = 96, n = 96, k = 96;  // above the pool's grain
+  const std::vector<float> a = random_vec(m * k, 3);
+  const std::vector<float> b = random_vec(k * n, 4);
+  spmd::run(2, [&](comm::Comm& c) {
+    std::vector<float> out(static_cast<size_t>(m * n));
+    kernels::gemm(a.data(), b.data(), out.data(), m, n, k, false, false);
+    EXPECT_GE(kernels::local_pool_stats().workers, 1);
+    // Both ranks' workers are alive (pools die with their rank thread)
+    // until the second barrier.
+    c.barrier();
+    if (c.rank() == 0) {
+      int checked = 0;
+      for (pid_t tid : thread_ids()) {
+        if (before.count(tid) != 0) continue;
+        cpu_set_t got;
+        CPU_ZERO(&got);
+        if (sched_getaffinity(tid, sizeof(got), &got) != 0) continue;
+        EXPECT_TRUE(CPU_EQUAL(&got, &one))
+            << "thread " << tid << " may run on " << CPU_COUNT(&got)
+            << " CPUs outside the inherited mask";
+        ++checked;
+      }
+      EXPECT_GE(checked, 4) << "two rank threads and a worker each";
+    }
+    c.barrier();
+  });
+}
+#endif
 
 // --------------------------------------------------- beta = 0 semantics
 
@@ -1013,6 +1086,102 @@ TEST(KernelLayout, SbhTransposesMatchGenericPermute) {
   ASSERT_EQ(back.shape().str(), x.shape().str());
   EXPECT_EQ(0, std::memcmp(back.data(), x.data(),
                            sizeof(float) * static_cast<size_t>(x.numel())));
+}
+
+// ------------------------------------------- paged decode attention
+
+// A sequence of max_ctx positions in a paged cache of bt-position
+// blocks: K and V as contiguous [max_ctx, d] rows (the gathered form the
+// old decode chain consumed) and the same values scattered into blocks,
+// K transposed [d, bt] at a nonzero offset and V [bt, d] after it, the
+// way serve::KVCache lays a (layer, head) slice out.
+struct PagedSeq {
+  std::vector<float> k, v;
+  std::vector<std::vector<float>> blocks;
+  std::vector<const float*> ptrs;
+  kernels::PagedKV kv;
+};
+
+PagedSeq make_paged_seq(int64_t max_ctx, int64_t bt, int64_t d,
+                        uint64_t seed) {
+  PagedSeq ps;
+  ps.k = random_vec(max_ctx * d, seed);
+  ps.v = random_vec(max_ctx * d, seed + 1);
+  const int64_t pad = 3;
+  ps.kv.block_tokens = bt;
+  ps.kv.k_offset = pad;
+  ps.kv.v_offset = pad + d * bt;
+  const int64_t nblocks = (max_ctx + bt - 1) / bt;
+  for (int64_t b = 0; b < nblocks; ++b) {
+    // NaN canaries in the pad and past the last live position.
+    std::vector<float> blk(static_cast<size_t>(pad + 2 * d * bt),
+                           std::numeric_limits<float>::quiet_NaN());
+    for (int64_t t = 0; t < bt && b * bt + t < max_ctx; ++t) {
+      const int64_t pos = b * bt + t;
+      for (int64_t i = 0; i < d; ++i) {
+        blk[static_cast<size_t>(ps.kv.k_offset + i * bt + t)] =
+            ps.k[static_cast<size_t>(pos * d + i)];
+        blk[static_cast<size_t>(ps.kv.v_offset + t * d + i)] =
+            ps.v[static_cast<size_t>(pos * d + i)];
+      }
+    }
+    ps.blocks.push_back(std::move(blk));
+  }
+  for (const auto& blk : ps.blocks) ps.ptrs.push_back(blk.data());
+  ps.kv.blocks = ps.ptrs.data();
+  return ps;
+}
+
+// For every (block_tokens, d, len) of the grid, decode_attention's
+// scores, probs and context equal the chain it replaced — gather,
+// gemm(q, Kᵀ), scaled_softmax on the [1, len] causal row, gemm(p, V) —
+// bit for bit, under whichever GEMM the environment selects. max_ctx
+// exceeds KC = 256 so the context chain splits; d = 261 splits the
+// score chain; d = 37 is no multiple of any vector width; bt = 20 mixes
+// whole and partial vectors of K columns in one block.
+void expect_decode_attention_matches_gemm_chain() {
+  const int64_t max_ctx = 300;
+  for (int64_t bt : {1, 3, 16, 20}) {
+    for (int64_t d : {8, 16, 64, 37, 261}) {
+      const PagedSeq ps = make_paged_seq(max_ctx, bt, d, 7 + bt * 131 + d);
+      const std::vector<float> q = random_vec(d, 11 + d);
+      const float alpha = 1.0f / std::sqrt(static_cast<float>(d));
+      std::vector<int64_t> lens = {1, bt, bt + 1, 256, 257, max_ctx};
+      if (bt > 1) lens.push_back(bt - 1);
+      for (int64_t len : lens) {
+        SCOPED_TRACE("bt=" + std::to_string(bt) + " d=" + std::to_string(d) +
+                     " len=" + std::to_string(len));
+        const size_t n = static_cast<size_t>(len);
+        std::vector<float> s_old(n), p_old(n), c_old(static_cast<size_t>(d));
+        kernels::gemm(q.data(), ps.k.data(), s_old.data(), 1, len, d,
+                      /*trans_a=*/false, /*trans_b=*/true);
+        kernels::scaled_softmax(s_old.data(), p_old.data(), 1, 1, len, alpha,
+                                /*causal=*/true);
+        kernels::gemm(p_old.data(), ps.v.data(), c_old.data(), 1, d, len);
+
+        std::vector<float> s_new(n), p_new(n),
+            c_new(static_cast<size_t>(d), std::nanf(""));
+        kernels::decode_attention(q.data(), ps.kv, len, d, alpha,
+                                  s_new.data(), p_new.data(), c_new.data());
+        EXPECT_EQ(0, std::memcmp(s_old.data(), s_new.data(),
+                                 sizeof(float) * n));
+        EXPECT_EQ(0, std::memcmp(p_old.data(), p_new.data(),
+                                 sizeof(float) * n));
+        EXPECT_EQ(0, std::memcmp(c_old.data(), c_new.data(),
+                                 sizeof(float) * static_cast<size_t>(d)));
+      }
+    }
+  }
+}
+
+TEST(KernelDecodeAttention, MatchesBlockedGemmChainBitwise) {
+  ScopedEnv env("MLS_KERNEL_THREADS", "1");
+  expect_decode_attention_matches_gemm_chain();
+}
+
+TEST(KernelDecodeAttention, MatchesReferenceGemmChainUnderKernelRef) {
+  ScopedEnv env("MLS_KERNEL_REF", "1");
+  expect_decode_attention_matches_gemm_chain();
 }
 
 // ------------------------------------------ end-to-end training parity

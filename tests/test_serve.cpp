@@ -1,9 +1,10 @@
 // Serving-plane tests: the paged continuous-batching decode path must
 // emit bit-identical tokens to model::generate() for every sequence in
-// a mixed batch (serial and on a t=2 TP grid), plus block-table stress
-// (admit/evict/reuse under preemption, fragmentation bounds, poisoned
-// teardown), the whole-sequence worst-case counterfactual, the report's
-// budget fields and the KV-bytes MemoryTracker axis.
+// a mixed batch (serial, on a t=2 TP grid and under the reference
+// kernels), plus block-table stress (admit/evict/reuse under
+// preemption, fragmentation bounds, poisoned teardown), the
+// whole-sequence worst-case counterfactual, the report's budget fields
+// and the KV-bytes MemoryTracker axis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "comm/spmd.h"
 #include "common/memtracker.h"
+#include "core/env.h"
 #include "model/generate.h"
 #include "serve/report.h"
 #include "serve/traffic.h"
@@ -105,6 +107,34 @@ TEST(Serve, PagedDecodeMatchesGenerateSerial) {
 }
 
 TEST(Serve, PagedDecodeMatchesGenerateTP2) {
+  ModelConfig cfg = ModelConfig::tiny(2, 2);
+  cfg.b = 1;
+  spmd::run(2, [&](comm::Comm& c) {
+    model::GPTModel m(cfg, c);
+    const auto reqs = mixed_requests(cfg);
+    std::map<int64_t, std::vector<int64_t>> ref;
+    for (const auto& r : reqs) ref[r.id] = generate_reference(m, r);
+
+    ServeConfig scfg;
+    scfg.block_tokens = 4;
+    scfg.kv_budget_tokens = 256;
+    scfg.max_batch = 4;
+    const auto got = serve_all(m, scfg, reqs);
+    ASSERT_EQ(got.tokens.size(), reqs.size());
+    for (const auto& r : reqs) {
+      EXPECT_EQ(got.tokens.at(r.id), ref.at(r.id)) << "request " << r.id;
+    }
+  });
+}
+
+TEST(Serve, PagedDecodeMatchesGenerateUnderReferenceKernels) {
+  // MLS_KERNEL_REF=1 routes the full path's GEMMs through gemm_ref, and
+  // kernels::decode_attention follows gemm_ref's chains there too, so
+  // decode still samples generate()'s tokens bit for bit.
+  core::Env::set("MLS_KERNEL_REF", "1");
+  struct Restore {
+    ~Restore() { core::Env::clear("MLS_KERNEL_REF"); }
+  } restore;
   ModelConfig cfg = ModelConfig::tiny(2, 2);
   cfg.b = 1;
   spmd::run(2, [&](comm::Comm& c) {
