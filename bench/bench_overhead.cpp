@@ -2,11 +2,13 @@
 // on the real numeric substrate's backward (t=2, selective recompute +
 // sequence parallelism).
 //
-// Section 1 switches the collective-correctness analyzer (ledger
-// validation + hang watchdog) on and guards its overhead below 2%. It
-// also times the ledger's per-op work (begin + end) directly and prints
-// its share of the backward: ns/op × comm ops per backward ÷ backward
-// time. That share does not depend on pairing noisy backwards.
+// Section 1 switches the hang watchdog and its flight-recorder ledger
+// on and guards their overhead below 2%. It also times two per-op costs
+// directly and prints each one's share of the backward, ns/op × ops per
+// backward ÷ backward time, which does not depend on pairing noisy
+// backwards: the ledger's begin + end per comm op, and the always-on
+// cross-rank entry check per collective (slot write + T-slot compare),
+// guarded below 0.1%.
 //
 // Section 2 does the same for the fault-injection plane: disarmed (the
 // production state — every hook is one relaxed atomic load) the
@@ -22,13 +24,16 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/ledger.h"
 #include "autograd/engine.h"
+#include "comm/entry_check.h"
 #include "fault/inject.h"
 #include "fault/plan.h"
 #include "comm/spmd.h"
+#include "common/check.h"
 #include "common/units.h"
 #include "model/transformer.h"
 
@@ -109,15 +114,13 @@ double measure_backward(int64_t* comm_ops = nullptr) {
   return bwd_seconds;
 }
 
-// The analyzer's per-op cost on the rank thread, timed directly: one
-// ledger begin + end, averaged over rank 0's publish and rank 1's
-// validation against it (each T=2 collective pays one of each). One
-// thread drives both ranks, so no rendezvous wait is counted; the
-// watchdog's monitor thread runs off the rank threads and is not
-// included. Min over repetitions (host noise only adds time).
+// The ledger's per-op cost on the rank thread, timed directly: one
+// begin + end per rank. One thread drives both ranks, so no rendezvous
+// wait is counted; the watchdog's monitor thread runs off the rank
+// threads and is not included. Min over repetitions (host noise only
+// adds time).
 double ledger_ns_per_op() {
   analysis::Options on;
-  on.validate = true;
   on.watchdog = true;
   analysis::Ledger ledger("bench", kTp, on);
   analysis::CommRecord rec;
@@ -137,6 +140,42 @@ double ledger_ns_per_op() {
     const auto t1 = std::chrono::steady_clock::now();
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
+  return 1e9 * best / (static_cast<double>(kOps) * kTp);
+}
+
+// The entry check's per-collective cost on one rank, timed directly:
+// drawing the seq, writing the rank's slot and comparing all T slots
+// (comm/entry_check.h). One thread plays every rank, so the barrier
+// between the write and the compare, which every collective passes
+// anyway, is not counted. Min over repetitions. It is charged to every
+// comm op of the backward; p2p ops (none at p=1) skip the check, so
+// that share bounds it from above.
+double entry_check_ns_per_op() {
+  comm::EntryCheck check(kTp);
+  const std::string group = "bench";
+  analysis::CommRecord rec;
+  rec.kind = analysis::OpKind::kAllGather;
+  rec.dtype = 1;
+  rec.count = 4096;
+  rec.dim = 0;
+  constexpr int kOps = 100000;
+  int64_t mismatches = 0;
+  double best = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kOps; ++i) {
+      for (int rank = 0; rank < kTp; ++rank) {
+        rec.seq = check.next_seq(rank);
+        check.publish(rank, rec);
+      }
+      for (int rank = 0; rank < kTp; ++rank) {
+        mismatches += check.mismatch(group, rec.seq).empty() ? 0 : 1;
+      }
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  MLS_CHECK_EQ(mismatches, 0);
   return 1e9 * best / (static_cast<double>(kOps) * kTp);
 }
 
@@ -204,14 +243,13 @@ int main() {
       "(t=%d, %d layers, selective+SP) ===\n",
       kTp, kLayers);
 
-  // --- Section 1: analyzer overhead guard -------------------------------
+  // --- Section 1: watchdog + flight recorder overhead guard -------------
   std::printf(
-      "\n=== Analyzer overhead: backward with the collective analyzer\n"
-      "(validate + watchdog) on vs off ===\n\n");
-  paired_overhead("analyzer off:", "analyzer on:", "the analyzer",
-                  0.02, [] {
+      "\n=== Analyzer overhead: backward with the watchdog + flight\n"
+      "recorder on vs off ===\n\n");
+  paired_overhead("analyzer off:", "analyzer on:",
+                  "the watchdog + flight recorder", 0.02, [] {
                     analysis::Options on;
-                    on.validate = true;
                     on.watchdog = true;
                     // Far beyond any real op; never fires here.
                     on.watchdog_sec = 120.0;
@@ -227,9 +265,20 @@ int main() {
       "%s of a %s analyzer-off backward\n",
       ns, static_cast<long long>(ops), format_percent(share, 2).c_str(),
       format_time_ms(bwd).c_str());
-  std::printf("%s: the analyzer's per-op work costs %s 2%% of the backward.\n",
+  std::printf("%s: the ledger's per-op work costs %s 2%% of the backward.\n",
               share < 0.02 ? "OK" : "UNEXPECTED",
               share < 0.02 ? "under" : "MORE than");
+  const double entry_ns = entry_check_ns_per_op();
+  const double entry_share = entry_ns * 1e-9 * static_cast<double>(ops) / bwd;
+  std::printf(
+      "direct: entry check %.1f ns/collective x %lld comm ops per backward "
+      "= %s of the backward\n",
+      entry_ns, static_cast<long long>(ops),
+      format_percent(entry_share, 3).c_str());
+  std::printf(
+      "%s: the always-on entry check costs %s 0.1%% of the backward.\n",
+      entry_share < 0.001 ? "OK" : "UNEXPECTED",
+      entry_share < 0.001 ? "under" : "MORE than");
 
   // --- Section 2: fault-hook overhead guard -----------------------------
   std::printf(

@@ -78,22 +78,6 @@ std::string format_mismatch(const std::string& group, int rank_a,
   return os.str();
 }
 
-std::string format_publish_stall(const std::string& group, int rank,
-                                 const CommRecord& waiting, int64_t published,
-                                 double waited_sec,
-                                 const std::vector<CommRecord>& last_matching) {
-  std::ostringstream os;
-  os << "collective mismatch in group '" << group << "': rank " << rank
-     << " issued collective seq " << waiting.seq << " but rank 0 has issued "
-     << (published + 1) << " collective(s) after "
-     << static_cast<int64_t>(waited_sec * 1e3) << " ms — a rank is missing "
-     << "from the schedule or stuck.\n"
-     << "  rank " << rank << ": " << format_record(waiting) << "\n";
-  append_tail(os, "  last matching events on rank " + std::to_string(rank) + ":",
-              last_matching);
-  return os.str();
-}
-
 std::string format_flight_dump(const std::string& group,
                                const std::vector<std::vector<CommRecord>>& per_rank,
                                double now) {

@@ -14,19 +14,13 @@ namespace mls::analysis {
 // "all_reduce(count=768, op=sum, dtype=f32, blocking) at f(copy_to_tp).bwd"
 std::string format_record(const CommRecord& r);
 
-// The structured diagnostic thrown at the first divergent collective.
-// `last_matching` is the detecting rank's tail of validated events.
+// The structured diagnostic raised at the first divergent collective.
+// `last_matching` is rank_b's tail of matching events, when known (the
+// static checker passes it; the runtime entry check does not).
 std::string format_mismatch(const std::string& group, int rank_a,
                             const CommRecord& a, int rank_b,
                             const CommRecord& b,
                             const std::vector<CommRecord>& last_matching);
-
-// Rank 0 never produced the record rank `rank` is waiting to compare
-// against: either rank 0 issued fewer collectives or it is stuck.
-std::string format_publish_stall(const std::string& group, int rank,
-                                 const CommRecord& waiting, int64_t published,
-                                 double waited_sec,
-                                 const std::vector<CommRecord>& last_matching);
 
 // Per-rank last-K event dump, watchdog style: who is (still) inside
 // what, at which seq, issued from which call site.

@@ -1,6 +1,6 @@
 // Plan: per-rank collective schedules as data (DESIGN.md §12).
 //
-// The runtime analyzer (analysis/ledger.h) can only validate a schedule
+// The runtime entry check (comm/entry_check.h) can only match a schedule
 // *while it runs*; a Plan holds the same per-rank CommRecord streams
 // offline, so cross-rank match, deadlock-freedom, and the paper's
 // Table 2 byte budget become checks over data. Real plans are recorded

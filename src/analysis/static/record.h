@@ -2,7 +2,7 @@
 // on tiny synthetic data and reading back what its communicators
 // recorded (DESIGN.md §12).
 //
-// Every rank runs with the analyzer on (validation, unbounded flight
+// Every rank runs with a ledger on (no watchdog, unbounded flight
 // depth) inside an unbudgeted per-rank arena, so MLS_MEM_BUDGET_BYTES
 // cannot make a recording throw. Afterwards each rank contributes its
 // own ledger stream from every communicator it used — world, and for
@@ -29,7 +29,7 @@ namespace mls::verify {
 // Runs `body` on every rank of a `world`-rank SPMD program with the
 // analyzer recording everything. `body` returns the communicators the
 // rank used; each contributes this rank's ledger stream to the plan,
-// every record as the ledger numbered it.
+// every record as the runtime numbered it.
 Plan record(int world,
             const std::function<std::vector<comm::Comm>(comm::Comm&)>& body);
 

@@ -20,7 +20,7 @@ int64_t elem_bytes(int dtype) {
 }
 
 // Group rank `grank`'s collectives of `g`, numbered by position — the
-// rule Ledger::begin applies, so seq reads the same in hand-written and
+// rule the comm layer applies, so seq reads the same in hand-written and
 // recorded plans.
 std::vector<analysis::CommRecord> collective_stream(const Plan& plan,
                                                     const Group& g, int grank) {

@@ -2,8 +2,8 @@
 //
 //  * check_schedule — cross-rank collective matching, offline: every
 //    group member's collective stream, numbered by position as the
-//    ledger numbers seq, must match group rank 0's seq by seq under the
-//    runtime ledger's own records_match predicate; the
+//    comm layer numbers seq, must match group rank 0's seq by seq under
+//    the runtime entry check's own records_match predicate; the
 //    first divergence is reported with analysis::format_mismatch — the
 //    same two-call-site diagnostic the runtime throws, minus the run.
 //  * check_deadlock — a happens-before execution simulation: sends are

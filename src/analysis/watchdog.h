@@ -1,7 +1,9 @@
 // Hang watchdog: a per-communicator monitor thread (opt-in via
 // MLS_COMM_WATCHDOG / analysis::Options) that detects collectives or
 // p2p operations stuck past a deadline and reports them *before* the
-// substrate's generous rendezvous timeouts fire.
+// substrate's generous rendezvous timeouts fire. It covers what the
+// always-on entry check (comm/entry_check.h) cannot see: a rank that
+// never arrives (a skipped collective, a stuck recv, a stalled peer).
 //
 // On detection it hands the owner a flight-recorder dump — every rank's
 // last K comm events with in-flight markers ("who is waiting in what at

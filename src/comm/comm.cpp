@@ -11,6 +11,7 @@
 #include "analysis/ledger.h"
 #include "analysis/watchdog.h"
 #include "comm/barrier.h"
+#include "comm/entry_check.h"
 #include "comm/ring.h"
 #include "common/check.h"
 #include "fault/inject.h"
@@ -51,18 +52,14 @@ class World {
         name(std::move(name_in)),
         opts(opts_in),
         barrier(size),
+        entry(size),
         bufs(size, nullptr) {
-    // The analyzer is strictly opt-in: without a ledger every
-    // collective pays exactly one null-pointer branch. Single-rank
-    // groups get a ledger too, so their history is complete for the
-    // plan recorder (analysis/static/record.h).
+    // The ledger is opt-in: without one every comm op pays exactly one
+    // null-pointer branch. Single-rank groups get a ledger too, so
+    // their history is complete for the plan recorder
+    // (analysis/static/record.h).
     if (opts.enabled()) {
       ledger = std::make_shared<analysis::Ledger>(name, size, opts);
-      // A rank that detects a mismatch is about to throw while its
-      // peers head into a rendezvous that can never complete; poison
-      // them with the report so every rank unwinds carrying it.
-      ledger->set_failure_handler(
-          [this](const std::string& report) { poison(report); });
       if (opts.watchdog && size > 1) {  // one rank waits on no peer
         watchdog = std::make_unique<analysis::Watchdog>(
             ledger, [this](const std::string& report) {
@@ -82,6 +79,7 @@ class World {
   // Null unless the analyzer is on.
   std::shared_ptr<analysis::Ledger> ledger;
   Barrier barrier;
+  EntryCheck entry;  // always on; owns each rank's collective seq
   std::vector<float*> bufs;
   std::vector<int> split_colors = std::vector<int>(static_cast<size_t>(size), 0);
   Mailbox mailbox;
@@ -100,6 +98,18 @@ class World {
     }
   }
 
+  // Every collective's entry rendezvous. Each rank raises the same
+  // mismatch report, and poisons the hierarchy with it so that
+  // poison_reason() and peers waiting in other groups carry it too.
+  void enter(int rank, const analysis::CommRecord& rec) {
+    entry.publish(rank, rec);
+    barrier.arrive_and_wait();
+    const std::string report = entry.mismatch(name, rec.seq);
+    if (report.empty()) return;
+    poison(report);
+    throw Error(report);
+  }
+
   // Declared last: the monitor thread is joined before anything it
   // watches (ledger, barrier, this World itself) starts dying.
   std::unique_ptr<analysis::Watchdog> watchdog;
@@ -107,22 +117,25 @@ class World {
 
 namespace {
 
-// RAII ledger recorder around one comm operation. A null ledger makes
-// both ends no-ops; begin() may throw the structured mismatch report.
+// RAII scope around one comm operation at one rank. A collective draws
+// the rank's next seq here, in every group; the ledger, when on,
+// records the op for its lifetime.
 struct OpScope {
-  analysis::Ledger* ledger = nullptr;
-  int rank = 0;
+  World& world;
+  const int rank;
+  analysis::CommRecord rec;
   int64_t id = -1;
 
-  OpScope(const std::shared_ptr<analysis::Ledger>& l, int rank_in,
-          analysis::CommRecord rec)
-      : ledger(l.get()), rank(rank_in) {
-    if (!ledger) return;
-    id = ledger->begin(rank, std::move(rec));
+  OpScope(World& w, int rank_in, analysis::CommRecord rec_in)
+      : world(w), rank(rank_in), rec(std::move(rec_in)) {
+    if (analysis::is_collective(rec.kind)) rec.seq = world.entry.next_seq(rank);
+    if (world.ledger) id = world.ledger->begin(rank, rec);
   }
   ~OpScope() {
-    if (ledger && id >= 0) ledger->end(rank, id);
+    if (id >= 0) world.ledger->end(rank, id);
   }
+  // The collective's entry rendezvous, checked across ranks.
+  void enter() { world.enter(rank, rec); }
   OpScope(const OpScope&) = delete;
   OpScope& operator=(const OpScope&) = delete;
 };
@@ -147,9 +160,9 @@ int Comm::size() const { return world_ ? world_->size : 1; }
 void Comm::barrier() {
   MLS_CHECK(valid());
   fault::on_comm("barrier");
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kBarrier});
-  world_->barrier.arrive_and_wait();
+  scope.enter();
 }
 
 // Ring reduce-scatter over the ranks' registered buffers (in place).
@@ -204,7 +217,7 @@ static int64_t ring_all_gather_inplace(World& w, int rank, int64_t n,
 void Comm::all_reduce(Tensor& t, ReduceOp op) {
   MLS_CHECK(valid());
   fault::on_comm("all_reduce");
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kAllReduce,
                  .reduce_op = static_cast<int>(op),
                  .dtype = static_cast<int>(t.dtype()),
@@ -214,7 +227,7 @@ void Comm::all_reduce(Tensor& t, ReduceOp op) {
   const int64_t n = t.numel();
   const int64_t eb = byte_size(t.dtype());
   world_->bufs[static_cast<size_t>(rank_)] = t.data();
-  world_->barrier.arrive_and_wait();
+  scope.enter();
   stats_->bytes_received += ring_reduce_scatter_inplace(*world_, rank_, n, eb, op);
   stats_->bytes_received += ring_all_gather_inplace(*world_, rank_, n, eb);
 }
@@ -225,7 +238,7 @@ Tensor Comm::all_gather(const Tensor& shard, int dim) {
   // don't produce a spurious cross-rank mismatch.
   dim = shard.shape().normalize_axis(dim);
   fault::on_comm("all_gather");
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kAllGather,
                  .dtype = static_cast<int>(shard.dtype()),
                  .count = shard.numel(),
@@ -239,7 +252,7 @@ Tensor Comm::all_gather(const Tensor& shard, int dim) {
   std::memcpy(stacked.data() + rank_ * shard_elems, shard.data(),
               sizeof(float) * static_cast<size_t>(shard_elems));
   world_->bufs[static_cast<size_t>(rank_)] = stacked.data();
-  world_->barrier.arrive_and_wait();
+  scope.enter();
   stats_->bytes_received += ring_all_gather_inplace(
       *world_, rank_, T * shard_elems, byte_size(shard.dtype()));
 
@@ -263,7 +276,7 @@ Tensor Comm::reduce_scatter(const Tensor& full, int dim) {
   MLS_CHECK(valid());
   dim = full.shape().normalize_axis(dim);
   fault::on_comm("reduce_scatter");
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kReduceScatter,
                  .dtype = static_cast<int>(full.dtype()),
                  .count = full.numel(),
@@ -287,7 +300,7 @@ Tensor Comm::reduce_scatter(const Tensor& full, int dim) {
   }
   const int64_t n = staged.numel();
   world_->bufs[static_cast<size_t>(rank_)] = staged.data();
-  world_->barrier.arrive_and_wait();
+  scope.enter();
   stats_->bytes_received +=
       ring_reduce_scatter_inplace(*world_, rank_, n, byte_size(full.dtype()));
 
@@ -307,7 +320,7 @@ Tensor Comm::reduce_scatter(const Tensor& full, int dim) {
 void Comm::broadcast(Tensor& t, int root) {
   MLS_CHECK(valid());
   fault::on_comm("broadcast");
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kBroadcast,
                  .dtype = static_cast<int>(t.dtype()),
                  .count = t.numel(),
@@ -315,7 +328,7 @@ void Comm::broadcast(Tensor& t, int root) {
   ++stats_->broadcast_count;
   if (size() == 1) return;
   world_->bufs[static_cast<size_t>(rank_)] = t.data();
-  world_->barrier.arrive_and_wait();
+  scope.enter();
   if (rank_ != root) {
     std::memcpy(t.data(), world_->bufs[static_cast<size_t>(root)],
                 sizeof(float) * static_cast<size_t>(t.numel()));
@@ -329,10 +342,10 @@ Comm Comm::split(int color) const {
   fault::on_comm("split");
   // Split colors legitimately differ per rank; records_match only
   // checks that every rank is in fact splitting (vs. some other op).
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kSplit, .dim = color});
   world_->split_colors[static_cast<size_t>(rank_)] = color;
-  world_->barrier.arrive_and_wait();
+  scope.enter();
 
   // Compute my sub-group membership.
   std::vector<int> members;
@@ -378,8 +391,8 @@ void Comm::send(int dst, int tag, const Tensor& t) {
   MLS_CHECK(valid());
   fault::on_comm("send");
   // p2p events are flight-recorded (peer / tag / bytes / site) but
-  // never cross-rank validated: send/recv pairing is asymmetric.
-  OpScope scope(world_->ledger, rank_,
+  // never cross-rank matched: send/recv pairing is asymmetric.
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kSend,
                  .dtype = static_cast<int>(t.dtype()),
                  .count = t.numel(),
@@ -396,7 +409,7 @@ Tensor Comm::recv(int src, int tag) {
   fault::on_comm("recv");
   // count is unknown until the message lands; the flight recorder
   // shows a blocked recv as "recv(count=0, ...) [in flight]".
-  OpScope scope(world_->ledger, rank_,
+  OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kRecv, .peer = src, .tag = tag});
   Tensor t = world_->mailbox.recv(src, rank_, tag);
   ++stats_->p2p_recv_count;

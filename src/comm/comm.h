@@ -90,8 +90,9 @@ class Comm {
 
   // Snapshot of this communicator's analyzer ledger: the retained
   // CommRecord history per group rank, oldest first (see
-  // analysis::Ledger::snapshot). Empty when the analyzer is off;
-  // older events are trimmed beyond the flight depth — raise
+  // analysis::Ledger::snapshot). Empty unless the ledger is on
+  // (Options::validate or Options::watchdog; matching itself needs no
+  // ledger); older events are trimmed beyond the flight depth — raise
   // Options::flight_depth (ScopedOptions) before the run to retain
   // everything. Pure read; costs nothing unless called.
   std::vector<std::vector<analysis::CommRecord>> ledger_history() const;

@@ -11,8 +11,7 @@
 namespace mls::core {
 
 // Process-environment switches (the MLS_* variables, e.g. the comm
-// analyzer's MLS_COMM_VALIDATE / MLS_COMM_WATCHDOG — see
-// src/analysis/ledger.h). Reads go through a programmatic override map
+// analyzer's MLS_COMM_WATCHDOG — see src/analysis/ledger.h). Reads go through a programmatic override map
 // first so tests can toggle behaviour without mutating the real
 // environment of a multi-threaded process (setenv is not thread-safe).
 struct Env {

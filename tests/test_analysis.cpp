@@ -1,16 +1,19 @@
-// Tests for the comm-correctness analyzer (src/analysis): cross-rank
-// collective matching (wrong op / wrong count / skewed order, and the
-// paper's g-vs-f̄ confusion when sequence parallelism is enabled on
-// only some ranks), the hang watchdog + flight recorder, and the
-// acceptance invariant that the analyzer changes no losses and no
-// TrafficStats when everything is well-formed.
+// Tests for the comm-correctness analyzer: cross-rank collective
+// matching (wrong op / wrong count / skewed order, and the paper's
+// g-vs-f̄ confusion when sequence parallelism is enabled on only some
+// ranks), which is always on and needs no options; the hang watchdog +
+// flight recorder; and the acceptance invariant that the ledger and
+// watchdog change no losses and no TrafficStats when everything is
+// well-formed.
 //
-// None of the negative-path tests may ever deadlock: the analyzer's
-// whole point is that the failing rank throws a structured diagnostic
-// and poisons its peers within the watchdog deadline.
+// None of the negative-path tests may ever deadlock: every rank of a
+// mismatched collective raises the structured diagnostic, and a rank
+// that never arrives is caught by the watchdog within its deadline.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,14 +32,6 @@ using analysis::Options;
 using analysis::ScopedOptions;
 using analysis::SiteGuard;
 
-Options validate_only() {
-  Options o;
-  o.validate = true;
-  o.watchdog = false;
-  o.watchdog_sec = 5.0;  // bounds the validator's publish-stall wait
-  return o;
-}
-
 // Runs the SPMD body and returns the error message it must produce.
 std::string run_expect_error(int t, const std::function<void(comm::Comm&)>& fn) {
   try {
@@ -51,7 +46,6 @@ std::string run_expect_error(int t, const std::function<void(comm::Comm&)>& fn) 
 // ------------------------------------------- cross-rank mismatch paths
 
 TEST(CollectiveMatching, WrongOpKindNamesBothCallSites) {
-  ScopedOptions opts(validate_only());
   const std::string msg = run_expect_error(2, [](comm::Comm& c) {
     Tensor x = Tensor::full(Shape{{4}}, 1.0f);
     if (c.rank() == 0) {
@@ -70,7 +64,6 @@ TEST(CollectiveMatching, WrongOpKindNamesBothCallSites) {
 }
 
 TEST(CollectiveMatching, WrongReduceOpIsDetected) {
-  ScopedOptions opts(validate_only());
   const std::string msg = run_expect_error(2, [](comm::Comm& c) {
     SiteGuard sg(c.rank() == 0 ? "test.sum_side" : "test.max_side");
     Tensor x = Tensor::full(Shape{{4}}, 1.0f);
@@ -82,7 +75,6 @@ TEST(CollectiveMatching, WrongReduceOpIsDetected) {
 }
 
 TEST(CollectiveMatching, WrongElementCountIsDetected) {
-  ScopedOptions opts(validate_only());
   const std::string msg = run_expect_error(2, [](comm::Comm& c) {
     SiteGuard sg("test.count_skew");
     Tensor x = Tensor::full(Shape{{c.rank() == 0 ? 4 : 8}}, 1.0f);
@@ -95,8 +87,7 @@ TEST(CollectiveMatching, WrongElementCountIsDetected) {
 
 TEST(CollectiveMatching, SkewedOrderFailsAtFirstDivergentCall) {
   // Rank 0: barrier; all_reduce.  Rank 1: all_reduce; barrier.
-  // Seq 0 already diverges, and the report carries the per-rank tail.
-  ScopedOptions opts(validate_only());
+  // Seq 0 already diverges.
   const std::string msg = run_expect_error(2, [](comm::Comm& c) {
     Tensor x = Tensor::full(Shape{{4}}, 1.0f);
     if (c.rank() == 0) {
@@ -120,7 +111,6 @@ TEST(CollectiveMatching, SequenceParallelOnOneRankOnly) {
   // boundary is g (all-gather of its sequence shard), rank 1 thinks it
   // is f̄ (all-reduce of the full activation). The report must name the
   // conjugate-pair call sites, not just raw collective kinds.
-  ScopedOptions opts(validate_only());
   const std::string msg = run_expect_error(2, [](comm::Comm& c) {
     if (c.rank() == 0) {
       ag::Var x(Tensor::full(Shape{{2, 1, 4}}, 1.0f), /*requires_grad=*/false);
@@ -136,9 +126,11 @@ TEST(CollectiveMatching, SequenceParallelOnOneRankOnly) {
 }
 
 TEST(CollectiveMatching, MissingCollectiveOnRankZeroReportsStall) {
-  // Rank 0 issues nothing; rank 1's validator cannot wait forever for a
-  // record that will never be published.
-  Options o = validate_only();
+  // Rank 0 issues nothing, so rank 1 waits at the all-reduce's entry
+  // rendezvous for a peer that never arrives. Matching cannot see a
+  // collective that was never issued; the watchdog reports it.
+  Options o;
+  o.watchdog = true;
   o.watchdog_sec = 0.3;
   ScopedOptions opts(o);
   const std::string msg = run_expect_error(2, [](comm::Comm& c) {
@@ -148,9 +140,85 @@ TEST(CollectiveMatching, MissingCollectiveOnRankZeroReportsStall) {
       c.all_reduce(x);
     }
   });
-  EXPECT_NE(msg.find("collective mismatch"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("missing"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("comm watchdog"), std::string::npos) << msg;
   EXPECT_NE(msg.find("test.orphan_reduce"), std::string::npos) << msg;
+}
+
+// Runs `fn` on every rank of a t-rank group, catching each rank's own
+// error; returns each rank's message and its poison_reason().
+struct RankErrors {
+  std::vector<std::string> what, poison;
+};
+RankErrors run_catch_per_rank(int t,
+                              const std::function<void(comm::Comm&)>& fn) {
+  RankErrors out{std::vector<std::string>(static_cast<size_t>(t)),
+                 std::vector<std::string>(static_cast<size_t>(t))};
+  spmd::run(t, [&](comm::Comm& c) {
+    const auto r = static_cast<size_t>(c.rank());
+    try {
+      fn(c);
+    } catch (const Error& e) {
+      out.what[r] = e.what();
+    }
+    out.poison[r] = c.poison_reason();
+  });
+  return out;
+}
+
+// Every rank raises the mismatch, and each substring is in its report
+// and in the hierarchy's poison reason.
+void expect_mismatch_on_every_rank(const RankErrors& got,
+                                   const std::vector<std::string>& needles) {
+  for (size_t r = 0; r < got.what.size(); ++r) {
+    for (const std::string& text : {got.what[r], got.poison[r]}) {
+      EXPECT_NE(text.find("collective mismatch"), std::string::npos)
+          << "rank " << r << ": " << text;
+      for (const std::string& n : needles) {
+        EXPECT_NE(text.find(n), std::string::npos)
+            << "rank " << r << " lacks '" << n << "': " << text;
+      }
+    }
+  }
+}
+
+// No options and no environment: matching is always on. Without it the
+// ring would run past rank 0's 4-element buffer.
+TEST(CollectiveMatching, CountSkewRaisesOnEveryRankWithNoOptionsSet) {
+  const RankErrors got = run_catch_per_rank(2, [](comm::Comm& c) {
+    SiteGuard sg(c.rank() == 0 ? "test.reduce4" : "test.reduce8");
+    Tensor x = Tensor::full(Shape{{c.rank() == 0 ? 4 : 8}}, 1.0f);
+    c.all_reduce(x);
+  });
+  expect_mismatch_on_every_rank(
+      got, {"test.reduce4", "test.reduce8", "count=4", "count=8"});
+}
+
+TEST(CollectiveMatching, SequenceParallelDesyncRaisesOnEveryRank) {
+  const RankErrors got = run_catch_per_rank(2, [](comm::Comm& c) {
+    if (c.rank() == 0) {
+      ag::Var x(Tensor::full(Shape{{2, 1, 4}}, 1.0f), /*requires_grad=*/false);
+      core::gather_from_sequence_parallel(x, c);
+    } else {
+      ag::Var x(Tensor::full(Shape{{4, 1, 4}}, 1.0f), /*requires_grad=*/false);
+      core::reduce_from_tensor_parallel(x, c);
+    }
+  });
+  expect_mismatch_on_every_rank(
+      got, {"g(gather_from_sp).fwd", "f̄(reduce_from_tp).fwd"});
+}
+
+// A barrier has one rendezvous, so a rank leaves it while its peer may
+// still compare the barrier's slots; the next collective must not
+// overwrite them (the slots alternate by seq parity).
+TEST(CollectiveMatching, MismatchRightAfterBarrierNamesItsSeq) {
+  const RankErrors got = run_catch_per_rank(2, [](comm::Comm& c) {
+    c.barrier();
+    SiteGuard sg(c.rank() == 0 ? "test.gather_dim0" : "test.gather_dim1");
+    Tensor x = Tensor::full(Shape{{2, 2}}, 1.0f);
+    c.all_gather(x, c.rank() == 0 ? 0 : 1);
+  });
+  expect_mismatch_on_every_rank(
+      got, {"at seq 1", "test.gather_dim0", "test.gather_dim1"});
 }
 
 // ------------------------------------------------------------ watchdog
@@ -215,16 +283,10 @@ void expect_stats_eq(const comm::TrafficStats& a, const comm::TrafficStats& b,
       << which << " rank " << rank;
 }
 
-// One t=2, p=2 (SP + selective recompute) training run; returns every
-// step's loss and every rank's per-communicator traffic.
-std::pair<std::vector<float>, std::vector<RankTraffic>> train_t2p2(int steps) {
-  model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
-  cfg.p = 2;
-  cfg.set_plan(core::PlanKind::kTensorSequence);
-  cfg.recompute = core::Recompute::kSelective;
-  cfg.global_batch = 4 * cfg.b;
-  cfg.validate();
-
+// One training run of `cfg`; returns every step's loss and every rank's
+// per-communicator traffic.
+std::pair<std::vector<float>, std::vector<RankTraffic>> train(
+    const model::ModelConfig& cfg, int steps) {
   // Deterministic batch (same construction for both runs).
   Rng rng(2026);
   std::vector<std::vector<int64_t>> tokens, targets;
@@ -262,10 +324,21 @@ std::pair<std::vector<float>, std::vector<RankTraffic>> train_t2p2(int steps) {
   return {losses, traffic};
 }
 
+// One t=2, p=2 (SP + selective recompute) training run.
+std::pair<std::vector<float>, std::vector<RankTraffic>> train_t2p2(int steps) {
+  model::ModelConfig cfg = model::ModelConfig::tiny(2, 4);
+  cfg.p = 2;
+  cfg.set_plan(core::PlanKind::kTensorSequence);
+  cfg.recompute = core::Recompute::kSelective;
+  cfg.global_batch = 4 * cfg.b;
+  cfg.validate();
+  return train(cfg, steps);
+}
+
 TEST(AnalyzerTransparency, TrainingStepBitIdenticalWithAnalyzerOn) {
-  // Acceptance criterion: full t=2/p=2 step with validation + watchdog
-  // enabled produces bit-identical losses and identical TrafficStats to
-  // the analyzer-off run — the ledger observes, it never participates.
+  // Acceptance criterion: full t=2/p=2 step with the ledger + watchdog
+  // on produces bit-identical losses and identical TrafficStats to the
+  // run without them — the ledger observes, it never participates.
   const int steps = 2;
   std::vector<float> ref_losses;
   std::vector<RankTraffic> ref_traffic;
@@ -322,6 +395,62 @@ TEST(AnalyzerTransparency, CleanProgramPassesValidation) {
     sub.all_gather(y, 0);
     c.barrier();
   });
+}
+
+// A valid (t, p, d, plan, rung, layers) config drawn from `rng`.
+model::ModelConfig draw_config(Rng& rng) {
+  auto pick = [&rng](int n) { return static_cast<int>(rng.next_below(n)); };
+  const int t = 1 + pick(2);
+  const int p = 1 + pick(2);
+  model::ModelConfig cfg = model::ModelConfig::tiny(t, p * (1 + pick(2)));
+  cfg.p = p;
+  cfg.d = 1 + pick(2);
+  const core::PlanKind plans[] = {core::PlanKind::kTensorParallel,
+                                  core::PlanKind::kTensorSequence,
+                                  core::PlanKind::kFoldedTsp};
+  const int plan = pick(3);
+  cfg.set_plan(t == 1 ? core::PlanKind::kTensorParallel : plans[plan]);
+  const core::Recompute rungs[] = {core::Recompute::kNone,
+                                   core::Recompute::kSelective,
+                                   core::Recompute::kFull};
+  cfg.recompute = rungs[pick(3)];
+  cfg.global_batch = static_cast<int64_t>(cfg.b) * cfg.d * 2 * p;
+  cfg.validate();
+  return cfg;
+}
+
+// The entry check runs on every collective, so configs nobody picked by
+// hand must train through it without a report, and with the same losses
+// as with the ledger + watchdog on. Fixed seed; each draw is printed.
+TEST(AnalyzerTransparency, SeededConfigDrawsTrainCleanAndBitIdentical) {
+  Rng rng(20261019);
+  std::set<std::string> seen;
+  for (int draw = 0; draw < 8;) {
+    const model::ModelConfig cfg = draw_config(rng);
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  "t=%d p=%d d=%d plan=%s rung=%s layers=%lld", cfg.t, cfg.p,
+                  cfg.d, core::plan_kind_name(cfg.parallel_plan),
+                  core::recompute_name(cfg.recompute),
+                  static_cast<long long>(cfg.L));
+    if (!seen.insert(line).second) continue;  // distinct draws only
+    std::printf("[draw %d] %s\n", draw, line);
+    std::vector<float> checked, recorded;
+    {
+      ScopedOptions opts(Options{});
+      checked = train(cfg, 2).first;
+    }
+    {
+      Options on;
+      on.validate = true;
+      on.watchdog = true;
+      ScopedOptions opts(on);
+      recorded = train(cfg, 2).first;
+    }
+    ASSERT_EQ(checked.size(), 2u) << line;
+    EXPECT_EQ(checked, recorded) << line;  // bitwise
+    ++draw;
+  }
 }
 
 }  // namespace
