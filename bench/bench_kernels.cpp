@@ -4,8 +4,10 @@
 //
 // Three modes:
 //   bench_kernels              google-benchmark suite (as before)
-//   bench_kernels --smoke      fast correctness-only checks, exit 0/1
-//                              (run in CI; no timing thresholds)
+//   bench_kernels --smoke      fast correctness checks plus one
+//                              timing gate (4-thread GEMM scaling, on
+//                              >= 4 CPUs of the affinity mask), exit
+//                              0/1 (run in CI)
 //   bench_kernels --json[=p]   min-of-N wall-clock kernel timings
 //                              written to p (default BENCH_kernels.json):
 //                              pre-PR scalar vs single-threaded blocked
@@ -21,6 +23,7 @@
 // options.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +33,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "common/rng.h"
 #include "core/env.h"
 #include "tensor/kernels.h"
@@ -38,6 +45,18 @@
 using namespace mls;
 
 namespace {
+
+// The CPUs of this process's affinity mask: what its kernel threads can
+// run on (one under `taskset -c 0`, whatever the host has).
+unsigned affinity_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 // ------------------------------------------------ pre-PR scalar GEMM
 // Seed kernel (ops.cpp before the blocked substrate), kept verbatim —
@@ -268,9 +287,9 @@ int run_smoke() {
           "1-vs-4-thread dropout bit-identical");
   }
 
-  {  // thread-scaling gate (>= 4 cores only)
-    const unsigned cores = std::thread::hardware_concurrency();
-    if (cores >= 4) {
+  {  // thread-scaling gate (>= 4 CPUs in the affinity mask only)
+    const unsigned cpus = affinity_cpus();
+    if (cpus >= 4) {
       const int64_t n = 512;
       const std::vector<float> a = random_vec(n * n, 8);
       const std::vector<float> b = random_vec(n * n, 9);
@@ -292,8 +311,8 @@ int run_smoke() {
       std::printf("smoke: 4-thread scaling %.2fx (gate: >= 1.5x)\n", scaling);
       check(scaling >= 1.5, "4-thread GEMM >= 1.5x single-thread");
     } else {
-      std::printf("smoke: 4-thread scaling gate skipped (%u core%s)\n", cores,
-                  cores == 1 ? "" : "s");
+      std::printf("smoke: 4-thread scaling gate skipped (%u CPU%s)\n", cpus,
+                  cpus == 1 ? "" : "s");
     }
   }
 
@@ -362,7 +381,7 @@ int run_json(const std::string& path) {
         static_cast<long long>(n), g_pre, g_ref, g_blk, g_blk / g_pre);
   }
   std::fprintf(f, "  ],\n  \"host_cores\": %u,\n  \"thread_scaling\": [\n",
-               std::thread::hardware_concurrency());
+               affinity_cpus());
   {
     const int64_t n = 512;
     const std::vector<float> a = random_vec(n * n, 30);

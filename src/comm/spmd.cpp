@@ -26,8 +26,8 @@ void run(int world_size, const RankFn& fn) {
   for (int r = 0; r < world_size; ++r) {
     threads.emplace_back([&, r] {
       // Rank threads carry their identity into the kernel substrate: it
-      // sizes the default intra-op thread count (cores / world) and,
-      // under MLS_KERNEL_PIN, pins this thread to its core slice.
+      // pins this thread to its rank's CPU slice, whose size is the
+      // default intra-op thread count.
       kernels::bind_rank(r, world_size);
       // Poison with the failing rank's message so the peers it strands
       // unwind with an error naming the original failure, not just

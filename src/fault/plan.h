@@ -45,7 +45,7 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   int rank = -1;         // world rank targeted; -1 = any rank
   int64_t step = -1;     // trainer step gate; -1 = any step
-  std::string site;      // substring match vs op name / SiteGuard tag; "" = any
+  std::string site{};    // substring match vs op name / SiteGuard tag; "" = any
   int fails = 1;         // transient/oom: injected failures before success
   double stall_sec = 0;  // stall: injected delay in seconds
   int64_t gen = -1;      // corrupt: checkpoint generation; -1 = any

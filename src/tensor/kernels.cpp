@@ -6,9 +6,11 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include <sched.h>
 #endif
 
+#include "common/check.h"
 #include "core/env.h"
 
 namespace mls::kernels {
@@ -86,23 +89,16 @@ std::vector<int> affinity_cpus() {
   return cpus;
 }
 
-// The CPUs of the process's affinity mask, counted once: the default
-// thread count and the spin budget divide these, so a process started
-// under `taskset -c 0` runs one worker per rank.
-int hardware_cores() {
-  static const int n = static_cast<int>(affinity_cpus().size());
-  return n;
-}
-
 // ------------------------------------------------------- rank binding
 thread_local RankBinding t_binding;
 
-// The CPUs MLS_KERNEL_PIN gives the calling thread's rank: rank r of W
-// takes the CPUs at indices [r*C/W, (r+1)*C/W) of the C CPUs in the
-// thread's affinity mask (one CPU, index r mod C, when W >= C). The
-// mask is read once per binding, at its first pin, so the slice always
-// lies inside the mask the rank thread inherited from its launcher.
-const std::vector<int>& pin_slice() {
+// The calling thread's rank slice: rank r of W takes the CPUs at
+// indices [r*C/W, (r+1)*C/W) of the C CPUs in the thread's affinity
+// mask (one CPU, index r mod C, when W >= C). The mask is read once per
+// binding — by bind_rank before it pins the rank thread, or at an
+// unbound thread's first kernel — so the slice always lies inside the
+// mask the thread inherited from its launcher.
+const std::vector<int>& rank_slice() {
   struct Slice {
     int rank = -1, world = -1;
     std::vector<int> cpus;
@@ -124,6 +120,11 @@ const std::vector<int>& pin_slice() {
   return slice.cpus;
 }
 
+// Microseconds a worker spins for the next kernel before parking: 100
+// when the rank's slice holds more than one CPU, 0 when the owner and
+// its workers share one CPU (a spinning waiter would only delay them).
+int spin_us() { return rank_slice().size() > 1 ? 100 : 0; }
+
 // Restricts the calling thread to the n CPUs at cpus.
 void pin_thread(const int* cpus, size_t n) {
 #ifdef __linux__
@@ -138,11 +139,36 @@ void pin_thread(const int* cpus, size_t n) {
 }
 
 // ------------------------------------------------------------- packing
+// N floats of packing scratch on a cache line, as the pool allocator's
+// segments are, so no full-width vector load of a packed panel splits
+// two lines (a std::vector's alignment varied by thread). Allocated at
+// first use, freed with its owner.
+template <int64_t N>
+class Scratch {
+ public:
+  float* get() {
+    if (!buf_) {
+      void* p = nullptr;
+      MLS_CHECK(posix_memalign(&p, 64, N * sizeof(float)) == 0 &&
+                reinterpret_cast<uintptr_t>(p) % 64 == 0)
+          << "packing scratch is not 64-byte aligned";
+      buf_.reset(static_cast<float*>(p));
+    }
+    return buf_.get();
+  }
+
+ private:
+  struct Free {
+    void operator()(float* p) const { std::free(p); }
+  };
+  std::unique_ptr<float, Free> buf_;
+};
+
 // Per-thread packing scratch: the submitting thread and every
 // persistent worker own their panels outright, reused across calls —
 // packing never contends and never reallocates in steady state.
-thread_local std::vector<float> tl_pack_a;
-thread_local std::vector<float> tl_pack_b;
+thread_local Scratch<MC * KC> tl_pack_a;
+thread_local Scratch<KC * NC> tl_pack_b;
 
 // Packs one NR-wide column panel of B[0:kc, jr:jr+nr] (logical, after
 // trans) into panel[kk*NR + j]. Columns beyond nr are zero-filled so
@@ -282,32 +308,18 @@ inline void cpu_pause() {
 int threads() {
   const int64_t t = core::Env::integer("MLS_KERNEL_THREADS", 0);
   if (t > 0) return static_cast<int>(std::min<int64_t>(t, kMaxSlots));
-  const int world = std::max(1, t_binding.world);
-  return std::clamp(hardware_cores() / world, 1, kMaxSlots);
+  return std::clamp(static_cast<int>(rank_slice().size()), 1, kMaxSlots);
 }
 
 bool use_reference() { return core::Env::flag("MLS_KERNEL_REF", false); }
 
-bool pin_enabled() { return core::Env::flag("MLS_KERNEL_PIN", false); }
-
-int spin_us() { return hardware_cores() > 1 ? 100 : 0; }
-
 void bind_rank(int rank, int world) {
-  hardware_cores();  // count the process's CPUs before this thread narrows
   t_binding = {rank, std::max(1, world)};
-  if (pin_enabled()) {
-    const std::vector<int>& cpus = pin_slice();
-    pin_thread(cpus.data(), cpus.size());
-  }
+  const std::vector<int>& cpus = rank_slice();
+  pin_thread(cpus.data(), cpus.size());
 }
 
 RankBinding rank_binding() { return t_binding; }
-
-BindGuard::BindGuard(RankBinding b) : prev_(t_binding) {
-  t_binding = {b.rank, std::max(1, b.world)};
-}
-
-BindGuard::~BindGuard() { t_binding = prev_; }
 
 void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
                   int64_t n, int64_t k, bool trans_a, bool trans_b,
@@ -324,10 +336,8 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
   const int64_t rs_b = trans_b ? 1 : ldb;
   const int64_t cs_b = trans_b ? ldb : 1;
 
-  tl_pack_a.resize(static_cast<size_t>(MC * KC));
-  tl_pack_b.resize(static_cast<size_t>(KC * NC));
-  float* ap = tl_pack_a.data();
-  float* bp = tl_pack_b.data();
+  float* ap = tl_pack_a.get();
+  float* bp = tl_pack_b.get();
   const bool in_place = m <= kShortM && cs_b == 1;
 
   for (int64_t jc = 0; jc < n; jc += NC) {
@@ -501,7 +511,14 @@ class WorkerPool {
     job_fn_ = &fn;
     job_nslots_ = nslots;
     job_binding_ = t_binding;
-    job_cpus_ = pin_enabled() ? &pin_slice() : nullptr;
+    job_cpus_ = &rank_slice();
+    job_owner_index_ = 0;
+#ifdef __linux__
+    const auto here =
+        std::find(job_cpus_->begin(), job_cpus_->end(), sched_getcpu());
+    if (here != job_cpus_->end())
+      job_owner_index_ = static_cast<size_t>(here - job_cpus_->begin());
+#endif
     job_spin_us_ = spin_us();
     barrier_.reset(nslots);
     done_.store(0, std::memory_order_relaxed);
@@ -542,11 +559,10 @@ class WorkerPool {
 
   // Shared packed-B panel for the cooperative GEMM (packed once per
   // (jc, pc) cache block, read-only for all slots after the barrier).
-  // Only the pool owner may call this (it resizes), and only outside
+  // Only the pool owner may call this (it allocates), and only outside
   // run() — workers receive the stable data pointer via the job.
   float* shared_b() {
-    shared_b_.resize(static_cast<size_t>(KC * NC));
-    return shared_b_.data();
+    return shared_b_.get();
   }
 
   PoolStats stats() const {
@@ -594,19 +610,18 @@ class WorkerPool {
       if (stop_.load(std::memory_order_acquire)) return;
       ++last;  // == seq_: the owner publishes jobs one at a time
       spin_budget_us = job_spin_us_;
-      if (job_cpus_ != nullptr) {
-        // Worker i takes CPU 1 + i of its rank's slice (wrapped), the
-        // owner floating over the slice. Re-pinned only when that moves.
-        const int cpu = (*job_cpus_)[static_cast<size_t>(1 + index) %
-                                     job_cpus_->size()];
-        if (cpu != pinned_cpu) {
-          pin_thread(&cpu, 1);
-          pinned_cpu = cpu;
-        }
+      // Worker i takes the CPU 1 + i places after the owner's in its
+      // rank's slice (wrapped), so the floating owner shares no worker's
+      // CPU while the slice has room. Re-pinned only when that moves.
+      const int cpu = (*job_cpus_)[(job_owner_index_ + 1 + index) %
+                                   job_cpus_->size()];
+      if (cpu != pinned_cpu) {
+        pin_thread(&cpu, 1);
+        pinned_cpu = cpu;
       }
       const int slot = 1 + index;
       if (slot < job_nslots_) {
-        BindGuard bind(job_binding_);
+        t_binding = job_binding_;  // the worker computes for its owner
         try {
           (*job_fn_)(slot);
         } catch (...) {
@@ -627,9 +642,11 @@ class WorkerPool {
   const std::function<void(int)>* job_fn_ = nullptr;
   int job_nslots_ = 0;
   RankBinding job_binding_;
-  // The owner's MLS_KERNEL_PIN slice (its thread_local, stable while
-  // the owner waits out the job), or null when pinning is off.
+  // The owner's rank slice (its thread_local, stable while the owner
+  // waits out the job).
   const std::vector<int>* job_cpus_ = nullptr;
+  // Where in *job_cpus_ the owner ran when it published (0 if outside).
+  size_t job_owner_index_ = 0;
   int job_spin_us_ = 0;
   std::exception_ptr first_error_;
 
@@ -644,7 +661,7 @@ class WorkerPool {
   std::condition_variable done_cv_;
   SpinBarrier barrier_;
   std::vector<Worker> workers_;
-  std::vector<float> shared_b_;
+  Scratch<KC * NC> shared_b_;
   uint64_t jobs_ = 0;
 };
 
@@ -668,8 +685,7 @@ struct GemmShape {
 
 void gemm_cooperative(const GemmShape& g, WorkerPool& pool, float* bp,
                       int slot, int nslots) {
-  tl_pack_a.resize(static_cast<size_t>(MC * KC));
-  float* ap = tl_pack_a.data();
+  float* ap = tl_pack_a.get();
 
   const int64_t m_chunk = ceil_div(ceil_div(g.m, nslots), MR) * MR;
   const int64_t i_begin = std::min<int64_t>(g.m, slot * m_chunk);

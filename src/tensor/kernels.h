@@ -32,13 +32,13 @@
 //    in-place B feed the same per-element FMA chain, so a short GEMM's
 //    rows equal the same rows of a tall GEMM over the same B, bit for
 //    bit.
-//  * Intra-op parallelism (MLS_KERNEL_THREADS, default: the CPUs of
-//    the process's affinity mask divided by the calling rank's world
-//    size) splits over M/N tiles (or the batch dimension for bmm)
-//    ONLY — never the k reduction. Workers are persistent
-//    per-caller-thread: they spin briefly for the next kernel
-//    (spin_us() below), then park on a condition variable, so the
-//    per-GEMM dispatch cost is a couple of atomic stores, not a mutex
+//  * Intra-op parallelism (MLS_KERNEL_THREADS, default: the size of
+//    the calling rank's CPU slice, below) splits over M/N tiles (or the
+//    batch dimension for bmm) ONLY — never the k reduction. Workers are
+//    persistent per-caller-thread: they spin briefly for the next
+//    kernel (100 us when the slice holds more than one CPU, else not
+//    at all), then park on a condition variable, so the per-GEMM
+//    dispatch cost is a couple of atomic stores, not a mutex
 //    handshake. Tall threaded GEMMs run cooperatively: the B panel of
 //    each (jc, pc) cache block is packed once, shared read-only, and
 //    the M dimension is slabbed across workers so each streams whole
@@ -47,13 +47,14 @@
 //    each worker runs the serial kernel on its own NR-aligned column
 //    slab of B. The rank threads never contend on a shared queue and
 //    teardown is per rank-thread.
-//  * MLS_KERNEL_PIN=1 partitions the CPUs of the affinity mask a rank
-//    thread inherits (C of them, read when the rank is bound) across
-//    the simulated ranks (spmd::run binds each rank thread, see
-//    bind_rank below): rank r of W gets the mask's CPUs at indices
-//    [rC/W, (r+1)C/W); its kernel workers pin to distinct CPUs of the
-//    slice while the rank thread floats over the whole slice. No rank
-//    ever oversubscribes another's CPUs or leaves the inherited mask.
+//  * A rank's CPUs are its slice, the simulator's stand-in for the
+//    paper's one device per rank. Of the C CPUs in the affinity mask a
+//    rank thread inherits (read when spmd::run binds it, see
+//    bind_rank below), rank r of W owns the indices [rC/W, (r+1)C/W),
+//    or the one index r mod C when W >= C. The rank thread is pinned to
+//    its slice, and its kernel workers to distinct CPUs of it, starting
+//    after the one the rank thread runs on. No rank ever oversubscribes
+//    another's CPUs or leaves the inherited mask.
 //  * MLS_KERNEL_REF=1 routes gemm()/bmm-shaped calls through gemm_ref(),
 //    the pre-blocking scalar kernel (single-threaded), for A/B numeric
 //    debugging. Blocked-vs-ref differ only by float reassociation of the
@@ -106,44 +107,25 @@ namespace mls::kernels {
 // Intra-op worker threads for the calling thread's kernels, re-read on
 // every call so tests can toggle via core::Env. MLS_KERNEL_THREADS set
 // to a positive value wins (clamped to [1, 64]); unset or 0 resolves
-// the default: the CPUs in the process's affinity mask / the caller's
-// bound world size (so W ranks on C CPUs get C/W workers each and
-// never oversubscribe), at least 1.
+// the default: the number of CPUs in the calling rank's slice (so W
+// ranks on C CPUs never oversubscribe), at least 1.
 int threads();
 // MLS_KERNEL_REF — route GEMMs through the reference scalar kernel.
 bool use_reference();
-// MLS_KERNEL_PIN — pin rank threads / kernel workers to per-rank core
-// slices (default off; Linux affinity, a no-op elsewhere).
-bool pin_enabled();
-// Microseconds a worker spins for the next kernel before parking: 100
-// on multi-core hosts, 0 on one core.
-int spin_us();
 
 // ------------------------------------------------------- rank binding
 // Which simulated rank the calling thread computes for, and how many
 // ranks exist. spmd::run installs it on every rank thread; the worker
-// pool carries it onto its workers for each job (BindGuard). It
-// resolves the default thread count above and the MLS_KERNEL_PIN core
-// slice.
+// pool carries it onto its workers for each job. It selects the rank's
+// CPU slice, which sizes the default thread count above.
 struct RankBinding {
   int rank = 0;
   int world = 1;
 };
-// Sets the calling thread's binding; under MLS_KERNEL_PIN also pins
-// the calling thread to its rank's core slice.
+// Sets the calling thread's binding and pins the thread to its rank's
+// CPU slice (Linux affinity; elsewhere the slice only sizes threads()).
 void bind_rank(int rank, int world);
 RankBinding rank_binding();
-// Scoped binding for worker threads executing on a rank's behalf.
-class BindGuard {
- public:
-  explicit BindGuard(RankBinding b);
-  ~BindGuard();
-  BindGuard(const BindGuard&) = delete;
-  BindGuard& operator=(const BindGuard&) = delete;
-
- private:
-  RankBinding prev_;
-};
 
 // Diagnostics for the calling thread's persistent worker pool.
 struct PoolStats {

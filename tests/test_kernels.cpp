@@ -8,8 +8,10 @@
 //  * bit-identical output at any MLS_KERNEL_THREADS (the library's
 //    determinism contract: k-reduction order never depends on tile
 //    position or thread count),
-//  * MLS_KERNEL_PIN keeps pinned ranks and their workers inside the
-//    affinity mask the ranks inherit,
+//  * one placement rule, with no env set: each rank thread is pinned
+//    to its own CPU slice of the affinity mask it inherits, its pool
+//    workers to distinct CPUs inside that slice, and the slice's size
+//    is the default thread count,
 //  * beta=0 semantics — every element of C is written, so matmul may
 //    run into uninitialized (NaN-canary) storage,
 //  * fused epilogues (bias+GeLU, scale+softmax) vs their composed
@@ -48,6 +50,8 @@
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
 
 #include "autograd/engine.h"
@@ -252,11 +256,10 @@ TEST(KernelGemm, BmmThreadCountDoesNotChangeBits) {
 }
 
 TEST(KernelGemm, PinnedThreadCountsAreBitIdentical) {
-  // The full satellite matrix: GEMM and bmm across 1/2/4/7 workers
-  // *with core pinning enabled*, so the affinity path (rank slice
-  // computation, per-worker pin) runs even on small hosts. Pinning may
-  // serialize on few cores; it must never change bits.
-  ScopedEnv pin("MLS_KERNEL_PIN", "1");
+  // The full satellite matrix: GEMM and bmm across 1/2/4/7 workers,
+  // each worker pinned to a CPU of the caller's slice (wrapped when
+  // there are more workers than CPUs). Pinning may serialize on few
+  // cores; it must never change bits.
   const int64_t m = 130, n = 97, k = 256;
   const std::vector<float> a = random_vec(m * k, 71);
   const std::vector<float> b = random_vec(k * n, 72);
@@ -294,7 +297,6 @@ TEST(KernelFused, PinnedThreadCountsAreBitIdenticalForEpilogues) {
   // bias_gelu / softmax(+grad), a *column* partition for
   // bias_gelu_grad (so each dbias[j] keeps the serial increasing-row
   // summation order). All must memcmp-match serial at every count.
-  ScopedEnv pin("MLS_KERNEL_PIN", "1");
   const int64_t rows = 128, h = 256;  // rows*h clears kElemGrain
   const std::vector<float> x = random_vec(rows * h, 81);
   const std::vector<float> bias = random_vec(h, 82);
@@ -395,9 +397,9 @@ TEST(KernelPool, TeardownSurvivesPoisonedWorldUnwind) {
 }
 
 TEST(KernelPool, NestedRanksTimesThreadsIsBitIdenticalWithPin) {
-  // t = 2 simulated ranks, 2 intra-op workers each, pinning on: each
-  // rank thread binds itself (spmd::run), owns its own pool, and the
-  // two pools' core slices partition the host instead of stacking.
+  // t = 2 simulated ranks, 2 intra-op workers each: each rank thread
+  // binds itself (spmd::run), owns its own pool, and the two pools'
+  // CPU slices partition the host instead of stacking.
   // Must not deadlock and must match the serial result bitwise.
   const int64_t m = 130, n = 97, k = 256;
   const std::vector<float> a = random_vec(m * k, 97);
@@ -408,7 +410,6 @@ TEST(KernelPool, NestedRanksTimesThreadsIsBitIdenticalWithPin) {
     kernels::gemm(a.data(), b.data(), serial.data(), m, n, k, false, false);
   }
   ScopedEnv env("MLS_KERNEL_THREADS", "2");
-  ScopedEnv pin("MLS_KERNEL_PIN", "1");
   std::vector<std::vector<float>> per_rank(2);
   spmd::run(2, [&](comm::Comm& c) {
     EXPECT_EQ(kernels::rank_binding().rank, c.rank());
@@ -435,27 +436,58 @@ std::set<pid_t> thread_ids() {
   return ids;
 }
 
+// The calling thread's affinity mask.
+cpu_set_t own_mask() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(set), &set));
+  return set;
+}
+
+// The affinity mask of thread tid (empty if it cannot be read).
+cpu_set_t mask_of(pid_t tid) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(tid, sizeof(set), &set) != 0) CPU_ZERO(&set);
+  return set;
+}
+
+// Narrows the calling test thread to the first n CPUs of its affinity
+// mask (it acts on this process only) and restores the mask on exit.
+// Rank threads spawned meanwhile inherit the narrowed mask.
+class NarrowAffinity {
+ public:
+  explicit NarrowAffinity(int n) : saved_(own_mask()) {
+    CPU_ZERO(&narrow_);
+    for (int c = 0, got = 0; c < CPU_SETSIZE && got < n; ++c) {
+      if (CPU_ISSET(c, &saved_)) {
+        CPU_SET(c, &narrow_);
+        ++got;
+      }
+    }
+    EXPECT_EQ(0, pthread_setaffinity_np(pthread_self(), sizeof(narrow_),
+                                        &narrow_));
+  }
+  ~NarrowAffinity() {
+    pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+  }
+  NarrowAffinity(const NarrowAffinity&) = delete;
+  NarrowAffinity& operator=(const NarrowAffinity&) = delete;
+  const cpu_set_t& mask() const { return narrow_; }
+
+ private:
+  cpu_set_t saved_;
+  cpu_set_t narrow_;
+};
+
 TEST(KernelPool, PinnedRankStaysInsideInheritedAffinityMask) {
   // Narrow this test thread to one CPU of its mask (it acts on this
-  // process only), then run pinned ranks: each rank thread inherits the
+  // process only), then run ranks: each rank thread inherits the
   // one-CPU mask, so its slice, and every pool worker pinned inside it,
   // must stay on that CPU — not on CPUs counted from 0 up to the
   // host's core count.
-  cpu_set_t saved;
-  CPU_ZERO(&saved);
-  ASSERT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved));
-  int cpu = 0;
-  while (!CPU_ISSET(cpu, &saved)) ++cpu;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  ASSERT_EQ(0, pthread_setaffinity_np(pthread_self(), sizeof(one), &one));
-  struct Restore {
-    cpu_set_t mask;
-    ~Restore() { pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask); }
-  } restore{saved};
-
-  ScopedEnv pin("MLS_KERNEL_PIN", "1");
+  const NarrowAffinity narrowed(1);
+  const cpu_set_t& one = narrowed.mask();
   ScopedEnv env("MLS_KERNEL_THREADS", "2");
   const std::set<pid_t> before = thread_ids();
   const int64_t m = 96, n = 96, k = 96;  // above the pool's grain
@@ -472,9 +504,8 @@ TEST(KernelPool, PinnedRankStaysInsideInheritedAffinityMask) {
       int checked = 0;
       for (pid_t tid : thread_ids()) {
         if (before.count(tid) != 0) continue;
-        cpu_set_t got;
-        CPU_ZERO(&got);
-        if (sched_getaffinity(tid, sizeof(got), &got) != 0) continue;
+        const cpu_set_t got = mask_of(tid);
+        if (CPU_COUNT(&got) == 0) continue;
         EXPECT_TRUE(CPU_EQUAL(&got, &one))
             << "thread " << tid << " may run on " << CPU_COUNT(&got)
             << " CPUs outside the inherited mask";
@@ -484,6 +515,88 @@ TEST(KernelPool, PinnedRankStaysInsideInheritedAffinityMask) {
     }
     c.barrier();
   });
+}
+
+TEST(KernelPool, EachRankOwnsADisjointSliceWithOneCpuPerWorker) {
+  // The default layout, no env set: each rank thread is pinned to its
+  // own slice of the mask it inherits, the two slices are disjoint, and
+  // each of the rank's pool workers (slice size - 1 of them at the
+  // default thread count) is pinned to one CPU of that slice, no two
+  // on the same CPU. The ranks run their first threaded GEMM in turn,
+  // so the threads that appear during a rank's turn are its workers.
+  const cpu_set_t all = own_mask();
+  if (CPU_COUNT(&all) < 2) GTEST_SKIP() << "two disjoint slices need 2 CPUs";
+  ScopedEnv env("MLS_KERNEL_THREADS", "0");  // the default, whatever is set
+  const std::set<pid_t> before = thread_ids();
+  const int64_t m = 96, n = 96, k = 96;  // above the pool's grain
+  const std::vector<float> a = random_vec(m * k, 5);
+  const std::vector<float> b = random_vec(k * n, 6);
+  pid_t rank_tid[2] = {0, 0};
+  cpu_set_t slice[2];
+  std::set<pid_t> after_turn[2];
+  spmd::run(2, [&](comm::Comm& c) {
+    const int r = c.rank();
+    rank_tid[r] = static_cast<pid_t>(syscall(SYS_gettid));
+    slice[r] = own_mask();
+    c.barrier();  // both rank threads exist before either turn
+    for (int turn = 0; turn < 2; ++turn) {
+      if (turn == r) {
+        std::vector<float> out(static_cast<size_t>(m * n));
+        kernels::gemm(a.data(), b.data(), out.data(), m, n, k, false, false);
+        after_turn[r] = thread_ids();
+      }
+      c.barrier();
+    }
+    if (r == 0) {  // both pools are alive until the last barrier
+      cpu_set_t shared;
+      CPU_AND(&shared, &slice[0], &slice[1]);
+      EXPECT_EQ(0, CPU_COUNT(&shared)) << "the ranks' slices overlap";
+      for (int q = 0; q < 2; ++q) {
+        cpu_set_t inside;
+        CPU_AND(&inside, &slice[q], &all);
+        EXPECT_TRUE(CPU_EQUAL(&inside, &slice[q]))
+            << "rank " << q << "'s slice leaves the inherited mask";
+        const std::set<pid_t>& earlier = q == 0 ? before : after_turn[0];
+        std::set<int> cpus;
+        int workers = 0;
+        for (pid_t tid : after_turn[q]) {
+          if (earlier.count(tid) != 0 || tid == rank_tid[0] ||
+              tid == rank_tid[1])
+            continue;
+          ++workers;
+          const cpu_set_t got = mask_of(tid);
+          // No ASSERT here: returning early would strand rank 1 at the
+          // last barrier.
+          EXPECT_EQ(1, CPU_COUNT(&got)) << "rank " << q << " worker " << tid;
+          if (CPU_COUNT(&got) != 1) continue;
+          int cpu = 0;
+          while (!CPU_ISSET(cpu, &got)) ++cpu;
+          EXPECT_TRUE(CPU_ISSET(cpu, &slice[q]))
+              << "rank " << q << " worker on CPU " << cpu
+              << " outside its slice";
+          EXPECT_TRUE(cpus.insert(cpu).second)
+              << "two of rank " << q << "'s workers share CPU " << cpu;
+        }
+        EXPECT_EQ(CPU_COUNT(&slice[q]) - 1, workers) << "rank " << q;
+      }
+    }
+    c.barrier();
+  });
+}
+
+TEST(KernelPool, DefaultThreadsAreTheRankSliceSize) {
+  // Under a test thread narrowed to 3 CPUs, rank 0 of 2 owns the
+  // mask's index [0, 1) and rank 1 owns [1, 3), so with no env set
+  // they default to 1 and 2 kernel threads: the slice, not a count of
+  // the whole process's CPUs divided by the world size.
+  const cpu_set_t all = own_mask();
+  if (CPU_COUNT(&all) < 3) GTEST_SKIP() << "needs 3 CPUs";
+  const NarrowAffinity narrowed(3);
+  ScopedEnv env("MLS_KERNEL_THREADS", "0");  // the default, whatever is set
+  int threads[2] = {0, 0};
+  spmd::run(2, [&](comm::Comm& c) { threads[c.rank()] = kernels::threads(); });
+  EXPECT_EQ(1, threads[0]);
+  EXPECT_EQ(2, threads[1]);
 }
 #endif
 
@@ -796,7 +909,7 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
   // The folded-TSP fused autograd nodes (bias_gelu_matmul,
   // scaled_softmax_dropout_bmm) run their interiors through ops:: and
   // therefore through the worker pool. Forward values and every grad
-  // must be bitwise identical at 1 vs 4 threads with pinning on —
+  // must be bitwise identical at 1 vs 4 pinned threads —
   // including the backward recompute-from-saved-x passes.
   Rng rng(57);
   const int64_t rows = 256, h = 128, out = 112;
@@ -842,7 +955,6 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
     one = run_once();
   }
   ScopedEnv env("MLS_KERNEL_THREADS", "4");
-  ScopedEnv pin("MLS_KERNEL_PIN", "1");
   const Run four = run_once();
   auto same_bits = [](const Tensor& p, const Tensor& q) {
     return p.numel() == q.numel() &&
