@@ -272,49 +272,37 @@ Tensor Comm::all_gather(const Tensor& shard, int dim) {
   return ops::cat(parts, dim);
 }
 
-Tensor Comm::reduce_scatter(const Tensor& full, int dim) {
+Tensor Comm::reduce_scatter(Tensor full, int dim) {
   MLS_CHECK(valid());
-  dim = full.shape().normalize_axis(dim);
+  MLS_CHECK_EQ(dim, 0) << "reduce_scatter splits dim 0 only, got dim " << dim
+                       << " of " << full.shape().str();
   fault::on_comm("reduce_scatter");
   OpScope scope(*world_, rank_,
                 {.kind = analysis::OpKind::kReduceScatter,
                  .dtype = static_cast<int>(full.dtype()),
                  .count = full.numel(),
-                 .dim = dim});
+                 .dim = 0});
   ++stats_->reduce_scatter_count;
   if (size() == 1) return full.clone();
   const int T = size();
-  MLS_CHECK_EQ(full.dim(dim) % T, 0)
-      << "reduce_scatter dim " << dim << " of " << full.shape().str();
+  MLS_CHECK_EQ(full.dim(0) % T, 0)
+      << "reduce_scatter dim 0 of " << full.shape().str();
 
-  // Bring `dim` to the front so each rank's chunk is contiguous.
-  Tensor staged;
-  std::vector<int> perm, inv_perm;
-  if (dim == 0) {
-    staged = full.clone();
-  } else {
-    perm.push_back(dim);
-    for (int i = 0; i < full.ndim(); ++i)
-      if (i != dim) perm.push_back(i);
-    staged = ops::permute(full, perm);
-  }
+  // Each rank's chunk of dim 0 is contiguous. The ring sums in the
+  // operand's own buffer when this call holds its only reference.
+  Tensor staged = full.unique() ? std::move(full) : full.clone();
   const int64_t n = staged.numel();
   world_->bufs[static_cast<size_t>(rank_)] = staged.data();
   scope.enter();
   stats_->bytes_received +=
-      ring_reduce_scatter_inplace(*world_, rank_, n, byte_size(full.dtype()));
+      ring_reduce_scatter_inplace(*world_, rank_, n, byte_size(staged.dtype()));
 
   const int64_t chunk = n / T;
   Tensor mine = Tensor::empty(staged.shape().with_dim(0, staged.dim(0) / T),
-                              full.dtype());
+                              staged.dtype());
   std::memcpy(mine.data(), staged.data() + rank_ * chunk,
               sizeof(float) * static_cast<size_t>(chunk));
-  if (dim == 0) return mine;
-  // Undo the permutation.
-  std::vector<int> inverse(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i)
-    inverse[static_cast<size_t>(perm[i])] = static_cast<int>(i);
-  return ops::permute(mine, inverse);
+  return mine;
 }
 
 void Comm::broadcast(Tensor& t, int root) {

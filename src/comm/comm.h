@@ -65,9 +65,12 @@ class Comm {
   // the full tensor. (dim 0 — the sequence dimension in [s,b,h] layout —
   // is the fast path used by the paper's g operator.)
   Tensor all_gather(const Tensor& shard, int dim = 0);
-  // Sums `full` across ranks, then returns this rank's chunk along
-  // `dim` (which must be divisible by the group size). The paper's ḡ.
-  Tensor reduce_scatter(const Tensor& full, int dim = 0);
+  // Sums `full` across ranks, then returns this rank's chunk of dim 0
+  // (which must be divisible by the group size; any other dim throws).
+  // The paper's ḡ. A moved-in operand that holds its storage alone is
+  // summed in place; otherwise the sum runs in a copy and the caller's
+  // tensor is left unchanged.
+  Tensor reduce_scatter(Tensor full, int dim = 0);
   void broadcast(Tensor& t, int root);
   void barrier();
 

@@ -126,7 +126,7 @@ class SpGatheredMatmulNode : public Node {
     // dX (full) = dY · Wᵀ, then ḡ-style reduce-scatter back to shards.
     analysis::SiteGuard sg_dx("sp_gathered_matmul.bwd:dx");
     Tensor dx_full = ops::matmul(grad_out, saved_w_.get(), false, !trans_b_);
-    Tensor dx_shard = tp_.reduce_scatter(dx_full, 0);
+    Tensor dx_shard = tp_.reduce_scatter(std::move(dx_full), 0);
 
     // dW = Xᵀ · dY (or dYᵀ · X when the forward used Wᵀ).
     const int64_t k = x_full.dim(-1);
@@ -233,7 +233,7 @@ Var vocab_parallel_embedding(const Var& table_shard,
   Tensor reduced;
   analysis::SiteGuard sg("vocab_embedding.fwd");
   if (sequence_sharded) {
-    reduced = tp.reduce_scatter(out, 0);  // ḡ: [s/t, b, h]
+    reduced = tp.reduce_scatter(std::move(out), 0);  // ḡ: [s/t, b, h]
   } else {
     tp.all_reduce(out);  // f̄: replicated [s, b, h]
     reduced = std::move(out);

@@ -41,7 +41,7 @@ struct GenerateOptions {
   // Early termination: generation stops right after sampling any of
   // these tokens (the stop token IS included in the returned sequence,
   // mirroring serve's FinishReason::kCompleted retirement).
-  std::vector<int64_t> stop_tokens;
+  std::vector<int64_t> stop_tokens{};
 };
 
 // Draws the next token from a full-vocabulary logits row: argmax at

@@ -404,17 +404,6 @@ namespace {
 
 int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Spins with pause, yielding periodically so oversubscribed hosts (the
-// 1-core CI container, nested rank x worker tests) still make progress.
-template <typename Pred>
-void spin_until(const Pred& pred) {
-  int iter = 0;
-  while (!pred()) {
-    cpu_pause();
-    if ((++iter & 0x3f) == 0) std::this_thread::yield();
-  }
-}
-
 // Spin for roughly `budget_us`, checking pred; returns pred's value.
 template <typename Pred>
 bool spin_for(const Pred& pred, int budget_us) {
@@ -431,35 +420,6 @@ bool spin_for(const Pred& pred, int budget_us) {
     }
   }
 }
-
-// Sense-reversing spin barrier for the cooperative GEMM's pack/compute
-// phases. Participants are the job's active slots only; phases are
-// microseconds long, so waiting spins (with yields) and never parks.
-class SpinBarrier {
- public:
-  void reset(int n) {
-    n_ = n;
-    count_.store(n, std::memory_order_relaxed);
-    phase_.store(0, std::memory_order_relaxed);
-  }
-
-  void wait() {
-    const uint64_t phase = phase_.load(std::memory_order_acquire);
-    if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      count_.store(n_, std::memory_order_relaxed);
-      phase_.store(phase + 1, std::memory_order_release);
-    } else {
-      spin_until([&] {
-        return phase_.load(std::memory_order_acquire) != phase;
-      });
-    }
-  }
-
- private:
-  std::atomic<uint64_t> phase_{0};
-  std::atomic<int> count_{0};
-  int n_ = 0;
-};
 
 // Marks pool worker threads so a re-entrant run() (which would
 // deadlock) degrades to inline execution instead.
@@ -496,10 +456,8 @@ class WorkerPool {
     for (auto& w : workers_) w.thread.join();
   }
 
-  // Runs fn(0..nslots-1), the caller executing slot 0; returns when
-  // every slot completed. fn may call barrier() as long as every one
-  // of the nslots slots reaches the same barrier sequence (the
-  // cooperative GEMM below does; fn must not throw between barriers).
+  // Runs fn(slot) on nslots slots (the caller executing slot 0) and
+  // joins: returns when every slot completed.
   void run(int nslots, const std::function<void(int)>& fn) {
     nslots = std::min(nslots, kMaxSlots);
     if (nslots <= 1 || t_in_pool_worker) {
@@ -520,7 +478,6 @@ class WorkerPool {
       job_owner_index_ = static_cast<size_t>(here - job_cpus_->begin());
 #endif
     job_spin_us_ = spin_us();
-    barrier_.reset(nslots);
     done_.store(0, std::memory_order_relaxed);
     first_error_ = nullptr;
     ++jobs_;
@@ -535,8 +492,8 @@ class WorkerPool {
     try {
       fn(0);
     } catch (...) {
-      // Kernels do not throw; this keeps a misbehaving barrier-free
-      // job from abandoning the workers mid-protocol.
+      // Kernels do not throw; this keeps a misbehaving job from
+      // abandoning the workers mid-protocol.
       if (!first_error_) first_error_ = std::current_exception();
     }
     // Wait for every worker (participant or not) to acknowledge.
@@ -553,16 +510,6 @@ class WorkerPool {
     }
     job_fn_ = nullptr;
     if (first_error_) std::rethrow_exception(first_error_);
-  }
-
-  void barrier() { barrier_.wait(); }
-
-  // Shared packed-B panel for the cooperative GEMM (packed once per
-  // (jc, pc) cache block, read-only for all slots after the barrier).
-  // Only the pool owner may call this (it allocates), and only outside
-  // run() — workers receive the stable data pointer via the job.
-  float* shared_b() {
-    return shared_b_.get();
   }
 
   PoolStats stats() const {
@@ -659,63 +606,34 @@ class WorkerPool {
   std::condition_variable cv_;
   std::mutex done_mu_;
   std::condition_variable done_cv_;
-  SpinBarrier barrier_;
   std::vector<Worker> workers_;
-  Scratch<KC * NC> shared_b_;
   uint64_t jobs_ = 0;
 };
 
-// ------------------------------------------------- cooperative GEMM
-// One blocked GEMM executed by nslots cooperating slots, split over M:
-// per (jc, pc) cache block the B panel is packed once — the jr
-// sub-panels round-robined over the slots — and shared read-only after
-// a barrier; each slot owns a contiguous MR-aligned row range and
-// streams whole MC x nc blocks over the shared panel with its own
-// packed A, so nothing is packed twice. Short matrices split over N
-// instead (see gemm()). Either split writes disjoint C elements and
-// never touches the k order, so results are bit-identical to the
-// single-thread kernel at any slot count.
-struct GemmShape {
-  const float* a;
-  const float* b;
-  float* c;
-  int64_t m, n, k;
-  int64_t rs_a, cs_a, rs_b, cs_b, ldc;
-};
+// Threads for a kernel of `work` units: threads(), or 1 when the work is
+// below the kernel's grain and a fan-out would cost more than it saves.
+int threads_for(int64_t work, int64_t grain) {
+  return work < grain ? 1 : threads();
+}
 
-void gemm_cooperative(const GemmShape& g, WorkerPool& pool, float* bp,
-                      int slot, int nslots) {
-  float* ap = tl_pack_a.get();
-
-  const int64_t m_chunk = ceil_div(ceil_div(g.m, nslots), MR) * MR;
-  const int64_t i_begin = std::min<int64_t>(g.m, slot * m_chunk);
-  const int64_t i_end = std::min<int64_t>(g.m, i_begin + m_chunk);
-
-  for (int64_t jc = 0; jc < g.n; jc += NC) {
-    const int64_t nc = std::min(NC, g.n - jc);
-    for (int64_t pc = 0; pc < g.k; pc += KC) {
-      const int64_t kc = std::min(KC, g.k - pc);
-      const bool accumulate = pc > 0;
-      // Phase 1: cooperative pack of the shared B panel (round-robin
-      // over jr sub-panels so the work balances).
-      const float* bblock = g.b + pc * g.rs_b + jc * g.cs_b;
-      for (int64_t jr = slot * NR; jr < nc; jr += nslots * NR) {
-        pack_b_panel(bblock + jr * g.cs_b, bp + (jr / NR) * kc * NR, kc,
-                     std::min(NR, nc - jr), g.rs_b, g.cs_b);
-      }
-      pool.barrier();
-      // Phase 2: micro-kernels over this slot's rows.
-      for (int64_t ic = i_begin; ic < i_end; ic += MC) {
-        const int64_t mc = std::min(MC, i_end - ic);
-        pack_a(g.a + ic * g.rs_a + pc * g.cs_a, ap, mc, kc, g.rs_a, g.cs_a);
-        block_kernel(ap, mc, bp, nullptr, 0, g.c + ic * g.ldc + jc, g.ldc, kc,
-                     nc, accumulate);
-      }
-      // The next (pc, jc) block overwrites the shared panel; every
-      // reader must be past it first.
-      pool.barrier();
-    }
+// The one way a kernel runs threaded: [0, count) is cut into up to nt
+// contiguous, align-rounded slabs, each slot runs body(begin, end) on its
+// own slab (with its own thread-local scratch), and the slots join once.
+// Every element belongs to exactly one slab and no element's arithmetic
+// depends on the slab bounds, so the bits are those of body(0, count) at
+// any thread count.
+template <typename Body>
+void parallel_ranges(int64_t count, int64_t align, int nt, const Body& body) {
+  if (nt <= 1 || count <= 1) {
+    body(0, count);
+    return;
   }
+  const int64_t chunk = ceil_div(ceil_div(count, nt), align) * align;
+  WorkerPool::local().run(static_cast<int>(ceil_div(count, chunk)),
+                          [&](int slot) {
+                            const int64_t begin = slot * chunk;
+                            body(begin, std::min(count, begin + chunk));
+                          });
 }
 
 }  // namespace
@@ -730,42 +648,25 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
   }
   const int64_t lda = trans_a ? m : k;
   const int64_t ldb = trans_b ? k : n;
-  int nt = threads();
-  if (nt > 1 && m * n * k < kParallelGrain) nt = 1;
-  if (nt == 1) {
-    gemm_blocked(a, b, c, m, n, k, trans_a, trans_b, lda, ldb, n);
-    return;
-  }
-  WorkerPool& pool = WorkerPool::local();
+  const int nt = threads_for(m * n * k, kParallelGrain);
   if (m <= kShortM || m / MR < nt) {
-    // N-split: too few row tiles to share a packed B panel, and a short
-    // GEMM's cost is streaming B. Each slot runs the serial kernel on
-    // its own NR-aligned column slab (reading B in place when short),
-    // so B is read once overall and the slots never synchronize.
-    const int64_t chunk = ceil_div(ceil_div(n, nt), NR) * NR;
+    // N slabs: too few row tiles to give every slot rows, and a short
+    // GEMM's cost is streaming B. Each NR-aligned column slab reads its
+    // own columns of B (in place when short), so B is read once overall.
     const int64_t cs_b = trans_b ? ldb : 1;
-    pool.run(static_cast<int>(ceil_div(n, chunk)), [&](int slot) {
-      const int64_t j0 = slot * chunk;
-      gemm_blocked(a, b + j0 * cs_b, c + j0, m, std::min(chunk, n - j0), k,
-                   trans_a, trans_b, lda, ldb, n);
+    parallel_ranges(n, NR, nt, [&](int64_t j0, int64_t j1) {
+      gemm_blocked(a, b + j0 * cs_b, c + j0, m, j1 - j0, k, trans_a, trans_b,
+                   lda, ldb, n);
     });
     return;
   }
-  const GemmShape shape{a,
-                        b,
-                        c,
-                        m,
-                        n,
-                        k,
-                        trans_a ? 1 : lda,
-                        trans_a ? lda : 1,
-                        trans_b ? 1 : ldb,
-                        trans_b ? ldb : 1,
-                        n};
-  // Size the shared panel on the owner, before publish: the pointer is
-  // stable for the job's lifetime and workers never resize.
-  float* bp = pool.shared_b();
-  pool.run(nt, [&](int slot) { gemm_cooperative(shape, pool, bp, slot, nt); });
+  // M slabs: MR-aligned row ranges, each a serial blocked GEMM that packs
+  // its own B panels (or reads B in place when the slab is short).
+  const int64_t rs_a = trans_a ? 1 : lda;
+  parallel_ranges(m, MR, nt, [&](int64_t i0, int64_t i1) {
+    gemm_blocked(a + i0 * rs_a, b, c + i0 * n, i1 - i0, n, k, trans_a,
+                 trans_b, lda, ldb, n);
+  });
 }
 
 void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
@@ -780,37 +681,19 @@ void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
     }
     return;
   }
-  if (nb == 1) {
-    // A single batch still gets cooperative M/N parallelism via gemm().
-    gemm(a, b, c, m, n, k, trans_a, trans_b);
-    return;
-  }
-  const int64_t lda = trans_a ? m : k;
-  const int64_t ldb = trans_b ? k : n;
-  int nt = threads();
-  if (nt > 1 && nb * m * n * k < kParallelGrain) nt = 1;
-  if (nt == 1) {
-    for (int64_t i = 0; i < nb; ++i) {
-      gemm_blocked(a + i * a_stride, b + i * b_stride, c + i * c_stride, m, n,
-                   k, trans_a, trans_b, lda, ldb, n);
-    }
-    return;
-  }
+  const int nt = threads_for(nb * m * n * k, kParallelGrain);
   if (nb < nt) {
-    // Too few batches to slab: run each batch cooperatively instead.
+    // Too few batches to give every slot one: slab each batch's GEMM.
     for (int64_t i = 0; i < nb; ++i) {
       gemm(a + i * a_stride, b + i * b_stride, c + i * c_stride, m, n, k,
            trans_a, trans_b);
     }
     return;
   }
-  // Batches are independent: contiguous batch slabs, one per slot, each
-  // a serial blocked GEMM on the worker's own persistent pack buffers.
-  const int64_t chunk = ceil_div(nb, nt);
-  const int nslots = static_cast<int>(ceil_div(nb, chunk));
-  WorkerPool::local().run(nslots, [&](int t) {
-    const int64_t i0 = t * chunk;
-    const int64_t i1 = std::min(nb, i0 + chunk);
+  // Batch slabs: each slot runs the serial blocked GEMM on its batches.
+  const int64_t lda = trans_a ? m : k;
+  const int64_t ldb = trans_b ? k : n;
+  parallel_ranges(nb, 1, nt, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       gemm_blocked(a + i * a_stride, b + i * b_stride, c + i * c_stride, m, n,
                    k, trans_a, trans_b, lda, ldb, n);
@@ -1014,37 +897,12 @@ void scaled_softmax_grad_rows(const float* y, const float* dy, float* dx,
   }
 }
 
-// Partitions [0, count) into pool slots (contiguous, align-rounded
-// chunks) and runs body(begin, end) on each. Every element is handled
-// by exactly one slot and per-element work is order-independent across
-// slots, so the result is bit-identical at any thread count.
-template <typename Body>
-void parallel_ranges(int64_t count, int64_t total_elems, int64_t align,
-                     const Body& body) {
-  int nt = threads();
-  if (nt > 1 && total_elems < kElemGrain) nt = 1;
-  if (nt == 1 || count <= 1) {
-    body(0, count);
-    return;
-  }
-  const int64_t chunk = ceil_div(ceil_div(count, nt), align) * align;
-  const int nslots = static_cast<int>(ceil_div(count, chunk));
-  if (nslots <= 1) {
-    body(0, count);
-    return;
-  }
-  WorkerPool::local().run(nslots, [&](int slot) {
-    const int64_t b = slot * chunk;
-    const int64_t e = std::min(count, b + chunk);
-    if (b < e) body(b, e);
-  });
-}
-
 }  // namespace
 
 void bias_gelu(const float* x, const float* bias, float* y, int64_t rows,
                int64_t h) {
-  parallel_ranges(rows, rows * h, 1, [&](int64_t r0, int64_t r1) {
+  const int nt = threads_for(rows * h, kElemGrain);
+  parallel_ranges(rows, 1, nt, [&](int64_t r0, int64_t r1) {
     bias_gelu_rows(x, bias, y, r0, r1, h);
   });
 }
@@ -1052,45 +910,48 @@ void bias_gelu(const float* x, const float* bias, float* y, int64_t rows,
 void bias_gelu_grad(const float* x, const float* bias, const float* dy,
                     float* dx, float* dbias, int64_t rows, int64_t h) {
   // Column partition (16-aligned against false sharing on dx rows).
-  parallel_ranges(h, rows * h, 16, [&](int64_t j0, int64_t j1) {
+  const int nt = threads_for(rows * h, kElemGrain);
+  parallel_ranges(h, 16, nt, [&](int64_t j0, int64_t j1) {
     bias_gelu_grad_cols(x, bias, dy, dx, dbias, rows, h, j0, j1);
   });
 }
 
 void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
                     int64_t sk, float alpha, bool causal) {
-  parallel_ranges(rows, rows * sk, 1, [&](int64_t r0, int64_t r1) {
+  const int nt = threads_for(rows * sk, kElemGrain);
+  parallel_ranges(rows, 1, nt, [&](int64_t r0, int64_t r1) {
     scaled_softmax_rows(x, y, r0, r1, sq, sk, alpha, causal);
   });
 }
 
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha) {
-  parallel_ranges(rows, rows * n, 1, [&](int64_t r0, int64_t r1) {
+  const int nt = threads_for(rows * n, kElemGrain);
+  parallel_ranges(rows, 1, nt, [&](int64_t r0, int64_t r1) {
     scaled_softmax_grad_rows(y, dy, dx, r0, r1, n, alpha);
   });
 }
 
 void tanh(const float* x, float* y, int64_t n) {
-  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+  parallel_ranges(n, 16, threads_for(n, kElemGrain), [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) y[i] = tanh_f32(x[i]);
   });
 }
 
 void exp(const float* x, float* y, int64_t n) {
-  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+  parallel_ranges(n, 16, threads_for(n, kElemGrain), [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) y[i] = exp_f32(x[i]);
   });
 }
 
 void gelu(const float* x, float* y, int64_t n) {
-  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+  parallel_ranges(n, 16, threads_for(n, kElemGrain), [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) y[i] = gelu_value(x[i]);
   });
 }
 
 void gelu_grad(const float* x, const float* dy, float* dx, int64_t n) {
-  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+  parallel_ranges(n, 16, threads_for(n, kElemGrain), [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) dx[i] = dy[i] * gelu_derivative(x[i]);
   });
 }
@@ -1368,7 +1229,8 @@ void dropout_stateless(const float* x, float* y, uint8_t* mask,
   const float inv_keep = 1.0f / (1.0f - p);
   const uint64_t threshold =
       static_cast<uint64_t>(p * 18446744073709551615.0);  // p * (2^64 - 1)
-  parallel_ranges(n / w, n, 1, [&](int64_t r0, int64_t r1) {
+  const int nt = threads_for(n, kElemGrain);
+  parallel_ranges(n / w, 1, nt, [&](int64_t r0, int64_t r1) {
     dropout_rows(x, y, mask, dims, strides, nd, base, seed, threshold,
                  inv_keep, r0, r1);
   });
@@ -1377,7 +1239,7 @@ void dropout_stateless(const float* x, float* y, uint8_t* mask,
 void dropout_grad(const float* dy, const uint8_t* mask, float* dx, int64_t n,
                   float p) {
   const float inv_keep = 1.0f / (1.0f - p);
-  parallel_ranges(n, n, 16, [&](int64_t b, int64_t e) {
+  parallel_ranges(n, 16, threads_for(n, kElemGrain), [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i)
       dx[i] = dy[i] * static_cast<float>(mask[i]) * inv_keep;
   });

@@ -39,14 +39,13 @@
 //    kernel (100 us when the slice holds more than one CPU, else not
 //    at all), then park on a condition variable, so the per-GEMM
 //    dispatch cost is a couple of atomic stores, not a mutex
-//    handshake. Tall threaded GEMMs run cooperatively: the B panel of
-//    each (jc, pc) cache block is packed once, shared read-only, and
-//    the M dimension is slabbed across workers so each streams whole
-//    MC x NC blocks with its own packed A panels. Short ones
-//    (m <= short_m, or fewer row tiles than workers) split N instead:
-//    each worker runs the serial kernel on its own NR-aligned column
-//    slab of B. The rank threads never contend on a shared queue and
-//    teardown is per rank-thread.
+//    handshake. Every threaded kernel is one pattern: the extent is
+//    cut into aligned slabs, each slot runs the serial kernel on its
+//    own slab with its own packing scratch, and the slots join once.
+//    A GEMM's slabs are MR-aligned row ranges; short ones (m <=
+//    short_m, or fewer row tiles than workers) take NR-aligned column
+//    slabs of B instead, so B is read once overall. The rank threads
+//    never contend on a shared queue and teardown is per rank-thread.
 //  * A rank's CPUs are its slice, the simulator's stand-in for the
 //    paper's one device per rank. Of the C CPUs in the affinity mask a
 //    rank thread inherits (read when spmd::run binds it, see

@@ -1,11 +1,14 @@
 // Tests for the simulated communication substrate: ring collectives
-// (correctness vs direct computation, exact traffic volumes), splits,
-// p2p, and failure propagation.
+// (correctness vs direct computation, exact traffic volumes, a moved-in
+// reduce-scatter operand summed in place), splits, p2p, and failure
+// propagation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/spmd.h"
@@ -158,6 +161,31 @@ TEST_P(CollectiveTest, Broadcast) {
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveTest,
                          ::testing::Values(1, 2, 3, 4, 8));
+
+TEST(CommReduceScatter, MovedInOperandMatchesLvalueBitwise) {
+  // A moved-in operand that holds its storage alone is summed in place;
+  // an lvalue operand is summed in a copy. Both give the same bits, and
+  // the lvalue caller's tensor comes back unchanged.
+  for (int t : {2, 4}) {
+    spmd::run(t, [&](comm::Comm& c) {
+      Rng rng(41 + static_cast<uint64_t>(c.rank()));
+      Tensor x = Tensor::randn(Shape{{3 * t, 7}}, rng);
+      const Tensor before = x.clone();
+      const Tensor from_lvalue = c.reduce_scatter(x, 0);
+      ASSERT_EQ(0, std::memcmp(x.data(), before.data(),
+                               sizeof(float) * static_cast<size_t>(x.numel())))
+          << "t=" << t << ": the lvalue operand was modified";
+      Tensor moved = x.clone();
+      ASSERT_TRUE(moved.unique());
+      const Tensor from_moved = c.reduce_scatter(std::move(moved), 0);
+      ASSERT_EQ(from_moved.shape(), from_lvalue.shape());
+      ASSERT_EQ(0, std::memcmp(from_moved.data(), from_lvalue.data(),
+                               sizeof(float) *
+                                   static_cast<size_t>(from_lvalue.numel())))
+          << "t=" << t;
+    });
+  }
+}
 
 TEST(CommSplit, TwoByTwoGrid) {
   // 4 ranks -> 2 tensor-parallel groups (rows) x 2 pipeline groups

@@ -144,6 +144,14 @@ TEST(CommErrors, ReduceScatterRequiresDivisibleDim) {
   });
 }
 
+TEST(CommErrors, ReduceScatterRejectsNonzeroDim) {
+  // The ring splits dim 0 only; every rank throws before the rendezvous.
+  spmd::run(2, [](comm::Comm& c) {
+    Tensor t = Tensor::zeros(Shape{{2, 4}});
+    ASSERT_THROW(c.reduce_scatter(t, 1), Error);
+  });
+}
+
 // ------------------------------------------------------ schedule misuse
 
 TEST(ScheduleErrors, InterleavedRequiresDivisibleMicrobatches) {

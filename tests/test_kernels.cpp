@@ -215,27 +215,44 @@ TEST(KernelGemm, DispatcherHonorsReferenceFlag) {
 // -------------------------------------------- thread-count bit identity
 
 TEST(KernelGemm, ThreadCountDoesNotChangeBits) {
-  // Big enough to clear kParallelGrain so the pool actually engages;
-  // m and n straddle tile boundaries (130 = 21*6+4, 97 = 6*16+1).
-  const int64_t m = 130, n = 97, k = 256;
-  const std::vector<float> a = random_vec(m * k, 11);
-  const std::vector<float> b = random_vec(k * n, 12);
-  for (int ta = 0; ta < 2; ++ta) {
-    for (int tb = 0; tb < 2; ++tb) {
-      const bool trans_a = ta != 0;
-      const bool trans_b = tb != 0;
-      std::vector<float> c1(static_cast<size_t>(m * n));
-      kernels::gemm(a.data(), b.data(), c1.data(), m, n, k, trans_a, trans_b);
-      for (const char* nt : {"2", "4", "7"}) {
-        ScopedEnv env("MLS_KERNEL_THREADS", nt);
-        ASSERT_GT(kernels::threads(), 1);
-        std::vector<float> cn(static_cast<size_t>(m * n), -1.0f);
-        kernels::gemm(a.data(), b.data(), cn.data(), m, n, k, trans_a,
-                      trans_b);
-        EXPECT_EQ(0,
-                  std::memcmp(c1.data(), cn.data(), sizeof(float) * c1.size()))
-            << "threads=" << nt << " trans_a=" << trans_a
-            << " trans_b=" << trans_b;
+  // Every shape clears kParallelGrain so the pool engages, and each
+  // threaded run must equal the single-thread bits. The shapes cover
+  // both slab directions and the cache blocking:
+  //  * 130 x 97 x 256: m and n straddle tile boundaries (130 = 21*6+4,
+  //    97 = 6*16+1), k is one full KC panel;
+  //  * 512 x 32 x 512: the attention P·V / dV shape, narrow N, M slabs;
+  //  * 97 x 600 x 300: two NC column blocks and two KC panels per slab;
+  //  * 40 x 97 x 600: M slabs of at most short_m rows, which read B in
+  //    place (N slabs at 7 threads, with fewer row tiles than slots).
+  struct Case {
+    int64_t m, n, k;
+  };
+  const Case cases[] = {{130, 97, 256}, {512, 32, 512}, {97, 600, 300},
+                        {40, 97, 600}};
+  for (const Case& s : cases) {
+    const std::vector<float> a = random_vec(s.m * s.k, 11 + s.m);
+    const std::vector<float> b = random_vec(s.k * s.n, 12 + s.n);
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        const bool trans_a = ta != 0;
+        const bool trans_b = tb != 0;
+        std::vector<float> c1(static_cast<size_t>(s.m * s.n));
+        {
+          ScopedEnv env("MLS_KERNEL_THREADS", "1");
+          kernels::gemm(a.data(), b.data(), c1.data(), s.m, s.n, s.k, trans_a,
+                        trans_b);
+        }
+        for (const char* nt : {"2", "3", "4", "7"}) {
+          ScopedEnv env("MLS_KERNEL_THREADS", nt);
+          ASSERT_GT(kernels::threads(), 1);
+          std::vector<float> cn(static_cast<size_t>(s.m * s.n), -1.0f);
+          kernels::gemm(a.data(), b.data(), cn.data(), s.m, s.n, s.k, trans_a,
+                        trans_b);
+          EXPECT_EQ(0, std::memcmp(c1.data(), cn.data(),
+                                   sizeof(float) * c1.size()))
+              << s.m << "x" << s.n << "x" << s.k << " threads=" << nt
+              << " trans_a=" << trans_a << " trans_b=" << trans_b;
+        }
       }
     }
   }
