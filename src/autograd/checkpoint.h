@@ -8,10 +8,10 @@
 //
 // Full activation recomputation is built on this primitive: fn is an
 // entire transformer layer, so only the 2sbh layer input is stored
-// (Table 2, last row). Selective recomputation does not checkpoint: the
-// attention core it recomputes is one streamed node
-// (core::streamed_attention_core) that saves Q/K/V and rebuilds one
-// (batch, head) slice at a time in backward.
+// (Table 2, last row). Selective recomputation does not checkpoint: it
+// runs the one attention-core node (core::attention_core) with the
+// Q/K/V-only saved set, which rebuilds one (batch, head) slice at a
+// time in backward.
 //
 // Replay exactness: all stochastic ops in this codebase (dropout) are
 // stateless functions of (seed, global element index), so the replay

@@ -291,12 +291,12 @@ Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map) {
   return make_output(std::move(out.y), std::move(node), {x});
 }
 
-// ------------------------------------------------- folded fused ops
-// The folded-TSP plan's two fusions: each consumes a pointwise-
-// recomputable activation inside the node so it is never saved. Both
-// recompute with the exact forward kernels on the exact saved inputs,
-// so their outputs and gradients are bitwise identical to the unfused
-// chains they replace.
+// ------------------------------------------------- folded fused op
+// The folded-TSP plan's MLP fusion: it consumes the pointwise-
+// recomputable GeLU output inside the node so it is never saved, and
+// recomputes it with the exact forward kernel on the exact saved input,
+// so its output and gradients are bitwise identical to the unfused
+// bias_gelu + matmul chain.
 
 namespace {
 class BiasGeluMatmulNode : public Node {
@@ -307,13 +307,17 @@ class BiasGeluMatmulNode : public Node {
         saved_w_(w.value(), !w.is_param()) {}
   const char* name() const override { return "bias_gelu_matmul"; }
   std::vector<Tensor> backward(const Tensor& grad_out) override {
-    // Pointwise recompute of the GeLU output the fusion folded away;
-    // bitwise equal to the forward value (same kernel, same input).
-    const Tensor z = ops::bias_gelu(saved_x_.get(), saved_bias_.get());
     std::vector<Tensor> grads(3);
-    Tensor dz = ops::matmul(grad_out, saved_w_.get(), false, /*trans_b=*/true);
-    dz = dz.reshape(saved_x_.get().shape());
-    grads[2] = ops::matmul(as_2d(z), as_2d(grad_out), /*trans_a=*/true);
+    Tensor dz;
+    {
+      // Pointwise recompute of the GeLU output the fusion folded away;
+      // bitwise equal to the forward value (same kernel, same input).
+      // It is freed right after the dW GEMM, before bias_gelu_grad.
+      const Tensor z = ops::bias_gelu(saved_x_.get(), saved_bias_.get());
+      dz = ops::matmul(grad_out, saved_w_.get(), false, /*trans_b=*/true);
+      dz = dz.reshape(saved_x_.get().shape());
+      grads[2] = ops::matmul(as_2d(z), as_2d(grad_out), /*trans_a=*/true);
+    }
     auto g = ops::bias_gelu_grad(saved_x_.get(), saved_bias_.get(), dz);
     grads[0] = g.dx;
     grads[1] = g.dbias;
@@ -339,61 +343,6 @@ Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w) {
     node = std::make_shared<BiasGeluMatmulNode>(x, bias, w);
   }
   return make_output(std::move(y), std::move(node), {x, bias, w});
-}
-
-namespace {
-class ScaledSoftmaxDropoutBmmNode : public Node {
- public:
-  ScaledSoftmaxDropoutBmmNode(const Var& scores, const Var& v, Tensor mask,
-                              float alpha, bool causal, float p)
-      : saved_scores_(scores.value(), !scores.is_param()),
-        saved_mask_(std::move(mask), /*counted=*/true),
-        saved_v_(v.value(), !v.is_param()),
-        alpha_(alpha),
-        causal_(causal),
-        p_(p) {}
-  const char* name() const override { return "scaled_softmax_dropout_bmm"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    // Recompute the softmax output from the saved scores (same kernel →
-    // bitwise equal), then re-apply the saved mask: dropout_grad is
-    // exactly the mask-multiply the forward performed.
-    const Tensor probs = ops::scaled_softmax(saved_scores_.get(), alpha_, causal_);
-    const Tensor probs_d = ops::dropout_grad(probs, saved_mask_.get(), p_);
-    std::vector<Tensor> grads(2);
-    Tensor dprobs_d = ops::bmm(grad_out, saved_v_.get(), false, /*trans_b=*/true);
-    grads[1] = ops::bmm(probs_d, grad_out, /*trans_a=*/true, false);
-    const Tensor dprobs = ops::dropout_grad(dprobs_d, saved_mask_.get(), p_);
-    grads[0] = ops::scaled_softmax_grad(probs, dprobs, alpha_);
-    return grads;
-  }
-  void release_saved() override {
-    saved_scores_.reset();
-    saved_mask_.reset();
-    saved_v_.reset();
-  }
-
- private:
-  SavedTensor saved_scores_, saved_mask_, saved_v_;
-  float alpha_;
-  bool causal_;
-  float p_;
-};
-}  // namespace
-
-Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
-                               bool causal, float p, uint64_t seed,
-                               const ops::IndexMap& map) {
-  const bool saves =
-      GradMode::enabled() && (scores.requires_grad() || v.requires_grad());
-  Tensor probs = ops::scaled_softmax(scores.value(), alpha, causal);
-  ops::DropoutOut d = ops::dropout_stateless(probs, p, seed, map, saves);
-  Tensor y = ops::bmm(d.y, v.value());
-  std::shared_ptr<Node> node;
-  if (saves) {
-    node = std::make_shared<ScaledSoftmaxDropoutBmmNode>(
-        scores, v, std::move(d.mask), alpha, causal, p);
-  }
-  return make_output(std::move(y), std::move(node), {scores, v});
 }
 
 // --------------------------------------------------------------- layernorm

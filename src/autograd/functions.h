@@ -10,8 +10,14 @@
 //   softmax        saves its output
 //   scaled_softmax saves its output — same bytes as softmax
 //   dropout        saves only its 1-byte mask
+//   bias_gelu_matmul saves the pre-bias input (the GeLU output is
+//                  recomputed in backward)
 //   layernorm      saves its input (mean/rstd are "minor" sb buffers)
 //   add/bias/scale/reshape/slice save nothing
+// The attention core is one node outside this file
+// (core::attention_core); its saved set is an argument: Q/K/V alone,
+// Q/K/V + P + mask + P·dropout (Table 2's 5as²b/t), or Q/K/V + scores
+// + mask (folded TSP's 3as²b/t).
 #pragma once
 
 #include <cstdint>
@@ -52,17 +58,6 @@ Var dropout(const Var& x, float p, uint64_t seed, const ops::IndexMap& map);
 // (the folded-TSP plan's MLP stage). Numerics are bitwise identical to
 // the unfused bias_gelu + matmul chain — same kernels, same order.
 Var bias_gelu_matmul(const Var& x, const Var& bias, const Var& w);
-
-// Fused scaled-softmax + dropout + bmm (the folded-TSP attention core
-// tail): dropout(scaled_softmax(scores, alpha, causal)) @ v. Saves the
-// scores, the 1-byte mask and v; the softmax output and its dropped
-// copy are recomputed pointwise in backward (the mask re-applies
-// deterministically), eliminating the stored probabilities. Bitwise
-// identical to the unfused scaled_softmax → dropout → bmm chain. As in
-// dropout, no mask is drawn when no node is built.
-Var scaled_softmax_dropout_bmm(const Var& scores, const Var& v, float alpha,
-                               bool causal, float p, uint64_t seed,
-                               const ops::IndexMap& map);
 
 Var layernorm(const Var& x, const Var& gamma, const Var& beta,
               float eps = 1e-5f);

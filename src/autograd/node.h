@@ -13,14 +13,15 @@ namespace mls::ag {
 // A tensor kept alive for the backward pass. Construction charges the
 // calling rank's MemoryTracker with the tensor's logical byte size;
 // reset()/destruction releases the charge. Parameters and other
-// non-activation tensors are saved with counted=false.
+// non-activation tensors are saved with counted=false; an undefined
+// tensor is charged nothing.
 //
 // Move-only so a charge is owned by exactly one place.
 class SavedTensor {
  public:
   SavedTensor() = default;
   SavedTensor(Tensor t, bool counted, bool major = true)
-      : t_(std::move(t)), counted_(counted), major_(major) {
+      : t_(std::move(t)), counted_(counted && t_.defined()), major_(major) {
     if (counted_) {
       bytes_ = t_.logical_bytes();
       MemoryTracker::instance().on_save(bytes_, major_);

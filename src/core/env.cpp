@@ -1,7 +1,9 @@
 #include "core/env.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -11,13 +13,17 @@ namespace mls::core {
 namespace {
 
 std::mutex g_mu;
-std::map<std::string, std::string>& overrides() {
-  static std::map<std::string, std::string> m;
+// std::less<> finds a const char* key without building a std::string.
+std::map<std::string, std::string, std::less<>>& overrides() {
+  static std::map<std::string, std::string, std::less<>> m;
   return m;
 }
+// overrides().size(), written under g_mu, so a lookup with no override
+// set (every read outside tests) takes neither the lock nor the map.
+std::atomic<size_t> g_count{0};
 
 std::optional<std::string> lookup(const char* name) {
-  {
+  if (g_count.load(std::memory_order_acquire) > 0) {
     std::lock_guard<std::mutex> lock(g_mu);
     auto it = overrides().find(name);
     if (it != overrides().end()) return it->second;
@@ -68,11 +74,13 @@ std::string Env::str(const char* name, const std::string& def) {
 void Env::set(const std::string& name, const std::string& value) {
   std::lock_guard<std::mutex> lock(g_mu);
   overrides()[name] = value;
+  g_count.store(overrides().size(), std::memory_order_release);
 }
 
 void Env::clear(const std::string& name) {
   std::lock_guard<std::mutex> lock(g_mu);
   overrides().erase(name);
+  g_count.store(overrides().size(), std::memory_order_release);
 }
 
 }  // namespace mls::core

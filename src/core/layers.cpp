@@ -107,12 +107,12 @@ Var ParallelSelfAttention::forward(const Var& x, const ParallelEnv& env) const {
   Var v = ag::sbh_to_bhsd(parts[2], heads_local);
 
   // The attention core (Fig 3's red dashed region): QKᵀ, softmax,
-  // softmax-dropout, attention over V. Without recomputation the plan's
-  // attention_core saves its s² state (which ops fuse, and therefore
-  // what is saved, is the plan's decision). Every recompute rung — the
-  // selective one, and the layer replay of full recomputation — runs
-  // the streamed core instead: Q/K/V are its only saved inputs, and
-  // backward rebuilds one (batch, head) slice at a time.
+  // softmax-dropout, attention over V. Which s² tensors it keeps for
+  // backward is the rung's and the plan's decision: without
+  // recomputation the plan's set (its Table-2 attention term); every
+  // recompute rung — the selective one, and the layer replay of full
+  // recomputation — keeps Q/K/V only and rebuilds one (batch, head)
+  // slice at a time in backward.
   AttnCoreDims dims;
   dims.heads_local = heads_local;
   dims.heads_total = a_;
@@ -123,9 +123,10 @@ Var ParallelSelfAttention::forward(const Var& x, const ParallelEnv& env) const {
   dims.causal = causal_;
   dims.dropout_p = env.effective_dropout(dropout_p_);
   dims.seed = env.dropout_seed(site_base_ + 0);
-  Var ctx = (env.recompute == Recompute::kNone)
-                ? env.plan().attention_core(q, k, v, dims)
-                : streamed_attention_core(q, k, v, dims);
+  const AttnSaved saved = env.recompute == Recompute::kNone
+                              ? env.plan().attention_saved()
+                              : AttnSaved::kInputs;
+  Var ctx = attention_core(q, k, v, dims, saved);
 
   Var ctx_sbh = ag::bhsd_to_sbh(ctx, heads_local);  // [s, b, h/t]
   return proj.forward(ctx_sbh, env);

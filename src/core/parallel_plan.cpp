@@ -30,15 +30,6 @@ PlanKind plan_kind_from_string(const std::string& s) {
 
 // ------------------------------------------------------ attention core
 
-ops::IndexMap AttnCoreDims::mask_map() const {
-  const int64_t ss = s_full * s_full;
-  ops::IndexMap map;
-  map.dims = {batch, heads_local, s_full, s_full};
-  map.strides = {heads_total * ss, ss, s_full, 1};
-  map.base = mask_map(0).base;
-  return map;
-}
-
 ops::IndexMap AttnCoreDims::mask_map(int64_t slice) const {
   const int64_t ss = s_full * s_full;
   const int64_t bi = slice / heads_local;
@@ -53,154 +44,172 @@ ops::IndexMap AttnCoreDims::mask_map(int64_t slice) const {
 
 namespace {
 
-// One (batch, head) slice's s×s state, allocated once per pass and
-// reused across slices. Forward writes the dropped probs over scores
-// and draws no mask. Backward keeps probs, the dropped probs and the
-// mask, then reuses scores for d(P·dropout) and dS, and probs_d for dP.
-struct SliceWorkspace {
-  Tensor scores, probs, probs_d, mask;
-
-  static SliceWorkspace make(int64_t s, Dtype dtype, bool backward) {
-    const Shape ss{{s, s}};
-    SliceWorkspace ws;
-    ws.scores = Tensor::empty(ss, dtype);
-    ws.probs = Tensor::empty(ss, dtype);
-    if (backward) {
-      ws.probs_d = Tensor::empty(ss, dtype);
-      ws.mask = Tensor::empty(ss, Dtype::U8);
-    }
-    return ws;
-  }
-};
-
-// The streamed core's operands as [b·a/t, s, d] slices.
+// The core's operands as [b·a/t, s, d] slices, and its s² tensors as
+// [b·a/t, s, s] slices.
 struct CoreView {
   const float* q;
   const float* k;
   const float* v;
   int64_t s, hd;
   int64_t at(int64_t i) const { return i * s * hd; }
+  int64_t sq(int64_t i) const { return i * s * s; }
 };
 
-// Slice i's probabilities (QKᵀ → scaled softmax into ws.probs) and
-// dropped probabilities: into ws.probs_d with the mask when ws holds
-// one (backward), else into ws.scores with no mask drawn (forward).
-// The same kernels, on the same rows, as ops::bmm / scaled_softmax /
-// dropout_stateless over the whole [b·a/t, s, s] tensor.
-float* slice_forward(const CoreView& c, const AttnCoreDims& d, int64_t i,
-                     SliceWorkspace& ws) {
-  const int64_t s = c.s;
-  float* scores = ws.scores.data();
-  float* probs = ws.probs.data();
-  kernels::gemm(c.q + c.at(i), c.k + c.at(i), scores, s, s, c.hd,
-                /*trans_a=*/false, /*trans_b=*/true);
-  kernels::scaled_softmax(scores, probs, s, d.causal ? s : 1, s, d.alpha,
-                          d.causal);
-  const bool with_mask = ws.mask.defined();
-  float* probs_d = with_mask ? ws.probs_d.data() : scores;
-  const ops::IndexMap map = d.mask_map(i);
-  kernels::dropout_stateless(probs, probs_d, with_mask ? ws.mask.u8() : nullptr,
-                             map.dims.data(), map.strides.data(),
-                             static_cast<int>(map.dims.size()), map.base,
-                             d.seed, d.dropout_p);
-  return probs_d;
+// n s×s slices (a whole saved tensor, or one slice of workspace), or none.
+Tensor slices(int64_t n, int64_t s, Dtype dtype, bool needed) {
+  return needed ? Tensor::empty(Shape{{n, s, s}}, dtype) : Tensor();
 }
 
-class StreamedAttentionCoreNode final : public ag::Node {
+void slice_softmax(const float* scores, float* probs, int64_t s,
+                   const AttnCoreDims& d) {
+  kernels::scaled_softmax(scores, probs, s, d.causal ? s : 1, s, d.alpha,
+                          d.causal);
+}
+
+// Slice i's QKᵀ into scores, scaled softmax into probs and dropout into
+// probs_d (which may alias either), drawing the mask when it is not null.
+// The same kernels, on the same rows, as ops::bmm / scaled_softmax /
+// dropout_stateless over the whole [b·a/t, s, s] tensor.
+void slice_forward(const CoreView& c, const AttnCoreDims& d, int64_t i,
+                   float* scores, float* probs, float* probs_d,
+                   uint8_t* mask) {
+  kernels::gemm(c.q + c.at(i), c.k + c.at(i), scores, c.s, c.s, c.hd,
+                /*trans_a=*/false, /*trans_b=*/true);
+  slice_softmax(scores, probs, c.s, d);
+  const ops::IndexMap map = d.mask_map(i);
+  kernels::dropout_stateless(probs, probs_d, mask, map.dims.data(),
+                             map.strides.data(),
+                             static_cast<int>(map.dims.size()), map.base,
+                             d.seed, d.dropout_p);
+}
+
+class AttentionCoreNode final : public ag::Node {
  public:
-  StreamedAttentionCoreNode(const ag::Var& q, const ag::Var& k,
-                            const ag::Var& v, const AttnCoreDims& d)
+  // scores, probs, probs_d, mask: the set's whole saved tensors
+  // (undefined where the set leaves one out).
+  AttentionCoreNode(const ag::Var& q, const ag::Var& k, const ag::Var& v,
+                    const AttnCoreDims& d, AttnSaved saved, Tensor scores,
+                    Tensor probs, Tensor probs_d, Tensor mask)
       : q_(q.value(), !q.is_param()),
         k_(k.value(), !k.is_param()),
         v_(v.value(), !v.is_param()),
-        d_(d) {}
+        scores_(std::move(scores), true),
+        probs_(std::move(probs), true),
+        probs_d_(std::move(probs_d), true),
+        mask_(std::move(mask), true),
+        d_(d),
+        saved_(saved) {}
 
-  const char* name() const override { return "streamed_attention_core"; }
+  const char* name() const override { return "attention_core"; }
 
   std::vector<Tensor> backward(const Tensor& grad_out) override {
-    const CoreView c = view();
     const Tensor& q = q_.get();
-    const int64_t nb = q.dim(0);
+    const CoreView c{q.data(), k_.get().data(), v_.get().data(), q.dim(1),
+                     q.dim(2)};
     const int64_t s = c.s;
     Tensor dq = Tensor::empty(q.shape(), q.dtype());
     Tensor dk = Tensor::empty(q.shape(), q.dtype());
     Tensor dv = Tensor::empty(q.shape(), q.dtype());
-    SliceWorkspace ws = SliceWorkspace::make(s, q.dtype(), true);
-    for (int64_t i = 0; i < nb; ++i) {
-      slice_forward(c, d_, i, ws);
+    // a holds d(P·dropout), then dS; b the rebuilt P·dropout until dV
+    // has read it, then dP. P and the mask get a slice of workspace
+    // where the set left them out.
+    Tensor a = slices(1, s, q.dtype(), true);
+    Tensor b = slices(1, s, q.dtype(), true);
+    Tensor p = slices(1, s, q.dtype(), !probs_.defined());
+    Tensor m = slices(1, s, Dtype::U8, !mask_.defined());
+    for (int64_t i = 0; i < q.dim(0); ++i) {
+      const float* probs = p.defined() ? p.data() : probs_.get().data() + c.sq(i);
+      const uint8_t* mask = m.defined() ? m.u8() : mask_.get().u8() + c.sq(i);
+      const float* probs_d = b.data();
+      switch (saved_) {
+        case AttnSaved::kInputs:
+          slice_forward(c, d_, i, a.data(), p.data(), b.data(), m.u8());
+          break;
+        case AttnSaved::kScores:  // the saved mask re-applies the dropout
+          slice_softmax(scores_.get().data() + c.sq(i), p.data(), s, d_);
+          kernels::dropout_grad(p.data(), mask, b.data(), s * s, d_.dropout_p);
+          break;
+        case AttnSaved::kProbs:
+          probs_d = probs_d_.get().data() + c.sq(i);
+          break;
+      }
       const float* dctx = grad_out.data() + c.at(i);
       // dV = (P·dropout)ᵀ dctx; dP = dropout'(dctx Vᵀ); dS = softmax'(dP).
-      kernels::gemm(ws.probs_d.data(), dctx, dv.data() + c.at(i), s, c.hd, s,
+      kernels::gemm(probs_d, dctx, dv.data() + c.at(i), s, c.hd, s,
                     /*trans_a=*/true, /*trans_b=*/false);
-      kernels::gemm(dctx, c.v + c.at(i), ws.scores.data(), s, s, c.hd,
+      kernels::gemm(dctx, c.v + c.at(i), a.data(), s, s, c.hd,
                     /*trans_a=*/false, /*trans_b=*/true);
-      kernels::dropout_grad(ws.scores.data(), ws.mask.u8(), ws.probs_d.data(),
-                            s * s, d_.dropout_p);
-      kernels::scaled_softmax_grad(ws.probs.data(), ws.probs_d.data(),
-                                   ws.scores.data(), s, s, d_.alpha);
+      kernels::dropout_grad(a.data(), mask, b.data(), s * s, d_.dropout_p);
+      kernels::scaled_softmax_grad(probs, b.data(), a.data(), s, s, d_.alpha);
       // dQ = dS K; dK = dSᵀ Q.
-      kernels::gemm(ws.scores.data(), c.k + c.at(i), dq.data() + c.at(i), s,
-                    c.hd, s, /*trans_a=*/false, /*trans_b=*/false);
-      kernels::gemm(ws.scores.data(), c.q + c.at(i), dk.data() + c.at(i), s,
-                    c.hd, s, /*trans_a=*/true, /*trans_b=*/false);
+      kernels::gemm(a.data(), c.k + c.at(i), dq.data() + c.at(i), s, c.hd, s,
+                    /*trans_a=*/false, /*trans_b=*/false);
+      kernels::gemm(a.data(), c.q + c.at(i), dk.data() + c.at(i), s, c.hd, s,
+                    /*trans_a=*/true, /*trans_b=*/false);
     }
     return {dq, dk, dv};
   }
 
   void release_saved() override {
-    q_.reset();
-    k_.reset();
-    v_.reset();
+    for (ag::SavedTensor* t : {&q_, &k_, &v_, &scores_, &probs_, &probs_d_, &mask_})
+      t->reset();
   }
 
  private:
-  CoreView view() const {
-    const Tensor& q = q_.get();
-    return {q.data(), k_.get().data(), v_.get().data(), q.dim(1), q.dim(2)};
-  }
-
-  ag::SavedTensor q_, k_, v_;
+  ag::SavedTensor q_, k_, v_, scores_, probs_, probs_d_, mask_;
   AttnCoreDims d_;
+  AttnSaved saved_;
 };
 
 }  // namespace
 
-ag::Var streamed_attention_core(const ag::Var& q, const ag::Var& k,
-                                const ag::Var& v, const AttnCoreDims& d) {
+ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
+                       const AttnCoreDims& d, AttnSaved saved) {
   const Tensor& qv = q.value();
   MLS_CHECK(d.dropout_p >= 0.f && d.dropout_p < 1.f)
       << "dropout p=" << d.dropout_p;
   MLS_CHECK_EQ(qv.ndim(), 3);
   MLS_CHECK(k.value().shape() == qv.shape() && v.value().shape() == qv.shape())
-      << "streamed attention core wants equal [b·a/t, s, d] q, k, v";
+      << "attention core wants equal [b·a/t, s, d] q, k, v";
   MLS_CHECK_EQ(qv.dim(0), d.batch * d.heads_local);
   MLS_CHECK_EQ(qv.dim(1), d.s_full);
+  const bool grad = ag::GradMode::enabled() &&
+                    (q.requires_grad() || k.requires_grad() ||
+                     v.requires_grad());
+  if (!grad) saved = AttnSaved::kInputs;
   const CoreView c{qv.data(), k.value().data(), v.value().data(), qv.dim(1),
                    qv.dim(2)};
-  Tensor out = Tensor::empty(qv.shape(), qv.dtype());
-  SliceWorkspace ws = SliceWorkspace::make(c.s, qv.dtype(), false);
-  for (int64_t i = 0; i < qv.dim(0); ++i) {
-    const float* probs_d = slice_forward(c, d, i, ws);
-    kernels::gemm(probs_d, c.v + c.at(i), out.data() + c.at(i), c.s, c.hd, c.s);
+  const int64_t nb = qv.dim(0);
+  const Dtype dt = qv.dtype();
+  Tensor out = Tensor::empty(qv.shape(), dt);
+  // The set's whole saved tensors, and one slice of workspace for the
+  // scores or P it does not keep. P·dropout goes over the scores slice
+  // (inputs set) or over the P slice (scores set).
+  const bool keeps_scores = saved == AttnSaved::kScores;
+  const bool keeps_probs = saved == AttnSaved::kProbs;
+  Tensor scores = slices(keeps_scores ? nb : 1, c.s, dt, true);
+  Tensor probs = slices(keeps_probs ? nb : 1, c.s, dt, true);
+  Tensor probs_d = slices(nb, c.s, dt, keeps_probs);
+  Tensor mask = slices(nb, c.s, Dtype::U8, saved != AttnSaved::kInputs);
+  for (int64_t i = 0; i < nb; ++i) {
+    float* sc = scores.data() + (keeps_scores ? c.sq(i) : 0);
+    float* pr = probs.data() + (keeps_probs ? c.sq(i) : 0);
+    float* pd = keeps_probs ? probs_d.data() + c.sq(i) : keeps_scores ? pr : sc;
+    slice_forward(c, d, i, sc, pr, pd,
+                  mask.defined() ? mask.u8() + c.sq(i) : nullptr);
+    kernels::gemm(pd, c.v + c.at(i), out.data() + c.at(i), c.s, c.hd, c.s);
   }
   std::shared_ptr<ag::Node> node;
-  if (ag::GradMode::enabled() &&
-      (q.requires_grad() || k.requires_grad() || v.requires_grad())) {
-    node = std::make_shared<StreamedAttentionCoreNode>(q, k, v, d);
+  if (grad) {
+    node = std::make_shared<AttentionCoreNode>(
+        q, k, v, d, saved, keeps_scores ? std::move(scores) : Tensor(),
+        keeps_probs ? std::move(probs) : Tensor(), std::move(probs_d),
+        std::move(mask));
   }
   return ag::make_output(std::move(out), std::move(node), {q, k, v});
 }
 
 // ------------------------------------------------- shared default stages
-
-ag::Var ParallelPlan::attention_core(const ag::Var& q, const ag::Var& k,
-                                     const ag::Var& v,
-                                     const AttnCoreDims& d) const {
-  ag::Var scores = ag::bmm(q, k, /*trans_b=*/true);
-  ag::Var probs = ag::scaled_softmax(scores, d.alpha, d.causal);
-  ag::Var probs_d = ag::dropout(probs, d.dropout_p, d.seed, d.mask_map());
-  return ag::bmm(probs_d, v, /*trans_b=*/false);
-}
 
 ag::Var ParallelPlan::mlp_act_fc2(const ag::Var& z1, const ag::Var& b1,
                                   const ag::Var& w2) const {
@@ -303,8 +312,9 @@ class SpPlan : public ParallelPlan {
 //   * the MLP GeLU output (8sbh/t) — bias_gelu fused into lin2's GEMM,
 //     recomputed pointwise from the saved pre-bias input in backward;
 //   * the attention probabilities (2·as²b/t of the 5as²b/t term) — the
-//     softmax output and its dropped copy recomputed from the saved
-//     scores + 1-byte mask inside the fused softmax-dropout-AV node.
+//     attention core keeps the scores + 1-byte mask (AttnSaved::kScores)
+//     and recomputes the softmax output and its dropped copy per slice
+//     in backward.
 // Per-layer bytes drop from (34sbh + 5as²b)/t to (26sbh + 3as²b)/t.
 class FoldedTspPlan final : public SpPlan {
  public:
@@ -313,12 +323,7 @@ class FoldedTspPlan final : public SpPlan {
   }
   PlanKind kind() const override { return PlanKind::kFoldedTsp; }
 
-  ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
-                         const AttnCoreDims& d) const override {
-    ag::Var scores = ag::bmm(q, k, /*trans_b=*/true);
-    return ag::scaled_softmax_dropout_bmm(scores, v, d.alpha, d.causal,
-                                          d.dropout_p, d.seed, d.mask_map());
-  }
+  AttnSaved attention_saved() const override { return AttnSaved::kScores; }
 
   ag::Var mlp_act_fc2(const ag::Var& z1, const ag::Var& b1,
                       const ag::Var& w2) const override {

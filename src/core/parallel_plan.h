@@ -16,10 +16,11 @@
 //                      (Fig 5, §4.2.2) with sharded-input-save.
 //   folded_tsp_plan()  folded tensor+sequence parallelism
 //                      (arXiv 2604.26294): the SP wiring with the
-//                      pointwise-recomputable activations *folded into*
-//                      their consumer GEMMs, so they are never stored —
-//                      same collectives, same numerics, fewer bytes
-//                      (Table-2 row (26sbh + 3as²b)/t).
+//                      pointwise-recomputable activations never stored —
+//                      the GeLU output folded into lin2's GEMM node, the
+//                      attention probabilities left out of the core's
+//                      saved set — same collectives, same numerics,
+//                      fewer bytes (Table-2 row (26sbh + 3as²b)/t).
 //
 // All plans are stateless singletons. ParallelEnv always carries a
 // pointer to one (tp_plan() by default); ModelConfig names one by
@@ -62,12 +63,22 @@ struct AttnCoreDims {
   uint64_t seed = 0;
 
   // The softmax-dropout mask's coordinates in the global [b, a, s, s]
-  // tensor, so every sharding, every core path and the serial reference
-  // draw identical masks. mask_map() covers the local [b·a/t, s, s]
-  // probabilities; mask_map(i) covers slice i = bi·a/t + hi alone, an
-  // [s, s] block at base rank·(a/t)·s² + bi·a·s² + hi·s².
-  ops::IndexMap mask_map() const;
+  // tensor for slice i = bi·a/t + hi of the local [b·a/t, s, s]
+  // probabilities, so every sharding and the serial reference draw
+  // identical masks: an [s, s] block at base
+  // rank·(a/t)·s² + bi·a·s² + hi·s².
   ops::IndexMap mask_map(int64_t slice) const;
+};
+
+// Which attention-core tensors attention_core keeps for backward. The
+// s² state is the only thing the recompute rungs (paper §5) and the
+// folded plan change, so it is data on one node, not one implementation
+// per choice. Bytes are per layer at the paper's dtypes (fp16, 1-byte
+// mask); Q, K and V are kept in every set.
+enum class AttnSaved {
+  kInputs,  // Q/K/V only; backward recomputes each slice (recompute rungs)
+  kProbs,   // P, mask and P·dropout: 5as²b/t (Table 2, kNone)
+  kScores,  // scores and mask: 3as²b/t; backward recomputes P, P·dropout
 };
 
 class ParallelPlan {
@@ -93,14 +104,10 @@ class ParallelPlan {
   virtual ag::Var row_exit(const ag::Var& y_partial,
                            const ParallelEnv& env) const = 0;
 
-  // The attention core: QKᵀ, scaled softmax, softmax-dropout, attention
-  // over V, as kNone runs it: the s² state is saved for backward (the
-  // 5as²b/t term of Table 2). The default is the unfused four-op chain;
-  // folded TSP fuses softmax+dropout+AV into one node. The recompute
-  // rungs run streamed_attention_core instead.
-  virtual ag::Var attention_core(const ag::Var& q, const ag::Var& k,
-                                 const ag::Var& v,
-                                 const AttnCoreDims& d) const;
+  // The attention core's saved set at Recompute::kNone: the s² state
+  // this plan keeps when nothing is recomputed (its Table-2 attention
+  // term). The recompute rungs keep AttnSaved::kInputs on every plan.
+  virtual AttnSaved attention_saved() const { return AttnSaved::kProbs; }
 
   // The MLP's activation + second GEMM, up to (not including) the row
   // exit: bias_gelu(z1, b1) @ w2. The default stores both the pre-bias
@@ -123,17 +130,20 @@ class ParallelPlan {
                                      Recompute rc) const = 0;
 };
 
-// The attention core as every recompute rung runs it (kSelective, and
-// the layer replay of kFull): one autograd node that saves only q, k
-// and v and streams the b·a/t (batch, head) slices through the raw
-// kernels, so at most one slice's s×s workspace is live at a time.
-// Backward recomputes each slice's probabilities, mask and dropped
-// probabilities, then its dV, dQ and dK; it never re-runs the P·V GEMM.
-// Every output row depends on one slice only and the GEMM fixes each
-// element's k order, so values and gradients are bitwise those of
-// every plan's attention_core.
-ag::Var streamed_attention_core(const ag::Var& q, const ag::Var& k,
-                                const ag::Var& v, const AttnCoreDims& d);
+// The attention core (Fig 3's red dashed region): QKᵀ, scaled softmax,
+// softmax-dropout and attention over V for [b·a/t, s, d] q, k and v.
+// One autograd node for every plan and rung: it streams the b·a/t
+// (batch, head) slices through the raw kernels, with at most a few
+// s×s slice buffers of workspace live at a time, and writes the s²
+// tensors of `saved` slice by slice into whole [b·a/t, s, s] saved
+// tensors. Backward rebuilds, per slice, whatever the set left out
+// (never the P·V GEMM) and then runs dV, dP, dS, dQ and dK. Every
+// output row depends on one slice only and the GEMM fixes each
+// element's k order, so values and gradients are bitwise the unfused
+// bmm → scaled_softmax → dropout → bmm chain's, whatever the set.
+// Under no-grad the node keeps nothing and draws no mask.
+ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
+                       const AttnCoreDims& d, AttnSaved saved);
 
 // The built-in plans (stateless singletons with static lifetime).
 const ParallelPlan& tp_plan();

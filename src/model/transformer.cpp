@@ -66,7 +66,7 @@ Var TransformerLayer::forward(const Var& x, const ParallelEnv& env) const {
   // Full activation recomputation: store only the layer input (2sbh,
   // or 2sbh/t under SP — Table 2 last row) and replay the whole layer
   // in backward. The replay keeps the kFull rung, so its attention core
-  // is the streamed one: it saves Q/K/V, not the s² state.
+  // keeps the Q/K/V-only set, not the s² state.
   return ag::checkpoint(
       [this, env](const std::vector<Var>& ins) { return body(ins[0], env); },
       {x});

@@ -923,25 +923,22 @@ TEST(KernelFused, OddWidthsMatchScalarTailsAtAnyThreadCount) {
 }
 
 TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
-  // The folded-TSP fused autograd nodes (bias_gelu_matmul,
-  // scaled_softmax_dropout_bmm) run their interiors through ops:: and
-  // therefore through the worker pool. Forward values and every grad
-  // must be bitwise identical at 1 vs 4 pinned threads —
-  // including the backward recompute-from-saved-x passes.
+  // The folded-TSP fused MLP node (bias_gelu_matmul) runs its interior
+  // through ops:: and therefore through the worker pool. Forward values
+  // and every grad must be bitwise identical at 1 vs 4 pinned threads —
+  // including the backward recompute-from-saved-x pass. (The attention
+  // core's saved sets, the folded scores set included, are held to the
+  // single-thread unfused chain at 1, 2 and 4 threads by test_plans'
+  // StreamedAttentionCore.BitwiseEqualToMaterializedCore.)
   Rng rng(57);
   const int64_t rows = 256, h = 128, out = 112;
   Tensor xv = Tensor::randn(Shape{{rows, h}}, rng);
   Tensor bv = Tensor::randn(Shape{{h}}, rng, 0.5f);
   Tensor wv = Tensor::randn(Shape{{h, out}}, rng);
   Tensor dy = Tensor::randn(Shape{{rows, out}}, rng);
-  const int64_t nbh = 8, sq = 64, sk = 64, d = 32;
-  Tensor sv = Tensor::randn(Shape{{nbh, sq, sk}}, rng);
-  Tensor vv = Tensor::randn(Shape{{nbh, sk, d}}, rng);
-  Tensor sdy = Tensor::randn(Shape{{nbh, sq, d}}, rng);
-  const auto map = ops::IndexMap::identity(sv.shape());
 
   struct Run {
-    Tensor y, dx, dbias, dw, sy, dscores, dv;
+    Tensor y, dx, dbias, dw;
   };
   auto run_once = [&]() {
     Run r;
@@ -954,15 +951,6 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
     r.dx = x.grad();
     r.dbias = bias.grad();
     r.dw = w.grad();
-    ag::Var scores(sv.clone(), true);
-    ag::Var v(vv.clone(), true);
-    ag::Var sy = ag::scaled_softmax_dropout_bmm(scores, v, 0.25f,
-                                                /*causal=*/true, 0.1f, 99,
-                                                map);
-    ag::backward(sy, sdy);
-    r.sy = sy.value();
-    r.dscores = scores.grad();
-    r.dv = v.grad();
     return r;
   };
 
@@ -982,9 +970,6 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
   EXPECT_TRUE(same_bits(one.dx, four.dx));
   EXPECT_TRUE(same_bits(one.dbias, four.dbias));
   EXPECT_TRUE(same_bits(one.dw, four.dw));
-  EXPECT_TRUE(same_bits(one.sy, four.sy));
-  EXPECT_TRUE(same_bits(one.dscores, four.dscores));
-  EXPECT_TRUE(same_bits(one.dv, four.dv));
 }
 
 // ------------------------------------------------ stateless dropout
@@ -1128,31 +1113,24 @@ int64_t pool_allocs(F&& fn) {
 
 TEST(KernelDropout, NoGradForwardDrawsNoMask) {
   // A mask is drawn only for the node that saves it: under NoGradGuard
-  // both dropout ops skip exactly one allocation (the mask) and return
-  // the grad-mode output bit for bit.
+  // ag::dropout skips exactly one allocation (the mask) and returns the
+  // grad-mode output bit for bit. (test_plans checks the attention
+  // core's no-grad forward:
+  // StreamedAttentionCore.NoGradForwardKeepsNothingAndDrawsNoMask.)
   Rng rng(95);
   const ops::IndexMap map = ops::IndexMap::identity(Shape{{4, 33, 33}});
   const Tensor xv = Tensor::randn(Shape(map.dims), rng);
-  const Tensor vv = Tensor::randn(Shape{{4, 33, 8}}, rng);
-  ag::Var x(xv, true), v(vv, true);
-  ag::Var y_grad, y_nograd, f_grad, f_nograd;
+  ag::Var x(xv, true);
+  ag::Var y_grad, y_nograd;
   const int64_t grad =
       pool_allocs([&] { y_grad = ag::dropout(x, 0.1f, 3, map); });
-  const int64_t fused_grad = pool_allocs([&] {
-    f_grad = ag::scaled_softmax_dropout_bmm(x, v, 0.25f, true, 0.1f, 3, map);
-  });
   ag::NoGradGuard no_grad;
   const int64_t nograd =
       pool_allocs([&] { y_nograd = ag::dropout(x, 0.1f, 3, map); });
-  const int64_t fused_nograd = pool_allocs([&] {
-    f_nograd = ag::scaled_softmax_dropout_bmm(x, v, 0.25f, true, 0.1f, 3, map);
-  });
   EXPECT_EQ(nograd, 1);  // y only
   EXPECT_EQ(grad, 2);    // y and the mask
-  EXPECT_EQ(fused_grad - fused_nograd, 1);
   EXPECT_FALSE(y_nograd.requires_grad());
   EXPECT_TRUE(bitwise_equal(y_nograd.value(), y_grad.value()));
-  EXPECT_TRUE(bitwise_equal(f_nograd.value(), f_grad.value()));
 }
 
 uint64_t fnv1a(const Tensor& t) {

@@ -11,14 +11,18 @@
 //      wiring) is an exact optimization — bitwise-equal training to
 //      TP+SP with identical collective traffic, only the activation
 //      ledger differs (asserted byte-exactly in test_memory.cpp).
-//   3. The streamed attention core the recompute rungs run is bitwise
-//      the materialized core: values and Q/K/V gradients, at every
-//      slice count, shape, mask and kernel thread count — and nested in
-//      a full-layer checkpoint, its dropout replay is bit-exact.
+//   3. The one attention-core node is bitwise the materialized unfused
+//      chain for each saved set (Q/K/V only, P + mask + P·dropout,
+//      scores + mask): values and Q/K/V gradients, at every slice
+//      count, shape, mask and kernel thread count. Its transient bytes
+//      do not grow with the slice count, under no-grad it keeps nothing
+//      and draws no mask, and nested in a full-layer checkpoint its
+//      dropout replay is bit-exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +35,7 @@
 #include "core/collectives.h"
 #include "core/env.h"
 #include "core/parallel_plan.h"
+#include "memory/pool_allocator.h"
 #include "train/trainer.h"
 
 namespace mls {
@@ -162,7 +167,7 @@ TEST(PlanBitIdentity, FoldedTspMatchesTpSpExactly) {
                        train(folded_cfg, core::Recompute::kSelective));
 }
 
-// ------------------------------------------------ streamed attention core
+// ---------------------------------------------------- the attention core
 
 // RAII Env override so a failing EXPECT cannot leak the setting into
 // later tests.
@@ -189,34 +194,27 @@ struct CoreResult {
   Tensor ctx, dq, dk, dv;
 };
 
-enum class CorePath { kUnfused, kFolded, kStreamed };
+// The materialized unfused chain, with its mask coordinates written out
+// here rather than taken from AttnCoreDims.
+ag::Var unfused_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
+                     const core::AttnCoreDims& d) {
+  const int64_t ss = d.s_full * d.s_full;
+  ops::IndexMap map;
+  map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
+  map.strides = {d.heads_total * ss, ss, d.s_full, 1};
+  map.base = d.rank * d.heads_local * ss;
+  ag::Var probs =
+      ag::scaled_softmax(ag::bmm(q, k, /*trans_b=*/true), d.alpha, d.causal);
+  return ag::bmm(ag::dropout(probs, d.dropout_p, d.seed, map), v);
+}
 
-CoreResult run_core(CorePath path, const Tensor& q0, const Tensor& k0,
-                    const Tensor& v0, const Tensor& grad,
+// The unfused chain (no saved set) or the node with one.
+CoreResult run_core(std::optional<core::AttnSaved> saved, const Tensor& q0,
+                    const Tensor& k0, const Tensor& v0, const Tensor& grad,
                     const core::AttnCoreDims& d) {
   ag::Var q(q0.clone(), true), k(k0.clone(), true), v(v0.clone(), true);
-  ag::Var ctx;
-  switch (path) {
-    case CorePath::kUnfused: {
-      // The materialized chain, with its mask coordinates written out
-      // here rather than taken from AttnCoreDims.
-      const int64_t ss = d.s_full * d.s_full;
-      ops::IndexMap map;
-      map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
-      map.strides = {d.heads_total * ss, ss, d.s_full, 1};
-      map.base = d.rank * d.heads_local * ss;
-      ag::Var probs =
-          ag::scaled_softmax(ag::bmm(q, k, /*trans_b=*/true), d.alpha, d.causal);
-      ctx = ag::bmm(ag::dropout(probs, d.dropout_p, d.seed, map), v);
-      break;
-    }
-    case CorePath::kFolded:
-      ctx = core::folded_tsp_plan().attention_core(q, k, v, d);
-      break;
-    case CorePath::kStreamed:
-      ctx = core::streamed_attention_core(q, k, v, d);
-      break;
-  }
+  const ag::Var ctx = saved ? core::attention_core(q, k, v, d, *saved)
+                            : unfused_core(q, k, v, d);
   CoreResult r{ctx.value().clone(), {}, {}, {}};
   ag::backward(ctx, grad.clone());
   r.dq = q.grad().clone();
@@ -225,12 +223,31 @@ CoreResult run_core(CorePath path, const Tensor& q0, const Tensor& k0,
   return r;
 }
 
-// The streamed core against the materialized unfused chain and the
-// folded plan's fused node: every slice count (batch > 1 and rank > 0,
-// so a wrong slice base draws a wrong mask), odd and tile-straddling
-// s, causal or not, dropout on or off, at 1, 2 and 4 kernel threads
-// against the single-thread unfused reference. s = 128 with d = 32 is
-// the first shape whose per-slice GEMMs split across threads.
+// Rank 1 of t = 2 with `batch` × `heads_local` slices.
+core::AttnCoreDims core_dims(int64_t batch, int64_t heads_local, int64_t s,
+                             int64_t hd, bool causal, float p) {
+  core::AttnCoreDims d;
+  d.heads_local = heads_local;
+  d.heads_total = 2 * heads_local;
+  d.rank = 1;
+  d.batch = batch;
+  d.s_full = s;
+  d.alpha = 1.0f / std::sqrt(static_cast<float>(hd));
+  d.causal = causal;
+  d.dropout_p = p;
+  d.seed = 77;
+  return d;
+}
+
+constexpr core::AttnSaved kSavedSets[] = {
+    core::AttnSaved::kInputs, core::AttnSaved::kProbs, core::AttnSaved::kScores};
+
+// Each saved set of the node against the materialized unfused chain:
+// every slice count (batch > 1 and rank > 0, so a wrong slice base draws
+// a wrong mask), odd and tile-straddling s, causal or not, dropout on or
+// off, at 1, 2 and 4 kernel threads against the single-thread unfused
+// reference (so each set is also thread-count invariant). s = 128 with
+// d = 32 is the first shape whose per-slice GEMMs split across threads.
 TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
   struct Slices {
     int64_t batch, heads_local;
@@ -241,16 +258,8 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
       for (const int64_t hd : {4, 32}) {
         for (const bool causal : {false, true}) {
           for (const float p : {0.0f, 0.1f}) {
-            core::AttnCoreDims d;
-            d.heads_local = sl.heads_local;
-            d.heads_total = 2 * sl.heads_local;  // rank 1 of t = 2
-            d.rank = 1;
-            d.batch = sl.batch;
-            d.s_full = s;
-            d.alpha = 1.0f / std::sqrt(static_cast<float>(hd));
-            d.causal = causal;
-            d.dropout_p = p;
-            d.seed = 77;
+            const core::AttnCoreDims d =
+                core_dims(sl.batch, sl.heads_local, s, hd, causal, p);
             const Shape shape{{sl.batch * sl.heads_local, s, hd}};
             Rng rng(static_cast<uint64_t>(1000 * s + hd));
             const Tensor q = Tensor::randn(shape, rng);
@@ -260,19 +269,20 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
             CoreResult ref;
             {
               ScopedEnv one("MLS_KERNEL_THREADS", "1");
-              ref = run_core(CorePath::kUnfused, q, k, v, g, d);
+              ref = run_core(std::nullopt, q, k, v, g, d);
             }
             for (const char* nt : {"1", "2", "4"}) {
               ScopedEnv threads("MLS_KERNEL_THREADS", nt);
-              for (const CorePath path : {CorePath::kUnfused, CorePath::kFolded,
-                                          CorePath::kStreamed}) {
-                const CoreResult r = run_core(path, q, k, v, g, d);
+              for (int path = 0; path <= 3; ++path) {
+                std::optional<core::AttnSaved> saved;
+                if (path > 0) saved = kSavedSets[path - 1];
+                const CoreResult r = run_core(saved, q, k, v, g, d);
                 const std::string where =
                     "nb=" + std::to_string(shape.dim(0)) +
                     " s=" + std::to_string(s) + " d=" + std::to_string(hd) +
                     " causal=" + std::to_string(causal) +
                     " p=" + std::to_string(p) + " threads=" + nt +
-                    " path=" + std::to_string(static_cast<int>(path));
+                    " path=" + std::to_string(path);
                 EXPECT_TRUE(bitwise_equal(r.ctx, ref.ctx)) << "ctx " << where;
                 EXPECT_TRUE(bitwise_equal(r.dq, ref.dq)) << "dq " << where;
                 EXPECT_TRUE(bitwise_equal(r.dk, ref.dk)) << "dk " << where;
@@ -286,11 +296,95 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
   }
 }
 
+// The kNone saved sets are written slice by slice into whole saved
+// tensors, so over forward + backward the pool holds, beyond the saved
+// s² tensors, the output and the Q/K/V gradients, only a few s×s slice
+// buffers — at one slice and at eight alike. A core that materializes a
+// whole [nb, s, s] transient (scores before the softmax, d(P·dropout),
+// dP or dS over every slice at once) exceeds the bound at nb = 8.
+TEST(StreamedAttentionCore, KNoneTransientsDoNotGrowWithSliceCount) {
+  // d much smaller than s, so the [nb, s, d] buffers the bound accounts
+  // for (dQ and dK are not live at every point) leave little slack.
+  const int64_t s = 64, hd = 4;
+  const int64_t slice = s * s * static_cast<int64_t>(sizeof(float));
+  auto& mt = MemoryTracker::instance();
+  for (const core::AttnSaved saved :
+       {core::AttnSaved::kProbs, core::AttnSaved::kScores}) {
+    // Physical bytes per s² element the set keeps: fp32 P and P·dropout
+    // plus the 1-byte mask, or fp32 scores plus the mask.
+    const int64_t kept = saved == core::AttnSaved::kProbs ? 9 : 5;
+    for (const int64_t heads : {1, 8}) {
+      const core::AttnCoreDims d = core_dims(1, heads, s, hd, true, 0.1f);
+      const Shape shape{{heads, s, hd}};
+      Rng rng(5);
+      ag::Var q(Tensor::randn(shape, rng), true);
+      ag::Var k(Tensor::randn(shape, rng), true);
+      ag::Var v(Tensor::randn(shape, rng), true);
+      Tensor g = Tensor::randn(shape, rng);
+      const int64_t qkv_sized = g.numel() * static_cast<int64_t>(sizeof(float));
+      const int64_t live0 = mt.pooled_in_use_bytes();
+      mt.reset_physical_peak();
+      {
+        const ag::Var ctx = core::attention_core(q, k, v, d, saved);
+        ag::backward(ctx, std::move(g));  // the root gradient, not a copy
+      }
+      const int64_t peak = mt.pooled_in_use_peak_bytes() - live0;
+      const int64_t accounted = heads * s * s * kept + 4 * qkv_sized;
+      EXPECT_LE(peak - accounted, 4 * slice)
+          << "saved set " << static_cast<int>(saved) << " nb=" << heads;
+    }
+  }
+}
+
+// Pool allocate() calls made by fn on this thread.
+template <typename F>
+int64_t pool_allocs(F&& fn) {
+  auto& pool = *memory::PoolAllocator::this_thread();
+  const int64_t before = pool.stats().allocs;
+  fn();
+  return pool.stats().allocs - before;
+}
+
+// A node is built only in grad mode, and only a node keeps anything:
+// under NoGradGuard every saved set makes the same allocations as the
+// inputs set — the output and two slice buffers, no mask — and returns
+// the grad-mode output bit for bit. With grad, the scores set replaces
+// the scores slice buffer by the whole saved scores, so it allocates
+// exactly one more buffer than without: the mask.
+TEST(StreamedAttentionCore, NoGradForwardKeepsNothingAndDrawsNoMask) {
+  const core::AttnCoreDims d = core_dims(2, 2, 33, 8, true, 0.1f);
+  const Shape shape{{4, 33, 8}};
+  Rng rng(95);
+  ag::Var q(Tensor::randn(shape, rng), true);
+  ag::Var k(Tensor::randn(shape, rng), true);
+  ag::Var v(Tensor::randn(shape, rng), true);
+  for (const core::AttnSaved saved : kSavedSets) {
+    ag::Var y_grad, y_nograd;
+    const int64_t grad =
+        pool_allocs([&] { y_grad = core::attention_core(q, k, v, d, saved); });
+    int64_t nograd = 0;
+    {
+      ag::NoGradGuard no_grad;
+      nograd = pool_allocs(
+          [&] { y_nograd = core::attention_core(q, k, v, d, saved); });
+    }
+    const int set = static_cast<int>(saved);
+    EXPECT_EQ(nograd, 3) << "set " << set;  // out + two slice buffers
+    if (saved == core::AttnSaved::kScores) {
+      EXPECT_EQ(grad - nograd, 1);  // the mask
+    }
+    EXPECT_FALSE(y_nograd.requires_grad()) << "set " << set;
+    EXPECT_TRUE(y_grad.requires_grad()) << "set " << set;
+    EXPECT_TRUE(bitwise_equal(y_nograd.value(), y_grad.value()))
+        << "set " << set;
+  }
+}
+
 // ------------------------------------------- nested checkpoint replay
 
 // The real kFull composition, with dropout at both levels: the outer
 // (full-layer style, collective-bearing) checkpoint replays the
-// streamed attention core inside its nested backward, and both dropout
+// attention core (its inputs set) inside its nested backward, and both dropout
 // masks must replay bit-exactly — out, dx and dw equal the same region
 // run inline, without the checkpoint.
 TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
@@ -316,10 +410,11 @@ TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
     auto outer = [&](const std::vector<ag::Var>& ins) {
       ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
       auto qkv = ag::chunk(ag::matmul(g, ins[1]), 3, /*dim=*/2);
-      ag::Var ctx = core::streamed_attention_core(
+      ag::Var ctx = core::attention_core(
           ag::sbh_to_bhsd(qkv[0], dims.heads_local),
           ag::sbh_to_bhsd(qkv[1], dims.heads_local),
-          ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims);
+          ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims,
+          core::AttnSaved::kInputs);
       ag::Var a = ag::bhsd_to_sbh(ctx, dims.heads_local);
       ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
                               ops::IndexMap::identity(a.value().shape()));
