@@ -12,9 +12,10 @@
 //                              written to p (default BENCH_kernels.json):
 //                              pre-PR scalar vs single-threaded blocked
 //                              GFLOP/s, thread scaling, short-M (decode)
-//                              GEMMs, fused-vs-composed sweeps, and
+//                              GEMMs, fused-vs-composed sweeps,
 //                              stateless dropout (1-byte mask) vs the
-//                              pre-PR coordinate walk (float mask).
+//                              pre-PR coordinate walk (float mask), and
+//                              the causal attention core's fwd + bwd.
 //
 // The "before" datum is a verbatim replica of the seed scalar GEMM
 // (below), compiled with this file's default flags — the same flags
@@ -37,8 +38,10 @@
 #include <sched.h>
 #endif
 
+#include "autograd/engine.h"
 #include "common/rng.h"
 #include "core/env.h"
+#include "core/parallel_plan.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
@@ -157,7 +160,8 @@ double min_time(F&& fn, int reps) {
 // ----------------------------------------------------------- --smoke
 // Correctness checks cheap enough for CI — the blocked kernel vs the
 // scalar reference, thread-count bit identity, short-M rows vs the same
-// rows of a tall GEMM, the fused epilogues vs their composed forms —
+// rows of a tall GEMM, the triangle GEMMs vs the full GEMM's live
+// region, the fused epilogues vs their composed forms —
 // plus one coarse perf gate: on hosts with >= 4
 // cores, 4-thread GEMM must beat single-thread by >= 1.5x (half of
 // ideal, loose enough for noisy CI; it exists to catch the pool
@@ -285,6 +289,43 @@ int run_smoke() {
               std::memcmp(d1.mask.u8(), d4.mask.u8(), n) == 0 &&
               same(g1.data(), g4.data()),
           "1-vs-4-thread dropout bit-identical");
+  }
+
+  {  // each triangle mode equals the full GEMM on its live region, at
+     // the attention core's operand shapes (s crosses KC = 256)
+    const int64_t s = 300, d = kernels::gemm_tile().nr;
+    const std::vector<float> q = random_vec(s * d, 12);
+    const std::vector<float> kv = random_vec(s * d, 13);
+    std::vector<float> p = random_vec(s * s, 14);
+    for (int64_t i = 0; i < s; ++i) {
+      for (int64_t j = i + 1; j < s; ++j) p[static_cast<size_t>(i * s + j)] = 0;
+    }
+    auto rows_equal = [](const std::vector<float>& x,
+                         const std::vector<float>& y, int64_t rows,
+                         int64_t cols, bool lower_only) {
+      for (int64_t i = 0; i < rows; ++i) {
+        const size_t n = static_cast<size_t>(lower_only ? i + 1 : cols);
+        if (std::memcmp(x.data() + i * cols, y.data() + i * cols,
+                        sizeof(float) * n) != 0)
+          return false;
+      }
+      return true;
+    };
+    std::vector<float> full(static_cast<size_t>(s * s)), tri(full.size());
+    kernels::gemm(q.data(), kv.data(), full.data(), s, s, d, false, true);
+    kernels::gemm(q.data(), kv.data(), tri.data(), s, s, d, false, true,
+                  kernels::Tri::kOut);
+    bool ok = rows_equal(full, tri, s, s, true);
+    // P·V (kALower) and Pᵀ·dctx (kAUpper).
+    for (const bool trans_a : {false, true}) {
+      const kernels::Tri mode =
+          trans_a ? kernels::Tri::kAUpper : kernels::Tri::kALower;
+      kernels::gemm(p.data(), kv.data(), full.data(), s, d, s, trans_a, false);
+      kernels::gemm(p.data(), kv.data(), tri.data(), s, d, s, trans_a, false,
+                    mode);
+      ok = ok && rows_equal(full, tri, s, d, false);
+    }
+    check(ok, "triangle GEMMs equal the full GEMM's live region");
   }
 
   {  // thread-scaling gate (>= 4 CPUs in the affinity mask only)
@@ -584,6 +625,47 @@ int run_json(const std::string& path) {
           "dropout 4x512x512 threads=%d: %.3f ms (no mask %.3f ms, "
           "coordinate walk %.3f ms), grad %.3f ms\n",
           nt, t_fwd * 1e3, t_nomask * 1e3, t_walk * 1e3, t_bwd * 1e3);
+    }
+  }
+  // The causal attention core's forward + backward (core::attention_core,
+  // inputs set, p = 0.1) at train_sp_selective's per-rank slice shape:
+  // b·a/t = 4 slices of s = 512, head size 32, the shape whose per-slice
+  // GEMMs, softmax and dropout the triangle modes cut to the live half.
+  std::fprintf(f, "  ],\n  \"attention_core\": [\n");
+  {
+    core::AttnCoreDims d;
+    d.heads_local = 4;
+    d.heads_total = 8;
+    d.rank = 1;
+    d.batch = 1;
+    d.s_full = 512;
+    d.alpha = 1.0f / std::sqrt(32.0f);
+    d.causal = true;
+    d.dropout_p = 0.1f;
+    d.seed = 7;
+    const Shape shape{{4, 512, 32}};
+    Rng rng(43);
+    const Tensor q = Tensor::randn(shape, rng), k = Tensor::randn(shape, rng),
+                 v = Tensor::randn(shape, rng), g = Tensor::randn(shape, rng);
+    for (int nt : {1, 2}) {
+      core::Env::set("MLS_KERNEL_THREADS", std::to_string(nt));
+      const double t = min_time(
+          [&] {
+            ag::Var qv(q, true), kv(k, true), vv(v, true);
+            ag::backward(core::attention_core(qv, kv, vv, d,
+                                              core::AttnSaved::kInputs),
+                         g.clone());
+          },
+          15);
+      core::Env::clear("MLS_KERNEL_THREADS");
+      std::fprintf(f,
+                   "    {\"op\": \"attention_core_fwd_bwd\", \"shape\": "
+                   "\"4x512x32\", \"causal\": true, \"p\": 0.1, "
+                   "\"threads\": %d, \"ms\": %.3f}%s\n",
+                   nt, t * 1e3, nt == 2 ? "" : ",");
+      std::printf(
+          "attention core fwd+bwd 4x512x32 causal threads=%d: %.3f ms\n", nt,
+          t * 1e3);
     }
   }
   std::fprintf(f, "  ],\n  \"speedup_n512_vs_prepr\": %.2f\n}\n",

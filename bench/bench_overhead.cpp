@@ -2,24 +2,25 @@
 // on the real numeric substrate's backward (t=2, selective recompute +
 // sequence parallelism).
 //
-// Section 1 switches the hang watchdog and its flight-recorder ledger
-// on and guards their overhead below 2%. It also times two per-op costs
-// directly and prints each one's share of the backward, ns/op × ops per
-// backward ÷ backward time, which does not depend on pairing noisy
-// backwards: the ledger's begin + end per comm op, and the always-on
-// cross-rank entry check per collective (slot write + T-slot compare),
-// guarded below 0.1%.
+// Every verdict comes from a direct cost: a hook's or record's per-call
+// cost, timed on its own, times the calls one backward makes, divided by
+// the backward's time. That does not depend on pairing noisy backwards,
+// whose quartile spread on a shared host (3–20% here) is wider than
+// the 1–2% budgets being guarded.
 //
-// Section 2 does the same for the fault-injection plane: disarmed (the
-// production state — every hook is one relaxed atomic load) the
-// overhead must stay under 1%; armed with an inert plan it stays cheap
-// too (a mutex + event scan per comm op).
+// Section 1 is the hang watchdog and its flight-recorder ledger: the
+// ledger's begin + end per comm op (guarded below 2%) and the always-on
+// cross-rank entry check per collective (slot write + T-slot compare,
+// guarded below 0.1%).
 //
-// Both guards run kPairs alternating off/on measurements and compare
-// the per-side medians, printing each side's quartile spread, so one
-// noisy run cannot flip the verdict. When either side's spread exceeds
-// the guard's budget the medians cannot resolve an overhead that
-// small, and the guard prints UNRESOLVED instead of OK / UNEXPECTED.
+// Section 2 is the fault-injection plane: its hooks on every comm op
+// (on_comm) and every pool allocation (on_oom("alloc")), disarmed (the
+// production state — one atomic load per hook) and armed with an inert
+// plan (the locked event scan per hook), each guarded below 1%.
+//
+// Each section also reports kPairs alternating off/on backwards (the
+// per-side medians, quartile spreads and the medians' difference) as a
+// cross-check; those lines carry no verdict.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include "fault/inject.h"
 #include "fault/plan.h"
 #include "comm/spmd.h"
+#include "memory/pool_allocator.h"
 #include "common/check.h"
 #include "common/units.h"
 #include "model/transformer.h"
@@ -68,10 +70,22 @@ int64_t comm_ops_between(const comm::TrafficStats& a,
          (b.p2p_recv_count - a.p2p_recv_count);
 }
 
+// The fault-plane hook sites one backward passes on rank 0.
+struct HookSites {
+  int64_t comm_ops = 0;  // fault::on_comm, one per collective / p2p op
+  int64_t allocs = 0;    // fault::on_oom("alloc"), one per pool allocation
+};
+
+// allocate() calls on the calling thread's pool so far.
+int64_t pool_allocs() {
+  return memory::PoolAllocator::this_thread()->stats().allocs;
+}
+
 // One fwd+bwd per iteration over kLayers chained layers; only the
 // backward is timed. Returns rank 0's min backward wall-clock; if
-// `comm_ops` is set, stores the comm ops rank 0 runs in one backward.
-double measure_backward(int64_t* comm_ops = nullptr) {
+// `sites` is set, stores the comm ops and pool allocations rank 0 runs
+// in one backward.
+double measure_backward(HookSites* sites = nullptr) {
   const model::ModelConfig cfg = bench_cfg();
   double bwd_seconds = 0;
   spmd::run(kTp, [&](comm::Comm& c) {
@@ -96,11 +110,13 @@ double measure_backward(int64_t* comm_ops = nullptr) {
 
       c.barrier();
       const comm::TrafficStats before = c.stats();
+      const int64_t allocs_before = pool_allocs();
       const auto t0 = std::chrono::steady_clock::now();
       ag::backward(y, dy);
       const auto t1 = std::chrono::steady_clock::now();
-      if (comm_ops && c.rank() == 0) {
-        *comm_ops = comm_ops_between(before, c.stats());
+      if (sites && c.rank() == 0) {
+        sites->comm_ops = comm_ops_between(before, c.stats());
+        sites->allocs = pool_allocs() - allocs_before;
       }
       if (i < 0) continue;  // discard warmup
       times.push_back(std::chrono::duration<double>(t1 - t0).count());
@@ -179,6 +195,52 @@ double entry_check_ns_per_op() {
   return 1e9 * best / (static_cast<double>(kOps) * kTp);
 }
 
+// The fault plane's per-call hook costs on one thread, timed directly:
+// on_comm (a comm op's entry) and on_oom("alloc") (a pool allocation's).
+// Disarmed, each is the inline atomic load; armed with a plan that can
+// never fire (a rank and step this bench never reaches), each takes the
+// slow path's locked scan of the plan's events. Min over repetitions.
+struct HookNs {
+  double comm = 0, alloc = 0;
+};
+HookNs fault_hook_ns() {
+  constexpr int kCalls = 100000;
+  auto per_call = [&](const auto& hook) {
+    double best = 1e30;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kCalls; ++i) hook();
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    }
+    return 1e9 * best / kCalls;
+  };
+  int64_t fired = 0;
+  const HookNs ns{per_call([] { fault::on_comm("all_gather"); }),
+                  per_call([&] { fired += fault::on_oom("alloc") ? 1 : 0; })};
+  MLS_CHECK_EQ(fired, 0);
+  return ns;
+}
+
+// Prints one direct guard line pair: hook costs × sites per backward as
+// a share of the backward, and the verdict against `budget`.
+bool direct_fault_guard(const char* state, const HookNs& ns,
+                        const HookSites& sites, double bwd, double budget) {
+  const double share = (ns.comm * static_cast<double>(sites.comm_ops) +
+                        ns.alloc * static_cast<double>(sites.allocs)) *
+                       1e-9 / bwd;
+  std::printf(
+      "direct: fault hooks %s: on_comm %.1f ns x %lld comm ops + on_oom "
+      "%.1f ns x %lld allocs per backward = %s of the backward\n",
+      state, ns.comm, static_cast<long long>(sites.comm_ops), ns.alloc,
+      static_cast<long long>(sites.allocs), format_percent(share, 3).c_str());
+  const bool ok = share < budget;
+  std::printf("%s: the %s fault hooks cost %s %.0f%% of the backward.\n",
+              ok ? "OK" : "UNEXPECTED", state, ok ? "under" : "MORE than",
+              100.0 * budget);
+  return ok;
+}
+
 // Median and quartiles (linear interpolation) of one side's samples.
 struct Quartiles {
   double q1 = 0, median = 0, q3 = 0;
@@ -196,11 +258,11 @@ Quartiles quartiles(std::vector<double> v) {
 
 // kPairs off/on pairs of backwards (measure_on runs the "on" side),
 // the side that runs first alternating so drift favours neither.
-// Prints both sides and the verdict on `what` against `budget` (a
-// fraction); returns true only for OK.
+// Prints both sides and the difference of the medians: a report line
+// beside the direct guards, not a verdict.
 template <typename MeasureOn>
-bool paired_overhead(const char* off_name, const char* on_name,
-                     const char* what, double budget, MeasureOn&& measure_on) {
+void paired_report(const char* off_name, const char* on_name,
+                   MeasureOn&& measure_on) {
   std::vector<double> off, on;
   for (int i = 0; i < kPairs; ++i) {
     if (i % 2 == 1) on.push_back(measure_on());
@@ -217,22 +279,10 @@ bool paired_overhead(const char* off_name, const char* on_name,
   };
   side(off_name, qo);
   side(on_name, qn);
-  const double overhead = (qn.median - qo.median) / qo.median;
-  std::printf("overhead of the medians over %d pairs: %+.2f%%\n", kPairs,
-              100.0 * overhead);
-  const double worst = std::max(spread(qo), spread(qn));
-  if (worst > budget) {
-    std::printf(
-        "UNRESOLVED: a %.2f%% quartile spread exceeds the %.0f%% budget, so "
-        "these runs cannot tell whether %s costs under it.\n",
-        100.0 * worst, 100.0 * budget, what);
-    return false;
-  }
-  const bool ok = overhead < budget;
-  std::printf("%s: %s costs %s %.0f%% of the backward.\n",
-              ok ? "OK" : "UNEXPECTED", what, ok ? "under" : "MORE than",
-              100.0 * budget);
-  return ok;
+  std::printf(
+      "report: the medians differ by %+.2f%% over %d pairs (no verdict; "
+      "the direct lines below carry it)\n",
+      100.0 * (qn.median - qo.median) / qo.median, kPairs);
 }
 
 }  // namespace
@@ -243,21 +293,21 @@ int main() {
       "(t=%d, %d layers, selective+SP) ===\n",
       kTp, kLayers);
 
-  // --- Section 1: watchdog + flight recorder overhead guard -------------
+  // --- Section 1: watchdog + flight recorder ---------------------------
   std::printf(
       "\n=== Analyzer overhead: backward with the watchdog + flight\n"
       "recorder on vs off ===\n\n");
-  paired_overhead("analyzer off:", "analyzer on:",
-                  "the watchdog + flight recorder", 0.02, [] {
-                    analysis::Options on;
-                    on.watchdog = true;
-                    // Far beyond any real op; never fires here.
-                    on.watchdog_sec = 120.0;
-                    analysis::ScopedOptions opts(on);
-                    return measure_backward();
-                  });
-  int64_t ops = 0;
-  const double bwd = measure_backward(&ops);
+  paired_report("analyzer off:", "analyzer on:", [] {
+    analysis::Options on;
+    on.watchdog = true;
+    // Far beyond any real op; never fires here.
+    on.watchdog_sec = 120.0;
+    analysis::ScopedOptions opts(on);
+    return measure_backward();
+  });
+  HookSites sites;
+  const double bwd = measure_backward(&sites);
+  const int64_t ops = sites.comm_ops;
   const double ns = ledger_ns_per_op();
   const double share = ns * 1e-9 * static_cast<double>(ops) / bwd;
   std::printf(
@@ -280,27 +330,22 @@ int main() {
       entry_share < 0.001 ? "OK" : "UNEXPECTED",
       entry_share < 0.001 ? "under" : "MORE than");
 
-  // --- Section 2: fault-hook overhead guard -----------------------------
+  // --- Section 2: fault hooks ------------------------------------------
   std::printf(
       "\n=== Fault-plane overhead: backward with the fault hooks\n"
       "disarmed vs armed with an inert plan ===\n\n");
-  // The hooks are compiled into every build, so "hook-free" cannot be
-  // measured directly. Instead guard the upper bound: an armed hook does
-  // strictly more work than a disarmed one (the same atomic load PLUS a
-  // locked plan scan per comm op), so armed-with-a-plan-that-never-fires
-  // staying within 1% of disarmed bounds the disarmed cost below 1% too.
-  const bool armed_ok = paired_overhead(
-      "disarmed:", "armed(inert):", "the fault plane (even armed)", 0.01, [] {
-        // A plan that can never fire: a rank and step this bench never
-        // reaches. Every comm op still walks the full armed slow path.
-        fault::ScopedPlan armed_plan(
-            fault::FaultPlan::parse("crash@r99:step=999999"));
-        return measure_backward();
-      });
-  if (armed_ok) {
-    std::printf(
-        "So the disarmed single-atomic-load fast path is below that "
-        "bound.\n");
+  // A plan that can never fire: a rank and step this bench never
+  // reaches. Every hook still walks the full armed slow path.
+  const char* inert = "crash@r99:step=999999";
+  paired_report("disarmed:", "armed(inert):", [&] {
+    fault::ScopedPlan armed_plan(fault::FaultPlan::parse(inert));
+    return measure_backward();
+  });
+  direct_fault_guard("disarmed", fault_hook_ns(), sites, bwd, 0.01);
+  {
+    fault::ScopedPlan armed_plan(fault::FaultPlan::parse(inert));
+    direct_fault_guard("armed (inert plan)", fault_hook_ns(), sites, bwd,
+                       0.01);
   }
   return 0;
 }

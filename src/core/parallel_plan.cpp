@@ -66,21 +66,37 @@ void slice_softmax(const float* scores, float* probs, int64_t s,
                           d.causal);
 }
 
+// The triangle a causal core's GEMM computes (kernels.h): the s² operand
+// or output past each query row's diagonal is structurally zero.
+kernels::Tri tri(const AttnCoreDims& d, kernels::Tri mode) {
+  return d.causal ? mode : kernels::Tri::kNone;
+}
+
 // Slice i's QKᵀ into scores, scaled softmax into probs and dropout into
 // probs_d (which may alias either), drawing the mask when it is not null.
 // The same kernels, on the same rows, as ops::bmm / scaled_softmax /
-// dropout_stateless over the whole [b·a/t, s, s] tensor.
+// dropout_stateless over the whole [b·a/t, s, s] tensor; a causal core
+// computes only the live triangle, whose bits are the full kernels'.
+// The scores' dead tiles stay unwritten (the causal softmax never reads
+// them); probs and probs_d are written whole.
 void slice_forward(const CoreView& c, const AttnCoreDims& d, int64_t i,
                    float* scores, float* probs, float* probs_d,
                    uint8_t* mask) {
   kernels::gemm(c.q + c.at(i), c.k + c.at(i), scores, c.s, c.s, c.hd,
-                /*trans_a=*/false, /*trans_b=*/true);
+                /*trans_a=*/false, /*trans_b=*/true,
+                tri(d, kernels::Tri::kOut));
   slice_softmax(scores, probs, c.s, d);
   const ops::IndexMap map = d.mask_map(i);
   kernels::dropout_stateless(probs, probs_d, mask, map.dims.data(),
                              map.strides.data(),
                              static_cast<int>(map.dims.size()), map.base,
-                             d.seed, d.dropout_p);
+                             d.seed, d.dropout_p, d.causal);
+}
+
+// dx = dy · mask / (1 - p) over one s×s slice.
+void slice_dropout_grad(const float* dy, const uint8_t* mask, float* dx,
+                        int64_t s, const AttnCoreDims& d) {
+  kernels::dropout_grad(dy, mask, dx, s, s, s, d.dropout_p, d.causal);
 }
 
 class AttentionCoreNode final : public ag::Node {
@@ -127,7 +143,7 @@ class AttentionCoreNode final : public ag::Node {
           break;
         case AttnSaved::kScores:  // the saved mask re-applies the dropout
           slice_softmax(scores_.get().data() + c.sq(i), p.data(), s, d_);
-          kernels::dropout_grad(p.data(), mask, b.data(), s * s, d_.dropout_p);
+          slice_dropout_grad(p.data(), mask, b.data(), s, d_);
           break;
         case AttnSaved::kProbs:
           probs_d = probs_d_.get().data() + c.sq(i);
@@ -136,16 +152,21 @@ class AttentionCoreNode final : public ag::Node {
       const float* dctx = grad_out.data() + c.at(i);
       // dV = (P·dropout)ᵀ dctx; dP = dropout'(dctx Vᵀ); dS = softmax'(dP).
       kernels::gemm(probs_d, dctx, dv.data() + c.at(i), s, c.hd, s,
-                    /*trans_a=*/true, /*trans_b=*/false);
+                    /*trans_a=*/true, /*trans_b=*/false,
+                    tri(d_, kernels::Tri::kAUpper));
       kernels::gemm(dctx, c.v + c.at(i), a.data(), s, s, c.hd,
-                    /*trans_a=*/false, /*trans_b=*/true);
-      kernels::dropout_grad(a.data(), mask, b.data(), s * s, d_.dropout_p);
-      kernels::scaled_softmax_grad(probs, b.data(), a.data(), s, s, d_.alpha);
+                    /*trans_a=*/false, /*trans_b=*/true,
+                    tri(d_, kernels::Tri::kOut));
+      slice_dropout_grad(a.data(), mask, b.data(), s, d_);
+      kernels::scaled_softmax_grad(probs, b.data(), a.data(), s, s, s,
+                                   d_.alpha, d_.causal);
       // dQ = dS K; dK = dSᵀ Q.
       kernels::gemm(a.data(), c.k + c.at(i), dq.data() + c.at(i), s, c.hd, s,
-                    /*trans_a=*/false, /*trans_b=*/false);
+                    /*trans_a=*/false, /*trans_b=*/false,
+                    tri(d_, kernels::Tri::kALower));
       kernels::gemm(a.data(), c.q + c.at(i), dk.data() + c.at(i), s, c.hd, s,
-                    /*trans_a=*/true, /*trans_b=*/false);
+                    /*trans_a=*/true, /*trans_b=*/false,
+                    tri(d_, kernels::Tri::kAUpper));
     }
     return {dq, dk, dv};
   }
@@ -197,7 +218,9 @@ ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
     float* pd = keeps_probs ? probs_d.data() + c.sq(i) : keeps_scores ? pr : sc;
     slice_forward(c, d, i, sc, pr, pd,
                   mask.defined() ? mask.u8() + c.sq(i) : nullptr);
-    kernels::gemm(pd, c.v + c.at(i), out.data() + c.at(i), c.s, c.hd, c.s);
+    kernels::gemm(pd, c.v + c.at(i), out.data() + c.at(i), c.s, c.hd, c.s,
+                  /*trans_a=*/false, /*trans_b=*/false,
+                  tri(d, kernels::Tri::kALower));
   }
   std::shared_ptr<ag::Node> node;
   if (grad) {

@@ -141,6 +141,12 @@ class ParallelPlan {
 // output row depends on one slice only and the GEMM fixes each
 // element's k order, so values and gradients are bitwise the unfused
 // bmm → scaled_softmax → dropout → bmm chain's, whatever the set.
+// A causal core computes only the live lower triangle: its seven
+// per-slice GEMMs run in kernels::Tri modes and its dropout, dropout
+// grad and softmax grad in their causal forms, which skip only terms
+// that multiply an exact zero, so the bits stay the chain's (the
+// scores' dead tiles are left unwritten, and nothing reads them). A
+// non-causal core runs the full square.
 // Under no-grad the node keeps nothing and draws no mask.
 ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
                        const AttnCoreDims& d, AttnSaved saved);

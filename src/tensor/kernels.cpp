@@ -222,26 +222,34 @@ inline Vec load_vec(const float* p) {
 
 inline void store_vec(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
 
-// C[MR x NR] tile from a packed A panel and an NR-wide B panel whose
-// row kk starts at b + kk * ldb: a packed panel (ldb = NR) or, for
-// short-M GEMMs, B's own rows read in place (ldb = B's row stride).
+// C[MR x NR] tile over kc k steps. Element (i, kk) of the tile's A rows
+// sits at a[i * rs_a + kk * cs_a]: a packed panel (kPackedA: the strides
+// are the constants 1 and MR, so its loads keep fixed offsets) or, for
+// narrow GEMMs, A's own storage read in place. Row kk of the
+// NR-wide B panel starts at b + kk * ldb: a packed panel (ldb = NR) or,
+// for short-M GEMMs, B's own rows read in place (ldb = B's row stride).
 // Each accumulator starts at +0 and takes one FMA per k step in
-// ascending k, so an element's bits do not depend on which B path fed
-// it. Zero-padded A rows mean every tile runs the full MR x NR body;
+// ascending k, so an element's bits do not depend on which A or B path
+// fed it. Zero-padded A rows mean every tile runs the full MR x NR body;
 // full tiles write C straight from the registers, edge tiles through a
 // spilled copy that respects the true mr x nr edge.
-void micro_kernel(const float* ap, const float* b, int64_t ldb, float* c,
-                  int64_t ldc, int64_t kc, int64_t mr, int64_t nr,
-                  bool accumulate) {
+template <bool kPackedA>
+void micro_kernel(const float* a, int64_t rs_a, int64_t cs_a, const float* b,
+                  int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t mr,
+                  int64_t nr, bool accumulate) {
+  if constexpr (kPackedA) {
+    rs_a = 1;
+    cs_a = MR;
+  }
   Vec acc[MR][2] = {};
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* a = ap + kk * MR;
+    const float* ak = a + kk * cs_a;
     const Vec b0 = load_vec(b + kk * ldb);
     const Vec b1 = load_vec(b + kk * ldb + kVecLanes);
 #pragma GCC unroll 6
     for (int64_t i = 0; i < MR; ++i) {
-      acc[i][0] += a[i] * b0;
-      acc[i][1] += a[i] * b1;
+      acc[i][0] += ak[i * rs_a] * b0;
+      acc[i][1] += ak[i * rs_a] * b1;
     }
   }
   if (mr == MR && nr == NR) {
@@ -276,25 +284,6 @@ void micro_kernel(const float* ap, const float* b, int64_t ldb, float* c,
   }
 }
 
-// Micro-kernels over one packed A block (mc rows) and nc columns of one
-// kc-panel of B. bp holds the block's NR-wide packed panels. With
-// b_in_place (B's rows, row stride rs_b) set, full panels are read from
-// B instead and only the n-edge panel needs to be in bp.
-void block_kernel(const float* ap, int64_t mc, const float* bp,
-                  const float* b_in_place, int64_t rs_b, float* c,
-                  int64_t ldc, int64_t kc, int64_t nc, bool accumulate) {
-  for (int64_t jr = 0; jr < nc; jr += NR) {
-    const int64_t nr = std::min(NR, nc - jr);
-    const bool direct = b_in_place != nullptr && nr == NR;
-    const float* panel = direct ? b_in_place + jr : bp + (jr / NR) * kc * NR;
-    const int64_t ldp = direct ? rs_b : NR;
-    for (int64_t ir = 0; ir < mc; ir += MR) {
-      micro_kernel(ap + (ir / MR) * kc * MR, panel, ldp, c + ir * ldc + jr,
-                   ldc, kc, std::min(MR, mc - ir), nr, accumulate);
-    }
-  }
-}
-
 inline void cpu_pause() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -323,7 +312,8 @@ RankBinding rank_binding() { return t_binding; }
 
 void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
                   int64_t n, int64_t k, bool trans_a, bool trans_b,
-                  int64_t lda, int64_t ldb, int64_t ldc) {
+                  int64_t lda, int64_t ldb, int64_t ldc, Tri tri,
+                  int64_t diag) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     for (int64_t i = 0; i < m; ++i)
@@ -338,17 +328,23 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
 
   float* ap = tl_pack_a.get();
   float* bp = tl_pack_b.get();
-  const bool in_place = m <= kShortM && cs_b == 1;
+  const bool b_in_place = m <= kShortM && cs_b == 1;
+  // One NR panel of op(B): each A element feeds one tile once, so
+  // packing A would only copy it. Full MR tiles read A in place.
+  const bool a_in_place = n <= NR;
+  // kOut: columns past the last row's diagonal are dead in every row.
+  const int64_t n_live = tri == Tri::kOut ? std::min(n, m + diag) : n;
 
-  for (int64_t jc = 0; jc < n; jc += NC) {
-    const int64_t nc = std::min(NC, n - jc);
+  for (int64_t jc = 0; jc < n_live; jc += NC) {
+    const int64_t nc = std::min(NC, n_live - jc);
     const int64_t n_edge = nc - nc % NR;  // first column of a partial panel
     for (int64_t pc = 0; pc < k; pc += KC) {
       const int64_t kc = std::min(KC, k - pc);
-      // beta=0: the first k-panel writes C, later panels accumulate.
-      const bool accumulate = pc > 0;
+      // Panels that hold no row's live k range.
+      if (tri == Tri::kALower && pc >= m + diag) break;
+      if (tri == Tri::kAUpper && pc + kc <= diag) continue;
       const float* bblock = b + pc * rs_b + jc * cs_b;
-      if (!in_place) {
+      if (!b_in_place) {
         pack_b(bblock, bp, kc, nc, rs_b, cs_b);
       } else if (n_edge < nc) {
         pack_b_panel(bblock + n_edge, bp + (n_edge / NR) * kc * NR, kc,
@@ -356,9 +352,53 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
       }
       for (int64_t ic = 0; ic < m; ic += MC) {
         const int64_t mc = std::min(MC, m - ic);
-        pack_a(a + ic * rs_a + pc * cs_a, ap, mc, kc, rs_a, cs_a);
-        block_kernel(ap, mc, bp, in_place ? bblock : nullptr, rs_b,
-                     c + ic * ldc + jc, ldc, kc, nc, accumulate);
+        // The block's live k range [k0, k1) within this panel.
+        int64_t k0 = pc, k1 = pc + kc;
+        if (tri == Tri::kALower) k1 = std::min(k1, ic + mc + diag);
+        if (tri == Tri::kAUpper) k0 = std::max(k0, ic + diag);
+        if (k0 >= k1) continue;
+        const int64_t kb = k1 - k0;
+        const float* ablock = a + ic * rs_a + k0 * cs_a;
+        // Rows [0, m_in_place) of the block are read in place; the rest
+        // are packed into MR-tall panels of kb steps.
+        const int64_t m_in_place = a_in_place ? mc - mc % MR : 0;
+        if (m_in_place < mc) {
+          pack_a(ablock + m_in_place * rs_a, ap, mc - m_in_place, kb, rs_a,
+                 cs_a);
+        }
+        float* cblock = c + ic * ldc + jc;
+        for (int64_t jr = 0; jr < nc; jr += NR) {
+          const int64_t nr = std::min(NR, nc - jr);
+          const bool direct = b_in_place && nr == NR;
+          const float* panel = direct ? bblock + jr : bp + (jr / NR) * kc * NR;
+          const int64_t ldp = direct ? rs_b : NR;
+          for (int64_t ir = 0; ir < mc; ir += MR) {
+            const int64_t mr = std::min(MR, mc - ir);
+            // The tile's rows on the triangle, and its live k range.
+            const int64_t row0 = ic + ir + diag;
+            const int64_t row1 = row0 + mr;
+            if (tri == Tri::kOut && jc + jr >= row1) continue;
+            int64_t t0 = k0, t1 = k1;
+            if (tri == Tri::kALower) t1 = std::min(t1, row1);
+            if (tri == Tri::kAUpper) t0 = std::max(t0, row0);
+            if (t0 >= t1) continue;
+            // beta = 0: the tile's first live panel writes C, later
+            // panels accumulate.
+            const bool accumulate =
+                pc > (tri == Tri::kAUpper ? row0 : int64_t{0});
+            const float* bt = panel + (t0 - pc) * ldp;
+            float* ct = cblock + ir * ldc + jr;
+            if (ir < m_in_place) {
+              micro_kernel<false>(ablock + ir * rs_a + (t0 - k0) * cs_a, rs_a,
+                                  cs_a, bt, ldp, ct, ldc, t1 - t0, mr, nr,
+                                  accumulate);
+            } else {
+              micro_kernel<true>(
+                  ap + ((ir - m_in_place) / MR) * kb * MR + (t0 - k0) * MR, 1,
+                  MR, bt, ldp, ct, ldc, t1 - t0, mr, nr, accumulate);
+            }
+          }
+        }
       }
     }
   }
@@ -616,24 +656,64 @@ int threads_for(int64_t work, int64_t grain) {
   return work < grain ? 1 : threads();
 }
 
+// How a kernel's work spreads over its extent: evenly, or triangular —
+// rising (item r costs about r + 1, a causal row's live prefix) or
+// falling (item r costs about count - r).
+enum class Load { kFlat, kRising, kFalling };
+
 // The one way a kernel runs threaded: [0, count) is cut into up to nt
-// contiguous, align-rounded slabs, each slot runs body(begin, end) on its
-// own slab (with its own thread-local scratch), and the slots join once.
-// Every element belongs to exactly one slab and no element's arithmetic
-// depends on the slab bounds, so the bits are those of body(0, count) at
-// any thread count.
+// contiguous, align-rounded slabs of about equal work, each slot runs
+// body(begin, end) on its own slab (with its own thread-local scratch),
+// and the slots join once. A flat load gets equal extents; a triangular
+// one gets its boundaries near count·√(t/nt) (mirrored when falling),
+// so slot 0 of a causal kernel is not left a quarter of the work at two
+// threads. Every element belongs to exactly one slab and no element's
+// arithmetic depends on the slab bounds, so the bits are those of
+// body(0, count) at any thread count.
 template <typename Body>
-void parallel_ranges(int64_t count, int64_t align, int nt, const Body& body) {
+void parallel_ranges(int64_t count, int64_t align, int nt, const Body& body,
+                     Load load = Load::kFlat) {
   if (nt <= 1 || count <= 1) {
     body(0, count);
     return;
   }
-  const int64_t chunk = ceil_div(ceil_div(count, nt), align) * align;
-  WorkerPool::local().run(static_cast<int>(ceil_div(count, chunk)),
-                          [&](int slot) {
-                            const int64_t begin = slot * chunk;
-                            body(begin, std::min(count, begin + chunk));
-                          });
+  if (load == Load::kFlat) {
+    const int64_t chunk = ceil_div(ceil_div(count, nt), align) * align;
+    WorkerPool::local().run(static_cast<int>(ceil_div(count, chunk)),
+                            [&](int slot) {
+                              const int64_t begin = slot * chunk;
+                              body(begin, std::min(count, begin + chunk));
+                            });
+    return;
+  }
+  nt = std::min(nt, kMaxSlots);
+  auto bound = [&](int t) -> int64_t {
+    if (t >= nt) return count;
+    const double f = static_cast<double>(t) / nt;
+    const double x = load == Load::kRising ? std::sqrt(f)
+                                           : 1.0 - std::sqrt(1.0 - f);
+    const auto aligned = static_cast<int64_t>(
+        x * static_cast<double>(count) / static_cast<double>(align) + 0.5);
+    return std::min(count, aligned * align);
+  };
+  WorkerPool::local().run(nt, [&](int slot) {
+    const int64_t begin = bound(slot), end = bound(slot + 1);
+    if (begin < end) body(begin, end);
+  });
+}
+
+// The load of a causal row kernel over rows of [sq, sk] blocks: rising
+// when the rows are one block, flat when they are several (or the
+// kernel is not causal).
+Load row_load(int64_t rows, int64_t sq, bool causal) {
+  return causal && rows == sq ? Load::kRising : Load::kFlat;
+}
+
+// Row qi's live prefix in a causal [sq, sk] block (scaled_softmax's
+// rule), or the whole row.
+int64_t live_cols(int64_t r, int64_t sq, int64_t sk, bool causal) {
+  if (!causal) return sk;
+  return std::clamp<int64_t>(r % sq + 1 + (sk - sq), 0, sk);
 }
 
 }  // namespace
@@ -641,11 +721,14 @@ void parallel_ranges(int64_t count, int64_t align, int nt, const Body& body) {
 PoolStats local_pool_stats() { return WorkerPool::local().stats(); }
 
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool trans_a, bool trans_b) {
+          int64_t k, bool trans_a, bool trans_b, Tri tri) {
   if (use_reference()) {
     gemm_ref(a, b, c, m, n, k, trans_a, trans_b);
     return;
   }
+  MLS_CHECK(tri == Tri::kNone || (tri == Tri::kOut ? m == n : m == k))
+      << "triangle GEMM wants a square causal block: m=" << m << " n=" << n
+      << " k=" << k;
   const int64_t lda = trans_a ? m : k;
   const int64_t ldb = trans_b ? k : n;
   const int nt = threads_for(m * n * k, kParallelGrain);
@@ -653,20 +736,33 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
     // N slabs: too few row tiles to give every slot rows, and a short
     // GEMM's cost is streaming B. Each NR-aligned column slab reads its
     // own columns of B (in place when short), so B is read once overall.
+    // Under kOut a column's live rows fall as the column index rises.
     const int64_t cs_b = trans_b ? ldb : 1;
-    parallel_ranges(n, NR, nt, [&](int64_t j0, int64_t j1) {
-      gemm_blocked(a, b + j0 * cs_b, c + j0, m, j1 - j0, k, trans_a, trans_b,
-                   lda, ldb, n);
-    });
+    parallel_ranges(
+        n, NR, nt,
+        [&](int64_t j0, int64_t j1) {
+          gemm_blocked(a, b + j0 * cs_b, c + j0, m, j1 - j0, k, trans_a,
+                       trans_b, lda, ldb, n, tri,
+                       tri == Tri::kOut ? -j0 : 0);
+        },
+        tri == Tri::kOut ? Load::kFalling : Load::kFlat);
     return;
   }
   // M slabs: MR-aligned row ranges, each a serial blocked GEMM that packs
-  // its own B panels (or reads B in place when the slab is short).
+  // its own B panels (or reads B in place when the slab is short). A row
+  // of kOut or kALower has as much live work as its index; of kAUpper, as
+  // its distance from the end.
   const int64_t rs_a = trans_a ? 1 : lda;
-  parallel_ranges(m, MR, nt, [&](int64_t i0, int64_t i1) {
-    gemm_blocked(a + i0 * rs_a, b, c + i0 * n, i1 - i0, n, k, trans_a,
-                 trans_b, lda, ldb, n);
-  });
+  const Load load = tri == Tri::kNone      ? Load::kFlat
+                    : tri == Tri::kAUpper ? Load::kFalling
+                                          : Load::kRising;
+  parallel_ranges(
+      m, MR, nt,
+      [&](int64_t i0, int64_t i1) {
+        gemm_blocked(a + i0 * rs_a, b, c + i0 * n, i1 - i0, n, k, trans_a,
+                     trans_b, lda, ldb, n, tri, i0);
+      },
+      load);
 }
 
 void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
@@ -873,9 +969,7 @@ void scaled_softmax_rows(const float* x, float* y, int64_t r0, int64_t r1,
   for (int64_t r = r0; r < r1; ++r) {
     const float* in = x + r * sk;
     float* out = y + r * sk;
-    const int64_t qi = causal ? (r % sq) : 0;
-    const int64_t valid =
-        causal ? std::min<int64_t>(sk, qi + 1 + (sk - sq)) : sk;
+    const int64_t valid = live_cols(r, sq, sk, causal);
     const float mx = scaled_row_max(in, valid, alpha);
     for (int64_t j = 0; j < valid; ++j) out[j] = exp_f32(alpha * in[j] - mx);
     const double denom = lane_sum(valid, [&](int64_t j) { return out[j]; });
@@ -886,14 +980,17 @@ void scaled_softmax_rows(const float* x, float* y, int64_t r0, int64_t r1,
 }
 
 void scaled_softmax_grad_rows(const float* y, const float* dy, float* dx,
-                              int64_t r0, int64_t r1, int64_t n, float alpha) {
+                              int64_t r0, int64_t r1, int64_t sq, int64_t sk,
+                              float alpha, bool causal) {
   for (int64_t r = r0; r < r1; ++r) {
-    const float* yr = y + r * n;
-    const float* gr = dy + r * n;
-    float* dr = dx + r * n;
+    const float* yr = y + r * sk;
+    const float* gr = dy + r * sk;
+    float* dr = dx + r * sk;
+    const int64_t valid = live_cols(r, sq, sk, causal);
     const float d = static_cast<float>(
-        lane_sum(n, [&](int64_t j) { return yr[j] * gr[j]; }));
-    for (int64_t j = 0; j < n; ++j) dr[j] = alpha * (yr[j] * (gr[j] - d));
+        lane_sum(valid, [&](int64_t j) { return yr[j] * gr[j]; }));
+    for (int64_t j = 0; j < valid; ++j) dr[j] = alpha * (yr[j] * (gr[j] - d));
+    for (int64_t j = valid; j < sk; ++j) dr[j] = 0.0f;
   }
 }
 
@@ -919,17 +1016,24 @@ void bias_gelu_grad(const float* x, const float* bias, const float* dy,
 void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
                     int64_t sk, float alpha, bool causal) {
   const int nt = threads_for(rows * sk, kElemGrain);
-  parallel_ranges(rows, 1, nt, [&](int64_t r0, int64_t r1) {
-    scaled_softmax_rows(x, y, r0, r1, sq, sk, alpha, causal);
-  });
+  parallel_ranges(
+      rows, 1, nt,
+      [&](int64_t r0, int64_t r1) {
+        scaled_softmax_rows(x, y, r0, r1, sq, sk, alpha, causal);
+      },
+      row_load(rows, sq, causal));
 }
 
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
-                         int64_t rows, int64_t n, float alpha) {
-  const int nt = threads_for(rows * n, kElemGrain);
-  parallel_ranges(rows, 1, nt, [&](int64_t r0, int64_t r1) {
-    scaled_softmax_grad_rows(y, dy, dx, r0, r1, n, alpha);
-  });
+                         int64_t rows, int64_t sq, int64_t sk, float alpha,
+                         bool causal) {
+  const int nt = threads_for(rows * sk, kElemGrain);
+  parallel_ranges(
+      rows, 1, nt,
+      [&](int64_t r0, int64_t r1) {
+        scaled_softmax_grad_rows(y, dy, dx, r0, r1, sq, sk, alpha, causal);
+      },
+      row_load(rows, sq, causal));
 }
 
 void tanh(const float* x, float* y, int64_t n) {
@@ -1190,13 +1294,23 @@ void dropout_row(const float* x, float* y, uint8_t* mask, int64_t w,
   }
 }
 
+// A causal row's dead tail: y = 0 and, when drawn, mask = 0.
+void zero_tail(float* y, uint8_t* mask, int64_t live, int64_t w) {
+  if (live >= w) return;
+  std::memset(y + live, 0, sizeof(float) * static_cast<size_t>(w - live));
+  if (mask != nullptr)
+    std::memset(mask + live, 0, static_cast<size_t>(w - live));
+}
+
 // Rows [r0, r1) of the local tensor viewed as [rows, w]. Row r's global
 // base is base + sum_d coord_d * strides[d] over the outer dims; it is
 // decomposed once at r0 and then stepped one row at a time.
 void dropout_rows(const float* x, float* y, uint8_t* mask, const int64_t* dims,
                   const int64_t* strides, int nd, int64_t base, uint64_t seed,
-                  uint64_t threshold, float inv_keep, int64_t r0, int64_t r1) {
+                  uint64_t threshold, float inv_keep, bool causal, int64_t r0,
+                  int64_t r1) {
   const int64_t w = nd > 0 ? dims[nd - 1] : 1;
+  const int64_t sq = nd > 1 ? dims[nd - 2] : 1;
   std::vector<int64_t> coord(static_cast<size_t>(nd), 0);
   int64_t g = base;
   int64_t rem = r0;
@@ -1206,8 +1320,11 @@ void dropout_rows(const float* x, float* y, uint8_t* mask, const int64_t* dims,
     g += coord[static_cast<size_t>(d)] * strides[d];
   }
   for (int64_t r = r0; r < r1; ++r) {
-    dropout_row(x + r * w, y + r * w, mask != nullptr ? mask + r * w : nullptr,
-                w, g, seed, threshold, inv_keep);
+    const int64_t live = live_cols(r, sq, w, causal);
+    uint8_t* mrow = mask != nullptr ? mask + r * w : nullptr;
+    dropout_row(x + r * w, y + r * w, mrow, live, g, seed, threshold,
+                inv_keep);
+    zero_tail(y + r * w, mrow, live, w);
     for (int d = nd - 2; d >= 0; --d) {
       g += strides[d];
       if (++coord[static_cast<size_t>(d)] < dims[d]) break;
@@ -1221,7 +1338,8 @@ void dropout_rows(const float* x, float* y, uint8_t* mask, const int64_t* dims,
 
 void dropout_stateless(const float* x, float* y, uint8_t* mask,
                        const int64_t* dims, const int64_t* strides, int nd,
-                       int64_t base, uint64_t seed, float p) {
+                       int64_t base, uint64_t seed, float p, bool causal) {
+  MLS_CHECK(!causal || nd >= 2) << "causal dropout wants [sq, sk] rows";
   int64_t n = 1;
   for (int d = 0; d < nd; ++d) n *= dims[d];
   if (n == 0) return;
@@ -1230,19 +1348,38 @@ void dropout_stateless(const float* x, float* y, uint8_t* mask,
   const uint64_t threshold =
       static_cast<uint64_t>(p * 18446744073709551615.0);  // p * (2^64 - 1)
   const int nt = threads_for(n, kElemGrain);
-  parallel_ranges(n / w, 1, nt, [&](int64_t r0, int64_t r1) {
-    dropout_rows(x, y, mask, dims, strides, nd, base, seed, threshold,
-                 inv_keep, r0, r1);
-  });
+  parallel_ranges(
+      n / w, 1, nt,
+      [&](int64_t r0, int64_t r1) {
+        dropout_rows(x, y, mask, dims, strides, nd, base, seed, threshold,
+                     inv_keep, causal, r0, r1);
+      },
+      row_load(n / w, nd > 1 ? dims[nd - 2] : 1, causal));
 }
 
-void dropout_grad(const float* dy, const uint8_t* mask, float* dx, int64_t n,
-                  float p) {
+void dropout_grad(const float* dy, const uint8_t* mask, float* dx,
+                  int64_t rows, int64_t sq, int64_t sk, float p, bool causal) {
   const float inv_keep = 1.0f / (1.0f - p);
-  parallel_ranges(n, 16, threads_for(n, kElemGrain), [&](int64_t b, int64_t e) {
+  auto apply = [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i)
       dx[i] = dy[i] * static_cast<float>(mask[i]) * inv_keep;
-  });
+  };
+  const int64_t n = rows * sk;
+  const int nt = threads_for(n, kElemGrain);
+  if (!causal) {
+    parallel_ranges(n, 16, nt, apply);
+    return;
+  }
+  parallel_ranges(
+      rows, 1, nt,
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          const int64_t live = live_cols(r, sq, sk, true);
+          apply(r * sk, r * sk + live);
+          zero_tail(dx + r * sk, nullptr, live, sk);
+        }
+      },
+      row_load(rows, sq, true));
 }
 
 // ---------------------------------------------------- layout transposes

@@ -20,9 +20,30 @@
 //    B's rows in place through their row stride and only the n-edge
 //    panel is packed. A packed panel pays off only when many row tiles
 //    reuse it.
+//  * Narrow GEMMs (op(B) one NR panel wide, n <= NR: the attention
+//    core's P·V, dV, dQ and dK at head size 32 on AVX-512) skip A
+//    packing: each A element feeds one tile exactly once, so full MR
+//    tiles read A in place through its strides and only the m-edge tile
+//    is packed. Both A paths feed the same per-element FMA chain.
 //  * beta = 0 semantics: C is fully overwritten, never read before the
 //    first write — callers pass Tensor::empty() storage and skip the
-//    zeros() memset.
+//    zeros() memset. The one exception is Tri::kOut below, which leaves
+//    its dead tiles unwritten.
+//  * Triangle modes (Tri, below) let a causal attention core compute
+//    only its live lower triangle. kOut (QKᵀ, dP) skips the MR x NR
+//    tiles that lie wholly above the diagonal; kALower (P·V, dQ) cuts
+//    each tile's k to [0, its last row]; kAUpper (dV, dK) cuts it to
+//    [its first row, k). The cuts are made per MC block and per MR tile,
+//    while the KC panel boundaries stay absolute, so every kept term
+//    lands in the same accumulator in the same order; under kAUpper a
+//    tile's first live panel writes C and later panels accumulate.
+//    Every skipped term multiplies an exact zero of the triangular
+//    operand, a ±0 product the full GEMM adds to an accumulator that
+//    started at +0, so for finite inputs the live outputs keep the full
+//    GEMM's bits. (The one representable difference is the sign of a
+//    zero sum: an FMA that underflows below the smallest subnormal can
+//    leave a −0 partial sum, which a skipped +0 term would have turned
+//    into +0.) gemm_ref ignores the mode and computes everything.
 //  * Determinism: every output element C[i,j] is reduced over k in a
 //    fixed order (register-accumulated kc-panels at fixed absolute k
 //    boundaries, sequential within a panel). The order depends only on
@@ -44,7 +65,10 @@
 //    own slab with its own packing scratch, and the slots join once.
 //    A GEMM's slabs are MR-aligned row ranges; short ones (m <=
 //    short_m, or fewer row tiles than workers) take NR-aligned column
-//    slabs of B instead, so B is read once overall. The rank threads
+//    slabs of B instead, so B is read once overall. Slabs hold equal
+//    work: equal extents for a full kernel, and for a triangular one (a
+//    Tri GEMM, a causal row kernel) boundaries near count·√(t/nt) when
+//    the work per row rises, mirrored when it falls. The rank threads
 //    never contend on a shared queue and teardown is per rank-thread.
 //  * A rank's CPUs are its slice, the simulator's stand-in for the
 //    paper's one device per rank. Of the C CPUs in the affinity mask a
@@ -134,22 +158,38 @@ struct PoolStats {
 PoolStats local_pool_stats();
 
 // ------------------------------------------------------------------ GEMM
+// Which part of a causal attention GEMM is live (header comment above).
+// Row i of C is query row i of the causal [s, s] block.
+enum class Tri {
+  kNone,    // the full GEMM
+  kOut,     // C is causal: C[i,j] with j > i is dead (m == n). Tiles
+            // wholly above the diagonal are left unwritten.
+  kALower,  // op(A)[i,kk] == 0 for kk > i (m == k): P·V, dQ
+  kAUpper,  // op(A)[i,kk] == 0 for kk < i (m == k): dV, dK
+};
+
 // C[m,n] = op(A) @ op(B), beta = 0 (C need not be initialized).
 // op(A) is [m,k]: stored row-major as A[m,k], or A[k,m] when trans_a.
 // op(B) is [k,n]: stored row-major as B[k,n], or B[n,k] when trans_b.
 // Dispatches to the blocked kernel (parallelized over M or N tiles when
 // MLS_KERNEL_THREADS > 1 and the problem is large enough) or, under
-// MLS_KERNEL_REF=1, to gemm_ref.
+// MLS_KERNEL_REF=1, to gemm_ref. tri computes only the live triangle.
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool trans_a = false, bool trans_b = false);
+          int64_t k, bool trans_a = false, bool trans_b = false,
+          Tri tri = Tri::kNone);
 
 // The blocked kernel, bypassing env dispatch (for tests/bench).
 // ldc is C's row stride (>= n), so threads can write disjoint column
 // ranges of a shared C. lda/ldb are the *storage* row strides of A/B
 // (i.e. of the buffer as laid out, before the logical transpose).
+// Under a triangle mode, diag places this call's slab on the diagonal:
+// row i meets it at column i + diag (kOut) or at k index i + diag
+// (kALower, kAUpper), so a row slab starting at row r0 passes r0 and a
+// kOut column slab starting at column j0 passes -j0.
 void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
                   int64_t n, int64_t k, bool trans_a, bool trans_b,
-                  int64_t lda, int64_t ldb, int64_t ldc);
+                  int64_t lda, int64_t ldb, int64_t ldc, Tri tri = Tri::kNone,
+                  int64_t diag = 0);
 
 // The blocked kernel's register tile and short-M crossover, for tests
 // and benches that must straddle them: mr x nr is the tile, and a GEMM
@@ -198,14 +238,23 @@ void bias_gelu_grad(const float* x, const float* bias, const float* dy,
 
 // Softmax over the last dimension of alpha * x, optionally causal: rows
 // are the trailing [sq, sk] blocks; for row qi only the first
-// qi + 1 + (sk - sq) entries are live, the rest are written as 0.
+// qi + 1 + (sk - sq) entries are live (read), the rest are written as 0.
 // Fuses the attention-score 1/sqrt(d) scaling into the max/exp sweep.
 void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
                     int64_t sk, float alpha, bool causal);
 // dx = alpha * y * (dy - sum_j y[j] dy[j]) — backward of the above
-// given the forward *output* y.
+// given the forward *output* y, over rows of [sq, sk] blocks. Causal
+// reads only each row's live prefix and writes dx = 0 past it; the
+// prefix's bits are the full row's (the row dot's lanes are indexed by
+// absolute column, and the dead terms it skips are y = 0 products).
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
-                         int64_t rows, int64_t n, float alpha);
+                         int64_t rows, int64_t sq, int64_t sk, float alpha,
+                         bool causal);
+// The full-row form: rows of n entries.
+inline void scaled_softmax_grad(const float* y, const float* dy, float* dx,
+                                int64_t rows, int64_t n, float alpha) {
+  scaled_softmax_grad(y, dy, dx, rows, 1, n, alpha, /*causal=*/false);
+}
 
 // ------------------------------------------------ paged decode attention
 // One query row's attention over a paged K/V cache, read in place (no
@@ -249,12 +298,23 @@ void decode_attention(const float* q, const PagedKV& kv, int64_t len,
 // is a contiguous global range (one base per row); nd = 0 is a single
 // element at base. mask may be null (no backward will read it, e.g. a
 // no-grad forward): then y alone is written, with the same bits.
+// causal (nd >= 2) treats the trailing two dims as [sq, sk] blocks, as
+// scaled_softmax does: only each row's live prefix is hashed, and y = 0
+// and mask = 0 are written past it. Over softmax output, whose dead
+// entries are +0, y keeps every bit of the full kernel's.
 void dropout_stateless(const float* x, float* y, uint8_t* mask,
                        const int64_t* dims, const int64_t* strides, int nd,
-                       int64_t base, uint64_t seed, float p);
-// dx[i] = dy[i] * mask[i] * (1 / (1 - p)) over n elements.
-void dropout_grad(const float* dy, const uint8_t* mask, float* dx, int64_t n,
-                  float p);
+                       int64_t base, uint64_t seed, float p,
+                       bool causal = false);
+// dx[i] = dy[i] * mask[i] * (1 / (1 - p)) over rows of [sq, sk] blocks.
+// Causal reads only each row's live prefix and writes dx = 0 past it.
+void dropout_grad(const float* dy, const uint8_t* mask, float* dx,
+                  int64_t rows, int64_t sq, int64_t sk, float p, bool causal);
+// The full form over n elements.
+inline void dropout_grad(const float* dy, const uint8_t* mask, float* dx,
+                         int64_t n, float p) {
+  dropout_grad(dy, mask, dx, 1, 1, n, p, /*causal=*/false);
+}
 
 // ------------------------------------------------------ layout transposes
 // The two hot attention-layout transposes as blocked row copies (the

@@ -5,6 +5,10 @@
 //    (8 on SSE2, 16 on AVX2, 32 on AVX-512),
 //  * short-M GEMMs (B read in place) vs the same rows of a tall,
 //    packed GEMM, bitwise, across both B paths and 1/2/4 threads,
+//  * the causal triangle modes (kOut, kALower, kAUpper) vs the full
+//    GEMM on the live region, bitwise, with ±0 in the dead triangle and
+//    narrow (in-place A) against wide (packed A) op(B); kOut's dead
+//    tiles stay unwritten,
 //  * bit-identical output at any MLS_KERNEL_THREADS (the library's
 //    determinism contract: k-reduction order never depends on tile
 //    position or thread count),
@@ -24,7 +28,9 @@
 //  * the stateless-dropout row kernel vs a scalar coordinate-walk
 //    oracle over every map shape the model uses (bitwise, at 1/2/4
 //    threads), and golden mask checksums pinned from the walk (the
-//    byte mask widened to the float 0/1 mask the walk wrote),
+//    byte mask widened to the float 0/1 mask the walk wrote); the causal
+//    dropout, dropout-grad and softmax-grad forms vs the full kernels on
+//    each row's live prefix, with +0 written past it,
 //  * U8 mask storage: 1 byte per element in the pool, and autograd
 //    draws no mask when it builds no node,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
@@ -37,6 +43,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -637,6 +644,145 @@ TEST(KernelGemm, Beta0OverwritesPoisonedOutput) {
   }
 }
 
+// ------------------------------------------------------ triangle modes
+
+// A [rows, cols] row-major operand whose entries past each row's causal
+// diagonal (cols > row for lower, cols < row for upper, in logical
+// coordinates) are exact zeros, alternately +0 and -0, stored as op(A)
+// or, with trans, as its transpose.
+std::vector<float> triangular(int64_t rows, int64_t cols, bool lower,
+                              bool trans, uint64_t seed) {
+  std::vector<float> v = random_vec(rows * cols, seed);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t kk = 0; kk < cols; ++kk) {
+      if (lower ? kk <= i : kk >= i) continue;
+      const int64_t at = trans ? kk * rows + i : i * cols + kk;
+      v[static_cast<size_t>(at)] = (i + kk) % 2 == 0 ? 0.0f : -0.0f;
+    }
+  }
+  return v;
+}
+
+// Each triangle mode against the full GEMM on the live region, bitwise,
+// at 1/2/4 threads. The reference is the full GEMM at one thread over a
+// wider op(B) (2·nr + 1 columns, so A is packed), cut to the first n
+// columns: with n = nr or less the triangle GEMM reads A in place, so
+// this also holds the in-place A path to the packed one on every ISA.
+// s straddles MR, NR, MC (96) and KC (256): at s = 257 and 300 a kAUpper
+// tile's first live panel starts at k = 256 and must write, not add.
+TEST(KernelGemm, TriangleModesMatchFullGemm) {
+  const kernels::GemmTile tile = kernels::gemm_tile();
+  const int64_t wide = 2 * tile.nr + 1;
+  for (const int64_t s : {1, 7, 97, 257, 300}) {
+    // kALower / kAUpper: op(A) is [s, s] and triangular, op(B) [s, n].
+    for (const kernels::Tri mode :
+         {kernels::Tri::kALower, kernels::Tri::kAUpper}) {
+      const bool lower = mode == kernels::Tri::kALower;
+      for (const int64_t n : {tile.nr, int64_t{3}, wide}) {
+        for (int t = 0; t < 4; ++t) {
+          const bool trans_a = (t & 1) != 0, trans_b = (t & 2) != 0;
+          const std::vector<float> a = triangular(s, s, lower, trans_a, 7 + s);
+          const std::vector<float> b = random_vec(s * wide, 8 + s);
+          // op(B)'s first n columns, in n-column storage.
+          std::vector<float> bn(static_cast<size_t>(s * n));
+          for (int64_t kk = 0; kk < s; ++kk) {
+            for (int64_t j = 0; j < n; ++j) {
+              bn[static_cast<size_t>(trans_b ? j * s + kk : kk * n + j)] =
+                  b[static_cast<size_t>(trans_b ? j * s + kk : kk * wide + j)];
+            }
+          }
+          std::vector<float> full(static_cast<size_t>(s * wide));
+          {
+            ScopedEnv env("MLS_KERNEL_THREADS", "1");
+            kernels::gemm(a.data(), b.data(), full.data(), s, wide, s, trans_a,
+                          trans_b);
+          }
+          for (const char* nt : {"1", "2", "4"}) {
+            ScopedEnv env("MLS_KERNEL_THREADS", nt);
+            std::vector<float> c(static_cast<size_t>(s * n), -1.0f);
+            kernels::gemm(a.data(), bn.data(), c.data(), s, n, s, trans_a,
+                          trans_b, mode);
+            for (int64_t i = 0; i < s; ++i) {
+              ASSERT_EQ(0, std::memcmp(c.data() + i * n, full.data() + i * wide,
+                                       sizeof(float) * static_cast<size_t>(n)))
+                  << (lower ? "kALower" : "kAUpper") << " s=" << s
+                  << " n=" << n << " trans_a=" << trans_a
+                  << " trans_b=" << trans_b << " threads=" << nt
+                  << " row " << i;
+            }
+          }
+        }
+      }
+    }
+    // kOut: C = op(A) op(B) is [s, s], live where j <= i; k = d straddles
+    // KC too.
+    for (const int64_t k : {tile.nr, int64_t{300}}) {
+      for (int t = 0; t < 4; ++t) {
+        const bool trans_a = (t & 1) != 0, trans_b = (t & 2) != 0;
+        const std::vector<float> a = random_vec(s * k, 9 + s);
+        const std::vector<float> b = random_vec(k * s, 10 + s);
+        std::vector<float> full(static_cast<size_t>(s * s));
+        {
+          ScopedEnv env("MLS_KERNEL_THREADS", "1");
+          kernels::gemm(a.data(), b.data(), full.data(), s, s, k, trans_a,
+                        trans_b);
+        }
+        for (const char* nt : {"1", "2", "4"}) {
+          ScopedEnv env("MLS_KERNEL_THREADS", nt);
+          std::vector<float> c(static_cast<size_t>(s * s), -1.0f);
+          kernels::gemm(a.data(), b.data(), c.data(), s, s, k, trans_a, trans_b,
+                        kernels::Tri::kOut);
+          for (int64_t i = 0; i < s; ++i) {
+            const size_t live = sizeof(float) * static_cast<size_t>(i + 1);
+            ASSERT_EQ(0, std::memcmp(c.data() + i * s, full.data() + i * s,
+                                     live))
+                << "kOut s=" << s << " k=" << k << " trans_a=" << trans_a
+                << " trans_b=" << trans_b << " threads=" << nt << " row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// kOut is the one exception to beta = 0: an MR x NR tile wholly above
+// the diagonal is never written. A sentinel in every dead tile survives,
+// on both the row-slab path (s > short_m) and the column-slab path.
+TEST(KernelGemm, TriOutLeavesDeadTilesUntouched) {
+  const kernels::GemmTile tile = kernels::gemm_tile();
+  const float sentinel = 12345.0f;
+  for (const int64_t s :
+       {int64_t{7}, tile.short_m, int64_t{97}, int64_t{300}}) {
+    const int64_t k = 32;
+    const std::vector<float> a = random_vec(s * k, 51);
+    const std::vector<float> b = random_vec(s * k, 52);
+    for (const char* nt : {"1", "2", "4"}) {
+      ScopedEnv env("MLS_KERNEL_THREADS", nt);
+      std::vector<float> c(static_cast<size_t>(s * s), sentinel);
+      kernels::gemm(a.data(), b.data(), c.data(), s, s, k, false, true,
+                    kernels::Tri::kOut);
+      int64_t dead = 0;
+      for (int64_t i = 0; i < s; ++i) {
+        const int64_t tile_last_row = (i / tile.mr + 1) * tile.mr - 1;
+        for (int64_t j = 0; j < s; ++j) {
+          const float v = c[static_cast<size_t>(i * s + j)];
+          if (j <= i) {
+            ASSERT_NE(v, sentinel) << "live element unwritten s=" << s
+                                   << " (" << i << ", " << j << ")";
+          } else if ((j / tile.nr) * tile.nr > tile_last_row) {
+            ++dead;
+            ASSERT_EQ(v, sentinel) << "dead tile written s=" << s << " ("
+                                   << i << ", " << j << ") threads=" << nt;
+          }
+        }
+      }
+      if (s >= 97) {
+        EXPECT_GT(dead, 0) << "s=" << s;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------ matmul with 3-D lhs
 
 TEST(KernelOps, MatmulTransAFlattensLeadingAxes) {
@@ -1090,6 +1236,92 @@ TEST(KernelDropout, GradIsThreadCountInvariant) {
       ScopedEnv env("MLS_KERNEL_THREADS", nt);
       EXPECT_TRUE(bitwise_equal(ops::dropout_grad(dy, out.mask, 0.1f), want))
           << c.name << " threads=" << nt;
+    }
+  }
+}
+
+// The causal row kernels the attention core runs: dropout, its grad and
+// the softmax grad over [sq, sk] rows read only each row's live prefix
+// (qi + 1 entries) and write 0 past it. On the prefix they equal the full
+// kernels bit for bit; over causal softmax output (dead entries +0) the
+// dropout's y equals the full kernel's everywhere. One [s, s] block
+// (the core's slice, split by equal work) and an [nb, s, s] tensor (split
+// by rows), at 1/2/4 threads.
+TEST(KernelDropout, CausalFormsMatchFullKernelsOnLivePrefix) {
+  for (const int64_t s : {1, 7, 97, 300}) {
+    for (const int64_t nb : {1, 3}) {
+      const int64_t rows = nb * s, n = rows * s;
+      ops::IndexMap map;  // nb slices of a global [2·nb, s, s] tensor
+      map.dims = {nb, s, s};
+      map.strides = {2 * s * s, s, 1};
+      map.base = s * s;
+      Rng rng(static_cast<uint64_t>(s + nb));
+      const Tensor x = Tensor::randn(Shape{{rows, s}}, rng);
+      const Tensor dy = Tensor::randn(Shape{{rows, s}}, rng);
+      std::vector<float> probs(static_cast<size_t>(n));
+      kernels::scaled_softmax(x.data(), probs.data(), rows, s, s, 0.5f, true);
+      // The full kernels, at one thread.
+      std::vector<float> y_full(static_cast<size_t>(n)), g_full(y_full.size()),
+          sg_full(y_full.size()), yp_full(y_full.size());
+      std::vector<uint8_t> m_full(y_full.size());
+      {
+        ScopedEnv env("MLS_KERNEL_THREADS", "1");
+        kernels::dropout_stateless(x.data(), y_full.data(), m_full.data(),
+                                   map.dims.data(), map.strides.data(), 3,
+                                   map.base, 41, 0.1f);
+        kernels::dropout_stateless(probs.data(), yp_full.data(), nullptr,
+                                   map.dims.data(), map.strides.data(), 3,
+                                   map.base, 41, 0.1f);
+        kernels::dropout_grad(dy.data(), m_full.data(), g_full.data(), n, 0.1f);
+        kernels::scaled_softmax_grad(probs.data(), dy.data(), sg_full.data(),
+                                     rows, s, 0.5f);
+      }
+      for (const char* nt : {"1", "2", "4"}) {
+        ScopedEnv env("MLS_KERNEL_THREADS", nt);
+        std::vector<float> y(y_full.size(), -1.0f), g(y.size(), -1.0f),
+            sg(y.size(), -1.0f), yp(y.size(), -1.0f);
+        std::vector<uint8_t> m(y.size(), 7);
+        kernels::dropout_stateless(x.data(), y.data(), m.data(),
+                                   map.dims.data(), map.strides.data(), 3,
+                                   map.base, 41, 0.1f, /*causal=*/true);
+        kernels::dropout_stateless(probs.data(), yp.data(), nullptr,
+                                   map.dims.data(), map.strides.data(), 3,
+                                   map.base, 41, 0.1f, /*causal=*/true);
+        kernels::dropout_grad(dy.data(), m_full.data(), g.data(), rows, s, s,
+                              0.1f, /*causal=*/true);
+        kernels::scaled_softmax_grad(probs.data(), dy.data(), sg.data(), rows,
+                                     s, s, 0.5f, /*causal=*/true);
+        const std::string where = "s=" + std::to_string(s) + " nb=" +
+                                  std::to_string(nb) + " threads=" + nt;
+        EXPECT_EQ(0, std::memcmp(yp.data(), yp_full.data(),
+                                 sizeof(float) * yp.size()))
+            << "dropout over softmax output " << where;
+        for (int64_t r = 0; r < rows; ++r) {
+          const int64_t live = r % s + 1;
+          const size_t row = static_cast<size_t>(r * s);
+          const size_t live_bytes = sizeof(float) * static_cast<size_t>(live);
+          ASSERT_EQ(0, std::memcmp(y.data() + row, y_full.data() + row,
+                                   live_bytes))
+              << "dropout y " << where << " row " << r;
+          ASSERT_EQ(0, std::memcmp(m.data() + row, m_full.data() + row,
+                                   static_cast<size_t>(live)))
+              << "dropout mask " << where << " row " << r;
+          ASSERT_EQ(0, std::memcmp(g.data() + row, g_full.data() + row,
+                                   live_bytes))
+              << "dropout_grad " << where << " row " << r;
+          ASSERT_EQ(0, std::memcmp(sg.data() + row, sg_full.data() + row,
+                                   live_bytes))
+              << "scaled_softmax_grad " << where << " row " << r;
+          for (int64_t j = live; j < s; ++j) {
+            const size_t at = row + static_cast<size_t>(j);
+            // +0 exactly: the bits, not just the value.
+            ASSERT_EQ(std::bit_cast<uint32_t>(y[at]), 0u) << where;
+            ASSERT_EQ(m[at], 0) << where;
+            ASSERT_EQ(std::bit_cast<uint32_t>(g[at]), 0u) << where;
+            ASSERT_EQ(std::bit_cast<uint32_t>(sg[at]), 0u) << where;
+          }
+        }
+      }
     }
   }
 }
