@@ -1,6 +1,6 @@
 // Microbenchmarks of the numeric kernels underlying the simulator —
 // the blocked GEMM substrate (tensor/kernels.h), its fused epilogues,
-// and the specialized attention-layout transposes.
+// and the attention core.
 //
 // Three modes:
 //   bench_kernels              google-benchmark suite (as before)
@@ -243,15 +243,6 @@ int run_smoke() {
     Tensor composed = ops::softmax_lastdim(ops::scale(x, 0.31f), true);
     check(fused.allclose(composed, 1e-5f, 1e-6f),
           "fused scale+softmax matches composed");
-  }
-
-  {  // layout fast paths invert each other
-    Rng rng(7);
-    Tensor x = Tensor::randn(Shape{{12, 3, 32}}, rng);
-    Tensor round = ops::bhsd_to_sbh(ops::sbh_to_bhsd(x, 4), 4);
-    check(std::memcmp(round.data(), x.data(),
-                      sizeof(float) * static_cast<size_t>(x.numel())) == 0,
-          "sbh<->bhsd round trip bit-exact");
   }
 
   {  // dropout row kernel vs the coordinate walk; 1 vs 4 threads
@@ -631,29 +622,26 @@ int run_json(const std::string& path) {
   // inputs set, p = 0.1) at train_sp_selective's per-rank slice shape:
   // b·a/t = 4 slices of s = 512, head size 32, the shape whose per-slice
   // GEMMs, softmax and dropout the triangle modes cut to the live half.
+  // It reads the [s, b, 3h/t] = [512, 1, 384] QKV output in place.
   std::fprintf(f, "  ],\n  \"attention_core\": [\n");
   {
     core::AttnCoreDims d;
     d.heads_local = 4;
     d.heads_total = 8;
     d.rank = 1;
-    d.batch = 1;
-    d.s_full = 512;
     d.alpha = 1.0f / std::sqrt(32.0f);
     d.causal = true;
     d.dropout_p = 0.1f;
     d.seed = 7;
-    const Shape shape{{4, 512, 32}};
     Rng rng(43);
-    const Tensor q = Tensor::randn(shape, rng), k = Tensor::randn(shape, rng),
-                 v = Tensor::randn(shape, rng), g = Tensor::randn(shape, rng);
+    const Tensor qkv = Tensor::randn(Shape{{512, 1, 3 * 4 * 32}}, rng);
+    const Tensor g = Tensor::randn(Shape{{512, 1, 4 * 32}}, rng);
     for (int nt : {1, 2}) {
       core::Env::set("MLS_KERNEL_THREADS", std::to_string(nt));
       const double t = min_time(
           [&] {
-            ag::Var qv(q, true), kv(k, true), vv(v, true);
-            ag::backward(core::attention_core(qv, kv, vv, d,
-                                              core::AttnSaved::kInputs),
+            ag::Var x(qkv, true);
+            ag::backward(core::attention_core(x, d, core::AttnSaved::kInputs),
                          g.clone());
           },
           15);
@@ -773,29 +761,6 @@ void BM_BiasGeluComposed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256 * h);
 }
 
-void BM_SbhToBhsd(benchmark::State& state) {
-  const int64_t s = state.range(0);
-  Rng rng(5);
-  Tensor x = Tensor::randn(Shape{{s, 4, 512}}, rng);
-  for (auto _ : state) {
-    Tensor y = ops::sbh_to_bhsd(x, 8);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * s * 4 * 512);
-}
-
-void BM_SbhToBhsdGenericPermute(benchmark::State& state) {
-  const int64_t s = state.range(0);
-  Rng rng(5);
-  Tensor x = Tensor::randn(Shape{{s, 4, 512}}, rng);
-  for (auto _ : state) {
-    Tensor y = ops::permute(x.reshape(Shape{{s, 4, 8, 64}}), {1, 2, 0, 3})
-                   .reshape(Shape{{4 * 8, s, 64}});
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * s * 4 * 512);
-}
-
 void BM_LayerNorm(benchmark::State& state) {
   const int64_t h = state.range(0);
   Rng rng(4);
@@ -842,8 +807,6 @@ BENCHMARK(BM_ScaledSoftmaxFused)->Arg(256);
 BENCHMARK(BM_ScaledSoftmaxComposed)->Arg(256);
 BENCHMARK(BM_BiasGeluFused)->Arg(512)->Arg(4096);
 BENCHMARK(BM_BiasGeluComposed)->Arg(512)->Arg(4096);
-BENCHMARK(BM_SbhToBhsd)->Arg(256);
-BENCHMARK(BM_SbhToBhsdGenericPermute)->Arg(256);
 BENCHMARK(BM_LayerNorm)->Arg(64)->Arg(512);
 BENCHMARK(BM_StatelessDropout);
 BENCHMARK(BM_Gelu)->Arg(1 << 12)->Arg(1 << 16);

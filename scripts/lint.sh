@@ -31,7 +31,7 @@ RULES=(
   "comm-under-lock|blocking collective/p2p/barrier while a lock guard is live: a rank blocking in a rendezvous while holding a lock deadlocks any peer that needs the same lock to reach its rendezvous"
   "raw-storage|tensor-scale float buffers allocated outside the pool: new float[] anywhere, or std::vector<float> in src/ outside src/tensor + src/memory — bulk float storage must come from Storage so the arena's stats see every buffer"
   "serve-raw-buffer|per-request buffer in src/serve off the pool arena (malloc, new[], byte/float vectors): serving state scales with concurrent sequences; KV blocks and decode scratch must be Tensors so bench_serve's numbers see every byte"
-  "hot-permute|generic ops::/ag::permute on the model hot path (src/core, src/model, src/pipeline, src/train): it is an element-at-a-time gather; use the specialized blocked copies (ops::sbh_to_bhsd etc.)"
+  "hot-permute|generic ops::/ag::permute on the model hot path (src/core, src/model, src/pipeline, src/train): it is an element-at-a-time gather; address the operand through GEMM leading dimensions (kernels::gemm lda/ldb/ldc) instead"
   "layers-direct-comm|direct collective wiring in src/core/layers.*: layers must route every TP/SP communication decision through the ParallelPlan strategy (env.plan()) — including core/collectives.h or calling Comm collectives / conjugate-pair helpers there re-hardwires the schedule the plan owns"
   "libm-in-kernel|libm std::exp / std::tanh / expf / tanhf in the kernel library (src/tensor/kernels.{h,cpp}): a libm call per element stops the fused GeLU and softmax epilogues from auto-vectorizing; use the file's libm-free tanh_f32 / exp_f32 bodies"
   "env-knob-docs|README.md and the MLS_* environment knobs drift apart: every \"MLS_*\" literal read in src/ must appear in README.md, and every MLS_* name in the first cell of a README table row must appear under src/, tests/, examples/, bench/, CMakeLists.txt or .github/workflows/"

@@ -445,53 +445,4 @@ Var slice(const Var& x, int dim, int64_t start, int64_t len) {
                      {x});
 }
 
-std::vector<Var> chunk(const Var& x, int64_t n, int dim) {
-  dim = x.value().shape().normalize_axis(dim);
-  MLS_CHECK_EQ(x.value().dim(dim) % n, 0);
-  const int64_t len = x.value().dim(dim) / n;
-  std::vector<Var> out;
-  out.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) out.push_back(slice(x, dim, i * len, len));
-  return out;
-}
-
-namespace {
-// The two attention-layout transposes are exact inverses of each other,
-// so each node's backward is the opposite specialized copy — no saved
-// tensors, no generic permute coordinate walk.
-class SbhToBhsdNode : public Node {
- public:
-  explicit SbhToBhsdNode(int64_t heads) : heads_(heads) {}
-  const char* name() const override { return "sbh_to_bhsd"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    return {ops::bhsd_to_sbh(grad_out, heads_)};
-  }
-
- private:
-  int64_t heads_;
-};
-
-class BhsdToSbhNode : public Node {
- public:
-  explicit BhsdToSbhNode(int64_t heads) : heads_(heads) {}
-  const char* name() const override { return "bhsd_to_sbh"; }
-  std::vector<Tensor> backward(const Tensor& grad_out) override {
-    return {ops::sbh_to_bhsd(grad_out, heads_)};
-  }
-
- private:
-  int64_t heads_;
-};
-}  // namespace
-
-Var sbh_to_bhsd(const Var& x, int64_t heads) {
-  Tensor y = ops::sbh_to_bhsd(x.value(), heads);
-  return make_output(std::move(y), std::make_shared<SbhToBhsdNode>(heads), {x});
-}
-
-Var bhsd_to_sbh(const Var& x, int64_t heads) {
-  Tensor y = ops::bhsd_to_sbh(x.value(), heads);
-  return make_output(std::move(y), std::make_shared<BhsdToSbhNode>(heads), {x});
-}
-
 }  // namespace mls::ag

@@ -65,12 +65,5 @@ Var layernorm(const Var& x, const Var& gamma, const Var& beta,
 // Structural ops (no saved tensors).
 Var reshape(const Var& x, Shape shape);
 Var slice(const Var& x, int dim, int64_t start, int64_t len);
-std::vector<Var> chunk(const Var& x, int64_t n, int dim);
-
-// [s, b, heads*d] <-> [b*heads, s, d] attention layouts. Single nodes
-// over the specialized blocked copies in ops.h (each is the other's
-// backward); no saved tensors, no generic permute.
-Var sbh_to_bhsd(const Var& x, int64_t heads);
-Var bhsd_to_sbh(const Var& x, int64_t heads);
 
 }  // namespace mls::ag

@@ -95,41 +95,27 @@ ParallelSelfAttention::ParallelSelfAttention(const ParallelEnv& env, int64_t h,
 }
 
 Var ParallelSelfAttention::forward(const Var& x, const ParallelEnv& env) const {
-  const int t = env.tp_size();
-  const int r = env.tp_rank();
-  const int64_t heads_local = a_ / t;
-  const int64_t d = h_ / a_;
-
-  Var qkv_out = qkv.forward(x, env);  // [s, b, 3h/t]
-  auto parts = ag::chunk(qkv_out, 3, /*dim=*/2);
-  Var q = ag::sbh_to_bhsd(parts[0], heads_local);  // [b*a/t, s, d]
-  Var k = ag::sbh_to_bhsd(parts[1], heads_local);
-  Var v = ag::sbh_to_bhsd(parts[2], heads_local);
-
   // The attention core (Fig 3's red dashed region): QKᵀ, softmax,
-  // softmax-dropout, attention over V. Which s² tensors it keeps for
-  // backward is the rung's and the plan's decision: without
-  // recomputation the plan's set (its Table-2 attention term); every
-  // recompute rung — the selective one, and the layer replay of full
-  // recomputation — keeps Q/K/V only and rebuilds one (batch, head)
-  // slice at a time in backward.
+  // softmax-dropout, attention over V, read from the [s, b, 3h/t] QKV
+  // output where it lies and written as the [s, b, h/t] context. Which
+  // s² tensors it keeps for backward is the rung's and the plan's
+  // decision: without recomputation the plan's set (its Table-2
+  // attention term); every recompute rung — the selective one, and the
+  // layer replay of full recomputation — keeps the QKV output only and
+  // rebuilds one (batch, head) slice at a time in backward.
   AttnCoreDims dims;
-  dims.heads_local = heads_local;
+  dims.heads_local = a_ / env.tp_size();
   dims.heads_total = a_;
-  dims.rank = r;
-  dims.batch = q.value().dim(0) / heads_local;
-  dims.s_full = q.value().dim(1);
-  dims.alpha = 1.0f / std::sqrt(static_cast<float>(d));
+  dims.rank = env.tp_rank();
+  dims.alpha = 1.0f / std::sqrt(static_cast<float>(h_ / a_));
   dims.causal = causal_;
   dims.dropout_p = env.effective_dropout(dropout_p_);
   dims.seed = env.dropout_seed(site_base_ + 0);
   const AttnSaved saved = env.recompute == Recompute::kNone
                               ? env.plan().attention_saved()
                               : AttnSaved::kInputs;
-  Var ctx = attention_core(q, k, v, dims, saved);
-
-  Var ctx_sbh = ag::bhsd_to_sbh(ctx, heads_local);  // [s, b, h/t]
-  return proj.forward(ctx_sbh, env);
+  Var ctx = attention_core(qkv.forward(x, env), dims, saved);
+  return proj.forward(ctx, env);
 }
 
 std::vector<Var> ParallelSelfAttention::params() const {

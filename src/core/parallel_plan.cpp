@@ -30,13 +30,13 @@ PlanKind plan_kind_from_string(const std::string& s) {
 
 // ------------------------------------------------------ attention core
 
-ops::IndexMap AttnCoreDims::mask_map(int64_t slice) const {
-  const int64_t ss = s_full * s_full;
+ops::IndexMap AttnCoreDims::mask_map(int64_t slice, int64_t s) const {
+  const int64_t ss = s * s;
   const int64_t bi = slice / heads_local;
   const int64_t hi = slice % heads_local;
   ops::IndexMap map;
-  map.dims = {s_full, s_full};
-  map.strides = {s_full, 1};
+  map.dims = {s, s};
+  map.strides = {s, 1};
   map.base = static_cast<int64_t>(rank) * heads_local * ss +
              bi * heads_total * ss + hi * ss;
   return map;
@@ -44,16 +44,33 @@ ops::IndexMap AttnCoreDims::mask_map(int64_t slice) const {
 
 namespace {
 
-// The core's operands as [b·a/t, s, d] slices, and its s² tensors as
-// [b·a/t, s, s] slices.
+// The core's operands where the QKV GEMM wrote them: slice i = (bi, hi)
+// of Q is the [s, hd] matrix at q_at(i) of the [s, b, 3w] QKV output
+// (w = h/t), row stride ld_qkv(); K and V sit w and 2w further. Slice i
+// of the [s, b, w] context (and of dctx) is at ctx_at(i), row stride
+// ld_ctx(). The s² tensors are [b·a/t, s, s] slices.
 struct CoreView {
-  const float* q;
-  const float* k;
-  const float* v;
-  int64_t s, hd;
-  int64_t at(int64_t i) const { return i * s * hd; }
+  const float* qkv;
+  int64_t s, b, heads, hd;
+  int64_t w() const { return heads * hd; }
+  int64_t ld_qkv() const { return b * 3 * w(); }
+  int64_t ld_ctx() const { return b * w(); }
+  int64_t q_at(int64_t i) const {
+    return (i / heads) * 3 * w() + (i % heads) * hd;
+  }
+  int64_t ctx_at(int64_t i) const {
+    return (i / heads) * w() + (i % heads) * hd;
+  }
+  const float* q(int64_t i) const { return qkv + q_at(i); }
+  const float* k(int64_t i) const { return q(i) + w(); }
+  const float* v(int64_t i) const { return q(i) + 2 * w(); }
   int64_t sq(int64_t i) const { return i * s * s; }
 };
+
+CoreView core_view(const Tensor& qkv, const AttnCoreDims& d) {
+  return {qkv.data(), qkv.dim(0), qkv.dim(1), d.heads_local,
+          qkv.dim(2) / (3 * d.heads_local)};
+}
 
 // n s×s slices (a whole saved tensor, or one slice of workspace), or none.
 Tensor slices(int64_t n, int64_t s, Dtype dtype, bool needed) {
@@ -82,11 +99,11 @@ kernels::Tri tri(const AttnCoreDims& d, kernels::Tri mode) {
 void slice_forward(const CoreView& c, const AttnCoreDims& d, int64_t i,
                    float* scores, float* probs, float* probs_d,
                    uint8_t* mask) {
-  kernels::gemm(c.q + c.at(i), c.k + c.at(i), scores, c.s, c.s, c.hd,
-                /*trans_a=*/false, /*trans_b=*/true,
-                tri(d, kernels::Tri::kOut));
+  kernels::gemm(c.q(i), c.k(i), scores, c.s, c.s, c.hd, /*trans_a=*/false,
+                /*trans_b=*/true, tri(d, kernels::Tri::kOut), c.ld_qkv(),
+                c.ld_qkv(), c.s);
   slice_softmax(scores, probs, c.s, d);
-  const ops::IndexMap map = d.mask_map(i);
+  const ops::IndexMap map = d.mask_map(i, c.s);
   kernels::dropout_stateless(probs, probs_d, mask, map.dims.data(),
                              map.strides.data(),
                              static_cast<int>(map.dims.size()), map.base,
@@ -103,12 +120,10 @@ class AttentionCoreNode final : public ag::Node {
  public:
   // scores, probs, probs_d, mask: the set's whole saved tensors
   // (undefined where the set leaves one out).
-  AttentionCoreNode(const ag::Var& q, const ag::Var& k, const ag::Var& v,
-                    const AttnCoreDims& d, AttnSaved saved, Tensor scores,
-                    Tensor probs, Tensor probs_d, Tensor mask)
-      : q_(q.value(), !q.is_param()),
-        k_(k.value(), !k.is_param()),
-        v_(v.value(), !v.is_param()),
+  AttentionCoreNode(const ag::Var& qkv, const AttnCoreDims& d,
+                    AttnSaved saved, Tensor scores, Tensor probs,
+                    Tensor probs_d, Tensor mask)
+      : qkv_(qkv.value(), !qkv.is_param()),
         scores_(std::move(scores), true),
         probs_(std::move(probs), true),
         probs_d_(std::move(probs_d), true),
@@ -119,21 +134,20 @@ class AttentionCoreNode final : public ag::Node {
   const char* name() const override { return "attention_core"; }
 
   std::vector<Tensor> backward(const Tensor& grad_out) override {
-    const Tensor& q = q_.get();
-    const CoreView c{q.data(), k_.get().data(), v_.get().data(), q.dim(1),
-                     q.dim(2)};
+    const Tensor& qkv = qkv_.get();
+    const CoreView c = core_view(qkv, d_);
     const int64_t s = c.s;
-    Tensor dq = Tensor::empty(q.shape(), q.dtype());
-    Tensor dk = Tensor::empty(q.shape(), q.dtype());
-    Tensor dv = Tensor::empty(q.shape(), q.dtype());
+    // dQ, dK and dV of every slice tile d(QKV) exactly, and every
+    // triangle mode writes every element, so it needs no zeroing.
+    Tensor dqkv = Tensor::empty(qkv.shape(), qkv.dtype());
     // a holds d(P·dropout), then dS; b the rebuilt P·dropout until dV
     // has read it, then dP. P and the mask get a slice of workspace
     // where the set left them out.
-    Tensor a = slices(1, s, q.dtype(), true);
-    Tensor b = slices(1, s, q.dtype(), true);
-    Tensor p = slices(1, s, q.dtype(), !probs_.defined());
+    Tensor a = slices(1, s, qkv.dtype(), true);
+    Tensor b = slices(1, s, qkv.dtype(), true);
+    Tensor p = slices(1, s, qkv.dtype(), !probs_.defined());
     Tensor m = slices(1, s, Dtype::U8, !mask_.defined());
-    for (int64_t i = 0; i < q.dim(0); ++i) {
+    for (int64_t i = 0; i < c.b * c.heads; ++i) {
       const float* probs = p.defined() ? p.data() : probs_.get().data() + c.sq(i);
       const uint8_t* mask = m.defined() ? m.u8() : mask_.get().u8() + c.sq(i);
       const float* probs_d = b.data();
@@ -149,60 +163,59 @@ class AttentionCoreNode final : public ag::Node {
           probs_d = probs_d_.get().data() + c.sq(i);
           break;
       }
-      const float* dctx = grad_out.data() + c.at(i);
+      const float* dctx = grad_out.data() + c.ctx_at(i);
+      float* dq = dqkv.data() + c.q_at(i);
+      float* dk = dq + c.w();
+      float* dv = dq + 2 * c.w();
       // dV = (P·dropout)ᵀ dctx; dP = dropout'(dctx Vᵀ); dS = softmax'(dP).
-      kernels::gemm(probs_d, dctx, dv.data() + c.at(i), s, c.hd, s,
+      kernels::gemm(probs_d, dctx, dv, s, c.hd, s,
                     /*trans_a=*/true, /*trans_b=*/false,
-                    tri(d_, kernels::Tri::kAUpper));
-      kernels::gemm(dctx, c.v + c.at(i), a.data(), s, s, c.hd,
-                    /*trans_a=*/false, /*trans_b=*/true,
-                    tri(d_, kernels::Tri::kOut));
+                    tri(d_, kernels::Tri::kAUpper), s, c.ld_ctx(), c.ld_qkv());
+      kernels::gemm(dctx, c.v(i), a.data(), s, s, c.hd, /*trans_a=*/false,
+                    /*trans_b=*/true, tri(d_, kernels::Tri::kOut), c.ld_ctx(),
+                    c.ld_qkv(), s);
       slice_dropout_grad(a.data(), mask, b.data(), s, d_);
       kernels::scaled_softmax_grad(probs, b.data(), a.data(), s, s, s,
                                    d_.alpha, d_.causal);
       // dQ = dS K; dK = dSᵀ Q.
-      kernels::gemm(a.data(), c.k + c.at(i), dq.data() + c.at(i), s, c.hd, s,
-                    /*trans_a=*/false, /*trans_b=*/false,
-                    tri(d_, kernels::Tri::kALower));
-      kernels::gemm(a.data(), c.q + c.at(i), dk.data() + c.at(i), s, c.hd, s,
+      kernels::gemm(a.data(), c.k(i), dq, s, c.hd, s, /*trans_a=*/false,
+                    /*trans_b=*/false, tri(d_, kernels::Tri::kALower), s,
+                    c.ld_qkv(), c.ld_qkv());
+      kernels::gemm(a.data(), c.q(i), dk, s, c.hd, s,
                     /*trans_a=*/true, /*trans_b=*/false,
-                    tri(d_, kernels::Tri::kAUpper));
+                    tri(d_, kernels::Tri::kAUpper), s, c.ld_qkv(), c.ld_qkv());
     }
-    return {dq, dk, dv};
+    return {dqkv};
   }
 
   void release_saved() override {
-    for (ag::SavedTensor* t : {&q_, &k_, &v_, &scores_, &probs_, &probs_d_, &mask_})
+    for (ag::SavedTensor* t : {&qkv_, &scores_, &probs_, &probs_d_, &mask_})
       t->reset();
   }
 
  private:
-  ag::SavedTensor q_, k_, v_, scores_, probs_, probs_d_, mask_;
+  ag::SavedTensor qkv_, scores_, probs_, probs_d_, mask_;
   AttnCoreDims d_;
   AttnSaved saved_;
 };
 
 }  // namespace
 
-ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
-                       const AttnCoreDims& d, AttnSaved saved) {
-  const Tensor& qv = q.value();
+ag::Var attention_core(const ag::Var& qkv, const AttnCoreDims& d,
+                       AttnSaved saved) {
+  const Tensor& x = qkv.value();
   MLS_CHECK(d.dropout_p >= 0.f && d.dropout_p < 1.f)
       << "dropout p=" << d.dropout_p;
-  MLS_CHECK_EQ(qv.ndim(), 3);
-  MLS_CHECK(k.value().shape() == qv.shape() && v.value().shape() == qv.shape())
-      << "attention core wants equal [b·a/t, s, d] q, k, v";
-  MLS_CHECK_EQ(qv.dim(0), d.batch * d.heads_local);
-  MLS_CHECK_EQ(qv.dim(1), d.s_full);
-  const bool grad = ag::GradMode::enabled() &&
-                    (q.requires_grad() || k.requires_grad() ||
-                     v.requires_grad());
+  MLS_CHECK(x.ndim() == 3 && d.heads_local > 0 &&
+            x.dim(2) % (3 * d.heads_local) == 0)
+      << "attention core wants the [s, b, 3·heads·d] QKV output for "
+      << d.heads_local << " local heads, got " << x.shape().str();
+  const bool grad = ag::GradMode::enabled() && qkv.requires_grad();
   if (!grad) saved = AttnSaved::kInputs;
-  const CoreView c{qv.data(), k.value().data(), v.value().data(), qv.dim(1),
-                   qv.dim(2)};
-  const int64_t nb = qv.dim(0);
-  const Dtype dt = qv.dtype();
-  Tensor out = Tensor::empty(qv.shape(), dt);
+  const CoreView c = core_view(x, d);
+  const int64_t nb = c.b * c.heads;
+  const Dtype dt = x.dtype();
+  Tensor out = Tensor::empty(Shape{{c.s, c.b, c.w()}}, dt);
   // The set's whole saved tensors, and one slice of workspace for the
   // scores or P it does not keep. P·dropout goes over the scores slice
   // (inputs set) or over the P slice (scores set).
@@ -218,18 +231,18 @@ ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
     float* pd = keeps_probs ? probs_d.data() + c.sq(i) : keeps_scores ? pr : sc;
     slice_forward(c, d, i, sc, pr, pd,
                   mask.defined() ? mask.u8() + c.sq(i) : nullptr);
-    kernels::gemm(pd, c.v + c.at(i), out.data() + c.at(i), c.s, c.hd, c.s,
+    kernels::gemm(pd, c.v(i), out.data() + c.ctx_at(i), c.s, c.hd, c.s,
                   /*trans_a=*/false, /*trans_b=*/false,
-                  tri(d, kernels::Tri::kALower));
+                  tri(d, kernels::Tri::kALower), c.s, c.ld_qkv(), c.ld_ctx());
   }
   std::shared_ptr<ag::Node> node;
   if (grad) {
     node = std::make_shared<AttentionCoreNode>(
-        q, k, v, d, saved, keeps_scores ? std::move(scores) : Tensor(),
+        qkv, d, saved, keeps_scores ? std::move(scores) : Tensor(),
         keeps_probs ? std::move(probs) : Tensor(), std::move(probs_d),
         std::move(mask));
   }
-  return ag::make_output(std::move(out), std::move(node), {q, k, v});
+  return ag::make_output(std::move(out), std::move(node), {qkv});
 }
 
 // ------------------------------------------------- shared default stages

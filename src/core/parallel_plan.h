@@ -48,15 +48,14 @@ struct LayerDims {
 };
 
 // Everything the attention core (Fig 3's red dashed region) needs
-// besides Q/K/V. dropout_p is the *effective* probability (inference
-// already applied by the caller); the mask coordinates address the
-// global [b, a, s, s] tensor so all shardings draw identical masks.
+// besides the QKV output, whose shape gives s, b and the head size.
+// dropout_p is the *effective* probability (inference already applied
+// by the caller); the mask coordinates address the global [b, a, s, s]
+// tensor so all shardings draw identical masks.
 struct AttnCoreDims {
   int64_t heads_local = 0;  // a / t
   int64_t heads_total = 0;  // a
   int rank = 0;             // tp rank (head-shard offset)
-  int64_t batch = 0;        // b
-  int64_t s_full = 0;       // s (the core always sees the full sequence)
   float alpha = 1.0f;       // 1/sqrt(d) score scaling
   bool causal = true;
   float dropout_p = 0.0f;
@@ -64,19 +63,21 @@ struct AttnCoreDims {
 
   // The softmax-dropout mask's coordinates in the global [b, a, s, s]
   // tensor for slice i = bi·a/t + hi of the local [b·a/t, s, s]
-  // probabilities, so every sharding and the serial reference draw
+  // probabilities at sequence length s (the core always sees the full
+  // sequence), so every sharding and the serial reference draw
   // identical masks: an [s, s] block at base
   // rank·(a/t)·s² + bi·a·s² + hi·s².
-  ops::IndexMap mask_map(int64_t slice) const;
+  ops::IndexMap mask_map(int64_t slice, int64_t s) const;
 };
 
 // Which attention-core tensors attention_core keeps for backward. The
 // s² state is the only thing the recompute rungs (paper §5) and the
 // folded plan change, so it is data on one node, not one implementation
 // per choice. Bytes are per layer at the paper's dtypes (fp16, 1-byte
-// mask); Q, K and V are kept in every set.
+// mask); the QKV output (Table 2's Q, K and V terms) is kept in every
+// set.
 enum class AttnSaved {
-  kInputs,  // Q/K/V only; backward recomputes each slice (recompute rungs)
+  kInputs,  // QKV only; backward recomputes each slice (recompute rungs)
   kProbs,   // P, mask and P·dropout: 5as²b/t (Table 2, kNone)
   kScores,  // scores and mask: 3as²b/t; backward recomputes P, P·dropout
 };
@@ -131,16 +132,25 @@ class ParallelPlan {
 };
 
 // The attention core (Fig 3's red dashed region): QKᵀ, scaled softmax,
-// softmax-dropout and attention over V for [b·a/t, s, d] q, k and v.
-// One autograd node for every plan and rung: it streams the b·a/t
-// (batch, head) slices through the raw kernels, with at most a few
-// s×s slice buffers of workspace live at a time, and writes the s²
-// tensors of `saved` slice by slice into whole [b·a/t, s, s] saved
-// tensors. Backward rebuilds, per slice, whatever the set left out
-// (never the P·V GEMM) and then runs dV, dP, dS, dQ and dK. Every
-// output row depends on one slice only and the GEMM fixes each
-// element's k order, so values and gradients are bitwise the unfused
-// bmm → scaled_softmax → dropout → bmm chain's, whatever the set.
+// softmax-dropout and attention over V, read from the QKV GEMM's
+// [s, b, 3h/t] output where it lies and written as the [s, b, h/t]
+// context the output projection reads. Slice i = (bi, hi) of Q is the
+// [s, d] matrix at offset bi·3h/t + hi·d with row stride b·3h/t; K and
+// V sit h/t and 2h/t further; the context slice, dctx and d(QKV) follow
+// the same rule (row strides b·h/t and b·3h/t). Every per-slice GEMM
+// addresses its operands through leading dimensions (kernels::gemm), so
+// no layout copy is made in either direction.
+// One autograd node for every plan and rung, whose one saved input is
+// the QKV output: it streams the b·a/t (batch, head) slices through the
+// raw kernels, with at most a few s×s slice buffers of workspace live
+// at a time, and writes the s² tensors of `saved` slice by slice into
+// whole [b·a/t, s, s] saved tensors. Backward rebuilds, per slice,
+// whatever the set left out (never the P·V GEMM) and then runs dV, dP,
+// dS, dQ and dK straight into one d(QKV) buffer, which the slices' dQ,
+// dK and dV tile exactly. Every output row depends on one slice only
+// and the GEMM fixes each element's k order, so values and gradients
+// are bitwise the unfused bmm → scaled_softmax → dropout → bmm chain's
+// over [b·a/t, s, d] Q, K and V, whatever the set.
 // A causal core computes only the live lower triangle: its seven
 // per-slice GEMMs run in kernels::Tri modes and its dropout, dropout
 // grad and softmax grad in their causal forms, which skip only terms
@@ -148,8 +158,8 @@ class ParallelPlan {
 // scores' dead tiles are left unwritten, and nothing reads them). A
 // non-causal core runs the full square.
 // Under no-grad the node keeps nothing and draws no mask.
-ag::Var attention_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
-                       const AttnCoreDims& d, AttnSaved saved);
+ag::Var attention_core(const ag::Var& qkv, const AttnCoreDims& d,
+                       AttnSaved saved);
 
 // The built-in plans (stateless singletons with static lifetime).
 const ParallelPlan& tp_plan();

@@ -407,20 +407,24 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
 GemmTile gemm_tile() { return {MR, NR, kShortM}; }
 
 void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
-              int64_t k, bool trans_a, bool trans_b) {
+              int64_t k, bool trans_a, bool trans_b, int64_t lda, int64_t ldb,
+              int64_t ldc) {
+  lda = lda > 0 ? lda : trans_a ? m : k;
+  ldb = ldb > 0 ? ldb : trans_b ? k : n;
+  ldc = ldc > 0 ? ldc : n;
   auto A = [&](int64_t i, int64_t kk) {
-    return trans_a ? a[kk * m + i] : a[i * k + kk];
+    return trans_a ? a[kk * lda + i] : a[i * lda + kk];
   };
   if (!trans_b) {
     // i-k-j saxpy order; C row zeroed up front (beta = 0). The zero
     // operand is NOT skipped: a data-dependent branch here made kernel
     // timing depend on the values, skewing wall-clock benches (bench_overhead).
     for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
+      float* crow = c + i * ldc;
       std::memset(crow, 0, sizeof(float) * static_cast<size_t>(n));
       for (int64_t kk = 0; kk < k; ++kk) {
         const float av = A(i, kk);
-        const float* brow = b + kk * n;
+        const float* brow = b + kk * ldb;
         for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
@@ -428,9 +432,9 @@ void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
     // B is [n, k]; dot rows of A with rows of B (double accumulator,
     // preserved from the seed kernel for A/B comparability).
     for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
+      float* crow = c + i * ldc;
       for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b + j * k;
+        const float* brow = b + j * ldb;
         double acc = 0.0;
         for (int64_t kk = 0; kk < k; ++kk) acc += A(i, kk) * brow[kk];
         crow[j] = static_cast<float>(acc);
@@ -462,7 +466,7 @@ bool spin_for(const Pred& pred, int budget_us) {
 }
 
 // Marks pool worker threads so a re-entrant run() (which would
-// deadlock) degrades to inline execution instead.
+// deadlock) runs its slots inline instead.
 thread_local bool t_in_pool_worker = false;
 
 // A persistent per-caller-thread worker pool. Each thread that issues
@@ -497,11 +501,12 @@ class WorkerPool {
   }
 
   // Runs fn(slot) on nslots slots (the caller executing slot 0) and
-  // joins: returns when every slot completed.
+  // joins: returns when every slot completed. On a pool worker (a nested
+  // threaded kernel) every slot runs inline, in order.
   void run(int nslots, const std::function<void(int)>& fn) {
     nslots = std::min(nslots, kMaxSlots);
     if (nslots <= 1 || t_in_pool_worker) {
-      fn(0);
+      for (int slot = 0; slot < std::max(nslots, 1); ++slot) fn(slot);
       return;
     }
     spawn(nslots - 1);
@@ -721,16 +726,18 @@ int64_t live_cols(int64_t r, int64_t sq, int64_t sk, bool causal) {
 PoolStats local_pool_stats() { return WorkerPool::local().stats(); }
 
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool trans_a, bool trans_b, Tri tri) {
+          int64_t k, bool trans_a, bool trans_b, Tri tri, int64_t lda,
+          int64_t ldb, int64_t ldc) {
   if (use_reference()) {
-    gemm_ref(a, b, c, m, n, k, trans_a, trans_b);
+    gemm_ref(a, b, c, m, n, k, trans_a, trans_b, lda, ldb, ldc);
     return;
   }
   MLS_CHECK(tri == Tri::kNone || (tri == Tri::kOut ? m == n : m == k))
       << "triangle GEMM wants a square causal block: m=" << m << " n=" << n
       << " k=" << k;
-  const int64_t lda = trans_a ? m : k;
-  const int64_t ldb = trans_b ? k : n;
+  lda = lda > 0 ? lda : trans_a ? m : k;
+  ldb = ldb > 0 ? ldb : trans_b ? k : n;
+  ldc = ldc > 0 ? ldc : n;
   const int nt = threads_for(m * n * k, kParallelGrain);
   if (m <= kShortM || m / MR < nt) {
     // N slabs: too few row tiles to give every slot rows, and a short
@@ -742,7 +749,7 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
         n, NR, nt,
         [&](int64_t j0, int64_t j1) {
           gemm_blocked(a, b + j0 * cs_b, c + j0, m, j1 - j0, k, trans_a,
-                       trans_b, lda, ldb, n, tri,
+                       trans_b, lda, ldb, ldc, tri,
                        tri == Tri::kOut ? -j0 : 0);
         },
         tri == Tri::kOut ? Load::kFalling : Load::kFlat);
@@ -759,8 +766,8 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
   parallel_ranges(
       m, MR, nt,
       [&](int64_t i0, int64_t i1) {
-        gemm_blocked(a + i0 * rs_a, b, c + i0 * n, i1 - i0, n, k, trans_a,
-                     trans_b, lda, ldb, n, tri, i0);
+        gemm_blocked(a + i0 * rs_a, b, c + i0 * ldc, i1 - i0, n, k, trans_a,
+                     trans_b, lda, ldb, ldc, tri, i0);
       },
       load);
 }
@@ -1380,40 +1387,6 @@ void dropout_grad(const float* dy, const uint8_t* mask, float* dx,
         }
       },
       row_load(rows, sq, true));
-}
-
-// ---------------------------------------------------- layout transposes
-
-void sbh_to_bhsd(const float* x, float* y, int64_t s, int64_t b,
-                 int64_t heads, int64_t d) {
-  // y[(bi*heads+hi), si, :] = x[si, bi, hi*d : (hi+1)*d]. The d-row is
-  // contiguous in both layouts; walk the output so writes stream.
-  const int64_t x_row = b * heads * d;  // stride between si steps in x
-  const size_t row_bytes = sizeof(float) * static_cast<size_t>(d);
-  for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < heads; ++hi) {
-      const float* src = x + bi * heads * d + hi * d;
-      float* dst = y + (bi * heads + hi) * s * d;
-      for (int64_t si = 0; si < s; ++si) {
-        std::memcpy(dst + si * d, src + si * x_row, row_bytes);
-      }
-    }
-  }
-}
-
-void bhsd_to_sbh(const float* x, float* y, int64_t s, int64_t b,
-                 int64_t heads, int64_t d) {
-  const int64_t y_row = b * heads * d;
-  const size_t row_bytes = sizeof(float) * static_cast<size_t>(d);
-  for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < heads; ++hi) {
-      const float* src = x + (bi * heads + hi) * s * d;
-      float* dst = y + bi * heads * d + hi * d;
-      for (int64_t si = 0; si < s; ++si) {
-        std::memcpy(dst + si * y_row, src + si * d, row_bytes);
-      }
-    }
-  }
 }
 
 }  // namespace mls::kernels

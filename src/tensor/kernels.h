@@ -171,12 +171,21 @@ enum class Tri {
 // C[m,n] = op(A) @ op(B), beta = 0 (C need not be initialized).
 // op(A) is [m,k]: stored row-major as A[m,k], or A[k,m] when trans_a.
 // op(B) is [k,n]: stored row-major as B[k,n], or B[n,k] when trans_b.
+// lda, ldb and ldc are the storage row strides of A, B and C (of the
+// buffer as laid out, before the logical transpose); 0 means contiguous
+// (k or m for A, n or k for B, n for C). A strided operand is a matrix
+// inside a larger row-major tensor, read or written where it lies: the
+// attention core addresses each (batch, head) slice of the [s, b, 3h/t]
+// QKV output this way. The strides change only addresses, never which
+// values meet in which order, so a strided GEMM's bits are the
+// contiguous GEMM's on the same values.
 // Dispatches to the blocked kernel (parallelized over M or N tiles when
 // MLS_KERNEL_THREADS > 1 and the problem is large enough) or, under
 // MLS_KERNEL_REF=1, to gemm_ref. tri computes only the live triangle.
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a = false, bool trans_b = false,
-          Tri tri = Tri::kNone);
+          Tri tri = Tri::kNone, int64_t lda = 0, int64_t ldb = 0,
+          int64_t ldc = 0);
 
 // The blocked kernel, bypassing env dispatch (for tests/bench).
 // ldc is C's row stride (>= n), so threads can write disjoint column
@@ -204,8 +213,10 @@ GemmTile gemm_tile();
 // Reference scalar GEMM: the pre-blocking kernel (i-k-j saxpy loop for
 // op(B) = B, row-dot with a double accumulator for trans_b), beta = 0,
 // always single-threaded. Kept for A/B debugging and bitwise tests.
+// Leading dimensions as in gemm (0: contiguous).
 void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
-              int64_t k, bool trans_a, bool trans_b);
+              int64_t k, bool trans_a, bool trans_b, int64_t lda = 0,
+              int64_t ldb = 0, int64_t ldc = 0);
 
 // Batched GEMM over nb independent [m,k] @ [k,n] problems with
 // contiguous batch strides; parallelized over the batch dimension.
@@ -315,16 +326,5 @@ inline void dropout_grad(const float* dy, const uint8_t* mask, float* dx,
                          int64_t n, float p) {
   dropout_grad(dy, mask, dx, 1, 1, n, p, /*causal=*/false);
 }
-
-// ------------------------------------------------------ layout transposes
-// The two hot attention-layout transposes as blocked row copies (the
-// inner d-sized row is contiguous in both layouts), replacing generic
-// per-element permute coordinate arithmetic.
-// x: [s, b, heads*d] -> y: [b*heads, s, d]
-void sbh_to_bhsd(const float* x, float* y, int64_t s, int64_t b,
-                 int64_t heads, int64_t d);
-// x: [b*heads, s, d] -> y: [s, b, heads*d]
-void bhsd_to_sbh(const float* x, float* y, int64_t s, int64_t b,
-                 int64_t heads, int64_t d);
 
 }  // namespace mls::kernels

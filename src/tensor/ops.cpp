@@ -432,24 +432,4 @@ Tensor permute(const Tensor& x, const std::vector<int>& perm) {
   return out;
 }
 
-Tensor sbh_to_bhsd(const Tensor& x, int64_t heads) {
-  MLS_CHECK_EQ(x.ndim(), 3);
-  const int64_t s = x.dim(0), b = x.dim(1), hp = x.dim(2);
-  MLS_CHECK_EQ(hp % heads, 0);
-  const int64_t d = hp / heads;
-  Tensor y = Tensor::empty(Shape{{b * heads, s, d}}, x.dtype());
-  kernels::sbh_to_bhsd(x.data(), y.data(), s, b, heads, d);
-  return y;
-}
-
-Tensor bhsd_to_sbh(const Tensor& x, int64_t heads) {
-  MLS_CHECK_EQ(x.ndim(), 3);
-  const int64_t bh = x.dim(0), s = x.dim(1), d = x.dim(2);
-  MLS_CHECK_EQ(bh % heads, 0);
-  const int64_t b = bh / heads;
-  Tensor y = Tensor::empty(Shape{{s, b, heads * d}}, x.dtype());
-  kernels::bhsd_to_sbh(x.data(), y.data(), s, b, heads, d);
-  return y;
-}
-
 }  // namespace mls::ops

@@ -157,9 +157,4 @@ Tensor cat(const std::vector<Tensor>& xs, int dim);
 std::vector<Tensor> chunk(const Tensor& x, int64_t n, int dim);
 Tensor permute(const Tensor& x, const std::vector<int>& perm);
 
-// [s, b, heads*d] -> [b*heads, s, d] (attention layout) and back.
-// Specialized blocked row copies (kernels.h), not generic permute.
-Tensor sbh_to_bhsd(const Tensor& x, int64_t heads);
-Tensor bhsd_to_sbh(const Tensor& x, int64_t heads);
-
 }  // namespace mls::ops

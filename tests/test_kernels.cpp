@@ -33,7 +33,9 @@
 //    each row's live prefix, with +0 written past it,
 //  * U8 mask storage: 1 byte per element in the pool, and autograd
 //    draws no mask when it builds no node,
-//  * the specialized sbh<->bhsd layout transposes vs generic permute,
+//  * strided A, B and C (leading dimensions) vs the contiguous GEMM,
+//    bitwise, in every transpose pair and triangle mode, at 1/2/4
+//    threads and under MLS_KERNEL_REF=1, with C's row padding unwritten,
 //  * paged decode attention (K transposed per block, read in place) vs
 //    the gather + gemm + softmax + gemm chain it replaced, bitwise, with
 //    the blocked kernel and under MLS_KERNEL_REF=1,
@@ -783,6 +785,90 @@ TEST(KernelGemm, TriOutLeavesDeadTilesUntouched) {
   }
 }
 
+// ---------------------------------------------------- leading dimensions
+
+// A [rows, cols] row-major matrix stored in rows of ld >= cols floats,
+// the padding filled with `pad`: a strided GEMM operand, as a (batch,
+// head) slice of the attention core's [s, b, 3h/t] QKV output is.
+std::vector<float> with_row_stride(const std::vector<float>& x, int64_t rows,
+                                   int64_t cols, int64_t ld, float pad) {
+  std::vector<float> y(static_cast<size_t>(rows * ld), pad);
+  for (int64_t i = 0; i < rows; ++i) {
+    std::copy_n(x.begin() + i * cols, cols, y.begin() + i * ld);
+  }
+  return y;
+}
+
+// Leading dimensions only address a matrix inside a larger row-major
+// tensor: for every transpose pair and triangle mode, a GEMM on strided
+// A, B and C equals the contiguous GEMM bit for bit (on the live region
+// under kOut), at 1, 2 and 4 threads and through gemm_ref under
+// MLS_KERNEL_REF=1, and leaves C's row padding unwritten. Shapes
+// straddle MR, NR and KC (256); n = nr takes the in-place A path and
+// m <= short_m the in-place B path.
+TEST(KernelGemm, LeadingDimsMatchContiguousGemm) {
+  const kernels::GemmTile tile = kernels::gemm_tile();
+  struct Case {
+    kernels::Tri tri;
+    int64_t m, n, k;
+  };
+  std::vector<Case> cases = {{kernels::Tri::kNone, 1, 3, 5},
+                             {kernels::Tri::kNone, tile.short_m, tile.nr, 300},
+                             {kernels::Tri::kNone, tile.mr + 1, 2 * tile.nr + 1, 257},
+                             {kernels::Tri::kNone, 97, tile.nr, 33}};
+  for (const int64_t s : {7, 97, 300}) {
+    cases.push_back({kernels::Tri::kOut, s, s, tile.nr});
+    for (const int64_t n : {int64_t{3}, tile.nr, 2 * tile.nr + 1}) {
+      cases.push_back({kernels::Tri::kALower, s, n, s});
+      cases.push_back({kernels::Tri::kAUpper, s, n, s});
+    }
+  }
+  const float pad = 12345.0f;
+  for (const Case& cs : cases) {
+    const auto [tri, m, n, k] = cs;
+    for (int t = 0; t < 4; ++t) {
+      const bool trans_a = (t & 1) != 0, trans_b = (t & 2) != 0;
+      const uint64_t seed = static_cast<uint64_t>(m * 131 + n * 7 + k + t);
+      const bool tri_a = tri == kernels::Tri::kALower || tri == kernels::Tri::kAUpper;
+      const std::vector<float> a =
+          tri_a ? triangular(m, k, tri == kernels::Tri::kALower, trans_a, seed)
+                : random_vec(m * k, seed);
+      const std::vector<float> b = random_vec(k * n, seed + 1);
+      // Storage shapes, and row strides that are odd and wider than them.
+      const int64_t a_rows = trans_a ? k : m, a_cols = trans_a ? m : k;
+      const int64_t b_rows = trans_b ? n : k, b_cols = trans_b ? k : n;
+      const int64_t lda = a_cols + 3, ldb = b_cols + 5, ldc = n + 7;
+      const std::vector<float> as = with_row_stride(a, a_rows, a_cols, lda, pad);
+      const std::vector<float> bs = with_row_stride(b, b_rows, b_cols, ldb, pad);
+      for (const char* mode : {"1", "2", "4", "ref"}) {
+        const bool ref = std::string(mode) == "ref";
+        ScopedEnv threads("MLS_KERNEL_THREADS", ref ? "1" : mode);
+        ScopedEnv reference("MLS_KERNEL_REF", ref ? "1" : "0");
+        std::vector<float> want(static_cast<size_t>(m * n), -1.0f);
+        kernels::gemm(a.data(), b.data(), want.data(), m, n, k, trans_a,
+                      trans_b, tri);
+        std::vector<float> got(static_cast<size_t>(m * ldc), pad);
+        kernels::gemm(as.data(), bs.data(), got.data(), m, n, k, trans_a,
+                      trans_b, tri, lda, ldb, ldc);
+        for (int64_t i = 0; i < m; ++i) {
+          const int64_t live = tri == kernels::Tri::kOut ? i + 1 : n;
+          const float* row = got.data() + i * ldc;
+          ASSERT_EQ(0, std::memcmp(row, want.data() + i * n,
+                                   sizeof(float) * static_cast<size_t>(live)))
+              << "tri=" << static_cast<int>(tri) << " m=" << m << " n=" << n
+              << " k=" << k << " trans_a=" << trans_a << " trans_b=" << trans_b
+              << " mode=" << mode << " row " << i;
+          for (int64_t j = n; j < ldc; ++j) {
+            ASSERT_EQ(row[j], pad) << "padding written: m=" << m << " n=" << n
+                                   << " k=" << k << " mode=" << mode
+                                   << " row " << i << " col " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------ matmul with 3-D lhs
 
 TEST(KernelOps, MatmulTransAFlattensLeadingAxes) {
@@ -1405,26 +1491,6 @@ TEST(KernelDropout, GoldenMasksMatchPinnedChecksums) {
     EXPECT_EQ(fnv1a(b.y), 0xd173f93291c48903ull) << "threads=" << nt;
     EXPECT_EQ(fnv1a(widen(b.mask)), 0xc031b972ec3b2b98ull) << "threads=" << nt;
   }
-}
-
-// ------------------------------------------------- layout fast paths
-
-TEST(KernelLayout, SbhTransposesMatchGenericPermute) {
-  Rng rng(61);
-  const int64_t s = 10, b = 3, heads = 4, d = 7;
-  Tensor x = Tensor::randn(Shape{{s, b, heads * d}}, rng);
-  Tensor fast = ops::sbh_to_bhsd(x, heads);
-  // Composed path: [s,b,heads,d] -> permute {1,2,0,3} -> [b*heads,s,d].
-  Tensor slow = ops::permute(x.reshape(Shape{{s, b, heads, d}}), {1, 2, 0, 3})
-                    .reshape(Shape{{b * heads, s, d}});
-  ASSERT_EQ(fast.shape().str(), slow.shape().str());
-  EXPECT_EQ(0, std::memcmp(fast.data(), slow.data(),
-                           sizeof(float) * static_cast<size_t>(fast.numel())));
-
-  Tensor back = ops::bhsd_to_sbh(fast, heads);
-  ASSERT_EQ(back.shape().str(), x.shape().str());
-  EXPECT_EQ(0, std::memcmp(back.data(), x.data(),
-                           sizeof(float) * static_cast<size_t>(x.numel())));
 }
 
 // ------------------------------------------- paged decode attention

@@ -11,13 +11,15 @@
 //      wiring) is an exact optimization — bitwise-equal training to
 //      TP+SP with identical collective traffic, only the activation
 //      ledger differs (asserted byte-exactly in test_memory.cpp).
-//   3. The one attention-core node is bitwise the materialized unfused
-//      chain for each saved set (Q/K/V only, P + mask + P·dropout,
-//      scores + mask): values and Q/K/V gradients, at every slice
+//   3. The one attention-core node, reading Q/K/V where the QKV GEMM
+//      wrote them, is bitwise the materialized unfused chain on permuted
+//      Q/K/V for each saved set (QKV only, P + mask + P·dropout,
+//      scores + mask): values and the d(QKV) gradient, at every slice
 //      count, shape, mask and kernel thread count. Its transient bytes
-//      do not grow with the slice count, under no-grad it keeps nothing
-//      and draws no mask, and nested in a full-layer checkpoint its
-//      dropout replay is bit-exact.
+//      do not grow with the slice count, a self-attention backward holds
+//      one QKV-sized gradient, under no-grad it keeps nothing and draws
+//      no mask, and nested in a full-layer checkpoint its dropout
+//      replay is bit-exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -189,49 +191,75 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
-// ctx and dq, dk, dv of one attention-core path.
+// ctx [s, b, h/t] and d(QKV) [s, b, 3h/t] of one attention-core path.
 struct CoreResult {
-  Tensor ctx, dq, dk, dv;
+  Tensor ctx, dqkv;
 };
 
-// The materialized unfused chain, with its mask coordinates written out
-// here rather than taken from AttnCoreDims.
+// Q, K or V (part 0, 1 or 2) of an [s, b, 3·heads·hd] QKV tensor as the
+// [b·heads, s, hd] slices the unfused chain reads, by generic permute.
+Tensor qkv_part(const Tensor& qkv, int64_t part, int64_t heads) {
+  const int64_t s = qkv.dim(0), b = qkv.dim(1);
+  const int64_t hd = qkv.dim(2) / (3 * heads);
+  const Tensor parts =
+      ops::permute(qkv.reshape(Shape{{s, b, 3, heads, hd}}), {2, 1, 3, 0, 4});
+  return ops::slice(parts, 0, part, 1).reshape(Shape{{b * heads, s, hd}});
+}
+
+// [b·heads, s, hd] slices back to [s, b, heads·hd].
+Tensor to_sbh(const Tensor& x, int64_t b) {
+  const int64_t heads = x.dim(0) / b, s = x.dim(1), hd = x.dim(2);
+  return ops::permute(x.reshape(Shape{{b, heads, s, hd}}), {2, 0, 1, 3})
+      .reshape(Shape{{s, b, heads * hd}});
+}
+
+// The materialized unfused chain over [b·a/t, s, d] q, k, v, with its
+// mask coordinates written out here rather than taken from AttnCoreDims.
 ag::Var unfused_core(const ag::Var& q, const ag::Var& k, const ag::Var& v,
                      const core::AttnCoreDims& d) {
-  const int64_t ss = d.s_full * d.s_full;
+  const int64_t s = q.value().dim(1);
+  const int64_t ss = s * s;
   ops::IndexMap map;
-  map.dims = {d.batch, d.heads_local, d.s_full, d.s_full};
-  map.strides = {d.heads_total * ss, ss, d.s_full, 1};
+  map.dims = {q.value().dim(0) / d.heads_local, d.heads_local, s, s};
+  map.strides = {d.heads_total * ss, ss, s, 1};
   map.base = d.rank * d.heads_local * ss;
   ag::Var probs =
       ag::scaled_softmax(ag::bmm(q, k, /*trans_b=*/true), d.alpha, d.causal);
   return ag::bmm(ag::dropout(probs, d.dropout_p, d.seed, map), v);
 }
 
-// The unfused chain (no saved set) or the node with one.
-CoreResult run_core(std::optional<core::AttnSaved> saved, const Tensor& q0,
-                    const Tensor& k0, const Tensor& v0, const Tensor& grad,
-                    const core::AttnCoreDims& d) {
-  ag::Var q(q0.clone(), true), k(k0.clone(), true), v(v0.clone(), true);
-  const ag::Var ctx = saved ? core::attention_core(q, k, v, d, *saved)
-                            : unfused_core(q, k, v, d);
-  CoreResult r{ctx.value().clone(), {}, {}, {}};
-  ag::backward(ctx, grad.clone());
-  r.dq = q.grad().clone();
-  r.dk = k.grad().clone();
-  r.dv = v.grad().clone();
-  return r;
+// The unfused chain (no saved set) on Q/K/V permuted out of qkv0, with
+// ctx and d(QKV) permuted back, or the node with one set on qkv0 itself.
+CoreResult run_core(std::optional<core::AttnSaved> saved, const Tensor& qkv0,
+                    const Tensor& grad, const core::AttnCoreDims& d) {
+  const int64_t b = qkv0.dim(1);
+  if (saved) {
+    ag::Var qkv(qkv0.clone(), true);
+    const ag::Var ctx = core::attention_core(qkv, d, *saved);
+    CoreResult r{ctx.value().clone(), {}};
+    ag::backward(ctx, grad.clone());
+    r.dqkv = qkv.grad().clone();
+    return r;
+  }
+  std::vector<ag::Var> qkv;
+  for (int64_t part = 0; part < 3; ++part)
+    qkv.emplace_back(qkv_part(qkv0, part, d.heads_local), true);
+  const ag::Var ctx = unfused_core(qkv[0], qkv[1], qkv[2], d);
+  const Tensor g = grad.reshape(Shape{{grad.dim(0), b, d.heads_local,
+                                       grad.dim(2) / d.heads_local}});
+  ag::backward(ctx, ops::permute(g, {1, 2, 0, 3}).reshape(ctx.value().shape()));
+  std::vector<Tensor> grads;
+  for (const ag::Var& x : qkv) grads.push_back(to_sbh(x.grad(), b));
+  return {to_sbh(ctx.value(), b), ops::cat(grads, 2)};
 }
 
-// Rank 1 of t = 2 with `batch` × `heads_local` slices.
-core::AttnCoreDims core_dims(int64_t batch, int64_t heads_local, int64_t s,
-                             int64_t hd, bool causal, float p) {
+// Rank 1 of t = 2 with `heads_local` heads per rank.
+core::AttnCoreDims core_dims(int64_t heads_local, int64_t hd, bool causal,
+                             float p) {
   core::AttnCoreDims d;
   d.heads_local = heads_local;
   d.heads_total = 2 * heads_local;
   d.rank = 1;
-  d.batch = batch;
-  d.s_full = s;
   d.alpha = 1.0f / std::sqrt(static_cast<float>(hd));
   d.causal = causal;
   d.dropout_p = p;
@@ -239,18 +267,30 @@ core::AttnCoreDims core_dims(int64_t batch, int64_t heads_local, int64_t s,
   return d;
 }
 
+// The [s, b, 3·heads·hd] QKV output and an [s, b, heads·hd] context
+// gradient, random.
+std::pair<Tensor, Tensor> core_inputs(int64_t s, int64_t b, int64_t heads,
+                                      int64_t hd, uint64_t seed) {
+  Rng rng(seed);
+  Tensor qkv = Tensor::randn(Shape{{s, b, 3 * heads * hd}}, rng);
+  Tensor g = Tensor::randn(Shape{{s, b, heads * hd}}, rng);
+  return {qkv, g};
+}
+
 constexpr core::AttnSaved kSavedSets[] = {
     core::AttnSaved::kInputs, core::AttnSaved::kProbs, core::AttnSaved::kScores};
 
-// Each saved set of the node against the materialized unfused chain:
-// every slice count (batch > 1 and rank > 0, so a wrong slice base draws
-// a wrong mask), odd and tile-straddling s, causal or not, dropout on or
-// off, at 1, 2 and 4 kernel threads against the single-thread unfused
-// reference (so each set is also thread-count invariant). s = 128 with
-// d = 32 is the first shape whose per-slice GEMMs split across threads.
-// s = 300 (one slice) crosses the GEMM's KC = 256 panel boundary, where
-// a causal dV/dK tile whose first live k lies past 256 writes its first
-// panel instead of adding it.
+// Each saved set of the node, reading the QKV output in place, against
+// the materialized unfused chain on Q/K/V permuted out of it: every
+// slice count (batch > 1 and rank > 0, so a wrong slice base draws a
+// wrong mask; b = 3 so the row stride b·3h/t is neither 3h/t nor a
+// power of two), odd and tile-straddling s, causal or not, dropout on
+// or off, at 1, 2 and 4 kernel threads against the single-thread
+// unfused reference (so each set is also thread-count invariant).
+// s = 128 with d = 32 is the first shape whose per-slice GEMMs split
+// across threads. s = 300 (one slice) crosses the GEMM's KC = 256 panel
+// boundary, where a causal dV/dK tile whose first live k lies past 256
+// writes its first panel instead of adding it.
 TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
   struct Slices {
     int64_t batch, heads_local;
@@ -263,34 +303,31 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
         for (const bool causal : {false, true}) {
           for (const float p : {0.0f, 0.1f}) {
             const core::AttnCoreDims d =
-                core_dims(sl.batch, sl.heads_local, s, hd, causal, p);
-            const Shape shape{{sl.batch * sl.heads_local, s, hd}};
-            Rng rng(static_cast<uint64_t>(1000 * s + hd));
-            const Tensor q = Tensor::randn(shape, rng);
-            const Tensor k = Tensor::randn(shape, rng);
-            const Tensor v = Tensor::randn(shape, rng);
-            const Tensor g = Tensor::randn(shape, rng);
+                core_dims(sl.heads_local, hd, causal, p);
+            const auto [qkv, g] =
+                core_inputs(s, sl.batch, sl.heads_local, hd,
+                            static_cast<uint64_t>(1000 * s + hd));
             CoreResult ref;
             {
               ScopedEnv one("MLS_KERNEL_THREADS", "1");
-              ref = run_core(std::nullopt, q, k, v, g, d);
+              ref = run_core(std::nullopt, qkv, g, d);
             }
             for (const char* nt : {"1", "2", "4"}) {
               ScopedEnv threads("MLS_KERNEL_THREADS", nt);
               for (int path = 0; path <= 3; ++path) {
                 std::optional<core::AttnSaved> saved;
                 if (path > 0) saved = kSavedSets[path - 1];
-                const CoreResult r = run_core(saved, q, k, v, g, d);
+                const CoreResult r = run_core(saved, qkv, g, d);
                 const std::string where =
-                    "nb=" + std::to_string(shape.dim(0)) +
+                    "b=" + std::to_string(sl.batch) +
+                    " heads=" + std::to_string(sl.heads_local) +
                     " s=" + std::to_string(s) + " d=" + std::to_string(hd) +
                     " causal=" + std::to_string(causal) +
                     " p=" + std::to_string(p) + " threads=" + nt +
                     " path=" + std::to_string(path);
                 EXPECT_TRUE(bitwise_equal(r.ctx, ref.ctx)) << "ctx " << where;
-                EXPECT_TRUE(bitwise_equal(r.dq, ref.dq)) << "dq " << where;
-                EXPECT_TRUE(bitwise_equal(r.dk, ref.dk)) << "dk " << where;
-                EXPECT_TRUE(bitwise_equal(r.dv, ref.dv)) << "dv " << where;
+                EXPECT_TRUE(bitwise_equal(r.dqkv, ref.dqkv))
+                    << "dqkv " << where;
               }
             }
           }
@@ -302,13 +339,13 @@ TEST(StreamedAttentionCore, BitwiseEqualToMaterializedCore) {
 
 // The kNone saved sets are written slice by slice into whole saved
 // tensors, so over forward + backward the pool holds, beyond the saved
-// s² tensors, the output and the Q/K/V gradients, only a few s×s slice
+// s² tensors, the output and the d(QKV) gradient, only a few s×s slice
 // buffers — at one slice and at eight alike. A core that materializes a
 // whole [nb, s, s] transient (scores before the softmax, d(P·dropout),
 // dP or dS over every slice at once) exceeds the bound at nb = 8.
 TEST(StreamedAttentionCore, KNoneTransientsDoNotGrowWithSliceCount) {
-  // d much smaller than s, so the [nb, s, d] buffers the bound accounts
-  // for (dQ and dK are not live at every point) leave little slack.
+  // d much smaller than s, so the [s, b, h/t]-sized buffers the bound
+  // accounts for (d(QKV) is three of them) leave little slack.
   const int64_t s = 64, hd = 4;
   const int64_t slice = s * s * static_cast<int64_t>(sizeof(float));
   auto& mt = MemoryTracker::instance();
@@ -318,22 +355,18 @@ TEST(StreamedAttentionCore, KNoneTransientsDoNotGrowWithSliceCount) {
     // plus the 1-byte mask, or fp32 scores plus the mask.
     const int64_t kept = saved == core::AttnSaved::kProbs ? 9 : 5;
     for (const int64_t heads : {1, 8}) {
-      const core::AttnCoreDims d = core_dims(1, heads, s, hd, true, 0.1f);
-      const Shape shape{{heads, s, hd}};
-      Rng rng(5);
-      ag::Var q(Tensor::randn(shape, rng), true);
-      ag::Var k(Tensor::randn(shape, rng), true);
-      ag::Var v(Tensor::randn(shape, rng), true);
-      Tensor g = Tensor::randn(shape, rng);
-      const int64_t qkv_sized = g.numel() * static_cast<int64_t>(sizeof(float));
+      const core::AttnCoreDims d = core_dims(heads, hd, true, 0.1f);
+      auto [qkv0, g] = core_inputs(s, 1, heads, hd, 5);
+      ag::Var qkv(qkv0, true);
+      const int64_t ctx_sized = g.numel() * static_cast<int64_t>(sizeof(float));
       const int64_t live0 = mt.pooled_in_use_bytes();
       mt.reset_physical_peak();
       {
-        const ag::Var ctx = core::attention_core(q, k, v, d, saved);
+        const ag::Var ctx = core::attention_core(qkv, d, saved);
         ag::backward(ctx, std::move(g));  // the root gradient, not a copy
       }
       const int64_t peak = mt.pooled_in_use_peak_bytes() - live0;
-      const int64_t accounted = heads * s * s * kept + 4 * qkv_sized;
+      const int64_t accounted = heads * s * s * kept + 4 * ctx_sized;
       EXPECT_LE(peak - accounted, 4 * slice)
           << "saved set " << static_cast<int>(saved) << " nb=" << heads;
     }
@@ -356,21 +389,17 @@ int64_t pool_allocs(F&& fn) {
 // the scores slice buffer by the whole saved scores, so it allocates
 // exactly one more buffer than without: the mask.
 TEST(StreamedAttentionCore, NoGradForwardKeepsNothingAndDrawsNoMask) {
-  const core::AttnCoreDims d = core_dims(2, 2, 33, 8, true, 0.1f);
-  const Shape shape{{4, 33, 8}};
-  Rng rng(95);
-  ag::Var q(Tensor::randn(shape, rng), true);
-  ag::Var k(Tensor::randn(shape, rng), true);
-  ag::Var v(Tensor::randn(shape, rng), true);
+  const core::AttnCoreDims d = core_dims(2, 8, true, 0.1f);
+  ag::Var qkv(core_inputs(33, 2, 2, 8, 95).first, true);
   for (const core::AttnSaved saved : kSavedSets) {
     ag::Var y_grad, y_nograd;
     const int64_t grad =
-        pool_allocs([&] { y_grad = core::attention_core(q, k, v, d, saved); });
+        pool_allocs([&] { y_grad = core::attention_core(qkv, d, saved); });
     int64_t nograd = 0;
     {
       ag::NoGradGuard no_grad;
       nograd = pool_allocs(
-          [&] { y_nograd = core::attention_core(q, k, v, d, saved); });
+          [&] { y_nograd = core::attention_core(qkv, d, saved); });
     }
     const int set = static_cast<int>(saved);
     EXPECT_EQ(nograd, 3) << "set " << set;  // out + two slice buffers
@@ -382,6 +411,31 @@ TEST(StreamedAttentionCore, NoGradForwardKeepsNothingAndDrawsNoMask) {
     EXPECT_TRUE(bitwise_equal(y_nograd.value(), y_grad.value()))
         << "set " << set;
   }
+}
+
+// The core writes dQ, dK and dV straight into one d(QKV) buffer, so a
+// self-attention block's backward allocates no other [s, b, 3h/t]-sized
+// gradient (no per-piece slice gradients of the whole QKV output for the
+// engine to sum) and no Q/K/V or context gradient in another layout: its
+// pool allocations are exactly what its GEMMs and the core need.
+TEST(StreamedAttentionCore, SelfAttentionBackwardAllocatesOneQkvGradient) {
+  spmd::run(1, [&](comm::Comm& c) {
+    const ModelConfig cfg = ModelConfig::tiny(1, 1);
+    const core::ParallelEnv env = model::make_env(cfg, c);
+    Rng master(3);
+    core::ParallelSelfAttention attn(env, cfg.h, cfg.a, 0.1f,
+                                     /*causal=*/true, 0, master, "attn");
+    Rng drng(4);
+    ag::Var x(Tensor::randn(Shape{{cfg.s, cfg.b, cfg.h}}, drng), true);
+    ag::Var y = attn.forward(x, env);
+    Tensor dy = Tensor::full(y.value().shape(), 1.f);
+    const int64_t allocs =
+        pool_allocs([&] { ag::backward(y, std::move(dy)); });
+    // proj: bias grad, dctx, dW; the core: d(QKV) and two s×s slices of
+    // workspace (the tp plan keeps P, its dropout and the mask); qkv:
+    // bias grad, dx, dW; and x's accumulated gradient.
+    EXPECT_EQ(allocs, 3 + 3 + 3 + 1);
+  });
 }
 
 // ------------------------------------------- nested checkpoint replay
@@ -404,8 +458,6 @@ TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
     dims.heads_local = heads / t;
     dims.heads_total = heads;
     dims.rank = c.rank();
-    dims.batch = b;
-    dims.s_full = s;
     dims.alpha = 0.5f;
     dims.causal = true;
     dims.dropout_p = 0.25f;
@@ -413,13 +465,8 @@ TEST(OverlapRecompute, NestedCheckpointDropoutReplayBitExact) {
 
     auto outer = [&](const std::vector<ag::Var>& ins) {
       ag::Var g = core::gather_from_sequence_parallel(ins[0], c);
-      auto qkv = ag::chunk(ag::matmul(g, ins[1]), 3, /*dim=*/2);
-      ag::Var ctx = core::attention_core(
-          ag::sbh_to_bhsd(qkv[0], dims.heads_local),
-          ag::sbh_to_bhsd(qkv[1], dims.heads_local),
-          ag::sbh_to_bhsd(qkv[2], dims.heads_local), dims,
-          core::AttnSaved::kInputs);
-      ag::Var a = ag::bhsd_to_sbh(ctx, dims.heads_local);
+      ag::Var a = core::attention_core(ag::matmul(g, ins[1]), dims,
+                                       core::AttnSaved::kInputs);
       ag::Var d = ag::dropout(a, 0.1f, /*seed=*/321,
                               ops::IndexMap::identity(a.value().shape()));
       return core::scatter_to_sequence_parallel(d, c);

@@ -485,15 +485,5 @@ TEST(Ops, PermuteRoundTrip) {
   EXPECT_TRUE(back.allclose(x));
 }
 
-TEST(Ops, AttentionLayoutRoundTrip) {
-  Rng rng(21);
-  const int64_t s = 5, b = 2, heads = 3, d = 4;
-  Tensor x = Tensor::randn(Shape{{s, b, heads * d}}, rng);
-  Tensor y = ops::sbh_to_bhsd(x, heads);
-  EXPECT_EQ(y.shape(), (Shape{{b * heads, s, d}}));
-  Tensor back = ops::bhsd_to_sbh(y, heads);
-  EXPECT_TRUE(back.allclose(x));
-}
-
 }  // namespace
 }  // namespace mls
